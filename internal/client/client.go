@@ -48,7 +48,9 @@ type HTTPClient struct {
 	// cap, exponential backoff, jitter, and Retry-After handling — and
 	// takes precedence over MaxRetries.
 	Retry *RetryPolicy
-	// HTTP is the underlying client; nil uses a 30s-timeout default.
+	// HTTP is the underlying client. NewHTTPClient installs a 30s-timeout
+	// default; a literal-constructed client with a nil HTTP falls back to a
+	// new default per call.
 	HTTP *http.Client
 	// UsePost selects POST form encoding instead of GET (useful for
 	// queries exceeding URL length limits).
@@ -140,14 +142,21 @@ func (c *HTTPClient) context() context.Context {
 // NewHTTPClient returns a client for the endpoint with pagination enabled
 // at the given page size.
 func NewHTTPClient(endpoint string, pageSize int) *HTTPClient {
-	return &HTTPClient{Endpoint: endpoint, PageSize: pageSize, stats: &clientStats{}}
+	return &HTTPClient{
+		Endpoint: endpoint,
+		PageSize: pageSize,
+		HTTP:     defaultHTTPClient(),
+		stats:    &clientStats{},
+	}
 }
+
+func defaultHTTPClient() *http.Client { return &http.Client{Timeout: 30 * time.Second} }
 
 func (c *HTTPClient) httpClient() *http.Client {
 	if c.HTTP != nil {
 		return c.HTTP
 	}
-	return &http.Client{Timeout: 30 * time.Second}
+	return defaultHTTPClient()
 }
 
 // Select executes the query, paginating transparently, and returns the full

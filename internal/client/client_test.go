@@ -1,9 +1,11 @@
 package client
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -240,4 +242,38 @@ func (gzipForcingTransport) RoundTrip(req *http.Request) (*http.Response, error)
 		return nil, fmt.Errorf("test transport: endpoint did not gzip")
 	}
 	return resp, err
+}
+
+// TestFetchesReuseOneConnection: a client from NewHTTPClient holds one
+// http.Client for its lifetime, so consecutive fetches ride one keep-alive
+// connection instead of dialling per request.
+func TestFetchesReuseOneConnection(t *testing.T) {
+	c := NewHTTPClient(newEndpoint(t, 30, 0), 10)
+	if c.HTTP == nil {
+		t.Fatal("NewHTTPClient left HTTP nil")
+	}
+	first := c.HTTP
+	var reused []bool
+	trace := &httptrace.ClientTrace{GotConn: func(info httptrace.GotConnInfo) { reused = append(reused, info.Reused) }}
+	c = c.WithContext(httptrace.WithClientTrace(context.Background(), trace))
+	res, err := c.Select(`SELECT * WHERE { ?s <http://ex/p> ?o }`) // four pages
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 30 || len(reused) != 4 {
+		t.Fatalf("rows = %d over %d fetches, want 30 over 4", len(res.Rows), len(reused))
+	}
+	for i, r := range reused[1:] {
+		if !r {
+			t.Fatalf("fetch %d dialled a new connection (reused: %v)", i+2, reused)
+		}
+	}
+	if c.HTTP != first {
+		t.Fatal("the client's http.Client changed between fetches")
+	}
+	// A literal-constructed client still works through the lazy fallback.
+	lit := &HTTPClient{Endpoint: c.Endpoint}
+	if res, err := lit.Select(`SELECT * WHERE { ?s <http://ex/p> ?o }`); err != nil || len(res.Rows) != 30 {
+		t.Fatalf("literal client: %d rows, %v", len(res.Rows), err)
+	}
 }

@@ -31,12 +31,26 @@ func New(cols ...string) *DataFrame {
 	return df
 }
 
-// FromRows builds a dataframe from columns and rows; rows shorter than the
-// column list are padded with nulls.
+// fromRowsBlock is how many rows FromRows allocates at a time.
+const fromRowsBlock = 1024
+
+// FromRows builds a dataframe from columns and rows, copying the cells into
+// blocks of fromRowsBlock rows that the frame's rows are sliced out of (a
+// few allocations per frame rather than one per row, and none as large as
+// the frame); like Append, rows shorter than the column list are padded
+// with nulls and longer ones truncated.
 func FromRows(cols []string, rows [][]rdf.Term) *DataFrame {
 	df := New(cols...)
-	for _, r := range rows {
-		df.Append(r)
+	w := len(df.cols)
+	df.rows = make([][]rdf.Term, len(rows))
+	var block []rdf.Term
+	for i, r := range rows {
+		if len(block) < w {
+			block = make([]rdf.Term, w*min(fromRowsBlock, len(rows)-i))
+		}
+		df.rows[i] = block[:w:w]
+		block = block[w:]
+		copy(df.rows[i], r)
 	}
 	return df
 }

@@ -413,3 +413,49 @@ func TestStringRendering(t *testing.T) {
 		t.Fatalf("string = %q", s)
 	}
 }
+
+// TestFromRowsBlockBacking pins FromRows to Append's semantics now that it
+// copies into shared row blocks: short rows padded, long rows truncated,
+// the input never aliased, Row still a live view, and neighbouring rows
+// out of reach of an append through that view.
+func TestFromRowsBlockBacking(t *testing.T) {
+	a, b, c := rdf.NewIRI("http://a"), rdf.NewIRI("http://b"), rdf.NewIRI("http://c")
+	in := [][]rdf.Term{{a, b}, {c}, {a, b, c}, nil}
+	df := FromRows([]string{"x", "y"}, in)
+	byAppend := New("x", "y")
+	for _, r := range in {
+		byAppend.Append(r)
+	}
+	if df.String() != byAppend.String() || df.Len() != 4 {
+		t.Fatalf("FromRows built\n%v\nAppend built\n%v", df, byAppend)
+	}
+	if got := df.Row(1); len(got) != 2 || got[0] != c || got[1].IsBound() {
+		t.Fatalf("short row not padded: %v", got)
+	}
+	if got := df.Row(2); len(got) != 2 || got[1] != b {
+		t.Fatalf("long row not truncated: %v", got)
+	}
+	in[0][0] = c
+	if df.Cell(0, "x") != a {
+		t.Fatal("frame aliases its input rows")
+	}
+	df.Row(0)[1] = c
+	if df.Cell(0, "y") != c {
+		t.Fatal("Row is no longer a live view of the frame")
+	}
+	_ = append(df.Row(0), b)
+	if df.Cell(1, "x") != c {
+		t.Fatal("append through Row(0) overwrote row 1")
+	}
+	// Across block boundaries every row is still its own.
+	many := make([][]rdf.Term, 2*fromRowsBlock+7)
+	for i := range many {
+		many[i] = []rdf.Term{rdf.NewInteger(int64(i))}
+	}
+	big := FromRows([]string{"x", "y"}, many)
+	for i := range many {
+		if got := big.Row(i); len(got) != 2 || got[0] != many[i][0] || got[1].IsBound() {
+			t.Fatalf("row %d of %d: %v", i, len(many), got)
+		}
+	}
+}

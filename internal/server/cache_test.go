@@ -158,6 +158,49 @@ func TestServerGzipResponses(t *testing.T) {
 	}
 }
 
+// TestServerContentLength: a page served from a cache entry's memo is whole
+// before the first byte goes out, so an uncompressed response states its
+// length; a page streamed out of the encoder cannot, and a compressed one
+// must not state the uncompressed length.
+func TestServerContentLength(t *testing.T) {
+	cached, st := newCachedServer(t, 40) // 40 rows: past net/http's own 2 KiB length sniffing
+	plainSrv := httptest.NewServer(New(sparql.NewEngine(st)).Handler())
+	t.Cleanup(plainSrv.Close)
+	get := func(ts *httptest.Server, encoding, extra string) (int64, int) {
+		t.Helper()
+		q := url.QueryEscape(`SELECT * WHERE { ?s <http://ex/p> ?o }`)
+		req, err := http.NewRequest(http.MethodGet, ts.URL+"/sparql?query="+q+extra, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Accept-Encoding", encoding)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.ContentLength, len(data)
+	}
+	for _, name := range []string{"miss", "hit"} {
+		if length, n := get(cached, "identity", ""); length != int64(n) {
+			t.Errorf("cached server, %s: Content-Length %d for a %d-byte body", name, length, n)
+		}
+	}
+	if length, n := get(cached, "gzip", ""); length != -1 && length != int64(n) {
+		t.Errorf("gzip response: Content-Length %d for %d compressed bytes", length, n)
+	}
+	if length, _ := get(cached, "identity", "&trace=1"); length != -1 {
+		t.Errorf("traced response states Content-Length %d", length)
+	}
+	if length, _ := get(plainSrv, "identity", ""); length != -1 {
+		t.Errorf("streamed response states Content-Length %d", length)
+	}
+}
+
 func TestServerStatsReportsCacheCounters(t *testing.T) {
 	ts, _ := newCachedServer(t, 10)
 	q := `SELECT * WHERE { ?s <http://ex/p> ?o }`

@@ -187,14 +187,8 @@ func (s *Server) handleFeatures(w http.ResponseWriter, r *http.Request) {
 		s.logf("features error (%d) in %v: %v", status, time.Since(start), err)
 		return
 	}
-	body, err := res.MarshalJSON()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
 	w.Header().Set("Content-Type", "application/sparql-results+json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	if _, err := w.Write(body); err != nil {
+	if err := s.writeBody(w, r, -1, res.WriteJSON); err != nil {
 		s.logf("features write error: %v", err)
 		return
 	}

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bytes"
+	"compress/gzip"
 	"io"
 	"net/http"
 	"net/url"
@@ -95,6 +97,54 @@ func TestFeaturesEndpoint(t *testing.T) {
 		if row[1].Value != "1" || row[2].Value != "0" {
 			t.Fatalf("node %s: out=%s in=%s, want 1/0", row[0], row[1].Value, row[2].Value)
 		}
+	}
+}
+
+// TestFeaturesEndpointNegotiatesGzip: /v1/features goes through the same
+// response writer as /v1/query, so it compresses when asked and the
+// decompressed bytes are the plain response's.
+func TestFeaturesEndpointNegotiatesGzip(t *testing.T) {
+	ts, _ := newTestServer(t, 0)
+	target := ts.URL + "/v1/features?var=s&query=" + url.QueryEscape(`SELECT ?s WHERE { ?s <http://ex/p> ?o }`)
+	hc := &http.Client{Transport: &http.Transport{DisableCompression: true}}
+	fetch := func(acceptEncoding string) (*http.Response, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodGet, target, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if acceptEncoding != "" {
+			req.Header.Set("Accept-Encoding", acceptEncoding)
+		}
+		resp, err := hc.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, body
+	}
+	resp, plain := fetch("")
+	if enc := resp.Header.Get("Content-Encoding"); enc != "" {
+		t.Fatalf("unasked Content-Encoding %q", enc)
+	}
+	resp, packed := fetch("gzip")
+	if enc := resp.Header.Get("Content-Encoding"); enc != "gzip" {
+		t.Fatalf("Content-Encoding %q, want gzip", enc)
+	}
+	gz, err := gzip.NewReader(bytes.NewReader(packed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	unpacked, err := io.ReadAll(gz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(unpacked, plain) || len(plain) == 0 {
+		t.Fatalf("gunzipped body (%d bytes) differs from the plain one (%d bytes)", len(unpacked), len(plain))
 	}
 }
 

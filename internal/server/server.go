@@ -193,10 +193,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// (or an abandoned benchmark run that cancels its request) stops the
 	// query's work — including its morsel workers — within one tick window
 	// instead of evaluating to completion on a detached goroutine.
-	resp, err := s.Engine.Do(r.Context(), sparql.Request{
+	resp, err := s.Engine.Stream(r.Context(), sparql.Request{
 		Query:   query,
 		Serving: true,
-		JSON:    true,
 		MaxRows: s.MaxRows,
 	})
 	if err != nil {
@@ -214,17 +213,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.logf("query error (%d) in %v: %v", status, time.Since(start), err)
 		return
 	}
-	body, truncated := resp.Body, resp.Truncated
+	// The request is answered — nothing below can change the status — and
+	// no store lock is held: the page streams out of the engine's compact
+	// form while the client reads.
 	rows, info = resp.Rows, resp.Info
-	if wantTrace {
-		// Splice the trace annex into a copy of the response (cached bodies
-		// are shared across requests and must never be mutated).
-		if spliced, err := spliceTrace(body, tr.Report()); err == nil {
-			body = spliced
-		} else {
-			s.logf("trace annex error: %v", err)
-		}
-	}
 	w.Header().Set("Content-Type", "application/sparql-results+json")
 	w.Header().Set("X-Store-Version", strconv.FormatUint(info.StoreVersion, 10))
 	if info.CacheEnabled {
@@ -239,31 +231,85 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("X-Cache", "miss")
 		}
 	}
-	if truncated {
+	if resp.Truncated {
 		w.Header().Set("X-Truncated", "true")
 	}
-	out := io.Writer(w)
-	if acceptsGzip(r) {
-		w.Header().Set("Content-Encoding", "gzip")
-		w.Header().Set("Vary", "Accept-Encoding")
-		gz := gzipPool.Get().(*gzip.Writer)
-		gz.Reset(w)
-		defer func() {
-			if err := gz.Close(); err != nil {
-				s.logf("gzip close error: %v", err)
-			}
-			gzipPool.Put(gz)
-		}()
-		out = gz
-	} else {
-		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	write, size := resp.WriteJSON, -1
+	if wantTrace {
+		write = func(out io.Writer) error { return writeTraced(out, resp, tr) }
+	} else if resp.Body != nil {
+		size = len(resp.Body) // a page out of the cache entry's memo
 	}
-	if _, err := out.Write(body); err != nil {
+	if err := s.writeBody(w, r, size, write); err != nil {
 		s.logf("write error: %v", err)
 		return
 	}
 	s.logf("query ok: %d rows in %v (truncated=%v, cache=%v/%v)",
-		rows, time.Since(start), truncated, info.CacheEnabled, info.Hit)
+		rows, time.Since(start), resp.Truncated, info.CacheEnabled, info.Hit)
+}
+
+// writeBody sends the response body write produces, gzip-compressed when
+// the request's Accept-Encoding admits it. The body goes to the client as
+// write produces it; size is its length when that is known up front (sent
+// as Content-Length unless the body is compressed), or -1.
+func (s *Server) writeBody(w http.ResponseWriter, r *http.Request, size int, write func(io.Writer) error) error {
+	if !acceptsGzip(r) {
+		if size >= 0 {
+			w.Header().Set("Content-Length", strconv.Itoa(size))
+		}
+		return write(w)
+	}
+	w.Header().Set("Content-Encoding", "gzip")
+	w.Header().Set("Vary", "Accept-Encoding")
+	gz := gzipPool.Get().(*gzip.Writer)
+	defer gzipPool.Put(gz)
+	gz.Reset(w)
+	if err := write(gz); err != nil {
+		return err
+	}
+	return gz.Close()
+}
+
+// writeTraced writes resp's page with the trace report as a trailer: the
+// document's closing brace is held back, and a top-level "trace" member
+// follows the rows. The bytes before the trailer are those of the untraced
+// response, and the report is rendered after the last row is written, so it
+// covers the encode.
+func writeTraced(out io.Writer, resp *sparql.Response, tr *obs.Trace) error {
+	body := &holdLast{w: out}
+	if err := resp.WriteJSON(body); err != nil {
+		return err
+	}
+	annex, err := json.Marshal(tr.Report())
+	if err != nil {
+		annex = []byte("null")
+	}
+	_, err = fmt.Fprintf(out, `,"trace":%s}`, annex)
+	return err
+}
+
+// holdLast passes writes through to w except for the last byte written so
+// far, which it keeps.
+type holdLast struct {
+	w    io.Writer
+	last [1]byte
+	held bool
+}
+
+func (h *holdLast) Write(p []byte) (int, error) {
+	if len(p) == 0 {
+		return 0, nil
+	}
+	if h.held {
+		if _, err := h.w.Write(h.last[:]); err != nil {
+			return 0, err
+		}
+	}
+	h.last[0], h.held = p[len(p)-1], true
+	if n, err := h.w.Write(p[:len(p)-1]); err != nil {
+		return n, err
+	}
+	return len(p), nil
 }
 
 // explainRequested reports whether the request asked for the query plan
@@ -282,25 +328,6 @@ func traceRequested(r *http.Request) bool {
 		return true
 	}
 	return r.PostForm.Get("trace") == "1"
-}
-
-// spliceTrace returns a copy of a SPARQL JSON response body with the trace
-// report spliced in as a top-level "trace" member. The input is never
-// modified — response bodies can be shared cache entries.
-func spliceTrace(body []byte, rep *obs.TraceReport) ([]byte, error) {
-	annex, err := json.Marshal(rep)
-	if err != nil {
-		return nil, err
-	}
-	if len(body) == 0 || body[len(body)-1] != '}' {
-		return nil, fmt.Errorf("response body is not a JSON object")
-	}
-	out := make([]byte, 0, len(body)+len(annex)+16)
-	out = append(out, body[:len(body)-1]...)
-	out = append(out, `,"trace":`...)
-	out = append(out, annex...)
-	out = append(out, '}')
-	return out, nil
 }
 
 // handleExplain answers ?explain=1: the query is optimized and executed

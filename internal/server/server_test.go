@@ -266,3 +266,54 @@ func TestServerHealth(t *testing.T) {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
 }
+
+// writeLocker is a ResponseWriter whose every Write first mutates the store
+// (taking its write lock), as an update arriving while a client is stalled
+// mid-body would.
+type writeLocker struct {
+	*httptest.ResponseRecorder
+	st     *store.Store
+	writes int
+}
+
+func (w *writeLocker) Write(p []byte) (int, error) {
+	w.writes++
+	err := w.st.Add(g, rdf.Triple{
+		S: rdf.NewIRI("http://ex/written"),
+		P: rdf.NewIRI("http://ex/during"),
+		O: rdf.NewInteger(int64(w.writes)),
+	})
+	if err != nil {
+		return 0, err
+	}
+	return w.ResponseRecorder.Write(p)
+}
+
+// TestNoStoreLockHeldWhileWriting: the result endpoints finish evaluating,
+// and release the store read lock, before the first body byte — a writer
+// that needs the write lock would otherwise deadlock the request.
+func TestNoStoreLockHeldWhileWriting(t *testing.T) {
+	_, st := newTestServer(t, 0)
+	h := New(sparql.NewEngine(st)).Handler()
+	q := url.QueryEscape(`SELECT ?s ?o WHERE { ?s <http://ex/p> ?o }`)
+	for _, target := range []string{"/v1/query?query=" + q, "/v1/features?var=s&query=" + q} {
+		for _, enc := range []string{"", "gzip"} {
+			req := httptest.NewRequest(http.MethodGet, target, nil)
+			req.Header.Set("Accept-Encoding", enc)
+			w := &writeLocker{ResponseRecorder: httptest.NewRecorder(), st: st}
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				h.ServeHTTP(w, req)
+			}()
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s (Accept-Encoding %q): handler wrote its body under the store read lock", target, enc)
+			}
+			if w.Code != http.StatusOK || w.writes == 0 {
+				t.Fatalf("%s: status %d after %d writes", target, w.Code, w.writes)
+			}
+		}
+	}
+}

@@ -31,7 +31,7 @@ const (
 // entry's key, so a version mismatch is structurally a miss).
 type cachedResult struct {
 	version uint64
-	res     *Results
+	res     *compactResult
 	// key is the entry's result-cache key (empty for ephemeral entries
 	// that were never stored), so memo growth can be re-charged to the
 	// cache budget.
@@ -64,37 +64,40 @@ const resultRowCostBytes = 256
 func (ce *cachedResult) cost() int64 {
 	ce.mu.Lock()
 	defer ce.mu.Unlock()
-	return int64(len(ce.res.Rows)) + 1 + ce.memoBytes/resultRowCostBytes
+	return int64(ce.res.n) + 1 + ce.memoBytes/resultRowCostBytes
 }
 
-// encodedPage returns the SPARQL JSON serialization of rows[lo:hi],
-// memoized per window; grew reports whether the memo took on new bytes
-// (the caller re-charges the entry to the cache budget). Encoding is
-// deterministic, so a memoized page is byte-identical to a fresh
-// serialization of the same rows.
-func (ce *cachedResult) encodedPage(lo, hi int) (b []byte, grew bool, err error) {
+// encodedPage returns the memoized SPARQL JSON serialization of rows
+// [lo, hi), encoding and memoizing it first while the memo has room; grew
+// reports that the memo took on new bytes (the caller re-charges the entry
+// to the cache budget). It returns nil for a window that is not memoized
+// once the memo is full: the caller then encodes without keeping the bytes.
+// Encoding is deterministic, so a memoized page is byte-identical to a
+// fresh serialization of the same rows.
+func (ce *cachedResult) encodedPage(lo, hi int) (b []byte, grew bool) {
 	key := [2]int{lo, hi}
 	ce.mu.Lock()
 	b, ok := ce.pages[key]
+	full := len(ce.pages) >= maxEncodedPages
 	ce.mu.Unlock()
-	if ok {
-		return b, false, nil
+	if ok || full {
+		return b, false
 	}
-	b, err = (&Results{Vars: ce.res.Vars, Rows: ce.res.Rows[lo:hi]}).MarshalJSON()
-	if err != nil {
-		return nil, false, err
-	}
+	b = ce.res.marshalJSON(lo, hi)
 	ce.mu.Lock()
+	defer ce.mu.Unlock()
+	if first, raced := ce.pages[key]; raced {
+		return first, false
+	}
+	if len(ce.pages) >= maxEncodedPages {
+		return b, false
+	}
 	if ce.pages == nil {
 		ce.pages = make(map[[2]int][]byte)
 	}
-	if len(ce.pages) < maxEncodedPages {
-		ce.pages[key] = b
-		ce.memoBytes += int64(len(b))
-		grew = true
-	}
-	ce.mu.Unlock()
-	return b, grew, nil
+	ce.pages[key] = b
+	ce.memoBytes += int64(len(b))
+	return b, true
 }
 
 // ServeInfo describes how a QueryServing call was answered.
@@ -305,7 +308,7 @@ func (e *Engine) serve(ctx context.Context, src string) (ce *cachedResult, limit
 		if err != nil {
 			return nil, 0, 0, info, err
 		}
-		return &cachedResult{version: info.StoreVersion, res: rep.Results()}, limit, 0, info, nil
+		return &cachedResult{version: info.StoreVersion, res: compactOf(rep.Results())}, limit, 0, info, nil
 	}
 	if e.results == nil {
 		evalPlan := qp

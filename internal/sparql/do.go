@@ -2,6 +2,7 @@ package sparql
 
 import (
 	"context"
+	"io"
 
 	"rdfframes/internal/obs"
 )
@@ -22,8 +23,8 @@ type Request struct {
 	// protection. Off, the request evaluates directly (still through the
 	// plan cache when enabled).
 	Serving bool
-	// JSON asks for the SPARQL JSON serialization in Response.Body. On the
-	// serving path cached entries answer from their per-window encoding
+	// JSON asks Do for the SPARQL JSON serialization in Response.Body. On
+	// the serving path cached entries answer from their per-window encoding
 	// memo.
 	JSON bool
 	// MaxRows caps the returned page at this many rows (0 = no cap),
@@ -36,11 +37,12 @@ type Request struct {
 
 // Response is the answer to one Request.
 type Response struct {
-	// Results holds the decoded solutions. Nil when JSON was requested on
-	// the serving path (the body is served from the encoding memo without
-	// materializing a Results view).
+	// Results holds the decoded solutions. Nil when JSON was requested (the
+	// page is serialized from the engine's compact form without
+	// materializing terms) and on a Stream response.
 	Results *Results
-	// Body is the SPARQL JSON serialization (JSON requests only).
+	// Body is the SPARQL JSON serialization: of a JSON request through Do
+	// always, of a Stream response when the page memo holds it.
 	Body []byte
 	// Rows is the number of rows in the returned page.
 	Rows int
@@ -49,65 +51,114 @@ type Response struct {
 	// Info describes how the request was answered (cache outcome, store
 	// version, plan digest).
 	Info ServeInfo
+
+	// The page itself: rows [lo, hi) of entry's compact result. entry.key
+	// is empty when the result is not in the cache.
+	eng    *Engine
+	entry  *cachedResult
+	lo, hi int
+	trace  *obs.Trace
 }
 
 // Do executes one query request; see Request for the knobs. Cancellation
 // (or a deadline) on ctx stops the evaluation — including any morsel
 // workers it fanned out — within one tick window.
 func (e *Engine) Do(ctx context.Context, req Request) (*Response, error) {
+	resp, err := e.answer(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	if !req.JSON {
+		resp.Results = resp.entry.res.results(resp.lo, resp.hi)
+		return resp, nil
+	}
+	defer resp.trace.StartSpan("encode")()
+	if resp.Body = resp.memoized(); resp.Body == nil {
+		resp.Body = resp.entry.res.marshalJSON(resp.lo, resp.hi)
+	}
+	return resp, nil
+}
+
+// Stream is Do for a caller that writes the JSON page to a writer itself
+// (the HTTP server). The request is fully answered when it returns —
+// evaluated, or found in the cache — so errors and the response metadata
+// (Rows, Truncated, Info) are known before the first byte is written, and no
+// store lock is held. Results is not filled. Body is filled only for a page
+// of a cached result, from the entry's page memo (which the page joins
+// while the memo has room): its length is then known ahead of the write.
+// Any other page stays in the engine's compact form until
+// Response.WriteJSON encodes it in chunks, so a large result is never held
+// as one body.
+func (e *Engine) Stream(ctx context.Context, req Request) (*Response, error) {
+	resp, err := e.answer(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.entry.key != "" {
+		endEncode := resp.trace.StartSpan("encode")
+		resp.Body = resp.memoized()
+		endEncode()
+	}
+	return resp, nil
+}
+
+// answer evaluates the request, or finds it in the cache, and fixes the
+// page: everything about the response except its serialization.
+func (e *Engine) answer(ctx context.Context, req Request) (*Response, error) {
 	if req.Trace != nil && obs.TraceFrom(ctx) == nil {
 		ctx = obs.WithTrace(ctx, req.Trace)
 	}
-	if !req.Serving {
+	resp := &Response{eng: e, trace: obs.TraceFrom(ctx)}
+	limit, offset := -1, 0
+	if req.Serving {
+		var err error
+		if resp.entry, limit, offset, resp.Info, err = e.serve(ctx, req.Query); err != nil {
+			return nil, err
+		}
+	} else {
 		res, version, err := e.queryVersioned(ctx, req.Query)
 		if err != nil {
 			return nil, err
 		}
-		resp := &Response{Results: res, Rows: len(res.Rows), Info: ServeInfo{StoreVersion: version}}
-		if req.MaxRows > 0 && len(res.Rows) > req.MaxRows {
-			resp.Results = &Results{Vars: res.Vars, Rows: res.Rows[:req.MaxRows]}
-			resp.Rows = req.MaxRows
-			resp.Truncated = true
-		}
-		if req.JSON {
-			body, err := resp.Results.MarshalJSON()
-			if err != nil {
-				return nil, err
-			}
-			resp.Body = body
-		}
-		return resp, nil
+		resp.entry = &cachedResult{version: version, res: res}
+		resp.Info = ServeInfo{StoreVersion: version}
 	}
-
-	ce, limit, offset, info, err := e.serve(ctx, req.Query)
-	if err != nil {
-		return nil, err
-	}
-	lo, hi := pageBounds(len(ce.res.Rows), limit, offset)
-	resp := &Response{Info: info}
-	if req.MaxRows > 0 && hi-lo > req.MaxRows {
-		hi = lo + req.MaxRows
+	resp.lo, resp.hi = pageBounds(resp.entry.res.n, limit, offset)
+	if req.MaxRows > 0 && resp.hi-resp.lo > req.MaxRows {
+		resp.hi = resp.lo + req.MaxRows
 		resp.Truncated = true
 	}
-	resp.Rows = hi - lo
-	if req.JSON {
-		endEncode := obs.TraceFrom(ctx).StartSpan("encode")
-		body, grew, err := ce.encodedPage(lo, hi)
-		endEncode()
-		if err != nil {
-			return nil, err
-		}
-		if grew && ce.key != "" && e.results != nil {
-			// Re-charge the entry for its grown encoding memo so the budget
-			// keeps bounding total memory; an entry that outgrew the whole
-			// budget is dropped rather than sit under-accounted.
-			if !e.results.Put(ce.key, ce, ce.cost()) {
-				e.results.Delete(ce.key)
-			}
-		}
-		resp.Body = body
-		return resp, nil
-	}
-	resp.Results = &Results{Vars: ce.res.Vars, Rows: ce.res.Rows[lo:hi]}
+	resp.Rows = resp.hi - resp.lo
 	return resp, nil
+}
+
+// WriteJSON writes the response's page to w as one SPARQL JSON document:
+// Body when it is filled, the page encoded in chunks straight into w
+// otherwise.
+func (r *Response) WriteJSON(w io.Writer) error {
+	if r.Body != nil {
+		_, err := w.Write(r.Body)
+		return err
+	}
+	defer r.trace.StartSpan("encode")()
+	return r.entry.res.writeJSON(w, r.lo, r.hi)
+}
+
+// memoized returns the page's serialization from the cache entry's page
+// memo, adding it first if the memo has room; nil when the result is not
+// cached or the memo is full.
+func (r *Response) memoized() []byte {
+	if r.entry.key == "" || r.eng.results == nil {
+		return nil
+	}
+	body, grew := r.entry.encodedPage(r.lo, r.hi)
+	if grew {
+		// Re-charge the entry for its grown encoding memo so the budget
+		// keeps bounding total memory; an entry that outgrew the whole
+		// budget is dropped rather than sit under-accounted.
+		if !r.eng.results.Put(r.entry.key, r.entry, r.entry.cost()) {
+			r.eng.results.Delete(r.entry.key)
+		}
+	}
+	return body
 }

@@ -55,8 +55,8 @@ type Engine struct {
 
 	// plans caches parsed queries by text together with their optimized
 	// plans (re-optimized whenever the store's stats epoch moves); results
-	// caches full decoded result sets keyed by (store version, graphs,
-	// normalized text). Both are nil until EnableCache (see cache.go).
+	// caches full result sets in compact form keyed by (store version,
+	// graphs, normalized text). Both are nil until EnableCache (see cache.go).
 	plans   *qcache.Cache[*cachedPlan]
 	results *qcache.Cache[*cachedResult]
 
@@ -150,7 +150,10 @@ func (e *Engine) QueryContext(ctx context.Context, src string) (*Results, error)
 // structured form).
 func (e *Engine) queryContext(ctx context.Context, src string) (*Results, error) {
 	res, _, err := e.queryVersioned(ctx, src)
-	return res, err
+	if err != nil {
+		return nil, err
+	}
+	return res.results(0, res.n), nil
 }
 
 // queryVersioned evaluates src and reports the store version the answer
@@ -158,7 +161,7 @@ func (e *Engine) queryContext(ctx context.Context, src string) (*Results, error)
 // batches commit under the write lock and bump the version before releasing
 // it, so a version observed here can never mis-attribute a pre-batch answer
 // to the post-batch state.
-func (e *Engine) queryVersioned(ctx context.Context, src string) (*Results, uint64, error) {
+func (e *Engine) queryVersioned(ctx context.Context, src string) (*compactResult, uint64, error) {
 	q, qp, err := e.planned(ctx, src)
 	if err != nil {
 		return nil, 0, err
@@ -168,7 +171,7 @@ func (e *Engine) queryVersioned(ctx context.Context, src string) (*Results, uint
 		if err != nil {
 			return nil, 0, err
 		}
-		return rep.Results(), e.Store.Version(), nil
+		return compactOf(rep.Results()), e.Store.Version(), nil
 	}
 	e.Store.RLock()
 	defer e.Store.RUnlock()
@@ -188,8 +191,12 @@ func (e *Engine) Eval(q *Query) (*Results, error) {
 func (e *Engine) EvalContext(ctx context.Context, q *Query) (*Results, error) {
 	qp := e.planFor(q) // before RLock: planning takes its own read locks
 	e.Store.RLock()
-	defer e.Store.RUnlock()
-	return e.evalLocked(ctx, q, qp)
+	res, err := e.evalLocked(ctx, q, qp)
+	e.Store.RUnlock()
+	if err != nil {
+		return nil, err
+	}
+	return res.results(0, res.n), nil
 }
 
 // planFor optimizes q unless the optimizer (or all reordering) is off.
@@ -204,7 +211,7 @@ func (e *Engine) planFor(q *Query) *queryPlan {
 
 // evalLocked evaluates q under an already-optimized plan (nil runs the
 // greedy heuristic) with the store read lock already held.
-func (e *Engine) evalLocked(ctx context.Context, q *Query, qp *queryPlan) (*Results, error) {
+func (e *Engine) evalLocked(ctx context.Context, q *Query, qp *queryPlan) (*compactResult, error) {
 	ev, err := e.evaluatorLocked(ctx, qp)
 	if err != nil {
 		return nil, err

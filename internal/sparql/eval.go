@@ -59,44 +59,15 @@ func (ev *evaluator) rowCtx(rows *idRows) (*evalCtx, *idRowView) {
 	return &evalCtx{row: view, dict: ev.dict, cache: ev.cache}, view
 }
 
-// evalQuery evaluates a query against the given default graphs and decodes
-// its projected solutions into terms. The decode fans out to the worker
-// pool for large results: rows land at fixed positions, and the evaluator
-// dictionary is quiescent once evaluation is done, so concurrent decoding
-// is race-free and trivially order-preserving.
-func (ev *evaluator) evalQuery(q *Query, defaultGraphs []string) (*Results, error) {
+// evalQuery evaluates a query against the given default graphs and resolves
+// its projected solutions into a compact result: each distinct term is
+// decoded once, here, under the read lock the caller holds.
+func (ev *evaluator) evalQuery(q *Query, defaultGraphs []string) (*compactResult, error) {
 	sols, err := ev.evalQueryRows(q, defaultGraphs, true)
 	if err != nil {
 		return nil, err
 	}
-	vars := append([]string(nil), sols.vars...)
-	rows := make([][]rdf.Term, sols.n)
-	decodeRange := func(lo, hi int, tk *ticker) error {
-		for i := lo; i < hi; i++ {
-			if err := tk.tick(); err != nil {
-				return err
-			}
-			src := sols.row(i)
-			r := make([]rdf.Term, len(vars))
-			for j, id := range src {
-				r[j] = ev.dict.decode(id)
-			}
-			rows[i] = r
-		}
-		return nil
-	}
-	if ev.workers > 1 && sols.n >= minParallelRows {
-		bounds := rowChunks(sols.n, morselRows)
-		err = ev.forEachPart(len(bounds), func(p int, tk *ticker) error {
-			return decodeRange(bounds[p][0], bounds[p][1], tk)
-		})
-	} else {
-		err = decodeRange(0, sols.n, &ev.tk)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return &Results{Vars: vars, Rows: rows}, nil
+	return ev.compact(sols)
 }
 
 // evalQueryRows evaluates a query and returns its projected solutions still

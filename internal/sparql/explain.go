@@ -127,7 +127,7 @@ func (e *Engine) explainParsed(ctx context.Context, src string, q *Query) (*Expl
 		StoreVersion: version,
 		PlanSeconds:  planDur.Seconds(),
 		ExecSeconds:  time.Since(execStart).Seconds(),
-		Rows:         len(res.Rows),
+		Rows:         res.n,
 		Plan:         qp.root,
 	}, nil
 }

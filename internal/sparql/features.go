@@ -58,16 +58,16 @@ func (e *Engine) Features(ctx context.Context, spec FeatureSpec) (*Results, erro
 	col := 0
 	if spec.Var != "" {
 		col = -1
-		for i, v := range res.Vars {
+		for i, v := range res.vars {
 			if v == spec.Var {
 				col = i
 				break
 			}
 		}
 		if col < 0 {
-			return nil, fmt.Errorf("sparql: features: query does not bind ?%s (has %v)", spec.Var, res.Vars)
+			return nil, fmt.Errorf("sparql: features: query does not bind ?%s (has %v)", spec.Var, res.vars)
 		}
-	} else if len(res.Vars) == 0 {
+	} else if len(res.vars) == 0 {
 		return nil, fmt.Errorf("sparql: features: query projects no variables")
 	}
 	hopCap := spec.HopCap
@@ -77,17 +77,19 @@ func (e *Engine) Features(ctx context.Context, spec FeatureSpec) (*Results, erro
 		hopCap = 0 // store-level 0 means unbounded
 	}
 	dict := e.Store.Dict()
-	seen := map[rdf.Term]bool{}
+	seen := make([]bool, len(res.terms))
+	seen[0] = true // unbound cells name no node
 	out := &Results{Vars: append([]string(nil), FeatureVars...)}
-	for _, row := range res.Rows {
+	for i := 0; i < res.n; i++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		t := row[col]
-		if !t.IsBound() || seen[t] {
+		cell := res.cells[i*len(res.vars)+col]
+		if seen[cell] {
 			continue
 		}
-		seen[t] = true
+		seen[cell] = true
+		t := res.terms[cell]
 		var nf store.NodeFeatures
 		if id, ok := dict.Lookup(t); ok {
 			nf = e.Store.NodeFeatures(e.DefaultGraphs, id, hopCap)

@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -120,6 +121,43 @@ func BenchmarkGroupBy(b *testing.B) {
 				}
 				if res.Len() == 0 {
 					b.Fatal("no groups")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkQueryDistinctResult is the worst case for resolving a result's
+// ids into terms: a single scan whose every cell is its own term, so the
+// time is nearly all spent after evaluation — building the Results
+// ("terms", what Direct.Select pays) or the JSON body ("json", what the
+// server pays).
+func BenchmarkQueryDistinctResult(b *testing.B) {
+	const rows = 200_000
+	s := store.New()
+	p := rdf.NewIRI("http://ex/p")
+	for i := 0; i < rows; i++ {
+		s.Add(testGraph, rdf.Triple{
+			S: rdf.NewIRI(fmt.Sprintf("http://ex/s%d", i)),
+			P: p,
+			O: rdf.NewLiteral(fmt.Sprintf("value %d", i)),
+		})
+	}
+	e := NewEngine(s)
+	for _, json := range []bool{false, true} {
+		name := map[bool]string{false: "terms", true: "json"}[json]
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				resp, err := e.Do(context.Background(), Request{
+					Query: `SELECT ?s ?o WHERE { ?s <http://ex/p> ?o }`,
+					JSON:  json,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if resp.Rows != rows {
+					b.Fatalf("%d rows", resp.Rows)
 				}
 			}
 		})
