@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -135,5 +136,33 @@ func TestFigureFormatting(t *testing.T) {
 	out5 := FormatFigure5(f5)
 	if !strings.Contains(out5, "naive/expert") {
 		t.Fatalf("figure 5 output malformed:\n%s", out5)
+	}
+}
+
+// BenchmarkEvaluate times one in-process evaluation of each task's
+// generated query at bench scale — Engine.Do with no HTTP, JSON or cache —
+// which is where PERFORMANCE.md's per-evaluation rows (ms, bytes, mallocs)
+// come from. Select tasks with the pattern, e.g.
+//
+//	go test ./internal/bench -run '^$' -bench 'Evaluate/(Q9|cs1|cs2)$' -benchtime 5x
+func BenchmarkEvaluate(b *testing.B) {
+	env, err := NewEnv(ScaleBench)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer env.Close()
+	for _, task := range append(CaseStudies(), Synthetic()...) {
+		query, err := task.Frame(env).ToSPARQL()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(task.ID, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := env.Engine.Do(context.Background(), sparql.Request{Query: query}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

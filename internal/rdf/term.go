@@ -209,10 +209,12 @@ func Compare(a, b Term) int {
 	if a.Kind != b.Kind {
 		return orderRank(a.Kind) - orderRank(b.Kind)
 	}
-	if a.Kind == LiteralKind {
+	if a.IsNumeric() && b.IsNumeric() {
+		// Parsed only for numeric datatypes: a failed parse allocates its
+		// error, and sorts compare mostly non-numeric literals.
 		af, aok := a.AsFloat()
 		bf, bok := b.AsFloat()
-		if aok && bok && a.IsNumeric() && b.IsNumeric() {
+		if aok && bok {
 			switch {
 			case af < bf:
 				return -1

@@ -294,9 +294,11 @@ func (w *writeLocker) Write(p []byte) (int, error) {
 // that needs the write lock would otherwise deadlock the request.
 func TestNoStoreLockHeldWhileWriting(t *testing.T) {
 	_, st := newTestServer(t, 0)
-	h := New(sparql.NewEngine(st)).Handler()
+	srv := New(sparql.NewEngine(st))
+	srv.ExportChunkBytes = 64 // several chunks: the export writes while rows are still streaming
+	h := srv.Handler()
 	q := url.QueryEscape(`SELECT ?s ?o WHERE { ?s <http://ex/p> ?o }`)
-	for _, target := range []string{"/v1/query?query=" + q, "/v1/features?var=s&query=" + q} {
+	for _, target := range []string{"/v1/query?query=" + q, "/v1/features?var=s&query=" + q, "/v1/export?query=" + q} {
 		for _, enc := range []string{"", "gzip"} {
 			req := httptest.NewRequest(http.MethodGet, target, nil)
 			req.Header.Set("Accept-Encoding", enc)
@@ -311,7 +313,7 @@ func TestNoStoreLockHeldWhileWriting(t *testing.T) {
 			case <-time.After(10 * time.Second):
 				t.Fatalf("%s (Accept-Encoding %q): handler wrote its body under the store read lock", target, enc)
 			}
-			if w.Code != http.StatusOK || w.writes == 0 {
+			if w.Code != http.StatusOK || w.writes == 0 || strings.HasPrefix(target, "/v1/export") && w.writes < 2 {
 				t.Fatalf("%s: status %d after %d writes", target, w.Code, w.writes)
 			}
 		}

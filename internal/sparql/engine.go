@@ -23,23 +23,25 @@ type Engine struct {
 	// it while queries may still be evaluating on server goroutines.
 	timeout atomic.Int64
 	// Parallelism is the intra-query worker count: the evaluator's
-	// morsel-driven operators (base index scans, pattern probes, joins,
-	// DISTINCT, final decode) fan out to this many goroutines. 0 (the
-	// default) uses runtime.GOMAXPROCS(0); 1 runs every operator on the
+	// morsel-driven operators (fused BGP pipelines, joins, the trie walk,
+	// DISTINCT) fan out to this many goroutines. 0 (the default) uses
+	// runtime.GOMAXPROCS(0); 1 runs every operator as one morsel on the
 	// query goroutine — exactly the serial engine. Results are
 	// byte-identical at every setting (the determinism contract in
 	// parallel.go). Set before serving traffic; it is read per query.
 	Parallelism int
 	// DisableOptimizer turns off the cost-based planner, falling back to
 	// the greedy probe-memoized join ordering (the pre-planner heuristic).
-	// Used by ablation benchmarks and the planner byte-identity tests.
+	// Used by ablation benchmarks and the planner byte-identity tests. This
+	// and the two switches below only change the schedule a BGP pipeline is
+	// compiled with (pipeline.go); every setting runs the same executor.
 	DisableOptimizer bool
-	// DisableReorder turns off join ordering entirely, evaluating triple
+	// DisableReorder turns off join ordering entirely, compiling triple
 	// patterns in textual order (for ablation benchmarks). Implies
 	// DisableOptimizer.
 	DisableReorder bool
-	// DisablePushdown turns off early filter application during BGP
-	// evaluation (for ablation benchmarks).
+	// DisablePushdown keeps every group filter out of the BGP pipelines, to
+	// run at the end of its group (for ablation benchmarks).
 	DisablePushdown bool
 	// DisableWCOJ turns off the worst-case-optimal join operator, so every
 	// BGP segment runs the binary join pipeline (the identity baseline for
@@ -209,8 +211,8 @@ func (e *Engine) planFor(q *Query) *queryPlan {
 	return e.buildPlan(q, false)
 }
 
-// evalLocked evaluates q under an already-optimized plan (nil runs the
-// greedy heuristic) with the store read lock already held.
+// evalLocked evaluates q under an already-optimized plan (nil compiles
+// every BGP with the greedy heuristic) with the store read lock already held.
 func (e *Engine) evalLocked(ctx context.Context, q *Query, qp *queryPlan) (*compactResult, error) {
 	ev, err := e.evaluatorLocked(ctx, qp)
 	if err != nil {

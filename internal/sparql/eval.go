@@ -1,8 +1,10 @@
 package sparql
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -235,6 +237,12 @@ func (ev *evaluator) aggregate(q *Query, sols *idRows) (*idRows, error) {
 	keyRow.n = 1
 	rowBuf := make([]store.ID, len(outVars))
 
+	ctx := &evalCtx{
+		row:      &idRowView{rows: keyRow, dict: ev.dict},
+		groupSrc: sols,
+		dict:     ev.dict,
+		cache:    ev.cache,
+	}
 	for _, ge := range groups {
 		if err := ev.tick(); err != nil {
 			return nil, err
@@ -250,13 +258,7 @@ func (ev *evaluator) aggregate(q *Query, sols *idRows) (*idRows, error) {
 				}
 			}
 		}
-		ctx := &evalCtx{
-			row:      &idRowView{rows: keyRow, dict: ev.dict},
-			groupSrc: sols,
-			groupIdx: ge.rows,
-			dict:     ev.dict,
-			cache:    ev.cache,
-		}
+		ctx.groupIdx = ge.rows
 		keep := true
 		for _, h := range q.Having {
 			if !evalBool(h, ctx) {
@@ -308,6 +310,12 @@ func (ev *evaluator) canonicalizeRows(sols *idRows, projected []string) error {
 // columns in order (duplicates and absent names are skipped). Callers must
 // pick a key set under which tied rows are interchangeable for everything
 // downstream; the stable sort then keeps ties deterministic per plan.
+//
+// Terms are compared once per distinct id, not once per comparison: a key
+// column's distinct ids are ranked by rdf.Compare, the column is rewritten
+// to ranks for the rest of the sort, rows sort on integers, and the ids are
+// restored from the ranking afterwards. Distinct ids are distinct terms
+// and rdf.Compare ties only identical terms, so rank order is term order.
 func (ev *evaluator) sortRowsBy(sols *idRows, keyVars []string) error {
 	if sols.n <= 1 || sols.width() == 0 {
 		return nil
@@ -327,25 +335,77 @@ func (ev *evaluator) sortRowsBy(sols *idRows, keyVars []string) error {
 		return nil
 	}
 	w := sols.width()
+	// ranked[k] is key column k's ranking (rank -> id) once the sort has had
+	// to order two different ids in it; most sorts are settled by the
+	// leading columns and never rank the rest.
+	ranked := make([][]store.ID, len(keyCols))
+	// Under a morsel of rows a ranking's allocations cost more than the
+	// comparisons it saves: compare the terms themselves.
+	direct := sols.n < morselRows
 	perm := make([]int, sols.n)
 	for i := range perm {
 		perm[i] = i
 	}
-	sort.SliceStable(perm, func(a, b int) bool {
-		ra := sols.data[perm[a]*w : perm[a]*w+w]
-		rb := sols.data[perm[b]*w : perm[b]*w+w]
-		for _, j := range keyCols {
-			if ra[j] == rb[j] {
-				continue // same id, same term
+	slices.SortStableFunc(perm, func(a, b int) int {
+		ra, rb := sols.data[a*w:a*w+w], sols.data[b*w:b*w+w]
+		for k, c := range keyCols {
+			if ra[c] == rb[c] {
+				continue // same id (or same rank), same term
 			}
-			if c := rdf.Compare(ev.dict.decode(ra[j]), ev.dict.decode(rb[j])); c != 0 {
-				return c < 0
+			if direct {
+				if d := rdf.Compare(ev.dict.decode(ra[c]), ev.dict.decode(rb[c])); d != 0 {
+					return d
+				}
+				continue
 			}
+			if ranked[k] == nil {
+				ranked[k] = ev.rankColumn(sols, c)
+			}
+			return cmp.Compare(ra[c], rb[c])
 		}
-		return false
+		return 0
 	})
 	sols.permute(perm)
+	for k, c := range keyCols {
+		if ranked[k] == nil {
+			continue
+		}
+		for i := c; i < len(sols.data); i += w {
+			sols.data[i] = ranked[k][sols.data[i]]
+		}
+	}
 	return nil
+}
+
+// rankColumn rewrites column c of sols from ids to their ranks in
+// rdf.Compare order and returns the ranking (rank -> id) that undoes it.
+func (ev *evaluator) rankColumn(sols *idRows, c int) []store.ID {
+	w := sols.width()
+	rank := make(map[store.ID]store.ID)
+	var ids []store.ID
+	for i := c; i < len(sols.data); i += w {
+		if _, seen := rank[sols.data[i]]; !seen {
+			rank[sols.data[i]] = 0
+			ids = append(ids, sols.data[i])
+		}
+	}
+	// From id order, so the ranking is a function of the column's id set
+	// alone, whatever order the plan produced the rows in.
+	slices.Sort(ids)
+	slices.SortStableFunc(ids, func(a, b store.ID) int {
+		return rdf.Compare(ev.dict.decode(a), ev.dict.decode(b))
+	})
+	for r, id := range ids {
+		rank[id] = store.ID(r)
+	}
+	last, lastRank := ids[0], store.ID(0)
+	for i := c; i < len(sols.data); i += w {
+		if id := sols.data[i]; id != last {
+			last, lastRank = id, rank[id]
+		}
+		sols.data[i] = lastRank
+	}
+	return ids
 }
 
 // aggregationVars lists the variables that determine a row's contribution
@@ -408,6 +468,7 @@ func (ev *evaluator) orderBy(sols *idRows, keys []OrderKey) error {
 // actual-cardinality recording on tracked plans).
 type groupFilter struct {
 	cond Expression
+	vars []string // exprVars(cond), resolved once per group evaluation
 	ref  filterRef
 }
 
@@ -426,7 +487,7 @@ func (ev *evaluator) evalGroup(g *Group, graphs []string, graphOverride string) 
 	var filters []groupFilter
 	for _, el := range g.Elems {
 		if f, ok := el.(FilterElem); ok {
-			filters = append(filters, groupFilter{cond: f.Cond, ref: filterRef{g, len(filters)}})
+			filters = append(filters, groupFilter{cond: f.Cond, vars: exprVars(f.Cond), ref: filterRef{g, len(filters)}})
 		}
 	}
 
@@ -591,16 +652,11 @@ func (ev *evaluator) applyFilter(current *idRows, f groupFilter) error {
 	return nil
 }
 
-// evalBGP joins the current solutions with a basic graph pattern. With a
-// cost-based segment plan (bp) the patterns run in the planner's order and
-// dead columns are pruned on the planned schedule; otherwise the greedy
-// probe-estimated order is chosen here (the pre-planner heuristic, kept as
-// the DisableOptimizer fallback and ablation baseline). Filters from the
-// enclosing group are pushed down either way: as soon as every variable of
-// a filter is bound, it is applied (and removed from the group's filter
-// list), pruning intermediate results early. This is sound because group
-// filters are conjunctive and rows never regain bindings they were
-// rejected on.
+// evalBGP joins the current solutions with a basic graph pattern: the
+// segment compiles into one fused pipeline (pipeline.go) — the planner's
+// order and prune schedule when there is a plan, the greedy probe-estimated
+// order otherwise (DisableOptimizer), textual order under DisableReorder —
+// which consumes the group filters it can push down from *filters.
 func (ev *evaluator) evalBGP(current *idRows, patterns []TriplePattern, graphs []string, filters *[]groupFilter, bp *bgpPlan) (*idRows, error) {
 	if current.n == 0 {
 		return current, nil
@@ -617,71 +673,15 @@ func (ev *evaluator) evalBGP(current *idRows, patterns []TriplePattern, graphs [
 			ev.wcojCtr.fallbacks.Add(1)
 		}
 	}
-	bound := map[string]bool{}
-	for c, v := range current.vars {
-		if current.boundAnywhere(c) {
-			bound[v] = true
-		}
+	p := ev.compilePipeline(current, patterns, graphs, filters, bp)
+	out, err := ev.runPipeline(p, current, bp)
+	if err != nil {
+		return nil, err
 	}
-	ordered := patterns
-	if bp != nil && len(bp.order) == len(patterns) {
-		ordered = make([]TriplePattern, len(patterns))
-		for step, pi := range bp.order {
-			ordered[step] = patterns[pi]
-		}
-	} else if !ev.disableReorder {
-		ordered = ev.orderPatterns(patterns, bound, graphs)
+	if ev.qp != nil && ev.qp.track {
+		p.recordActuals(current.n, bp)
 	}
-	var err error
-	for step, pat := range ordered {
-		current, err = ev.extend(current, pat, graphs)
-		if err != nil {
-			return nil, err
-		}
-		if bp != nil && ev.qp.track {
-			bp.nodes[step].Record(current.n)
-		}
-		for _, v := range pat.Vars() {
-			bound[v] = true
-		}
-		if filters != nil && !ev.disablePushdown {
-			current, err = ev.applyReadyFilters(current, bound, filters)
-			if err != nil {
-				return nil, err
-			}
-		}
-		if bp != nil && len(bp.drop[step]) > 0 {
-			current = current.dropCols(bp.drop[step])
-		}
-		if current.n == 0 {
-			return current, nil
-		}
-	}
-	return current, nil
-}
-
-// applyReadyFilters applies and removes every filter whose variables are
-// all bound, compacting the batch in place.
-func (ev *evaluator) applyReadyFilters(current *idRows, bound map[string]bool, filters *[]groupFilter) (*idRows, error) {
-	remaining := (*filters)[:0]
-	for _, f := range *filters {
-		ready := true
-		for _, v := range exprVars(f.cond) {
-			if !bound[v] {
-				ready = false
-				break
-			}
-		}
-		if !ready {
-			remaining = append(remaining, f)
-			continue
-		}
-		if err := ev.applyFilter(current, f); err != nil {
-			return nil, err
-		}
-	}
-	*filters = remaining
-	return current, nil
+	return out, nil
 }
 
 // exprVars collects the variables referenced by an expression.
@@ -803,198 +803,4 @@ func (ev *evaluator) constantPattern(pat TriplePattern) (store.IDTriple, bool) {
 		return out, false
 	}
 	return out, true
-}
-
-// patSlot describes one position of a triple pattern resolved against the
-// current batch: either a constant id or a variable with its source column
-// (-1 when not yet bound) and output column.
-type patSlot struct {
-	isVar   bool
-	constID store.ID
-	curCol  int
-	outCol  int
-}
-
-// extend joins each current solution with the matches of one pattern,
-// entirely in id space. The pattern is compiled once against the current
-// batch (extendExec); large inputs fan out to the morsel pool — a
-// range-partitioned base scan when every row shares one probe key, or
-// row-range morsels otherwise (see parallel.go) — and the rest run the
-// serial scan on the query goroutine.
-func (ev *evaluator) extend(cur *idRows, pat TriplePattern, graphs []string) (*idRows, error) {
-	x := ev.compileExtend(cur, pat, graphs)
-	if x.constMissing {
-		// A constant term absent from the dictionary matches nothing.
-		return newIDRows(x.outVars), nil
-	}
-	if out, done, err := ev.extendParallel(x, cur); done {
-		return out, err
-	}
-	return x.scanRows(cur, 0, cur.n, &ev.tk)
-}
-
-// extendExec is one pattern extension compiled against the current batch:
-// resolved slots, the output column layout, and repeated-variable
-// constraints. Its scan methods only read shared state, so disjoint row
-// ranges (or disjoint scan segments) can run concurrently.
-type extendExec struct {
-	store  *store.Store
-	graphs []string
-	slots  [3]patSlot
-	// outVars is the output layout: the current columns followed by the
-	// pattern's newly-bound variables.
-	outVars []string
-	// keyConst reports that no slot reads a current-batch column, so every
-	// current row resolves to the same probe key (the base-scan shape).
-	keyConst     bool
-	constMissing bool
-	// sameSP/sameSO/samePO: repeated-variable positions must agree within
-	// one match (the bindNode reject path of the per-row evaluator).
-	sameSP, sameSO, samePO bool
-	curW                   int
-}
-
-// compileExtend resolves pat's positions against the current batch.
-func (ev *evaluator) compileExtend(cur *idRows, pat TriplePattern, graphs []string) *extendExec {
-	dict := ev.store.Dict()
-	nodes := [3]Node{pat.S, pat.P, pat.O}
-	x := &extendExec{store: ev.store, graphs: graphs, curW: len(cur.vars)}
-	outVars := append([]string(nil), cur.vars...)
-	outCols := make(map[string]int, len(outVars)+3)
-	for i, v := range outVars {
-		outCols[v] = i
-	}
-	x.keyConst = true
-	for k, n := range nodes {
-		if !n.IsVar {
-			id, ok := dict.Lookup(n.Term)
-			if !ok {
-				x.constMissing = true
-			}
-			x.slots[k] = patSlot{constID: id}
-			continue
-		}
-		out, ok := outCols[n.Var]
-		cc := -1
-		if ok {
-			if out < len(cur.vars) {
-				cc = out
-				x.keyConst = false
-			}
-		} else {
-			out = len(outVars)
-			outVars = append(outVars, n.Var)
-			outCols[n.Var] = out
-		}
-		x.slots[k] = patSlot{isVar: true, curCol: cc, outCol: out}
-	}
-	x.outVars = outVars
-	x.sameSP = nodes[0].IsVar && nodes[1].IsVar && nodes[0].Var == nodes[1].Var
-	x.sameSO = nodes[0].IsVar && nodes[2].IsVar && nodes[0].Var == nodes[2].Var
-	x.samePO = nodes[1].IsVar && nodes[2].IsVar && nodes[1].Var == nodes[2].Var
-	return x
-}
-
-// rowKey resolves the probe key for one current row; unbound cells stay
-// wildcards.
-func (x *extendExec) rowKey(row []store.ID) store.IDTriple {
-	var key store.IDTriple
-	for k := range x.slots {
-		s := &x.slots[k]
-		id := s.constID
-		if s.isVar {
-			if s.curCol >= 0 {
-				id = row[s.curCol] // 0 stays a wildcard
-			} else {
-				id = 0
-			}
-		}
-		switch k {
-		case 0:
-			key.S = id
-		case 1:
-			key.P = id
-		case 2:
-			key.O = id
-		}
-	}
-	return key
-}
-
-// reject reports a match violating a repeated-variable constraint.
-func (x *extendExec) reject(t store.IDTriple) bool {
-	return x.sameSP && t.S != t.P || x.sameSO && t.S != t.O || x.samePO && t.P != t.O
-}
-
-// emit appends the merge of one current row and one match onto out, using
-// rowBuf (len(outVars)) as scratch.
-func (x *extendExec) emit(out *idRows, rowBuf, row []store.ID, m store.IDTriple) {
-	copy(rowBuf, row)
-	for j := x.curW; j < len(rowBuf); j++ {
-		rowBuf[j] = 0
-	}
-	if x.slots[0].isVar {
-		rowBuf[x.slots[0].outCol] = m.S
-	}
-	if x.slots[1].isVar {
-		rowBuf[x.slots[1].outCol] = m.P
-	}
-	if x.slots[2].isVar {
-		rowBuf[x.slots[2].outCol] = m.O
-	}
-	out.appendRow(rowBuf)
-}
-
-// scanRows extends current rows [lo, hi) into a fresh batch, probing the
-// store per distinct resolved key. Rows that resolve to the same concrete
-// id pattern share one index probe: when no pattern variable is bound yet
-// (the common case for the first pattern of a BGP) the store is probed
-// exactly once for the whole range instead of once per row. The probe
-// cache is per call, so concurrent ranges never share mutable state; when
-// the bound columns turn out to be (nearly) all distinct the cache can
-// only retain memory without saving probes, so insertion stops once it
-// grows large with no hits.
-func (x *extendExec) scanRows(cur *idRows, lo, hi int, tk *ticker) (*idRows, error) {
-	out := newIDRows(x.outVars)
-	w := x.curW
-	rowBuf := make([]store.ID, len(x.outVars))
-	probeCache := make(map[store.IDTriple][]store.IDTriple)
-	cacheHits := 0
-	for i := lo; i < hi; i++ {
-		if err := tk.tick(); err != nil {
-			return nil, err
-		}
-		row := cur.data[i*w : (i+1)*w]
-		key := x.rowKey(row)
-		matches, cached := probeCache[key]
-		if cached {
-			cacheHits++
-		} else {
-			var iterErr error
-			x.store.MatchAny(x.graphs, key, func(t store.IDTriple) bool {
-				if err := tk.tick(); err != nil {
-					iterErr = err
-					return false
-				}
-				if x.reject(t) {
-					return true
-				}
-				matches = append(matches, t)
-				return true
-			})
-			if iterErr != nil {
-				return nil, iterErr
-			}
-			if len(probeCache) < 1024 || cacheHits >= len(probeCache)/8 {
-				probeCache[key] = matches
-			}
-		}
-		for _, m := range matches {
-			if err := tk.tick(); err != nil {
-				return nil, err
-			}
-			x.emit(out, rowBuf, row, m)
-		}
-	}
-	return out, nil
 }

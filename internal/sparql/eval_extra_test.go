@@ -2,6 +2,8 @@ package sparql
 
 import (
 	"fmt"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
@@ -150,5 +152,52 @@ func TestEvalUnionWithDisjointVars(t *testing.T) {
 	}`)
 	if len(rows) != 3 { // 2 genres + 1 award
 		t.Fatalf("rows = %d, want 3", len(rows))
+	}
+}
+
+// TestSortRowsByRanksMatchTermOrder: the canonical sort, which ranks each
+// key column's distinct ids and compares integers once a batch is a morsel
+// or more, orders rows exactly as a stable sort comparing decoded terms
+// does, and leaves the ids it rewrote to ranks restored. Small batches (the
+// direct path) are held to the same reference.
+func TestSortRowsByRanksMatchTermOrder(t *testing.T) {
+	sd := store.NewDictionary()
+	for i := 0; i < 40; i++ {
+		sd.Encode(rdf.NewIRI(fmt.Sprintf("http://ex/n%d", (i*7)%40)))
+	}
+	terms := []rdf.Term{{}, rdf.NewLiteral("b"), rdf.NewLiteral("a"), rdf.NewInteger(10), rdf.NewInteger(9),
+		rdf.NewDecimal(9.5), rdf.NewLangLiteral("a", "en"), rdf.NewBlank("b1"), rdf.NewIRI("http://ex/zz")}
+	for _, n := range []int{50, 3 * morselRows} {
+		ev := &evaluator{dict: newEvalDict(sd)}
+		rows := newIDRows([]string{"x", "y", "z"})
+		for i := 0; i < n; i++ {
+			rows.appendRow([]store.ID{
+				ev.dict.encode(terms[(i*5)%len(terms)]),
+				ev.dict.encode(rdf.NewIRI(fmt.Sprintf("http://ex/n%d", (i*13)%40))),
+				ev.dict.encode(rdf.NewInteger(int64(i % 17))),
+			})
+		}
+		want := append([]store.ID(nil), rows.data...)
+		perm := make([]int, n)
+		for i := range perm {
+			perm[i] = i
+		}
+		sort.SliceStable(perm, func(a, b int) bool {
+			for _, c := range []int{1, 0} { // keys: ?y then ?x
+				ta, tb := ev.dict.decode(want[perm[a]*3+c]), ev.dict.decode(want[perm[b]*3+c])
+				if d := rdf.Compare(ta, tb); d != 0 {
+					return d < 0
+				}
+			}
+			return false
+		})
+		if err := ev.sortRowsBy(rows, []string{"y", "x", "y", "absent"}); err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range perm {
+			if !reflect.DeepEqual(rows.row(i), want[p*3:p*3+3]) {
+				t.Fatalf("%d rows: row %d is %v, the term-comparing sort puts %v there", n, i, rows.row(i), want[p*3:p*3+3])
+			}
+		}
 	}
 }

@@ -7,13 +7,14 @@ import (
 	"rdfframes/internal/rdf"
 )
 
-// Streaming result export. Export evaluates a query and hands its
-// solutions to a RowWriter one row at a time: solutions stay in compact
-// id space (the columnar batch execution already produces) and each row
-// is decoded into a single reused buffer — the decoded term table and the
-// encoded response body are never materialized. Row order is the same
-// canonical order every other read path serves, so an export is
-// byte-identical across plan and parallelism choices.
+// Streaming result export. Export evaluates a query into the compact
+// result every read path shares — cells in id space over a table of the
+// distinct terms, resolved under the store read lock — releases the lock,
+// and hands the solutions to a RowWriter one row at a time through a single
+// reused buffer: the encoded response body is never materialized, and a
+// slow consumer holds no lock. Row order is the same canonical order every
+// other read path serves, so an export is byte-identical across plan and
+// parallelism choices.
 
 // RowWriter consumes one streamed result: the header, then each row in
 // order. Implementations must not retain the row slice — it is reused.
@@ -38,31 +39,27 @@ func (e *Engine) Export(ctx context.Context, src string, w RowWriter) (int, erro
 		return 0, fmt.Errorf("sparql: export: EXPLAIN queries have no row stream")
 	}
 	e.Store.RLock()
-	defer e.Store.RUnlock()
-	ev, err := e.evaluatorLocked(ctx, qp)
+	res, err := e.evalLocked(ctx, q, qp)
+	e.Store.RUnlock()
 	if err != nil {
 		return 0, err
 	}
-	sols, err := ev.evalQueryRows(q, e.DefaultGraphs, true)
-	if err != nil {
+	if err := w.WriteHeader(res.vars); err != nil {
 		return 0, err
 	}
-	vars := append([]string(nil), sols.vars...)
-	if err := w.WriteHeader(vars); err != nil {
-		return 0, err
-	}
-	buf := make([]rdf.Term, len(vars))
-	for i := 0; i < sols.n; i++ {
-		if err := ev.tick(); err != nil {
+	width := len(res.vars)
+	buf := make([]rdf.Term, width)
+	tk := ticker{ctx: ctx} // the consumer may be slow: keep honouring cancellation
+	for i := 0; i < res.n; i++ {
+		if err := tk.tick(); err != nil {
 			return i, err
 		}
-		row := sols.row(i)
-		for j, id := range row {
-			buf[j] = ev.dict.decode(id)
+		for j, t := range res.cells[i*width : (i+1)*width] {
+			buf[j] = res.terms[t]
 		}
 		if err := w.WriteRow(buf); err != nil {
 			return i, err
 		}
 	}
-	return sols.n, nil
+	return res.n, nil
 }

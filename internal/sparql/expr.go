@@ -3,9 +3,11 @@ package sparql
 import (
 	"fmt"
 	"regexp"
+	"slices"
 	"strings"
 
 	"rdfframes/internal/rdf"
+	"rdfframes/internal/store"
 )
 
 // Expression is a SPARQL expression tree node.
@@ -127,20 +129,20 @@ type evalCtx struct {
 	groupIdx []int     // row indices into groupSrc
 	dict     *evalDict
 	cache    *regexCache
+	ids      []store.ID // aggregateVar's scratch, reused across groups
 }
 
 // inGroup reports whether aggregates may be evaluated in this context.
 func (ctx *evalCtx) inGroup() bool { return ctx.group != nil || ctx.groupSrc != nil }
 
+// regexCache memoizes compiled patterns by (pattern, flags). It is not
+// synchronized: the query goroutine and every pipeline worker own one each.
 type regexCache struct {
-	m map[string]*regexp.Regexp
+	m map[[2]string]*regexp.Regexp
 }
 
 func (rc *regexCache) get(pattern, flags string) (*regexp.Regexp, error) {
-	key := flags + "\x00" + pattern
-	if rc.m == nil {
-		rc.m = make(map[string]*regexp.Regexp)
-	}
+	key := [2]string{pattern, flags}
 	if re, ok := rc.m[key]; ok {
 		return re, nil
 	}
@@ -151,6 +153,9 @@ func (rc *regexCache) get(pattern, flags string) (*regexp.Regexp, error) {
 	re, err := regexp.Compile(p)
 	if err != nil {
 		return nil, errExpr
+	}
+	if rc.m == nil {
+		rc.m = make(map[[2]string]*regexp.Regexp)
 	}
 	rc.m[key] = re
 	return re, nil
@@ -596,8 +601,40 @@ func evalCall(x ExCall, ctx *evalCtx) (rdf.Term, error) {
 	return rdf.Term{}, fmt.Errorf("sparql: unknown function %q", x.Name)
 }
 
+// aggregateVar answers COUNT and SAMPLE of a bare variable over an id-space
+// group without decoding the group: id equality is term equality (the
+// evalDict.encode contract), so bound cells are the non-zero ids and
+// DISTINCT counts distinct ids.
+func aggregateVar(x ExAgg, name string, ctx *evalCtx) (rdf.Term, error) {
+	ids := ctx.ids[:0]
+	if c, ok := ctx.groupSrc.col(name); ok {
+		for _, ri := range ctx.groupIdx {
+			id := ctx.groupSrc.at(ri, c)
+			if id == 0 {
+				continue
+			}
+			if x.Fn == "sample" {
+				return ctx.dict.decode(id), nil
+			}
+			ids = append(ids, id)
+		}
+	}
+	if x.Fn == "sample" {
+		return rdf.Term{}, errExpr
+	}
+	ctx.ids = ids
+	if x.Distinct {
+		slices.Sort(ids)
+		ids = slices.Compact(ids)
+	}
+	return rdf.NewInteger(int64(len(ids))), nil
+}
+
 // evalAggregate computes an aggregate over the context's group rows.
 func evalAggregate(x ExAgg, ctx *evalCtx) (rdf.Term, error) {
+	if v, ok := x.Arg.(ExVar); ok && ctx.groupSrc != nil && (x.Fn == "count" || x.Fn == "sample") {
+		return aggregateVar(x, v.Name, ctx)
+	}
 	var values []rdf.Term
 	if ctx.groupSrc != nil {
 		view := &idRowView{rows: ctx.groupSrc, dict: ctx.dict}

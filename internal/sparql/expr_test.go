@@ -1,9 +1,12 @@
 package sparql
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"rdfframes/internal/rdf"
+	"rdfframes/internal/store"
 )
 
 func evalInCtx(t *testing.T, e Expression, row Binding) (rdf.Term, error) {
@@ -226,5 +229,71 @@ func TestAggregateSampleAndMinMaxOnStrings(t *testing.T) {
 	sample, _ := evalExpr(ExAgg{Fn: "sample", Arg: ExVar{"v"}}, ctx)
 	if sample.Value == "" {
 		t.Fatal("sample returned unbound")
+	}
+}
+
+// TestAggregateVarMatchesTermPath: COUNT, COUNT(DISTINCT) and SAMPLE of a
+// bare variable over an id-space group (counted on ids) agree with the term
+// path (the same group as Binding maps) on unbound cells, on values the
+// store dictionary does not hold (extra ids), on an empty group and on a
+// variable the batch has no column for.
+func TestAggregateVarMatchesTermPath(t *testing.T) {
+	sd := store.NewDictionary()
+	stored := rdf.NewIRI("http://ex/stored")
+	sd.Encode(stored)
+	d := newEvalDict(sd)
+	computed, other := rdf.NewInteger(42), rdf.NewLiteral("other")
+	values := []rdf.Term{stored, computed, {}, stored, other, {}, computed, stored}
+	src := newIDRows([]string{"k", "v"})
+	var maps []Binding
+	for i, v := range values {
+		src.appendRow([]store.ID{d.encode(rdf.NewInteger(int64(i))), d.encode(v)})
+		b := Binding{"k": rdf.NewInteger(int64(i))}
+		if v.IsBound() {
+			b["v"] = v
+		}
+		maps = append(maps, b)
+	}
+	if d.encode(computed) < extraIDBase || d.encode(stored) >= extraIDBase {
+		t.Fatal("the fixture needs one stored and one computed value")
+	}
+	groups := [][]int{{0, 1, 2, 3, 4, 5, 6, 7}, {2, 5}, {2, 6, 1}, {}}
+	for _, idx := range groups {
+		group := []Binding{}
+		for _, i := range idx {
+			group = append(group, maps[i])
+		}
+		for _, x := range []ExAgg{
+			{Fn: "count", Arg: ExVar{Name: "v"}},
+			{Fn: "count", Distinct: true, Arg: ExVar{Name: "v"}},
+			{Fn: "sample", Arg: ExVar{Name: "v"}},
+			{Fn: "sample", Distinct: true, Arg: ExVar{Name: "v"}},
+			{Fn: "count", Arg: ExVar{Name: "absent"}},
+			{Fn: "sample", Arg: ExVar{Name: "absent"}},
+		} {
+			got, gotErr := evalAggregate(x, &evalCtx{groupSrc: src, groupIdx: idx, dict: d})
+			want, wantErr := evalAggregate(x, &evalCtx{group: group})
+			if got != want || (gotErr == nil) != (wantErr == nil) {
+				t.Errorf("%s over rows %v: id path = %v (%v), term path = %v (%v)", exprText(x), idx, got, gotErr, want, wantErr)
+			}
+		}
+	}
+}
+
+// TestAggregateVarInHavingAndProjection reuses one bare-variable aggregate
+// in HAVING and in the projection, over OPTIONAL-unbound cells and a BIND
+// value the store does not hold, against the same query written with
+// str(?v) arguments, which takes the term path.
+func TestAggregateVarInHavingAndProjection(t *testing.T) {
+	e := NewEngine(movieStore(t))
+	const shape = `SELECT ?m (COUNT(%[1]s) AS ?n) (COUNT(DISTINCT %[2]s) AS ?d) (COUNT(%[3]s) AS ?g) WHERE {
+		?m <http://ex/starring> ?a . ?a <http://ex/birthPlace> ?c .
+		OPTIONAL { ?m <http://ex/genre> ?genre }
+		BIND(strlen(str(?c)) AS ?len)
+	} GROUP BY ?m HAVING (COUNT(%[1]s) >= 1 && COUNT(DISTINCT %[2]s) < 2)`
+	ids := queryRows(t, e, fmt.Sprintf(shape, "?a", "?len", "?genre"))
+	terms := queryRows(t, e, fmt.Sprintf(shape, "str(?a)", "str(?len)", "str(?genre)"))
+	if len(ids) != 4 || !reflect.DeepEqual(ids, terms) {
+		t.Fatalf("id path:\n%v\nterm path:\n%v", ids, terms)
 	}
 }

@@ -11,30 +11,30 @@ import (
 )
 
 // Morsel-driven intra-query parallelism. The evaluator's id-space operators
-// — base index scans, per-row pattern probes, hash/nested-loop joins,
-// DISTINCT, and the final decode — partition their input into fixed-size
-// morsels, fan the morsels out to a bounded worker pool, and merge the
-// per-morsel partial batches back in morsel order.
+// — fused BGP pipelines, hash/nested-loop joins, the trie walk, DISTINCT —
+// partition their input into morsels, fan the morsels out to a bounded
+// worker pool, and merge the per-morsel partial outputs back in morsel
+// order.
 //
 // Determinism guarantee: parallel evaluation is byte-identical to serial
 // evaluation at every Parallelism setting. Each operator's morsels are
 // contiguous ranges of the exact stream the serial operator consumes (row
 // ranges of the current batch, or store.MatchParts segments whose
 // concatenation is the MatchAny stream), each worker emits rows in the same
-// order the serial loop would for its range, and mergeParts concatenates
-// partials strictly in morsel order. Operators whose output depends on
-// cross-row state resolve it the way the serial code does: DISTINCT merges
-// per-morsel survivors serially in morsel order so the global first
-// occurrence wins, and joins share one index built up front. Everything
-// that evaluates expressions (FILTER, BIND, aggregates, ORDER BY keys)
-// stays on the query goroutine: expression evaluation interns computed
-// terms into the evaluator's dictionary and memoizes compiled regexes,
-// both of which are deliberately unsynchronized.
+// order the serial loop would for its range, and partials concatenate
+// strictly in morsel order. Operators whose output depends on cross-row
+// state resolve it the way the serial code does: DISTINCT merges per-morsel
+// survivors serially in morsel order so the global first occurrence wins,
+// and joins share one index built up front.
 //
 // Workers touch only read-only shared state (the store under the engine's
-// read lock, the current batch, the join index) plus worker-local
-// scratch (probe caches, key buffers, output batches), which is what keeps
-// the pool race-free.
+// read lock, the current batch, the join index, the evaluator dictionary)
+// plus worker-local scratch, which is what keeps the pool race-free. The
+// one kind of expression evaluated on workers is a pushed-down FILTER,
+// which only decodes (see pipeline.go); everything that interns computed
+// terms — BIND, projections, aggregates, ORDER BY keys, paths — stays on
+// the query goroutine, because the evaluator dictionary's intern table is
+// deliberately unsynchronized.
 const (
 	// morselRows is the number of solution rows per morsel for
 	// row-partitioned operators (probes, joins, DISTINCT, decode).
@@ -42,11 +42,11 @@ const (
 	// morselScan is the number of index entries per morsel for partitioned
 	// base scans.
 	morselScan = 4096
-	// minParallelRows/minParallelScan gate parallel execution: below these
-	// sizes scheduling overhead outweighs any speedup and the operators
-	// stay on the query goroutine.
+	// minParallelRows gates parallel joins and DISTINCT: below two morsels
+	// scheduling overhead outweighs any speedup and the operator stays on
+	// the query goroutine (pipelines apply the same rule to their estimated
+	// work, see scaleMorsel).
 	minParallelRows = 2 * morselRows
-	minParallelScan = 2 * morselScan
 )
 
 // ticker tracks one goroutine's evaluation progress, checking the query
@@ -59,6 +59,9 @@ type ticker struct {
 	steps    int
 	deadline time.Time
 	ctx      context.Context
+	// slot is the pool goroutine's index (0 on the query goroutine), for
+	// operators that keep per-goroutine state across morsels.
+	slot int
 }
 
 // tick counts one step and polls check every 8192 steps.
@@ -114,7 +117,7 @@ func (ev *evaluator) forEachPart(n int, fn func(part int, tk *ticker) error) err
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tk := ticker{deadline: ev.tk.deadline, ctx: ev.tk.ctx}
+			tk := ticker{deadline: ev.tk.deadline, ctx: ev.tk.ctx, slot: w}
 			for !failed.Load() {
 				i := int(next.Add(1)) - 1
 				if i >= n {
@@ -177,75 +180,6 @@ func mergeParts(vars []string, parts []*idRows) *idRows {
 // rowChunks splits [0, n) row indexes into morsel-sized [lo, hi) ranges
 // (store.ChunkBounds, shared with the scan partitioner).
 func rowChunks(n, morsel int) [][2]int { return store.ChunkBounds(n, morsel) }
-
-// extendParallel tries to run a compiled pattern extension on the worker
-// pool. done is false when the extension should run serially instead: the
-// pool is off, or the input is too small to be worth scheduling.
-func (ev *evaluator) extendParallel(x *extendExec, cur *idRows) (out *idRows, done bool, err error) {
-	if ev.workers <= 1 {
-		return nil, false, nil
-	}
-	// Base scan: every current row resolves to the same probe key (no slot
-	// reads a current-batch column). With a single current row the morsels
-	// come from the store's range-partitioned scan; matches map one-to-one
-	// onto output rows, in scan order.
-	if x.keyConst && cur.n == 1 {
-		key := x.rowKey(cur.row(0))
-		if ev.store.Cardinality(x.graphs, key) < minParallelScan {
-			return nil, false, nil
-		}
-		scans := ev.store.MatchParts(x.graphs, key, morselScan)
-		if len(scans) < 2 {
-			return nil, false, nil
-		}
-		row := cur.row(0)
-		parts, err := ev.runParts(len(scans), func(p int, tk *ticker) (*idRows, error) {
-			part := newIDRows(x.outVars)
-			rowBuf := make([]store.ID, len(x.outVars))
-			var iterErr error
-			scans[p](func(m store.IDTriple) bool {
-				if err := tk.tick(); err != nil {
-					iterErr = err
-					return false
-				}
-				if x.reject(m) {
-					return true
-				}
-				x.emit(part, rowBuf, row, m)
-				return true
-			})
-			if iterErr != nil {
-				return nil, iterErr
-			}
-			return part, nil
-		})
-		if err != nil {
-			return nil, true, err
-		}
-		return mergeParts(x.outVars, parts), true, nil
-	}
-	// A constant key over many rows is a cross-product shape: the serial
-	// path answers it with exactly one index scan shared through the probe
-	// cache, which row morsels (with per-worker caches) would redo once
-	// per morsel. Stay serial.
-	if x.keyConst {
-		return nil, false, nil
-	}
-	// General case: morsels are contiguous ranges of current rows; each
-	// worker runs the same probe loop the serial path does, with its own
-	// probe cache.
-	if cur.n < minParallelRows {
-		return nil, false, nil
-	}
-	bounds := rowChunks(cur.n, morselRows)
-	parts, err := ev.runParts(len(bounds), func(p int, tk *ticker) (*idRows, error) {
-		return x.scanRows(cur, bounds[p][0], bounds[p][1], tk)
-	})
-	if err != nil {
-		return nil, true, err
-	}
-	return mergeParts(x.outVars, parts), true, nil
-}
 
 // join computes the SPARQL (left outer when leftOuter) join of two batches,
 // on the worker pool when the left side is large enough: the join index is

@@ -13,7 +13,7 @@ import (
 // cardinalities (10k–100k rows), isolating the tentpole hot paths from the
 // HTTP/JSON transport the figure benchmarks also measure. Run with:
 //
-//	go test ./internal/sparql -run '^$' -bench 'BGPExtend|HashJoin|Distinct|GroupBy' -benchmem
+//	go test ./internal/sparql -run '^$' -bench 'BGPExtend|BGPPipeline|HashJoin|Distinct|GroupBy' -benchmem
 
 // chainStore holds n subjects with two fan-out-3 predicates p and q, so
 // "?s p ?o . ?s q ?x" yields 9n rows.
@@ -44,6 +44,69 @@ func BenchmarkBGPExtend(b *testing.B) {
 				}
 				if res.Len() == 0 {
 					b.Fatal("no rows")
+				}
+			}
+		})
+	}
+}
+
+// starStore holds n subjects with six single-valued predicates p0..p5 — the
+// cs1 shape, a six-pattern star around one variable.
+func starStore(n int) *store.Store {
+	s := store.New()
+	triples := make([]rdf.Triple, 0, 6*n)
+	for i := 0; i < n; i++ {
+		sub := rdf.NewIRI(fmt.Sprintf("http://ex/s%d", i))
+		for k := 0; k < 6; k++ {
+			triples = append(triples, rdf.Triple{S: sub, P: rdf.NewIRI(fmt.Sprintf("http://ex/p%d", k)), O: rdf.NewInteger(int64((i * (k + 1)) % 500))})
+		}
+	}
+	if err := s.AddAll(testGraph, triples); err != nil {
+		panic(err)
+	}
+	return s
+}
+
+// BenchmarkBGPPipeline times one fused segment per shape, through Engine.Do
+// with the JSON body left unencoded (Stream), so the numbers are the
+// executor's plus one compact result:
+//
+//   - fanout-filter is the Q9 shape: 6,000 source rows fan out to 480,000
+//     probes that a pushed-down filter cuts to 60,000 survivors;
+//   - star6 is the cs1 shape: six patterns around one variable over 30,000
+//     subjects, kept on the binary pipeline (DisableWCOJ) because the case
+//     studies' stars run there;
+//   - reprobe-s is the shape the old per-step probe cache served: 48,000
+//     rows re-probing 4,800 distinct subjects with an unbound predicate
+//     (the store's sorted-key walk, the one access path that is not a
+//     slice scan).
+func BenchmarkBGPPipeline(b *testing.B) {
+	shapes := []struct {
+		name  string
+		store func() *store.Store
+		query string
+		rows  int
+	}{
+		{"fanout-filter", func() *store.Store { return fanoutStore(b, 6000, 80) },
+			`SELECT ?f ?a ?y WHERE { ?f <http://ex/type> <http://ex/Film> . ?f <http://ex/starring> ?a . ?a <http://ex/born> ?y . FILTER(?y >= 1990) }`, 60000},
+		{"star6", func() *store.Store { return starStore(30000) },
+			`SELECT * WHERE { ?s <http://ex/p0> ?a . ?s <http://ex/p1> ?b . ?s <http://ex/p2> ?c . ?s <http://ex/p3> ?d . ?s <http://ex/p4> ?e . ?s <http://ex/p5> ?f }`, 30000},
+		{"reprobe-s", func() *store.Store { return fanoutStore(b, 600, 80) },
+			`SELECT ?f ?p ?o WHERE { ?f <http://ex/starring> ?a . ?a ?p ?o }`, 48000},
+	}
+	for _, sh := range shapes {
+		b.Run(sh.name, func(b *testing.B) {
+			e := NewEngine(sh.store())
+			e.DisableWCOJ = true
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				resp, err := e.Stream(context.Background(), Request{Query: sh.query})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if resp.Rows != sh.rows {
+					b.Fatalf("%d rows, want %d", resp.Rows, sh.rows)
 				}
 			}
 		})

@@ -1,0 +1,466 @@
+package sparql
+
+import (
+	"slices"
+
+	"rdfframes/internal/store"
+)
+
+// Fused BGP pipelines. A BGP segment — its patterns in execution order, the
+// group filters that become ready after each, the columns no later operator
+// reads — compiles once into a chain of steps, and a morsel of the segment's
+// source runs the whole chain: the worker walks the patterns depth-first
+// over one scratch row by nesting the store's Match callbacks, evaluates
+// each filter the moment its variables are bound, and appends only the rows
+// that survive the last step, already in the output layout. No intermediate
+// batch exists: what a segment allocates follows its output.
+//
+// Row order is the serial nested loop's: a morsel is a contiguous range of
+// the source (rows of the input batch, or a store.MatchParts slice of the
+// first pattern's scan when the input is a single row), a worker emits in
+// nested-loop order, and parts concatenate in morsel order. Serial
+// execution is the same chain run as one morsel on the query goroutine.
+//
+// Filters run on the workers. That is safe because filter evaluation only
+// reads: it decodes through the evaluator dictionary, whose extra terms are
+// interned at BIND, projection, aggregate and path sites — on the query
+// goroutine, never while a pipeline runs — and its one piece of mutable
+// state, the compiled-regex memo, is per worker.
+
+// pipeSlot is one pattern position: a scratch-row column (col >= 0, a
+// variable) or a constant id.
+type pipeSlot struct {
+	col int
+	id  store.ID
+}
+
+// pipeStep is one pattern of the chain.
+type pipeStep struct {
+	slots [3]pipeSlot // S, P, O
+	// missing: a constant term absent from the dictionary matches nothing.
+	missing bool
+	// sameSP/sameSO/samePO: repeated-variable positions must agree within
+	// one match.
+	sameSP, sameSO, samePO bool
+	// The filters pushed down after this step are pipeline.filters[f0:f1].
+	f0, f1 int
+}
+
+// bgpPipeline is one BGP segment compiled against its input batch.
+type bgpPipeline struct {
+	ev *evaluator
+	// uris is the segment's graph scope as the store takes it (empty: every
+	// graph); graphs is the same scope resolved.
+	uris   []string
+	graphs []*store.Graph
+	steps  []pipeStep
+	// vars/cols lay out the scratch row: the input columns, then each
+	// step's newly bound variables. cols is shared, read-only, by every
+	// worker's filter view.
+	vars    []string
+	cols    map[string]int
+	filters []groupFilter
+	// outVars is the segment's output layout, the scratch layout minus the
+	// planned drops; outCols maps it back to scratch columns (nil when
+	// nothing is dropped).
+	outVars []string
+	outCols []int
+	// workers[i] is the state of pool goroutine i (ticker.slot), created on
+	// its first morsel and touched by no other goroutine while the pool runs.
+	workers []*pipeWorker
+}
+
+// compilePipeline orders the segment's patterns (the planner's order, else
+// the greedy heuristic, else textual order), resolves every position
+// against the scratch layout, and moves each group filter whose variables
+// are all bound after a step out of *filters and onto that step — sound
+// because group filters are conjunctive and rows never regain bindings
+// they were rejected on. The ablation switches only change this schedule.
+func (ev *evaluator) compilePipeline(cur *idRows, patterns []TriplePattern, graphs []string, filters *[]groupFilter, bp *bgpPlan) *bgpPipeline {
+	bound := map[string]bool{}
+	for c, v := range cur.vars {
+		if cur.boundAnywhere(c) {
+			bound[v] = true
+		}
+	}
+	planned := bp != nil && len(bp.order) == len(patterns)
+	if !planned && !ev.disableReorder {
+		patterns = ev.orderPatterns(patterns, bound, graphs)
+	}
+	p := &bgpPipeline{
+		ev:    ev,
+		uris:  graphs,
+		steps: make([]pipeStep, len(patterns)),
+		vars:  append(make([]string, 0, len(cur.vars)+2*len(patterns)), cur.vars...),
+		cols:  make(map[string]int, len(cur.vars)+2*len(patterns)),
+
+		workers: make([]*pipeWorker, max(ev.workers, 1)),
+	}
+	for c, v := range cur.vars {
+		p.cols[v] = c
+	}
+	uris := graphs
+	if len(uris) == 0 {
+		uris = ev.store.GraphURIs()
+	}
+	for _, uri := range uris {
+		if g := ev.store.Graph(uri); g != nil {
+			p.graphs = append(p.graphs, g)
+		}
+	}
+	dict := ev.store.Dict()
+	slot := func(st *pipeStep, n Node) pipeSlot {
+		if !n.IsVar {
+			id, ok := dict.Lookup(n.Term)
+			st.missing = st.missing || !ok
+			return pipeSlot{col: -1, id: id}
+		}
+		c, ok := p.cols[n.Var]
+		if !ok {
+			c = len(p.vars)
+			p.vars = append(p.vars, n.Var)
+			p.cols[n.Var] = c
+		}
+		bound[n.Var] = true
+		return pipeSlot{col: c}
+	}
+	for k := range p.steps {
+		pat := patterns[k]
+		if planned {
+			pat = patterns[bp.order[k]]
+		}
+		st := &p.steps[k]
+		st.slots = [3]pipeSlot{slot(st, pat.S), slot(st, pat.P), slot(st, pat.O)}
+		st.sameSP = pat.S.IsVar && pat.P.IsVar && pat.S.Var == pat.P.Var
+		st.sameSO = pat.S.IsVar && pat.O.IsVar && pat.S.Var == pat.O.Var
+		st.samePO = pat.P.IsVar && pat.O.IsVar && pat.P.Var == pat.O.Var
+		st.f0 = len(p.filters)
+		if filters != nil && !ev.disablePushdown {
+			p.filters = append(p.filters, takeReadyFilters(bound, filters)...)
+		}
+		st.f1 = len(p.filters)
+	}
+	p.outVars = p.vars
+	if planned {
+		if dropped := sortedUnion(bp.drop); len(dropped) > 0 {
+			p.outVars = make([]string, 0, len(p.vars))
+			for c, v := range p.vars {
+				if !slices.Contains(dropped, v) {
+					p.outVars = append(p.outVars, v)
+					p.outCols = append(p.outCols, c)
+				}
+			}
+		}
+	}
+	return p
+}
+
+// takeReadyFilters removes from *filters, and returns, every filter whose
+// variables are all bound.
+func takeReadyFilters(bound map[string]bool, filters *[]groupFilter) (ready []groupFilter) {
+	*filters = slices.DeleteFunc(*filters, func(f groupFilter) bool {
+		for _, v := range f.vars {
+			if !bound[v] {
+				return false
+			}
+		}
+		ready = append(ready, f)
+		return true
+	})
+	return ready
+}
+
+// pipePart is one morsel's output: row segments in emission order. The
+// segments alias the worker's chunks, which are never rewritten.
+type pipePart struct {
+	segs [][]store.ID
+	n    int
+}
+
+// Output chunks start at pipeChunkMin rows and double — a new chunk, not a
+// copy — up to morselScan rows, so a small segment output costs one small
+// allocation and a large one about its own size.
+const pipeChunkMin = 64
+
+// pipeWorker is one goroutine's state for running morsels of a pipeline:
+// the scratch row, the per-step Match callbacks (built once, so a probe
+// allocates nothing), the filter context, the output chunk being filled,
+// and the EXPLAIN counters.
+type pipeWorker struct {
+	p     *bgpPipeline
+	tk    *ticker
+	err   error
+	row   []store.ID
+	yield []func(store.IDTriple) bool
+	ctx   *evalCtx
+	// rows[k] counts step k's matches, kept[i] the rows surviving filter i.
+	rows, kept []int
+	// chunk is the output chunk being filled; its rows from segStart on
+	// belong to the current morsel's part.
+	chunk    []store.ID
+	segStart int
+	part     pipePart
+}
+
+// worker returns the calling pool goroutine's worker, built on its first
+// morsel. The query goroutine (tk == &ev.tk) shares the evaluator's regex
+// memo; pool goroutines start their own.
+func (p *bgpPipeline) worker(tk *ticker) *pipeWorker {
+	if w := p.workers[tk.slot]; w != nil {
+		return w
+	}
+	w := &pipeWorker{
+		p:     p,
+		tk:    tk,
+		row:   make([]store.ID, len(p.vars)),
+		yield: make([]func(store.IDTriple) bool, len(p.steps)),
+		rows:  make([]int, len(p.steps)+len(p.filters)),
+	}
+	w.kept = w.rows[len(p.steps):]
+	for k := range w.yield {
+		w.yield[k] = func(t store.IDTriple) bool { return w.match(k, t) }
+	}
+	if len(p.filters) > 0 {
+		view := &idRowView{rows: &idRows{vars: p.vars, cols: p.cols, data: w.row, n: 1}, dict: p.ev.dict}
+		w.ctx = &evalCtx{row: view, dict: p.ev.dict}
+		if tk == &p.ev.tk {
+			w.ctx.cache = p.ev.cache
+		}
+	}
+	p.workers[tk.slot] = w
+	return w
+}
+
+// takePart seals and hands over the finished morsel's part.
+func (w *pipeWorker) takePart() (pipePart, error) {
+	w.seal()
+	part := w.part
+	w.part = pipePart{}
+	return part, w.err
+}
+
+// runRows runs the chain for input rows [lo, hi).
+func (w *pipeWorker) runRows(cur *idRows, lo, hi int) {
+	for i := lo; i < hi && w.err == nil; i++ {
+		copy(w.row, cur.row(i))
+		w.probe(0)
+	}
+}
+
+// runScan runs the chain for one slice of the first pattern's scan under
+// the single input row.
+func (w *pipeWorker) runScan(row []store.ID, scan store.ScanPart) {
+	copy(w.row, row)
+	st := &w.p.steps[0]
+	key := st.key(w.row)
+	scan(w.yield[0])
+	w.unbind(st, key)
+}
+
+// key resolves the step's probe pattern (S, P, O) against the scratch row;
+// an unbound cell (0) stays a wildcard.
+func (st *pipeStep) key(row []store.ID) (key [3]store.ID) {
+	for i := range st.slots {
+		key[i] = st.slots[i].id
+		if c := st.slots[i].col; c >= 0 {
+			key[i] = row[c]
+		}
+	}
+	return key
+}
+
+// unbind clears the cells step st bound under probe key, so the next probe
+// of the same step sees them as wildcards again.
+func (w *pipeWorker) unbind(st *pipeStep, key [3]store.ID) {
+	for i := range st.slots {
+		if key[i] == 0 {
+			w.row[st.slots[i].col] = 0
+		}
+	}
+}
+
+// probe streams step k's matches for the scratch row into match. It
+// reports false once the worker has failed.
+func (w *pipeWorker) probe(k int) bool {
+	st := &w.p.steps[k]
+	if st.missing {
+		return true
+	}
+	key := st.key(w.row)
+	for _, g := range w.p.graphs {
+		g.Match(store.IDTriple{S: key[0], P: key[1], O: key[2]}, w.yield[k])
+		if w.err != nil {
+			return false
+		}
+	}
+	w.unbind(st, key)
+	return true
+}
+
+// match binds one match of step k into the scratch row, applies the step's
+// filters, and descends; past the last step the row is emitted.
+func (w *pipeWorker) match(k int, t store.IDTriple) bool {
+	if w.err = w.tk.tick(); w.err != nil {
+		return false
+	}
+	st := &w.p.steps[k]
+	if st.sameSP && t.S != t.P || st.sameSO && t.S != t.O || st.samePO && t.P != t.O {
+		return true
+	}
+	if c := st.slots[0].col; c >= 0 {
+		w.row[c] = t.S
+	}
+	if c := st.slots[1].col; c >= 0 {
+		w.row[c] = t.P
+	}
+	if c := st.slots[2].col; c >= 0 {
+		w.row[c] = t.O
+	}
+	w.rows[k]++
+	for i := st.f0; i < st.f1; i++ {
+		if !evalBool(w.p.filters[i].cond, w.ctx) {
+			return true
+		}
+		w.kept[i]++
+	}
+	if k+1 < len(w.p.steps) {
+		return w.probe(k + 1)
+	}
+	w.emit()
+	return true
+}
+
+// emit appends the scratch row, in the output layout, to the morsel's part.
+func (w *pipeWorker) emit() {
+	width := len(w.p.outVars)
+	if len(w.chunk)+width > cap(w.chunk) {
+		w.seal()
+		rows := 2 * cap(w.chunk) / max(width, 1)
+		rows = min(max(rows, pipeChunkMin), morselScan)
+		w.chunk, w.segStart = make([]store.ID, 0, rows*width), 0
+	}
+	if w.p.outCols == nil {
+		w.chunk = append(w.chunk, w.row...)
+	} else {
+		for _, c := range w.p.outCols {
+			w.chunk = append(w.chunk, w.row[c])
+		}
+	}
+	w.part.n++
+}
+
+// seal closes the current morsel's segment of the chunk being filled.
+func (w *pipeWorker) seal() {
+	if n := len(w.chunk); n > w.segStart {
+		w.part.segs = append(w.part.segs, w.chunk[w.segStart:n:n])
+		w.segStart = n
+	}
+}
+
+// runPipeline runs the compiled segment over cur and returns its output.
+// One morsel covering every input row, on the query goroutine, is serial
+// execution. With the pool on, the source splits into morsels sized so each
+// carries about a morsel's worth of the segment's largest estimated
+// intermediate: a small source in front of a large fan-out still spreads
+// over the workers.
+func (ev *evaluator) runPipeline(p *bgpPipeline, cur *idRows, bp *bgpPlan) (*idRows, error) {
+	bounds := [][2]int{{0, cur.n}}
+	var scans []store.ScanPart
+	if ev.workers > 1 {
+		peak := 0.0
+		if bp != nil {
+			for _, e := range bp.est {
+				peak = max(peak, e*float64(cur.n))
+			}
+		}
+		if st := &p.steps[0]; cur.n == 1 && !st.missing {
+			first := make([]store.ID, len(p.vars))
+			copy(first, cur.row(0))
+			k := st.key(first)
+			key := store.IDTriple{S: k[0], P: k[1], O: k[2]}
+			if m := scaleMorsel(morselScan, ev.store.Cardinality(p.uris, key), peak); m > 0 {
+				scans = ev.store.MatchParts(p.uris, key, m)
+			}
+		} else if m := scaleMorsel(morselRows, cur.n, peak); m > 0 {
+			bounds = rowChunks(cur.n, m)
+		}
+	}
+	n := len(bounds)
+	if len(scans) > 1 {
+		n = len(scans)
+	}
+	parts := make([]pipePart, n)
+	err := ev.forEachPart(n, func(i int, tk *ticker) (err error) {
+		w := p.worker(tk)
+		if len(scans) > 1 {
+			w.runScan(cur.row(0), scans[i])
+		} else {
+			w.runRows(cur, bounds[i][0], bounds[i][1])
+		}
+		parts[i], err = w.takePart()
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return mergePipeParts(p.outVars, parts), nil
+}
+
+// scaleMorsel sizes the morsels of a source of n rows whose chain peaks at
+// an estimated peak rows: the plain morsel scaled down by the fan-out. It
+// returns 0 when the whole segment is under two morsels of work, which is
+// not worth scheduling.
+func scaleMorsel(morsel, n int, peak float64) int {
+	work := max(float64(n), peak)
+	if n < 2 || work < float64(2*morsel) {
+		return 0
+	}
+	return max(1, int(float64(morsel)*float64(n)/work))
+}
+
+// mergePipeParts concatenates the morsels' parts strictly in morsel order —
+// the order-preserving combiner that makes parallel output identical to the
+// serial nested loop's. An output that fits one segment is used as it is.
+func mergePipeParts(vars []string, parts []pipePart) *idRows {
+	out := newIDRows(vars)
+	var segs [][]store.ID
+	for _, p := range parts {
+		out.n += p.n
+		segs = append(segs, p.segs...)
+	}
+	if len(segs) == 1 {
+		out.data = segs[0]
+	} else {
+		out.data = slices.Concat(segs...)
+	}
+	return out
+}
+
+// recordActuals sums the workers' counters into the tracked plan: each
+// pushed-down filter with its survivors, and each step's node with its
+// matches as long as rows reached the step — an operator that never ran
+// keeps no actual.
+func (p *bgpPipeline) recordActuals(in int, bp *bgpPlan) {
+	total := make([]int, len(p.steps)+len(p.filters))
+	for _, w := range p.workers {
+		if w != nil {
+			for i, c := range w.rows {
+				total[i] += c
+			}
+		}
+	}
+	kept := total[len(p.steps):]
+	for k, st := range p.steps {
+		if bp == nil || in == 0 {
+			break
+		}
+		bp.nodes[k].Record(total[k])
+		in = total[k]
+		if st.f1 > st.f0 {
+			in = kept[st.f1-1]
+		}
+	}
+	for i, f := range p.filters {
+		p.ev.qp.recordFilter(f.ref, kept[i])
+	}
+}

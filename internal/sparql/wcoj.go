@@ -468,9 +468,10 @@ func (ev *evaluator) evalWCOJSegment(seg *wcojSeg, filters *[]groupFilter) (*idR
 		for _, v := range seg.varOrder {
 			bound[v] = true
 		}
-		out, err = ev.applyReadyFilters(out, bound, filters)
-		if err != nil {
-			return nil, err
+		for _, f := range takeReadyFilters(bound, filters) {
+			if err := ev.applyFilter(out, f); err != nil {
+				return nil, err
+			}
 		}
 	}
 	if len(seg.endDrop) > 0 {
