@@ -177,6 +177,10 @@ var requiredMetricFamilies = []string{
 	"rdfframes_store_version",
 	"rdfframes_stats_epoch",
 	"rdfframes_store_triples",
+	"rdfframes_store_base_triples",
+	"rdfframes_store_delta_triples",
+	"rdfframes_store_tombstones",
+	"rdfframes_store_index_bytes",
 	"rdfframes_store_graphs",
 	"rdfframes_parallelism",
 	// serving layer

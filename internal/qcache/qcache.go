@@ -154,6 +154,28 @@ func (c *Cache[V]) Delete(key string) {
 	sh.mu.Unlock()
 }
 
+// DeleteFunc removes every entry for which drop reports true and returns
+// how many it removed. drop runs with the entry's shard locked and must not
+// call back into the cache. Removals are not counted as evictions: the
+// caller decided the entries were dead, the budget did not push them out.
+func (c *Cache[V]) DeleteFunc(drop func(key string, val V) bool) int {
+	n := 0
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		for key, e := range sh.entries {
+			if drop(key, e.val) {
+				sh.unlink(e)
+				delete(sh.entries, key)
+				c.used.Add(-e.cost)
+				n++
+			}
+		}
+		sh.mu.Unlock()
+	}
+	return n
+}
+
 // Len returns the number of cached entries.
 func (c *Cache[V]) Len() int {
 	n := 0

@@ -99,6 +99,37 @@ func TestDelete(t *testing.T) {
 	}
 }
 
+func TestDeleteFunc(t *testing.T) {
+	c := New[int](100, 4)
+	for i := 0; i < 20; i++ {
+		c.Put(fmt.Sprintf("k%d", i), i, int64(i%3+1))
+	}
+	before := c.Stats()
+	wantCost := before.Cost
+	for i := 0; i < 20; i += 2 {
+		wantCost -= int64(i%3 + 1)
+	}
+	if n := c.DeleteFunc(func(_ string, v int) bool { return v%2 == 0 }); n != 10 {
+		t.Fatalf("DeleteFunc removed %d entries, want 10", n)
+	}
+	st := c.Stats()
+	if st.Entries != 10 || st.Cost != wantCost || st.Evictions != before.Evictions {
+		t.Fatalf("stats after DeleteFunc = %+v, want 10 entries at cost %d and no evictions", st, wantCost)
+	}
+	for i := 0; i < 20; i++ {
+		if _, ok := c.Get(fmt.Sprintf("k%d", i)); ok != (i%2 == 1) {
+			t.Fatalf("k%d present = %v", i, ok)
+		}
+	}
+	// The LRU lists survive the unlinking: filling up evicts cleanly.
+	for i := 0; i < 200; i++ {
+		c.Put(fmt.Sprintf("n%d", i), i, 1)
+	}
+	if st := c.Stats(); st.Cost > st.Budget {
+		t.Fatalf("over budget after refill: %+v", st)
+	}
+}
+
 func TestZeroBudgetStoresNothing(t *testing.T) {
 	c := New[int](0, 4)
 	if c.Put("k", 1, 1) {

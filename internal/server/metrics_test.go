@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -53,6 +54,14 @@ func newMetricsServer(t *testing.T, maxInFlight int) (*httptest.Server, *Server,
 
 // fullStats is the /stats shape the consistency test reads.
 type fullStats struct {
+	Graphs []struct {
+		Graph        string  `json:"graph"`
+		Triples      float64 `json:"triples"`
+		BaseTriples  float64 `json:"base_triples"`
+		DeltaTriples float64 `json:"delta_triples"`
+		Tombstones   float64 `json:"tombstones"`
+		IndexBytes   float64 `json:"index_bytes"`
+	} `json:"graphs"`
 	Cache     sparql.CacheStats `json:"cache"`
 	Admission AdmissionStats    `json:"admission"`
 	Latency   *struct {
@@ -125,6 +134,18 @@ func TestStatsMetricsConsistencyUnderLoad(t *testing.T) {
 	wg.Wait()
 	ev.SetDelay(0)
 
+	// A graph created by an update after the metrics were registered gets
+	// its per-graph series too; deleting one of its two triples leaves a
+	// tombstone to report.
+	for _, u := range []string{
+		`INSERT DATA { GRAPH <http://ex/late> { <http://ex/a> <http://ex/p> 1 . <http://ex/a> <http://ex/p> 2 } }`,
+		`DELETE DATA { GRAPH <http://ex/late> { <http://ex/a> <http://ex/p> 2 } }`,
+	} {
+		if _, err := srv.Engine.Update(context.Background(), u, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+
 	// The server is quiet now: /stats and /metrics reads move no /sparql
 	// counter, so the two scrapes see one frozen state.
 	resp, err := http.Get(ts.URL + "/stats")
@@ -179,6 +200,31 @@ func TestStatsMetricsConsistencyUnderLoad(t *testing.T) {
 		if got != p.want {
 			t.Errorf("%s: /metrics=%v /stats=%v — the surfaces disagree", p.name, got, p.want)
 		}
+	}
+
+	// The per-graph layout gauges mirror /stats graph for graph, and add up
+	// to the store-wide triple count.
+	var triples float64
+	for _, g := range stats.Graphs {
+		for name, want := range map[string]float64{
+			"rdfframes_store_base_triples": g.BaseTriples, "rdfframes_store_delta_triples": g.DeltaTriples,
+			"rdfframes_store_tombstones": g.Tombstones, "rdfframes_store_index_bytes": g.IndexBytes,
+		} {
+			series := fmt.Sprintf(`%s{graph="%s"}`, name, g.Graph)
+			if got, ok := samples[series]; !ok || got != want {
+				t.Errorf("%s: /metrics=%v (present %v) /stats=%v", series, got, ok, want)
+			}
+		}
+		if g.BaseTriples+g.DeltaTriples-g.Tombstones != g.Triples || g.IndexBytes <= 0 {
+			t.Errorf("graph %s: layout %+v does not add up to its %v triples", g.Graph, g, g.Triples)
+		}
+		if g.Graph == "http://ex/late" && (g.Triples != 1 || g.Tombstones != 1) {
+			t.Errorf("late graph: %+v, want 1 live triple and 1 tombstone", g)
+		}
+		triples += g.Triples
+	}
+	if got := samples["rdfframes_store_triples"]; got != triples || len(stats.Graphs) < 2 {
+		t.Errorf("rdfframes_store_triples = %v, /stats graphs (%d of them) sum to %v", got, len(stats.Graphs), triples)
 	}
 
 	// The latency histogram observes exactly the 200 responses.

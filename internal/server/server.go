@@ -27,7 +27,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"rdfframes/internal/obs"
@@ -261,9 +260,19 @@ func (s *Server) writeBody(w http.ResponseWriter, r *http.Request, size int, wri
 	}
 	w.Header().Set("Content-Encoding", "gzip")
 	w.Header().Set("Vary", "Accept-Encoding")
-	gz := gzipPool.Get().(*gzip.Writer)
-	defer gzipPool.Put(gz)
-	gz.Reset(w)
+	var gz *gzip.Writer
+	select {
+	case gz = <-gzipWriters:
+		gz.Reset(w)
+	default:
+		gz, _ = gzip.NewWriterLevel(w, gzip.BestSpeed) // the level is valid
+	}
+	defer func() {
+		select {
+		case gzipWriters <- gz:
+		default:
+		}
+	}()
 	if err := write(gz); err != nil {
 		return err
 	}
@@ -358,13 +367,14 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, query str
 	s.logf("explain ok: %d rows in %v", rep.Rows, time.Since(start))
 }
 
-// gzipPool recycles gzip writers across responses; serialization is part
-// of every measured round trip, so the per-response allocation matters.
-// BestSpeed: the endpoint is throughput-bound, not bandwidth-bound.
-var gzipPool = sync.Pool{New: func() any {
-	gz, _ := gzip.NewWriterLevel(io.Discard, gzip.BestSpeed)
-	return gz
-}}
+// gzipWriters recycles gzip writers across responses: serialization is part
+// of every measured round trip, and a writer is some 600 KB of tables to
+// build. It is a bounded free list rather than a sync.Pool because the
+// garbage collector empties a pool: how often a response paid for a new
+// writer then followed how often the heap was collected, which is more
+// often the smaller the store is. Writers beyond the list's capacity are
+// dropped. BestSpeed: the endpoint is throughput-bound, not bandwidth-bound.
+var gzipWriters = make(chan *gzip.Writer, 4)
 
 // acceptsGzip reports whether the request's Accept-Encoding admits gzip
 // (any listed "gzip" without an explicit q=0).
@@ -390,9 +400,14 @@ func acceptsGzip(r *http.Request) bool {
 // serving-cache counters as JSON — the exploration aid of the paper plus
 // the operational numbers for the caching subsystem.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	// graphStat mirrors the rdfframes_store_* per-graph gauges of /metrics.
 	type graphStat struct {
-		Graph   string `json:"graph"`
-		Triples int    `json:"triples"`
+		Graph        string `json:"graph"`
+		Triples      int    `json:"triples"`
+		BaseTriples  int    `json:"base_triples"`
+		DeltaTriples int    `json:"delta_triples"`
+		Tombstones   int    `json:"tombstones"`
+		IndexBytes   int    `json:"index_bytes"`
 	}
 	type latencyStats struct {
 		Count      uint64  `json:"count"`
@@ -451,7 +466,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st.RLock()
 	out.StoreVersion = st.Version()
 	for _, uri := range st.GraphURIs() {
-		out.Graphs = append(out.Graphs, graphStat{Graph: uri, Triples: st.Graph(uri).Len()})
+		g := st.Graph(uri)
+		lay := g.Layout()
+		out.Graphs = append(out.Graphs, graphStat{Graph: uri, Triples: g.Len(), BaseTriples: lay.BaseTriples,
+			DeltaTriples: lay.DeltaTriples, Tombstones: lay.Tombstones, IndexBytes: lay.IndexBytes})
 	}
 	st.RUnlock()
 	sort.Slice(out.Graphs, func(i, j int) bool { return out.Graphs[i].Graph < out.Graphs[j].Graph })

@@ -1,13 +1,16 @@
 // Package snapshot persists a store.Store to a versioned, checksummed
 // binary file and reopens it without re-parsing any RDF text — the storage
-// half of the system's lifecycle. A snapshot records the dictionary as a
-// length-prefixed term table plus each named graph's dictionary-encoded
-// triples in insertion order; reopening rebuilds the SPO/POS/OSP indexes
-// directly from ids, which skips text scanning, term allocation, term
-// re-interning, and duplicate checking, and is therefore several times
-// faster than loading the same data from N-Triples.
+// half of the system's lifecycle. A snapshot is the dictionary as a
+// length-prefixed term table plus, per named graph, the store's own sorted
+// array of id triples written verbatim: the live triples in SPO order as
+// fixed-width little-endian uint32s. Reopening copies that array back and
+// hands it to store.BulkGraph, which — the array being sorted already —
+// lays out the SPO permutation in one pass and derives the other two by
+// one linear counting sort each. No text is scanned, no term re-interned,
+// no map built, and nothing about the permutations has to be trusted to
+// the file: they are consistent with each other by construction.
 //
-// # File format (version 2; version 1 is still readable)
+// # File format (version 3)
 //
 //	[8]byte  magic "RDFFSNAP"
 //	uint32   format version (little endian)
@@ -18,37 +21,23 @@
 //	                          uvarint len + bytes language tag
 //	uvarint  graph count G, then G graphs:
 //	           uvarint len + bytes graph URI
-//	           uvarint triple count T, then T triples:
-//	             uvarint subject id, uvarint predicate id, uvarint object id
-//	           3 index images (SPO, POS, OSP order), each:
-//	             uvarint outer key count, then per outer key:
-//	               uvarint key, uvarint inner key count, then per inner key:
-//	                 uvarint key, uvarint list length, then that many ids
-//	           version >= 2 only — statistics section:
-//	             uvarint predicate count K, then K pairs in ascending
-//	             predicate id order:
-//	               uvarint predicate id, uvarint distinct subject count
+//	           uvarint triple count T, then T triples, strictly ascending
+//	           in (subject, predicate, object) order:
+//	             uint32 subject id, uint32 predicate id, uint32 object id
+//	             (little endian)
 //	uint32   CRC-32 (IEEE, little endian) of every preceding byte
-//
-// The statistics section persists the one catalog number the query planner
-// needs that is not an O(1) read off the installed indexes — the distinct
-// subject count per predicate (see store's stats catalog) — so reopening a
-// snapshot skips the derivation pass over the SPO image. Version-1 files
-// lack the section; reading them derives the counters instead.
 //
 // All ids refer to the term table (1-based; 0 never appears). The trailing
 // checksum covers the header too, so a corrupted, truncated, or trailing-
 // garbage file is always rejected with a descriptive error rather than
-// loaded wrong.
+// loaded wrong. A graph's triples have exactly one valid order, so snapshot
+// bytes are a deterministic function of store content: a store carrying
+// tombstones or pending inserts writes the same bytes as its compacted
+// twin.
 //
-// The index images repeat information derivable from the triple list; they
-// are stored anyway because installing a prebuilt adjacency (exact-sized
-// maps, all lists carved from one slab) is what removes the per-triple map
-// insertion work from the reopen path — profiling shows that rebuild, not
-// text parsing, dominates once the text is gone. Snapshot files trade ~3x
-// size (still several times smaller than the N-Triples text) for that.
-// Outer and inner keys are written in ascending order, making snapshot
-// bytes a deterministic function of store content.
+// Versions 1 and 2 (insertion-ordered varint triples plus serialized
+// adjacency-map images) are rejected with an *UnsupportedVersionError;
+// re-create such a snapshot from its source data.
 package snapshot
 
 import (
@@ -60,7 +49,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
 
 	"rdfframes/internal/rdf"
 	"rdfframes/internal/store"
@@ -69,9 +57,9 @@ import (
 // Magic identifies a snapshot file.
 const Magic = "RDFFSNAP"
 
-// Version is the current format version this package writes. Version 1
-// (identical but without the per-graph statistics section) is still read.
-const Version = 2
+// Version is the format version this package writes and the only one it
+// reads.
+const Version = 3
 
 // ErrBadMagic reports that the input does not start with the snapshot magic.
 var ErrBadMagic = errors.New("snapshot: not a snapshot file (bad magic)")
@@ -86,7 +74,7 @@ type UnsupportedVersionError struct {
 }
 
 func (e *UnsupportedVersionError) Error() string {
-	return fmt.Sprintf("snapshot: format version %d not supported (this build reads versions 1..%d)", e.Got, Version)
+	return fmt.Sprintf("snapshot: format version %d not supported (this build reads version %d)", e.Got, Version)
 }
 
 // Write serializes st to w in snapshot format.
@@ -110,21 +98,15 @@ func Write(w io.Writer, st *store.Store) error {
 	cw.uvarint(uint64(len(uris)))
 	for _, uri := range uris {
 		cw.str(uri)
-		g := st.Graph(uri)
-		// LiveImage filters tombstoned triples out of both the triple list
-		// and the serialized indexes: a snapshot never contains tombstones,
-		// so reopening one is always a compacted store.
-		triples, spo, pos, osp, predSubj := g.LiveImage()
+		// Triples is the live content in SPO order: a snapshot never holds
+		// tombstones, so reopening one is always a compacted store.
+		triples := st.Graph(uri).Triples()
 		cw.uvarint(uint64(len(triples)))
 		for _, t := range triples {
-			cw.uvarint(uint64(t.S))
-			cw.uvarint(uint64(t.P))
-			cw.uvarint(uint64(t.O))
+			cw.u32(uint32(t.S))
+			cw.u32(uint32(t.P))
+			cw.u32(uint32(t.O))
 		}
-		writeIndex(cw, spo)
-		writeIndex(cw, pos)
-		writeIndex(cw, osp)
-		writeStats(cw, predSubj)
 	}
 
 	// The trailer carries the checksum of everything before it, so it is
@@ -171,7 +153,7 @@ func decode(data []byte) (*store.Store, error) {
 		return nil, truncated(io.ErrUnexpectedEOF)
 	}
 	version := binary.LittleEndian.Uint32(data[len(Magic):])
-	if version == 0 || version > Version {
+	if version != Version {
 		return nil, &UnsupportedVersionError{Got: version}
 	}
 	body, trailer := data[:len(data)-4], data[len(data)-4:]
@@ -195,31 +177,16 @@ func decode(data []byte) (*store.Store, error) {
 	if err != nil {
 		return nil, truncated(err)
 	}
-	maxID := uint64(dict.Len())
 	for i := uint64(0); i < graphCount; i++ {
 		uri, err := p.string()
 		if err != nil {
 			return nil, fmt.Errorf("snapshot: graph %d uri: %w", i, err)
 		}
-		triples, err := readTriples(p, maxID)
+		triples, err := readTriples(p)
 		if err != nil {
 			return nil, fmt.Errorf("snapshot: graph <%s>: %w", uri, err)
 		}
-		var indexes [3]map[store.ID]map[store.ID][]store.ID
-		for j := range indexes {
-			if indexes[j], err = readIndex(p, len(triples), maxID); err != nil {
-				return nil, fmt.Errorf("snapshot: graph <%s> index %d: %w", uri, j, err)
-			}
-		}
-		if version >= 2 {
-			predSubj, err := readStats(p, len(triples), maxID)
-			if err != nil {
-				return nil, fmt.Errorf("snapshot: graph <%s> stats: %w", uri, err)
-			}
-			if err := st.BulkGraphIndexedStats(uri, triples, indexes[0], indexes[1], indexes[2], predSubj); err != nil {
-				return nil, fmt.Errorf("snapshot: graph <%s>: %w", uri, err)
-			}
-		} else if err := st.BulkGraphIndexed(uri, triples, indexes[0], indexes[1], indexes[2]); err != nil {
+		if err := st.BulkGraph(uri, triples); err != nil {
 			return nil, fmt.Errorf("snapshot: graph <%s>: %w", uri, err)
 		}
 	}
@@ -288,11 +255,15 @@ func readTerms(p *parser) ([]rdf.Term, error) {
 	if count > store.MaxTerms {
 		return nil, fmt.Errorf("snapshot: term table claims %d terms, exceeding the id space", count)
 	}
+	// A term is at least a kind byte and a length byte.
+	if count > uint64(len(p.data)-p.pos)/2 {
+		return nil, truncated(io.ErrUnexpectedEOF)
+	}
 	type termRef struct {
 		kind               rdf.TermKind
 		value, dtype, lang byteSpan
 	}
-	refs := make([]termRef, 0, min(count, 1<<20))
+	refs := make([]termRef, 0, count)
 	sectionStart := p.pos
 	for i := uint64(0); i < count; i++ {
 		kind, err := p.byte()
@@ -332,154 +303,33 @@ func readTerms(p *parser) ([]rdf.Term, error) {
 	return terms, nil
 }
 
-func readTriples(p *parser, maxID uint64) ([]store.IDTriple, error) {
+// readTriples copies one graph's triple array out of the file, checking
+// that the order is strictly ascending — the one order Write produces,
+// which also rules out repeats. store.BulkGraph checks the ids.
+func readTriples(p *parser) ([]store.IDTriple, error) {
 	count, err := p.uvarint()
 	if err != nil {
 		return nil, truncated(err)
 	}
-	triples := make([]store.IDTriple, 0, min(count, 1<<22))
-	for i := uint64(0); i < count; i++ {
-		s, err1 := p.uvarint()
-		pr, err2 := p.uvarint()
-		o, err3 := p.uvarint()
-		if err := errors.Join(err1, err2, err3); err != nil {
-			return nil, truncated(err)
-		}
-		if s == 0 || s > maxID || pr == 0 || pr > maxID || o == 0 || o > maxID {
-			return nil, fmt.Errorf("triple %d has out-of-range ids (%d %d %d)", i, s, pr, o)
-		}
-		triples = append(triples, store.IDTriple{S: store.ID(s), P: store.ID(pr), O: store.ID(o)})
+	if count > uint64(len(p.data)-p.pos)/12 {
+		return nil, truncated(io.ErrUnexpectedEOF)
 	}
+	triples := make([]store.IDTriple, count)
+	var prev store.IDTriple
+	for i := range triples {
+		raw := p.data[p.pos+12*i:]
+		t := store.IDTriple{
+			S: store.ID(binary.LittleEndian.Uint32(raw)),
+			P: store.ID(binary.LittleEndian.Uint32(raw[4:])),
+			O: store.ID(binary.LittleEndian.Uint32(raw[8:])),
+		}
+		if t.S < prev.S || t.S == prev.S && (t.P < prev.P || t.P == prev.P && t.O <= prev.O) {
+			return nil, fmt.Errorf("triple %d (%d %d %d) is not after its predecessor in SPO order", i, t.S, t.P, t.O)
+		}
+		triples[i], prev = t, t
+	}
+	p.pos += 12 * len(triples)
 	return triples, nil
-}
-
-// writeIndex serializes one adjacency index with outer and inner keys in
-// ascending order, so identical stores produce identical snapshot bytes.
-func writeIndex(cw *crcWriter, m map[store.ID]map[store.ID][]store.ID) {
-	cw.uvarint(uint64(len(m)))
-	for _, a := range sortedIDKeys(m) {
-		inner := m[a]
-		cw.uvarint(uint64(a))
-		cw.uvarint(uint64(len(inner)))
-		for _, b := range sortedIDKeys(inner) {
-			list := inner[b]
-			cw.uvarint(uint64(b))
-			cw.uvarint(uint64(len(list)))
-			for _, id := range list {
-				cw.uvarint(uint64(id))
-			}
-		}
-	}
-}
-
-// writeStats serializes a graph's per-predicate distinct subject counters
-// in ascending predicate order (deterministic bytes, like the indexes).
-func writeStats(cw *crcWriter, predSubj map[store.ID]int) {
-	cw.uvarint(uint64(len(predSubj)))
-	for _, p := range sortedIDKeys(predSubj) {
-		cw.uvarint(uint64(p))
-		cw.uvarint(uint64(predSubj[p]))
-	}
-}
-
-// readStats deserializes the per-graph statistics section. Counts are only
-// range-checked here; cross-validation against the index images happens in
-// store.BulkGraphIndexedStats.
-func readStats(p *parser, tripleCount int, maxID uint64) (map[store.ID]int, error) {
-	count, err := p.uvarint()
-	if err != nil {
-		return nil, truncated(err)
-	}
-	if count > uint64(tripleCount) {
-		return nil, fmt.Errorf("stats section claims %d predicates for %d triples", count, tripleCount)
-	}
-	out := make(map[store.ID]int, count)
-	for i := uint64(0); i < count; i++ {
-		pred, err := p.id(maxID)
-		if err != nil {
-			return nil, err
-		}
-		n, err := p.uvarint()
-		if err != nil {
-			return nil, truncated(err)
-		}
-		if _, dup := out[pred]; dup {
-			return nil, fmt.Errorf("stats section repeats predicate %d", pred)
-		}
-		if n < 1 || n > uint64(tripleCount) {
-			return nil, fmt.Errorf("stats section claims %d distinct subjects for predicate %d of a %d-triple graph", n, pred, tripleCount)
-		}
-		out[pred] = int(n)
-	}
-	return out, nil
-}
-
-func sortedIDKeys[V any](m map[store.ID]V) []store.ID {
-	keys := make([]store.ID, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	return keys
-}
-
-// readIndex deserializes one adjacency index. Every id list is carved from
-// a single slab sized by the graph's triple count — each triple contributes
-// exactly one entry per index, which readIndex verifies, so reopen performs
-// one list allocation per index instead of one per (outer, inner) pair.
-func readIndex(p *parser, tripleCount int, maxID uint64) (map[store.ID]map[store.ID][]store.ID, error) {
-	outerCount, err := p.uvarint()
-	if err != nil {
-		return nil, truncated(err)
-	}
-	if outerCount > uint64(tripleCount) {
-		return nil, fmt.Errorf("index claims %d keys for %d triples", outerCount, tripleCount)
-	}
-	m := make(map[store.ID]map[store.ID][]store.ID, outerCount)
-	slab := make([]store.ID, 0, tripleCount)
-	for i := uint64(0); i < outerCount; i++ {
-		outer, err := p.id(maxID)
-		if err != nil {
-			return nil, err
-		}
-		innerCount, err := p.uvarint()
-		if err != nil {
-			return nil, truncated(err)
-		}
-		if innerCount > uint64(tripleCount) {
-			return nil, fmt.Errorf("index key %d claims %d entries for %d triples", outer, innerCount, tripleCount)
-		}
-		inner := make(map[store.ID][]store.ID, innerCount)
-		for j := uint64(0); j < innerCount; j++ {
-			key, err := p.id(maxID)
-			if err != nil {
-				return nil, err
-			}
-			listLen, err := p.uvarint()
-			if err != nil {
-				return nil, truncated(err)
-			}
-			if uint64(len(slab))+listLen > uint64(tripleCount) {
-				return nil, fmt.Errorf("index lists exceed the graph's %d triples", tripleCount)
-			}
-			start := len(slab)
-			for k := uint64(0); k < listLen; k++ {
-				id, err := p.id(maxID)
-				if err != nil {
-					return nil, err
-				}
-				slab = append(slab, id)
-			}
-			// Full slice expression: a later incremental Add must copy on
-			// append rather than clobber its slab neighbour.
-			inner[key] = slab[start:len(slab):len(slab)]
-		}
-		m[outer] = inner
-	}
-	if len(slab) != tripleCount {
-		return nil, fmt.Errorf("index holds %d entries, want %d (one per triple)", len(slab), tripleCount)
-	}
-	return m, nil
 }
 
 func truncated(err error) error {
@@ -502,18 +352,6 @@ func (p *parser) byte() (byte, error) {
 	b := p.data[p.pos]
 	p.pos++
 	return b, nil
-}
-
-// id reads one uvarint-encoded dictionary id and range-checks it.
-func (p *parser) id(maxID uint64) (store.ID, error) {
-	v, err := p.uvarint()
-	if err != nil {
-		return 0, truncated(err)
-	}
-	if v == 0 || v > maxID {
-		return 0, fmt.Errorf("id %d outside the %d-term dictionary", v, maxID)
-	}
-	return store.ID(v), nil
 }
 
 func (p *parser) uvarint() (uint64, error) {

@@ -46,7 +46,7 @@ func testStore(t *testing.T) *store.Store {
 	return st
 }
 
-func snapshotBytes(t *testing.T, st *store.Store) []byte {
+func snapshotBytes(t testing.TB, st *store.Store) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := Write(&buf, st); err != nil {
@@ -127,14 +127,14 @@ func TestReopenedStoreAnswersMatchQueries(t *testing.T) {
 	if n := got.Graph(gA).Count(store.IDTriple{P: p}); n != 50 {
 		t.Fatalf("knows count = %d, want 50", n)
 	}
-	// Fully-bound lookup exercises the sealed graph's scan-based contains.
+	// A fully-bound lookup is a search down all three trie levels.
 	s, _ := got.Dict().Lookup(rdf.NewIRI("http://ex/person0"))
 	o, _ := got.Dict().Lookup(rdf.NewIRI("http://ex/person1"))
 	if got.Graph(gA).Count(store.IDTriple{S: s, P: p, O: o}) != 1 {
-		t.Fatal("fully-bound match failed on sealed graph")
+		t.Fatal("fully-bound match failed on a reopened graph")
 	}
 	if got.Graph(gA).Count(store.IDTriple{S: s, P: p, O: s}) != 0 {
-		t.Fatal("sealed graph contains reported a phantom triple")
+		t.Fatal("reopened graph reported a phantom triple")
 	}
 }
 
@@ -150,14 +150,14 @@ func TestReopenedStoreAcceptsIncrementalAdds(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Graph(gA).Len() != before {
-		t.Fatal("duplicate add changed sealed graph size")
+		t.Fatal("duplicate add changed the reopened graph size")
 	}
 	fresh := rdf.Triple{S: rdf.NewIRI("http://ex/new"), P: rdf.NewIRI("http://ex/knows"), O: rdf.NewIRI("http://ex/person0")}
 	if err := got.Add(gA, fresh); err != nil {
 		t.Fatal(err)
 	}
 	if got.Graph(gA).Len() != before+1 {
-		t.Fatal("fresh add not applied after unseal")
+		t.Fatal("fresh add not applied to the reopened graph")
 	}
 }
 

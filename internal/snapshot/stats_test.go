@@ -3,6 +3,7 @@ package snapshot
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"reflect"
 	"testing"
@@ -37,96 +38,56 @@ func TestStatsSurviveReopen(t *testing.T) {
 	}
 }
 
-// TestVersion1StillReadable hand-rolls a minimal version-1 snapshot (no
-// statistics sections) and asserts the reader still accepts it, deriving
-// the catalog from the index images instead.
-func TestVersion1StillReadable(t *testing.T) {
-	var body bytes.Buffer
-	uv := func(v uint64) {
-		var buf [binary.MaxVarintLen64]byte
-		body.Write(buf[:binary.PutUvarint(buf[:], v)])
-	}
-	str := func(s string) {
-		uv(uint64(len(s)))
-		body.WriteString(s)
-	}
-
-	body.WriteString(Magic)
-	var ver [4]byte
-	binary.LittleEndian.PutUint32(ver[:], 1)
-	body.Write(ver[:])
-
-	// Term table: three IRIs (ids 1..3).
-	uv(3)
-	for _, v := range []string{"http://v1/s", "http://v1/p", "http://v1/o"} {
-		body.WriteByte(1) // IRI kind
-		str(v)
-	}
-
-	// One graph with one triple (1 2 3) and its three index images.
-	uv(1)
-	str("http://v1/g")
-	uv(1)
-	uv(1)
-	uv(2)
-	uv(3)
-	writeImage := func(a, b, c uint64) {
-		uv(1) // one outer key
-		uv(a) // outer
-		uv(1) // one inner key
-		uv(b) // inner
-		uv(1) // list length
-		uv(c) // entry
-	}
-	writeImage(1, 2, 3) // SPO
-	writeImage(2, 3, 1) // POS
-	writeImage(3, 1, 2) // OSP
-	// No stats section in version 1.
-
-	var trailer [4]byte
-	binary.LittleEndian.PutUint32(trailer[:], crc32.ChecksumIEEE(body.Bytes()))
-	body.Write(trailer[:])
-
-	st, err := Read(bytes.NewReader(body.Bytes()))
-	if err != nil {
-		t.Fatalf("version-1 snapshot rejected: %v", err)
-	}
-	if st.Len() != 1 {
-		t.Fatalf("triples = %d, want 1", st.Len())
-	}
-	gs := st.Stats().Graphs["http://v1/g"]
-	if gs == nil {
-		t.Fatal("no stats for reopened v1 graph")
-	}
-	if got := gs.Predicates[2]; got != (store.PredicateStats{Triples: 1, DistinctSubjects: 1, DistinctObjects: 1}) {
-		t.Fatalf("derived v1 stats = %+v", got)
+// TestOldVersionsRejected hand-rolls the header of a version-1 and a
+// version-2 snapshot around a valid checksum: both must be refused by
+// version, before anything else is interpreted.
+func TestOldVersionsRejected(t *testing.T) {
+	for _, v := range []uint32{1, 2} {
+		var body bytes.Buffer
+		body.WriteString(Magic)
+		body.Write(binary.LittleEndian.AppendUint32(nil, v))
+		body.Write([]byte{0, 0}) // no terms, no graphs
+		body.Write(binary.LittleEndian.AppendUint32(nil, crc32.ChecksumIEEE(body.Bytes())))
+		var uv *UnsupportedVersionError
+		if _, err := Read(&body); !errors.As(err, &uv) || uv.Got != v {
+			t.Fatalf("version-%d snapshot: err = %v, want an UnsupportedVersionError", v, err)
+		}
 	}
 }
 
-// TestCorruptStatsSectionRejected asserts that an inconsistent stats
-// section fails loudly (after a CRC re-stamp, so the corruption is
-// semantic, not bitrot).
-func TestCorruptStatsSectionRejected(t *testing.T) {
+// TestSemanticCorruptionRejected damages the triple array in ways a bit
+// flip could not (the checksum is re-stamped): a graph's triples must be
+// in the dictionary's id range and strictly ascending in SPO order.
+func TestSemanticCorruptionRejected(t *testing.T) {
 	st := store.New()
-	s := st.Dict().Encode(iriTerm("s"))
-	p := st.Dict().Encode(iriTerm("p"))
-	o := st.Dict().Encode(iriTerm("o"))
-	if err := st.BulkGraph("http://g", []store.IDTriple{{S: s, P: p, O: o}}); err != nil {
+	var ids []store.ID
+	for _, v := range []string{"a", "b", "c"} {
+		ids = append(ids, st.Dict().Encode(iriTerm(v)))
+	}
+	a, b, c := ids[0], ids[1], ids[2]
+	if err := st.BulkGraph("http://g", []store.IDTriple{{S: a, P: b, O: c}, {S: b, P: b, O: a}}); err != nil {
 		t.Fatal(err)
 	}
-	data := snapshotBytes(t, st)
-	// The final varints of the body are the stats section: count=1,
-	// predicate id, distinct subjects=1. Flip the distinct-subject count to
-	// an out-of-range value and re-stamp the checksum.
-	body := data[:len(data)-4]
-	if body[len(body)-1] != 1 {
-		t.Fatalf("unexpected final stats byte %d", body[len(body)-1])
+	good := snapshotBytes(t, st)
+	if _, err := Read(bytes.NewReader(good)); err != nil {
+		t.Fatalf("undamaged snapshot rejected: %v", err)
 	}
-	body[len(body)-1] = 9 // > triple count
-	var trailer [4]byte
-	binary.LittleEndian.PutUint32(trailer[:], crc32.ChecksumIEEE(body))
-	copy(data[len(data)-4:], trailer[:])
-	if _, err := Read(bytes.NewReader(data)); err == nil {
-		t.Fatal("inconsistent stats section accepted")
+	// The body ends with the two 12-byte triples.
+	first, second := len(good)-4-24, len(good)-4-12
+	for what, damage := range map[string]func(d []byte){
+		"descending order": func(d []byte) {
+			tmp := bytes.Clone(d[first:second])
+			copy(d[first:], d[second:second+12])
+			copy(d[second:], tmp)
+		},
+		"repeated triple":    func(d []byte) { copy(d[second:], d[first:second]) },
+		"id past dictionary": func(d []byte) { binary.LittleEndian.PutUint32(d[second+8:], 4) },
+		"zero id":            func(d []byte) { binary.LittleEndian.PutUint32(d[second+4:], 0) },
+	} {
+		data := bytes.Clone(good)
+		damage(data)
+		if _, err := Read(bytes.NewReader(withCRC(data))); err == nil {
+			t.Fatalf("%s accepted", what)
+		}
 	}
 }

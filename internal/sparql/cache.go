@@ -399,7 +399,7 @@ func (e *Engine) serve(ctx context.Context, src string) (ce *cachedResult, limit
 				entryKey = cacheKey(version, e.DefaultGraphs, key)
 			}
 			fce := &cachedResult{version: version, res: full, key: entryKey}
-			e.results.Put(entryKey, fce, fce.cost())
+			e.storeResult(fce)
 			return fce, nil
 		})
 		if err != nil {
@@ -422,6 +422,25 @@ func (e *Engine) serve(ctx context.Context, src string) (ce *cachedResult, limit
 		}
 		return ce, limit, offset, info, nil
 	}
+}
+
+// storeResult puts ce in the result cache at its current cost, reporting
+// whether the cache took it. Keys carry the store version and the version
+// only moves forward, so once an entry of a newer version exists every
+// older one is unreachable: the first store at a new version drops them
+// all, and an entry that was superseded while its response was in flight
+// is refused. Left alone, dead entries hold their rows until the row budget
+// pushes them out — tens of megabytes per update on a busy frame.
+func (e *Engine) storeResult(ce *cachedResult) bool {
+	newest := e.newestCached.Load()
+	if ce.version < newest {
+		return false
+	}
+	stored := e.results.Put(ce.key, ce, ce.cost())
+	if ce.version > newest && e.newestCached.CompareAndSwap(newest, ce.version) {
+		e.results.DeleteFunc(func(_ string, old *cachedResult) bool { return old.version < ce.version })
+	}
+	return stored
 }
 
 // cacheKey builds the result-cache key: store version, the engine's

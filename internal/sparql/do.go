@@ -156,7 +156,7 @@ func (r *Response) memoized() []byte {
 		// Re-charge the entry for its grown encoding memo so the budget
 		// keeps bounding total memory; an entry that outgrew the whole
 		// budget is dropped rather than sit under-accounted.
-		if !r.eng.results.Put(r.entry.key, r.entry, r.entry.cost()) {
+		if !r.eng.storeResult(r.entry) {
 			r.eng.results.Delete(r.entry.key)
 		}
 	}

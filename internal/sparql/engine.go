@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"rdfframes/internal/obs"
 	"rdfframes/internal/qcache"
 	"rdfframes/internal/store"
 )
@@ -61,6 +62,13 @@ type Engine struct {
 	// graphs, normalized text). Both are nil until EnableCache (see cache.go).
 	plans   *qcache.Cache[*cachedPlan]
 	results *qcache.Cache[*cachedResult]
+	// metricsReg is where RegisterMetrics put the engine's series; nil
+	// until then.
+	metricsReg *obs.Registry
+
+	// newestCached is the highest store version an entry was stored at;
+	// entries below it are dead (see storeResult).
+	newestCached atomic.Uint64
 
 	// flights coalesces concurrent result-cache misses on the same key into
 	// a single evaluation (stampede protection; see flight.go).

@@ -3,6 +3,7 @@ package sparql
 import (
 	"rdfframes/internal/obs"
 	"rdfframes/internal/qcache"
+	"rdfframes/internal/store"
 )
 
 // RegisterMetrics exposes the engine's counters on reg as read-through
@@ -58,6 +59,8 @@ func (e *Engine) RegisterMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("rdfframes_store_graphs",
 		"Named graphs currently in the store.",
 		func() float64 { return float64(len(e.Store.GraphURIs())) })
+	e.metricsReg = reg
+	e.registerGraphMetrics()
 	reg.GaugeFunc("rdfframes_parallelism",
 		"Effective intra-query morsel worker count.",
 		func() float64 { return float64(e.parallelism()) })
@@ -69,6 +72,35 @@ func (e *Engine) RegisterMetrics(reg *obs.Registry) {
 			}
 			return 0
 		})
+}
+
+// registerGraphMetrics exposes the physical layout of every graph now in
+// the store, one series per graph: what a merge would fold away (delta,
+// tombstones) and what the index arrays weigh. Every value is a slice
+// length read under the store read lock. Update calls this again when a
+// batch created a graph; re-registering a series replaces its function.
+func (e *Engine) registerGraphMetrics() {
+	for _, uri := range e.Store.GraphURIs() {
+		gauge := func(name, help string, pick func(store.Layout) int) {
+			e.metricsReg.GaugeFunc(name, help, func() float64 {
+				e.Store.RLock()
+				defer e.Store.RUnlock()
+				return float64(pick(e.Store.Graph(uri).Layout()))
+			}, obs.L("graph", uri))
+		}
+		gauge("rdfframes_store_base_triples",
+			"Triples held in the graph's base arrays, live or tombstoned, by graph.",
+			func(l store.Layout) int { return l.BaseTriples })
+		gauge("rdfframes_store_delta_triples",
+			"Inserts held in the graph's delta since its last merge, live or tombstoned, by graph.",
+			func(l store.Layout) int { return l.DeltaTriples })
+		gauge("rdfframes_store_tombstones",
+			"Deleted triples the graph still holds until its next merge, by graph.",
+			func(l store.Layout) int { return l.Tombstones })
+		gauge("rdfframes_store_index_bytes",
+			"Heap bytes of the graph's permutation arrays, by graph.",
+			func(l store.Layout) int { return l.IndexBytes })
+	}
 }
 
 // registerCacheMetrics exposes one qcache's counters under the shared

@@ -111,7 +111,11 @@ func (e *Engine) Update(ctx context.Context, src, token string) (*UpdateResult, 
 			u.seen[token] = res.Seq
 		}
 	}
+	graphs := len(e.Store.GraphURIs())
 	applied, err := e.Store.ApplyBatch(ops)
+	if e.metricsReg != nil && len(e.Store.GraphURIs()) != graphs {
+		e.registerGraphMetrics()
+	}
 	if err != nil {
 		// Unreachable given the pre-validation above; surface loudly if it
 		// ever happens, because the WAL now holds a batch the store rejected.

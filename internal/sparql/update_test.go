@@ -3,6 +3,7 @@ package sparql
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -230,6 +231,54 @@ func TestDeleteWhereInvalidatesResultCache(t *testing.T) {
 	}
 	if bytes.Equal(after.Body, first.Body) {
 		t.Fatal("post-delete body identical to pre-delete body")
+	}
+}
+
+// TestResultCacheDropsSupersededVersions: every update makes the entries
+// of the older store version unreachable, so the cache must not keep them.
+// After each of 200 update+read cycles it holds at most one entry per
+// distinct query, and its charged cost is that of those entries alone.
+func TestResultCacheDropsSupersededVersions(t *testing.T) {
+	e := NewEngine(movieStore(t))
+	e.EnableCache(DefaultPlanCacheEntries, DefaultResultCacheRows)
+	ctx := context.Background()
+	queries := []string{
+		`SELECT ?m ?a WHERE { ?m <http://ex/starring> ?a }`,
+		`SELECT ?m ?t WHERE { ?m <http://ex/title> ?t }`,
+		`SELECT ?m WHERE { ?m <http://ex/starring> <http://ex/a2> }`,
+	}
+	for cycle := 0; cycle < 200; cycle++ {
+		op, subject := "INSERT", cycle
+		if cycle%3 == 2 {
+			op, subject = "DELETE", cycle-1
+		}
+		update := fmt.Sprintf(`%s DATA { GRAPH <%s> { <http://ex/extra%d> <http://ex/starring> <http://ex/a2> } }`, op, testGraph, subject)
+		if res, err := e.Update(ctx, update, ""); err != nil || res.Inserted+res.Deleted == 0 {
+			t.Fatalf("cycle %d: update changed nothing: %+v, %v", cycle, res, err)
+		}
+		wantCost := int64(0)
+		for _, q := range queries[:1+cycle%len(queries)] {
+			for page := 0; page < 2; page++ { // the second read hits, and memoizes its page
+				resp, err := e.Do(ctx, Request{Query: q, Serving: true, JSON: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if resp.Info.Hit != (page == 1) || resp.Info.StoreVersion != e.Store.Version() {
+					t.Fatalf("cycle %d read %d: hit=%v at version %d, store at %d", cycle, page, resp.Info.Hit, resp.Info.StoreVersion, e.Store.Version())
+				}
+				if page == 1 {
+					wantCost += resp.entry.cost()
+				}
+			}
+		}
+		st := e.results.Stats()
+		if st.Entries > 1+cycle%len(queries) || st.Cost != wantCost {
+			t.Fatalf("cycle %d: cache holds %d entries at cost %d, want at most %d entries at cost %d",
+				cycle, st.Entries, st.Cost, 1+cycle%len(queries), wantCost)
+		}
+		if st.Evictions != 0 {
+			t.Fatalf("cycle %d: %d budget evictions; dead versions must be dropped, not squeezed out", cycle, st.Evictions)
+		}
 	}
 }
 

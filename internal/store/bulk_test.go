@@ -161,7 +161,7 @@ func TestLoadNTriplesParallelMatchesSerial(t *testing.T) {
 		t.Fatalf("graph sizes differ: serial %d, parallel %d", serial.Graph(g1).Len(), par.Graph(g1).Len())
 	}
 	if !reflect.DeepEqual(serial.Graph(g1).Triples(), par.Graph(g1).Triples()) {
-		t.Fatal("parallel load changed triple insertion order")
+		t.Fatal("parallel load changed the graph content")
 	}
 }
 

@@ -1,8 +1,10 @@
 package store
 
+import "slices"
+
 // Store-side topology features for graph-ML feature extraction: per-node
 // in/out degree and bounded 2-hop neighborhood sizes, computed entirely in
-// id space off the SPO/OSP indexes — no term is decoded. Like the sorted
+// id space off the SPO/OSP permutations — no term is decoded. Like the sorted
 // runs, these readers assume the caller holds the store read lock, so a
 // feature sweep sees one consistent store version.
 
@@ -26,94 +28,30 @@ func (s *Store) NodeFeatures(graphURIs []string, node ID, hopCap int) NodeFeatur
 	gs := s.graphList(graphURIs)
 	nf := NodeFeatures{Node: node}
 	for _, g := range gs {
-		nf.OutDegree += g.degree(node, true)
-		nf.InDegree += g.degree(node, false)
+		nf.OutDegree += g.Cardinality(IDTriple{S: node})
+		nf.InDegree += g.Cardinality(IDTriple{O: node})
 	}
 	nf.Out2Hop = twoHopCount(gs, node, true, hopCap)
 	nf.In2Hop = twoHopCount(gs, node, false, hopCap)
 	return nf
 }
 
-// graphList resolves graph URIs to handles, defaulting to every graph in
-// insertion order (the MatchAny empty-list rule).
-func (s *Store) graphList(uris []string) []*Graph {
-	if len(uris) == 0 {
-		uris = s.order
-	}
-	gs := make([]*Graph, 0, len(uris))
-	for _, u := range uris {
-		if g := s.graphs[u]; g != nil {
-			gs = append(gs, g)
-		}
-	}
-	return gs
-}
-
-// degree counts the live out-edges (from the SPO index) or in-edges (from
-// the OSP index) of node. Tombstone-free graphs count raw adjacency slice
-// lengths without touching individual triples.
-func (g *Graph) degree(node ID, out bool) int {
-	n := 0
-	if out {
-		for p, objs := range g.spo[node] {
-			if len(g.dead) == 0 {
-				n += len(objs)
-				continue
-			}
-			for _, o := range objs {
-				if !g.isDead(IDTriple{S: node, P: p, O: o}) {
-					n++
-				}
-			}
-		}
-		return n
-	}
-	for s, preds := range g.osp[node] {
-		if len(g.dead) == 0 {
-			n += len(preds)
-			continue
-		}
-		for _, p := range preds {
-			if !g.isDead(IDTriple{S: s, P: p, O: node}) {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // neighborIDs returns the sorted distinct live out- (or in-) neighbors of
-// node. Sorting makes capped 2-hop counts deterministic: the cap always
-// cuts the same expansion order regardless of map iteration.
+// node. In-neighbors are the OSP permutation's second level under node;
+// out-neighbors are gathered across node's predicates and sorted. Sorting
+// makes capped 2-hop counts deterministic: the cap always cuts the same
+// expansion order.
 func (g *Graph) neighborIDs(node ID, out bool) []ID {
-	seen := map[ID]struct{}{}
+	if !out {
+		return g.osp.mid(node)
+	}
 	var ids []ID
-	add := func(v ID) {
-		if _, ok := seen[v]; !ok {
-			seen[v] = struct{}{}
-			ids = append(ids, v)
-		}
-	}
-	if out {
-		for p, objs := range g.spo[node] {
-			for _, o := range objs {
-				if !g.isDead(IDTriple{S: node, P: p, O: o}) {
-					add(o)
-				}
-			}
-		}
-	} else {
-		for s, preds := range g.osp[node] {
-			for _, p := range preds {
-				if !g.isDead(IDTriple{S: s, P: p, O: node}) {
-					add(s)
-					break
-				}
-			}
-		}
-	}
-	sortIDs(ids)
-	return ids
+	g.Match(IDTriple{S: node}, func(t IDTriple) bool {
+		ids = append(ids, t.O)
+		return true
+	})
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }
 
 // neighborUnion merges per-graph neighbor sets into one sorted distinct
@@ -132,7 +70,7 @@ func neighborUnion(gs []*Graph, node ID, out bool) []ID {
 			}
 		}
 	}
-	sortIDs(ids)
+	slices.Sort(ids)
 	return ids
 }
 

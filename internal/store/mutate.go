@@ -34,25 +34,12 @@ type ApplyResult struct {
 	Version uint64
 }
 
-// compactionThreshold triggers automatic compaction of a graph inside
-// ApplyBatch when tombstones reach a quarter of the physical triples (and at
-// least compactionMinDead, below which the filtered scans are cheaper than a
-// rebuild).
-const (
-	compactionMinDead = 64
-)
-
-// needsCompaction reports whether the graph's tombstones have accumulated
-// past the auto-compaction threshold.
-func (g *Graph) needsCompaction() bool {
-	return len(g.dead) >= compactionMinDead && len(g.dead)*4 >= len(g.all)
-}
-
 // ApplyBatch applies a mutation batch atomically: all ops under one write
 // lock, one version advance per changed triple issued at the end, one stats
 // epoch check. Invalid triples are rejected before any op is applied, so a
-// batch either applies completely or not at all. Graphs whose tombstones
-// cross the compaction threshold are compacted in the same critical section.
+// batch either applies completely or not at all. Graphs whose tombstones or
+// pending inserts cross the merge thresholds (see needsCompaction) are
+// compacted in the same critical section.
 //
 // Deletes of absent triples and duplicate inserts are silent no-ops; a batch
 // where every op is a no-op leaves the version unchanged (and cached results
@@ -140,6 +127,39 @@ func (s *Store) DeleteTriples(graphURI string, triples []IDTriple) int {
 		}
 		s.version.Add(uint64(n))
 		s.maybeBumpEpochLocked(false)
+	}
+	return n
+}
+
+// Compaction merges a graph's pending inserts and tombstones into fresh
+// base arrays (Graph.build). Iteration order is a function of content, and
+// the content does not change, so compaction never moves the store version
+// and cached query results stay exactly valid.
+
+// CompactGraph forces compaction of the named graph regardless of the
+// thresholds, reporting whether there was anything to merge.
+func (s *Store) CompactGraph(graphURI string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	g := s.graphs[graphURI]
+	if g == nil || !g.dirty() {
+		return false
+	}
+	g.compact()
+	return true
+}
+
+// CompactAll force-compacts every graph, returning how many had anything
+// to merge.
+func (s *Store) CompactAll() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for _, g := range s.graphs {
+		if g.dirty() {
+			g.compact()
+			n++
+		}
 	}
 	return n
 }

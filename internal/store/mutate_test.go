@@ -39,6 +39,9 @@ func TestApplyBatchInsertDelete(t *testing.T) {
 	if s.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", s.Len())
 	}
+	// Settle the inserts into the base arrays, so the delete below leaves a
+	// tombstone rather than withdrawing a pending insert.
+	s.CompactGraph(g1)
 
 	res, err = s.ApplyBatch([]UpdateOp{
 		delOp(g1, mtr("s1", "p", "o1")),
@@ -110,31 +113,40 @@ func TestApplyBatchRejectsInvalidBeforeApplying(t *testing.T) {
 	}
 }
 
-func TestDeleteReviveKeepsStreamOrder(t *testing.T) {
+func TestDeleteReviveKeepsSortedOrder(t *testing.T) {
 	s := New()
+	// Arrival order c, a, b with ids interned a < b < c: every stream is in
+	// id order, not arrival order.
 	a, b, c := mtr("a", "p", "o"), mtr("b", "p", "o"), mtr("c", "p", "o")
 	for _, x := range []rdf.Triple{a, b, c} {
+		s.Dict().Encode(x.S)
+	}
+	for _, x := range []rdf.Triple{c, a, b} {
 		mustAdd(t, s, g1, x)
 	}
+	s.CompactGraph(g1)
 	g := s.Graph(g1)
-	before := append([]IDTriple(nil), g.Triples()...)
+	before := g.Triples()
+	if !ascendingSPO(before) || len(before) != 3 || s.Dict().Decode(before[0].S) != a.S {
+		t.Fatalf("Triples not in SPO order: %v", before)
+	}
 
 	if _, err := s.ApplyBatch([]UpdateOp{delOp(g1, b)}); err != nil {
 		t.Fatal(err)
 	}
-	if got := g.Triples(); len(got) != 2 {
-		t.Fatalf("live triples = %d, want 2", len(got))
+	if got := g.Triples(); len(got) != 2 || g.Tombstones() != 1 {
+		t.Fatalf("live triples = %d, tombstones = %d, want 2 and 1", len(got), g.Tombstones())
 	}
-	// Re-inserting a tombstoned triple revives it in place: the stream order
-	// (and therefore deterministic result order) matches the original.
+	// Re-inserting a tombstoned triple revives it in place: the tombstone
+	// goes, nothing is left pending, and the stream is what it was.
 	if _, err := s.ApplyBatch([]UpdateOp{insOp(g1, b)}); err != nil {
 		t.Fatal(err)
 	}
 	if got := g.Triples(); !reflect.DeepEqual(got, before) {
-		t.Fatalf("revive changed stream order:\nbefore %v\nafter  %v", before, got)
+		t.Fatalf("revive changed the stream:\nbefore %v\nafter  %v", before, got)
 	}
-	if g.Tombstones() != 0 {
-		t.Fatalf("tombstones = %d after revive, want 0", g.Tombstones())
+	if lay := g.Layout(); lay.Tombstones != 0 || lay.DeltaTriples != 0 {
+		t.Fatalf("layout after revive = %+v, want no tombstones and nothing pending", lay)
 	}
 }
 
@@ -144,6 +156,7 @@ func TestTombstonesFilteredEverywhere(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		mustAdd(t, s, g1, rdf.Triple{S: iri(fmt.Sprintf("s%02d", i)), P: p, O: iri(fmt.Sprintf("o%02d", i%5))})
 	}
+	s.CompactGraph(g1)
 	// Delete the even subjects.
 	var dels []UpdateOp
 	for i := 0; i < 20; i += 2 {
@@ -154,6 +167,9 @@ func TestTombstonesFilteredEverywhere(t *testing.T) {
 	}
 	g := s.Graph(g1)
 	pID, _ := s.Dict().Lookup(p)
+	if g.Tombstones() != 10 {
+		t.Fatalf("Tombstones = %d after deleting 10 base triples", g.Tombstones())
+	}
 
 	if got := matchAll(g); len(got) != 10 {
 		t.Fatalf("Match sees %d triples, want 10", len(got))
@@ -171,9 +187,7 @@ func TestTombstonesFilteredEverywhere(t *testing.T) {
 	if len(subs) != 10 {
 		t.Fatalf("SubjectsOfPred = %d subjects, want 10", len(subs))
 	}
-	if !ascending(subs) {
-		t.Fatalf("SubjectsOfPred run not ascending: %v", subs)
-	}
+	assertRun(t, subs)
 	for _, sid := range subs {
 		if got := g.ObjectsSP(sid, pID); len(got) != 1 {
 			t.Fatalf("ObjectsSP(%d) = %d objects, want 1", sid, len(got))
@@ -195,6 +209,7 @@ func TestAutoCompactionTrigger(t *testing.T) {
 	if _, err := s.ApplyBatch(ins); err != nil {
 		t.Fatal(err)
 	}
+	s.CompactGraph(g1)
 	g := s.Graph(g1)
 	liveWant := make([]IDTriple, 0, 192)
 	for i, t0 := range g.Triples() {
@@ -219,7 +234,10 @@ func TestAutoCompactionTrigger(t *testing.T) {
 		t.Fatalf("auto-compaction did not run: %d tombstones remain", g.Tombstones())
 	}
 	if got := g.Triples(); !reflect.DeepEqual(got, liveWant) {
-		t.Fatalf("compaction broke insertion order: got %d triples", len(got))
+		t.Fatalf("compaction changed the live stream: got %d triples", len(got))
+	}
+	if lay := g.Layout(); lay.BaseTriples != 192 {
+		t.Fatalf("layout after auto-compaction = %+v, want 192 base triples", lay)
 	}
 }
 
@@ -228,6 +246,7 @@ func TestCompactionDoesNotMoveVersion(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		mustAdd(t, s, g1, rdf.Triple{S: iri(fmt.Sprintf("s%d", i)), P: iri("p"), O: iri("o")})
 	}
+	s.CompactGraph(g1)
 	var dels []UpdateOp
 	for i := 0; i < 3; i++ {
 		dels = append(dels, delOp(g1, rdf.Triple{S: iri(fmt.Sprintf("s%d", i)), P: iri("p"), O: iri("o")}))

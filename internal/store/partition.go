@@ -5,10 +5,8 @@ package store
 // pattern into contiguous segments whose concatenation is exactly the
 // MatchAny stream, so a worker pool can scan segments independently and a
 // combiner that keeps segment order reproduces the serial scan byte for
-// byte. Segments are cheap: for the slice-backed access paths (the sealed
-// slab indexes a snapshot installs, byPred, all, and the innermost
-// adjacency slices) a segment is just a subslice; only the two
-// sorted-key-walk paths (S-only, O-only) partition at key granularity.
+// byte. A segment is a sub-range of the positions of the permutation that
+// serves the pattern (perm.split), whatever the pattern's shape.
 
 // ScanPart streams one contiguous segment of a pattern's match stream. The
 // yield callback returns false to stop that segment early. ScanParts are
@@ -20,137 +18,13 @@ type ScanPart func(yield func(IDTriple) bool)
 // graphs when empty, like MatchAny) into contiguous segments of roughly
 // morsel triples each. Concatenating the segments' streams in order yields
 // exactly the MatchAny stream for the same arguments. morsel <= 0 yields a
-// single segment per access path.
+// single segment per graph.
 func (s *Store) MatchParts(graphURIs []string, pat IDTriple, morsel int) []ScanPart {
-	if len(graphURIs) == 0 {
-		graphURIs = s.order
-	}
 	var parts []ScanPart
-	for _, uri := range graphURIs {
-		if g := s.graphs[uri]; g != nil {
-			parts = g.appendMatchParts(parts, pat, morsel)
-		}
-	}
-	return parts
-}
-
-// appendMatchParts appends the graph's segments for pat to parts. When the
-// graph carries tombstones, every appended segment is wrapped with a
-// liveness filter: segments stay contiguous subranges of the physical
-// stream, so concatenation still reproduces the (live-filtered) Match
-// stream exactly, and the common tombstone-free graph pays nothing.
-func (g *Graph) appendMatchParts(parts []ScanPart, pat IDTriple, morsel int) []ScanPart {
-	if len(g.dead) > 0 {
-		start := len(parts)
-		parts = g.appendRawMatchParts(parts, pat, morsel)
-		for i := start; i < len(parts); i++ {
-			raw := parts[i]
-			parts[i] = func(yield func(IDTriple) bool) {
-				raw(func(t IDTriple) bool {
-					if g.isDead(t) {
-						return true
-					}
-					return yield(t)
-				})
-			}
-		}
-		return parts
-	}
-	return g.appendRawMatchParts(parts, pat, morsel)
-}
-
-// appendRawMatchParts appends segments over the physical indexes with no
-// tombstone filtering.
-func (g *Graph) appendRawMatchParts(parts []ScanPart, pat IDTriple, morsel int) []ScanPart {
-	switch {
-	case pat.S != 0 && pat.P != 0 && pat.O != 0:
-		return append(parts, func(yield func(IDTriple) bool) {
-			if g.contains(pat) {
-				yield(pat)
-			}
-		})
-	case pat.S != 0 && pat.P != 0:
-		return appendIDChunks(parts, g.spo[pat.S][pat.P], morsel, func(o ID) IDTriple {
-			return IDTriple{pat.S, pat.P, o}
-		})
-	case pat.P != 0 && pat.O != 0:
-		return appendIDChunks(parts, g.pos[pat.P][pat.O], morsel, func(sub ID) IDTriple {
-			return IDTriple{sub, pat.P, pat.O}
-		})
-	case pat.S != 0 && pat.O != 0:
-		return appendIDChunks(parts, g.osp[pat.O][pat.S], morsel, func(p ID) IDTriple {
-			return IDTriple{pat.S, p, pat.O}
-		})
-	case pat.S != 0:
-		return appendKeyedParts(parts, g.spo[pat.S], morsel, func(p, o ID) IDTriple {
-			return IDTriple{pat.S, p, o}
-		})
-	case pat.P != 0:
-		return appendTripleChunks(parts, g.byPred[pat.P], morsel)
-	case pat.O != 0:
-		return appendKeyedParts(parts, g.osp[pat.O], morsel, func(sub, p ID) IDTriple {
-			return IDTriple{sub, p, pat.O}
-		})
-	default:
-		return appendTripleChunks(parts, g.all, morsel)
-	}
-}
-
-// appendIDChunks splits one adjacency slice into morsel-sized subslices,
-// mapping each stored id to its triple with mk.
-func appendIDChunks(parts []ScanPart, ids []ID, morsel int, mk func(ID) IDTriple) []ScanPart {
-	for _, chunk := range ChunkBounds(len(ids), morsel) {
-		seg := ids[chunk[0]:chunk[1]]
-		parts = append(parts, func(yield func(IDTriple) bool) {
-			for _, id := range seg {
-				if !yield(mk(id)) {
-					return
-				}
-			}
-		})
-	}
-	return parts
-}
-
-// appendTripleChunks splits a triple slice (byPred or all) into
-// morsel-sized subslices.
-func appendTripleChunks(parts []ScanPart, ts []IDTriple, morsel int) []ScanPart {
-	for _, chunk := range ChunkBounds(len(ts), morsel) {
-		seg := ts[chunk[0]:chunk[1]]
-		parts = append(parts, func(yield func(IDTriple) bool) {
-			for _, t := range seg {
-				if !yield(t) {
-					return
-				}
-			}
-		})
-	}
-	return parts
-}
-
-// appendKeyedParts partitions a sorted-key map walk (the S-only and O-only
-// access paths) into runs of keys whose match counts sum to roughly morsel
-// each, preserving the sorted-key iteration order Match uses.
-func appendKeyedParts(parts []ScanPart, m map[ID][]ID, morsel int, mk func(k, v ID) IDTriple) []ScanPart {
-	if len(m) == 0 {
-		return parts
-	}
-	keys := sortedKeys(m)
-	lo, acc := 0, 0
-	for i, k := range keys {
-		acc += len(m[k])
-		if (morsel > 0 && acc >= morsel) || i == len(keys)-1 {
-			seg := keys[lo : i+1]
-			parts = append(parts, func(yield func(IDTriple) bool) {
-				for _, k := range seg {
-					for _, v := range m[k] {
-						if !yield(mk(k, v)) {
-							return
-						}
-					}
-				}
-			})
-			lo, acc = i+1, 0
+	for _, g := range s.graphList(graphURIs) {
+		x, sp := g.access(pat)
+		for _, piece := range x.split(sp, morsel) {
+			parts = append(parts, func(yield func(IDTriple) bool) { x.scan(piece, yield) })
 		}
 	}
 	return parts

@@ -31,7 +31,9 @@ func collectMatch(s *Store, graphs []string, pat IDTriple) []IDTriple {
 }
 
 // partitionedStore builds a two-graph store with skewed fan-outs so every
-// access path has both dense and sparse entries.
+// access path has both dense and sparse entries. Most of each graph is
+// settled in the base arrays; a slice of it is tombstoned and a last batch
+// of inserts is still pending, so segments must cut through all three.
 func partitionedStore(t *testing.T) *Store {
 	t.Helper()
 	s := New()
@@ -47,6 +49,22 @@ func partitionedStore(t *testing.T) *Store {
 			if err := s.Add(graph, tr); err != nil {
 				t.Fatal(err)
 			}
+			if i == 800 {
+				s.CompactGraph(graph)
+				var dels []UpdateOp
+				for n, t := range s.Graph(graph).Triples() {
+					if n%9 == 0 {
+						d := s.Dict()
+						dels = append(dels, UpdateOp{Graph: graph, Triple: rdf.Triple{S: d.Decode(t.S), P: d.Decode(t.P), O: d.Decode(t.O)}})
+					}
+				}
+				if _, err := s.ApplyBatch(dels); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if lay := s.Graph(graph).Layout(); lay.Tombstones == 0 || lay.DeltaTriples == 0 {
+			t.Fatalf("test premise broken: layout %+v has no tombstones or no pending inserts", lay)
 		}
 	}
 	return s

@@ -1,207 +1,58 @@
 package store
 
-import "sort"
-
 // Sorted-run access for the worst-case-optimal join executor. A Run is one
-// trie level of an index rotation materialized as a sorted, duplicate-free
-// id slice — the subjects carrying a predicate, the objects of one (s, p)
-// pair, and so on — and a RunIterator seeks through it with the
-// Seek(id)/Next() contract leapfrog triejoin needs. Like MatchParts, the
-// API is read-only over the store and safe for concurrent use while the
-// evaluator holds the store read lock.
+// trie level of a permutation as a sorted, duplicate-free id slice — the
+// subjects carrying a predicate, the objects of one (s, p) pair, and so on
+// — and a RunIterator seeks through it with the Seek(id)/Next() contract
+// leapfrog triejoin needs. Like MatchParts, the API is read-only over the
+// store and safe for concurrent use while the evaluator holds the store
+// read lock.
 //
-// The adjacency slices the indexes keep are insertion-ordered, not sorted,
-// so runs are derived: sorted copies of the inner slices for the leaf
-// levels, and sorted distinct key sets for the per-predicate levels (which
-// no single index rotation stores contiguously). Derived runs are memoized
-// per graph under runMu, keyed by the graph's mutation counter — any
-// insert, delete, or compaction bumps the counter (which never revisits a
-// value, unlike the triple count once deletes exist), so a stale run can
-// never be served after a mutation. Tombstoned triples are filtered while
-// building, so a served run only ever contains live ids.
+// The permutations store exactly these levels, so where neither a pending
+// insert nor a tombstone falls inside the range a run is a sub-slice of a
+// base array. Where one does, the run is a merged copy the size of the
+// range — never a sort, a hash set or a cache to invalidate.
 
-// runKind discriminates the memo cache's run families.
-type runKind uint8
-
-const (
-	runSubjectsOfPred runKind = iota // distinct subjects carrying predicate a
-	runObjectsOfPred                 // distinct objects of predicate a
-	runObjectsSP                     // objects of the (a=s, b=p) pair
-	runSubjectsPO                    // subjects of the (a=p, b=o) pair
-	runNodes                         // distinct nodes: every live subject and object
-)
-
-// runKey identifies one memoized run.
-type runKey struct {
-	kind runKind
-	a, b ID
-}
-
-// Run is a sorted, duplicate-free id slice: one trie level of an index
-// rotation. The slice is owned by the graph's memo cache and must not be
-// modified.
+// Run is a sorted, duplicate-free id slice: one trie level of a
+// permutation. It may alias the graph's arrays and must not be modified.
 type Run []ID
 
 // SubjectsOfPred returns the sorted distinct subjects that carry predicate
-// p — the hub-variable run of a star pattern (?s p ?o). Derived from the
-// byPred projection and memoized.
+// p — the hub-variable run of a star pattern (?s p ?o).
 func (g *Graph) SubjectsOfPred(p ID) Run {
-	return g.run(runKey{runSubjectsOfPred, p, 0}, func() []ID {
-		triples := g.byPred[p]
-		seen := make(map[ID]struct{}, len(g.spo))
-		ids := make([]ID, 0, len(triples))
-		for _, t := range triples {
-			if g.isDead(t) {
-				continue
-			}
-			if _, ok := seen[t.S]; !ok {
-				seen[t.S] = struct{}{}
-				ids = append(ids, t.S)
-			}
+	var lo, hi uint32
+	if int(p)+1 < len(g.psOff) {
+		lo, hi = g.psOff[p], g.psOff[p+1]
+	}
+	base := g.psIDs[lo:hi:hi]
+	if len(g.pos.deltaRange(key{p}, 1)) == 0 && g.psDead.count(lo, hi) == 0 {
+		return base
+	}
+	var added []ID // subjects of pending (s, p, *) inserts, ascending
+	for _, e := range g.spo.delta {
+		if !e.dead && e.key[1] == p {
+			added = append(added, e.key[0])
 		}
-		return ids
-	})
+	}
+	return union(base, func(i int) bool { return !g.psDead.get(lo + uint32(i)) }, added)
 }
 
-// ObjectsOfPred returns the sorted distinct objects of predicate p (the
-// keys of the POS inner map), memoized.
-func (g *Graph) ObjectsOfPred(p ID) Run {
-	return g.run(runKey{runObjectsOfPred, p, 0}, func() []ID {
-		objs := g.pos[p]
-		ids := make([]ID, 0, len(objs))
-		for o, subs := range objs {
-			if len(g.dead) > 0 {
-				live := false
-				for _, s := range subs {
-					if !g.isDead(IDTriple{S: s, P: p, O: o}) {
-						live = true
-						break
-					}
-				}
-				if !live {
-					continue
-				}
-			}
-			ids = append(ids, o)
-		}
-		return ids
-	})
-}
+// ObjectsOfPred returns the sorted distinct objects of predicate p.
+func (g *Graph) ObjectsOfPred(p ID) Run { return g.pos.mid(p) }
 
 // ObjectsSP returns the sorted objects of the (s, p) pair — the leaf run of
-// the SPO rotation. Adjacency slices are duplicate-free by construction, so
-// an already-ascending slice (the common case: ids are assigned in
-// insertion order) is served directly, keeping the per-binding inner loop
-// of the trie walk off the memo lock; only genuinely unsorted slices pay
-// for a memoized sorted copy.
-func (g *Graph) ObjectsSP(s, p ID) Run {
-	ids := g.spo[s][p]
-	if len(ids) == 0 {
-		return nil
-	}
-	// The direct fast path serves the raw adjacency slice, which may hold
-	// tombstoned entries: with any tombstones in the graph, always go
-	// through the memo so the build filters them out.
-	if len(g.dead) == 0 && ascending(ids) {
-		return ids
-	}
-	return g.run(runKey{runObjectsSP, s, p}, func() []ID {
-		out := make([]ID, 0, len(ids))
-		for _, o := range ids {
-			if !g.isDead(IDTriple{S: s, P: p, O: o}) {
-				out = append(out, o)
-			}
-		}
-		return out
-	})
-}
+// the SPO permutation.
+func (g *Graph) ObjectsSP(s, p ID) Run { return g.spo.leaf(s, p) }
 
 // SubjectsPO returns the sorted subjects of the (p, o) pair — the leaf run
-// of the POS rotation. Served directly when already ascending (see
-// ObjectsSP), memoized otherwise.
-func (g *Graph) SubjectsPO(p, o ID) Run {
-	ids := g.pos[p][o]
-	if len(ids) == 0 {
-		return nil
-	}
-	if len(g.dead) == 0 && ascending(ids) {
-		return ids
-	}
-	return g.run(runKey{runSubjectsPO, p, o}, func() []ID {
-		out := make([]ID, 0, len(ids))
-		for _, s := range ids {
-			if !g.isDead(IDTriple{S: s, P: p, O: o}) {
-				out = append(out, s)
-			}
-		}
-		return out
-	})
-}
+// of the POS permutation.
+func (g *Graph) SubjectsPO(p, o ID) Run { return g.pos.leaf(p, o) }
 
 // Nodes returns the sorted distinct nodes of the graph: every id that
 // appears in subject or object position of a live triple. This is the
 // domain of zero-length property paths (?s p* ?o with both ends unbound)
-// and the node universe topology features are computed over. Memoized
-// like every derived run.
-func (g *Graph) Nodes() Run {
-	return g.run(runKey{runNodes, 0, 0}, func() []ID {
-		seen := make(map[ID]struct{}, 2*len(g.spo))
-		ids := make([]ID, 0, 2*len(g.spo))
-		for _, t := range g.all {
-			if g.isDead(t) {
-				continue
-			}
-			if _, ok := seen[t.S]; !ok {
-				seen[t.S] = struct{}{}
-				ids = append(ids, t.S)
-			}
-			if _, ok := seen[t.O]; !ok {
-				seen[t.O] = struct{}{}
-				ids = append(ids, t.O)
-			}
-		}
-		return ids
-	})
-}
-
-// ascending reports whether ids is strictly ascending (sorted and
-// duplicate-free).
-func ascending(ids []ID) bool {
-	for i := 1; i < len(ids); i++ {
-		if ids[i-1] >= ids[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// run answers a memoized run, building (and sorting) it on first use. The
-// cache is keyed to the graph's mutation counter: the counter only moves
-// forward, so a mismatch means the graph changed since the cache was filled
-// and the whole cache is discarded. Readers hold the store read lock, so
-// g.mut is stable for the duration of a call; runMu serializes concurrent
-// readers filling the cache.
-func (g *Graph) run(key runKey, build func() []ID) Run {
-	g.runMu.Lock()
-	defer g.runMu.Unlock()
-	if g.runMut != g.mut || g.runs == nil {
-		g.runs = make(map[runKey][]ID)
-		g.runMut = g.mut
-	}
-	if ids, ok := g.runs[key]; ok {
-		return ids
-	}
-	ids := build()
-	sortIDs(ids)
-	g.runs[key] = ids
-	return ids
-}
-
-// sortIDs sorts ids ascending. Runs are built once per graph state, so the
-// standard sort is fine here.
-func sortIDs(ids []ID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-}
+// and the node universe topology features are computed over.
+func (g *Graph) Nodes() Run { return union(g.spo.top(), nil, g.osp.top()) }
 
 // RunIterator walks a Run with the leapfrog-triejoin contract: At() is the
 // current id, Next() advances by one, and Seek(id) advances to the first

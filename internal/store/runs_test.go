@@ -2,16 +2,23 @@ package store
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"rdfframes/internal/rdf"
 )
 
+// runTerms is the order runGraph interns its terms in, which fixes their ids.
+var runTerms = []string{"o10", "o20", "o30", "s1", "s2", "s3", "p1", "p2"}
+
 func runGraph(t *testing.T) *Graph {
 	t.Helper()
 	s := New()
-	// Insertion order deliberately scrambles ids so the derived runs must
-	// really sort: objects 30, 10, 20 under one (s,p); three subjects for p1.
+	for _, v := range runTerms {
+		s.Dict().Encode(rdf.NewIRI("http://ex/" + v))
+	}
+	// Arrival order deliberately differs from id order within every group:
+	// objects 30, 10, 20 under one (s,p); subjects s2, s1, s3 for p1.
 	triples := []rdf.Triple{
 		{S: rdf.NewIRI("http://ex/s2"), P: rdf.NewIRI("http://ex/p1"), O: rdf.NewIRI("http://ex/o30")},
 		{S: rdf.NewIRI("http://ex/s2"), P: rdf.NewIRI("http://ex/p1"), O: rdf.NewIRI("http://ex/o10")},
@@ -37,56 +44,50 @@ func assertRun(t *testing.T, r Run) {
 
 func TestRunsSortedAndDuplicateFree(t *testing.T) {
 	g := runGraph(t)
-	var p1, p2 ID
-	// Resolve ids through the graph's own indexes: the predicate with three
-	// distinct subjects is p1.
-	for p, n := range g.predSubj {
-		switch n {
-		case 3:
-			p1 = p
-		case 1:
-			p2 = p
+	id := func(v string) ID { return ID(slices.Index(runTerms, v) + 1) }
+	o10, o20, o30 := id("o10"), id("o20"), id("o30")
+	s1, s2, s3, p1, p2 := id("s1"), id("s2"), id("s3"), id("p1"), id("p2")
+	for _, c := range []struct {
+		what string
+		got  Run
+		want []ID
+	}{
+		{"SubjectsOfPred(p1)", g.SubjectsOfPred(p1), []ID{s1, s2, s3}},
+		{"SubjectsOfPred(p2)", g.SubjectsOfPred(p2), []ID{s1}},
+		{"ObjectsOfPred(p1)", g.ObjectsOfPred(p1), []ID{o10, o20, o30}},
+		// Inserted as o30, o10, o20: the run is in id order whatever the
+		// arrival order was.
+		{"ObjectsSP(s2, p1)", g.ObjectsSP(s2, p1), []ID{o10, o20, o30}},
+		{"SubjectsPO(p1, o10)", g.SubjectsPO(p1, o10), []ID{s1, s2}},
+		{"SubjectsPO(p1, o20)", g.SubjectsPO(p1, o20), []ID{s2, s3}},
+		{"Nodes", g.Nodes(), []ID{o10, o20, o30, s1, s2, s3}},
+	} {
+		assertRun(t, c.got)
+		if !slices.Equal([]ID(c.got), c.want) {
+			t.Fatalf("%s = %v, want %v", c.what, c.got, c.want)
 		}
 	}
-	if p1 == 0 || p2 == 0 {
-		t.Fatalf("did not resolve predicate ids (predSubj=%v)", g.predSubj)
-	}
 
-	subs := g.SubjectsOfPred(p1)
-	if len(subs) != 3 {
-		t.Fatalf("SubjectsOfPred(p1) = %v, want 3 subjects", subs)
-	}
-	assertRun(t, subs)
-
-	objs := g.ObjectsOfPred(p1)
-	if len(objs) != 3 {
-		t.Fatalf("ObjectsOfPred(p1) = %v, want 3 objects", objs)
-	}
-	assertRun(t, objs)
-
-	// One subject (s2) has three objects under p1, inserted out of order; its
-	// run must be a sorted copy, not the insertion-ordered index slice.
-	var r Run
-	for _, s := range subs {
-		if len(g.spo[s][p1]) == 3 {
-			r = g.ObjectsSP(s, p1)
-		}
-	}
-	if len(r) != 3 {
-		t.Fatalf("ObjectsSP = %v, want 3 objects", r)
-	}
-	assertRun(t, r)
-
-	for _, o := range objs {
-		assertRun(t, g.SubjectsPO(p1, o))
-	}
-
-	// Memoization: same run value back on the second call.
-	again := g.SubjectsOfPred(p1)
+	// A settled range is served from the base arrays: the same memory on
+	// every call, no copy.
+	subs, again := g.SubjectsOfPred(p1), g.SubjectsOfPred(p1)
 	if &again[0] != &subs[0] {
-		t.Fatal("SubjectsOfPred not memoized across calls")
+		t.Fatal("SubjectsOfPred copied a settled range")
 	}
-	_ = p2
+	if objs, again := g.ObjectsSP(s2, p1), g.ObjectsSP(s2, p1); &again[0] != &objs[0] {
+		t.Fatal("ObjectsSP copied a settled range")
+	}
+	// A pending insert under (s2, p1) makes that one range a merged copy and
+	// leaves its neighbours zero-copy.
+	if !g.add(IDTriple{s2, p1, s3}) {
+		t.Fatal("add of a new triple reported no change")
+	}
+	if got := g.ObjectsSP(s2, p1); !slices.Equal([]ID(got), []ID{o10, o20, o30, s3}) {
+		t.Fatalf("ObjectsSP(s2, p1) with a pending insert = %v", got)
+	}
+	if a, b := g.ObjectsSP(s1, p1), g.ObjectsSP(s1, p1); &a[0] != &b[0] {
+		t.Fatal("a pending insert elsewhere made ObjectsSP(s1, p1) copy")
+	}
 }
 
 func TestRunsEmpty(t *testing.T) {
@@ -94,8 +95,8 @@ func TestRunsEmpty(t *testing.T) {
 	if r := g.SubjectsOfPred(9999); len(r) != 0 {
 		t.Fatalf("SubjectsOfPred(absent) = %v, want empty", r)
 	}
-	if r := g.ObjectsSP(9999, 9999); r != nil {
-		t.Fatalf("ObjectsSP(absent) = %v, want nil", r)
+	if r := g.ObjectsSP(9999, 9999); len(r) != 0 {
+		t.Fatalf("ObjectsSP(absent) = %v, want empty", r)
 	}
 	it := NewRunIterator(nil)
 	if !it.Done() {
@@ -107,7 +108,7 @@ func TestRunsEmpty(t *testing.T) {
 	}
 }
 
-func TestRunCacheInvalidatedByAdd(t *testing.T) {
+func TestRunsSeeEveryAdd(t *testing.T) {
 	s := New()
 	add := func(subj string) {
 		if err := s.Add("http://ex/g", rdf.Triple{
@@ -126,7 +127,7 @@ func TestRunCacheInvalidatedByAdd(t *testing.T) {
 	}
 	add("b")
 	if n := len(g.SubjectsOfPred(p)); n != 2 {
-		t.Fatalf("run after insert has %d subjects, want 2 (stale cache served)", n)
+		t.Fatalf("run after insert has %d subjects, want 2", n)
 	}
 }
 

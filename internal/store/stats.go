@@ -7,14 +7,13 @@ import "sync/atomic"
 // per-graph totals, and a coarse "stats epoch" that advances only when the
 // data distribution shifts enough to make replanning worthwhile.
 //
-// Almost everything the catalog reports is an O(1) read off the indexes the
-// store already maintains: len(pos[p]) is the distinct object count of
-// predicate p, len(byPred[p]) its triple count, len(spo)/len(osp) the
-// graph's distinct subject/object totals. The one number that is not
-// directly an index length — distinct subjects per predicate — is kept as a
-// counter map updated on every insert (the first triple of an (s, p) group
-// increments it) and derived in one pass from the SPO image on bulk
-// installs, or installed directly from a version-2 snapshot's stats section.
+// What the catalog reports per predicate is read off the graph's sorted
+// permutations at snapshot time: the triple count is the length of the
+// predicate's POS range, its distinct objects and subjects the lengths of
+// its ObjectsOfPred and SubjectsOfPred runs. The first-level keys that
+// carry a live triple — the predicates themselves, and how many subjects
+// and objects the graph has — would cost a walk of the id range, so the
+// graph keeps those three exact as it changes (Graph.tally).
 
 // PredicateStats describes one predicate within a graph.
 type PredicateStats struct {
@@ -93,11 +92,9 @@ func (s *Store) maybeBumpEpochLocked(newGraph bool) {
 	}
 }
 
-// buildStatsLocked assembles a stats snapshot from index lengths. On a
-// graph carrying tombstones the index-length counts (per-predicate triples,
-// distinct subjects/objects) are upper bounds — tombstoned entries stay in
-// the physical indexes until compaction — which is the safe direction for
-// selectivity estimation; g.n (the live count) is always exact.
+// buildStatsLocked assembles a stats snapshot, exact whatever the graphs
+// hold in delta and tombstones, in time proportional to the predicates
+// (plus the ranges of those a pending insert or tombstone touches).
 func (s *Store) buildStatsLocked() *Stats {
 	st := &Stats{
 		Version: s.version.Load(),
@@ -106,20 +103,20 @@ func (s *Store) buildStatsLocked() *Stats {
 	}
 	for uri, g := range s.graphs {
 		gs := &GraphStats{
-			Triples:          g.n,
-			DistinctSubjects: len(g.spo),
-			DistinctObjects:  len(g.osp),
-			Predicates:       make(map[ID]PredicateStats, len(g.pos)),
+			Triples:          g.Len(),
+			DistinctSubjects: g.subjects,
+			DistinctObjects:  g.objects,
+			Predicates:       make(map[ID]PredicateStats, len(g.preds)),
 		}
-		for p, objs := range g.pos {
+		for _, p := range g.preds {
 			gs.Predicates[p] = PredicateStats{
-				Triples:          len(g.byPred[p]),
-				DistinctSubjects: g.predSubj[p],
-				DistinctObjects:  len(objs),
+				Triples:          g.Cardinality(IDTriple{P: p}),
+				DistinctSubjects: len(g.SubjectsOfPred(p)),
+				DistinctObjects:  len(g.ObjectsOfPred(p)),
 			}
 		}
 		st.Graphs[uri] = gs
-		st.TotalTriples += g.n
+		st.TotalTriples += gs.Triples
 	}
 	return st
 }
@@ -164,23 +161,6 @@ func (st *Stats) each(graphURIs []string, f func(*GraphStats)) {
 			f(gs)
 		}
 	}
-}
-
-// DistinctSubjectsByPredicate exposes the graph's per-predicate distinct
-// subject counters for serialization (the snapshot stats section). The map
-// aliases the graph's internal storage and must not be modified.
-func (g *Graph) DistinctSubjectsByPredicate() map[ID]int { return g.predSubj }
-
-// derivePredSubjects counts the distinct subjects of every predicate from an
-// SPO adjacency image in one pass.
-func derivePredSubjects(spo map[ID]map[ID][]ID) map[ID]int {
-	out := make(map[ID]int, 64)
-	for _, inner := range spo {
-		for p := range inner {
-			out[p]++
-		}
-	}
-	return out
 }
 
 // statsCachePtr keeps the Store struct declaration readable.

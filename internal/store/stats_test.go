@@ -98,9 +98,9 @@ func TestStatsBulkMatchesIncremental(t *testing.T) {
 	}
 }
 
-func TestStatsAfterUnsealAdd(t *testing.T) {
-	// Incremental adds into a bulk-loaded (sealed) graph must keep the
-	// distinct-subject counters exact.
+func TestStatsAfterAddsIntoBulkGraph(t *testing.T) {
+	// Incremental adds into a bulk-loaded graph sit in the delta; the
+	// distinct counts must see them there.
 	st := New()
 	s1, p1, o1 := st.Dict().Encode(iri("s1")), st.Dict().Encode(iri("p1")), st.Dict().Encode(iri("o1"))
 	if err := st.BulkGraph("g", []IDTriple{{s1, p1, o1}}); err != nil {
@@ -111,7 +111,7 @@ func TestStatsAfterUnsealAdd(t *testing.T) {
 	gs := st.Stats().Graphs["g"]
 	pid, _ := st.Dict().Lookup(iri("p1"))
 	if got := gs.Predicates[pid]; got != (PredicateStats{Triples: 3, DistinctSubjects: 2, DistinctObjects: 2}) {
-		t.Fatalf("p1 stats after unseal adds = %+v", got)
+		t.Fatalf("p1 stats after adds into a bulk graph = %+v", got)
 	}
 }
 
@@ -142,38 +142,5 @@ func TestStatsEpochAdvancesOnShift(t *testing.T) {
 	addT(t, st, "g2", "s", "p", "o")
 	if st.StatsEpoch() == e2 {
 		t.Fatal("epoch did not advance on new graph")
-	}
-}
-
-func TestBulkGraphIndexedStatsValidation(t *testing.T) {
-	build := func() (*Store, []IDTriple, map[ID]map[ID][]ID, map[ID]map[ID][]ID, map[ID]map[ID][]ID) {
-		st := New()
-		s, p, o := st.Dict().Encode(iri("s")), st.Dict().Encode(iri("p")), st.Dict().Encode(iri("o"))
-		triples := []IDTriple{{s, p, o}}
-		spo := map[ID]map[ID][]ID{s: {p: {o}}}
-		pos := map[ID]map[ID][]ID{p: {o: {s}}}
-		osp := map[ID]map[ID][]ID{o: {s: {p}}}
-		return st, triples, spo, pos, osp
-	}
-
-	st, triples, spo, pos, osp := build()
-	if err := st.BulkGraphIndexedStats("g", triples, spo, pos, osp, map[ID]int{2: 1}); err != nil {
-		t.Fatalf("valid stats rejected: %v", err)
-	}
-	if got := st.Stats().Graphs["g"].Predicates[2].DistinctSubjects; got != 1 {
-		t.Fatalf("installed stats DistinctSubjects = %d, want 1", got)
-	}
-
-	st, triples, spo, pos, osp = build()
-	if err := st.BulkGraphIndexedStats("g", triples, spo, pos, osp, map[ID]int{}); err == nil {
-		t.Fatal("missing predicate accepted")
-	}
-	st, triples, spo, pos, osp = build()
-	if err := st.BulkGraphIndexedStats("g", triples, spo, pos, osp, map[ID]int{2: 5}); err == nil {
-		t.Fatal("out-of-range count accepted")
-	}
-	st, triples, spo, pos, osp = build()
-	if err := st.BulkGraphIndexedStats("g", triples, spo, pos, osp, map[ID]int{3: 1}); err == nil {
-		t.Fatal("foreign predicate accepted")
 	}
 }

@@ -14,6 +14,7 @@ package store
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -114,219 +115,6 @@ func (d *Dictionary) Decode(id ID) rdf.Term {
 // Len returns the number of interned terms.
 func (d *Dictionary) Len() int { return len(d.byID) - 1 }
 
-// IDTriple is a dictionary-encoded triple.
-type IDTriple struct {
-	S, P, O ID
-}
-
-// Graph is one named graph: an indexed set of encoded triples. Iteration
-// over any access path is deterministic (insertion order or sorted keys) so
-// that repeated queries return rows in the same order, which the client's
-// LIMIT/OFFSET pagination relies on.
-//
-// Deletes are tombstones: the physical structures (all, byPred, the
-// adjacency lists) keep the triple, and every read path skips members of
-// dead. The live stream over any access path is therefore the append-only
-// stream with dead triples filtered out — the same relative order — which
-// keeps deterministic iteration (and byte-identical query results) through
-// deletes and compaction alike. Compaction (compact.go) rebuilds the
-// physical representation from the live triples and drops the tombstones.
-type Graph struct {
-	spo    map[ID]map[ID][]ID    // subject -> predicate -> objects
-	pos    map[ID]map[ID][]ID    // predicate -> object -> subjects
-	osp    map[ID]map[ID][]ID    // object -> subject -> predicates
-	byPred map[ID][]IDTriple     // predicate -> triples in insertion order
-	all    []IDTriple            // every triple in insertion order
-	set    map[IDTriple]struct{} // live membership, for O(1) duplicate checks
-	// dead holds tombstoned triples: still present in the physical indexes,
-	// skipped by every read path. nil/empty on a graph with no deletes, so
-	// the append-only hot paths pay only a len check.
-	dead map[IDTriple]struct{}
-	// predSubj counts the distinct live subjects per predicate — the one
-	// catalog statistic not readable as an index length (see stats.go).
-	predSubj map[ID]int
-	n        int // live triple count: len(all) minus tombstones
-
-	// mut counts mutations (inserts, deletes, compactions) and keys the
-	// sorted-run memo cache: unlike the triple count, it can never return to
-	// a previous value, so an insert+delete pair cannot alias a stale memo.
-	mut uint64
-
-	// runMu guards the sorted-run memo cache (see runs.go): runs holds the
-	// derived runs built for the graph state at mutation count runMut, and a
-	// mismatch with mut discards the cache wholesale.
-	runMu  sync.Mutex
-	runs   map[runKey][]ID
-	runMut uint64
-}
-
-func newGraph() *Graph {
-	return &Graph{
-		spo:      make(map[ID]map[ID][]ID),
-		pos:      make(map[ID]map[ID][]ID),
-		osp:      make(map[ID]map[ID][]ID),
-		byPred:   make(map[ID][]IDTriple),
-		set:      make(map[IDTriple]struct{}),
-		predSubj: make(map[ID]int),
-	}
-}
-
-// Len returns the number of triples in the graph.
-func (g *Graph) Len() int { return g.n }
-
-// Triples returns every live triple in insertion order. With no tombstones
-// the returned slice aliases the graph's internal storage and must not be
-// modified; after deletes it is a fresh filtered copy.
-func (g *Graph) Triples() []IDTriple {
-	if len(g.dead) == 0 {
-		return g.all
-	}
-	out := make([]IDTriple, 0, g.n)
-	for _, t := range g.all {
-		if !g.isDead(t) {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// IndexImage exposes the graph's three adjacency indexes for serialization.
-// The maps alias the graph's internal storage and must not be modified.
-func (g *Graph) IndexImage() (spo, pos, osp map[ID]map[ID][]ID) {
-	return g.spo, g.pos, g.osp
-}
-
-// isDead reports whether t is tombstoned.
-func (g *Graph) isDead(t IDTriple) bool {
-	if len(g.dead) == 0 {
-		return false
-	}
-	_, gone := g.dead[t]
-	return gone
-}
-
-// contains reports whether the graph holds the fully-bound triple (live —
-// tombstoned triples are absent). Sealed graphs (bulk-loaded from a
-// snapshot, set == nil) scan the (s,p) group instead of keeping a
-// membership map; the fan-out of a single (s,p) pair is small, and skipping
-// the map build is a large part of why reopening a snapshot beats
-// re-parsing.
-func (g *Graph) contains(t IDTriple) bool {
-	if g.isDead(t) {
-		return false
-	}
-	if g.set == nil {
-		for _, o := range g.spo[t.S][t.P] {
-			if o == t.O {
-				return true
-			}
-		}
-		return false
-	}
-	_, ok := g.set[t]
-	return ok
-}
-
-// unseal materializes the live membership set of a bulk-loaded graph so
-// that incremental adds get back their O(1) duplicate check.
-func (g *Graph) unseal() {
-	g.set = make(map[IDTriple]struct{}, len(g.all))
-	for _, t := range g.all {
-		if !g.isDead(t) {
-			g.set[t] = struct{}{}
-		}
-	}
-}
-
-// liveInSP counts the live triples of the (s, p) adjacency group — the
-// distinct-subject bookkeeping delete and revive need. O(fan-out of one
-// (s, p) pair), which is small.
-func (g *Graph) liveInSP(s, p ID) int {
-	n := 0
-	for _, o := range g.spo[s][p] {
-		if !g.isDead(IDTriple{s, p, o}) {
-			n++
-		}
-	}
-	return n
-}
-
-// add inserts t and reports whether the graph changed (false for a
-// duplicate, which RDF set semantics ignore). Re-inserting a tombstoned
-// triple revives it in place: the physical indexes still hold it, so only
-// the tombstone is removed — the triple keeps its original stream position,
-// preserving deterministic iteration order.
-func (g *Graph) add(t IDTriple) bool {
-	if g.set == nil {
-		g.unseal()
-	}
-	// A set membership check rather than a scan of spo[s][p]: the scan made
-	// bulk loading quadratic in the fan-out of each (s,p) group.
-	if g.contains(t) {
-		return false
-	}
-	if g.isDead(t) {
-		// Revive: the (s, p) group regains a distinct subject only if every
-		// other triple of the group is still tombstoned.
-		if g.liveInSP(t.S, t.P) == 0 {
-			g.predSubj[t.P]++
-		}
-		delete(g.dead, t)
-		g.set[t] = struct{}{}
-		g.n++
-		g.mut++
-		return true
-	}
-	g.set[t] = struct{}{}
-	if g.liveInSP(t.S, t.P) == 0 {
-		// First live triple of this (s, p) group: a new distinct subject for P.
-		g.predSubj[t.P]++
-	}
-	idxAdd(g.spo, t.S, t.P, t.O)
-	idxAdd(g.pos, t.P, t.O, t.S)
-	idxAdd(g.osp, t.O, t.S, t.P)
-	g.byPred[t.P] = append(g.byPred[t.P], t)
-	g.all = append(g.all, t)
-	g.n++
-	g.mut++
-	return true
-}
-
-// delete tombstones t and reports whether the graph changed (false when the
-// triple is absent or already deleted). The physical indexes keep the
-// triple until compaction; every read path consults the tombstone set.
-func (g *Graph) delete(t IDTriple) bool {
-	if !g.contains(t) {
-		return false
-	}
-	if g.dead == nil {
-		g.dead = make(map[IDTriple]struct{})
-	}
-	g.dead[t] = struct{}{}
-	if g.set != nil {
-		delete(g.set, t)
-	}
-	g.n--
-	g.mut++
-	if g.liveInSP(t.S, t.P) == 0 {
-		// Last live triple of its (s, p) group: predicate P loses a distinct
-		// subject.
-		if g.predSubj[t.P]--; g.predSubj[t.P] <= 0 {
-			delete(g.predSubj, t.P)
-		}
-	}
-	return true
-}
-
-func idxAdd(m map[ID]map[ID][]ID, a, b, c ID) {
-	inner, ok := m[a]
-	if !ok {
-		inner = make(map[ID][]ID)
-		m[a] = inner
-	}
-	inner[b] = append(inner[b], c)
-}
-
 // Store holds a dictionary and a set of named graphs.
 type Store struct {
 	// mu serializes mutations against each other and against readers that
@@ -382,6 +170,21 @@ func (s *Store) RUnlock() { s.mu.RUnlock() }
 // Graph returns the named graph, or nil if absent.
 func (s *Store) Graph(uri string) *Graph { return s.graphs[uri] }
 
+// graphList resolves graph URIs to handles, defaulting to every graph in
+// insertion order (the MatchAny empty-list rule).
+func (s *Store) graphList(uris []string) []*Graph {
+	if len(uris) == 0 {
+		uris = s.order
+	}
+	gs := make([]*Graph, 0, len(uris))
+	for _, u := range uris {
+		if g := s.graphs[u]; g != nil {
+			gs = append(gs, g)
+		}
+	}
+	return gs
+}
+
 // GraphURIs returns all graph URIs in insertion order.
 func (s *Store) GraphURIs() []string {
 	out := make([]string, len(s.order))
@@ -403,211 +206,161 @@ func (s *Store) ensureGraph(uri string) (g *Graph, created bool) {
 }
 
 // Add inserts one triple into the named graph (duplicates are ignored,
-// matching RDF set semantics for a graph).
+// matching RDF set semantics for a graph). It goes through the graph's
+// delta; use AddAll or a Load method for more than a handful.
 func (s *Store) Add(graphURI string, t rdf.Triple) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.addLocked(graphURI, t)
-}
-
-// addLocked is Add with the write lock already held.
-func (s *Store) addLocked(graphURI string, t rdf.Triple) error {
 	if !t.Valid() {
 		return fmt.Errorf("store: invalid triple %s", t)
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	g, created := s.ensureGraph(graphURI)
 	if g.add(IDTriple{s.dict.Encode(t.S), s.dict.Encode(t.P), s.dict.Encode(t.O)}) {
-		s.version.Add(1)
-		s.total++
+		s.grewLocked(1, created)
 	}
-	s.maybeBumpEpochLocked(created)
 	return nil
 }
 
-// AddAll inserts all triples into the named graph.
+// grewLocked records that added triples joined the store: one version
+// advance per triple, and the stats-epoch rule evaluated at every triple, so
+// a bulk load and the same triples added one by one end on the same epoch.
+func (s *Store) grewLocked(added int, newGraph bool) {
+	s.version.Add(uint64(added))
+	for i := 0; i < added; i++ {
+		s.total++
+		s.maybeBumpEpochLocked(newGraph && i == 0)
+	}
+}
+
+// bulkLoad is a bulk insert into one graph in progress: add encodes triples
+// into a pending list, finish merges the list into the graph's permutations
+// in one build. Both run with the write lock held.
+type bulkLoad struct {
+	s       *Store
+	uri     string
+	pending []IDTriple
+}
+
+func (b *bulkLoad) add(t rdf.Triple) error {
+	if !t.Valid() {
+		return fmt.Errorf("store: invalid triple %s", t)
+	}
+	d := b.s.dict
+	b.pending = append(b.pending, IDTriple{d.Encode(t.S), d.Encode(t.P), d.Encode(t.O)})
+	return nil
+}
+
+// finish installs what was added, also after a failed load: the triples
+// before the failure are kept, as a triple-by-triple load would keep them.
+func (b *bulkLoad) finish() {
+	if len(b.pending) == 0 {
+		return
+	}
+	g, created := b.s.ensureGraph(b.uri)
+	before := g.Len()
+	g.build(append(g.Triples(), b.pending...))
+	b.s.grewLocked(g.Len()-before, created)
+}
+
+// loadLocked drains next (which ends with io.EOF) into the named graph under
+// one write-lock hold and returns the number of triples read.
+func (s *Store) loadLocked(graphURI string, next func() (rdf.Triple, error)) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	b := bulkLoad{s: s, uri: graphURI}
+	defer b.finish()
+	for n := 0; ; n++ {
+		t, err := next()
+		if err == io.EOF {
+			return n, nil
+		}
+		if err == nil {
+			err = b.add(t)
+		}
+		if err != nil {
+			return n, err
+		}
+	}
+}
+
+// AddAll inserts all triples into the named graph and merges the graph
+// once at the end.
 func (s *Store) AddAll(graphURI string, triples []rdf.Triple) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	b := bulkLoad{s: s, uri: graphURI}
+	defer b.finish()
 	for _, t := range triples {
-		if err := s.addLocked(graphURI, t); err != nil {
+		if err := b.add(t); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// BulkGraph installs a complete graph from dictionary-encoded triples in
-// one step, deriving the indexes here and delegating the install to
-// BulkGraphIndexed. The caller guarantees the triples are duplicate-free;
-// only id validity is checked. The graph is built "sealed" — without the
-// duplicate-check membership set — which a later incremental Add rebuilds
-// lazily. BulkGraph takes ownership of the triples slice.
+// BulkGraph installs a complete graph from dictionary-encoded triples, in
+// any order, in one build; only id validity is checked. BulkGraph takes
+// ownership of the triples slice.
 func (s *Store) BulkGraph(graphURI string, triples []IDTriple) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if g := s.graphs[graphURI]; g != nil && g.Len() > 0 {
+		return fmt.Errorf("store: bulk load into non-empty graph <%s>", graphURI)
+	}
+	if uint64(len(triples)) > math.MaxUint32 {
+		return fmt.Errorf("store: graph of %d triples exceeds the uint32 position space", len(triples))
+	}
 	maxID := ID(s.dict.Len())
-	spo := make(map[ID]map[ID][]ID, len(triples)/4+1)
-	pos := make(map[ID]map[ID][]ID, 64)
-	osp := make(map[ID]map[ID][]ID, len(triples)/4+1)
 	for _, t := range triples {
 		if t.S == 0 || t.S > maxID || t.P == 0 || t.P > maxID || t.O == 0 || t.O > maxID {
 			return fmt.Errorf("store: triple (%d %d %d) references an id outside the %d-term dictionary", t.S, t.P, t.O, maxID)
 		}
-		idxAdd(spo, t.S, t.P, t.O)
-		idxAdd(pos, t.P, t.O, t.S)
-		idxAdd(osp, t.O, t.S, t.P)
 	}
-	return s.bulkGraphIndexedLocked(graphURI, triples, spo, pos, osp, nil)
-}
-
-// BulkGraphIndexed installs a complete graph from its serialized index
-// image — triples in insertion order plus the three adjacency maps — in one
-// step, the snapshot-reopen fast path: no per-triple map insertion happens
-// at all. The caller (the snapshot reader, whose file is checksummed and
-// id-validated) guarantees the image is consistent with the triple list;
-// only the byPred projection is derived here, exactly presized from pos.
-// The graph is installed "sealed" (see BulkGraph) and takes ownership of
-// every argument.
-func (s *Store) BulkGraphIndexed(graphURI string, triples []IDTriple, spo, pos, osp map[ID]map[ID][]ID) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bulkGraphIndexedLocked(graphURI, triples, spo, pos, osp, nil)
-}
-
-// BulkGraphIndexedStats is BulkGraphIndexed with the per-predicate distinct
-// subject counters supplied by the caller (a version-2 snapshot's stats
-// section), skipping the derivation pass over the SPO image. The table is
-// validated against the POS image: it must cover exactly the graph's
-// predicates with counts in [1, len(triples)].
-func (s *Store) BulkGraphIndexedStats(graphURI string, triples []IDTriple, spo, pos, osp map[ID]map[ID][]ID, predSubj map[ID]int) error {
-	if predSubj == nil {
-		predSubj = map[ID]int{}
-	}
-	if len(predSubj) != len(pos) {
-		return fmt.Errorf("store: stats table covers %d predicates, graph has %d", len(predSubj), len(pos))
-	}
-	for p, n := range predSubj {
-		if _, ok := pos[p]; !ok {
-			return fmt.Errorf("store: stats table names predicate %d absent from the graph", p)
-		}
-		if n < 1 || n > len(triples) {
-			return fmt.Errorf("store: stats table claims %d distinct subjects for predicate %d of a %d-triple graph", n, p, len(triples))
-		}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bulkGraphIndexedLocked(graphURI, triples, spo, pos, osp, predSubj)
-}
-
-// bulkGraphIndexedLocked installs a prebuilt graph; predSubj == nil derives
-// the distinct-subject counters from the SPO image.
-func (s *Store) bulkGraphIndexedLocked(graphURI string, triples []IDTriple, spo, pos, osp map[ID]map[ID][]ID, predSubj map[ID]int) error {
-	if g := s.graphs[graphURI]; g != nil && g.n > 0 {
-		return fmt.Errorf("store: bulk load into non-empty graph <%s>", graphURI)
-	}
-	if predSubj == nil {
-		predSubj = derivePredSubjects(spo)
-	}
-	g := &Graph{
-		spo:      spo,
-		pos:      pos,
-		osp:      osp,
-		byPred:   make(map[ID][]IDTriple, len(pos)),
-		all:      triples,
-		predSubj: predSubj,
-		n:        len(triples),
-	}
-	for p, objs := range pos {
-		n := 0
-		for _, subs := range objs {
-			n += len(subs)
-		}
-		g.byPred[p] = make([]IDTriple, 0, n)
-	}
-	for _, t := range triples {
-		g.byPred[t.P] = append(g.byPred[t.P], t)
-	}
-	s.installGraph(graphURI, g)
+	g, created := s.ensureGraph(graphURI)
+	g.build(triples)
 	// One bump per triple installed (so the version tracks data volume like
 	// the incremental path) plus one for the graph install itself, which
 	// changes GraphURIs even when the graph is empty.
-	s.version.Add(uint64(len(triples)) + 1)
-	s.total += len(triples)
-	s.maybeBumpEpochLocked(true)
+	s.version.Add(uint64(g.Len()) + 1)
+	s.total += g.Len()
+	s.maybeBumpEpochLocked(created)
 	return nil
-}
-
-func (s *Store) installGraph(graphURI string, g *Graph) {
-	if s.graphs[graphURI] == nil {
-		s.order = append(s.order, graphURI)
-	}
-	s.graphs[graphURI] = g
 }
 
 // LoadNTriples parses an N-Triples document from r into the named graph and
 // returns the number of triples loaded.
 func (s *Store) LoadNTriples(graphURI string, r io.Reader) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	nr := rdf.NewNTriplesReader(r)
-	n := 0
-	for {
-		t, err := nr.Read()
-		if err == io.EOF {
-			return n, nil
-		}
-		if err != nil {
-			return n, err
-		}
-		if err := s.addLocked(graphURI, t); err != nil {
-			return n, err
-		}
-		n++
-	}
+	return s.loadLocked(graphURI, rdf.NewNTriplesReader(r).Read)
 }
 
 // LoadNTriplesParallel parses an N-Triples document with a pool of parser
-// workers and merges the parsed triples into the named graph from this
-// (single writer) goroutine, preserving document order. workers <= 0 uses
-// one worker per available CPU. It returns the number of triples merged.
+// workers and returns the number of triples read. workers <= 0 uses one
+// worker per available CPU. Parsed batches are interned under the write
+// lock one batch at a time, so a long ingest does not starve concurrent
+// readers; the triples become visible together, when the graph is merged
+// at the end.
 func (s *Store) LoadNTriplesParallel(graphURI string, r io.Reader, workers int) (int, error) {
-	n := 0
-	// Lock per merged batch rather than for the whole load, so a long bulk
-	// ingest does not starve concurrent readers for its full duration.
+	b := bulkLoad{s: s, uri: graphURI}
 	err := rdf.ParseNTriplesParallel(r, workers, func(batch []rdf.Triple) error {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		for _, t := range batch {
-			if err := s.addLocked(graphURI, t); err != nil {
+			if err := b.add(t); err != nil {
 				return err
 			}
 		}
-		n += len(batch)
 		return nil
 	})
-	return n, err
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	b.finish()
+	return len(b.pending), err
 }
 
 // LoadTurtle parses a Turtle document from r into the named graph and
 // returns the number of triples loaded.
 func (s *Store) LoadTurtle(graphURI string, r io.Reader) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	tr := rdf.NewTurtleReader(r)
-	n := 0
-	for {
-		t, err := tr.Read()
-		if err == io.EOF {
-			return n, nil
-		}
-		if err != nil {
-			return n, err
-		}
-		if err := s.addLocked(graphURI, t); err != nil {
-			return n, err
-		}
-		n++
-	}
+	return s.loadLocked(graphURI, rdf.NewTurtleReader(r).Read)
 }
 
 // Len returns the total number of triples across all graphs.
@@ -633,160 +386,19 @@ func (s *Store) Match(graphURI string, pat IDTriple, yield func(IDTriple) bool) 
 // MatchAny streams matches from each of the given graphs in order. An empty
 // graph list matches across all graphs in the store.
 func (s *Store) MatchAny(graphURIs []string, pat IDTriple, yield func(IDTriple) bool) {
-	if len(graphURIs) == 0 {
-		graphURIs = s.order
-	}
-	stopped := false
-	for _, uri := range graphURIs {
-		if stopped {
+	for _, g := range s.graphList(graphURIs) {
+		if x, sp := g.access(pat); !x.scan(sp, yield) {
 			return
 		}
-		s.Match(uri, pat, func(t IDTriple) bool {
-			if !yield(t) {
-				stopped = true
-				return false
-			}
-			return true
-		})
 	}
 }
 
-// Match streams every live triple in the graph matching the pattern, where
-// a zero ID is a wildcard. The callback returns false to stop iteration.
-// Tombstoned triples are filtered out of every access path by one wrapper
-// installed only when the graph has tombstones, so the append-only hot path
-// pays a single len check.
-func (g *Graph) Match(pat IDTriple, yield func(IDTriple) bool) {
-	if len(g.dead) > 0 {
-		orig := yield
-		yield = func(t IDTriple) bool {
-			if g.isDead(t) {
-				return true
-			}
-			return orig(t)
-		}
-	}
-	switch {
-	case pat.S != 0 && pat.P != 0 && pat.O != 0:
-		if g.contains(pat) {
-			yield(pat)
-		}
-	case pat.S != 0 && pat.P != 0:
-		for _, o := range g.spo[pat.S][pat.P] {
-			if !yield(IDTriple{pat.S, pat.P, o}) {
-				return
-			}
-		}
-	case pat.P != 0 && pat.O != 0:
-		for _, sub := range g.pos[pat.P][pat.O] {
-			if !yield(IDTriple{sub, pat.P, pat.O}) {
-				return
-			}
-		}
-	case pat.S != 0 && pat.O != 0:
-		for _, p := range g.osp[pat.O][pat.S] {
-			if !yield(IDTriple{pat.S, p, pat.O}) {
-				return
-			}
-		}
-	case pat.S != 0:
-		for _, p := range sortedKeys(g.spo[pat.S]) {
-			for _, o := range g.spo[pat.S][p] {
-				if !yield(IDTriple{pat.S, p, o}) {
-					return
-				}
-			}
-		}
-	case pat.P != 0:
-		for _, t := range g.byPred[pat.P] {
-			if !yield(t) {
-				return
-			}
-		}
-	case pat.O != 0:
-		for _, sub := range sortedKeys(g.osp[pat.O]) {
-			for _, p := range g.osp[pat.O][sub] {
-				if !yield(IDTriple{sub, p, pat.O}) {
-					return
-				}
-			}
-		}
-	default:
-		for _, t := range g.all {
-			if !yield(t) {
-				return
-			}
-		}
-	}
-}
-
-func sortedKeys(m map[ID][]ID) []ID {
-	keys := make([]ID, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
-}
-
-// Count returns the number of triples in the graph matching the pattern.
-func (g *Graph) Count(pat IDTriple) int {
-	n := 0
-	g.Match(pat, func(IDTriple) bool { n++; return true })
-	return n
-}
-
-// Cardinality estimates the number of matches for pat cheaply, for join
-// ordering. It is exact for the access paths the indexes cover directly on
-// a tombstone-free graph and an upper bound otherwise (index lengths count
-// tombstoned entries until compaction), which is the safe direction for
-// selectivity estimation.
-func (g *Graph) Cardinality(pat IDTriple) int {
-	switch {
-	case pat.S != 0 && pat.P != 0 && pat.O != 0:
-		if g.contains(pat) {
-			return 1
-		}
-		return 0
-	case pat.S != 0 && pat.P != 0:
-		return len(g.spo[pat.S][pat.P])
-	case pat.P != 0 && pat.O != 0:
-		return len(g.pos[pat.P][pat.O])
-	case pat.S != 0 && pat.O != 0:
-		return len(g.osp[pat.O][pat.S])
-	case pat.S != 0:
-		n := 0
-		for _, objs := range g.spo[pat.S] {
-			n += len(objs)
-		}
-		return n
-	case pat.P != 0:
-		n := 0
-		for _, subs := range g.pos[pat.P] {
-			n += len(subs)
-		}
-		return n
-	case pat.O != 0:
-		n := 0
-		for _, preds := range g.osp[pat.O] {
-			n += len(preds)
-		}
-		return n
-	default:
-		return g.n
-	}
-}
-
-// Cardinality sums the estimate over the given graphs (all graphs if empty).
+// Cardinality sums the exact match count over the given graphs (all graphs
+// if empty).
 func (s *Store) Cardinality(graphURIs []string, pat IDTriple) int {
-	if len(graphURIs) == 0 {
-		graphURIs = s.order
-	}
 	n := 0
-	for _, uri := range graphURIs {
-		if g := s.graphs[uri]; g != nil {
-			n += g.Cardinality(pat)
-		}
+	for _, g := range s.graphList(graphURIs) {
+		n += g.Cardinality(pat)
 	}
 	return n
 }
@@ -810,8 +422,8 @@ func (s *Store) Classes(graphURI string) []ClassCount {
 		return nil
 	}
 	var out []ClassCount
-	for o, subs := range g.pos[typeID] {
-		out = append(out, ClassCount{Class: s.dict.Decode(o), Count: len(subs)})
+	for _, o := range g.ObjectsOfPred(typeID) {
+		out = append(out, ClassCount{Class: s.dict.Decode(o), Count: g.Cardinality(IDTriple{P: typeID, O: o})})
 	}
 	sortClassCounts(out)
 	return out
@@ -831,12 +443,8 @@ func (s *Store) Predicates(graphURI string) []PredicateCount {
 		return nil
 	}
 	var out []PredicateCount
-	for p, objs := range g.pos {
-		n := 0
-		for _, subs := range objs {
-			n += len(subs)
-		}
-		out = append(out, PredicateCount{Predicate: s.dict.Decode(p), Count: n})
+	for _, p := range g.preds {
+		out = append(out, PredicateCount{Predicate: s.dict.Decode(p), Count: g.Cardinality(IDTriple{P: p})})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Count != out[j].Count {
