@@ -51,6 +51,10 @@ type SlowEntry struct {
 	Error string `json:"error,omitempty"`
 	// Spans are the request's timed stages, when the request was traced.
 	Spans []Span `json:"spans,omitempty"`
+	// Annotations are the trace's notes: cache and singleflight outcomes and,
+	// when the request was evaluated, what the evaluation counted
+	// (join_candidates, join_rows, subplan_reuses).
+	Annotations map[string]string `json:"annotations,omitempty"`
 }
 
 // MaxQueryBytes caps the query text stored per slow-log entry.

@@ -192,7 +192,9 @@ func (s *Server) observe(r *http.Request, reqID string, tr *obs.Trace, code int,
 			Cache:        cacheOutcome,
 			PlanDigest:   planDigest,
 			StoreVersion: storeVersion,
-			Spans:        tr.Spans(),
+		}
+		if rep := tr.Report(); rep != nil {
+			e.Spans, e.Annotations = rep.Spans, rep.Annotations
 		}
 		if qerr != nil {
 			e.Error = qerr.Error()

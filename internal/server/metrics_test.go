@@ -404,3 +404,64 @@ func TestRequestIDMinted(t *testing.T) {
 		t.Fatal("two requests shared a minted id")
 	}
 }
+
+// TestJoinAndReuseCountersSurface: what an evaluation's joins checked and
+// emitted and how many repeated subplans it reused show on all three
+// surfaces — the ?trace=1 annex, the slow-query line (a grep, not a
+// profile) and /metrics — and agree with each other.
+func TestJoinAndReuseCountersSurface(t *testing.T) {
+	ts, _, _, _, slowBuf := newMetricsServer(t, 0)
+	// Twice the same subquery (one evaluation, one reuse), joined on both
+	// columns: 25 candidates, 25 rows. The joins with the unit solution
+	// each pair of braces starts from are not computed.
+	const sub = `{ SELECT ?s ?o WHERE { ?s <http://ex/p> ?o } }`
+	q := `SELECT * WHERE { ` + sub + ` ` + sub + ` }`
+	resp, err := http.Get(ts.URL + "/sparql?trace=1&query=" + url.QueryEscape(q))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body struct {
+		Trace obs.TraceReport `json:"trace"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{"join_candidates": "25", "join_rows": "25", "subplan_reuses": "1"}
+	for k, v := range want {
+		if got := body.Trace.Annotations[k]; got != v {
+			t.Errorf("trace annotation %s = %q, want %q (all: %v)", k, got, v, body.Trace.Annotations)
+		}
+	}
+
+	var entry obs.SlowEntry
+	if err := json.Unmarshal(bytes.TrimSpace(slowBuf.Bytes()), &entry); err != nil {
+		t.Fatalf("slow-query line: %v\n%s", err, slowBuf.Bytes())
+	}
+	for k, v := range want {
+		if entry.Annotations[k] != v {
+			t.Errorf("slow-query line %s = %q, want %q", k, entry.Annotations[k], v)
+		}
+	}
+	if !strings.Contains(slowBuf.String(), `"join_candidates":"25"`) {
+		t.Errorf("join_candidates is not a grep in the slow-query log:\n%s", slowBuf.String())
+	}
+
+	resp, err = http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples, _, err := obs.ParseText(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, v := range map[string]float64{
+		"rdfframes_join_candidates_total": 25, "rdfframes_join_rows_total": 25, "rdfframes_subplan_reuses_total": 1,
+	} {
+		if got, ok := samples[name]; !ok || got != v {
+			t.Errorf("/metrics %s = %v (present %v), want %v", name, got, ok, v)
+		}
+	}
+}

@@ -328,6 +328,7 @@ func (e *Engine) serve(ctx context.Context, src string) (ce *cachedResult, limit
 		if evalPlan != nil && evalPlan.track {
 			tr.Attach("plan", evalPlan.root)
 		}
+		annotateEval(tr, res.stats)
 		return &cachedResult{version: info.StoreVersion, res: res}, limit, 0, info, nil
 	}
 	info.CacheEnabled = true
@@ -394,6 +395,7 @@ func (e *Engine) serve(ctx context.Context, src string) (ce *cachedResult, limit
 			if evalPlan != nil && evalPlan.track {
 				tr.Attach("plan", evalPlan.root)
 			}
+			annotateEval(tr, full.stats)
 			entryKey := ck
 			if version != lookupVersion {
 				entryKey = cacheKey(version, e.DefaultGraphs, key)
@@ -421,6 +423,15 @@ func (e *Engine) serve(ctx context.Context, src string) (ce *cachedResult, limit
 			tr.Annotate("singleflight", "leader")
 		}
 		return ce, limit, offset, info, nil
+	}
+}
+
+// annotateEval notes what an evaluation counted on the request's trace.
+func annotateEval(tr *obs.Trace, st evalStats) {
+	if tr != nil {
+		tr.Annotate("join_candidates", strconv.FormatInt(st.joinCandidates, 10))
+		tr.Annotate("join_rows", strconv.FormatInt(st.joinRows, 10))
+		tr.Annotate("subplan_reuses", strconv.FormatInt(st.subplanReuses, 10))
 	}
 }
 

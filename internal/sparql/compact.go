@@ -20,6 +20,8 @@ type compactResult struct {
 	terms []rdf.Term
 	cells []uint32 // n*len(vars) indexes into terms
 	n     int
+	// stats is what the evaluation that produced the result counted.
+	stats evalStats
 }
 
 // compact resolves a projected id batch into a compactResult. The caller
@@ -32,6 +34,7 @@ func (ev *evaluator) compact(sols *idRows) (*compactResult, error) {
 		vars:  append([]string(nil), sols.vars...),
 		cells: make([]uint32, len(sols.data)),
 		n:     sols.n,
+		stats: ev.stats,
 	}
 	index := make(map[store.ID]uint32) // 0 is the unbound term's position: absent
 	w := len(c.vars)

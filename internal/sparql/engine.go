@@ -51,10 +51,10 @@ type Engine struct {
 	// re-planned when it changes.
 	DisableWCOJ bool
 
-	// wcojStats counts worst-case-optimal join activity (segments, run
-	// seeks, backtracks, runtime fallbacks); exported as the
-	// rdfframes_wcoj_* metric family.
-	wcojStats wcojCounters
+	// execStats counts executor activity — trie walks, join candidate checks
+	// and rows, subplan reuses; exported as the rdfframes_wcoj_*,
+	// rdfframes_join_* and rdfframes_subplan_* metric families.
+	execStats execCounters
 
 	// plans caches parsed queries by text together with their optimized
 	// plans (re-optimized whenever the store's stats epoch moves); results
@@ -125,8 +125,8 @@ func (e *Engine) Evaluations() uint64 { return e.evals.Load() }
 // backtracks, and planned segments that fell back to the binary pipeline
 // at run time. The same atomics back the rdfframes_wcoj_* metric family.
 func (e *Engine) WCOJStats() (segments, seeks, backtracks, fallbacks uint64) {
-	return e.wcojStats.segments.Load(), e.wcojStats.seeks.Load(),
-		e.wcojStats.backtracks.Load(), e.wcojStats.fallbacks.Load()
+	return e.execStats.segments.Load(), e.execStats.seeks.Load(),
+		e.execStats.backtracks.Load(), e.execStats.fallbacks.Load()
 }
 
 // parallelism resolves the effective worker count for one query.
@@ -246,7 +246,7 @@ func (e *Engine) evaluatorLocked(ctx context.Context, qp *queryPlan) (*evaluator
 		disablePushdown: e.DisablePushdown,
 		qp:              qp,
 		workers:         e.parallelism(),
-		wcojCtr:         &e.wcojStats,
+		ctr:             &e.execStats,
 	}
 	ev.tk.ctx = ctx
 	if d := e.Timeout(); d > 0 {

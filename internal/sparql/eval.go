@@ -38,9 +38,57 @@ type evaluator struct {
 	// cardMemo memoizes base cardinality probes per (pattern, graphs) for
 	// the lifetime of this query; see baseCardinality.
 	cardMemo map[cardKey]float64
-	// wcojCtr points at the engine's WCOJ counters (nil in unit-evaluator
-	// tests); see wcoj.go.
-	wcojCtr *wcojCounters
+	// ctr points at the engine's executor counters (nil in unit-evaluator
+	// tests); see wcoj.go. stats is this evaluation's share of them.
+	ctr   *execCounters
+	stats evalStats
+	// memo holds, per class of shared subplans (queryPlan.shares), the
+	// output of the member evaluated and that member; see shared.
+	memo map[int]memoEntry
+}
+
+// evalStats counts, for one evaluation, the candidate pairs its joins
+// checked, the rows they emitted, and the subplans it took from its memo.
+type evalStats struct {
+	joinCandidates, joinRows, subplanReuses int64
+}
+
+type memoEntry struct {
+	rows *idRows
+	from *subplan
+}
+
+// shared evaluates a subquery (key *Query) or a group's leading BGP segment
+// (key *bgpPlan) once per query: the first member of a class of shared
+// subplans to get here runs eval and leaves its output in the memo, marked
+// shared so that whoever changes it in place copies first; a later member
+// gets an alias of it (hit) and, on a tracked plan, its actuals. A subplan
+// in no class — all, when no shape repeats or without a plan — runs eval.
+func (ev *evaluator) shared(key any, eval func() (*idRows, error)) (rows *idRows, hit bool, err error) {
+	var sp *subplan
+	if ev.qp != nil {
+		sp = ev.qp.shares[key]
+	}
+	if sp == nil {
+		rows, err = eval()
+		return rows, false, err
+	}
+	if m, ok := ev.memo[sp.class]; ok {
+		ev.stats.subplanReuses++
+		for i := 0; ev.qp.track && i < len(sp.nodes); i++ {
+			sp.nodes[i].CopyActuals(m.from.nodes[i])
+		}
+		return m.rows.alias(), true, nil
+	}
+	if rows, err = eval(); err != nil {
+		return nil, false, err
+	}
+	if ev.memo == nil {
+		ev.memo = make(map[int]memoEntry)
+	}
+	ev.memo[sp.class] = memoEntry{rows: rows.alias(), from: sp}
+	rows.shared = true
+	return rows, false, nil
 }
 
 // cardKey identifies one base-cardinality probe: the pattern (variables
@@ -66,6 +114,11 @@ func (ev *evaluator) rowCtx(rows *idRows) (*evalCtx, *idRowView) {
 // decoded once, here, under the read lock the caller holds.
 func (ev *evaluator) evalQuery(q *Query, defaultGraphs []string) (*compactResult, error) {
 	sols, err := ev.evalQueryRows(q, defaultGraphs, true)
+	if ev.ctr != nil { // a failed evaluation did the work all the same
+		ev.ctr.joinCandidates.Add(ev.stats.joinCandidates)
+		ev.ctr.joinRows.Add(ev.stats.joinRows)
+		ev.ctr.subplanReuses.Add(ev.stats.subplanReuses)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -90,6 +143,9 @@ func (ev *evaluator) evalQueryRows(q *Query, defaultGraphs []string, top bool) (
 	sols, err := ev.evalGroup(q.Where, graphs, "")
 	if err != nil {
 		return nil, err
+	}
+	if top {
+		ev.memo = nil // every subplan has run: their outputs need not outlive the sort and the result
 	}
 
 	switch {
@@ -323,6 +379,7 @@ func (ev *evaluator) sortRowsBy(sols *idRows, keyVars []string) error {
 	if err := ev.tick(); err != nil {
 		return err
 	}
+	sols.own()
 	keyCols := make([]int, 0, len(keyVars))
 	inKey := make([]bool, sols.width())
 	for _, v := range keyVars {
@@ -503,9 +560,13 @@ func (ev *evaluator) evalGroup(g *Group, graphs []string, graphOverride string) 
 			bp = ev.qp.bgps[bgpRef{g, ev.seg[g]}]
 			ev.seg[g]++
 		}
-		var err error
-		current, err = ev.evalBGP(current, pending, active, &filters, bp)
-		pending = nil
+		rows, hit, err := ev.shared(bp, func() (*idRows, error) {
+			return ev.evalBGP(current, pending, active, &filters, bp)
+		})
+		if hit && !ev.disablePushdown {
+			takeReadyFilters(rows.cols, &filters) // as the evaluation it stands in for did
+		}
+		current, pending = rows, nil
 		return err
 	}
 
@@ -589,7 +650,9 @@ func (ev *evaluator) evalGroup(g *Group, graphs []string, graphOverride string) 
 			if err := flush(); err != nil {
 				return nil, err
 			}
-			sub, err := ev.evalQueryRows(e.Query, graphs, false)
+			sub, _, err := ev.shared(e.Query, func() (*idRows, error) {
+				return ev.evalQueryRows(e.Query, graphs, false)
+			})
 			if err != nil {
 				return nil, err
 			}
@@ -629,6 +692,7 @@ func (ev *evaluator) evalGroup(g *Group, graphs []string, graphOverride string) 
 // applyFilter compacts current in place to the rows satisfying f, recording
 // the surviving row count on tracked plans.
 func (ev *evaluator) applyFilter(current *idRows, f groupFilter) error {
+	current.own()
 	w := current.width()
 	ctx, view := ev.rowCtx(current)
 	keep := 0
@@ -669,8 +733,8 @@ func (ev *evaluator) evalBGP(current *idRows, patterns []TriplePattern, graphs [
 		if current.n == 1 && current.width() == 0 {
 			return ev.evalWCOJSegment(bp.wcoj, filters)
 		}
-		if ev.wcojCtr != nil {
-			ev.wcojCtr.fallbacks.Add(1)
+		if ev.ctr != nil {
+			ev.ctr.fallbacks.Add(1)
 		}
 	}
 	p := ev.compilePipeline(current, patterns, graphs, filters, bp)

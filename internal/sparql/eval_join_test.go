@@ -14,31 +14,15 @@ import (
 // re-binding within a single pattern, and the composite-key collisions the
 // old string-based keys were vulnerable to.
 
-// joinRows and leftJoinRows drive the joinExec machinery serially with no
-// deadline — the shape production code reaches through evaluator.join.
-func joinRows(l, r *idRows) *idRows {
-	jx := makeJoinExec(l, r, false)
-	if l.n == 0 || r.n == 0 {
-		return newIDRows(jx.js.outVars)
-	}
-	out, err := jx.joinRange(0, l.n, &ticker{})
-	if err != nil {
-		panic(err) // no deadline or context: joinRange cannot fail
-	}
-	return out
-}
+// joinRows and leftJoinRows run evaluator.join serially with no deadline.
+func joinRows(l, r *idRows) *idRows { return mustJoin(&evaluator{}, l, r, false) }
 
-func leftJoinRows(l, r *idRows) *idRows {
-	if r.n == 0 {
-		return l
-	}
-	jx := makeJoinExec(l, r, true)
-	if l.n == 0 {
-		return newIDRows(jx.js.outVars)
-	}
-	out, err := jx.joinRange(0, l.n, &ticker{})
+func leftJoinRows(l, r *idRows) *idRows { return mustJoin(&evaluator{}, l, r, true) }
+
+func mustJoin(ev *evaluator, l, r *idRows, leftOuter bool) *idRows {
+	out, err := ev.join(l, r, leftOuter)
 	if err != nil {
-		panic(err)
+		panic(err) // no deadline or context: the join cannot fail
 	}
 	return out
 }

@@ -26,6 +26,8 @@ type ExplainReport struct {
 	ExecSeconds float64 `json:"exec_seconds"`
 	// Rows is the executed query's final row count.
 	Rows int `json:"rows"`
+	// SubplanReuses counts subplans that took, and show the actuals of, a twin's evaluation.
+	SubplanReuses int64 `json:"subplan_reuses"`
 	// Plan is the operator tree with estimated vs actual cardinalities.
 	Plan *plan.Node `json:"plan"`
 }
@@ -37,6 +39,9 @@ func (r *ExplainReport) Text() string {
 	var sb strings.Builder
 	sb.WriteString(r.PlanText())
 	fmt.Fprintf(&sb, "planned in %.6fs, executed in %.6fs\n", r.PlanSeconds, r.ExecSeconds)
+	if r.SubplanReuses > 0 {
+		fmt.Fprintf(&sb, "reused %d subplans\n", r.SubplanReuses)
+	}
 	return sb.String()
 }
 
@@ -122,12 +127,13 @@ func (e *Engine) explainParsed(ctx context.Context, src string, q *Query) (*Expl
 		return nil, err
 	}
 	return &ExplainReport{
-		Query:        stripExplainKeyword(src),
-		StatsEpoch:   qp.epoch,
-		StoreVersion: version,
-		PlanSeconds:  planDur.Seconds(),
-		ExecSeconds:  time.Since(execStart).Seconds(),
-		Rows:         res.n,
-		Plan:         qp.root,
+		Query:         stripExplainKeyword(src),
+		StatsEpoch:    qp.epoch,
+		StoreVersion:  version,
+		PlanSeconds:   planDur.Seconds(),
+		ExecSeconds:   time.Since(execStart).Seconds(),
+		Rows:          res.n,
+		Plan:          qp.root,
+		SubplanReuses: res.stats.subplanReuses,
 	}, nil
 }

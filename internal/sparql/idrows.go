@@ -1,6 +1,9 @@
 package sparql
 
 import (
+	"maps"
+	"slices"
+
 	"rdfframes/internal/rdf"
 	"rdfframes/internal/store"
 )
@@ -71,6 +74,9 @@ type idRows struct {
 	cols map[string]int // var name -> column index
 	data []store.ID
 	n    int
+	// shared: another header (the evaluation's subplan memo, its readers)
+	// points to the same vars, cols and data; see own.
+	shared bool
 }
 
 func newIDRows(vars []string) *idRows {
@@ -90,6 +96,19 @@ func unitSolution() *idRows {
 
 func (r *idRows) width() int { return len(r.vars) }
 
+// alias returns a second header over r's columns and rows.
+func (r *idRows) alias() *idRows {
+	return &idRows{vars: r.vars, cols: r.cols, data: r.data, n: r.n, shared: true}
+}
+
+// own gives a shared batch its own copy of everything it points to. Every
+// operator that changes a batch in place calls it first.
+func (r *idRows) own() {
+	if r.shared {
+		r.vars, r.cols, r.data, r.shared = slices.Clone(r.vars), maps.Clone(r.cols), slices.Clone(r.data), false
+	}
+}
+
 func (r *idRows) row(i int) []store.ID {
 	w := len(r.vars)
 	return r.data[i*w : (i+1)*w]
@@ -106,6 +125,7 @@ func (r *idRows) col(name string) (int, bool) {
 // ensureCol returns the column for name, reshaping the batch to add it
 // (zero-filled) when absent.
 func (r *idRows) ensureCol(name string) int {
+	r.own()
 	if c, ok := r.cols[name]; ok {
 		return c
 	}
@@ -135,17 +155,6 @@ func (r *idRows) boundAnywhere(c int) bool {
 		}
 	}
 	return false
-}
-
-// boundEverywhere reports whether column c is nonzero in every row.
-func (r *idRows) boundEverywhere(c int) bool {
-	w := len(r.vars)
-	for i := 0; i < r.n; i++ {
-		if r.data[i*w+c] == 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // project returns a batch with exactly the given columns in order;
@@ -215,6 +224,7 @@ func (r *idRows) dropCols(names []string) *idRows {
 // distinct removes duplicate rows in place, keeping first occurrences in
 // order. Rows are compared by id, which is exact term equality.
 func (r *idRows) distinct() {
+	r.own()
 	w := len(r.vars)
 	seen := make(map[string]bool, r.n)
 	var kb []byte
@@ -236,6 +246,7 @@ func (r *idRows) distinct() {
 
 // sliceRows restricts the batch to rows [lo, hi).
 func (r *idRows) sliceRows(lo, hi int) {
+	r.own()
 	w := len(r.vars)
 	if lo > 0 {
 		copy(r.data, r.data[lo*w:hi*w])
@@ -258,14 +269,6 @@ func (r *idRows) permute(perm []int) {
 // Fixed-width components make the key collision-free by construction.
 func appendIDKeyRow(buf []byte, row []store.ID) []byte {
 	for _, id := range row {
-		buf = append(buf, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
-	}
-	return buf
-}
-
-func appendIDKeyCols(buf []byte, row []store.ID, cols []int) []byte {
-	for _, c := range cols {
-		id := row[c]
 		buf = append(buf, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
 	}
 	return buf
@@ -347,15 +350,6 @@ func (js *joinShape) emit(buf, lrow, rrow []store.ID) {
 	}
 }
 
-// emitLeft writes lrow padded with unbound right-only columns (an OPTIONAL
-// row that matched nothing).
-func (js *joinShape) emitLeft(buf, lrow []store.ID) {
-	copy(buf, lrow)
-	for _, out := range js.rOnlyOut {
-		buf[out] = 0
-	}
-}
-
 // compatibleRows checks SPARQL mapping compatibility over the shared
 // columns: bound values must agree; unbound is compatible with anything.
 func compatibleRows(lrow, rrow []store.ID, shared [][2]int) bool {
@@ -368,159 +362,174 @@ func compatibleRows(lrow, rrow []store.ID, shared [][2]int) bool {
 	return true
 }
 
-// joinKeyCols picks the shared columns usable as a hash key: those bound in
-// every row on both sides. The remaining shared columns (unbound somewhere)
-// must be verified per pair.
-func joinKeyCols(l, r *idRows, shared [][2]int) (lcols, rcols []int) {
-	for _, p := range shared {
-		if l.boundEverywhere(p[0]) && r.boundEverywhere(p[1]) {
-			lcols = append(lcols, p[0])
-			rcols = append(rcols, p[1])
+// boundMask is a row's bound-mask over the shared columns: bit k is set
+// when the row binds shared[k] on the given side (0 left, 1 right). Only the
+// first 64 shared columns have a bit; a wider join verifies every pair.
+func boundMask(row []store.ID, shared [][2]int, side int) (m uint64) {
+	for k, p := range shared {
+		if row[p[side]] != 0 {
+			m |= 1 << k
 		}
 	}
-	return lcols, rcols
+	return m
 }
 
-// joinIndex is a hash index over the right batch's key columns, stored as
-// bucket chains: first(lrow) returns the first matching right row (-1 for
-// none) and next[j] the following row in the same bucket. Chains avoid one
-// bucket-slice allocation per right row. Keys of up to two columns pack
-// into a uint64; wider keys use fixed-width byte strings — either way the
-// key is collision-free. Once built the index is read-only: lookups take a
-// caller-owned scratch buffer instead of mutating shared state, so
-// concurrent left-row morsels can probe one index safely.
+// boundMasks lists the distinct bound-masks of r's rows in first-seen
+// order: one pass, and one entry when every row binds the same columns.
+func boundMasks(r *idRows, shared [][2]int, side int) []uint64 {
+	out := make([]uint64, 0, 1)
+	for i := 0; i < r.n; i++ {
+		m := boundMask(r.row(i), shared, side)
+		if i == 0 || m != out[len(out)-1] && !slices.Contains(out, m) {
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
+// joinIndex is a hash index over the right rows with one bound-mask (a
+// group), keyed on the shared columns a left bound-mask has in common with
+// it. head maps a key's hash to the first such row + 1, next[j] to the row
+// after j in its chain (-1 ends it); chains run ascending. Up to two key
+// columns pack into the hash; a wider key is hashed, and check lists the
+// column pairs that tell a match from a collision. Columns outside the key
+// are unbound on one side of every pair the index serves, hence compatible,
+// and an empty key chains the whole group: the cross product. Once built
+// the index is read-only, so left-row morsels probe it concurrently.
 type joinIndex struct {
-	head64  map[uint64]int32 // nil when the key is wider than two columns
-	headStr map[string]int32
-	lcols   []int
-	next    []int32
+	group      int    // which of the right side's bound-masks
+	mask       uint64 // the key columns, as a bound-mask
+	key, check [][2]int
+	head       map[uint64]int32
+	next       []int32
 }
 
-func buildJoinIndex(r *idRows, rcols, lcols []int) joinIndex {
-	ix := joinIndex{lcols: lcols, next: make([]int32, r.n)}
-	if len(rcols) <= 2 {
-		ix.head64 = make(map[uint64]int32, r.n)
-		for j := r.n - 1; j >= 0; j-- { // reverse, so chains run ascending
-			k := packIDKey(r.row(j), rcols)
-			ix.next[j] = ix.head64[k] - 1 // missing key yields 0, i.e. end marker -1
-			ix.head64[k] = int32(j) + 1
-		}
-		return ix
+// hashKey hashes the key columns of one row of the given side.
+func hashKey(row []store.ID, key [][2]int, side int) (h uint64) {
+	switch len(key) {
+	case 1:
+		return uint64(row[key[0][side]])
+	case 2:
+		return uint64(row[key[0][side]])<<32 | uint64(row[key[1][side]])
 	}
-	ix.headStr = make(map[string]int32, r.n)
-	var kb []byte
-	for j := r.n - 1; j >= 0; j-- {
-		kb = appendIDKeyCols(kb[:0], r.row(j), rcols)
-		k := string(kb)
-		ix.next[j] = ix.headStr[k] - 1
-		ix.headStr[k] = int32(j) + 1
+	for _, p := range key {
+		h = (h ^ uint64(row[p[side]])) * 0x9e3779b97f4a7c15
+		h ^= h >> 29
 	}
-	return ix
+	return h
 }
 
-// packIDKey packs one or two key columns into a uint64.
-func packIDKey(row []store.ID, cols []int) uint64 {
-	k := uint64(row[cols[0]])
-	if len(cols) == 2 {
-		k = k<<32 | uint64(row[cols[1]])
-	}
-	return k
-}
-
-// first returns the head of lrow's bucket chain (-1 for none). kb is the
-// caller's scratch buffer for wide keys.
-func (ix *joinIndex) first(lrow []store.ID, kb *[]byte) int32 {
-	if ix.head64 != nil {
-		return ix.head64[packIDKey(lrow, ix.lcols)] - 1
-	}
-	*kb = appendIDKeyCols((*kb)[:0], lrow, ix.lcols)
-	return ix.headStr[string(*kb)] - 1
-}
-
-// joinExec is one join compiled against its inputs: the merged shape plus
-// the hash index over the right batch when the shared columns admit one.
-// joinRange only reads the exec and its batches, so disjoint left-row
+// joinExec is one join compiled against its inputs: the merged shape and,
+// for every bound-mask on the left (lmasks[i]), the index to probe in each
+// right group (probes[i]); shared columns bound in every row make that one
+// index. joinRange only reads the exec and its batches, so disjoint left-row
 // ranges run concurrently (see evaluator.join in parallel.go).
 type joinExec struct {
-	l, r       *idRows
-	js         joinShape
-	leftOuter  bool
-	index      joinIndex
-	haveIndex  bool
-	needVerify bool
+	l, r      *idRows
+	js        joinShape
+	leftOuter bool
+	lmasks    []uint64
+	probes    [][]*joinIndex
 }
 
-// makeJoinExec builds the shape and, when both batches are non-empty and
-// at least one shared column is bound everywhere, the hash index.
+// makeJoinExec builds the shape and, when both batches are non-empty, the
+// indexes: every (left mask, right mask) pair that occurs gets the right
+// group's index keyed on the intersection of the two. The groups' first
+// indexes share one next array; a group probed under several keys needs
+// one more for each.
 func makeJoinExec(l, r *idRows, leftOuter bool) *joinExec {
 	jx := &joinExec{l: l, r: r, js: makeJoinShape(l, r), leftOuter: leftOuter}
-	if l.n == 0 || r.n == 0 || len(jx.js.shared) == 0 {
+	if l.n == 0 || r.n == 0 {
 		return jx
 	}
-	lcols, rcols := joinKeyCols(l, r, jx.js.shared)
-	if len(lcols) > 0 {
-		jx.index = buildJoinIndex(r, rcols, lcols)
-		jx.haveIndex = true
-		jx.needVerify = len(lcols) < len(jx.js.shared)
+	shared := jx.js.shared
+	jx.lmasks = boundMasks(l, shared, 0)
+	groups := boundMasks(r, shared, 1)
+	var indexes []*joinIndex
+	next := make([]int32, r.n)
+	for _, lm := range jx.lmasks {
+		probe := make([]*joinIndex, len(groups))
+		for g, rm := range groups {
+			at := slices.IndexFunc(indexes, func(ix *joinIndex) bool { return ix.group == g && ix.mask == lm&rm })
+			if at < 0 {
+				at = len(indexes)
+				ix := &joinIndex{group: g, mask: lm & rm, next: next}
+				hint := r.n / len(groups)
+				if ix.mask == 0 {
+					hint = 1 // an empty key: one chain
+				}
+				ix.head = make(map[uint64]int32, hint)
+				if slices.ContainsFunc(indexes, func(o *joinIndex) bool { return o.group == g }) {
+					ix.next = make([]int32, r.n) // the group's rows are chained under another key already
+				}
+				for k, p := range shared {
+					if ix.mask>>k&1 != 0 {
+						ix.key = append(ix.key, p)
+					}
+				}
+				if len(shared) > 64 {
+					ix.check = shared
+				} else if len(ix.key) > 2 {
+					ix.check = ix.key
+				}
+				indexes = append(indexes, ix)
+			}
+			probe[g] = indexes[at]
+		}
+		jx.probes = append(jx.probes, probe)
+	}
+	g := 0
+	for j := r.n - 1; j >= 0; j-- { // reverse, so chains run ascending
+		row := r.row(j)
+		if len(groups) > 1 {
+			g = slices.Index(groups, boundMask(row, shared, 1))
+		}
+		for _, ix := range indexes {
+			if ix.group == g {
+				h := hashKey(row, ix.key, 1)
+				ix.next[j] = ix.head[h] - 1 // missing key yields 0, i.e. end marker -1
+				ix.head[h] = int32(j) + 1
+			}
+		}
 	}
 	return jx
 }
 
-// joinRange joins left rows [lo, hi) against the whole right batch into a
-// fresh batch: a hash probe when the index exists, otherwise a nested loop
-// verifying SPARQL compatibility per pair (which degenerates to the cross
-// product when no columns are shared), mirroring the Binding-based join
-// semantics exactly.
-func (jx *joinExec) joinRange(lo, hi int, tk *ticker) (*idRows, error) {
-	out := newIDRows(jx.js.outVars)
-	buf := make([]store.ID, len(jx.js.outVars))
-	if jx.haveIndex {
-		var kb []byte
-		for i := lo; i < hi; i++ {
-			if err := tk.tick(); err != nil {
-				return nil, err
+// joinRange joins left rows [lo, hi) against the right batch into out and
+// returns how many candidate pairs it checked. A left row meets, in each
+// right group, the chain its key columns hash to: a candidate is a match
+// unless the hash collided. Its matches come out group by group, ascending
+// within a group. Every candidate ticks: one left row of a cross product
+// sweeps the whole right batch.
+func (jx *joinExec) joinRange(lo, hi int, tk *ticker, out *partWriter) (candidates int64, err error) {
+	at := 0
+	for i := lo; i < hi; i++ {
+		if err := tk.tick(); err != nil {
+			return candidates, err
+		}
+		lrow := jx.l.row(i)
+		if len(jx.lmasks) > 1 {
+			if m := boundMask(lrow, jx.js.shared, 0); m != jx.lmasks[at] {
+				at = slices.Index(jx.lmasks, m)
 			}
-			lrow := jx.l.row(i)
-			matched := false
-			for j := jx.index.first(lrow, &kb); j >= 0; j = jx.index.next[j] {
+		}
+		matched := false
+		for _, ix := range jx.probes[at] {
+			for j := ix.head[hashKey(lrow, ix.key, 0)] - 1; j >= 0; j = ix.next[j] {
+				if err := tk.tick(); err != nil {
+					return candidates, err
+				}
+				candidates++
 				rrow := jx.r.row(int(j))
-				if !jx.needVerify || compatibleRows(lrow, rrow, jx.js.shared) {
-					jx.js.emit(buf, lrow, rrow)
-					out.appendRow(buf)
+				if ix.check == nil || compatibleRows(lrow, rrow, ix.check) {
+					jx.js.emit(out.next(), lrow, rrow)
 					matched = true
 				}
 			}
-			if !matched && jx.leftOuter {
-				jx.js.emitLeft(buf, lrow)
-				out.appendRow(buf)
-			}
-		}
-		return out, nil
-	}
-	if len(jx.js.shared) == 0 && !jx.leftOuter {
-		out.data = make([]store.ID, 0, (hi-lo)*jx.r.n*len(jx.js.outVars))
-	}
-	for i := lo; i < hi; i++ {
-		lrow := jx.l.row(i)
-		matched := false
-		for j := 0; j < jx.r.n; j++ {
-			// Tick inside the inner loop: one left row of a nested-loop
-			// join sweeps the whole right batch, which can dwarf the
-			// per-left-row cadence.
-			if err := tk.tick(); err != nil {
-				return nil, err
-			}
-			rrow := jx.r.row(j)
-			if compatibleRows(lrow, rrow, jx.js.shared) {
-				jx.js.emit(buf, lrow, rrow)
-				out.appendRow(buf)
-				matched = true
-			}
 		}
 		if !matched && jx.leftOuter {
-			jx.js.emitLeft(buf, lrow)
-			out.appendRow(buf)
+			copy(out.next(), lrow) // an OPTIONAL that matched nothing: the right-only cells stay unbound
 		}
 	}
-	return out, nil
+	return candidates, nil
 }

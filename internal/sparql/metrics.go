@@ -36,16 +36,25 @@ func (e *Engine) RegisterMetrics(reg *obs.Registry) {
 
 	reg.CounterFunc("rdfframes_wcoj_segments_total",
 		"BGP segments executed by the worst-case-optimal (leapfrog triejoin) operator.",
-		func() float64 { return float64(e.wcojStats.segments.Load()) })
+		func() float64 { return float64(e.execStats.segments.Load()) })
 	reg.CounterFunc("rdfframes_wcoj_seeks_total",
 		"Sorted-run iterator seeks performed by WCOJ level intersections.",
-		func() float64 { return float64(e.wcojStats.seeks.Load()) })
+		func() float64 { return float64(e.execStats.seeks.Load()) })
 	reg.CounterFunc("rdfframes_wcoj_backtracks_total",
 		"Dead-end prefixes abandoned during WCOJ trie enumeration.",
-		func() float64 { return float64(e.wcojStats.backtracks.Load()) })
+		func() float64 { return float64(e.execStats.backtracks.Load()) })
 	reg.CounterFunc("rdfframes_wcoj_fallbacks_total",
 		"Planned WCOJ segments that ran the binary join pipeline at run time.",
-		func() float64 { return float64(e.wcojStats.fallbacks.Load()) })
+		func() float64 { return float64(e.execStats.fallbacks.Load()) })
+	reg.CounterFunc("rdfframes_join_candidates_total",
+		"Candidate row pairs joins checked; far above rdfframes_join_rows_total means joins ran on poor keys.",
+		func() float64 { return float64(e.execStats.joinCandidates.Load()) })
+	reg.CounterFunc("rdfframes_join_rows_total",
+		"Rows emitted by joins.",
+		func() float64 { return float64(e.execStats.joinRows.Load()) })
+	reg.CounterFunc("rdfframes_subplan_reuses_total",
+		"Repeated subqueries and leading BGP segments answered from the output of their first evaluation in the same query.",
+		func() float64 { return float64(e.execStats.subplanReuses.Load()) })
 
 	reg.GaugeFunc("rdfframes_store_version",
 		"Store mutation epoch; cached results are keyed to it.",

@@ -182,28 +182,43 @@ func mergeParts(vars []string, parts []*idRows) *idRows {
 func rowChunks(n, morsel int) [][2]int { return store.ChunkBounds(n, morsel) }
 
 // join computes the SPARQL (left outer when leftOuter) join of two batches,
-// on the worker pool when the left side is large enough: the join index is
-// built once up front, left-row morsels probe it concurrently, and partials
-// merge in morsel order — the exact row order of the serial loop.
+// on the worker pool when the left side is large enough: the indexes are
+// built once up front, left-row morsels probe them concurrently, each pool
+// goroutine writes through its own partWriter, and the parts merge in
+// morsel order — the exact row order of the serial loop.
 func (ev *evaluator) join(l, r *idRows, leftOuter bool) (*idRows, error) {
 	if leftOuter && r.n == 0 {
 		return l, nil
+	}
+	if l.n == 1 && l.width() == 0 {
+		return r, nil // the unit solution joins to r as it is
 	}
 	jx := makeJoinExec(l, r, leftOuter)
 	if l.n == 0 || r.n == 0 {
 		return newIDRows(jx.js.outVars), nil
 	}
+	bounds := [][2]int{{0, l.n}}
 	if ev.workers > 1 && l.n >= minParallelRows {
-		bounds := rowChunks(l.n, morselRows)
-		parts, err := ev.runParts(len(bounds), func(p int, tk *ticker) (*idRows, error) {
-			return jx.joinRange(bounds[p][0], bounds[p][1], tk)
-		})
-		if err != nil {
-			return nil, err
-		}
-		return mergeParts(jx.js.outVars, parts), nil
+		bounds = rowChunks(l.n, morselRows)
 	}
-	return jx.joinRange(0, l.n, &ev.tk)
+	writers := make([]partWriter, max(ev.workers, 1))
+	parts := make([]pipePart, len(bounds))
+	var candidates atomic.Int64
+	err := ev.forEachPart(len(bounds), func(p int, tk *ticker) error {
+		w := &writers[tk.slot]
+		w.width = len(jx.js.outVars)
+		n, err := jx.joinRange(bounds[p][0], bounds[p][1], tk, w)
+		candidates.Add(n)
+		parts[p] = w.take()
+		return err
+	})
+	ev.stats.joinCandidates += candidates.Load()
+	if err != nil {
+		return nil, err
+	}
+	out := mergePipeParts(jx.js.outVars, parts)
+	ev.stats.joinRows += int64(out.n)
+	return out, nil
 }
 
 // distinctRows removes duplicate rows keeping first occurrences in order,
@@ -216,6 +231,7 @@ func (ev *evaluator) distinctRows(r *idRows) error {
 		r.distinct()
 		return nil
 	}
+	r.own()
 	w := r.width()
 	bounds := rowChunks(r.n, morselRows)
 	type survivors struct {

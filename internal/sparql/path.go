@@ -81,8 +81,10 @@ func (pc *pathCtx) relation(current *idRows, e PathElem, sID, oID store.ID) (*id
 		if !n.IsVar {
 			return []store.ID{constID}, true
 		}
-		if c, ok := current.col(n.Var); ok && current.boundEverywhere(c) {
-			return distinctSortedCol(current, c), true
+		if c, ok := current.col(n.Var); ok {
+			if ids := distinctSortedCol(current, c); ids[0] != 0 { // no row leaves it unbound
+				return ids, true
+			}
 		}
 		return nil, false
 	}

@@ -156,11 +156,11 @@ func (ev *evaluator) compilePipeline(cur *idRows, patterns []TriplePattern, grap
 }
 
 // takeReadyFilters removes from *filters, and returns, every filter whose
-// variables are all bound.
-func takeReadyFilters(bound map[string]bool, filters *[]groupFilter) (ready []groupFilter) {
+// variables are all bound: keys of bound (a set, or a batch's columns).
+func takeReadyFilters[V any](bound map[string]V, filters *[]groupFilter) (ready []groupFilter) {
 	*filters = slices.DeleteFunc(*filters, func(f groupFilter) bool {
 		for _, v := range f.vars {
-			if !bound[v] {
+			if _, ok := bound[v]; !ok {
 				return false
 			}
 		}
@@ -171,21 +171,61 @@ func takeReadyFilters(bound map[string]bool, filters *[]groupFilter) (ready []gr
 }
 
 // pipePart is one morsel's output: row segments in emission order. The
-// segments alias the worker's chunks, which are never rewritten.
+// segments alias the writer's chunks, which are never rewritten.
 type pipePart struct {
 	segs [][]store.ID
 	n    int
 }
 
 // Output chunks start at pipeChunkMin rows and double — a new chunk, not a
-// copy — up to morselScan rows, so a small segment output costs one small
+// copy — up to morselScan rows, so a small output costs one small
 // allocation and a large one about its own size.
 const pipeChunkMin = 64
 
+// partWriter collects the rows one goroutine emits while it runs morsels of
+// an operator (a pipeline, a join), and lives no longer than that run.
+type partWriter struct {
+	width int
+	// chunk is being filled; its rows from segStart on are the current morsel's.
+	chunk    []store.ID
+	segStart int
+	part     pipePart
+}
+
+// next adds a row to the current morsel's part and returns its zeroed cells.
+func (w *partWriter) next() []store.ID {
+	if len(w.chunk)+w.width > cap(w.chunk) {
+		w.seal()
+		rows := 2 * cap(w.chunk) / max(w.width, 1)
+		rows = min(max(rows, pipeChunkMin), morselScan)
+		w.chunk, w.segStart = make([]store.ID, 0, rows*w.width), 0
+	}
+	n := len(w.chunk)
+	w.chunk = w.chunk[:n+w.width]
+	w.part.n++
+	return w.chunk[n:]
+}
+
+// seal closes the current morsel's segment of the chunk being filled.
+func (w *partWriter) seal() {
+	if n := len(w.chunk); n > w.segStart {
+		w.part.segs = append(w.part.segs, w.chunk[w.segStart:n:n])
+		w.segStart = n
+	}
+}
+
+// take seals and hands over the finished morsel's part.
+func (w *partWriter) take() pipePart {
+	w.seal()
+	part := w.part
+	w.part = pipePart{}
+	return part
+}
+
 // pipeWorker is one goroutine's state for running morsels of a pipeline:
 // the scratch row, the per-step Match callbacks (built once, so a probe
-// allocates nothing), the filter context, the output chunk being filled,
-// and the EXPLAIN counters.
+// allocates nothing), the filter context, the output writer, and the
+// EXPLAIN counters.
 type pipeWorker struct {
 	p     *bgpPipeline
 	tk    *ticker
@@ -195,11 +235,7 @@ type pipeWorker struct {
 	ctx   *evalCtx
 	// rows[k] counts step k's matches, kept[i] the rows surviving filter i.
 	rows, kept []int
-	// chunk is the output chunk being filled; its rows from segStart on
-	// belong to the current morsel's part.
-	chunk    []store.ID
-	segStart int
-	part     pipePart
+	out        partWriter
 }
 
 // worker returns the calling pool goroutine's worker, built on its first
@@ -215,6 +251,7 @@ func (p *bgpPipeline) worker(tk *ticker) *pipeWorker {
 		row:   make([]store.ID, len(p.vars)),
 		yield: make([]func(store.IDTriple) bool, len(p.steps)),
 		rows:  make([]int, len(p.steps)+len(p.filters)),
+		out:   partWriter{width: len(p.outVars)},
 	}
 	w.kept = w.rows[len(p.steps):]
 	for k := range w.yield {
@@ -229,14 +266,6 @@ func (p *bgpPipeline) worker(tk *ticker) *pipeWorker {
 	}
 	p.workers[tk.slot] = w
 	return w
-}
-
-// takePart seals and hands over the finished morsel's part.
-func (w *pipeWorker) takePart() (pipePart, error) {
-	w.seal()
-	part := w.part
-	w.part = pipePart{}
-	return part, w.err
 }
 
 // runRows runs the chain for input rows [lo, hi).
@@ -332,28 +361,13 @@ func (w *pipeWorker) match(k int, t store.IDTriple) bool {
 
 // emit appends the scratch row, in the output layout, to the morsel's part.
 func (w *pipeWorker) emit() {
-	width := len(w.p.outVars)
-	if len(w.chunk)+width > cap(w.chunk) {
-		w.seal()
-		rows := 2 * cap(w.chunk) / max(width, 1)
-		rows = min(max(rows, pipeChunkMin), morselScan)
-		w.chunk, w.segStart = make([]store.ID, 0, rows*width), 0
-	}
+	dst := w.out.next()
 	if w.p.outCols == nil {
-		w.chunk = append(w.chunk, w.row...)
-	} else {
-		for _, c := range w.p.outCols {
-			w.chunk = append(w.chunk, w.row[c])
-		}
+		copy(dst, w.row)
+		return
 	}
-	w.part.n++
-}
-
-// seal closes the current morsel's segment of the chunk being filled.
-func (w *pipeWorker) seal() {
-	if n := len(w.chunk); n > w.segStart {
-		w.part.segs = append(w.part.segs, w.chunk[w.segStart:n:n])
-		w.segStart = n
+	for i, c := range w.p.outCols {
+		dst[i] = w.row[c]
 	}
 }
 
@@ -390,15 +404,15 @@ func (ev *evaluator) runPipeline(p *bgpPipeline, cur *idRows, bp *bgpPlan) (*idR
 		n = len(scans)
 	}
 	parts := make([]pipePart, n)
-	err := ev.forEachPart(n, func(i int, tk *ticker) (err error) {
+	err := ev.forEachPart(n, func(i int, tk *ticker) error {
 		w := p.worker(tk)
 		if len(scans) > 1 {
 			w.runScan(cur.row(0), scans[i])
 		} else {
 			w.runRows(cur, bounds[i][0], bounds[i][1])
 		}
-		parts[i], err = w.takePart()
-		return err
+		parts[i] = w.out.take()
+		return w.err
 	})
 	if err != nil {
 		return nil, err
@@ -423,10 +437,12 @@ func scaleMorsel(morsel, n int, peak float64) int {
 // serial nested loop's. An output that fits one segment is used as it is.
 func mergePipeParts(vars []string, parts []pipePart) *idRows {
 	out := newIDRows(vars)
-	var segs [][]store.ID
+	segs := parts[0].segs // there is always a first part
+	for _, p := range parts[1:] {
+		segs = append(segs, p.segs...)
+	}
 	for _, p := range parts {
 		out.n += p.n
-		segs = append(segs, p.segs...)
 	}
 	if len(segs) == 1 {
 		out.data = segs[0]

@@ -374,9 +374,8 @@ func TestPipelineRegexOnConcurrentWorkers(t *testing.T) {
 			defer wg.Done()
 			w := p.worker(&ticker{slot: i})
 			w.runRows(cur, i*cur.n/workers, (i+1)*cur.n/workers)
-			var err error
-			if parts[i], err = w.takePart(); err != nil {
-				t.Error(err)
+			if parts[i] = w.out.take(); w.err != nil {
+				t.Error(w.err)
 			}
 		}()
 	}

@@ -41,6 +41,16 @@ func (n *Node) Record(rows int) {
 	}
 }
 
+// CopyActuals takes over the recorded actuals of src, a tree of the same
+// shape: an operator whose output was reused from src's evaluation reports
+// what that evaluation measured.
+func (n *Node) CopyActuals(src *Node) {
+	n.Actual = src.Actual
+	for i, c := range n.Children {
+		c.CopyActuals(src.Children[i])
+	}
+}
+
 // Format renders the tree as indented text, one operator per line:
 //
 //	op detail  (est=…, actual=…)

@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -81,6 +83,10 @@ type queryPlan struct {
 	results   map[*Query]*plan.Node
 	aggs      map[*Query]*plan.Node
 	distincts map[*Query]*plan.Node
+	// shares maps every subquery (*Query) and leading BGP segment (*bgpPlan)
+	// that has a twin in this query to its subplan: the evaluator runs one
+	// member of a class and hands the others its output.
+	shares map[any]*subplan
 
 	// digest memoizes planDigest; computed on first use so plans that are
 	// never traced or slow-logged pay nothing.
@@ -122,6 +128,64 @@ func writePlanShape(sb *strings.Builder, n *plan.Node) {
 	sb.WriteByte(')')
 }
 
+// subplan is a subquery or a group's leading BGP segment, either of which
+// evaluates from the unit solution whatever surrounds it. key is what the
+// evaluator looks it up by (the *Query, the *bgpPlan), nodes the roots of
+// its plan nodes; class numbers the members of one class of
+// interchangeable subplans from 1 and stays 0 for a subplan without a twin.
+type subplan struct {
+	key    any
+	syntax subplanSyntax
+	nodes  []*plan.Node
+	class  int
+}
+
+// subplanSyntax is the subquery, or the segment's patterns and pushed-down
+// conditions, and the graphs either reads.
+type subplanSyntax struct {
+	graphs   []string
+	query    *Query
+	patterns []TriplePattern
+	pushed   []Expression
+}
+
+// shareSubplans records in the plan every class of two or more
+// interchangeable subplans. Two are interchangeable when their plan shapes
+// (operators, pattern order, filter placement, prune schedule) are equal as
+// text and their graphs and syntax deeply equal: exact equality only, so
+// the members of a class produce the same rows in the same order.
+func (p *planner) shareSubplans() {
+	if len(p.subplans) < 2 {
+		return
+	}
+	p.qp.shares = map[any]*subplan{}
+	reps := map[string][]*subplan{}
+	classes := 0
+	for _, sp := range p.subplans {
+		var sb strings.Builder
+		for _, n := range sp.nodes {
+			writePlanShape(&sb, n)
+		}
+		shape := sb.String()
+		at := slices.IndexFunc(reps[shape], func(o *subplan) bool { return reflect.DeepEqual(o.syntax, sp.syntax) })
+		if at < 0 {
+			reps[shape] = append(reps[shape], sp)
+			continue
+		}
+		rep := reps[shape][at]
+		if rep.class == 0 {
+			classes++
+			rep.class = classes
+			p.qp.shares[rep.key] = rep
+		}
+		sp.class = rep.class
+		p.qp.shares[sp.key] = sp
+	}
+	for _, sp := range p.subplans {
+		sp.syntax = subplanSyntax{} // a cached plan keeps its classes, not what told them apart
+	}
+}
+
 // recordElem notes the row count after a group element's join (tracked
 // plans only).
 func (qp *queryPlan) recordElem(g *Group, idx, rows int) {
@@ -152,6 +216,8 @@ type planner struct {
 	// noWCOJ disables the worst-case-optimal join operator (the
 	// Engine.DisableWCOJ ablation knob), leaving every segment binary.
 	noWCOJ bool
+	// subplans lists what could be shared; see shareSubplans.
+	subplans []*subplan
 }
 
 // buildPlan optimizes q against the current statistics catalog. track
@@ -182,6 +248,7 @@ func (e *Engine) buildPlan(q *Query, track bool) *queryPlan {
 	e.Store.RLock()
 	p.qp.root = p.planQuery(q, e.DefaultGraphs)
 	e.Store.RUnlock()
+	p.shareSubplans()
 	return p.qp
 }
 
@@ -274,14 +341,26 @@ func (p *planner) planGroup(g *Group, graphs []string, override string) *plan.No
 	}
 
 	seg := 0
+	leading := true // nothing but patterns and filters so far: the input is the unit solution
 	var pending []TriplePattern
 	flush := func() {
 		if len(pending) == 0 {
+			leading = false
 			return
 		}
-		node.Add(p.planBGP(g, seg, pending, active, bound, filters)...)
+		nodes := p.planBGP(g, seg, pending, active, bound, filters)
+		if leading {
+			syntax := subplanSyntax{graphs: active, patterns: pending}
+			for _, f := range filters {
+				if f.placed {
+					syntax.pushed = append(syntax.pushed, f.cond)
+				}
+			}
+			p.subplans = append(p.subplans, &subplan{key: p.qp.bgps[bgpRef{g, seg}], syntax: syntax, nodes: nodes})
+		}
+		node.Add(nodes...)
 		seg++
-		pending = nil
+		leading, pending = false, nil
 	}
 	for idx, el := range g.Elems {
 		switch e := el.(type) {
@@ -332,7 +411,9 @@ func (p *planner) planGroup(g *Group, graphs []string, override string) *plan.No
 			flush()
 			// Subqueries evaluate against the group's graphs, not a GRAPH
 			// override (mirroring evalGroup).
-			jn := plan.NewNode("join", "subquery").Add(p.planQuery(e.Query, graphs))
+			sub := p.planQuery(e.Query, graphs)
+			p.subplans = append(p.subplans, &subplan{key: e.Query, syntax: subplanSyntax{graphs: graphs, query: e.Query}, nodes: []*plan.Node{sub}})
+			jn := plan.NewNode("join", "subquery").Add(sub)
 			p.qp.elems[elemRef{g, idx}] = jn
 			node.Add(jn)
 			for _, v := range e.Query.projectedVars() {
@@ -425,29 +506,7 @@ func (p *planner) planBGP(g *Group, seg int, patterns []TriplePattern, active []
 				bound[v] = true
 			}
 		}
-		for fi := range filters {
-			if filters[fi].placed {
-				continue
-			}
-			ready := true
-			for _, v := range filters[fi].vars {
-				if !bound[v] {
-					ready = false
-					break
-				}
-			}
-			if ready {
-				w.node.Add(p.filterNode(filters[fi].ref, filters[fi].cond, "pushed down"))
-				filters[fi].placed = true
-			}
-		}
-		if len(w.endDrop) > 0 {
-			quoted := make([]string, len(w.endDrop))
-			for i, v := range w.endDrop {
-				quoted[i] = "?" + v
-			}
-			w.node.Add(plan.NewNode("prune", strings.Join(quoted, " ")))
-		}
+		p.placeReady(w.node, filters, bound, w.endDrop)
 		p.qp.bgps[bgpRef{g, seg}] = bp
 		return []*plan.Node{w.node}
 	}
@@ -459,36 +518,28 @@ func (p *planner) planBGP(g *Group, seg int, patterns []TriplePattern, active []
 		for _, v := range patterns[pi].Vars() {
 			bound[v] = true
 		}
-		// Static filter placement (annotation only; the evaluator applies
-		// filters by the same all-variables-bound rule at run time).
-		for fi := range filters {
-			if filters[fi].placed {
-				continue
-			}
-			ready := true
-			for _, v := range filters[fi].vars {
-				if !bound[v] {
-					ready = false
-					break
-				}
-			}
-			if ready {
-				n.Add(p.filterNode(filters[fi].ref, filters[fi].cond, "pushed down"))
-				filters[fi].placed = true
-			}
-		}
-		if len(bp.drop[step]) > 0 {
-			quoted := make([]string, len(bp.drop[step]))
-			for i, v := range bp.drop[step] {
-				quoted[i] = "?" + v
-			}
-			n.Add(plan.NewNode("prune", strings.Join(quoted, " ")))
-		}
+		p.placeReady(n, filters, bound, bp.drop[step])
 		nodes[step] = n
 	}
 	bp.nodes = nodes
 	p.qp.bgps[bgpRef{g, seg}] = bp
 	return nodes
+}
+
+// placeReady hangs on n the static placement of every unplaced filter whose
+// variables are all bound (annotation only; the evaluator applies filters
+// by the same rule at run time), then the prune of the dropped columns.
+func (p *planner) placeReady(n *plan.Node, filters []groupFilterPlan, bound map[string]bool, drop []string) {
+	for fi := range filters {
+		f := &filters[fi]
+		if !f.placed && !slices.ContainsFunc(f.vars, func(v string) bool { return !bound[v] }) {
+			n.Add(p.filterNode(f.ref, f.cond, "pushed down"))
+			f.placed = true
+		}
+	}
+	if len(drop) > 0 {
+		n.Add(plan.NewNode("prune", "?"+strings.Join(drop, " ?")))
+	}
 }
 
 // planPattern resolves one triple pattern against the statistics catalog:

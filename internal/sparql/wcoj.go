@@ -35,13 +35,16 @@ import (
 // much smaller than row morsels to keep the pool load-balanced.
 const wcojMorsel = 64
 
-// wcojCounters are the engine's WCOJ observability counters, exported as
-// the rdfframes_wcoj_* metric family.
-type wcojCounters struct {
-	segments   atomic.Uint64 // segments executed by the trie walk
-	seeks      atomic.Uint64 // sorted-run iterator seeks
-	backtracks atomic.Uint64 // dead-end prefixes abandoned mid-walk
-	fallbacks  atomic.Uint64 // planned segments that ran binary joins instead
+// execCounters are the engine's executor counters, exported as the
+// rdfframes_wcoj_*, rdfframes_join_* and rdfframes_subplan_* metrics.
+type execCounters struct {
+	segments       atomic.Uint64 // segments executed by the trie walk
+	seeks          atomic.Uint64 // sorted-run iterator seeks
+	backtracks     atomic.Uint64 // dead-end prefixes abandoned mid-walk
+	fallbacks      atomic.Uint64 // planned segments that ran binary joins instead
+	joinCandidates atomic.Int64  // candidate pairs checked by joins
+	joinRows       atomic.Int64  // rows joins emitted
+	subplanReuses  atomic.Int64  // subplans answered from an evaluation's memo
 }
 
 // wcojPat is one triple pattern compiled for the trie walk: its constant
@@ -438,10 +441,10 @@ func (ev *evaluator) evalWCOJ(seg *wcojSeg) (*idRows, error) {
 		out = w.out
 	}
 
-	if ev.wcojCtr != nil {
-		ev.wcojCtr.segments.Add(1)
-		ev.wcojCtr.seeks.Add(w.seeks)
-		ev.wcojCtr.backtracks.Add(w.backs)
+	if ev.ctr != nil {
+		ev.ctr.segments.Add(1)
+		ev.ctr.seeks.Add(w.seeks)
+		ev.ctr.backtracks.Add(w.backs)
 	}
 	if track {
 		for k, ln := range seg.levels {

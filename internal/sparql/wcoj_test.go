@@ -105,13 +105,13 @@ func TestWCOJStarMatchesBinary(t *testing.T) {
 		if len(res.Rows) != 250 {
 			t.Fatalf("star query returned %d rows, want 250", len(res.Rows))
 		}
-		if eng.wcojStats.segments.Load() == 0 {
+		if eng.execStats.segments.Load() == 0 {
 			t.Fatalf("workers=%d: star query did not execute a WCOJ segment", workers)
 		}
-		if eng.wcojStats.seeks.Load() == 0 {
+		if eng.execStats.seeks.Load() == 0 {
 			t.Fatalf("workers=%d: WCOJ ran without any run seeks", workers)
 		}
-		if base.wcojStats.segments.Load() != 0 {
+		if base.execStats.segments.Load() != 0 {
 			t.Fatalf("workers=%d: DisableWCOJ engine still ran WCOJ", workers)
 		}
 	}
