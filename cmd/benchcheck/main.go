@@ -182,6 +182,8 @@ var requiredMetricFamilies = []string{
 	"rdfframes_store_tombstones",
 	"rdfframes_store_index_bytes",
 	"rdfframes_store_graphs",
+	"rdfframes_store_dict_terms",
+	"rdfframes_store_dict_bytes",
 	"rdfframes_parallelism",
 	// serving layer
 	"rdfframes_query_seconds",

@@ -62,6 +62,8 @@ type fullStats struct {
 		Tombstones   float64 `json:"tombstones"`
 		IndexBytes   float64 `json:"index_bytes"`
 	} `json:"graphs"`
+	DictTerms float64           `json:"dict_terms"`
+	DictBytes float64           `json:"dict_bytes"`
 	Cache     sparql.CacheStats `json:"cache"`
 	Admission AdmissionStats    `json:"admission"`
 	Latency   *struct {
@@ -190,6 +192,8 @@ func TestStatsMetricsConsistencyUnderLoad(t *testing.T) {
 		{`rdfframes_query_seconds_count`, float64(stats.Latency.Count)},
 		{`rdfframes_slowlog_entries_total`, float64(stats.SlowLog.Entries)},
 		{`rdfframes_evaluations_total`, float64(srv.Engine.Evaluations())},
+		{`rdfframes_store_dict_terms`, stats.DictTerms},
+		{`rdfframes_store_dict_bytes`, stats.DictBytes},
 	}
 	for _, p := range pairs {
 		got, ok := samples[p.name]
@@ -200,6 +204,12 @@ func TestStatsMetricsConsistencyUnderLoad(t *testing.T) {
 		if got != p.want {
 			t.Errorf("%s: /metrics=%v /stats=%v — the surfaces disagree", p.name, got, p.want)
 		}
+	}
+
+	// 25 subjects, one predicate and 25 objects, then the late graph's
+	// subject: its objects 1 and 2 were interned already.
+	if stats.DictTerms != 52 || stats.DictBytes < 16*stats.DictTerms {
+		t.Errorf("dictionary: %v terms in %v bytes, want 52 terms", stats.DictTerms, stats.DictBytes)
 	}
 
 	// The per-graph layout gauges mirror /stats graph for graph, and add up

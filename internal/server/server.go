@@ -425,6 +425,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	type stats struct {
 		StoreVersion uint64      `json:"store_version"`
 		Graphs       []graphStat `json:"graphs"`
+		// DictTerms and DictBytes mirror rdfframes_store_dict_{terms,bytes}.
+		DictTerms int `json:"dict_terms"`
+		DictBytes int `json:"dict_bytes"`
 		// Parallelism is the engine's configured intra-query worker count
 		// (0 = GOMAXPROCS); GOMAXPROCS reports what that resolves against.
 		Parallelism int               `json:"parallelism"`
@@ -465,6 +468,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	st.RLock()
 	out.StoreVersion = st.Version()
+	out.DictTerms, out.DictBytes = st.Dict().Len(), st.Dict().Bytes()
 	for _, uri := range st.GraphURIs() {
 		g := st.Graph(uri)
 		lay := g.Layout()

@@ -229,6 +229,37 @@ func check(tb testing.TB, st *store.Store, m model, probes []store.IDTriple) {
 	}
 }
 
+// checkDict asserts that the store's dictionary holds exactly terms, the
+// term of id i+1 at index i: every id decodes to its term, and looking the
+// term up returns the id.
+func checkDict(tb testing.TB, st *store.Store, terms []rdf.Term) {
+	tb.Helper()
+	st.RLock()
+	defer st.RUnlock()
+	d := st.Dict()
+	if d.Len() != len(terms) {
+		tb.Fatalf("dictionary holds %d terms, want %d", d.Len(), len(terms))
+	}
+	for i, t := range terms {
+		id := store.ID(i + 1)
+		if got := d.Decode(id); got != t {
+			tb.Fatalf("Decode(%d) = %v, want %v", id, got, t)
+		}
+		if got, ok := d.Lookup(t); !ok || got != id {
+			tb.Fatalf("Lookup(%v) = %d, %v, want %d", t, got, ok, id)
+		}
+	}
+}
+
+// termsOf reads a store's dictionary back in id order.
+func termsOf(st *store.Store) []rdf.Term {
+	terms := make([]rdf.Term, st.Dict().Len())
+	for i := range terms {
+		terms[i] = st.Dict().Decode(store.ID(i + 1))
+	}
+	return terms
+}
+
 // runStoreOps interprets data as a program over a small universe of terms,
 // so that inserts collide, deletes hit, and re-inserts revive. The first
 // byte sizes the universe; each step is an opcode byte and its operands.
@@ -245,11 +276,21 @@ func runStoreOps(tb testing.TB, data []byte) {
 	graphs := []string{gA, gB}
 	nodes, preds := 3+next()%14, 3
 	st := store.New()
+	// Nodes 4, 9 and 14 are literals of one lexical form that differ only
+	// in datatype or language: three terms the dictionary must keep apart.
 	term := func(kind string, i int) rdf.Term {
 		if kind == "n" && i%5 == 4 {
-			return rdf.NewLiteral(fmt.Sprintf("lit %d", i))
+			return [3]rdf.Term{rdf.NewLiteral("4"), rdf.NewLangLiteral("4", "en"), rdf.NewTypedLiteral("4", rdf.XSDInteger)}[i/5%3]
 		}
 		return rdf.NewIRI(fmt.Sprintf("http://ex/%s%d", kind, i))
+	}
+	var interned []rdf.Term // the term of id i+1 at index i
+	encode := func(t rdf.Term) store.ID {
+		id := st.Dict().Encode(t)
+		if int(id) == len(interned)+1 {
+			interned = append(interned, t)
+		}
+		return id
 	}
 	triple := func() (string, rdf.Triple, store.IDTriple) {
 		a, b := next(), next()
@@ -258,8 +299,7 @@ func runStoreOps(tb testing.TB, data []byte) {
 			s = term("n", (a+1)%nodes)
 		}
 		tr := rdf.Triple{S: s, P: term("p", (a/16)%preds), O: term("n", b%nodes)}
-		d := st.Dict()
-		return graphs[(b/32)%2], tr, store.IDTriple{S: d.Encode(tr.S), P: d.Encode(tr.P), O: d.Encode(tr.O)}
+		return graphs[(b/32)%2], tr, store.IDTriple{S: encode(tr.S), P: encode(tr.P), O: encode(tr.O)}
 	}
 	m := model{gA: {}, gB: {}}
 	var probes []store.IDTriple
@@ -348,24 +388,19 @@ func runStoreOps(tb testing.TB, data []byte) {
 				tb.Fatal("snapshot of a reopened store differs from the snapshot it was read from")
 			}
 			st = reopened
-		case 7: // delete by id
+		case 7: // a batch of deletes from one graph
 			uri := graphs[next()%2]
+			var ops []store.UpdateOp
 			var ids []store.IDTriple
-			del := 0
 			for n := 1 + next()%8; n > 0; n-- {
-				_, _, id := triple()
+				_, tr, id := triple()
 				note(id)
-				ids = append(ids, id)
-				if _, had := m[uri][id]; had {
-					delete(m[uri], id)
-					del++
-				}
+				ops, ids = append(ops, store.UpdateOp{Graph: uri, Triple: tr}), append(ids, id)
 			}
-			if got := st.DeleteTriples(uri, ids); got != del {
-				tb.Fatalf("DeleteTriples = %d, model %d", got, del)
-			}
+			apply(ops, ids)
 		}
 		check(tb, st, m, probes)
+		checkDict(tb, st, interned)
 	}
 }
 
@@ -486,6 +521,8 @@ func FuzzSnapshotRead(f *testing.F) {
 				continue
 			}
 			check(t, st, modelOf(st), nil)
+			terms := termsOf(st)
+			checkDict(t, st, terms)
 			var buf bytes.Buffer
 			if err := Write(&buf, st); err != nil {
 				t.Fatal(err)
@@ -497,6 +534,7 @@ func FuzzSnapshotRead(f *testing.F) {
 			if !reflect.DeepEqual(modelOf(again), modelOf(st)) {
 				t.Fatal("an accepted store does not survive a round trip")
 			}
+			checkDict(t, again, terms)
 		}
 	})
 }

@@ -1,14 +1,14 @@
 // Package snapshot persists a store.Store to a versioned, checksummed
 // binary file and reopens it without re-parsing any RDF text — the storage
 // half of the system's lifecycle. A snapshot is the dictionary as a
-// length-prefixed term table plus, per named graph, the store's own sorted
-// array of id triples written verbatim: the live triples in SPO order as
-// fixed-width little-endian uint32s. Reopening copies that array back and
-// hands it to store.BulkGraph, which — the array being sorted already —
-// lays out the SPO permutation in one pass and derives the other two by
-// one linear counting sort each. No text is scanned, no term re-interned,
-// no map built, and nothing about the permutations has to be trusted to
-// the file: they are consistent with each other by construction.
+// length-prefixed term table plus, per named graph, the store's sorted id
+// triples verbatim: the live triples in SPO order as little-endian uint32s.
+// Reopening cuts every term string from one copy of the term table and
+// feeds the terms in id order to store.NewDictionaryFrom, which fills its
+// arrays and id table without a per-term allocation; each triple array goes
+// to store.BulkGraph, which lays out SPO in one pass and derives the other
+// two permutations by one counting sort each. No text is scanned, and the
+// permutations are consistent with each other by construction.
 //
 // # File format (version 3)
 //
@@ -83,9 +83,10 @@ func Write(w io.Writer, st *store.Store) error {
 	cw.bytes([]byte(Magic))
 	cw.u32(Version)
 
-	terms := st.Dict().Terms()
-	cw.uvarint(uint64(len(terms)))
-	for _, t := range terms {
+	dict := st.Dict()
+	cw.uvarint(uint64(dict.Len()))
+	for id := 1; id <= dict.Len(); id++ {
+		t := dict.Decode(store.ID(id))
 		cw.byte(byte(t.Kind))
 		cw.str(t.Value)
 		if t.Kind == rdf.LiteralKind {
@@ -163,13 +164,9 @@ func decode(data []byte) (*store.Store, error) {
 
 	p := &parser{data: body, pos: len(Magic) + 4}
 
-	terms, err := readTerms(p)
+	dict, err := readTerms(p)
 	if err != nil {
 		return nil, err
-	}
-	dict, err := store.NewDictionaryFromTerms(terms)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
 	}
 	st := store.NewWithDictionary(dict)
 
@@ -241,13 +238,14 @@ func ReadFile(path string) (*store.Store, error) {
 	return decode(data)
 }
 
-// readTerms parses the term table in two passes: the first records string
-// extents, the second carves every term string out of one arena string
-// covering exactly the term-table bytes. Sharing one backing array makes
-// term loading allocation-free per term, while copying only the table —
-// not the whole file — lets the (much larger) triple and index sections be
+// readTerms parses the term table in two passes: the first checks every
+// entry and finds where the table ends, the second carves every term
+// string out of one arena string covering exactly the term-table bytes and
+// hands the terms straight to the dictionary. Sharing one backing array
+// makes term loading allocation-free per term, while copying only the
+// table — not the whole file — lets the (much larger) triple section be
 // garbage-collected once decoding finishes.
-func readTerms(p *parser) ([]rdf.Term, error) {
+func readTerms(p *parser) (*store.Dictionary, error) {
 	count, err := p.uvarint()
 	if err != nil {
 		return nil, truncated(err)
@@ -259,48 +257,25 @@ func readTerms(p *parser) ([]rdf.Term, error) {
 	if count > uint64(len(p.data)-p.pos)/2 {
 		return nil, truncated(io.ErrUnexpectedEOF)
 	}
-	type termRef struct {
-		kind               rdf.TermKind
-		value, dtype, lang byteSpan
-	}
-	refs := make([]termRef, 0, count)
-	sectionStart := p.pos
+	start := p.pos
 	for i := uint64(0); i < count; i++ {
-		kind, err := p.byte()
-		if err != nil {
-			return nil, truncated(err)
-		}
-		var r termRef
-		switch rdf.TermKind(kind) {
-		case rdf.IRIKind, rdf.LiteralKind, rdf.BlankKind:
-			r.kind = rdf.TermKind(kind)
-		default:
-			return nil, fmt.Errorf("snapshot: term %d has invalid kind byte %d", i+1, kind)
-		}
-		if r.value, err = p.skipString(); err != nil {
+		if _, err := p.term(""); err != nil {
 			return nil, fmt.Errorf("snapshot: term %d: %w", i+1, err)
 		}
-		if r.kind == rdf.LiteralKind {
-			if r.dtype, err = p.skipString(); err != nil {
-				return nil, fmt.Errorf("snapshot: term %d datatype: %w", i+1, err)
-			}
-			if r.lang, err = p.skipString(); err != nil {
-				return nil, fmt.Errorf("snapshot: term %d language: %w", i+1, err)
+	}
+	table := &parser{data: p.data[start:p.pos]}
+	arena := string(table.data)
+	dict, err := store.NewDictionaryFrom(int(count), func(yield func(rdf.Term) bool) {
+		for table.pos < len(table.data) {
+			if t, _ := table.term(arena); !yield(t) {
+				return
 			}
 		}
-		refs = append(refs, r)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: %w", err)
 	}
-	arena := string(p.data[sectionStart:p.pos])
-	cut := func(s byteSpan) string { return arena[s.start-sectionStart : s.end-sectionStart] }
-	terms := make([]rdf.Term, len(refs))
-	for i, r := range refs {
-		terms[i] = rdf.Term{Kind: r.kind, Value: cut(r.value)}
-		if r.kind == rdf.LiteralKind {
-			terms[i].Datatype = cut(r.dtype)
-			terms[i].Lang = cut(r.lang)
-		}
-	}
-	return terms, nil
+	return dict, nil
 }
 
 // readTriples copies one graph's triple array out of the file, checking
@@ -382,24 +357,44 @@ func (p *parser) string() (string, error) {
 	return s, nil
 }
 
-// byteSpan is a [start, end) byte range within the snapshot body.
-type byteSpan struct{ start, end int }
+// term reads one term-table entry, cutting its strings from arena, which
+// holds the bytes of p.data; with an empty arena it only checks the entry.
+func (p *parser) term(arena string) (t rdf.Term, err error) {
+	kind, err := p.byte()
+	if err != nil {
+		return t, err
+	}
+	switch t.Kind = rdf.TermKind(kind); t.Kind {
+	case rdf.IRIKind, rdf.BlankKind:
+		t.Value, err = p.cut(arena)
+	case rdf.LiteralKind:
+		if t.Value, err = p.cut(arena); err == nil {
+			if t.Datatype, err = p.cut(arena); err == nil {
+				t.Lang, err = p.cut(arena)
+			}
+		}
+	default:
+		err = fmt.Errorf("invalid kind byte %d", kind)
+	}
+	return t, err
+}
 
-// skipString advances past a length-prefixed string, returning its byte
-// extent for later arena slicing.
-func (p *parser) skipString() (byteSpan, error) {
-	var s byteSpan
+// cut advances past a length-prefixed string and returns it as a substring
+// of arena, or "" when arena is empty.
+func (p *parser) cut(arena string) (string, error) {
 	n, err := p.uvarint()
 	if err != nil {
-		return s, truncated(err)
+		return "", err
 	}
 	if n > uint64(len(p.data)-p.pos) {
-		return s, truncated(io.ErrUnexpectedEOF)
+		return "", io.ErrUnexpectedEOF
 	}
-	s.start = p.pos
+	start := p.pos
 	p.pos += int(n)
-	s.end = p.pos
-	return s, nil
+	if arena == "" {
+		return "", nil
+	}
+	return arena[start:p.pos], nil
 }
 
 // crcWriter accumulates a CRC over everything written and holds the first

@@ -58,7 +58,7 @@ func snapshotBytes(t testing.TB, st *store.Store) []byte {
 // allTriples drains a graph through the store's Match API in decoded form.
 func allTriples(st *store.Store, graph string) []rdf.Triple {
 	var out []rdf.Triple
-	st.Match(graph, store.IDTriple{}, func(tr store.IDTriple) bool {
+	st.MatchAny([]string{graph}, store.IDTriple{}, func(tr store.IDTriple) bool {
 		out = append(out, rdf.Triple{
 			S: st.Dict().Decode(tr.S), P: st.Dict().Decode(tr.P), O: st.Dict().Decode(tr.O),
 		})
@@ -87,11 +87,10 @@ func TestRoundTripLossless(t *testing.T) {
 	}
 	// Ids must round-trip exactly, not just terms: the dictionary order is
 	// part of the format.
-	for _, term := range st.Dict().Terms() {
-		wantID, _ := st.Dict().Lookup(term)
-		gotID, ok := got.Dict().Lookup(term)
-		if !ok || gotID != wantID {
-			t.Fatalf("term %s: id %d -> %d (ok=%v)", term, wantID, gotID, ok)
+	for id := store.ID(1); int(id) <= st.Dict().Len(); id++ {
+		term := st.Dict().Decode(id)
+		if gotID, ok := got.Dict().Lookup(term); !ok || gotID != id || got.Dict().Decode(id) != term {
+			t.Fatalf("term %s: id %d -> %d (ok=%v)", term, id, gotID, ok)
 		}
 	}
 }

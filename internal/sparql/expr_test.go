@@ -232,6 +232,15 @@ func TestAggregateSampleAndMinMaxOnStrings(t *testing.T) {
 	}
 }
 
+// TestExtraIDsAboveStoreIDs: the ids the evaluator numbers computed values
+// with start above every id the store dictionary can issue, so a store id
+// never decodes as a query's BIND or aggregate value.
+func TestExtraIDsAboveStoreIDs(t *testing.T) {
+	if uint64(extraIDBase) <= store.MaxTerms {
+		t.Fatalf("extraIDBase %d is not above store.MaxTerms %d", extraIDBase, uint64(store.MaxTerms))
+	}
+}
+
 // TestAggregateVarMatchesTermPath: COUNT, COUNT(DISTINCT) and SAMPLE of a
 // bare variable over an id-space group (counted on ids) agree with the term
 // path (the same group as Binding maps) on unbound cells, on values the

@@ -18,9 +18,9 @@ import (
 // extraIDBase is the first id the evaluator hands out for terms that are
 // not interned in the store dictionary (values computed by BIND, projection
 // expressions, aggregates, or carried in from subqueries). Store ids are
-// dense and start at 1, so anything at or above this base can never collide
-// with a store id short of a graph with 2^31 terms.
-const extraIDBase = store.ID(1) << 31
+// dense, start at 1 and never exceed store.MaxTerms, so anything at or above
+// this base can never collide with a store id.
+const extraIDBase = store.ID(store.MaxTerms) + 1
 
 // evalDict resolves ids to terms and interns query-computed terms, layered
 // over the store dictionary. The store dictionary is never mutated, so

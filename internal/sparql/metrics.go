@@ -68,6 +68,15 @@ func (e *Engine) RegisterMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("rdfframes_store_graphs",
 		"Named graphs currently in the store.",
 		func() float64 { return float64(len(e.Store.GraphURIs())) })
+	dict := func(name, help string, read func(*store.Dictionary) int) {
+		reg.GaugeFunc(name, help, func() float64 {
+			e.Store.RLock()
+			defer e.Store.RUnlock()
+			return float64(read(e.Store.Dict()))
+		})
+	}
+	dict("rdfframes_store_dict_terms", "Terms interned in the store dictionary.", (*store.Dictionary).Len)
+	dict("rdfframes_store_dict_bytes", "Heap bytes of the store dictionary: its arrays and its terms' values.", (*store.Dictionary).Bytes)
 	e.metricsReg = reg
 	e.registerGraphMetrics()
 	reg.GaugeFunc("rdfframes_parallelism",

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -34,9 +35,9 @@ func TestDictionaryEncodeOverflowPanics(t *testing.T) {
 	d.Encode(iri("one-too-many"))
 }
 
-func TestNewDictionaryFromTerms(t *testing.T) {
+func TestNewDictionaryFrom(t *testing.T) {
 	terms := []rdf.Term{iri("a"), rdf.NewLiteral("x"), rdf.NewBlank("b")}
-	d, err := NewDictionaryFromTerms(terms)
+	d, err := NewDictionaryFrom(len(terms), slices.Values(terms))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,10 +52,10 @@ func TestNewDictionaryFromTerms(t *testing.T) {
 			t.Fatalf("decode %d mismatch", i+1)
 		}
 	}
-	if _, err := NewDictionaryFromTerms([]rdf.Term{iri("a"), iri("a")}); err == nil {
+	if _, err := NewDictionaryFrom(2, slices.Values([]rdf.Term{iri("a"), iri("a")})); err == nil {
 		t.Fatal("duplicate term table accepted")
 	}
-	if _, err := NewDictionaryFromTerms([]rdf.Term{{}}); err == nil {
+	if _, err := NewDictionaryFrom(1, slices.Values([]rdf.Term{{}})); err == nil {
 		t.Fatal("unbound term accepted")
 	}
 }
@@ -65,8 +66,10 @@ func TestDictionaryTermsOrder(t *testing.T) {
 	for _, term := range want {
 		d.Encode(term)
 	}
-	if got := d.Terms(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Terms() = %v, want %v (id order)", got, want)
+	for i, term := range want {
+		if got := d.Decode(ID(i + 1)); got != term {
+			t.Fatalf("Decode(%d) = %v, want %v (first-seen order)", i+1, got, term)
+		}
 	}
 }
 
@@ -103,8 +106,8 @@ func TestBulkGraphMatchesIncrementalAdds(t *testing.T) {
 	}
 	for _, pat := range patterns {
 		var a, b []IDTriple
-		inc.Match(g1, pat, func(tr IDTriple) bool { a = append(a, tr); return true })
-		bulk.Match(g1, pat, func(tr IDTriple) bool { b = append(b, tr); return true })
+		inc.MatchAny([]string{g1}, pat, func(tr IDTriple) bool { a = append(a, tr); return true })
+		bulk.MatchAny([]string{g1}, pat, func(tr IDTriple) bool { b = append(b, tr); return true })
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("pattern %v: incremental %d rows, bulk %d rows", pat, len(a), len(b))
 		}
@@ -115,7 +118,7 @@ func TestBulkGraphMatchesIncrementalAdds(t *testing.T) {
 }
 
 func TestBulkGraphRejectsBadIDs(t *testing.T) {
-	d, err := NewDictionaryFromTerms([]rdf.Term{iri("a"), iri("b")})
+	d, err := NewDictionaryFrom(2, slices.Values([]rdf.Term{iri("a"), iri("b")}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,193 @@
+package store
+
+import (
+	"fmt"
+	"hash/maphash"
+	"iter"
+
+	"rdfframes/internal/rdf"
+)
+
+// ID is a dictionary-encoded term identifier. 0 is never assigned.
+type ID uint32
+
+// MaxTerms is the maximum number of terms a Dictionary can intern: id 0 is
+// the unbound sentinel, and ids from 2³¹ up belong to the query evaluator,
+// which numbers the values a query computes there.
+const MaxTerms = 1<<31 - 1
+
+// Dictionary interns terms to dense ids and back, in first-seen order. It
+// is three flat arrays indexed by id plus one open-addressed table:
+//
+//   - vals[id] is the term's value, a string header sharing its bytes with
+//     whatever handed the term in (a snapshot arena, a parsed line);
+//   - tags[id] indexes kinds, the distinct (kind, datatype, language)
+//     triples, each held once as a Term with an empty Value;
+//   - slots holds hash<<32 | id per term, 0 when empty: probed linearly,
+//     kept under ¾ full, rehashed on growth from the stored hash bits. The
+//     hash is seeded per dictionary, so clients cannot pick colliding terms.
+//
+// Identity is rdf.Term equality: terms differing in any field get distinct
+// ids.
+type Dictionary struct {
+	vals     []string // vals[0] is a placeholder; ids start at 1
+	tags     []uint32
+	kinds    []rdf.Term          // kinds[k] for k ≤ BlankKind is the bare Term{Kind: k}
+	kindTags map[rdf.Term]uint32 // kinds with a datatype or language -> tag
+	slots    []uint64
+	seed     maphash.Seed
+	strBytes int    // bytes of the interned values
+	limit    uint64 // id-space cap: MaxTerms, lowered only in tests
+}
+
+// NewDictionary returns an empty dictionary.
+func NewDictionary() *Dictionary { return newDictionary(1024) }
+
+// newDictionary returns an empty dictionary sized for n terms.
+func newDictionary(n int) *Dictionary {
+	size := 16
+	for 3*size < 4*(n+1) {
+		size *= 2
+	}
+	return &Dictionary{
+		vals:     make([]string, 1, n+1),
+		tags:     make([]uint32, 1, n+1),
+		kinds:    []rdf.Term{{}, {Kind: rdf.IRIKind}, {Kind: rdf.LiteralKind}, {Kind: rdf.BlankKind}},
+		kindTags: map[rdf.Term]uint32{},
+		slots:    make([]uint64, size),
+		seed:     maphash.MakeSeed(),
+		limit:    MaxTerms,
+	}
+}
+
+// NewDictionaryFrom rebuilds a dictionary whose ids are 1, 2, ... in the
+// order terms yields them, as a snapshot's term table lists them; n, the
+// number of terms expected, sizes the arrays. It rejects unbound terms,
+// duplicates and more than MaxTerms terms: signs of a corrupted table.
+func NewDictionaryFrom(n int, terms iter.Seq[rdf.Term]) (*Dictionary, error) {
+	d := newDictionary(n)
+	for t := range terms {
+		h := d.hash(t)
+		switch {
+		case !t.IsBound() || uint64(len(d.vals)) > d.limit:
+			return nil, fmt.Errorf("store: term %d of the term table is unbound or beyond the id space", len(d.vals))
+		case d.find(t, h) != 0:
+			return nil, fmt.Errorf("store: duplicate term %s in term table", t)
+		}
+		d.add(t, h)
+	}
+	return d, nil
+}
+
+// Encode interns t, returning its id (allocating one if new). It panics if
+// the dictionary is full: wrapping past MaxTerms would alias distinct terms.
+func (d *Dictionary) Encode(t rdf.Term) ID {
+	h := d.hash(t)
+	if id := d.find(t, h); id != 0 {
+		return id
+	}
+	if uint64(len(d.vals)) > d.limit {
+		panic(fmt.Sprintf("store: dictionary overflow: cannot intern more than %d terms", d.limit))
+	}
+	return d.add(t, h)
+}
+
+// Lookup returns the id of t if it is already interned.
+func (d *Dictionary) Lookup(t rdf.Term) (ID, bool) {
+	id := d.find(t, d.hash(t))
+	return id, id != 0
+}
+
+// Decode returns the term for id. It panics on an id the dictionary never
+// issued, which would indicate store corruption.
+func (d *Dictionary) Decode(id ID) rdf.Term {
+	if id == 0 || int(id) >= len(d.vals) {
+		panic(fmt.Sprintf("store: decode of unknown id %d", id))
+	}
+	tag := d.tags[id]
+	if tag <= uint32(rdf.BlankKind) { // a bare kind: no datatype or language to copy
+		return rdf.Term{Kind: rdf.TermKind(tag), Value: d.vals[id]}
+	}
+	k := &d.kinds[tag]
+	return rdf.Term{Kind: k.Kind, Value: d.vals[id], Datatype: k.Datatype, Lang: k.Lang}
+}
+
+// Len returns the number of interned terms.
+func (d *Dictionary) Len() int { return len(d.vals) - 1 }
+
+// Bytes returns the heap bytes of the dictionary's arrays and term values.
+func (d *Dictionary) Bytes() int {
+	return 16*cap(d.vals) + 4*cap(d.tags) + 8*len(d.slots) + d.strBytes
+}
+
+// hash hashes every field of t; a term with no datatype or language costs
+// one string hash. The fields are chained, not XORed, so that no family of
+// terms (a value equal to its language tag, say) collides for every seed.
+func (d *Dictionary) hash(t rdf.Term) uint32 {
+	const k = 0x9e3779b97f4a7c15
+	h := maphash.String(d.seed, t.Value) ^ uint64(t.Kind)*k
+	if t.Datatype != "" || t.Lang != "" {
+		h = (h*k+maphash.String(d.seed, t.Datatype))*k + maphash.String(d.seed, t.Lang)
+	}
+	return uint32(h)
+}
+
+// find returns the id of t, whose hash is h, or 0.
+func (d *Dictionary) find(t rdf.Term, h uint32) ID {
+	mask := uint32(len(d.slots) - 1)
+	for i := h & mask; d.slots[i] != 0; i = (i + 1) & mask {
+		if s := d.slots[i]; uint32(s>>32) == h {
+			id := ID(s)
+			k := &d.kinds[d.tags[id]]
+			if d.vals[id] == t.Value && k.Kind == t.Kind && k.Datatype == t.Datatype && k.Lang == t.Lang {
+				return id
+			}
+		}
+	}
+	return 0
+}
+
+// add interns t, which is not interned yet, under the next id.
+func (d *Dictionary) add(t rdf.Term, h uint32) ID {
+	id := ID(len(d.vals))
+	d.vals = append(d.vals, t.Value)
+	d.tags = append(d.tags, d.tag(t))
+	d.strBytes += len(t.Value)
+	if 4*len(d.vals) > 3*len(d.slots) {
+		old := d.slots
+		d.slots = make([]uint64, 2*len(old))
+		for _, s := range old {
+			if s != 0 {
+				d.place(s)
+			}
+		}
+	}
+	d.place(uint64(h)<<32 | uint64(id))
+	return id
+}
+
+// place puts slot value s into the first empty slot of its probe chain.
+func (d *Dictionary) place(s uint64) {
+	mask := uint32(len(d.slots) - 1)
+	i := uint32(s>>32) & mask
+	for d.slots[i] != 0 {
+		i = (i + 1) & mask
+	}
+	d.slots[i] = s
+}
+
+// tag returns the kinds index of t's kind, datatype and language, adding
+// an entry for a combination not seen before.
+func (d *Dictionary) tag(t rdf.Term) uint32 {
+	if t.Datatype == "" && t.Lang == "" && t.Kind <= rdf.BlankKind {
+		return uint32(t.Kind)
+	}
+	k := rdf.Term{Kind: t.Kind, Datatype: t.Datatype, Lang: t.Lang}
+	tag, ok := d.kindTags[k]
+	if !ok {
+		tag = uint32(len(d.kinds))
+		d.kinds = append(d.kinds, k)
+		d.kindTags[k] = tag
+	}
+	return tag
+}

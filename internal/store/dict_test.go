@@ -1,0 +1,134 @@
+package store
+
+import (
+	"fmt"
+	"testing"
+
+	"rdfframes/internal/rdf"
+)
+
+// TestDictionaryTermIdentity: terms that differ only in kind, datatype or
+// language get distinct ids, and every id decodes to exactly the term that
+// was interned — including a literal whose xsd:string datatype was set
+// without the constructor, which is not the plain literal.
+func TestDictionaryTermIdentity(t *testing.T) {
+	terms := []rdf.Term{
+		rdf.NewLiteral("1"),
+		rdf.NewTypedLiteral("1", rdf.XSDInteger),
+		rdf.NewLangLiteral("1", "en"),
+		rdf.NewLangLiteral("1", "de"),
+		rdf.NewIRI("1"),
+		rdf.NewBlank("1"),
+		{Kind: rdf.LiteralKind, Value: "1", Datatype: rdf.XSDString},
+		{Kind: rdf.LiteralKind, Value: "1", Datatype: rdf.XSDInteger, Lang: "en"},
+		rdf.NewLiteral(""),
+		rdf.NewIRI(""),
+	}
+	for _, d := range []*Dictionary{NewDictionary(), newDictionary(0)} {
+		for round := 0; round < 2; round++ { // the second round re-encodes
+			for i, term := range terms {
+				if id := d.Encode(term); id != ID(i+1) {
+					t.Fatalf("round %d: Encode(%#v) = %d, want %d", round, term, id, i+1)
+				}
+			}
+		}
+		for i, term := range terms {
+			if got := d.Decode(ID(i + 1)); got != term {
+				t.Fatalf("Decode(%d) = %#v, want %#v", i+1, got, term)
+			}
+			if id, ok := d.Lookup(term); !ok || id != ID(i+1) {
+				t.Fatalf("Lookup(%#v) = %d, %v", term, id, ok)
+			}
+		}
+		if _, ok := d.Lookup(rdf.NewTypedLiteral("1", rdf.XSDDecimal)); ok {
+			t.Fatal("a literal with an unseen datatype was found")
+		}
+		if d.Len() != len(terms) {
+			t.Fatalf("Len = %d, want %d", d.Len(), len(terms))
+		}
+	}
+}
+
+// wrapped reports whether some slot holds an entry whose probe chain
+// started at a higher index and wrapped past the end of the table.
+func (d *Dictionary) wrapped() bool {
+	mask := uint32(len(d.slots) - 1)
+	for i, s := range d.slots {
+		if s != 0 && uint32(s>>32)&mask > uint32(i) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestDictionaryGrowthAndProbeChains interns terms into a table that starts
+// at its smallest size until it has grown several times and holds a probe
+// chain that wraps around its end. Every term must still be found under its
+// id, and a term not interned must miss from every slot a chain can start
+// at.
+func TestDictionaryGrowthAndProbeChains(t *testing.T) {
+	d := newDictionary(0)
+	initial := len(d.slots)
+	var terms []rdf.Term
+	for i := 0; len(d.slots) < 16*initial || !d.wrapped(); i++ {
+		if i == 1<<16 {
+			t.Fatalf("no wrapped probe chain in %d slots after %d terms", len(d.slots), i)
+		}
+		term := rdf.NewIRI(fmt.Sprintf("http://ex/t%d", i))
+		if i%3 == 1 {
+			term = rdf.NewTypedLiteral(fmt.Sprint(i), rdf.XSDInteger)
+		}
+		terms = append(terms, term)
+		if id := d.Encode(term); id != ID(len(terms)) {
+			t.Fatalf("Encode(%v) = %d, want %d", term, id, len(terms))
+		}
+	}
+	used := 0
+	for _, s := range d.slots {
+		if s != 0 {
+			used++
+		}
+	}
+	if used != len(terms) || 4*used > 3*len(d.slots) {
+		t.Fatalf("%d slots used of %d for %d terms", used, len(d.slots), len(terms))
+	}
+	for i, term := range terms {
+		if id, ok := d.Lookup(term); !ok || id != ID(i+1) || d.Decode(id) != term {
+			t.Fatalf("term %d (%v): Lookup = %d, %v", i+1, term, id, ok)
+		}
+	}
+	mask := uint32(len(d.slots) - 1)
+	missed := make([]bool, len(d.slots))
+	for i, left := 0, len(missed); left > 0; i++ {
+		if i == 1<<22 {
+			t.Fatalf("%d of %d probe-chain starts never drawn", left, len(missed))
+		}
+		miss := rdf.NewIRI(fmt.Sprintf("http://ex/missing%d", i))
+		if home := d.hash(miss) & mask; !missed[home] {
+			if id, ok := d.Lookup(miss); ok {
+				t.Fatalf("Lookup of a term never interned returned id %d", id)
+			}
+			missed[home] = true
+			left--
+		}
+	}
+}
+
+// TestDictionaryHotPathsAllocationFree pins the dictionary's read paths and
+// the re-encoding of a known term to zero allocations.
+func TestDictionaryHotPathsAllocationFree(t *testing.T) {
+	d := NewDictionary()
+	a, lit, absent := iri("a"), rdf.NewLangLiteral("chat", "fr"), iri("absent")
+	aID, litID := d.Encode(a), d.Encode(lit)
+	var sink rdf.Term
+	for name, f := range map[string]func(){
+		"Decode": func() { sink = d.Decode(aID); sink = d.Decode(litID) },
+		"Lookup": func() { d.Lookup(a); d.Lookup(lit); d.Lookup(absent) },
+		"Encode": func() { d.Encode(a); d.Encode(lit) },
+	} {
+		if n := testing.AllocsPerRun(100, f); n != 0 {
+			t.Errorf("%s: %v allocations per run, want 0", name, n)
+		}
+	}
+	_ = sink
+}

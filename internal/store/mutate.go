@@ -102,35 +102,6 @@ func (s *Store) ApplyBatch(ops []UpdateOp) (ApplyResult, error) {
 	return res, nil
 }
 
-// DeleteTriples removes the given dictionary-encoded triples from the named
-// graph under one write-lock hold, reporting how many were present (and are
-// now tombstoned). The version advances once per removed triple at the end,
-// like ApplyBatch. Used by the update evaluator's DELETE WHERE path, whose
-// bindings are already in id space.
-func (s *Store) DeleteTriples(graphURI string, triples []IDTriple) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	g := s.graphs[graphURI]
-	if g == nil {
-		return 0
-	}
-	n := 0
-	for _, t := range triples {
-		if g.delete(t) {
-			n++
-		}
-	}
-	if n > 0 {
-		s.total -= n
-		if g.needsCompaction() {
-			g.compact()
-		}
-		s.version.Add(uint64(n))
-		s.maybeBumpEpochLocked(false)
-	}
-	return n
-}
-
 // Compaction merges a graph's pending inserts and tombstones into fresh
 // base arrays (Graph.build). Iteration order is a function of content, and
 // the content does not change, so compaction never moves the store version

@@ -299,16 +299,18 @@ func TestDeleteTriples(t *testing.T) {
 	s := New()
 	mustAdd(t, s, g1, mtr("a", "p", "b"))
 	mustAdd(t, s, g1, mtr("c", "p", "d"))
-	g := s.Graph(g1)
-	id := g.Triples()[0]
 	v0 := s.Version()
-	if n := s.DeleteTriples(g1, []IDTriple{id, {999, 999, 999}}); n != 1 {
-		t.Fatalf("DeleteTriples = %d, want 1", n)
+	// A present triple, one of terms never interned, and one of known terms
+	// in a graph that does not exist: only the first changes anything.
+	res, err := s.ApplyBatch([]UpdateOp{
+		{Graph: g1, Triple: mtr("a", "p", "b")},
+		{Graph: g1, Triple: mtr("x", "y", "z")},
+		{Graph: "http://absent/", Triple: mtr("c", "p", "d")},
+	})
+	if err != nil || res.Deleted != 1 {
+		t.Fatalf("ApplyBatch = %+v, %v, want 1 deleted", res, err)
 	}
 	if s.Len() != 1 || s.Version() != v0+1 {
 		t.Fatalf("len=%d version delta=%d, want 1 and 1", s.Len(), s.Version()-v0)
-	}
-	if n := s.DeleteTriples("http://absent/", []IDTriple{id}); n != 0 {
-		t.Fatalf("DeleteTriples on absent graph = %d, want 0", n)
 	}
 }

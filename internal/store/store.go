@@ -15,105 +15,11 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"rdfframes/internal/rdf"
 )
-
-// ID is a dictionary-encoded term identifier. 0 is never assigned.
-type ID uint32
-
-// MaxTerms is the maximum number of terms a Dictionary can intern: ids are
-// uint32 and id 0 is reserved as the unbound sentinel.
-const MaxTerms = 1<<32 - 1
-
-// Dictionary interns terms to dense ids and back.
-type Dictionary struct {
-	byTerm map[rdf.Term]ID
-	byID   []rdf.Term // byID[0] is a placeholder; ids start at 1
-	limit  uint64     // id-space cap; 0 means MaxTerms (lowered only in tests)
-}
-
-// NewDictionary returns an empty dictionary.
-func NewDictionary() *Dictionary {
-	return &Dictionary{
-		byTerm: make(map[rdf.Term]ID, 1024),
-		byID:   make([]rdf.Term, 1, 1024),
-	}
-}
-
-// NewDictionaryFromTerms rebuilds a dictionary whose ids are 1..len(terms)
-// in slice order, as recorded by a snapshot. It rejects unbound terms,
-// duplicates, and term counts that exceed the uint32 id space, all of which
-// indicate a corrupted term table.
-func NewDictionaryFromTerms(terms []rdf.Term) (*Dictionary, error) {
-	if uint64(len(terms)) > MaxTerms {
-		return nil, fmt.Errorf("store: term table holds %d terms, exceeding the %d id space", len(terms), uint64(MaxTerms))
-	}
-	d := &Dictionary{
-		byTerm: make(map[rdf.Term]ID, len(terms)),
-		byID:   make([]rdf.Term, 1, len(terms)+1),
-	}
-	for _, t := range terms {
-		if !t.IsBound() {
-			return nil, fmt.Errorf("store: unbound term at id %d in term table", len(d.byID))
-		}
-		if _, dup := d.byTerm[t]; dup {
-			return nil, fmt.Errorf("store: duplicate term %s in term table", t)
-		}
-		id := ID(len(d.byID))
-		d.byTerm[t] = id
-		d.byID = append(d.byID, t)
-	}
-	return d, nil
-}
-
-func (d *Dictionary) maxTerms() uint64 {
-	if d.limit != 0 {
-		return d.limit
-	}
-	return MaxTerms
-}
-
-// Encode interns t, returning its id (allocating one if new). It panics if
-// the dictionary is full: the id space is uint32, and wrapping past it would
-// silently alias distinct terms.
-func (d *Dictionary) Encode(t rdf.Term) ID {
-	if id, ok := d.byTerm[t]; ok {
-		return id
-	}
-	if uint64(len(d.byID)) > d.maxTerms() {
-		panic(fmt.Sprintf("store: dictionary overflow: cannot intern more than %d terms into the uint32 id space", d.maxTerms()))
-	}
-	id := ID(len(d.byID))
-	d.byTerm[t] = id
-	d.byID = append(d.byID, t)
-	return id
-}
-
-// Terms returns the interned terms in id order (id 1 first). The returned
-// slice aliases the dictionary's internal table and must not be modified.
-func (d *Dictionary) Terms() []rdf.Term { return d.byID[1:] }
-
-// Lookup returns the id of t if it is already interned.
-func (d *Dictionary) Lookup(t rdf.Term) (ID, bool) {
-	id, ok := d.byTerm[t]
-	return id, ok
-}
-
-// Decode returns the term for id. It panics on an id the dictionary never
-// issued, which would indicate store corruption.
-func (d *Dictionary) Decode(id ID) rdf.Term {
-	if id == 0 || int(id) >= len(d.byID) {
-		panic(fmt.Sprintf("store: decode of unknown id %d", id))
-	}
-	return d.byID[id]
-}
-
-// Len returns the number of interned terms.
-func (d *Dictionary) Len() int { return len(d.byID) - 1 }
 
 // Store holds a dictionary and a set of named graphs.
 type Store struct {
@@ -372,19 +278,10 @@ func (s *Store) Len() int {
 	return n
 }
 
-// Match streams every triple in the named graph matching the pattern, where
-// a zero (unbound) ID matches anything. The callback returns false to stop.
-// Graphs absent from the store match nothing.
-func (s *Store) Match(graphURI string, pat IDTriple, yield func(IDTriple) bool) {
-	g := s.graphs[graphURI]
-	if g == nil {
-		return
-	}
-	g.Match(pat, yield)
-}
-
-// MatchAny streams matches from each of the given graphs in order. An empty
-// graph list matches across all graphs in the store.
+// MatchAny streams every triple matching the pattern, where a zero
+// (unbound) ID matches anything, from each of the given graphs in order.
+// Graphs absent from the store match nothing; an empty graph list matches
+// across all graphs in the store. The callback returns false to stop.
 func (s *Store) MatchAny(graphURIs []string, pat IDTriple, yield func(IDTriple) bool) {
 	for _, g := range s.graphList(graphURIs) {
 		if x, sp := g.access(pat); !x.scan(sp, yield) {
@@ -401,65 +298,4 @@ func (s *Store) Cardinality(graphURIs []string, pat IDTriple) int {
 		n += g.Cardinality(pat)
 	}
 	return n
-}
-
-// ClassCount is an entry in a class distribution: an entity class and the
-// number of instances typed with it.
-type ClassCount struct {
-	Class rdf.Term
-	Count int
-}
-
-// Classes returns the rdf:type class distribution of the named graph sorted
-// by descending count, supporting the paper's exploration operators.
-func (s *Store) Classes(graphURI string) []ClassCount {
-	g := s.graphs[graphURI]
-	if g == nil {
-		return nil
-	}
-	typeID, ok := s.dict.Lookup(rdf.NewIRI(rdf.RDFType))
-	if !ok {
-		return nil
-	}
-	var out []ClassCount
-	for _, o := range g.ObjectsOfPred(typeID) {
-		out = append(out, ClassCount{Class: s.dict.Decode(o), Count: g.Cardinality(IDTriple{P: typeID, O: o})})
-	}
-	sortClassCounts(out)
-	return out
-}
-
-// PredicateCount is an entry in a predicate distribution.
-type PredicateCount struct {
-	Predicate rdf.Term
-	Count     int
-}
-
-// Predicates returns the predicate usage distribution of the named graph
-// sorted by descending count.
-func (s *Store) Predicates(graphURI string) []PredicateCount {
-	g := s.graphs[graphURI]
-	if g == nil {
-		return nil
-	}
-	var out []PredicateCount
-	for _, p := range g.preds {
-		out = append(out, PredicateCount{Predicate: s.dict.Decode(p), Count: g.Cardinality(IDTriple{P: p})})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Predicate.Value < out[j].Predicate.Value
-	})
-	return out
-}
-
-func sortClassCounts(cc []ClassCount) {
-	sort.Slice(cc, func(i, j int) bool {
-		if cc[i].Count != cc[j].Count {
-			return cc[i].Count > cc[j].Count
-		}
-		return cc[i].Class.Value < cc[j].Class.Value
-	})
 }

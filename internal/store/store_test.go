@@ -109,7 +109,7 @@ func matchSet(s *Store, graph string, pat [3]rdf.Term) []string {
 		return nil
 	}
 	var out []string
-	s.Match(graph, idPat, func(it IDTriple) bool {
+	s.MatchAny([]string{graph}, idPat, func(it IDTriple) bool {
 		tr := rdf.Triple{S: s.Dict().Decode(it.S), P: s.Dict().Decode(it.P), O: s.Dict().Decode(it.O)}
 		out = append(out, tr.String())
 		return true
@@ -176,7 +176,7 @@ func TestMatchEarlyStop(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	s, _ := buildRandom(t, r, 200)
 	n := 0
-	s.Match(g1, IDTriple{}, func(IDTriple) bool {
+	s.MatchAny([]string{g1}, IDTriple{}, func(IDTriple) bool {
 		n++
 		return n < 5
 	})
@@ -187,7 +187,7 @@ func TestMatchEarlyStop(t *testing.T) {
 
 func TestMatchMissingGraph(t *testing.T) {
 	s := New()
-	s.Match("http://nope", IDTriple{}, func(IDTriple) bool {
+	s.MatchAny([]string{"http://nope"}, IDTriple{}, func(IDTriple) bool {
 		t.Fatal("match on missing graph yielded")
 		return false
 	})
@@ -223,33 +223,6 @@ func TestLoadNTriples(t *testing.T) {
 	}
 	if _, err := s.LoadNTriples(g1, strings.NewReader("garbage\n")); err == nil {
 		t.Fatal("bad document accepted")
-	}
-}
-
-func TestClassesDistribution(t *testing.T) {
-	s := New()
-	typ := rdf.NewIRI(rdf.RDFType)
-	for i := 0; i < 3; i++ {
-		mustAdd(t, s, g1, rdf.Triple{S: iri("m" + string(rune('0'+i))), P: typ, O: iri("Movie")})
-	}
-	mustAdd(t, s, g1, rdf.Triple{S: iri("a0"), P: typ, O: iri("Actor")})
-	got := s.Classes(g1)
-	if len(got) != 2 || got[0].Class != iri("Movie") || got[0].Count != 3 || got[1].Count != 1 {
-		t.Fatalf("Classes = %+v", got)
-	}
-	if s.Classes("http://nope") != nil {
-		t.Fatal("Classes of missing graph should be nil")
-	}
-}
-
-func TestPredicatesDistribution(t *testing.T) {
-	s := New()
-	mustAdd(t, s, g1, rdf.Triple{S: iri("a"), P: iri("p1"), O: iri("x")})
-	mustAdd(t, s, g1, rdf.Triple{S: iri("b"), P: iri("p1"), O: iri("y")})
-	mustAdd(t, s, g1, rdf.Triple{S: iri("a"), P: iri("p2"), O: iri("z")})
-	got := s.Predicates(g1)
-	if len(got) != 2 || got[0].Predicate != iri("p1") || got[0].Count != 2 {
-		t.Fatalf("Predicates = %+v", got)
 	}
 }
 
