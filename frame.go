@@ -286,8 +286,11 @@ func (f *RDFFrame) Slice(k, offset int) *RDFFrame {
 	return f.with(core.HeadOp{K: k, Offset: offset})
 }
 
-// Cache marks the frame as a shared branching point. Frames are persistent,
-// so this is free; the method exists for parity with the paper's API.
+// Cache marks the frame as a shared branching point, as the paper's cache()
+// does. It is a no-op hint: frames are persistent, so branching is free, and
+// when several branches of one query repeat the frame's operators the engine
+// evaluates each structurally equal subplan once per query without being
+// told (EXPLAIN reports the reuses).
 func (f *RDFFrame) Cache() *RDFFrame { return f }
 
 // ToSPARQL compiles the recorded operators into a single optimized SPARQL
@@ -323,11 +326,11 @@ func (f *RDFFrame) Execute(c Client) (*DataFrame, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := c.Select(query)
+	df, err := c.Frame(query)
 	if err != nil {
 		return nil, fmt.Errorf("rdfframes: executing query: %w", err)
 	}
-	return ResultsToDataFrame(res), nil
+	return df, nil
 }
 
 // ExportCSV compiles the frame and streams its full result into w as CSV

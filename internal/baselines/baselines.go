@@ -389,11 +389,7 @@ func (e *EngineNav) ResolveNav(prefixes *rdf.PrefixMap, ops []core.Op) (*datafra
 	if err != nil {
 		return nil, err
 	}
-	res, err := e.Client.Select(query)
-	if err != nil {
-		return nil, err
-	}
-	return dataframe.FromRows(res.Vars, res.Rows), nil
+	return e.Client.Frame(query)
 }
 
 // ScanNav answers each pattern by a linear scan over an in-memory triple

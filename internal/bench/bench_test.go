@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"rdfframes"
 	"rdfframes/internal/sparql"
 )
 
@@ -160,6 +161,28 @@ func BenchmarkEvaluate(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := env.Engine.Do(context.Background(), sparql.Request{Query: query}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkExecute is one frame call per task through the in-process client
+// at bench scale — compile, evaluate, and the DataFrame the user gets — which
+// is where PERFORMANCE.md's per-task Execute bytes come from.
+func BenchmarkExecute(b *testing.B) {
+	env, err := NewEnv(ScaleBench)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer env.Close()
+	c := rdfframes.ConnectStore(env.Store)
+	for _, task := range append(CaseStudies(), Synthetic()...) {
+		b.Run(task.ID, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := task.Frame(env).Execute(c); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -206,17 +206,9 @@ func (t *Task) Run(env *Env, a Approach) (*dataframe.DataFrame, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := env.Client.Select(query)
-		if err != nil {
-			return nil, err
-		}
-		return rdfframes.ResultsToDataFrame(res), nil
+		return env.Client.Frame(query)
 	case Expert:
-		res, err := env.Client.Select(t.Expert(env))
-		if err != nil {
-			return nil, err
-		}
-		return rdfframes.ResultsToDataFrame(res), nil
+		return env.Client.Frame(t.Expert(env))
 	case NavPandas:
 		return baselines.RunUntil(chainOf(frame), &baselines.EngineNav{Client: env.Client, Batch: true}, env.deadline)
 	case SPARQLPandas:

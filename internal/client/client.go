@@ -4,10 +4,11 @@
 // embedding the engine directly.
 //
 // Both clients expose the same read surface — Select for paginated tabular
-// results, Export for streaming a result as CSV with bounded memory, and
-// Features for store-side topology feature matrices — so code written
-// against one runs against the other. The HTTP client additionally offers
-// Update, retry-safe through per-call idempotency tokens.
+// results, Frame for the same results as a dataframe, Export for streaming a
+// result as CSV with bounded memory, and Features for store-side topology
+// feature matrices — so code written against one runs against the other.
+// The HTTP client additionally offers Update, retry-safe through per-call
+// idempotency tokens.
 package client
 
 import (
@@ -22,13 +23,16 @@ import (
 	"sync"
 	"time"
 
+	"rdfframes/internal/dataframe"
 	"rdfframes/internal/obs"
 	"rdfframes/internal/sparql"
 )
 
-// Client executes SPARQL SELECT queries and returns complete results.
+// Client executes SPARQL SELECT queries and returns complete results, as
+// decoded solutions (Select) or as a dataframe (Frame).
 type Client interface {
 	Select(query string) (*sparql.Results, error)
+	Frame(query string) (*dataframe.DataFrame, error)
 }
 
 // HTTPClient talks to a SPARQL endpoint over HTTP. It retrieves results in
@@ -194,6 +198,15 @@ func (c *HTTPClient) Select(query string) (*sparql.Results, error) {
 		return c.paginateFrom(query, res, len(res.Rows), len(res.Rows))
 	}
 	return c.paginateFrom(query, nil, c.PageSize, 0)
+}
+
+// Frame is Select returned as a dataframe.
+func (c *HTTPClient) Frame(query string) (*dataframe.DataFrame, error) {
+	res, err := c.Select(query)
+	if err != nil {
+		return nil, err
+	}
+	return dataframe.FromRows(res.Vars, res.Rows), nil
 }
 
 // paginateFrom retrieves the remainder of query's results in pages of
@@ -406,4 +419,16 @@ func (d *Direct) Select(query string) (*sparql.Results, error) {
 		return nil, err
 	}
 	return resp.Results, nil
+}
+
+// Frame evaluates the query on the engine and hands the frame its compact
+// result as is: the cells and term table the evaluation produced, with no
+// decoded copy in between.
+func (d *Direct) Frame(query string) (*dataframe.DataFrame, error) {
+	resp, err := d.Engine.Stream(context.Background(), sparql.Request{Query: query})
+	if err != nil {
+		return nil, err
+	}
+	vars, terms, cells := resp.Table()
+	return dataframe.FromTable(vars, terms, cells, resp.Rows), nil
 }

@@ -18,9 +18,9 @@ func (df *DataFrame) WriteCSV(w io.Writer, full bool) error {
 		return err
 	}
 	record := make([]string, len(df.cols))
-	for _, row := range df.rows {
-		for j, t := range row {
-			switch {
+	for i := 0; i < df.n; i++ {
+		for j, c := range df.row(i) {
+			switch t := df.terms[c]; {
 			case !t.IsBound():
 				record[j] = ""
 			case full:

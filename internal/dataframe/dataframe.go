@@ -1,12 +1,25 @@
-// Package dataframe implements a small columnar table with the relational
-// operations the paper's baselines perform in pandas: filtering, grouping
-// with aggregation, joins of all four types, sorting, projection, and
-// multiset comparison. Cells are RDF terms; the zero Term is a null.
+// Package dataframe implements a small table with the relational operations
+// the paper's baselines perform in pandas: filtering, grouping with
+// aggregation, sorting, projection, concatenation, and multiset comparison.
+//
+// A frame is dictionary-encoded, in the layout of the engine's compact
+// result: a table of RDF terms whose entry 0 is the unbound term (the null),
+// row-major uint32 cells indexing that table, and an explicit row count (a
+// frame without columns still has rows). An in-process query therefore hands
+// its answer to a frame without copying it (FromTable). The table may hold a
+// term more than once — FromRows, Append and Concat add an entry per bound
+// cell, and a query's computed values need not be distinct — so equal cells
+// imply equal terms but not the reverse, and every comparison reads terms.
+//
+// Frames share their term table and, where they can, their cells with the
+// frame or result they derive from. Every shared slice is capacity-capped
+// (s[:len:len]), so Append and Concat copy before they write and never touch
+// memory that another frame or a cached query result reads.
 package dataframe
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"rdfframes/internal/rdf"
@@ -16,52 +29,84 @@ import (
 type DataFrame struct {
 	cols  []string
 	index map[string]int
-	rows  [][]rdf.Term
+	terms []rdf.Term // terms[0] is the unbound term
+	cells []uint32   // n rows of len(cols) indexes into terms
+	n     int
 }
+
+// nullTable is the term table of a frame with no bound cell.
+var nullTable = []rdf.Term{{}}
 
 // New returns an empty dataframe with the given columns.
 func New(cols ...string) *DataFrame {
-	df := &DataFrame{cols: append([]string(nil), cols...), index: make(map[string]int, len(cols))}
-	for i, c := range cols {
-		if _, dup := df.index[c]; dup {
-			panic(fmt.Sprintf("dataframe: duplicate column %q", c))
-		}
-		df.index[c] = i
-	}
-	return df
+	return newFrame(slices.Clone(cols), nullTable, nil, 0)
 }
 
-// fromRowsBlock is how many rows FromRows allocates at a time.
-const fromRowsBlock = 1024
-
-// FromRows builds a dataframe from columns and rows, copying the cells into
-// blocks of fromRowsBlock rows that the frame's rows are sliced out of (a
-// few allocations per frame rather than one per row, and none as large as
-// the frame); like Append, rows shorter than the column list are padded
-// with nulls and longer ones truncated.
-func FromRows(cols []string, rows [][]rdf.Term) *DataFrame {
-	df := New(cols...)
-	w := len(df.cols)
-	df.rows = make([][]rdf.Term, len(rows))
-	var block []rdf.Term
-	for i, r := range rows {
-		if len(block) < w {
-			block = make([]rdf.Term, w*min(fromRowsBlock, len(rows)-i))
+// newFrame adopts its arguments, capping the shared slices.
+func newFrame(cols []string, terms []rdf.Term, cells []uint32, n int) *DataFrame {
+	index := make(map[string]int, len(cols))
+	for i, c := range cols {
+		if _, dup := index[c]; dup {
+			panic(fmt.Sprintf("dataframe: duplicate column %q", c))
 		}
-		df.rows[i] = block[:w:w]
-		block = block[w:]
-		copy(df.rows[i], r)
+		index[c] = i
 	}
-	return df
+	return &DataFrame{cols: slices.Clip(cols), index: index, terms: slices.Clip(terms), cells: slices.Clip(cells), n: n}
+}
+
+// over returns a frame with df's columns over the given table, capping the
+// shared slices.
+func (df *DataFrame) over(terms []rdf.Term, cells []uint32, n int) *DataFrame {
+	return &DataFrame{cols: df.cols, index: df.index, terms: slices.Clip(terms), cells: slices.Clip(cells), n: n}
+}
+
+// FromTable adopts a dictionary-encoded table without copying it: rows rows
+// of len(cols) cells indexing terms, whose entry 0 must be the unbound term.
+// The frame only reads the slices, so they may be shared with a cached
+// result, but nothing may change them afterwards.
+func FromTable(cols []string, terms []rdf.Term, cells []uint32, rows int) *DataFrame {
+	if len(terms) == 0 || terms[0].IsBound() || len(cells) != rows*len(cols) {
+		panic(fmt.Sprintf("dataframe: %d cells, %d terms is not a table of %d rows by %d columns",
+			len(cells), len(terms), rows, len(cols)))
+	}
+	return newFrame(cols, terms, cells, rows)
+}
+
+// FromRows builds a dataframe from columns and rows of terms, copying them
+// into an exact-size table with one entry per bound cell: a first pass
+// numbers the bound cells, which sizes the table, and a second copies their
+// terms. Like Append, rows shorter than the column list are padded with
+// nulls and longer ones truncated.
+func FromRows(cols []string, rows [][]rdf.Term) *DataFrame {
+	w := len(cols)
+	cells := make([]uint32, len(rows)*w)
+	next := uint32(1)
+	for i, r := range rows {
+		for j := range min(len(r), w) {
+			if r[j].IsBound() {
+				cells[i*w+j] = next
+				next++
+			}
+		}
+	}
+	terms := make([]rdf.Term, next)
+	for i, r := range rows {
+		for j, c := range cells[i*w : i*w+min(len(r), w)] {
+			if c != 0 {
+				terms[c] = r[j]
+			}
+		}
+	}
+	return newFrame(slices.Clone(cols), terms, cells, len(rows))
 }
 
 // Columns returns the column names in order.
 func (df *DataFrame) Columns() []string {
-	return append([]string(nil), df.cols...)
+	return slices.Clone(df.cols)
 }
 
 // Len returns the number of rows.
-func (df *DataFrame) Len() int { return len(df.rows) }
+func (df *DataFrame) Len() int { return df.n }
 
 // HasColumn reports whether the dataframe has the named column.
 func (df *DataFrame) HasColumn(name string) bool {
@@ -71,9 +116,21 @@ func (df *DataFrame) HasColumn(name string) bool {
 
 // Append adds a row (copied; padded or truncated to the column count).
 func (df *DataFrame) Append(row []rdf.Term) {
-	r := make([]rdf.Term, len(df.cols))
-	copy(r, row)
-	df.rows = append(df.rows, r)
+	for j := range df.cols {
+		var c uint32
+		if j < len(row) && row[j].IsBound() {
+			c = uint32(len(df.terms))
+			df.terms = append(df.terms, row[j])
+		}
+		df.cells = append(df.cells, c)
+	}
+	df.n++
+}
+
+// row returns the cells of row i.
+func (df *DataFrame) row(i int) []uint32 {
+	w := len(df.cols)
+	return df.cells[i*w : (i+1)*w]
 }
 
 // Cell returns the value at row i, column name.
@@ -82,11 +139,8 @@ func (df *DataFrame) Cell(i int, name string) rdf.Term {
 	if !ok {
 		return rdf.Term{}
 	}
-	return df.rows[i][j]
+	return df.terms[df.row(i)[j]]
 }
-
-// Row returns the i-th row (not a copy).
-func (df *DataFrame) Row(i int) []rdf.Term { return df.rows[i] }
 
 // Column returns all values of a column.
 func (df *DataFrame) Column(name string) []rdf.Term {
@@ -94,30 +148,42 @@ func (df *DataFrame) Column(name string) []rdf.Term {
 	if !ok {
 		return nil
 	}
-	out := make([]rdf.Term, len(df.rows))
-	for i, r := range df.rows {
-		out[i] = r[j]
+	out := make([]rdf.Term, df.n)
+	for i := range out {
+		out[i] = df.terms[df.row(i)[j]]
 	}
 	return out
 }
 
-// Filter returns the rows for which keep returns true.
+// pick returns the frame of df's rows at the given positions, in that order.
+func (df *DataFrame) pick(rows []int) *DataFrame {
+	cells := make([]uint32, 0, len(rows)*len(df.cols))
+	for _, i := range rows {
+		cells = append(cells, df.row(i)...)
+	}
+	return df.over(df.terms, cells, len(rows))
+}
+
+// Filter returns the rows for which keep returns true. keep sees each row
+// decoded into one scratch slice, valid only for the call.
 func (df *DataFrame) Filter(keep func(row []rdf.Term, get func(col string) rdf.Term) bool) *DataFrame {
-	out := New(df.cols...)
-	for _, r := range df.rows {
-		r := r
-		get := func(col string) rdf.Term {
-			j, ok := df.index[col]
-			if !ok {
-				return rdf.Term{}
-			}
-			return r[j]
+	row := make([]rdf.Term, len(df.cols))
+	get := func(col string) rdf.Term {
+		if j, ok := df.index[col]; ok {
+			return row[j]
 		}
-		if keep(r, get) {
-			out.rows = append(out.rows, r)
+		return rdf.Term{}
+	}
+	var kept []int
+	for i := 0; i < df.n; i++ {
+		for j, c := range df.row(i) {
+			row[j] = df.terms[c]
+		}
+		if keep(row, get) {
+			kept = append(kept, i)
 		}
 	}
-	return out
+	return df.pick(kept)
 }
 
 // Select projects the dataframe onto the given columns.
@@ -130,15 +196,14 @@ func (df *DataFrame) Select(cols ...string) (*DataFrame, error) {
 		}
 		idx[i] = j
 	}
-	out := New(cols...)
-	for _, r := range df.rows {
-		nr := make([]rdf.Term, len(cols))
-		for i, j := range idx {
-			nr[i] = r[j]
+	cells := make([]uint32, 0, df.n*len(cols))
+	for i := 0; i < df.n; i++ {
+		r := df.row(i)
+		for _, j := range idx {
+			cells = append(cells, r[j])
 		}
-		out.rows = append(out.rows, nr)
 	}
-	return out, nil
+	return newFrame(slices.Clone(cols), df.terms, cells, df.n), nil
 }
 
 // Rename returns a dataframe with column old renamed to new.
@@ -149,35 +214,28 @@ func (df *DataFrame) Rename(old, new string) (*DataFrame, error) {
 	}
 	cols := df.Columns()
 	cols[j] = new
-	out := New(cols...)
-	out.rows = df.rows
-	return out, nil
+	return newFrame(cols, df.terms, df.cells, df.n), nil
 }
 
 // Distinct removes duplicate rows, keeping first occurrences.
 func (df *DataFrame) Distinct() *DataFrame {
-	out := New(df.cols...)
 	seen := map[string]bool{}
-	for _, r := range df.rows {
-		k := rowKey(r)
-		if !seen[k] {
+	var kept []int
+	for i := 0; i < df.n; i++ {
+		if k := df.key(i, df.cols); !seen[k] {
 			seen[k] = true
-			out.rows = append(out.rows, r)
+			kept = append(kept, i)
 		}
 	}
-	return out
+	return df.pick(kept)
 }
 
 // Head returns up to k rows starting at offset i.
 func (df *DataFrame) Head(k, i int) *DataFrame {
-	out := New(df.cols...)
-	if i < 0 {
-		i = 0
-	}
-	for ; i < len(df.rows) && out.Len() < k; i++ {
-		out.rows = append(out.rows, df.rows[i])
-	}
-	return out
+	i = min(max(i, 0), df.n)
+	end := i + min(max(k, 0), df.n-i)
+	w := len(df.cols)
+	return df.over(df.terms, df.cells[i*w:end*w], end-i)
 }
 
 // SortKey names a column and direction for Sort.
@@ -196,22 +254,23 @@ func (df *DataFrame) Sort(keys ...SortKey) (*DataFrame, error) {
 		}
 		idx[i] = j
 	}
-	out := New(df.cols...)
-	out.rows = append([][]rdf.Term(nil), df.rows...)
-	sort.SliceStable(out.rows, func(a, b int) bool {
+	perm := make([]int, df.n)
+	for i := range perm {
+		perm[i] = i
+	}
+	slices.SortStableFunc(perm, func(a, b int) int {
 		for i, k := range keys {
-			c := rdf.Compare(out.rows[a][idx[i]], out.rows[b][idx[i]])
-			if c == 0 {
-				continue
-			}
+			c := rdf.Compare(df.terms[df.row(a)[idx[i]]], df.terms[df.row(b)[idx[i]]])
 			if k.Desc {
-				return c > 0
+				c = -c
 			}
-			return c < 0
+			if c != 0 {
+				return c
+			}
 		}
-		return false
+		return 0
 	})
-	return out, nil
+	return df.pick(perm), nil
 }
 
 // Concat appends other's rows to df's. The frames must have the same
@@ -228,29 +287,28 @@ func (df *DataFrame) Concat(other *DataFrame) (*DataFrame, error) {
 		}
 		idx[i] = j
 	}
-	out := New(df.cols...)
-	out.rows = append(out.rows, df.rows...)
-	for _, r := range other.rows {
-		nr := make([]rdf.Term, len(df.cols))
-		for i, j := range idx {
-			nr[i] = r[j]
+	// other's terms follow df's, so its bound cells move up by the offset.
+	off := uint32(len(df.terms) - 1)
+	cells := append(make([]uint32, 0, (df.n+other.n)*len(idx)), df.cells...)
+	for i := 0; i < other.n; i++ {
+		r := other.row(i)
+		for _, j := range idx {
+			c := r[j]
+			if c != 0 {
+				c += off
+			}
+			cells = append(cells, c)
 		}
-		out.rows = append(out.rows, nr)
 	}
-	return out, nil
+	return df.over(slices.Concat(df.terms, other.terms[1:]), cells, df.n+other.n), nil
 }
 
-// DropNull removes rows with a null in the named column.
-func (df *DataFrame) DropNull(col string) *DataFrame {
-	return df.Filter(func(_ []rdf.Term, get func(string) rdf.Term) bool {
-		return get(col).IsBound()
-	})
-}
-
-func rowKey(r []rdf.Term) string {
+// key renders row i's values in the named columns as one string, so that
+// rows are equal on those columns exactly when their keys are.
+func (df *DataFrame) key(i int, cols []string) string {
 	var sb strings.Builder
-	for _, t := range r {
-		sb.WriteString(t.String())
+	for _, c := range cols {
+		sb.WriteString(df.Cell(i, c).String())
 		sb.WriteByte('\x00')
 	}
 	return sb.String()
@@ -262,14 +320,14 @@ func (df *DataFrame) String() string {
 	var sb strings.Builder
 	sb.WriteString(strings.Join(df.cols, " | "))
 	sb.WriteByte('\n')
-	for i, r := range df.rows {
+	parts := make([]string, len(df.cols))
+	for i := 0; i < df.n; i++ {
 		if i == 20 {
-			fmt.Fprintf(&sb, "... (%d rows total)\n", len(df.rows))
+			fmt.Fprintf(&sb, "... (%d rows total)\n", df.n)
 			break
 		}
-		parts := make([]string, len(r))
-		for j, t := range r {
-			parts[j] = t.String()
+		for j, c := range df.row(i) {
+			parts[j] = df.terms[c].String()
 		}
 		sb.WriteString(strings.Join(parts, " | "))
 		sb.WriteByte('\n')
@@ -283,29 +341,16 @@ func MultisetEqual(a, b *DataFrame) bool {
 	if a.Len() != b.Len() || len(a.cols) != len(b.cols) {
 		return false
 	}
-	order := append([]string(nil), a.cols...)
-	sort.Strings(order)
-	bo := append([]string(nil), b.cols...)
-	sort.Strings(bo)
-	for i := range order {
-		if order[i] != bo[i] {
-			return false
-		}
+	order := slices.Sorted(slices.Values(a.cols))
+	if !slices.Equal(order, slices.Sorted(slices.Values(b.cols))) {
+		return false
 	}
 	counts := map[string]int{}
-	key := func(df *DataFrame, i int) string {
-		var sb strings.Builder
-		for _, c := range order {
-			sb.WriteString(df.Cell(i, c).String())
-			sb.WriteByte('\x00')
-		}
-		return sb.String()
-	}
 	for i := 0; i < a.Len(); i++ {
-		counts[key(a, i)]++
+		counts[a.key(i, order)]++
 	}
 	for i := 0; i < b.Len(); i++ {
-		counts[key(b, i)]--
+		counts[b.key(i, order)]--
 	}
 	for _, n := range counts {
 		if n != 0 {

@@ -1,10 +1,9 @@
 package dataframe
 
 import (
-	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
-	"testing/quick"
 
 	"rdfframes/internal/rdf"
 )
@@ -49,6 +48,19 @@ func TestFilter(t *testing.T) {
 	})
 	if us.Len() != 3 {
 		t.Fatalf("len = %d, want 3", us.Len())
+	}
+}
+
+// TestDropNull drops the rows whose column is unbound, through Filter.
+func TestDropNull(t *testing.T) {
+	df := New("a", "b")
+	df.Append(row(lit("x"), lit("y")))
+	df.Append(row(lit("z"), null()))
+	bound := df.Filter(func(_ []rdf.Term, get func(string) rdf.Term) bool {
+		return get("b").IsBound()
+	})
+	if bound.Len() != 1 || bound.Cell(0, "a") != lit("x") {
+		t.Fatalf("rows with a bound b: %v", bound)
 	}
 }
 
@@ -118,15 +130,6 @@ func TestSort(t *testing.T) {
 	}
 	if _, err := df.Sort(SortKey{Col: "zzz"}); err == nil {
 		t.Fatal("unknown sort column accepted")
-	}
-}
-
-func TestDropNull(t *testing.T) {
-	df := New("a", "b")
-	df.Append(row(lit("x"), lit("y")))
-	df.Append(row(lit("z"), null()))
-	if got := df.DropNull("b").Len(); got != 1 {
-		t.Fatalf("dropnull = %d", got)
 	}
 }
 
@@ -223,100 +226,6 @@ func TestSumOverNonNumericFails(t *testing.T) {
 	}
 }
 
-func TestInnerJoin(t *testing.T) {
-	left := FromRows([]string{"actor", "movie"}, [][]rdf.Term{
-		row(iri("a1"), iri("m1")),
-		row(iri("a2"), iri("m2")),
-	})
-	right := FromRows([]string{"star", "award"}, [][]rdf.Term{
-		row(iri("a1"), iri("oscar")),
-		row(iri("a1"), iri("bafta")),
-		row(iri("a9"), iri("emmy")),
-	})
-	j, err := left.Join(right, "actor", "star", InnerJoin, "actor")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j.Len() != 2 {
-		t.Fatalf("inner join len = %d", j.Len())
-	}
-	if !reflect.DeepEqual(j.Columns(), []string{"actor", "movie", "award"}) {
-		t.Fatalf("cols = %v", j.Columns())
-	}
-}
-
-func TestLeftOuterJoin(t *testing.T) {
-	left := FromRows([]string{"a"}, [][]rdf.Term{row(iri("x")), row(iri("y"))})
-	right := FromRows([]string{"a2", "v"}, [][]rdf.Term{row(iri("x"), lit("1"))})
-	j, err := left.Join(right, "a", "a2", LeftOuterJoin, "a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j.Len() != 2 {
-		t.Fatalf("left join len = %d", j.Len())
-	}
-	found := false
-	for i := 0; i < j.Len(); i++ {
-		if j.Cell(i, "a") == iri("y") && !j.Cell(i, "v").IsBound() {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("unmatched left row missing or not null-padded")
-	}
-}
-
-func TestRightAndFullOuterJoin(t *testing.T) {
-	left := FromRows([]string{"a", "l"}, [][]rdf.Term{row(iri("x"), lit("L"))})
-	right := FromRows([]string{"a2", "r"}, [][]rdf.Term{row(iri("x"), lit("R")), row(iri("z"), lit("Z"))})
-	rj, err := left.Join(right, "a", "a2", RightOuterJoin, "a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rj.Len() != 2 {
-		t.Fatalf("right join len = %d", rj.Len())
-	}
-	fj, _ := left.Join(right, "a", "a2", FullOuterJoin, "a")
-	if fj.Len() != 2 { // x matches, z unmatched-right; no unmatched-left
-		t.Fatalf("full join len = %d", fj.Len())
-	}
-	left2 := FromRows([]string{"a", "l"}, [][]rdf.Term{row(iri("w"), lit("W"))})
-	fj2, _ := left2.Join(right, "a", "a2", FullOuterJoin, "a")
-	if fj2.Len() != 3 { // w unmatched-left, x and z unmatched-right
-		t.Fatalf("full join len = %d, want 3", fj2.Len())
-	}
-}
-
-func TestJoinNullKeysNeverMatch(t *testing.T) {
-	left := FromRows([]string{"a"}, [][]rdf.Term{row(null())})
-	right := FromRows([]string{"b"}, [][]rdf.Term{row(null())})
-	j, _ := left.Join(right, "a", "b", InnerJoin, "k")
-	if j.Len() != 0 {
-		t.Fatalf("null keys matched: %d rows", j.Len())
-	}
-}
-
-func TestJoinDuplicateColumnSuffix(t *testing.T) {
-	left := FromRows([]string{"k", "v"}, [][]rdf.Term{row(iri("x"), lit("lv"))})
-	right := FromRows([]string{"k2", "v"}, [][]rdf.Term{row(iri("x"), lit("rv"))})
-	j, err := left.Join(right, "k", "k2", InnerJoin, "k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(j.Columns(), []string{"k", "v", "v_2"}) {
-		t.Fatalf("cols = %v", j.Columns())
-	}
-}
-
-func TestJoinBagSemanticsMultiplies(t *testing.T) {
-	left := FromRows([]string{"k"}, [][]rdf.Term{row(iri("x")), row(iri("x"))})
-	right := FromRows([]string{"k2"}, [][]rdf.Term{row(iri("x")), row(iri("x")), row(iri("x"))})
-	j, _ := left.Join(right, "k", "k2", InnerJoin, "k")
-	if j.Len() != 6 {
-		t.Fatalf("bag join = %d rows, want 6", j.Len())
-	}
-}
-
 func TestMultisetEqual(t *testing.T) {
 	a := FromRows([]string{"x", "y"}, [][]rdf.Term{
 		row(lit("1"), lit("a")),
@@ -339,73 +248,6 @@ func TestMultisetEqual(t *testing.T) {
 	}
 }
 
-// Property: inner join row count equals the sum over keys of left-count *
-// right-count (with non-null keys).
-func TestJoinCountProperty(t *testing.T) {
-	f := func(leftKeys, rightKeys []uint8) bool {
-		left := New("k")
-		for _, k := range leftKeys {
-			left.Append(row(num(int64(k % 8))))
-		}
-		right := New("k2")
-		for _, k := range rightKeys {
-			right.Append(row(num(int64(k % 8))))
-		}
-		j, err := left.Join(right, "k", "k2", InnerJoin, "k")
-		if err != nil {
-			return false
-		}
-		lc := map[int64]int{}
-		for _, k := range leftKeys {
-			lc[int64(k%8)]++
-		}
-		rc := map[int64]int{}
-		for _, k := range rightKeys {
-			rc[int64(k%8)]++
-		}
-		want := 0
-		for k, n := range lc {
-			want += n * rc[k]
-		}
-		return j.Len() == want
-	}
-	cfg := &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(5))}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: full outer join contains every left and right row at least once.
-func TestFullOuterJoinCoverageProperty(t *testing.T) {
-	f := func(leftKeys, rightKeys []uint8) bool {
-		left := New("k")
-		for _, k := range leftKeys {
-			left.Append(row(num(int64(k % 5))))
-		}
-		right := New("k2")
-		for _, k := range rightKeys {
-			right.Append(row(num(int64(k % 5))))
-		}
-		j, err := left.Join(right, "k", "k2", FullOuterJoin, "k")
-		if err != nil {
-			return false
-		}
-		// Row count >= max(|L|, |R|) and >= inner count.
-		inner, _ := left.Join(right, "k", "k2", InnerJoin, "k")
-		if j.Len() < inner.Len() {
-			return false
-		}
-		if j.Len() < left.Len() && left.Len() > 0 && inner.Len() == 0 {
-			return false
-		}
-		return true
-	}
-	cfg := &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(6))}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestStringRendering(t *testing.T) {
 	df := sampleDF()
 	s := df.String()
@@ -414,12 +256,11 @@ func TestStringRendering(t *testing.T) {
 	}
 }
 
-// TestFromRowsBlockBacking pins FromRows to Append's semantics now that it
-// copies into shared row blocks: short rows padded, long rows truncated,
-// the input never aliased, Row still a live view, and neighbouring rows
-// out of reach of an append through that view.
-func TestFromRowsBlockBacking(t *testing.T) {
-	a, b, c := rdf.NewIRI("http://a"), rdf.NewIRI("http://b"), rdf.NewIRI("http://c")
+// TestFromRowsPadsTruncatesAndCopies pins FromRows to Append's semantics —
+// short rows padded, long rows truncated, the input never aliased — and to
+// an exact-size table: one entry per bound cell after the null.
+func TestFromRowsPadsTruncatesAndCopies(t *testing.T) {
+	a, b, c := iri("a"), iri("b"), iri("c")
 	in := [][]rdf.Term{{a, b}, {c}, {a, b, c}, nil}
 	df := FromRows([]string{"x", "y"}, in)
 	byAppend := New("x", "y")
@@ -429,33 +270,90 @@ func TestFromRowsBlockBacking(t *testing.T) {
 	if df.String() != byAppend.String() || df.Len() != 4 {
 		t.Fatalf("FromRows built\n%v\nAppend built\n%v", df, byAppend)
 	}
-	if got := df.Row(1); len(got) != 2 || got[0] != c || got[1].IsBound() {
-		t.Fatalf("short row not padded: %v", got)
+	if df.Cell(1, "x") != c || df.Cell(1, "y").IsBound() {
+		t.Fatalf("short row not padded: %v %v", df.Cell(1, "x"), df.Cell(1, "y"))
 	}
-	if got := df.Row(2); len(got) != 2 || got[1] != b {
-		t.Fatalf("long row not truncated: %v", got)
+	if df.Cell(2, "y") != b {
+		t.Fatalf("long row not truncated: %v", df.Cell(2, "y"))
+	}
+	if len(df.terms) != 6 || cap(df.terms) != 6 || len(df.cells) != 8 || cap(df.cells) != 8 {
+		t.Fatalf("table of %d/%d terms and %d/%d cells, want 6 and 8 exactly",
+			len(df.terms), cap(df.terms), len(df.cells), cap(df.cells))
 	}
 	in[0][0] = c
 	if df.Cell(0, "x") != a {
 		t.Fatal("frame aliases its input rows")
 	}
-	df.Row(0)[1] = c
-	if df.Cell(0, "y") != c {
-		t.Fatal("Row is no longer a live view of the frame")
+}
+
+// TestFromTableIsCapped builds a frame over the middle rows of a larger
+// table, the way a page of a cached result is handed over, and runs every
+// operation that returns or grows a frame on it: none may write into the
+// table, before or after the page.
+func TestFromTableIsCapped(t *testing.T) {
+	terms := []rdf.Term{{}, iri("a"), iri("b"), num(3), iri("a"), iri("spare")}
+	cells := []uint32{1, 2, 3, 0, 4, 1, 2, 2}
+	wantTerms, wantCells := slices.Clone(terms), slices.Clone(cells)
+	page := FromTable([]string{"x", "y"}, terms[:5], cells[2:6], 2)
+	if page.Cell(0, "x") != num(3) || page.Cell(0, "y").IsBound() || page.Cell(1, "x") != iri("a") {
+		t.Fatalf("page reads %v", page)
 	}
-	_ = append(df.Row(0), b)
-	if df.Cell(1, "x") != c {
-		t.Fatal("append through Row(0) overwrote row 1")
+	page.Append(row(iri("z"), iri("z")))
+	ren, err := page.Rename("x", "x2")
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Across block boundaries every row is still its own.
-	many := make([][]rdf.Term, 2*fromRowsBlock+7)
-	for i := range many {
-		many[i] = []rdf.Term{rdf.NewInteger(int64(i))}
+	ren.Append(row(iri("w")))
+	sorted, err := page.Sort(SortKey{Col: "x", Desc: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	big := FromRows([]string{"x", "y"}, many)
-	for i := range many {
-		if got := big.Row(i); len(got) != 2 || got[0] != many[i][0] || got[1].IsBound() {
-			t.Fatalf("row %d of %d: %v", i, len(many), got)
-		}
+	sorted.Append(row(iri("v")))
+	kept := page.Filter(func([]rdf.Term, func(string) rdf.Term) bool { return true })
+	kept.Append(row(iri("u")))
+	both, err := page.Concat(page)
+	if err != nil {
+		t.Fatal(err)
+	}
+	both.Append(row(iri("t")))
+	head := page.Head(1, 0)
+	head.Append(row(iri("s")))
+	if !slices.Equal(terms, wantTerms) || !slices.Equal(cells, wantCells) {
+		t.Fatalf("the adopted table changed: %v %v", terms, cells)
+	}
+	if page.Len() != 3 || page.Cell(2, "x") != iri("z") || ren.Len() != 4 || head.Len() != 2 {
+		t.Fatalf("frames lost rows: page %d, renamed %d, head %d", page.Len(), ren.Len(), head.Len())
+	}
+	if both.Len() != 7 || both.Cell(3, "x") != num(3) || both.Cell(5, "x") != iri("z") || both.Cell(6, "x") != iri("t") {
+		t.Fatalf("concat reads\n%v", both)
+	}
+	if sorted.Cell(0, "x") != num(3) || sorted.Cell(1, "x") != iri("z") || sorted.Cell(2, "x") != iri("a") {
+		t.Fatalf("sort reads\n%v", sorted)
+	}
+	if empty := FromTable(nil, nullTable, nil, 3); empty.Len() != 3 {
+		t.Fatalf("a table without columns has %d rows, want 3", empty.Len())
+	}
+}
+
+// TestDuplicateTermsCompareAsTerms: a table may hold a term twice, so every
+// operation that compares rows must compare terms, not cells.
+func TestDuplicateTermsCompareAsTerms(t *testing.T) {
+	df := FromTable([]string{"k", "v"}, []rdf.Term{{}, lit("g"), num(1), lit("g"), num(1)}, []uint32{1, 2, 3, 4}, 2)
+	if got := df.Distinct().Len(); got != 1 {
+		t.Fatalf("distinct = %d, want 1", got)
+	}
+	g, err := df.GroupBy("k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg, err := g.Aggregate(AggSpec{Fn: Count, Col: "v", As: "n", Distinct: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if agg.Len() != 1 || agg.Cell(0, "n") != num(1) {
+		t.Fatalf("groups:\n%v", agg)
+	}
+	if !MultisetEqual(df, FromRows([]string{"v", "k"}, [][]rdf.Term{row(num(1), lit("g")), row(num(1), lit("g"))})) {
+		t.Fatal("frames differing only in their term tables compare unequal")
 	}
 }

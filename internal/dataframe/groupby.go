@@ -2,7 +2,6 @@ package dataframe
 
 import (
 	"fmt"
-	"strings"
 
 	"rdfframes/internal/rdf"
 )
@@ -37,12 +36,7 @@ func (df *DataFrame) GroupBy(keys ...string) (*Grouped, error) {
 	}
 	g := &Grouped{src: df, keys: keys, groups: map[string][]int{}}
 	for i := 0; i < df.Len(); i++ {
-		var sb strings.Builder
-		for _, k := range keys {
-			sb.WriteString(df.Cell(i, k).String())
-			sb.WriteByte('\x00')
-		}
-		key := sb.String()
+		key := df.key(i, keys)
 		if _, ok := g.groups[key]; !ok {
 			g.order = append(g.order, key)
 		}
@@ -83,7 +77,7 @@ func (g *Grouped) Aggregate(specs ...AggSpec) (*DataFrame, error) {
 			}
 			r = append(r, v)
 		}
-		out.rows = append(out.rows, r)
+		out.Append(r)
 	}
 	return out, nil
 }
@@ -103,7 +97,7 @@ func (df *DataFrame) Aggregate(fn AggFn, col, as string, distinct bool) (*DataFr
 		return nil, err
 	}
 	out := New(as)
-	out.rows = append(out.rows, []rdf.Term{v})
+	out.Append([]rdf.Term{v})
 	return out, nil
 }
 

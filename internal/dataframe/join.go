@@ -1,11 +1,5 @@
 package dataframe
 
-import (
-	"fmt"
-
-	"rdfframes/internal/rdf"
-)
-
 // JoinType selects the join semantics, mirroring the paper's jtype values.
 type JoinType int
 
@@ -30,101 +24,4 @@ func (jt JoinType) String() string {
 		return "full_outer"
 	}
 	return "unknown"
-}
-
-// Join joins df with other on df[leftCol] = other[rightCol]. The join
-// column appears once in the output named joinedCol; all other columns of
-// both frames follow (right-side columns that collide with left-side names
-// get a "_2" suffix, as pandas does). Null join keys never match.
-func (df *DataFrame) Join(other *DataFrame, leftCol, rightCol string, how JoinType, joinedCol string) (*DataFrame, error) {
-	li, ok := df.index[leftCol]
-	if !ok {
-		return nil, fmt.Errorf("dataframe: unknown left join column %q", leftCol)
-	}
-	ri, ok := other.index[rightCol]
-	if !ok {
-		return nil, fmt.Errorf("dataframe: unknown right join column %q", rightCol)
-	}
-
-	outCols := []string{joinedCol}
-	var lKeep, rKeep []int // column indexes copied from each side
-	for j, c := range df.cols {
-		if j == li {
-			continue
-		}
-		outCols = append(outCols, c)
-		lKeep = append(lKeep, j)
-	}
-	used := map[string]bool{}
-	for _, c := range outCols {
-		used[c] = true
-	}
-	for j, c := range other.cols {
-		if j == ri {
-			continue
-		}
-		name := c
-		for used[name] {
-			name += "_2"
-		}
-		used[name] = true
-		outCols = append(outCols, name)
-		rKeep = append(rKeep, j)
-	}
-	out := New(outCols...)
-
-	emit := func(key rdf.Term, l, r []rdf.Term) {
-		row := make([]rdf.Term, 0, len(outCols))
-		row = append(row, key)
-		for _, j := range lKeep {
-			if l != nil {
-				row = append(row, l[j])
-			} else {
-				row = append(row, rdf.Term{})
-			}
-		}
-		for _, j := range rKeep {
-			if r != nil {
-				row = append(row, r[j])
-			} else {
-				row = append(row, rdf.Term{})
-			}
-		}
-		out.rows = append(out.rows, row)
-	}
-
-	rIndex := make(map[rdf.Term][]int, other.Len())
-	for i, r := range other.rows {
-		k := r[ri]
-		if k.IsBound() {
-			rIndex[k] = append(rIndex[k], i)
-		}
-	}
-
-	rMatched := make([]bool, other.Len())
-	for _, l := range df.rows {
-		k := l[li]
-		var matches []int
-		if k.IsBound() {
-			matches = rIndex[k]
-		}
-		if len(matches) == 0 {
-			if how == LeftOuterJoin || how == FullOuterJoin {
-				emit(k, l, nil)
-			}
-			continue
-		}
-		for _, ri2 := range matches {
-			rMatched[ri2] = true
-			emit(k, l, other.rows[ri2])
-		}
-	}
-	if how == RightOuterJoin || how == FullOuterJoin {
-		for i, r := range other.rows {
-			if !rMatched[i] {
-				emit(r[ri], nil, r)
-			}
-		}
-	}
-	return out, nil
 }

@@ -135,6 +135,16 @@ func TestStatsMetricsConsistencyUnderLoad(t *testing.T) {
 	}
 	wg.Wait()
 	ev.SetDelay(0)
+	// With two slots and eight workers, capacity sheds can turn away every
+	// parse error of the hammer; one more on the idle server is always parsed.
+	resp, err := client.Get(ts.URL + "/sparql?query=" + url.QueryEscape("SELECT nonsense {"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("a parse error on the idle server: status %d, want 400", resp.StatusCode)
+	}
 
 	// A graph created by an update after the metrics were registered gets
 	// its per-graph series too; deleting one of its two triples leaves a
@@ -150,7 +160,7 @@ func TestStatsMetricsConsistencyUnderLoad(t *testing.T) {
 
 	// The server is quiet now: /stats and /metrics reads move no /sparql
 	// counter, so the two scrapes see one frozen state.
-	resp, err := http.Get(ts.URL + "/stats")
+	resp, err = http.Get(ts.URL + "/stats")
 	if err != nil {
 		t.Fatal(err)
 	}

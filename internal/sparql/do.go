@@ -3,8 +3,10 @@ package sparql
 import (
 	"context"
 	"io"
+	"slices"
 
 	"rdfframes/internal/obs"
+	"rdfframes/internal/rdf"
 )
 
 // Engine.Do is the consolidated read-side entry point: one options-struct
@@ -39,7 +41,8 @@ type Request struct {
 type Response struct {
 	// Results holds the decoded solutions. Nil when JSON was requested (the
 	// page is serialized from the engine's compact form without
-	// materializing terms) and on a Stream response.
+	// materializing terms) and on a Stream response (Table reads the page
+	// without decoding it).
 	Results *Results
 	// Body is the SPARQL JSON serialization: of a JSON request through Do
 	// always, of a Stream response when the page memo holds it.
@@ -142,6 +145,18 @@ func (r *Response) WriteJSON(w io.Writer) error {
 	}
 	defer r.trace.StartSpan("encode")()
 	return r.entry.res.writeJSON(w, r.lo, r.hi)
+}
+
+// Table returns the page in the engine's compact form: the variables, the
+// result's term table (terms[0] is the unbound term, and the table may hold
+// more terms than the page uses) and the page's Rows rows as row-major cells
+// indexing it. The slices are shared with the result, which a cache may
+// serve to later requests: they are read-only, and capped so that an append
+// to any of them copies.
+func (r *Response) Table() (vars []string, terms []rdf.Term, cells []uint32) {
+	c := r.entry.res
+	w := len(c.vars)
+	return slices.Clip(c.vars), slices.Clip(c.terms), c.cells[r.lo*w : r.hi*w : r.hi*w]
 }
 
 // memoized returns the page's serialization from the cache entry's page

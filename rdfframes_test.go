@@ -334,7 +334,7 @@ func TestListing7ExecutesCorrectly(t *testing.T) {
 	}
 	for i := 0; i < df.Len(); i++ {
 		if !df.Cell(i, "obj").IsIRI() {
-			t.Fatalf("non-IRI object in row %d: %v", i, df.Row(i))
+			t.Fatalf("non-IRI object in row %d: %v", i, df.Cell(i, "obj"))
 		}
 	}
 	// 10 papers x 3 IRI-valued predicates (type, creator, series).
@@ -595,5 +595,39 @@ func TestExecuteOverHTTPWithPagination(t *testing.T) {
 	}
 	if df.Len() != 18 {
 		t.Fatalf("rows = %d, want 18 (pagination must fetch all)", df.Len())
+	}
+}
+
+// TestCacheIsSatisfiedByTheEngine: Cache changes nothing in the generated
+// query, and the reuse it stands for happens anyway — a frame joined with
+// itself or with a branch of itself repeats its operators in the query, and
+// the engine evaluates the repeated subplan once.
+func TestCacheIsSatisfiedByTheEngine(t *testing.T) {
+	movies := dbpediaGraph().FeatureDomainRange("dbpp:starring", "movie", "actor").
+		Expand("actor", Out("dbpp:birthPlace", "country"))
+	cached := movies.Cache()
+	plain, err := movies.ToSPARQL()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q, err := cached.ToSPARQL(); err != nil || q != plain {
+		t.Fatalf("Cache changed the query (%v):\n%s\nvs\n%s", err, q, plain)
+	}
+	eng := sparql.NewEngine(miniDBpedia(t))
+	for name, frame := range map[string]*RDFFrame{
+		"itself":   cached.Join(cached, "actor", FullOuterJoin),
+		"a branch": cached.Join(cached.GroupBy("actor").Count("movie", "movie_count"), "actor", FullOuterJoin),
+	} {
+		q, err := frame.ToSPARQL()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		rep, err := eng.Explain(q)
+		if err != nil {
+			t.Fatalf("%s: %v\n%s", name, err, q)
+		}
+		if rep.SubplanReuses < 1 {
+			t.Errorf("full outer join with %s reused no subplan:\n%s", name, q)
+		}
 	}
 }
