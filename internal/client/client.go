@@ -15,6 +15,7 @@ import (
 	"compress/gzip"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -171,6 +172,27 @@ func (c *HTTPClient) httpClient() *http.Client {
 // first response triggers LIMIT/OFFSET resumption — Select never knowingly
 // returns a partial result.
 func (c *HTTPClient) Select(query string) (*sparql.Results, error) {
+	tab := sparql.ScratchTable()
+	defer tab.Release()
+	if err := c.read(query, tab); err != nil {
+		return nil, err
+	}
+	return tab.Results(), nil
+}
+
+// Frame is Select returned as a dataframe: the frame adopts the table the
+// pages were decoded into, with no rows of terms in between.
+func (c *HTTPClient) Frame(query string) (*dataframe.DataFrame, error) {
+	tab := sparql.NewTable()
+	if err := c.read(query, tab); err != nil {
+		return nil, err
+	}
+	vars, terms, cells := tab.Parts()
+	return dataframe.FromTable(vars, terms, cells, tab.Len()), nil
+}
+
+// read decodes query's complete result into tab, one page at a time.
+func (c *HTTPClient) read(query string, tab *sparql.Table) error {
 	if sparql.IsExplainQuery(query) {
 		// EXPLAIN is only legal at top level, so the pagination wrapper
 		// would make it unparsable — and re-running it per page would
@@ -178,62 +200,39 @@ func (c *HTTPClient) Select(query string) (*sparql.Results, error) {
 		// server row cap small enough to cut a plan is surfaced as an error
 		// rather than a silently partial tree (use Explain for the
 		// structured, uncapped report).
-		res, truncated, err := c.fetch(query)
+		truncated, err := c.fetch(query, tab)
 		if err == nil && truncated {
-			return nil, fmt.Errorf("client: explain plan truncated by the server row cap; use Explain for the full report")
+			return fmt.Errorf("client: explain plan truncated by the server row cap; use Explain for the full report")
 		}
-		return res, err
+		return err
 	}
-	if c.PageSize <= 0 {
-		res, truncated, err := c.fetch(query)
-		if err != nil || !truncated {
-			return res, err
-		}
-		// Pagination is off but the endpoint cut the result anyway: resume
-		// with LIMIT/OFFSET pages sized to the cap the server just revealed,
-		// rather than silently returning a partial result.
-		if len(res.Rows) == 0 {
-			return res, nil
-		}
-		return c.paginateFrom(query, res, len(res.Rows), len(res.Rows))
-	}
-	return c.paginateFrom(query, nil, c.PageSize, 0)
-}
-
-// Frame is Select returned as a dataframe.
-func (c *HTTPClient) Frame(query string) (*dataframe.DataFrame, error) {
-	res, err := c.Select(query)
-	if err != nil {
-		return nil, err
-	}
-	return dataframe.FromRows(res.Vars, res.Rows), nil
-}
-
-// paginateFrom retrieves the remainder of query's results in pages of
-// pageSize rows starting at offset, appending onto seed (the rows already
-// in hand, nil when starting fresh).
-func (c *HTTPClient) paginateFrom(query string, seed *sparql.Results, pageSize, offset int) (*sparql.Results, error) {
-	all := seed
+	pageSize, offset := c.PageSize, 0
 	for {
-		chunkQuery := paginate(query, pageSize, offset)
-		chunk, truncated, err := c.fetch(chunkQuery)
+		page := query
+		if pageSize > 0 {
+			page = paginate(query, pageSize, offset)
+		}
+		before := tab.Len()
+		truncated, err := c.fetch(page, tab)
 		if err != nil {
-			return nil, fmt.Errorf("client: chunk at offset %d: %w", offset, err)
-		}
-		if all == nil {
-			all = chunk
-		} else {
-			if len(chunk.Vars) != len(all.Vars) {
-				return nil, fmt.Errorf("client: chunk at offset %d changed variables", offset)
+			if pageSize <= 0 {
+				return err
 			}
-			all.Rows = append(all.Rows, chunk.Rows...)
+			return fmt.Errorf("client: chunk at offset %d: %w", offset, err)
 		}
-		if len(chunk.Rows) == 0 || (len(chunk.Rows) < pageSize && !truncated) {
-			return all, nil
+		got := tab.Len() - before
+		if got == 0 || (!truncated && (pageSize <= 0 || got < pageSize)) {
+			return nil
+		}
+		if pageSize <= 0 {
+			// Pagination is off but the endpoint cut the result anyway:
+			// resume with LIMIT/OFFSET pages sized to the cap the server just
+			// revealed, rather than silently returning a partial result.
+			pageSize = got
 		}
 		// Advance by rows actually received: a truncated chunk is shorter
 		// than the page requested.
-		offset += len(chunk.Rows)
+		offset += got
 	}
 }
 
@@ -250,7 +249,9 @@ func (c *HTTPClient) retryPolicy() RetryPolicy {
 	return p
 }
 
-func (c *HTTPClient) fetch(query string) (*sparql.Results, bool, error) {
+// fetch decodes one page into tab, retrying transient failures, and reports
+// whether the endpoint cut the page short.
+func (c *HTTPClient) fetch(query string, tab *sparql.Table) (bool, error) {
 	pol := c.retryPolicy()
 	// One request id per chunk, reused across its retries, so all attempts
 	// of this fetch correlate to one line group in the server's logs.
@@ -262,53 +263,55 @@ func (c *HTTPClient) fetch(query string) (*sparql.Results, bool, error) {
 		if attempt > 1 {
 			if err := sleepCtx(c.context(), pol.delay(attempt-1, hint)); err != nil {
 				// The caller abandoned the work mid-backoff.
-				return nil, false, err
+				return false, err
 			}
 		}
 		if err := c.context().Err(); err != nil {
 			// The caller abandoned the work; retrying cannot succeed.
-			return nil, false, err
+			return false, err
 		}
 		rs.Attempts = attempt
-		res, truncated, ri, err := c.fetchOnce(query, rs.RequestID)
+		truncated, ri, err := c.fetchOnce(query, rs.RequestID, tab)
 		rs.Status = ri.status
 		if ri.retryAfter > 0 {
 			rs.RetryAfter = ri.retryAfter
 		}
 		if err == nil {
-			return res, truncated, nil
+			return truncated, nil
 		}
 		lastErr = err
 		if !ri.retryable {
-			return nil, false, err
+			return false, err
 		}
 		hint = ri.retryAfter
 	}
-	return nil, false, fmt.Errorf("client: giving up after retries: %w", lastErr)
+	return false, fmt.Errorf("client: giving up after retries: %w", lastErr)
 }
 
-func (c *HTTPClient) fetchOnce(query, reqID string) (res *sparql.Results, truncated bool, ri retryInfo, err error) {
-	var req *http.Request
-	if c.UsePost {
-		form := url.Values{"query": {query}}
-		req, err = http.NewRequestWithContext(c.context(), http.MethodPost, c.Endpoint,
-			strings.NewReader(form.Encode()))
-		if req != nil {
-			req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
-		}
-	} else {
-		req, err = http.NewRequestWithContext(c.context(), http.MethodGet,
-			c.Endpoint+"?query="+url.QueryEscape(query), nil)
+// newRequest builds a request to endpoint carrying params: as a POST form
+// when UsePost is set, in the URL otherwise.
+func (c *HTTPClient) newRequest(endpoint string, params url.Values) (*http.Request, error) {
+	if !c.UsePost {
+		return http.NewRequestWithContext(c.context(), http.MethodGet, endpoint+"?"+params.Encode(), nil)
 	}
+	req, err := http.NewRequestWithContext(c.context(), http.MethodPost, endpoint, strings.NewReader(params.Encode()))
+	if err == nil {
+		req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+	}
+	return req, err
+}
+
+func (c *HTTPClient) fetchOnce(query, reqID string, tab *sparql.Table) (truncated bool, ri retryInfo, err error) {
+	req, err := c.newRequest(c.Endpoint, url.Values{"query": {query}})
 	if err != nil {
-		return nil, false, retryInfo{}, err
+		return false, retryInfo{}, err
 	}
 	req.Header.Set("X-Request-ID", reqID)
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
 		// A cancelled context is the caller's decision, not a transient
 		// endpoint failure.
-		return nil, false, retryInfo{retryable: c.context().Err() == nil}, err
+		return false, retryInfo{retryable: c.context().Err() == nil}, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
@@ -317,7 +320,7 @@ func (c *HTTPClient) fetchOnce(query, reqID string) (res *sparql.Results, trunca
 		// 5xx is transient; so is 429 — an admission-controlled endpoint
 		// shedding load expects the client back after its Retry-After.
 		retryable := resp.StatusCode >= 500 || resp.StatusCode == http.StatusTooManyRequests
-		return nil, false, retryInfo{retryable: retryable, retryAfter: retryAfterHint(resp), status: resp.StatusCode}, err
+		return false, retryInfo{retryable: retryable, retryAfter: retryAfterHint(resp), status: resp.StatusCode}, err
 	}
 	ri.status = resp.StatusCode
 	// Go's default transport negotiates and decompresses gzip by itself
@@ -328,18 +331,20 @@ func (c *HTTPClient) fetchOnce(query, reqID string) (res *sparql.Results, trunca
 	if strings.EqualFold(resp.Header.Get("Content-Encoding"), "gzip") {
 		gz, err := gzip.NewReader(resp.Body)
 		if err != nil {
-			return nil, false, retryInfo{retryable: true, status: resp.StatusCode}, fmt.Errorf("client: gzip response: %w", err)
+			return false, retryInfo{retryable: true, status: resp.StatusCode}, fmt.Errorf("client: gzip response: %w", err)
 		}
 		defer gz.Close()
 		body = gz
 	}
-	r, err := sparql.ReadJSON(body)
-	if err != nil {
-		// Covers both malformed JSON and bodies cut mid-stream by a
-		// dropped connection: the next attempt re-fetches the whole chunk.
-		return nil, false, retryInfo{retryable: true, status: resp.StatusCode}, fmt.Errorf("client: decoding results: %w", err)
+	if err := tab.ReadJSON(body); err != nil {
+		// Covers both malformed JSON and bodies cut mid-stream by a dropped
+		// connection: the table drops the rows the failed decode appended,
+		// and the next attempt re-fetches the whole chunk. A page that
+		// changed the columns would change them again.
+		retryable := !errors.Is(err, sparql.ErrColumnsChanged)
+		return false, retryInfo{retryable: retryable, status: resp.StatusCode}, fmt.Errorf("client: decoding results: %w", err)
 	}
-	return r, resp.Header.Get("X-Truncated") == "true", ri, nil
+	return resp.Header.Get("X-Truncated") == "true", ri, nil
 }
 
 // Explain asks the endpoint for the query's optimized execution plan

@@ -42,20 +42,7 @@ func (c *HTTPClient) routeEndpoint(explicit, route string) string {
 // mid-stream: a connection cut after the first byte surfaces as an error
 // with partial output in w.
 func (c *HTTPClient) Export(query string, w io.Writer) (int64, error) {
-	endpoint := c.routeEndpoint(c.ExportURL, "/v1/export")
-	var req *http.Request
-	var err error
-	if c.UsePost {
-		form := url.Values{"query": {query}}
-		req, err = http.NewRequestWithContext(c.context(), http.MethodPost, endpoint,
-			strings.NewReader(form.Encode()))
-		if req != nil {
-			req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
-		}
-	} else {
-		req, err = http.NewRequestWithContext(c.context(), http.MethodGet,
-			endpoint+"?query="+url.QueryEscape(query), nil)
-	}
+	req, err := c.newRequest(c.routeEndpoint(c.ExportURL, "/v1/export"), url.Values{"query": {query}})
 	if err != nil {
 		return 0, err
 	}
@@ -76,9 +63,9 @@ func (c *HTTPClient) Export(query string, w io.Writer) (int64, error) {
 // neighborhood counts) for the distinct nodes bound to nodeVar in the
 // query's solutions. nodeVar empty selects the first projected variable;
 // hopCap bounds each 2-hop count (0 = server default, -1 unbounded). The
-// result columns are sparql.FeatureVars.
+// result columns are sparql.FeatureVars. UsePost sends the parameters as a
+// form, as Select and Export do.
 func (c *HTTPClient) Features(query, nodeVar string, hopCap int) (*sparql.Results, error) {
-	endpoint := c.routeEndpoint(c.FeaturesURL, "/v1/features")
 	params := url.Values{"query": {query}}
 	if nodeVar != "" {
 		params.Set("var", nodeVar)
@@ -86,8 +73,7 @@ func (c *HTTPClient) Features(query, nodeVar string, hopCap int) (*sparql.Result
 	if hopCap != 0 {
 		params.Set("cap", strconv.Itoa(hopCap))
 	}
-	req, err := http.NewRequestWithContext(c.context(), http.MethodGet,
-		endpoint+"?"+params.Encode(), nil)
+	req, err := c.newRequest(c.routeEndpoint(c.FeaturesURL, "/v1/features"), params)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -147,9 +149,26 @@ var decodeSeeds = []string{
 	`[]`,
 }
 
+// checkTable fails unless t is a well-formed table: n rows of len(vars)
+// cells, each indexing terms, whose entry 0 is the unbound term.
+func checkTable(t *testing.T, tab *Table) {
+	t.Helper()
+	if len(tab.terms) == 0 || tab.terms[0].IsBound() || len(tab.cells) != tab.n*len(tab.vars) {
+		t.Fatalf("%d cells, %d terms is not a table of %d rows by %d columns", len(tab.cells), len(tab.terms), tab.n, len(tab.vars))
+	}
+	for k, c := range tab.cells {
+		if int(c) >= len(tab.terms) {
+			t.Fatalf("cell %d indexes entry %d of %d", k, c, len(tab.terms))
+		}
+	}
+}
+
 // FuzzReadJSON checks the streaming decoder against the encoding/json
-// reference: the same documents accepted, the same terms decoded, whether
-// the body arrives whole or a byte at a time.
+// reference: the same documents accepted, and the same terms in every cell
+// of the table, expanded to rows, whether the body arrives whole or a byte
+// at a time. A table accumulates: the same body read twice holds its rows
+// twice, and a rejected body leaves the rows a table already held as they
+// were.
 func FuzzReadJSON(f *testing.F) {
 	for _, s := range decodeSeeds {
 		f.Add([]byte(s))
@@ -159,25 +178,71 @@ func FuzzReadJSON(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		want, wantErr := referenceReadJSON(data)
-		var whole Results
-		err := whole.UnmarshalJSON(data)
+		whole := NewTable()
+		err := whole.decode(&jsonWindow{buf: data, end: len(data)})
 		if (err == nil) != (wantErr == nil) {
 			t.Fatalf("decoder error %v, reference error %v", err, wantErr)
 		}
-		streamed, serr := ReadJSON(iotest.OneByteReader(bytes.NewReader(data)))
+		streamed := NewTable()
+		serr := streamed.ReadJSON(iotest.OneByteReader(bytes.NewReader(data)))
 		if (serr == nil) != (err == nil) {
 			t.Fatalf("whole-body error %v, byte-at-a-time error %v", err, serr)
 		}
 		if err != nil {
+			held := NewTable()
+			if err := held.ReadJSON(strings.NewReader(decodeSeeds[0])); err != nil {
+				t.Fatal(err)
+			}
+			before := held.Results()
+			if held.ReadJSON(bytes.NewReader(data)) == nil {
+				t.Fatal("a rejected body was accepted by a table holding rows")
+			}
+			checkTable(t, held)
+			if !sameResults(held.Results(), before) {
+				t.Fatalf("a rejected body changed the rows from %+v to %+v", *before, *held.Results())
+			}
 			return
 		}
-		if !sameResults(&whole, want) {
-			t.Fatalf("decoded %+v, reference decoded %+v", whole, *want)
+		for name, tab := range map[string]*Table{"whole": whole, "byte-at-a-time": streamed} {
+			checkTable(t, tab)
+			if got := tab.Results(); !sameResults(got, want) {
+				t.Fatalf("%s decoded %+v, reference decoded %+v", name, *got, *want)
+			}
 		}
-		if !sameResults(streamed, want) {
-			t.Fatalf("byte-at-a-time decoded %+v, reference decoded %+v", *streamed, *want)
+		if err := whole.ReadJSON(bytes.NewReader(data)); err != nil {
+			t.Fatalf("the body read a second time: %v", err)
+		}
+		checkTable(t, whole)
+		twice := &Results{Vars: want.Vars, Rows: append(want.Rows, want.Rows...)}
+		if got := whole.Results(); !sameResults(got, twice) {
+			t.Fatalf("the body read twice decoded %+v, want its rows twice", *got)
 		}
 	})
+}
+
+// TestTableMemoStops: past 1,024 entries with under one hit per 8, the memo
+// takes no new terms, and a term it does not hold takes a table entry per
+// cell; once the hits catch up it grows again. The memo carries over from
+// one body to the next.
+func TestTableMemoStops(t *testing.T) {
+	body, err := codecResults(1000, 3, 0, 4).MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := NewTable()
+	for _, want := range []struct{ memo, hits, terms int }{
+		{1024, 0, 1 + 3000},           // 3,000 distinct terms, no hits
+		{3000, 1024, 1 + 3000 + 1976}, // the first 1,024 hit, and the memo grows
+	} {
+		if err := tab.ReadJSON(bytes.NewReader(body)); err != nil {
+			t.Fatal(err)
+		}
+		checkTable(t, tab)
+		if len(tab.memo) != want.memo || tab.memoHits != want.hits || len(tab.terms) != want.terms {
+			t.Fatalf("after %d rows: %d memo entries, %d hits, %d table entries; want %+v",
+				tab.n, len(tab.memo), tab.memoHits, len(tab.terms), want)
+		}
+	}
 }
 
 // TestReadJSONRejectsRepeatedStructuralMembers pins a decision the streaming
@@ -274,24 +339,45 @@ func TestReadJSONChunkBoundaries(t *testing.T) {
 	}
 }
 
-// TestDecodeAllocsFollowDistinctTerms pins the decoder's allocation shape:
-// more cells over the same terms cost a few row blocks, more distinct terms
-// cost a few allocations each.
+// TestDecodeAllocsFollowDistinctTerms pins the decoder's allocation shape,
+// decoding into a reused table as Select does: more cells over the same
+// terms cost next to nothing, more distinct terms cost a few allocations
+// each. The window pool is warmed first, and neither a collection nor a
+// second P may empty it mid-measurement (the collector is off, GOMAXPROCS
+// 1), so no run pays for a window the pool lost.
 func TestDecodeAllocsFollowDistinctTerms(t *testing.T) {
-	allocs := func(rows, distinct int) float64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	measure := func(rows, distinct int) (bytesPerRun, allocsPerRun float64) {
 		body, err := codecResults(rows, 6, distinct, 5).MarshalJSON()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return testing.AllocsPerRun(5, func() {
-			if _, err := ReadJSON(bytes.NewReader(body)); err != nil {
-				t.Fatal(err)
+		tab := NewTable()
+		decode := func() {
+			tab.reset()
+			if err := tab.ReadJSON(bytes.NewReader(body)); err != nil || tab.Len() != rows {
+				t.Fatalf("%d rows, %v", tab.Len(), err)
 			}
-		})
+		}
+		decode()
+		const runs = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			decode()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs, float64(after.Mallocs-before.Mallocs) / runs
 	}
-	base, moreCells, moreTerms := allocs(6000, 60), allocs(12000, 60), allocs(6000, 600)
-	if extra := moreCells - base; extra > 12 {
-		t.Errorf("36,000 more cells over the same 60 terms cost %.0f more allocations (%.0f → %.0f); want a few row blocks", extra, base, moreCells)
+	baseBytes, base := measure(6000, 60)
+	moreCellsBytes, moreCells := measure(12000, 60)
+	_, moreTerms := measure(6000, 600)
+	if perCell := (moreCellsBytes - baseBytes) / 36000; perCell > 8 {
+		t.Errorf("36,000 more cells over the same 60 terms cost %.1f B each (%.0f → %.0f B); want at most 8", perCell, baseBytes, moreCellsBytes)
+	}
+	if extra := moreCells - base; extra > 4 {
+		t.Errorf("36,000 more cells over the same 60 terms cost %.0f more allocations (%.0f → %.0f)", extra, base, moreCells)
 	}
 	if perTerm := (moreTerms - base) / 540; perTerm < 1 || perTerm > 6 {
 		t.Errorf("540 more distinct terms cost %.1f allocations each (%.0f → %.0f); want a few per term", perTerm, base, moreTerms)
@@ -299,6 +385,8 @@ func TestDecodeAllocsFollowDistinctTerms(t *testing.T) {
 	if base > 600 {
 		t.Errorf("decoding 36,000 cells over 60 terms took %.0f allocations", base)
 	}
+	t.Logf("6,000 rows over 60 terms: %.0f B in %.0f allocations; 12,000 rows: %.0f B in %.0f; 6,000 rows over 600 terms: %.0f allocations",
+		baseBytes, base, moreCellsBytes, moreCells, moreTerms)
 }
 
 // Per-layer codec benchmarks (ROADMAP item 1): 50,000 rows × 6 columns,

@@ -2,8 +2,10 @@ package sparql
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"unicode/utf16"
 	"unicode/utf8"
@@ -14,14 +16,14 @@ import (
 // SPARQL JSON results decoder. There is one decoder, and it streams: a
 // jsonWindow pulls the body through a refilling buffer and cuts it into
 // the raw bytes of one value at a time, and a jsonScanner checks and
-// decodes those bytes strictly. A binding's term object is looked up by its
-// raw bytes in a memo of the terms decoded so far, so a repeated term costs
-// one map lookup and is never scanned a second time; only a first sighting
-// pays for the strict parse. Rows are cut from block-allocated term arrays.
-// Allocations therefore grow with the distinct terms and the row blocks of
-// a result, not with its cells, and the body is never held whole — unless
-// "results" precedes "head", when the bindings must wait for the column
-// list.
+// decodes those bytes strictly. What it builds is a Table, the engine's
+// compact layout: a binding writes one uint32 cell indexing a term table. A
+// term object is looked up by its raw bytes in a memo of the table entries
+// decoded so far, so a repeated term costs one map lookup and is never
+// scanned a second time; only a first sighting pays for the strict parse
+// and a table entry. Allocations therefore grow with the distinct terms and
+// the cells' 4 bytes, and the body is never held whole — unless "results"
+// precedes "head", when the bindings must wait for the column list.
 //
 // The grammar accepted is RFC 8259 as encoding/json enforces it (strict
 // numbers, escapes and control characters, invalid UTF-8 decoded as U+FFFD,
@@ -44,24 +46,111 @@ var windowPool = sync.Pool{New: func() any {
 
 // ReadJSON parses SPARQL JSON results from rd.
 func ReadJSON(rd io.Reader) (*Results, error) {
-	bp := windowPool.Get().(*[]byte)
-	w := &jsonWindow{r: rd, buf: *bp}
-	res, err := decodeResults(w)
-	if cap(w.buf) <= 16*decodeWindowBytes {
-		*bp = w.buf[:cap(w.buf)]
-		windowPool.Put(bp)
+	t := ScratchTable()
+	defer t.Release()
+	if err := t.ReadJSON(rd); err != nil {
+		return nil, err
 	}
-	return res, err
+	return t.Results(), nil
 }
 
 // UnmarshalJSON decodes the SPARQL JSON results format.
 func (r *Results) UnmarshalJSON(data []byte) error {
-	res, err := decodeResults(&jsonWindow{buf: data, end: len(data)})
-	if err != nil {
+	t := ScratchTable()
+	defer t.Release()
+	if err := t.decode(&jsonWindow{buf: data, end: len(data)}); err != nil {
 		return err
 	}
-	*r = *res
+	*r = *t.Results()
 	return nil
+}
+
+// ErrColumnsChanged reports a results document whose column list differs
+// from the one the table already holds rows under. Fetching the same page
+// again would not change it.
+var ErrColumnsChanged = errors.New("sparql: results document changed the columns")
+
+// Table accumulates SPARQL JSON results documents — the pages of one result
+// — in the engine's compact layout: the columns of the first document,
+// row-major uint32 cells, and a table of the terms they index whose entry 0
+// is the unbound term. The memo of decoded term objects carries over from
+// page to page. Once the memo stops growing (see term) a new term takes a
+// table entry per cell, so the table may hold a term more than once.
+type Table struct {
+	compactResult
+	headed bool // vars is fixed by a decoded document
+	// memo maps a term object's raw bytes to its table entry. It stops taking
+	// new terms once it is large and rarely hit, so a result of all-distinct
+	// terms does not pay for a map it never reads: memoizing every term takes
+	// BenchmarkDecodeJSON/distinct from 120 to 295 ms and from 30 to 132 MB
+	// per decode.
+	memo     map[string]uint32
+	memoHits int
+	intern   map[string]string
+	unescape []byte // the term scanners' scratch, kept across terms
+}
+
+// NewTable returns an empty table.
+func NewTable() *Table {
+	return &Table{
+		compactResult: compactResult{terms: []rdf.Term{{}}},
+		memo:          make(map[string]uint32),
+		intern:        make(map[string]string),
+	}
+}
+
+var tablePool = sync.Pool{New: func() any { return NewTable() }}
+
+// ScratchTable returns an empty table for a caller that converts it (see
+// Results) and hands it back with Release.
+func ScratchTable() *Table { return tablePool.Get().(*Table) }
+
+// Release empties a table from ScratchTable and returns it for reuse, up to
+// 4 MiB of cells and 3.5 MiB of terms. The table, and any slice Parts
+// returned, must not be used afterwards.
+func (t *Table) Release() {
+	if cap(t.cells) > 1<<20 || cap(t.terms) > 1<<16 {
+		return
+	}
+	t.reset()
+	tablePool.Put(t)
+}
+
+// reset empties the table and keeps its memory.
+func (t *Table) reset() {
+	clear(t.terms[1:])
+	clear(t.memo)
+	clear(t.intern)
+	t.compactResult = compactResult{terms: t.terms[:1], cells: t.cells[:0]}
+	t.headed, t.memoHits = false, 0
+}
+
+// Len returns the number of rows.
+func (t *Table) Len() int { return t.n }
+
+// Parts returns the table's columns, terms and cells (Len rows of
+// len(vars)), for adopting it whole (dataframe.FromTable).
+func (t *Table) Parts() (vars []string, terms []rdf.Term, cells []uint32) {
+	return t.vars, t.terms, t.cells
+}
+
+// Results returns the table's rows as terms. They share nothing with the
+// table but its column list.
+func (t *Table) Results() *Results { return t.results(0, t.n) }
+
+// ReadJSON decodes one SPARQL JSON results document from rd and appends its
+// rows. A document that fails appends none: terms it added may stay, being
+// whole terms, but the cells and the row count are as before, so the page
+// can be read again.
+func (t *Table) ReadJSON(rd io.Reader) error {
+	bp := windowPool.Get().(*[]byte)
+	w := &jsonWindow{r: rd, buf: *bp}
+	err := t.decode(w)
+	if cap(w.buf) <= 16*decodeWindowBytes {
+		*bp = w.buf[:cap(w.buf)]
+		windowPool.Put(bp)
+	}
+	return err
 }
 
 // jsonWindow is the streaming half: a buffer over an io.Reader that refills
@@ -573,18 +662,10 @@ const (
 	depthRow
 )
 
-// resultsDecoder assembles a Results from the members of the document.
+// resultsDecoder appends the rows of one document to a table.
 type resultsDecoder struct {
-	intern map[string]string
-	// memo maps a term object's raw bytes to the decoded term. It stops
-	// taking new terms once it is large and rarely hit, so a result of
-	// all-distinct terms does not pay for a table it never reads: memoizing
-	// every term takes BenchmarkDecodeJSON/distinct from 120 to 295 ms and
-	// from 30 to 132 MB per decode.
-	memo     map[string]rdf.Term
-	memoHits int
-	name     []byte // the member name last read
-	unescape []byte // the term scanners' scratch, kept across terms
+	t    *Table
+	name []byte // the member name last read
 
 	headSeen, resultsSeen bool
 	// "results" ahead of "head" is legal JSON with an unknown column set:
@@ -593,7 +674,6 @@ type resultsDecoder struct {
 	pending     []byte
 	pendingBase int64
 
-	vars   []string
 	varIdx map[string]int
 	// keys holds `"var":` per column as this package's encoder writes it,
 	// for matching a row's keys without parsing them (sending every key
@@ -601,33 +681,39 @@ type resultsDecoder struct {
 	// 73 ms and serve_warm from 1,206 to 1,078 ops/s); nil when a name
 	// repeats, where only varIdx's last-one-wins is right.
 	keys [][]byte
-
-	rows   [][]rdf.Term
-	blocks rowBlocks
 }
 
-// decodeResults parses one SPARQL JSON results document from w.
-func decodeResults(w *jsonWindow) (*Results, error) {
-	d := &resultsDecoder{
-		intern: make(map[string]string),
-		memo:   make(map[string]rdf.Term),
-		rows:   [][]rdf.Term{},
-	}
+// decode appends the rows of one SPARQL JSON results document from w,
+// leaving the cells and row count as they were if it fails.
+func (t *Table) decode(w *jsonWindow) (err error) {
+	n, cells, headed := t.n, len(t.cells), t.headed
+	defer func() {
+		if err != nil {
+			t.n, t.cells = n, t.cells[:cells]
+			if !headed {
+				t.vars, t.headed = nil, false
+			}
+		}
+	}()
+	d := &resultsDecoder{t: t}
 	if err := d.document(w); err != nil {
-		return nil, err
+		return err
 	}
 	if _, err := w.peek(); err == nil {
-		return nil, w.errAt("trailing data after results")
+		return w.errAt("trailing data after results")
 	} else if w.rerr != io.EOF && w.rerr != nil {
-		return nil, err
+		return err
+	}
+	if !d.headSeen {
+		if err := d.columns(nil); err != nil {
+			return err
+		}
 	}
 	if d.pending != nil {
 		pw := &jsonWindow{buf: d.pending, end: len(d.pending), base: d.pendingBase}
-		if err := d.results(pw); err != nil {
-			return nil, err
-		}
+		return d.results(pw)
 	}
-	return &Results{Vars: d.vars, Rows: d.rows}, nil
+	return nil
 }
 
 // member reads the next object member's name, strictly, and the colon
@@ -637,7 +723,7 @@ func (d *resultsDecoder) member(w *jsonWindow, depth int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := w.scanner(raw, depth, d.intern)
+	s := w.scanner(raw, depth, d.t.intern)
 	name, err := s.stringBytes()
 	if err == nil {
 		err = s.finish()
@@ -655,7 +741,7 @@ func (d *resultsDecoder) skip(w *jsonWindow, depth int) error {
 	if err != nil {
 		return err
 	}
-	s := w.scanner(raw, depth, d.intern)
+	s := w.scanner(raw, depth, d.t.intern)
 	if err := s.skipValue(); err != nil {
 		return err
 	}
@@ -685,7 +771,7 @@ func (d *resultsDecoder) document(w *jsonWindow) error {
 			if err != nil {
 				return err
 			}
-			s := w.scanner(raw, depthDocument, d.intern)
+			s := w.scanner(raw, depthDocument, d.t.intern)
 			if err := d.head(&s); err != nil {
 				return err
 			}
@@ -746,11 +832,12 @@ func (d *resultsDecoder) head(s *jsonScanner) error {
 	if err == nil {
 		err = s.finish()
 	}
+	if err == nil {
+		err = d.columns(vars)
+	}
 	if err != nil {
 		return err
 	}
-	d.vars = vars
-	d.blocks.w = len(vars)
 	d.varIdx = make(map[string]int, len(vars))
 	for i, v := range vars {
 		d.varIdx[v] = i
@@ -760,6 +847,19 @@ func (d *resultsDecoder) head(s *jsonScanner) error {
 		for i, v := range vars {
 			d.keys[i] = append(appendJSONString(nil, v), ':')
 		}
+	}
+	return nil
+}
+
+// columns fixes the table's columns as the document's, or checks that they
+// are the ones earlier documents fixed: a page whose head renames or
+// reorders them would put its cells under the wrong names.
+func (d *resultsDecoder) columns(vars []string) error {
+	switch t := d.t; {
+	case !t.headed:
+		t.vars, t.headed = vars, true
+	case !slices.Equal(vars, t.vars):
+		return fmt.Errorf("%w: %q, earlier pages %q", ErrColumnsChanged, vars, t.vars)
 	}
 	return nil
 }
@@ -832,13 +932,16 @@ func (d *resultsDecoder) bindings(w *jsonWindow) error {
 	}
 }
 
-// row parses one binding object into a new row.
+// row parses one binding object into a new row of unbound cells.
 func (d *resultsDecoder) row(w *jsonWindow) error {
 	if err := w.expect('{'); err != nil {
 		return err
 	}
-	row := d.blocks.next()
-	d.rows = append(d.rows, row)
+	t := d.t
+	row := len(t.cells)
+	t.cells = grow(t.cells, len(t.vars))[:row+len(t.vars)]
+	clear(t.cells[row:])
+	t.n++
 	if done, err := w.empty('}'); done || err != nil {
 		return err
 	}
@@ -850,8 +953,8 @@ func (d *resultsDecoder) row(w *jsonWindow) error {
 		}
 		if col < 0 {
 			err = d.skip(w, depthRow)
-		} else if row[col], err = d.term(w); err != nil {
-			err = fmt.Errorf("sparql: row %d var %s: %w", len(d.rows)-1, d.vars[col], err)
+		} else if t.cells[row+col], err = d.term(w); err != nil {
+			err = fmt.Errorf("sparql: row %d var %s: %w", t.n-1, t.vars[col], err)
 		}
 		if err != nil {
 			return err
@@ -884,33 +987,35 @@ func (d *resultsDecoder) column(w *jsonWindow, next *int) (int, error) {
 	return -1, nil
 }
 
-// term reads one binding's term object: by its raw bytes from the memo, or
-// strictly parsed on first sight.
-func (d *resultsDecoder) term(w *jsonWindow) (rdf.Term, error) {
+// term reads one binding's term object and returns its table entry: found
+// by its raw bytes in the memo, or strictly parsed on first sight and added.
+func (d *resultsDecoder) term(w *jsonWindow) (uint32, error) {
 	if c, err := w.peek(); err != nil {
-		return rdf.Term{}, err
+		return 0, err
 	} else if c != '{' {
-		return rdf.Term{}, w.errAt(fmt.Sprintf("expected '{', found %q", c))
+		return 0, w.errAt(fmt.Sprintf("expected '{', found %q", c))
 	}
 	raw, err := w.value()
 	if err != nil {
-		return rdf.Term{}, err
+		return 0, err
 	}
-	if t, ok := d.memo[string(raw)]; ok {
-		d.memoHits++
-		return t, nil
+	tab := d.t
+	if i, ok := tab.memo[string(raw)]; ok {
+		tab.memoHits++
+		return i, nil
 	}
-	s := w.scanner(raw, depthRow, d.intern)
-	s.unesc = d.unescape
+	s := w.scanner(raw, depthRow, tab.intern)
+	s.unesc = tab.unescape
 	t, value, err := s.term()
 	if err == nil {
 		err = s.finish()
 	}
-	d.unescape = s.unesc
+	tab.unescape = s.unesc
 	if err != nil {
-		return rdf.Term{}, err
+		return 0, err
 	}
-	memoize := len(d.memo) < 1024 || d.memoHits >= len(d.memo)/8
+	i := uint32(len(tab.terms))
+	memoize := len(tab.memo) < 1024 || tab.memoHits >= len(tab.memo)/8
 	switch {
 	case memoize && value != nil:
 		// One allocation serves both: the lexical form is cut out of the
@@ -918,13 +1023,24 @@ func (d *resultsDecoder) term(w *jsonWindow) (rdf.Term, error) {
 		key := string(raw)
 		at := cap(raw) - cap(value)
 		t.Value = key[at : at+len(value)]
-		d.memo[key] = t
+		tab.memo[key] = i
 	case memoize:
-		d.memo[string(raw)] = t
+		tab.memo[string(raw)] = i
 	case value != nil:
 		t.Value = string(value)
 	}
-	return t, nil
+	tab.terms = append(grow(tab.terms, 1), t)
+	return i, nil
+}
+
+// grow makes room for k more elements, at least doubling s when it is full:
+// append's own quarter steps would copy a large table five times over, and
+// its first steps from a few elements cost a small table an allocation each.
+func grow[S ~[]E, E any](s S, k int) S {
+	if len(s)+k <= cap(s) {
+		return s
+	}
+	return slices.Grow(s, max(len(s), k, 64))
 }
 
 // term parses one RDF term object. A lexical form that needs no rewriting
