@@ -2,24 +2,30 @@ package bench
 
 import (
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"slices"
 	"testing"
 
 	"rdfframes"
+	"rdfframes/internal/client"
 	"rdfframes/internal/dataframe"
+	"rdfframes/internal/rdf"
 	"rdfframes/internal/server"
 	"rdfframes/internal/sparql"
 )
 
 // TestFramePathsAgree: every way a client builds a task's frame yields the
 // same table — the in-process client adopting the engine's compact result,
-// the HTTP client paginating at 1, 7 and 100,000 rows a page, and the
-// decoded Results view converted by ResultsToDataFrame: the same columns,
-// and the same term in every cell of every row in the same order, unbound
-// cells of OPTIONALs and full outer joins included. One-row pages cost a
-// round trip a row, so they are read only for results of up to
-// onePageRowsMax rows (15 of the 18 tasks; cs1, cs3 and Q13 are longer).
+// the HTTP client paginating at 1, 7 and 100,000 rows a page over the table
+// body and over SPARQL-JSON, and the decoded Results view converted by
+// ResultsToDataFrame: the same columns, and the same term in every cell of
+// every row in the same order, unbound cells of OPTIONALs and full outer
+// joins included. Besides the tasks there is a sorted frame, whose
+// requested order is not the engine's canonical one and must survive the
+// pagination wrapper. One-row pages cost a round trip a row, so they are
+// read only for results of up to onePageRowsMax rows (16 of the 19 frames;
+// cs1, cs3 and Q13 are longer).
 func TestFramePathsAgree(t *testing.T) {
 	const onePageRowsMax = 1000
 	env := sharedEnv(t)
@@ -31,9 +37,15 @@ func TestFramePathsAgree(t *testing.T) {
 	clients := map[string]rdfframes.Client{"ConnectStore": store}
 	for _, size := range []int{1, 7, 100_000} {
 		clients[fmt.Sprintf("ConnectHTTP page %d", size)] = rdfframes.ConnectHTTP(ts.URL+"/sparql", size)
+		c := client.NewHTTPClient(ts.URL+"/sparql", size)
+		c.HTTP = &http.Client{Transport: jsonOnly{}}
+		clients[fmt.Sprintf("ConnectHTTP page %d, JSON", size)] = c
 	}
+	sorted := &Task{ID: "cs3 sorted", Frame: func(env *Env) *rdfframes.RDFFrame {
+		return kgEmbeddingTask().Frame(env).Sort(rdfframes.Desc("sub")).Head(300)
+	}}
 	unbound := 0
-	for _, task := range append(CaseStudies(), Synthetic()...) {
+	for _, task := range append(CaseStudies(), append(Synthetic(), sorted)...) {
 		frame := task.Frame(env)
 		query, err := frame.ToSPARQL()
 		if err != nil {
@@ -46,6 +58,9 @@ func TestFramePathsAgree(t *testing.T) {
 		want := rdfframes.ResultsToDataFrame(res)
 		if want.Len() == 0 {
 			t.Fatalf("%s: empty at small scale", task.ID)
+		}
+		if task == sorted && isSorted(want, "sub") {
+			t.Fatalf("%s: the requested order is the canonical one, so no order is checked", task.ID)
 		}
 		for name, c := range clients {
 			if name == "ConnectHTTP page 1" && want.Len() > onePageRowsMax {
@@ -70,6 +85,31 @@ func TestFramePathsAgree(t *testing.T) {
 	if unbound == 0 {
 		t.Error("no task has an unbound cell at small scale, so none was compared")
 	}
+}
+
+// isSorted reports whether col ascends down the frame.
+func isSorted(df *dataframe.DataFrame, col string) bool {
+	for i := 1; i < df.Len(); i++ {
+		if rdf.Compare(df.Cell(i-1, col), df.Cell(i, col)) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// jsonOnly is the transport of a client that does not know the table body:
+// it drops the Accept header, so the server answers SPARQL-JSON.
+type jsonOnly struct{}
+
+func (jsonOnly) RoundTrip(r *http.Request) (*http.Response, error) {
+	r = r.Clone(r.Context())
+	r.Header.Del("Accept")
+	resp, err := http.DefaultTransport.RoundTrip(r)
+	if err == nil && resp.Header.Get("Content-Type") != "application/sparql-results+json" {
+		resp.Body.Close()
+		return nil, fmt.Errorf("a request without Accept was answered with %q", resp.Header.Get("Content-Type"))
+	}
+	return resp, err
 }
 
 // sameFrame reports how got differs from want, cell by cell in row order.

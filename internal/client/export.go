@@ -4,13 +4,11 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"net/http"
 	"net/url"
 	"strconv"
 	"strings"
 
 	"rdfframes/internal/dataframe"
-	"rdfframes/internal/obs"
 	"rdfframes/internal/sparql"
 )
 
@@ -42,21 +40,17 @@ func (c *HTTPClient) routeEndpoint(explicit, route string) string {
 // mid-stream: a connection cut after the first byte surfaces as an error
 // with partial output in w.
 func (c *HTTPClient) Export(query string, w io.Writer) (int64, error) {
-	req, err := c.newRequest(c.routeEndpoint(c.ExportURL, "/v1/export"), url.Values{"query": {query}})
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set("X-Request-ID", obs.NewRequestID())
-	resp, err := c.httpClient().Do(req)
+	resp, err := c.call(c.routeEndpoint(c.ExportURL, "/v1/export"), url.Values{"query": {query}}, "", "export")
 	if err != nil {
 		return 0, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return 0, fmt.Errorf("client: export returned %s: %s", resp.Status, strings.TrimSpace(string(body)))
+	body, err := openBody(resp)
+	defer closeBody(body)
+	if err != nil {
+		return 0, err
 	}
-	return io.Copy(w, resp.Body)
+	return io.Copy(w, body)
 }
 
 // Features fetches topology features (in/out degree, bounded 2-hop
@@ -73,25 +67,17 @@ func (c *HTTPClient) Features(query, nodeVar string, hopCap int) (*sparql.Result
 	if hopCap != 0 {
 		params.Set("cap", strconv.Itoa(hopCap))
 	}
-	req, err := c.newRequest(c.routeEndpoint(c.FeaturesURL, "/v1/features"), params)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("X-Request-ID", obs.NewRequestID())
-	resp, err := c.httpClient().Do(req)
+	resp, err := c.call(c.routeEndpoint(c.FeaturesURL, "/v1/features"), params, resultsAccept, "features")
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return nil, fmt.Errorf("client: features returned %s: %s", resp.Status, strings.TrimSpace(string(body)))
-	}
-	res, err := sparql.ReadJSON(resp.Body)
-	if err != nil {
+	tab := sparql.ScratchTable()
+	defer tab.Release()
+	if err := readResults(resp, tab); err != nil {
 		return nil, fmt.Errorf("client: decoding features: %w", err)
 	}
-	return res, nil
+	return tab.Results(), nil
 }
 
 // Export streams the query's result into w as CSV, evaluating on the

@@ -52,8 +52,8 @@ func TestHTTPFrameRetriesCutPage(t *testing.T) {
 	ts := httptest.NewServer(server.New(sparql.NewEngine(st)).Handler())
 	t.Cleanup(ts.Close)
 	for _, tc := range []struct{ pageSize, cutRequest, limit int }{
-		{7, 7, 600},          // a page of 7 rows is ≈1 KB
-		{100_000, 1, 20_000}, // the one page is ≈40 KB
+		{7, 7, 100},         // a page of 7 rows is ≈200 B on the wire
+		{100_000, 1, 1_500}, // the one page is ≈2.7 KB
 	} {
 		ct := &faults.CutBodyTransport{Limit: int64(tc.limit)}
 		c := NewHTTPClient(ts.URL+"/sparql", tc.pageSize)

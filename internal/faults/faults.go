@@ -105,7 +105,8 @@ type CutBodyTransport struct {
 // Arm makes the next n responses cut their bodies after Limit bytes.
 func (t *CutBodyTransport) Arm(n int) { t.armed.Store(int64(n)) }
 
-// Cuts reports how many responses were actually cut.
+// Cuts reports how many responses were actually cut: read up to Limit and
+// then once more. An armed response shorter than Limit is not cut.
 func (t *CutBodyTransport) Cuts() uint64 { return t.cuts.Load() }
 
 // RoundTrip implements http.RoundTripper.
@@ -127,8 +128,7 @@ func (t *CutBodyTransport) RoundTrip(req *http.Request) (*http.Response, error) 
 			break
 		}
 	}
-	t.cuts.Add(1)
-	resp.Body = &cutBody{rc: resp.Body, remaining: t.Limit}
+	resp.Body = &cutBody{rc: resp.Body, remaining: t.Limit, cuts: &t.cuts}
 	return resp, nil
 }
 
@@ -138,11 +138,16 @@ type cutBody struct {
 	rc        io.ReadCloser
 	remaining int64
 	dead      bool
+	cuts      *atomic.Uint64 // counts the body once, at the read that fails
 }
 
 func (c *cutBody) Read(p []byte) (int, error) {
 	if c.dead || c.remaining <= 0 {
 		c.dead = true
+		if c.cuts != nil {
+			c.cuts.Add(1)
+			c.cuts = nil
+		}
 		return 0, io.ErrUnexpectedEOF
 	}
 	if int64(len(p)) > c.remaining {

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"rdfframes/internal/dataframe"
-	"rdfframes/internal/obs"
 	"rdfframes/internal/sparql"
 )
 
@@ -21,9 +20,10 @@ import (
 // /v1/features answers store-side topology features for the nodes a query
 // selects. Both go through the same admission gates as /v1/query.
 
-// readQuery extracts the query parameter the way handleQuery does: GET
-// ?query=, a POST form field, or a raw application/sparql-query body. A
-// false return means the rejection response has already been written.
+// readQuery extracts the query parameter of a query, export or features
+// request: GET ?query=, a POST form field, or a raw application/sparql-query
+// body. A false return means the rejection response has already been
+// written.
 func (s *Server) readQuery(w http.ResponseWriter, r *http.Request) (string, bool) {
 	var query string
 	switch r.Method {
@@ -94,11 +94,7 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	reqID := r.Header.Get("X-Request-ID")
-	if reqID == "" {
-		reqID = obs.NewRequestID()
-	}
-	w.Header().Set("X-Request-ID", reqID)
+	requestID(w, r)
 	if f := formParam(r, "format"); f != "" && f != "csv" {
 		http.Error(w, fmt.Sprintf("unsupported export format %q (only csv)", f), http.StatusBadRequest)
 		return
@@ -118,21 +114,12 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/csv; charset=utf-8")
 	rows, err := s.Engine.Export(r.Context(), query, stream)
 	if err != nil {
-		if errors.Is(err, context.Canceled) {
-			s.logf("export canceled by client after %v", time.Since(start))
-			return
-		}
-		if cw.n > 0 {
+		if cw.n > 0 && !errors.Is(err, context.Canceled) {
 			// The status line is gone; all we can do is cut the stream.
 			s.logf("export aborted mid-stream after %d rows: %v", rows, err)
 			return
 		}
-		status := http.StatusBadRequest
-		if errors.Is(err, sparql.ErrTimeout) {
-			status = http.StatusGatewayTimeout
-		}
-		http.Error(w, err.Error(), status)
-		s.logf("export error (%d) in %v: %v", status, time.Since(start), err)
+		s.evalFailed(w, "export", err, start)
 		return
 	}
 	if err := stream.Flush(); err != nil {
@@ -143,7 +130,8 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleFeatures answers topology features for the nodes a query selects,
-// in the SPARQL JSON results format. Parameters: query (node-selecting
+// in the SPARQL JSON results format or, when Accept lists it, as a table
+// body (sparql.TableMediaType). Parameters: query (node-selecting
 // SELECT), var (the variable holding the nodes; default first projected),
 // cap (2-hop count bound; default sparql.DefaultHopCap, -1 unbounded).
 func (s *Server) handleFeatures(w http.ResponseWriter, r *http.Request) {
@@ -152,11 +140,7 @@ func (s *Server) handleFeatures(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	reqID := r.Header.Get("X-Request-ID")
-	if reqID == "" {
-		reqID = obs.NewRequestID()
-	}
-	w.Header().Set("X-Request-ID", reqID)
+	requestID(w, r)
 	spec := sparql.FeatureSpec{Query: query, Var: formParam(r, "var")}
 	if c := formParam(r, "cap"); c != "" {
 		n, err := strconv.Atoi(c)
@@ -175,20 +159,14 @@ func (s *Server) handleFeatures(w http.ResponseWriter, r *http.Request) {
 
 	res, err := s.Engine.Features(r.Context(), spec)
 	if err != nil {
-		if errors.Is(err, context.Canceled) {
-			s.logf("features canceled by client after %v", time.Since(start))
-			return
-		}
-		status := http.StatusBadRequest
-		if errors.Is(err, sparql.ErrTimeout) {
-			status = http.StatusGatewayTimeout
-		}
-		http.Error(w, err.Error(), status)
-		s.logf("features error (%d) in %v: %v", status, time.Since(start), err)
+		s.evalFailed(w, "features", err, start)
 		return
 	}
-	w.Header().Set("Content-Type", "application/sparql-results+json")
-	if err := s.writeBody(w, r, -1, res.WriteJSON); err != nil {
+	write := res.WriteJSON
+	if negotiate(w, r) == sparql.TableMediaType {
+		write = res.WriteTable
+	}
+	if err := s.writeBody(w, r, -1, write); err != nil {
 		s.logf("features write error: %v", err)
 		return
 	}

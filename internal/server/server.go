@@ -29,6 +29,7 @@ import (
 	"strings"
 	"time"
 
+	"rdfframes/internal/freelist"
 	"rdfframes/internal/obs"
 	"rdfframes/internal/sparql"
 )
@@ -123,35 +124,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			info.CacheOutcome(), info.PlanDigest, info.StoreVersion, qerr)
 	}()
 
-	switch r.Method {
-	case http.MethodGet:
-		query = r.URL.Query().Get("query")
-	case http.MethodPost:
-		limit := s.MaxBodyBytes
-		if limit <= 0 {
-			limit = defaultMaxBodyBytes
-		}
-		r.Body = http.MaxBytesReader(w, r.Body, limit)
-		if ct := r.Header.Get("Content-Type"); strings.HasPrefix(ct, "application/sparql-query") {
-			body, err := io.ReadAll(r.Body)
-			if err != nil {
-				s.rejectBody(w, err, limit)
-				return
-			}
-			query = string(body)
-		} else {
-			if err := r.ParseForm(); err != nil {
-				s.rejectBody(w, err, limit)
-				return
-			}
-			query = r.PostForm.Get("query")
-		}
-	default:
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	if query == "" {
-		http.Error(w, "missing query parameter", http.StatusBadRequest)
+	var ok bool
+	if query, ok = s.readQuery(w, r); !ok {
 		return
 	}
 
@@ -161,11 +135,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// only when the response should carry one (?trace=1) or the slow-query
 	// log is armed — the disabled path costs one header read and a nil
 	// trace whose recording methods are all no-ops.
-	reqID = r.Header.Get("X-Request-ID")
-	if reqID == "" {
-		reqID = obs.NewRequestID()
-	}
-	w.Header().Set("X-Request-ID", reqID)
+	reqID = requestID(w, r)
 	wantTrace := traceRequested(r)
 	if wantTrace || s.slowLog.Armed() {
 		tr = obs.NewTrace(reqID)
@@ -199,24 +169,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	})
 	if err != nil {
 		qerr = err
-		if errors.Is(err, context.Canceled) {
-			// The client is gone; there is nobody to answer.
-			s.logf("query canceled by client after %v", time.Since(start))
-			return
-		}
-		status := http.StatusBadRequest
-		if errors.Is(err, sparql.ErrTimeout) {
-			status = http.StatusGatewayTimeout
-		}
-		http.Error(w, err.Error(), status)
-		s.logf("query error (%d) in %v: %v", status, time.Since(start), err)
+		s.evalFailed(w, "query", err, start)
 		return
 	}
 	// The request is answered — nothing below can change the status — and
 	// no store lock is held: the page streams out of the engine's compact
 	// form while the client reads.
 	rows, info = resp.Rows, resp.Info
-	w.Header().Set("Content-Type", "application/sparql-results+json")
 	w.Header().Set("X-Store-Version", strconv.FormatUint(info.StoreVersion, 10))
 	if info.CacheEnabled {
 		switch {
@@ -234,9 +193,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-Truncated", "true")
 	}
 	write, size := resp.WriteJSON, -1
-	if wantTrace {
+	switch {
+	case wantTrace:
+		// The trace annex is a JSON member: a traced response is JSON.
+		w.Header().Set("Content-Type", jsonResults)
 		write = func(out io.Writer) error { return writeTraced(out, resp, tr) }
-	} else if resp.Body != nil {
+	case negotiate(w, r) == sparql.TableMediaType:
+		write = resp.WriteTable
+	case resp.MemoJSON() != nil:
 		size = len(resp.Body) // a page out of the cache entry's memo
 	}
 	if err := s.writeBody(w, r, size, write); err != nil {
@@ -252,31 +216,41 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // write produces it; size is its length when that is known up front (sent
 // as Content-Length unless the body is compressed), or -1.
 func (s *Server) writeBody(w http.ResponseWriter, r *http.Request, size int, write func(io.Writer) error) error {
-	if !acceptsGzip(r) {
+	if !accepts(r, "Accept-Encoding", "gzip") {
 		if size >= 0 {
 			w.Header().Set("Content-Length", strconv.Itoa(size))
 		}
 		return write(w)
 	}
 	w.Header().Set("Content-Encoding", "gzip")
-	w.Header().Set("Vary", "Accept-Encoding")
-	var gz *gzip.Writer
-	select {
-	case gz = <-gzipWriters:
-		gz.Reset(w)
-	default:
+	w.Header().Add("Vary", "Accept-Encoding")
+	gz := gzipWriters.Get()
+	if gz == nil {
 		gz, _ = gzip.NewWriterLevel(w, gzip.BestSpeed) // the level is valid
+	} else {
+		gz.Reset(w)
 	}
-	defer func() {
-		select {
-		case gzipWriters <- gz:
-		default:
-		}
-	}()
+	defer gzipWriters.Put(gz)
 	if err := write(gz); err != nil {
 		return err
 	}
 	return gz.Close()
+}
+
+// jsonResults is the media type of SPARQL-JSON results.
+const jsonResults = "application/sparql-results+json"
+
+// negotiate picks a results body by the request's Accept header: the table
+// body when it is listed, SPARQL-JSON otherwise. It sets Content-Type and
+// Vary, and returns the media type.
+func negotiate(w http.ResponseWriter, r *http.Request) string {
+	ctype := jsonResults
+	if accepts(r, "Accept", sparql.TableMediaType) {
+		ctype = sparql.TableMediaType
+	}
+	w.Header().Set("Content-Type", ctype)
+	w.Header().Add("Vary", "Accept")
+	return ctype
 }
 
 // writeTraced writes resp's page with the trace report as a trailer: the
@@ -346,16 +320,7 @@ func traceRequested(r *http.Request) bool {
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, query string, start time.Time) {
 	rep, err := s.Engine.ExplainContext(r.Context(), query)
 	if err != nil {
-		if errors.Is(err, context.Canceled) {
-			s.logf("explain canceled by client after %v", time.Since(start))
-			return
-		}
-		status := http.StatusBadRequest
-		if errors.Is(err, sparql.ErrTimeout) {
-			status = http.StatusGatewayTimeout
-		}
-		http.Error(w, err.Error(), status)
-		s.logf("explain error (%d) in %v: %v", status, time.Since(start), err)
+		s.evalFailed(w, "explain", err, start)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -369,27 +334,26 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, query str
 
 // gzipWriters recycles gzip writers across responses: serialization is part
 // of every measured round trip, and a writer is some 600 KB of tables to
-// build. It is a bounded free list rather than a sync.Pool because the
-// garbage collector empties a pool: how often a response paid for a new
-// writer then followed how often the heap was collected, which is more
-// often the smaller the store is. Writers beyond the list's capacity are
-// dropped. BestSpeed: the endpoint is throughput-bound, not bandwidth-bound.
-var gzipWriters = make(chan *gzip.Writer, 4)
+// build. It is a free list rather than a sync.Pool because the garbage
+// collector empties a pool: how often a response paid for a new writer then
+// followed how often the heap was collected, which is more often the
+// smaller the store is. BestSpeed: the endpoint is throughput-bound, not
+// bandwidth-bound.
+var gzipWriters freelist.List[gzip.Writer]
 
-// acceptsGzip reports whether the request's Accept-Encoding admits gzip
-// (any listed "gzip" without an explicit q=0).
-func acceptsGzip(r *http.Request) bool {
-	for _, part := range strings.Split(r.Header.Get("Accept-Encoding"), ",") {
-		enc, params, _ := strings.Cut(strings.TrimSpace(part), ";")
-		if !strings.EqualFold(strings.TrimSpace(enc), "gzip") {
+// accepts reports whether the request's header (Accept or
+// Accept-Encoding) lists token without an explicit q=0.
+func accepts(r *http.Request, header, token string) bool {
+	for _, part := range strings.Split(r.Header.Get(header), ",") {
+		name, params, _ := strings.Cut(part, ";")
+		if !strings.EqualFold(strings.TrimSpace(name), token) {
 			continue
 		}
-		q := strings.ReplaceAll(strings.TrimSpace(params), " ", "")
-		if strings.HasPrefix(q, "q=0") && !strings.HasPrefix(q, "q=0.") {
-			return false
-		}
-		if q == "q=0.0" || q == "q=0.00" || q == "q=0.000" {
-			return false
+		for _, param := range strings.Split(params, ";") {
+			if k, v, _ := strings.Cut(param, "="); strings.EqualFold(strings.TrimSpace(k), "q") {
+				q, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
+				return err != nil || q > 0
+			}
 		}
 		return true
 	}
@@ -479,6 +443,32 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	sort.Slice(out.Graphs, func(i, j int) bool { return out.Graphs[i].Graph < out.Graphs[j].Graph })
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(out)
+}
+
+// requestID echoes the request's X-Request-ID, minting one when the client
+// sent none, so that client and server logs correlate.
+func requestID(w http.ResponseWriter, r *http.Request) string {
+	id := r.Header.Get("X-Request-ID")
+	if id == "" {
+		id = obs.NewRequestID()
+	}
+	w.Header().Set("X-Request-ID", id)
+	return id
+}
+
+// evalFailed answers a request whose evaluation failed: with nothing when
+// the client is gone, 504 on a timeout, 400 otherwise.
+func (s *Server) evalFailed(w http.ResponseWriter, what string, err error, start time.Time) {
+	if errors.Is(err, context.Canceled) {
+		s.logf("%s canceled by client after %v", what, time.Since(start))
+		return
+	}
+	status := http.StatusBadRequest
+	if errors.Is(err, sparql.ErrTimeout) {
+		status = http.StatusGatewayTimeout
+	}
+	http.Error(w, err.Error(), status)
+	s.logf("%s error (%d) in %v: %v", what, status, time.Since(start), err)
 }
 
 // rejectBody answers a failed POST body read: 413 when the MaxBytesReader

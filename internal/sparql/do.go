@@ -45,7 +45,7 @@ type Response struct {
 	// without decoding it).
 	Results *Results
 	// Body is the SPARQL JSON serialization: of a JSON request through Do
-	// always, of a Stream response when the page memo holds it.
+	// always, of a Stream response once MemoJSON found it in the page memo.
 	Body []byte
 	// Rows is the number of rows in the returned page.
 	Rows int
@@ -67,7 +67,7 @@ type Response struct {
 // (or a deadline) on ctx stops the evaluation — including any morsel
 // workers it fanned out — within one tick window.
 func (e *Engine) Do(ctx context.Context, req Request) (*Response, error) {
-	resp, err := e.answer(ctx, req)
+	resp, err := e.Stream(ctx, req)
 	if err != nil {
 		return nil, err
 	}
@@ -82,32 +82,16 @@ func (e *Engine) Do(ctx context.Context, req Request) (*Response, error) {
 	return resp, nil
 }
 
-// Stream is Do for a caller that writes the JSON page to a writer itself
-// (the HTTP server). The request is fully answered when it returns —
-// evaluated, or found in the cache — so errors and the response metadata
-// (Rows, Truncated, Info) are known before the first byte is written, and no
-// store lock is held. Results is not filled. Body is filled only for a page
-// of a cached result, from the entry's page memo (which the page joins
-// while the memo has room): its length is then known ahead of the write.
-// Any other page stays in the engine's compact form until
-// Response.WriteJSON encodes it in chunks, so a large result is never held
-// as one body.
+// Stream is Do for a caller that writes the page to a writer itself (the
+// HTTP server): it evaluates the request, or finds it in the cache, and
+// fixes the page — everything about the response but its serialization. So
+// errors and the response metadata (Rows, Truncated, Info) are known before
+// the first byte is written, and no store lock is held. Neither Results nor
+// Body is filled: the page stays in the engine's compact form until
+// WriteJSON or WriteTable encodes it in chunks, so a large result is never
+// held as one body. A caller that wants the JSON of a cached page whole, to
+// state its length, asks MemoJSON first.
 func (e *Engine) Stream(ctx context.Context, req Request) (*Response, error) {
-	resp, err := e.answer(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	if resp.entry.key != "" {
-		endEncode := resp.trace.StartSpan("encode")
-		resp.Body = resp.memoized()
-		endEncode()
-	}
-	return resp, nil
-}
-
-// answer evaluates the request, or finds it in the cache, and fixes the
-// page: everything about the response except its serialization.
-func (e *Engine) answer(ctx context.Context, req Request) (*Response, error) {
 	if req.Trace != nil && obs.TraceFrom(ctx) == nil {
 		ctx = obs.WithTrace(ctx, req.Trace)
 	}
@@ -157,6 +141,19 @@ func (r *Response) Table() (vars []string, terms []rdf.Term, cells []uint32) {
 	c := r.entry.res
 	w := len(c.vars)
 	return slices.Clip(c.vars), slices.Clip(c.terms), c.cells[r.lo*w : r.hi*w : r.hi*w]
+}
+
+// MemoJSON returns the page as SPARQL JSON from the cache entry's page
+// memo, adding it first while the memo has room, and keeps it as Body for
+// WriteJSON; nil when the result is not cached or the memo is full. Only a
+// JSON response should ask: a page joins the memo whether or not its JSON is
+// ever read.
+func (r *Response) MemoJSON() []byte {
+	if r.entry.key != "" {
+		defer r.trace.StartSpan("encode")()
+		r.Body = r.memoized()
+	}
+	return r.Body
 }
 
 // memoized returns the page's serialization from the cache entry's page

@@ -45,6 +45,9 @@ type evaluator struct {
 	// memo holds, per class of shared subplans (queryPlan.shares), the
 	// output of the member evaluated and that member; see shared.
 	memo map[int]memoEntry
+	// ordered is the subquery whose row order the top-level query passes
+	// through (see orderedSubquery), nil when it has none.
+	ordered *Query
 }
 
 // evalStats counts, for one evaluation, the candidate pairs its joins
@@ -140,6 +143,9 @@ func (ev *evaluator) evalQueryRows(q *Query, defaultGraphs []string, top bool) (
 	if len(q.From) > 0 {
 		graphs = q.From
 	}
+	if top {
+		ev.ordered = orderedSubquery(q)
+	}
 	sols, err := ev.evalGroup(q.Where, graphs, "")
 	if err != nil {
 		return nil, err
@@ -189,13 +195,15 @@ func (ev *evaluator) evalQueryRows(q *Query, defaultGraphs []string, top bool) (
 		}
 	}
 
-	if top || q.Limit >= 0 || q.Offset > 0 {
+	if (top || q == ev.ordered || q.Limit >= 0 || q.Offset > 0) && !(top && ev.ordered != nil) {
 		// Canonical order first; ORDER BY then stable-sorts on top, so even
 		// its ties resolve identically under every plan. Subqueries without
 		// LIMIT/OFFSET skip this — their order is erased by the top-level
 		// canonicalization — but a sliced subquery picks *which* rows
 		// survive by order, so it must canonicalize to keep the selected
-		// bag plan-invariant.
+		// bag plan-invariant. A top-level query that passes an ordered
+		// subquery's rows through keeps their order, and that subquery
+		// orders them as a top-level query would.
 		if err := ev.canonicalizeRows(sols, q.projectedVars()); err != nil {
 			return nil, err
 		}
@@ -226,6 +234,29 @@ func (ev *evaluator) evalQueryRows(q *Query, defaultGraphs []string, top bool) (
 		ev.qp.results[q].Record(proj.n)
 	}
 	return proj, nil
+}
+
+// orderedSubquery returns the subquery whose row order q keeps: q is a bare
+// SELECT * — no DISTINCT, grouping or ORDER BY of its own, at most a
+// LIMIT/OFFSET slice — over nested groups that hold one subquery and
+// nothing else, and that subquery has an ORDER BY. The HTTP client's
+// pagination wrapper has this shape, and a page of an ordered query must
+// come back in the order it asked for.
+func orderedSubquery(q *Query) *Query {
+	if !q.Star || q.Distinct || len(q.OrderBy) > 0 || q.HasAggregates() {
+		return nil
+	}
+	for g := q.Where; len(g.Elems) == 1; {
+		if e, ok := g.Elems[0].(GroupElem); ok {
+			g = e.Group
+			continue
+		}
+		if e, ok := g.Elems[0].(SubQueryElem); ok && len(e.Query.OrderBy) > 0 {
+			return e.Query
+		}
+		break
+	}
+	return nil
 }
 
 func (ev *evaluator) aggregate(q *Query, sols *idRows) (*idRows, error) {

@@ -2,6 +2,7 @@ package sparql
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -143,9 +144,14 @@ func (t *Table) Results() *Results { return t.results(0, t.n) }
 // whole terms, but the cells and the row count are as before, so the page
 // can be read again.
 func (t *Table) ReadJSON(rd io.Reader) error {
+	return t.read(rd, "", (*Table).decode)
+}
+
+// read runs decode, the decoder of format, over rd through a pooled window.
+func (t *Table) read(rd io.Reader, format string, decode func(*Table, *jsonWindow) error) error {
 	bp := windowPool.Get().(*[]byte)
-	w := &jsonWindow{r: rd, buf: *bp}
-	err := t.decode(w)
+	w := &jsonWindow{r: rd, buf: *bp, format: format}
+	err := decode(t, w)
 	if cap(w.buf) <= 16*decodeWindowBytes {
 		*bp = w.buf[:cap(w.buf)]
 		windowPool.Put(bp)
@@ -160,15 +166,17 @@ type jsonWindow struct {
 	r        io.Reader
 	buf      []byte // buf[pos:end] is unread
 	pos, end int
-	base     int64 // input offset of buf[0]
-	rerr     error // what the reader returned last, io.EOF included
+	base     int64  // input offset of buf[0]
+	rerr     error  // what the reader returned last, io.EOF included
+	format   string // what the input is, for errors; "" is JSON
 }
 
 func (w *jsonWindow) errAt(msg string) error {
+	format := cmp.Or(w.format, "JSON")
 	if w.rerr != nil && w.rerr != io.EOF && w.pos == w.end {
-		return fmt.Errorf("sparql: reading results JSON at offset %d: %w", w.base+int64(w.pos), w.rerr)
+		return fmt.Errorf("sparql: reading results %s at offset %d: %w", format, w.base+int64(w.pos), w.rerr)
 	}
-	return fmt.Errorf("sparql: malformed results JSON at offset %d: %s", w.base+int64(w.pos), msg)
+	return fmt.Errorf("sparql: malformed results %s at offset %d: %s", format, w.base+int64(w.pos), msg)
 }
 
 // more reads further input behind buf[end]. When the buffer is full it
@@ -255,20 +263,6 @@ func (w *jsonWindow) empty(close byte) (bool, error) {
 	}
 	w.pos++
 	return true, nil
-}
-
-// hasPrefix consumes lit if the unread input starts with it.
-func (w *jsonWindow) hasPrefix(lit []byte) bool {
-	for w.end-w.pos < len(lit) {
-		if keep := w.pos; !w.more(&keep) {
-			return false
-		}
-	}
-	if !bytes.Equal(w.buf[w.pos:w.pos+len(lit)], lit) {
-		return false
-	}
-	w.pos += len(lit)
-	return true
 }
 
 // value cuts the next JSON value out of the input and returns its raw
@@ -415,12 +409,17 @@ func (s *jsonScanner) internString() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if v, ok := s.intern[string(b)]; ok {
-		return v, nil
+	return intern(s.intern, b), nil
+}
+
+// intern returns the copy of b that m holds, adding one first if need be.
+func intern(m map[string]string, b []byte) string {
+	if v, ok := m[string(b)]; ok {
+		return v
 	}
 	v := string(b)
-	s.intern[v] = v
-	return v, nil
+	m[v] = v
+	return v
 }
 
 // stringBytes parses a JSON string and returns its decoded bytes, valid
@@ -675,12 +674,6 @@ type resultsDecoder struct {
 	pendingBase int64
 
 	varIdx map[string]int
-	// keys holds `"var":` per column as this package's encoder writes it,
-	// for matching a row's keys without parsing them (sending every key
-	// through member instead takes BenchmarkDecodeJSON/lowcard from 53 to
-	// 73 ms and serve_warm from 1,206 to 1,078 ops/s); nil when a name
-	// repeats, where only varIdx's last-one-wins is right.
-	keys [][]byte
 }
 
 // decode appends the rows of one SPARQL JSON results document from w,
@@ -689,10 +682,7 @@ func (t *Table) decode(w *jsonWindow) (err error) {
 	n, cells, headed := t.n, len(t.cells), t.headed
 	defer func() {
 		if err != nil {
-			t.n, t.cells = n, t.cells[:cells]
-			if !headed {
-				t.vars, t.headed = nil, false
-			}
+			t.rollback(n, cells, headed)
 		}
 	}()
 	d := &resultsDecoder{t: t}
@@ -705,7 +695,7 @@ func (t *Table) decode(w *jsonWindow) (err error) {
 		return err
 	}
 	if !d.headSeen {
-		if err := d.columns(nil); err != nil {
+		if err := t.setColumns(nil); err != nil {
 			return err
 		}
 	}
@@ -833,7 +823,7 @@ func (d *resultsDecoder) head(s *jsonScanner) error {
 		err = s.finish()
 	}
 	if err == nil {
-		err = d.columns(vars)
+		err = d.t.setColumns(vars)
 	}
 	if err != nil {
 		return err
@@ -842,26 +832,30 @@ func (d *resultsDecoder) head(s *jsonScanner) error {
 	for i, v := range vars {
 		d.varIdx[v] = i
 	}
-	if len(d.varIdx) == len(vars) {
-		d.keys = make([][]byte, len(vars))
-		for i, v := range vars {
-			d.keys[i] = append(appendJSONString(nil, v), ':')
-		}
-	}
 	return nil
 }
 
-// columns fixes the table's columns as the document's, or checks that they
-// are the ones earlier documents fixed: a page whose head renames or
-// reorders them would put its cells under the wrong names.
-func (d *resultsDecoder) columns(vars []string) error {
-	switch t := d.t; {
+// setColumns fixes the table's columns as a page's, or checks that they are
+// the ones earlier pages fixed: a page whose head renames or reorders them
+// would put its cells under the wrong names.
+func (t *Table) setColumns(vars []string) error {
+	switch {
 	case !t.headed:
 		t.vars, t.headed = vars, true
 	case !slices.Equal(vars, t.vars):
 		return fmt.Errorf("%w: %q, earlier pages %q", ErrColumnsChanged, vars, t.vars)
 	}
 	return nil
+}
+
+// rollback undoes a failed read: the rows go back to the first n with their
+// cells, and the columns are unfixed again unless an earlier page fixed
+// them.
+func (t *Table) rollback(n, cells int, headed bool) {
+	t.n, t.cells = n, t.cells[:cells]
+	if !headed {
+		t.vars, t.headed = nil, false
+	}
 }
 
 // stringList parses an array of strings.
@@ -945,9 +939,8 @@ func (d *resultsDecoder) row(w *jsonWindow) error {
 	if done, err := w.empty('}'); done || err != nil {
 		return err
 	}
-	next := 0 // the first column the next key can name, in our encoder's order
 	for {
-		col, err := d.column(w, &next)
+		col, err := d.column(w)
 		if err != nil {
 			return err
 		}
@@ -967,16 +960,7 @@ func (d *resultsDecoder) row(w *jsonWindow) error {
 
 // column reads a binding's key and returns the column it names, or -1 for
 // a variable the head did not list.
-func (d *resultsDecoder) column(w *jsonWindow, next *int) (int, error) {
-	if _, err := w.peek(); err != nil {
-		return 0, err
-	}
-	for j := *next; j < len(d.keys); j++ {
-		if w.hasPrefix(d.keys[j]) {
-			*next = j + 1
-			return j, nil
-		}
-	}
+func (d *resultsDecoder) column(w *jsonWindow) (int, error) {
 	name, err := d.member(w, depthRow)
 	if err != nil {
 		return 0, err
