@@ -10,13 +10,12 @@
 // Run with: go test -bench=. -benchmem
 // The absolute numbers reflect the in-process Go engine on synthetic data;
 // the comparisons within a figure are the reproduction target (see
-// EXPERIMENTS.md).
+// PERFORMANCE.md).
 package rdfframes_test
 
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"rdfframes/internal/bench"
 )
@@ -51,9 +50,8 @@ func benchTask(b *testing.B, taskID string, approaches []bench.Approach) {
 	for _, a := range approaches {
 		b.Run(string(a), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				m := task.Measure(env, a, 5*time.Minute)
-				if m.Err != nil {
-					b.Fatalf("%s under %s: %v", taskID, a, m.Err)
+				if _, err := task.Run(env, a); err != nil {
+					b.Fatalf("%s under %s: %v", taskID, a, err)
 				}
 			}
 		})

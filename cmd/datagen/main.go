@@ -1,7 +1,7 @@
 // Command datagen writes the synthetic benchmark knowledge graphs as
 // N-Triples files — and, optionally, as a single binary snapshot that
-// rdfframes-server and benchrunner can reopen without re-parsing — for
-// loading into rdfframes-server (or any RDF engine).
+// rdfframes-server can reopen without re-parsing — for loading into
+// rdfframes-server (or any RDF engine).
 //
 // Usage:
 //

@@ -18,7 +18,6 @@ package baselines
 
 import (
 	"fmt"
-	"time"
 
 	"rdfframes/internal/client"
 	"rdfframes/internal/core"
@@ -39,16 +38,10 @@ type NavSource interface {
 // Run interprets an operator chain: navigation through src, every
 // relational operator on dataframes.
 func Run(chain *core.Chain, src NavSource) (*dataframe.DataFrame, error) {
-	return RunUntil(chain, src, time.Time{})
-}
-
-// RunUntil is Run with a deadline: interpretation aborts (and client-side
-// joins stop consuming CPU) shortly after the deadline passes.
-func RunUntil(chain *core.Chain, src NavSource, deadline time.Time) (*dataframe.DataFrame, error) {
 	if err := chain.Validate(); err != nil {
 		return nil, err
 	}
-	in := &interp{src: src, prefixes: chain.Prefixes, deadline: deadline}
+	in := &interp{src: src, prefixes: chain.Prefixes}
 	df, err := in.run(chain.Ops)
 	if err != nil {
 		return nil, err
@@ -63,25 +56,12 @@ type interp struct {
 	src      NavSource
 	prefixes *rdf.PrefixMap
 	pending  []core.Condition
-	deadline time.Time
-}
-
-var errDeadline = fmt.Errorf("baselines: timeout (deadline exceeded)")
-
-func (in *interp) deadlineErr() error {
-	if !in.deadline.IsZero() && time.Now().After(in.deadline) {
-		return errDeadline
-	}
-	return nil
 }
 
 func (in *interp) run(ops []core.Op) (*dataframe.DataFrame, error) {
 	var cur *dataframe.DataFrame
 	i := 0
 	for i < len(ops) {
-		if err := in.deadlineErr(); err != nil {
-			return nil, err
-		}
 		switch op := ops[i].(type) {
 		case core.SeedOp, core.ExpandOp:
 			// Collect a navigation run.
@@ -170,7 +150,7 @@ func (in *interp) run(ops []core.Op) (*dataframe.DataFrame, error) {
 			cur = cur.Head(op.K, op.Offset)
 
 		case core.JoinOp:
-			sub := &interp{src: in.src, prefixes: op.Other.Prefixes, deadline: in.deadline}
+			sub := &interp{src: in.src, prefixes: op.Other.Prefixes}
 			right, err := sub.run(op.Other.Ops)
 			if err != nil {
 				return nil, err
@@ -313,14 +293,11 @@ func (in *interp) joinOnShared(left, right *dataframe.DataFrame, how dataframe.J
 	var joined []sparql.Binding
 	switch how {
 	case dataframe.LeftOuterJoin:
-		joined = sparql.LeftJoinBindings(l, r, in.deadline)
+		joined = sparql.LeftJoinBindings(l, r)
 	case dataframe.RightOuterJoin:
-		joined = sparql.LeftJoinBindings(r, l, in.deadline)
+		joined = sparql.LeftJoinBindings(r, l)
 	default:
-		joined = sparql.JoinBindings(l, r, in.deadline)
-	}
-	if err := in.deadlineErr(); err != nil {
-		return nil, err
+		joined = sparql.JoinBindings(l, r)
 	}
 	cols := left.Columns()
 	for _, c := range right.Columns() {

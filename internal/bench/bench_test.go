@@ -2,10 +2,8 @@ package bench
 
 import (
 	"context"
-	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"rdfframes"
 	"rdfframes/internal/sparql"
@@ -114,29 +112,6 @@ func TestCaseStudyApproachesAgree(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-	}
-}
-
-func TestMeasureReportsTimeout(t *testing.T) {
-	env := sharedEnv(t)
-	task := CaseStudies()[0]
-	m := task.Measure(env, Naive, time.Nanosecond)
-	if m.Err == nil {
-		t.Fatal("expected timeout error")
-	}
-}
-
-func TestFigureFormatting(t *testing.T) {
-	env := sharedEnv(t)
-	rows := runTasks(env, CaseStudies()[2:3], []Approach{Expert, RDFFrames}, time.Minute, 1)
-	out := FormatFigure("Figure 4 excerpt", rows, []Approach{Expert, RDFFrames})
-	if !strings.Contains(out, "cs3") || !strings.Contains(out, "Expert") {
-		t.Fatalf("format output missing fields:\n%s", out)
-	}
-	f5 := runTasks(env, Synthetic()[:2], []Approach{Expert, Naive, RDFFrames}, time.Minute, 2)
-	out5 := FormatFigure5(f5)
-	if !strings.Contains(out5, "naive/expert") {
-		t.Fatalf("figure 5 output malformed:\n%s", out5)
 	}
 }
 

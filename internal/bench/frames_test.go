@@ -126,3 +126,51 @@ func sameFrame(got, want *dataframe.DataFrame) error {
 	}
 	return nil
 }
+
+// TestPaginatedReadEvaluatesOnce: an HTTP client paging through the largest
+// Figure-5 result of a caching server costs one evaluation — the first page
+// misses the result cache, every later page is sliced from the entry — and
+// reading it all again costs none.
+func TestPaginatedReadEvaluatesOnce(t *testing.T) {
+	env := sharedEnv(t)
+	cached := sparql.NewEngine(env.Store)
+	cached.EnableCache(sparql.DefaultPlanCacheEntries, sparql.DefaultResultCacheRows)
+	ts := httptest.NewServer(server.New(cached).Handler())
+	defer ts.Close()
+
+	var query string
+	rows := 0
+	for _, task := range Synthetic() {
+		q, err := task.Frame(env).ToSPARQL()
+		if err != nil {
+			t.Fatalf("%s: %v", task.ID, err)
+		}
+		res, err := env.Engine.Query(q)
+		if err != nil {
+			t.Fatalf("%s: %v", task.ID, err)
+		}
+		if len(res.Rows) > rows {
+			query, rows = q, len(res.Rows)
+		}
+	}
+	c := client.NewHTTPClient(ts.URL+"/sparql", rows/8+1)
+	read := func() (misses, pages uint64) {
+		t.Helper()
+		before := cached.CacheStats().Results
+		res, err := c.Select(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != rows {
+			t.Fatalf("paginated read returned %d rows, want %d", len(res.Rows), rows)
+		}
+		after := cached.CacheStats().Results
+		return after.Misses - before.Misses, (after.Misses + after.Hits) - (before.Misses + before.Hits)
+	}
+	if misses, pages := read(); misses != 1 || pages < 2 {
+		t.Errorf("cold read: %d result-cache misses over %d pages, want 1 over at least 2", misses, pages)
+	}
+	if misses, _ := read(); misses != 0 {
+		t.Errorf("warm read: %d result-cache misses, want 0", misses)
+	}
+}

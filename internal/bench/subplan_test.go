@@ -9,46 +9,6 @@ import (
 	"rdfframes/internal/sparql"
 )
 
-// TestCaseStudiesByteIdentical is the determinism matrix over the three case
-// studies: serial, four workers, without the trie walk and without the
-// planner serialize to the same bytes. The case studies are where frames
-// join frames — nested subqueries, OPTIONAL of a subquery, a full outer join
-// compiled to a UNION of two of those — so every push byte-diffs the shapes
-// the join operator and subplan sharing act on, not only Q1–Q15.
-func TestCaseStudiesByteIdentical(t *testing.T) {
-	env := sharedEnv(t)
-	engine := func(set func(e *sparql.Engine)) *sparql.Engine {
-		e := sparql.NewEngine(env.Store)
-		set(e)
-		return e
-	}
-	serial := engine(func(e *sparql.Engine) { e.Parallelism = 1 })
-	others := map[string]*sparql.Engine{
-		"4 workers":        engine(func(e *sparql.Engine) { e.Parallelism = 4 }),
-		"DisableWCOJ":      engine(func(e *sparql.Engine) { e.Parallelism = 4; e.DisableWCOJ = true }),
-		"DisableOptimizer": engine(func(e *sparql.Engine) { e.Parallelism = 4; e.DisableOptimizer = true }),
-	}
-	for _, task := range CaseStudies() {
-		query, err := task.Frame(env).ToSPARQL()
-		if err != nil {
-			t.Fatalf("%s: %v", task.ID, err)
-		}
-		want, err := evalJSON(serial, query)
-		if err != nil {
-			t.Fatalf("%s: serial: %v", task.ID, err)
-		}
-		for name, eng := range others {
-			got, err := evalJSON(eng, query)
-			if err != nil {
-				t.Fatalf("%s: %s: %v", task.ID, name, err)
-			}
-			if !bytes.Equal(want, got) {
-				t.Errorf("%s: %s differs from serial (%d vs %d bytes)", task.ID, name, len(got), len(want))
-			}
-		}
-	}
-}
-
 // fullOuterJoinChains builds frames the 18 tasks do not: full outer joins
 // of frames that branch from one frame, in both orders, chained, and under
 // an inner join — each compiles to the same operand text several times.

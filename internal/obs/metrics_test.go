@@ -138,7 +138,7 @@ func TestHistogramQuantiles(t *testing.T) {
 
 // TestPrometheusRoundTrip renders a populated registry and re-reads it with
 // ParseText: every series must survive with its value and type intact —
-// the property benchcheck -metrics relies on.
+// the property the server's /metrics tests rely on.
 func TestPrometheusRoundTrip(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("rt_requests_total", "requests", L("code", "200")).Add(7)

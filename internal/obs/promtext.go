@@ -11,8 +11,8 @@ import (
 // ParseText reads Prometheus text exposition format and returns every
 // sample as series-name-with-labels -> value, plus the family -> type map
 // from the # TYPE lines. It accepts exactly what WritePrometheus emits
-// (and the common subset real exporters produce); it exists so benchcheck
-// can validate a scraped /metrics without a Prometheus dependency.
+// (and the common subset real exporters produce); it exists so the server
+// tests can check a scraped /metrics without a Prometheus dependency.
 func ParseText(r io.Reader) (samples map[string]float64, types map[string]MetricType, err error) {
 	samples = map[string]float64{}
 	types = map[string]MetricType{}

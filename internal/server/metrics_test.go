@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -43,13 +44,70 @@ func newMetricsServer(t *testing.T, maxInFlight int) (*httptest.Server, *Server,
 	eng.SetEvalHook(ev.Hook)
 	srv := New(eng)
 	srv.MaxInFlight = maxInFlight
-	srv.EnableMetrics(obs.NewRegistry())
+	reg := obs.NewRegistry()
+	obs.RegisterRuntimeMetrics(reg)
+	srv.EnableMetrics(reg)
 	var slowBuf bytes.Buffer
 	slow := obs.NewSlowLog(&slowBuf, 0)
 	srv.SetSlowLog(slow)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return ts, srv, &ev, slow, &slowBuf
+}
+
+// requiredMetricFamilies is the contract a scrape of a healthy server must
+// cover: the engine's counters and gauges, the serving-layer instruments,
+// and the Go runtime gauges. All are registered unconditionally by
+// EnableMetrics/RegisterRuntimeMetrics, so a missing family means the
+// wiring regressed, not that the feature was off.
+var requiredMetricFamilies = []string{
+	// engine
+	"rdfframes_cache_hits_total",
+	"rdfframes_cache_misses_total",
+	"rdfframes_cache_evictions_total",
+	"rdfframes_cache_entries",
+	"rdfframes_cache_cost",
+	"rdfframes_cache_budget",
+	"rdfframes_cache_enabled",
+	"rdfframes_singleflight_total",
+	"rdfframes_evaluations_total",
+	"rdfframes_wcoj_segments_total",
+	"rdfframes_wcoj_seeks_total",
+	"rdfframes_wcoj_backtracks_total",
+	"rdfframes_wcoj_fallbacks_total",
+	"rdfframes_store_version",
+	"rdfframes_stats_epoch",
+	"rdfframes_store_triples",
+	"rdfframes_store_base_triples",
+	"rdfframes_store_delta_triples",
+	"rdfframes_store_tombstones",
+	"rdfframes_store_index_bytes",
+	"rdfframes_store_graphs",
+	"rdfframes_store_dict_terms",
+	"rdfframes_store_dict_bytes",
+	"rdfframes_parallelism",
+	// serving layer
+	"rdfframes_query_seconds",
+	"rdfframes_query_task_seconds",
+	"rdfframes_http_requests_total",
+	"rdfframes_traces_total",
+	"rdfframes_admission_shed_total",
+	"rdfframes_admitted_total",
+	"rdfframes_in_flight",
+	"rdfframes_draining",
+	"rdfframes_max_in_flight",
+	"rdfframes_max_query_cost",
+	"rdfframes_slowlog_entries_total",
+	"rdfframes_slowlog_dropped_total",
+	// runtime
+	"rdfframes_goroutines",
+	"rdfframes_gomaxprocs",
+	"rdfframes_heap_alloc_bytes",
+	"rdfframes_heap_sys_bytes",
+	"rdfframes_heap_objects",
+	"rdfframes_gc_runs_total",
+	"rdfframes_gc_pause_seconds_total",
+	"rdfframes_alloc_bytes_total",
 }
 
 // fullStats is the /stats shape the consistency test reads.
@@ -182,6 +240,16 @@ func TestStatsMetricsConsistencyUnderLoad(t *testing.T) {
 	if len(samples) == 0 || len(types) == 0 {
 		t.Fatal("empty /metrics exposition")
 	}
+	for _, fam := range requiredMetricFamilies {
+		if _, ok := types[fam]; !ok {
+			t.Errorf("required metric family %s missing", fam)
+		}
+	}
+	for name, v := range samples {
+		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+			t.Errorf("%s = %v, want a finite non-negative value", name, v)
+		}
+	}
 
 	// Every counter the two surfaces share must be equal — same atomics,
 	// read through at render time.
@@ -272,9 +340,12 @@ func TestStatsMetricsConsistencyUnderLoad(t *testing.T) {
 	}
 
 	// The slow log (threshold 0) recorded every completed query as valid
-	// JSON, and its counters agree across surfaces too.
+	// JSON, dropped none, and its counters agree across surfaces too.
 	if slow.Entries() != stats.SlowLog.Entries {
 		t.Fatalf("slow log entries: log=%d /stats=%d", slow.Entries(), stats.SlowLog.Entries)
+	}
+	if slow.Dropped() != 0 {
+		t.Fatalf("slow log dropped %d entries", slow.Dropped())
 	}
 	dec := json.NewDecoder(slowBuf)
 	var lines uint64
@@ -283,8 +354,8 @@ func TestStatsMetricsConsistencyUnderLoad(t *testing.T) {
 		if err := dec.Decode(&e); err != nil {
 			t.Fatalf("slow log line %d: %v", lines+1, err)
 		}
-		if e.RequestID == "" {
-			t.Fatalf("slow log line %d has no request id", lines+1)
+		if e.RequestID == "" || e.Time == "" {
+			t.Fatalf("slow log line %d lacks its request id or time: %+v", lines+1, e)
 		}
 		lines++
 	}

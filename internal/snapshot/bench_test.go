@@ -9,7 +9,7 @@ import (
 )
 
 // benchmarkStore loads two of the synthetic benchmark graphs (~200k
-// triples), the same data the benchrunner storage figure measures.
+// triples) at bench scale.
 func benchmarkStore(b *testing.B) *store.Store {
 	b.Helper()
 	st := store.New()

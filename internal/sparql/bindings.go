@@ -3,7 +3,6 @@ package sparql
 import (
 	"encoding/binary"
 	"sort"
-	"time"
 
 	"rdfframes/internal/rdf"
 )
@@ -45,7 +44,10 @@ func (r *Results) bindings() []Binding {
 	return out
 }
 
-func joinDeadline(left, right []Binding, deadline time.Time) []Binding {
+// JoinBindings computes the SPARQL join of two solution multisets
+// (compatible mappings merged). Exported for the client-side baselines,
+// which must mirror the engine's join semantics exactly.
+func JoinBindings(left, right []Binding) []Binding {
 	if len(left) == 0 || len(right) == 0 {
 		return nil
 	}
@@ -67,10 +69,7 @@ func joinDeadline(left, right []Binding, deadline time.Time) []Binding {
 			index[joinKey(r, boundShared)] = append(index[joinKey(r, boundShared)], r)
 		}
 		var out []Binding
-		for i, l := range left {
-			if deadlineExceeded(deadline, i) {
-				return out
-			}
+		for _, l := range left {
 			for _, r := range index[joinKey(l, boundShared)] {
 				if !needVerify || compatible(l, r) {
 					out = append(out, merge(l, r))
@@ -80,10 +79,7 @@ func joinDeadline(left, right []Binding, deadline time.Time) []Binding {
 		return out
 	}
 	var out []Binding
-	for i, l := range left {
-		if deadlineExceeded(deadline, i) {
-			return out
-		}
+	for _, l := range left {
 		for _, r := range right {
 			if compatible(l, r) {
 				out = append(out, merge(l, r))
@@ -93,7 +89,9 @@ func joinDeadline(left, right []Binding, deadline time.Time) []Binding {
 	return out
 }
 
-func leftJoinDeadline(left, right []Binding, deadline time.Time) []Binding {
+// LeftJoinBindings computes the SPARQL left outer join of two solution
+// multisets.
+func LeftJoinBindings(left, right []Binding) []Binding {
 	if len(left) == 0 {
 		return nil
 	}
@@ -108,10 +106,7 @@ func leftJoinDeadline(left, right []Binding, deadline time.Time) []Binding {
 		for _, r := range right {
 			index[joinKey(r, boundShared)] = append(index[joinKey(r, boundShared)], r)
 		}
-		for i, l := range left {
-			if deadlineExceeded(deadline, i) {
-				return out
-			}
+		for _, l := range left {
 			matched := false
 			for _, r := range index[joinKey(l, boundShared)] {
 				if !needVerify || compatible(l, r) {
@@ -125,10 +120,7 @@ func leftJoinDeadline(left, right []Binding, deadline time.Time) []Binding {
 		}
 		return out
 	}
-	for i, l := range left {
-		if deadlineExceeded(deadline, i) {
-			return out
-		}
+	for _, l := range left {
 		matched := false
 		for _, r := range right {
 			if compatible(l, r) {
@@ -141,13 +133,6 @@ func leftJoinDeadline(left, right []Binding, deadline time.Time) []Binding {
 		}
 	}
 	return out
-}
-
-// deadlineExceeded checks the deadline every 1024 iterations; abandoned
-// client-side joins stop consuming CPU shortly after their harness gives
-// up on them.
-func deadlineExceeded(deadline time.Time, i int) bool {
-	return !deadline.IsZero() && i&1023 == 0 && time.Now().After(deadline)
 }
 
 // sharedVars returns the variables observed on both sides, plus the subset

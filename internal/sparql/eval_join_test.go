@@ -2,7 +2,6 @@ package sparql
 
 import (
 	"testing"
-	"time"
 
 	"rdfframes/internal/rdf"
 	"rdfframes/internal/store"
@@ -191,7 +190,7 @@ func TestGroupByCompositeKeyCollision(t *testing.T) {
 func TestJoinBindingsCompositeKeyCollision(t *testing.T) {
 	left := []Binding{{"x": rdf.NewIRI("a>\x00<b"), "y": rdf.NewIRI("c")}}
 	right := []Binding{{"x": rdf.NewIRI("a"), "y": rdf.NewIRI("b>\x00<c"), "z": iri("z")}}
-	if out := JoinBindings(left, right, time.Time{}); len(out) != 0 {
+	if out := JoinBindings(left, right); len(out) != 0 {
 		t.Fatalf("incompatible rows joined via key collision: %v", out)
 	}
 }

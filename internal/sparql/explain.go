@@ -13,7 +13,8 @@ import (
 // ExplainReport is the result of explaining a query: the optimized plan
 // tree with estimated and actual cardinalities, plus planning and execution
 // timings. It serializes to JSON (the server's ?explain=1 response) and
-// renders as text (the EXPLAIN keyword and benchrunner -explain).
+// renders as text (the EXPLAIN keyword and the golden plans under
+// internal/bench/testdata/explain).
 type ExplainReport struct {
 	// Query is the explained query text (without the EXPLAIN keyword).
 	Query string `json:"query"`

@@ -2,7 +2,6 @@ package sparql
 
 import (
 	"fmt"
-	"time"
 
 	"rdfframes/internal/rdf"
 )
@@ -39,19 +38,4 @@ func EvalExpression(e Expression, row map[string]rdf.Term) (rdf.Term, error) {
 // errors yield false, matching FILTER semantics.
 func EvalCondition(e Expression, row map[string]rdf.Term) bool {
 	return evalBool(e, &evalCtx{row: Binding(row), cache: &regexCache{}})
-}
-
-// JoinBindings computes the SPARQL join of two solution multisets
-// (compatible mappings merged). Exported for the client-side baselines,
-// which must mirror the engine's join semantics exactly. A non-zero
-// deadline truncates the join once passed (callers must treat a passed
-// deadline as failure).
-func JoinBindings(left, right []Binding, deadline time.Time) []Binding {
-	return joinDeadline(left, right, deadline)
-}
-
-// LeftJoinBindings computes the SPARQL left outer join of two solution
-// multisets, honouring the same deadline contract as JoinBindings.
-func LeftJoinBindings(left, right []Binding, deadline time.Time) []Binding {
-	return leftJoinDeadline(left, right, deadline)
 }
