@@ -721,18 +721,20 @@ func (ev *evaluator) evalGroup(g *Group, graphs []string, graphOverride string) 
 }
 
 // applyFilter compacts current in place to the rows satisfying f, recording
-// the surviving row count on tracked plans.
+// the surviving row count on tracked plans. The condition is resolved
+// against current's layout first.
 func (ev *evaluator) applyFilter(current *idRows, f groupFilter) error {
 	current.own()
 	w := current.width()
-	ctx, view := ev.rowCtx(current)
+	cond := ev.dict.resolve(f.cond, current.cols)
+	ctx := &evalCtx{dict: ev.dict, cache: ev.cache}
 	keep := 0
 	for i := 0; i < current.n; i++ {
 		if err := ev.tick(); err != nil {
 			return err
 		}
-		view.idx = i
-		if evalBool(f.cond, ctx) {
+		ctx.cells = current.row(i)
+		if evalBool(cond, ctx) {
 			if keep != i {
 				copy(current.data[keep*w:(keep+1)*w], current.data[i*w:(i+1)*w])
 			}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 
 	"rdfframes/internal/rdf"
@@ -118,15 +119,123 @@ func (v *idRowView) lookupVar(name string) (rdf.Term, bool) {
 	return v.dict.decode(v.rows.at(v.idx, c)), true
 }
 
+// Resolved expressions. A FILTER condition is resolved once against the row
+// layout it runs on (evalDict.resolve): a variable becomes a column read,
+// and =, !=, IN/NOT IN and isIRI/isBlank/isLiteral over variables and
+// constants become tests on ids, which decode a term only when value
+// semantics need it. evalExpr and evalCond evaluate these nodes like any
+// other, reading the row from ctx.cells.
+
+// exCell reads column col of the row, or, when col < 0, the fixed id: a
+// constant, or 0 for a variable the layout lacks, which reads as unbound.
+type exCell struct {
+	col int
+	id  store.ID
+}
+
+// exIDEqual is "l = r", or "l != r" when neg.
+type exIDEqual struct {
+	l, r exCell
+	neg  bool
+}
+
+// exIDIn is "e IN (list)", or NOT IN when neg.
+type exIDIn struct {
+	e    exCell
+	list []exCell
+	neg  bool
+}
+
+// exIDKind is isIRI, isBlank or isLiteral of e.
+type exIDKind struct {
+	e    exCell
+	kind rdf.TermKind
+}
+
+func (exCell) isExpr()    {}
+func (exIDEqual) isExpr() {}
+func (exIDIn) isExpr()    {}
+func (exIDKind) isExpr()  {}
+
+func (c exCell) get(cells []store.ID) store.ID {
+	if c.col >= 0 {
+		return cells[c.col]
+	}
+	return c.id
+}
+
+var kindTests = map[string]rdf.TermKind{"isiri": rdf.IRIKind, "isuri": rdf.IRIKind, "isblank": rdf.BlankKind, "isliteral": rdf.LiteralKind}
+
+// resolve returns e resolved against the row layout cols, its constants
+// encoded through d. Encoding may intern, so resolve runs on the query
+// goroutine, before the workers that evaluate the result start.
+func (d *evalDict) resolve(e Expression, cols map[string]int) Expression {
+	cell := func(e Expression) (exCell, bool) {
+		switch x := e.(type) {
+		case ExVar:
+			if c, ok := cols[x.Name]; ok {
+				return exCell{col: c}, true
+			}
+			return exCell{col: -1}, true
+		case ExTerm:
+			return exCell{col: -1, id: d.encode(x.Term)}, true
+		}
+		return exCell{}, false
+	}
+	all := func(es []Expression) []Expression {
+		out := make([]Expression, len(es))
+		for i, a := range es {
+			out[i] = d.resolve(a, cols)
+		}
+		return out
+	}
+	switch x := e.(type) {
+	case ExVar:
+		c, _ := cell(x)
+		return c
+	case ExBinary:
+		if x.Op == "=" || x.Op == "!=" {
+			l, lok := cell(x.L)
+			r, rok := cell(x.R)
+			if lok && rok {
+				return exIDEqual{l: l, r: r, neg: x.Op == "!="}
+			}
+		}
+		return ExBinary{Op: x.Op, L: d.resolve(x.L, cols), R: d.resolve(x.R, cols)}
+	case ExUnary:
+		return ExUnary{Op: x.Op, E: d.resolve(x.E, cols)}
+	case ExIn:
+		e, ok := cell(x.E)
+		in := exIDIn{e: e, neg: x.Neg}
+		for _, it := range x.List {
+			c, cok := cell(it)
+			in.list, ok = append(in.list, c), ok && cok
+		}
+		if ok {
+			return in
+		}
+		return ExIn{E: d.resolve(x.E, cols), List: all(x.List), Neg: x.Neg}
+	case ExCall:
+		if kind, ok := kindTests[strings.ToLower(x.Name)]; ok && len(x.Args) == 1 {
+			if c, ok := cell(x.Args[0]); ok {
+				return exIDKind{e: c, kind: kind}
+			}
+		}
+		return ExCall{Name: x.Name, Args: all(x.Args)}
+	}
+	return e
+}
+
 // evalCtx carries the evaluation context for expressions: the current row,
 // and, when evaluating HAVING or aggregate projections, the group. A group
 // is either a set of row indices into a columnar batch (groupSrc/groupIdx,
 // the engine path) or a slice of Binding maps (group, the exported API).
 type evalCtx struct {
 	row      exprRow
-	group    []Binding // non-nil when aggregates are in scope (map rows)
-	groupSrc *idRows   // non-nil when aggregates are in scope (id rows)
-	groupIdx []int     // row indices into groupSrc
+	cells    []store.ID // the row a resolved expression reads (see resolve)
+	group    []Binding  // non-nil when aggregates are in scope (map rows)
+	groupSrc *idRows    // non-nil when aggregates are in scope (id rows)
+	groupIdx []int      // row indices into groupSrc
 	dict     *evalDict
 	cache    *regexCache
 	ids      []store.ID // aggregateVar's scratch, reused across groups
@@ -180,6 +289,18 @@ func evalExpr(e Expression, ctx *evalCtx) (rdf.Term, error) {
 		return evalCall(x, ctx)
 	case ExIn:
 		return evalIn(x, ctx)
+	case exCell:
+		id := x.get(ctx.cells)
+		if id == 0 {
+			return rdf.Term{}, errExpr
+		}
+		return ctx.dict.decode(id), nil
+	case exIDEqual, exIDIn, exIDKind:
+		b, err := evalCond(x, ctx)
+		if err != nil {
+			return rdf.Term{}, err
+		}
+		return boolTerm(b), nil
 	case ExAgg:
 		if !ctx.inGroup() {
 			return rdf.Term{}, fmt.Errorf("sparql: aggregate outside of group context")
@@ -216,29 +337,81 @@ func ebv(t rdf.Term) (bool, error) {
 
 // evalBool evaluates a boolean condition; an expression error is false.
 func evalBool(e Expression, ctx *evalCtx) bool {
+	b, err := evalCond(e, ctx)
+	return err == nil && b
+}
+
+// evalCond returns the effective boolean value of e, or errExpr. The id
+// tests and the logical operators answer without building a boolean term;
+// every other expression goes through evalExpr and ebv.
+func evalCond(e Expression, ctx *evalCtx) (bool, error) {
+	switch x := e.(type) {
+	case exIDEqual:
+		eq, err := ctx.dict.idsEqual(x.l.get(ctx.cells), x.r.get(ctx.cells))
+		return eq != x.neg, err
+	case exIDIn:
+		v := x.e.get(ctx.cells)
+		if v == 0 {
+			return false, errExpr
+		}
+		found := false
+		for _, it := range x.list {
+			if eq, err := ctx.dict.idsEqual(v, it.get(ctx.cells)); err == nil && eq {
+				found = true
+				break
+			}
+		}
+		return found != x.neg, nil
+	case exIDKind:
+		id := x.e.get(ctx.cells)
+		if id == 0 {
+			return false, errExpr
+		}
+		return ctx.dict.typeOf(id).Kind == x.kind, nil
+	case ExUnary:
+		if x.Op == "!" {
+			b, err := evalCond(x.E, ctx)
+			return !b, err
+		}
+	case ExBinary:
+		if x.Op != "&&" && x.Op != "||" {
+			break
+		}
+		// SPARQL logic: true || error is true and false && error is false;
+		// otherwise an error operand makes the result an error.
+		l, lerr := evalCond(x.L, ctx)
+		r, rerr := evalCond(x.R, ctx)
+		decided := x.Op == "||"
+		if lerr == nil && l == decided || rerr == nil && r == decided {
+			return decided, nil
+		}
+		if lerr != nil || rerr != nil {
+			return false, errExpr
+		}
+		return !decided, nil
+	}
 	t, err := evalExpr(e, ctx)
 	if err != nil {
-		return false
+		return false, err
 	}
-	b, err := ebv(t)
-	return err == nil && b
+	return ebv(t)
 }
 
 func boolTerm(b bool) rdf.Term { return rdf.NewBoolean(b) }
 
 func evalUnary(x ExUnary, ctx *evalCtx) (rdf.Term, error) {
+	if x.Op == "!" {
+		b, err := evalCond(x, ctx)
+		if err != nil {
+			return rdf.Term{}, err
+		}
+		return boolTerm(b), nil
+	}
 	v, err := evalExpr(x.E, ctx)
 	if err != nil {
 		return rdf.Term{}, err
 	}
-	switch x.Op {
-	case "!":
-		b, err := ebv(v)
-		if err != nil {
-			return rdf.Term{}, err
-		}
-		return boolTerm(!b), nil
-	case "-":
+	if x.Op == "-" {
 		f, ok := v.AsFloat()
 		if !ok {
 			return rdf.Term{}, errExpr
@@ -264,44 +437,12 @@ func numericTerm(f float64, like ...rdf.Term) rdf.Term {
 }
 
 func evalBinary(x ExBinary, ctx *evalCtx) (rdf.Term, error) {
-	switch x.Op {
-	case "||":
-		// SPARQL logical-or: true if either is true, even if the other errors.
-		lt, lerr := evalExpr(x.L, ctx)
-		rt, rerr := evalExpr(x.R, ctx)
-		lb, lbe := false, errExpr
-		if lerr == nil {
-			lb, lbe = boolOrErr(lt)
+	if x.Op == "&&" || x.Op == "||" {
+		b, err := evalCond(x, ctx)
+		if err != nil {
+			return rdf.Term{}, err
 		}
-		rb, rbe := false, errExpr
-		if rerr == nil {
-			rb, rbe = boolOrErr(rt)
-		}
-		if lbe == nil && lb || rbe == nil && rb {
-			return boolTerm(true), nil
-		}
-		if lbe != nil || rbe != nil {
-			return rdf.Term{}, errExpr
-		}
-		return boolTerm(false), nil
-	case "&&":
-		lt, lerr := evalExpr(x.L, ctx)
-		rt, rerr := evalExpr(x.R, ctx)
-		lb, lbe := false, errExpr
-		if lerr == nil {
-			lb, lbe = boolOrErr(lt)
-		}
-		rb, rbe := false, errExpr
-		if rerr == nil {
-			rb, rbe = boolOrErr(rt)
-		}
-		if lbe == nil && !lb || rbe == nil && !rb {
-			return boolTerm(false), nil
-		}
-		if lbe != nil || rbe != nil {
-			return rdf.Term{}, errExpr
-		}
-		return boolTerm(true), nil
+		return boolTerm(b), nil
 	}
 	l, err := evalExpr(x.L, ctx)
 	if err != nil {
@@ -323,6 +464,9 @@ func evalBinary(x ExBinary, ctx *evalCtx) (rdf.Term, error) {
 		return boolTerm(eq), nil
 	case "<", "<=", ">", ">=":
 		c, err := termsCompare(l, r)
+		if err == errUnordered {
+			return boolTerm(false), nil
+		}
 		if err != nil {
 			return rdf.Term{}, err
 		}
@@ -361,31 +505,47 @@ func evalBinary(x ExBinary, ctx *evalCtx) (rdf.Term, error) {
 	return rdf.Term{}, fmt.Errorf("sparql: unknown binary op %q", x.Op)
 }
 
-func boolOrErr(t rdf.Term) (bool, error) { return ebv(t) }
-
 // termsEqual implements SPARQL RDFterm-equal plus numeric value equality.
+// A NaN is equal to nothing, itself included; an ill-typed numeric literal
+// ("abc"^^xsd:integer) has no value, so it equals only the same term and
+// comparing it with anything else is a type error.
 func termsEqual(l, r rdf.Term) (bool, error) {
 	if l.IsNumeric() && r.IsNumeric() {
-		lf, _ := l.AsFloat()
-		rf, _ := r.AsFloat()
+		lf, lok := numericValue(l)
+		rf, rok := numericValue(r)
+		if !lok || !rok {
+			if l == r {
+				return true, nil
+			}
+			return false, errExpr
+		}
 		return lf == rf, nil
 	}
 	return l == r, nil
 }
 
+// errUnordered is termsCompare's answer for a NaN: every ordering
+// comparison with it is false.
+var errUnordered = fmt.Errorf("sparql: NaN is unordered")
+
 // termsCompare implements SPARQL operator comparison: numeric by value,
-// strings lexically, dates lexically (ISO forms order correctly).
+// strings lexically, dates lexically (ISO forms order correctly). An
+// ill-typed numeric operand is a type error.
 func termsCompare(l, r rdf.Term) (int, error) {
 	if l.IsNumeric() && r.IsNumeric() {
-		lf, _ := l.AsFloat()
-		rf, _ := r.AsFloat()
+		lf, lok := numericValue(l)
+		rf, rok := numericValue(r)
 		switch {
+		case !lok || !rok:
+			return 0, errExpr
 		case lf < rf:
 			return -1, nil
 		case lf > rf:
 			return 1, nil
+		case lf == rf:
+			return 0, nil
 		}
-		return 0, nil
+		return 0, errUnordered
 	}
 	if l.Kind == rdf.LiteralKind && r.Kind == rdf.LiteralKind {
 		return strings.Compare(l.Value, r.Value), nil
@@ -394,6 +554,20 @@ func termsCompare(l, r rdf.Term) (int, error) {
 		return strings.Compare(l.Value, r.Value), nil
 	}
 	return 0, errExpr
+}
+
+// numericValue returns the value of a numeric literal, and false when its
+// lexical form is ill-typed. "NaN"^^xsd:double is well-typed: its value is
+// NaN, which rdf.Term.AsFloat refuses.
+func numericValue(t rdf.Term) (float64, bool) {
+	if f, ok := t.AsFloat(); ok {
+		return f, true
+	}
+	if t.Datatype != rdf.XSDDouble {
+		return 0, false
+	}
+	f, err := strconv.ParseFloat(strings.TrimSpace(t.Value), 64)
+	return f, err == nil
 }
 
 func evalIn(x ExIn, ctx *evalCtx) (rdf.Term, error) {
@@ -429,12 +603,14 @@ func evalCall(x ExCall, ctx *evalCtx) (rdf.Term, error) {
 	}
 	switch name {
 	case "bound":
-		v, ok := x.Args[0].(ExVar)
-		if !ok {
-			return rdf.Term{}, errExpr
+		switch v := x.Args[0].(type) {
+		case exCell:
+			return boolTerm(v.get(ctx.cells) != 0), nil
+		case ExVar:
+			t, exists := ctx.row.lookupVar(v.Name)
+			return boolTerm(exists && t.IsBound()), nil
 		}
-		t, exists := ctx.row.lookupVar(v.Name)
-		return boolTerm(exists && t.IsBound()), nil
+		return rdf.Term{}, errExpr
 	case "str":
 		t, err := arg(0)
 		if err != nil {

@@ -306,3 +306,55 @@ func TestAggregateVarInHavingAndProjection(t *testing.T) {
 		t.Fatalf("id path:\n%v\nterm path:\n%v", ids, terms)
 	}
 }
+
+// TestIllTypedAndNaNNumerics: a numeric literal whose lexical form does not
+// parse has no value, so it equals only the same term, comparing it with
+// anything else is a type error, and so is ordering it; a NaN equals
+// nothing, itself included, and orders before and after nothing.
+func TestIllTypedAndNaNNumerics(t *testing.T) {
+	const (
+		bad = `"abc"^^<http://www.w3.org/2001/XMLSchema#integer>`
+		nan = `"NaN"^^<http://www.w3.org/2001/XMLSchema#double>`
+	)
+	cases := []struct {
+		expr string
+		want bool
+		err  bool
+	}{
+		{bad + ` = "0"^^<http://www.w3.org/2001/XMLSchema#integer>`, false, true},
+		{bad + ` != 0`, false, true},
+		{bad + ` = ` + bad, true, false},
+		{bad + ` != ` + bad, false, false},
+		{bad + ` >= 0`, false, true},
+		{bad + ` < ` + bad, false, true},
+		{bad + ` IN (0, ` + bad + `)`, true, false},
+		{bad + ` IN (0, 1)`, false, false},
+		{nan + ` = "0"^^<http://www.w3.org/2001/XMLSchema#integer>`, false, false},
+		{nan + ` = ` + nan, false, false},
+		{nan + ` != ` + nan, true, false},
+		{nan + ` IN (` + nan + `)`, false, false},
+		{nan + ` < 1`, false, false},
+		{nan + ` >= 0`, false, false},
+		{`!(` + nan + ` < 1)`, true, false},
+		{`"NaN"^^<http://www.w3.org/2001/XMLSchema#integer> = 0`, false, true},
+		{`1 = 1.0`, true, false},
+		{`"01"^^<http://www.w3.org/2001/XMLSchema#integer> = 1`, true, false},
+	}
+	for _, c := range cases {
+		e, err := ParseExpression(c.expr, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", c.expr, err)
+		}
+		v, err := EvalExpression(e, nil)
+		if (err != nil) != c.err {
+			t.Errorf("%s: error %v, want error %v", c.expr, err, c.err)
+			continue
+		}
+		if got, _ := v.AsBool(); err == nil && got != c.want {
+			t.Errorf("%s = %v, want %v", c.expr, got, c.want)
+		}
+		if got := EvalCondition(e, nil); got != (c.want && !c.err) {
+			t.Errorf("FILTER(%s) keeps the row: %v", c.expr, got)
+		}
+	}
+}

@@ -44,6 +44,28 @@ func (d *evalDict) decode(id store.ID) rdf.Term {
 	return d.dict.Decode(id)
 }
 
+// typeOf returns id's kind, datatype and language; a store id's value is
+// not read.
+func (d *evalDict) typeOf(id store.ID) rdf.Term {
+	if id >= extraIDBase {
+		return d.extra[id-extraIDBase]
+	}
+	return d.dict.Type(id)
+}
+
+// idsEqual is termsEqual over ids. Equal ids are the same term (see
+// encode), so unless a side is numeric, which compares by value, the ids
+// decide without decoding. An unbound side (0) is a type error.
+func (d *evalDict) idsEqual(a, b store.ID) (bool, error) {
+	if a == 0 || b == 0 {
+		return false, errExpr
+	}
+	if !d.typeOf(a).IsNumeric() && !d.typeOf(b).IsNumeric() {
+		return a == b, nil
+	}
+	return termsEqual(d.decode(a), d.decode(b))
+}
+
 // encode interns t, preferring the store dictionary (so id equality is term
 // equality across stored and computed values). Unbound encodes to 0.
 func (d *evalDict) encode(t rdf.Term) store.ID {

@@ -13,7 +13,7 @@ import (
 // cardinalities (10k–100k rows), isolating the tentpole hot paths from the
 // HTTP/JSON transport the figure benchmarks also measure. Run with:
 //
-//	go test ./internal/sparql -run '^$' -bench 'BGPExtend|BGPPipeline|HashJoin|Distinct|GroupBy' -benchmem
+//	go test ./internal/sparql -run '^$' -bench 'BGPExtend|BGPPipeline|PushedDownEquality|HashJoin|Distinct|GroupBy' -benchmem
 
 // chainStore holds n subjects with two fan-out-3 predicates p and q, so
 // "?s p ?o . ?s q ?x" yields 9n rows.
@@ -111,6 +111,20 @@ func BenchmarkBGPPipeline(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkPushedDownEquality is the cost of Q9's filters: equalitySegment
+// over 400,000 actor pairs (1,000 films of 20), every pair tested for = and
+// !=, nothing output. ns/row is per pair.
+func BenchmarkPushedDownEquality(b *testing.B) {
+	st := fanoutStore(b, 1000, 20)
+	b.ReportAllocs()
+	b.ResetTimer()
+	rows := 0
+	for i := 0; i < b.N; i++ {
+		rows += runEqualitySegment(b, st)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rows), "ns/row")
 }
 
 // benchBatches builds two batches sharing the x column, 1:1 joinable.

@@ -21,11 +21,14 @@ import (
 // nested-loop order, and parts concatenate in morsel order. Serial
 // execution is the same chain run as one morsel on the query goroutine.
 //
-// Filters run on the workers. That is safe because filter evaluation only
-// reads: it decodes through the evaluator dictionary, whose extra terms are
-// interned at BIND, projection, aggregate and path sites — on the query
-// goroutine, never while a pipeline runs — and its one piece of mutable
-// state, the compiled-regex memo, is per worker.
+// Filters run on the workers. Each is resolved once, at compile time,
+// against the scratch layout (evalDict.resolve): variables read scratch
+// columns by index, and =, !=, IN and the isIRI family compare ids first,
+// decoding only numeric terms. That is safe because evaluation then only
+// reads: the evaluator dictionary interns its extra terms (resolve's
+// constants among them) on the query goroutine, never while a pipeline
+// runs, and the one piece of mutable state, the compiled-regex memo, is
+// per worker.
 
 // pipeSlot is one pattern position: a scratch-row column (col >= 0, a
 // variable) or a constant id.
@@ -54,11 +57,9 @@ type bgpPipeline struct {
 	uris   []string
 	graphs []*store.Graph
 	steps  []pipeStep
-	// vars/cols lay out the scratch row: the input columns, then each
-	// step's newly bound variables. cols is shared, read-only, by every
-	// worker's filter view.
+	// vars lays out the scratch row: the input columns, then each step's
+	// newly bound variables. The filters' conditions are resolved against it.
 	vars    []string
-	cols    map[string]int
 	filters []groupFilter
 	// outVars is the segment's output layout, the scratch layout minus the
 	// planned drops; outCols maps it back to scratch columns (nil when
@@ -92,12 +93,12 @@ func (ev *evaluator) compilePipeline(cur *idRows, patterns []TriplePattern, grap
 		uris:  graphs,
 		steps: make([]pipeStep, len(patterns)),
 		vars:  append(make([]string, 0, len(cur.vars)+2*len(patterns)), cur.vars...),
-		cols:  make(map[string]int, len(cur.vars)+2*len(patterns)),
 
 		workers: make([]*pipeWorker, max(ev.workers, 1)),
 	}
+	cols := make(map[string]int, len(cur.vars)+2*len(patterns))
 	for c, v := range cur.vars {
-		p.cols[v] = c
+		cols[v] = c
 	}
 	uris := graphs
 	if len(uris) == 0 {
@@ -115,11 +116,11 @@ func (ev *evaluator) compilePipeline(cur *idRows, patterns []TriplePattern, grap
 			st.missing = st.missing || !ok
 			return pipeSlot{col: -1, id: id}
 		}
-		c, ok := p.cols[n.Var]
+		c, ok := cols[n.Var]
 		if !ok {
 			c = len(p.vars)
 			p.vars = append(p.vars, n.Var)
-			p.cols[n.Var] = c
+			cols[n.Var] = c
 		}
 		bound[n.Var] = true
 		return pipeSlot{col: c}
@@ -136,7 +137,10 @@ func (ev *evaluator) compilePipeline(cur *idRows, patterns []TriplePattern, grap
 		st.samePO = pat.P.IsVar && pat.O.IsVar && pat.P.Var == pat.O.Var
 		st.f0 = len(p.filters)
 		if filters != nil && !ev.disablePushdown {
-			p.filters = append(p.filters, takeReadyFilters(bound, filters)...)
+			for _, f := range takeReadyFilters(bound, filters) {
+				f.cond = ev.dict.resolve(f.cond, cols)
+				p.filters = append(p.filters, f)
+			}
 		}
 		st.f1 = len(p.filters)
 	}
@@ -258,8 +262,7 @@ func (p *bgpPipeline) worker(tk *ticker) *pipeWorker {
 		w.yield[k] = func(t store.IDTriple) bool { return w.match(k, t) }
 	}
 	if len(p.filters) > 0 {
-		view := &idRowView{rows: &idRows{vars: p.vars, cols: p.cols, data: w.row, n: 1}, dict: p.ev.dict}
-		w.ctx = &evalCtx{row: view, dict: p.ev.dict}
+		w.ctx = &evalCtx{cells: w.row, dict: p.ev.dict}
 		if tk == &p.ev.tk {
 			w.ctx.cache = p.ev.cache
 		}

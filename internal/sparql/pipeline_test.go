@@ -527,6 +527,47 @@ func TestPipelineAllocationFollowsOutput(t *testing.T) {
 	t.Logf("600 rows: %d B; 48000 rows: %d B; one intermediate: %d B", fewBytes, allBytes, intermediate)
 }
 
+// equalitySegment pairs every two actors of a film and keeps the pairs that
+// are equal and unequal at once: none. Its two filters run, pushed down, on
+// every pair the second pattern binds.
+const equalitySegment = `?f ex:starring ?a . ?f ex:starring ?b . FILTER(?a = ?b) FILTER(?a != ?b)`
+
+// runEqualitySegment runs equalitySegment serially on st and returns the
+// pairs the filters saw.
+func runEqualitySegment(t testing.TB, st *store.Store) int {
+	pats, filters := pipeSegment(t, equalitySegment)
+	ev := pipeEvaluator(st, 1)
+	p := ev.compilePipeline(unitSolution(), pats, []string{testGraph}, &filters, nil)
+	out, err := ev.runPipeline(p, unitSolution(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.n != 0 || len(filters) != 0 {
+		t.Fatalf("%d rows out and %d filters left, want none", out.n, len(filters))
+	}
+	return p.workers[0].rows[1]
+}
+
+// TestPushedDownEqualityAllocsFollowOutput: the pushed-down = and != cost
+// nothing per row, so 100,000 intermediate rows allocate no more than
+// 1,000 do when neither run outputs anything.
+func TestPushedDownEqualityAllocsFollowOutput(t *testing.T) {
+	allocs := func(films int) (float64, int) {
+		st := fanoutStore(t, films, 10)
+		var rows int
+		n := testing.AllocsPerRun(5, func() { rows = runEqualitySegment(t, st) })
+		return n, rows
+	}
+	small, smallRows := allocs(10)
+	large, largeRows := allocs(1000)
+	if smallRows != 1000 || largeRows != 100000 {
+		t.Fatalf("intermediate rows %d and %d, want 1000 and 100000", smallRows, largeRows)
+	}
+	if large > small {
+		t.Errorf("100,000 intermediate rows allocate %v objects, 1,000 rows %v", large, small)
+	}
+}
+
 // TestParallelBodiesMatchSerialOnPipeStore is the byte-identity contract on
 // the store the shape tests use, through the whole engine (planner on):
 // repeated variables, a wildcard column, two graphs.

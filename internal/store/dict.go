@@ -112,6 +112,11 @@ func (d *Dictionary) Decode(id ID) rdf.Term {
 	return rdf.Term{Kind: k.Kind, Value: d.vals[id], Datatype: k.Datatype, Lang: k.Lang}
 }
 
+// Type returns the kind, datatype and language of id's term, with an empty
+// Value: what a filter needs to know whether ids can be compared by
+// identity, without reading the term's value.
+func (d *Dictionary) Type(id ID) rdf.Term { return d.kinds[d.tags[id]] }
+
 // Len returns the number of interned terms.
 func (d *Dictionary) Len() int { return len(d.vals) - 1 }
 

@@ -10,7 +10,8 @@ import (
 // TestDictionaryTermIdentity: terms that differ only in kind, datatype or
 // language get distinct ids, and every id decodes to exactly the term that
 // was interned — including a literal whose xsd:string datatype was set
-// without the constructor, which is not the plain literal.
+// without the constructor, which is not the plain literal — and has that
+// term without its value as its Type.
 func TestDictionaryTermIdentity(t *testing.T) {
 	terms := []rdf.Term{
 		rdf.NewLiteral("1"),
@@ -35,6 +36,9 @@ func TestDictionaryTermIdentity(t *testing.T) {
 		for i, term := range terms {
 			if got := d.Decode(ID(i + 1)); got != term {
 				t.Fatalf("Decode(%d) = %#v, want %#v", i+1, got, term)
+			}
+			if typ, want := d.Type(ID(i+1)), (rdf.Term{Kind: term.Kind, Datatype: term.Datatype, Lang: term.Lang}); typ != want {
+				t.Fatalf("Type(%d) = %#v, want %#v", i+1, typ, want)
 			}
 			if id, ok := d.Lookup(term); !ok || id != ID(i+1) {
 				t.Fatalf("Lookup(%#v) = %d, %v", term, id, ok)
