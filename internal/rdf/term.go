@@ -7,6 +7,7 @@
 package rdf
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strconv"
@@ -202,25 +203,59 @@ func (t Term) String() string {
 	return ""
 }
 
-// Compare orders terms per the SPARQL ORDER BY total order:
-// unbound < blank nodes < IRIs < literals; numeric literals compare by value,
-// other literals by lexical form; ties broken deterministically.
-func Compare(a, b Term) int {
-	if a.Kind != b.Kind {
-		return orderRank(a.Kind) - orderRank(b.Kind)
-	}
-	if a.IsNumeric() && b.IsNumeric() {
-		// Parsed only for numeric datatypes: a failed parse allocates its
-		// error, and sorts compare mostly non-numeric literals.
-		af, aok := a.AsFloat()
-		bf, bok := b.AsFloat()
-		if aok && bok {
-			switch {
-			case af < bf:
-				return -1
-			case af > bf:
-				return 1
+// Compare orders terms per the SPARQL ORDER BY total order: unbound <
+// blank nodes < IRIs < literals. Among literals, those with a numeric
+// datatype and a valid, non-NaN value come first, by value; every other
+// literal (plain, xsd:string, language-tagged, ill-typed, NaN) follows.
+// Remaining ties break on (value or lexical form, datatype, language), so
+// the order is total and Compare returns 0 only for identical terms.
+func Compare(a, b Term) int { return CompareKeyed(a, KeyOf(a), b, KeyOf(b)) }
+
+// OrderKey is what Compare parses out of a term: its class in the order
+// and, for a numeric literal, its value. A sort over many terms computes
+// it once per term and compares with CompareKeyed.
+type OrderKey struct {
+	class uint8
+	num   float64
+}
+
+// The order classes, least first.
+const (
+	unboundClass uint8 = iota
+	blankClass
+	iriClass
+	numericClass
+	literalClass
+)
+
+// KeyOf returns t's order key. Only a numeric datatype is parsed: a failed
+// parse allocates its error, and most literals are not numeric.
+func KeyOf(t Term) OrderKey {
+	switch t.Kind {
+	case BlankKind:
+		return OrderKey{class: blankClass}
+	case IRIKind:
+		return OrderKey{class: iriClass}
+	case LiteralKind:
+		if t.IsNumeric() {
+			if f, ok := t.AsFloat(); ok {
+				return OrderKey{class: numericClass, num: f}
 			}
+		}
+		return OrderKey{class: literalClass}
+	}
+	return OrderKey{class: unboundClass}
+}
+
+// CompareKeyed is Compare for terms whose keys are already known:
+// ka = KeyOf(a) and kb = KeyOf(b).
+func CompareKeyed(a Term, ka OrderKey, b Term, kb OrderKey) int {
+	if ka.class != kb.class {
+		return cmp.Compare(ka.class, kb.class)
+	}
+	if ka.class == numericClass {
+		if c := cmp.Compare(ka.num, kb.num); c != 0 {
+			return c
 		}
 	}
 	if c := strings.Compare(a.Value, b.Value); c != 0 {
@@ -230,20 +265,6 @@ func Compare(a, b Term) int {
 		return c
 	}
 	return strings.Compare(a.Lang, b.Lang)
-}
-
-// orderRank gives each term kind its position in the SPARQL ORDER BY total
-// order: unbound < blank nodes < IRIs < literals.
-func orderRank(k TermKind) int {
-	switch k {
-	case BlankKind:
-		return 1
-	case IRIKind:
-		return 2
-	case LiteralKind:
-		return 3
-	}
-	return 0
 }
 
 // Triple is an RDF triple (subject, predicate, object).

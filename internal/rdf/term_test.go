@@ -1,6 +1,7 @@
 package rdf
 
 import (
+	"cmp"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -127,6 +128,67 @@ func TestCompareOrdering(t *testing.T) {
 func TestCompareNumericBeatsLexicographic(t *testing.T) {
 	if Compare(NewInteger(9), NewInteger(10)) >= 0 {
 		t.Fatal("numeric literals must compare by value, not lexically")
+	}
+}
+
+// compareZoo is a term of every shape Compare has a rule for: each kind,
+// numerics of every datatype (equal values in different lexical forms,
+// signed zeros, infinities), NaN, ill-typed numerics, and literals whose
+// lexical forms are numbers but whose datatypes are not numeric.
+func compareZoo() []Term {
+	return []Term{
+		{},
+		NewBlank("a"), NewBlank("10"),
+		NewIRI("http://a"), NewIRI("10"), NewIRI(""),
+		NewInteger(9), NewInteger(10), NewInteger(-3), NewInteger(0),
+		NewTypedLiteral("-0", XSDInteger), NewTypedLiteral("010", XSDInteger),
+		NewTypedLiteral("9.0", XSDDecimal), NewDecimal(9.5), NewDecimal(0.1),
+		NewTypedLiteral("1e1", XSDDouble), NewTypedLiteral("INF", XSDDouble), NewTypedLiteral("-INF", XSDDouble),
+		NewTypedLiteral("NaN", XSDDouble), NewTypedLiteral("5x", XSDInteger), NewTypedLiteral("", XSDDecimal),
+		NewTypedLiteral("1e400", XSDDouble),
+		NewLiteral("5"), NewLiteral("10"), NewLiteral("a"), NewLiteral(""),
+		NewLangLiteral("a", "en"), NewLangLiteral("a", "fr"), NewLangLiteral("5", "en"),
+		NewTypedLiteral("5", XSDDate), NewTypedLiteral("2001", XSDGYear), NewBoolean(true),
+		{Kind: LiteralKind, Value: "10", Datatype: XSDString},
+	}
+}
+
+// TestCompareTotalOrder: Compare is a total order over the zoo. It is
+// antisymmetric, returns 0 only for identical terms, and is transitive on
+// every triple. Mixing numeric and non-numeric literals used to make it
+// cycle: 10 > 9 > "5" > 10.
+func TestCompareTotalOrder(t *testing.T) {
+	zoo := compareZoo()
+	sign := func(c int) int { return cmp.Compare(c, 0) }
+	for _, a := range zoo {
+		for _, b := range zoo {
+			ab, ba := Compare(a, b), Compare(b, a)
+			if sign(ab) != -sign(ba) {
+				t.Errorf("Compare(%v, %v) = %d but Compare(%v, %v) = %d", a, b, ab, b, a, ba)
+			}
+			if (ab == 0) != (a == b) {
+				t.Errorf("Compare(%#v, %#v) = %d", a, b, ab)
+			}
+			for _, c := range zoo {
+				if ab < 0 && Compare(b, c) < 0 && Compare(a, c) >= 0 {
+					t.Errorf("%v < %v < %v but Compare(%v, %v) = %d", a, b, c, a, c, Compare(a, c))
+				}
+			}
+		}
+	}
+	// Valid numerics first, by value; then every other literal lexically.
+	for _, lt := range [][2]Term{
+		{NewInteger(9), NewInteger(10)},
+		{NewInteger(10), NewLiteral("5")},
+		{NewInteger(10), NewTypedLiteral("5x", XSDInteger)},
+		{NewTypedLiteral("INF", XSDDouble), NewTypedLiteral("NaN", XSDDouble)},
+		{NewTypedLiteral("-0", XSDInteger), NewInteger(0)}, // equal values: lexical form
+		{NewTypedLiteral("10", XSDDouble), NewTypedLiteral("10", XSDInteger)},
+		{NewLiteral("10"), NewLangLiteral("10", "en")},
+	} {
+		if Compare(lt[0], lt[1]) >= 0 {
+			t.Errorf("Compare(%v, %v) >= 0", lt[0], lt[1])
+		}
 	}
 }
 

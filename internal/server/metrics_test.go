@@ -503,8 +503,9 @@ func TestRequestIDMinted(t *testing.T) {
 func TestJoinAndReuseCountersSurface(t *testing.T) {
 	ts, _, _, _, slowBuf := newMetricsServer(t, 0)
 	// Twice the same subquery (one evaluation, one reuse), joined on both
-	// columns: 25 candidates, 25 rows. The joins with the unit solution
-	// each pair of braces starts from are not computed.
+	// columns: 25 candidates, 25 rows. The three joins with the unit
+	// solution that groups start from check no candidates but emit their
+	// right side's 25 rows each: 100 rows in all.
 	const sub = `{ SELECT ?s ?o WHERE { ?s <http://ex/p> ?o } }`
 	q := `SELECT * WHERE { ` + sub + ` ` + sub + ` }`
 	resp, err := http.Get(ts.URL + "/sparql?trace=1&query=" + url.QueryEscape(q))
@@ -519,7 +520,7 @@ func TestJoinAndReuseCountersSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]string{"join_candidates": "25", "join_rows": "25", "subplan_reuses": "1"}
+	want := map[string]string{"join_candidates": "25", "join_rows": "100", "subplan_reuses": "1"}
 	for k, v := range want {
 		if got := body.Trace.Annotations[k]; got != v {
 			t.Errorf("trace annotation %s = %q, want %q (all: %v)", k, got, v, body.Trace.Annotations)
@@ -549,7 +550,7 @@ func TestJoinAndReuseCountersSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, v := range map[string]float64{
-		"rdfframes_join_candidates_total": 25, "rdfframes_join_rows_total": 25, "rdfframes_subplan_reuses_total": 1,
+		"rdfframes_join_candidates_total": 25, "rdfframes_join_rows_total": 100, "rdfframes_subplan_reuses_total": 1,
 	} {
 		if got, ok := samples[name]; !ok || got != v {
 			t.Errorf("/metrics %s = %v (present %v), want %v", name, got, ok, v)

@@ -393,16 +393,18 @@ func (ev *evaluator) canonicalizeRows(sols *idRows, projected []string) error {
 	return ev.sortRowsBy(sols, keyVars)
 }
 
-// sortRowsBy stably sorts the batch by decoded term content over the named
-// columns in order (duplicates and absent names are skipped). Callers must
-// pick a key set under which tied rows are interchangeable for everything
+// sortRowsBy stably sorts the batch by term order over the named columns
+// in order (duplicates and absent names are skipped). Callers must pick a
+// key set under which tied rows are interchangeable for everything
 // downstream; the stable sort then keeps ties deterministic per plan.
 //
-// Terms are compared once per distinct id, not once per comparison: a key
-// column's distinct ids are ranked by rdf.Compare, the column is rewritten
-// to ranks for the rest of the sort, rows sort on integers, and the ids are
-// restored from the ranking afterwards. Distinct ids are distinct terms
-// and rdf.Compare ties only identical terms, so rank order is term order.
+// Rows sort as integers: each is one uint64 holding its row index below a
+// key, so one pdqsort orders the rows and ties keep the input order. The
+// key is the position of the row's term in the store dictionary's term
+// order (store.Dictionary.Order), taken from the leading key column; each
+// run of rows that ties on a column is re-keyed on the next column and
+// sorted in turn. A run holding an id the evaluator minted (a term the
+// store lacks, hence without a position) is sorted with rdf.Compare.
 func (ev *evaluator) sortRowsBy(sols *idRows, keyVars []string) error {
 	if sols.n <= 1 || sols.width() == 0 {
 		return nil
@@ -411,89 +413,85 @@ func (ev *evaluator) sortRowsBy(sols *idRows, keyVars []string) error {
 		return err
 	}
 	sols.own()
-	keyCols := make([]int, 0, len(keyVars))
-	inKey := make([]bool, sols.width())
+	var keyCols []int
 	for _, v := range keyVars {
-		if c, ok := sols.col(v); ok && !inKey[c] {
+		if c, ok := sols.col(v); ok && !slices.Contains(keyCols, c) {
 			keyCols = append(keyCols, c)
-			inKey[c] = true
 		}
 	}
 	if len(keyCols) == 0 {
 		return nil
 	}
-	w := sols.width()
-	// ranked[k] is key column k's ranking (rank -> id) once the sort has had
-	// to order two different ids in it; most sorts are settled by the
-	// leading columns and never rank the rest.
-	ranked := make([][]store.ID, len(keyCols))
-	// Under a morsel of rows a ranking's allocations cost more than the
-	// comparisons it saves: compare the terms themselves.
-	direct := sols.n < morselRows
-	perm := make([]int, sols.n)
-	for i := range perm {
-		perm[i] = i
+	s := &rowSorter{data: sols.data, w: sols.width(), ord: ev.dict.dict.Order(), dict: ev.dict}
+	rows := make([]uint64, sols.n)
+	for i := range rows {
+		rows[i] = uint64(i)
 	}
-	slices.SortStableFunc(perm, func(a, b int) int {
-		ra, rb := sols.data[a*w:a*w+w], sols.data[b*w:b*w+w]
-		for k, c := range keyCols {
-			if ra[c] == rb[c] {
-				continue // same id (or same rank), same term
-			}
-			if direct {
-				if d := rdf.Compare(ev.dict.decode(ra[c]), ev.dict.decode(rb[c])); d != 0 {
-					return d
-				}
-				continue
-			}
-			if ranked[k] == nil {
-				ranked[k] = ev.rankColumn(sols, c)
-			}
-			return cmp.Compare(ra[c], rb[c])
-		}
-		return 0
-	})
-	sols.permute(perm)
-	for k, c := range keyCols {
-		if ranked[k] == nil {
-			continue
-		}
-		for i := c; i < len(sols.data); i += w {
-			sols.data[i] = ranked[k][sols.data[i]]
-		}
+	s.sortRun(rows, keyCols)
+	sols.data = make([]store.ID, len(s.data))
+	for i, k := range rows {
+		copy(sols.data[i*s.w:(i+1)*s.w], s.data[int(uint32(k))*s.w:])
 	}
 	return nil
 }
 
-// rankColumn rewrites column c of sols from ids to their ranks in
-// rdf.Compare order and returns the ranking (rank -> id) that undoes it.
-func (ev *evaluator) rankColumn(sols *idRows, c int) []store.ID {
-	w := sols.width()
-	rank := make(map[store.ID]store.ID)
-	var ids []store.ID
-	for i := c; i < len(sols.data); i += w {
-		if _, seen := rank[sols.data[i]]; !seen {
-			rank[sols.data[i]] = 0
-			ids = append(ids, sols.data[i])
+// rowSorter sorts the rows of a batch given as uint64s: the row index in
+// the low 32 bits, a key for the column being sorted in the high 32.
+type rowSorter struct {
+	data []store.ID
+	w    int
+	ord  []uint32
+	dict *evalDict
+}
+
+func (s *rowSorter) at(k uint64, c int) store.ID { return s.data[int(uint32(k))*s.w+c] }
+
+// sortRun orders run, rows in input order that tie on every earlier key
+// column, by the key columns cols.
+func (s *rowSorter) sortRun(run []uint64, cols []int) {
+	c, first, differ, minted := cols[0], s.at(run[0], cols[0]), false, false
+	for i, k := range run {
+		id := s.at(k, c)
+		if minted = id >= extraIDBase; minted {
+			break
+		}
+		differ = differ || id != first
+		run[i] = uint64(s.ord[id])<<32 | uint64(uint32(k))
+	}
+	switch {
+	case minted:
+		// Store ids compare by position, other pairs by rdf.Compare; then
+		// the keys number the distinct ids for the tie search below.
+		slices.SortFunc(run, func(a, b uint64) int {
+			x, y := s.at(a, c), s.at(b, c)
+			switch {
+			case x == y:
+				return cmp.Compare(uint32(a), uint32(b))
+			case x < extraIDBase && y < extraIDBase:
+				return cmp.Compare(s.ord[x], s.ord[y])
+			}
+			return rdf.Compare(s.dict.decode(x), s.dict.decode(y))
+		})
+		key, last := uint64(0), s.at(run[0], c)
+		for i, k := range run {
+			if id := s.at(k, c); id != last {
+				key, last = key+1, id
+			}
+			run[i] = key<<32 | uint64(uint32(k))
+		}
+	case differ:
+		slices.Sort(run)
+	}
+	if len(cols) == 1 {
+		return
+	}
+	for lo, hi := 0, 1; lo < len(run); lo = hi {
+		for hi = lo + 1; hi < len(run) && run[hi]>>32 == run[lo]>>32; hi++ {
+		}
+		if hi-lo > 1 {
+			s.sortRun(run[lo:hi], cols[1:])
 		}
 	}
-	// From id order, so the ranking is a function of the column's id set
-	// alone, whatever order the plan produced the rows in.
-	slices.Sort(ids)
-	slices.SortStableFunc(ids, func(a, b store.ID) int {
-		return rdf.Compare(ev.dict.decode(a), ev.dict.decode(b))
-	})
-	for r, id := range ids {
-		rank[id] = store.ID(r)
-	}
-	last, lastRank := ids[0], store.ID(0)
-	for i := c; i < len(sols.data); i += w {
-		if id := sols.data[i]; id != last {
-			last, lastRank = id, rank[id]
-		}
-		sols.data[i] = lastRank
-	}
-	return ids
 }
 
 // aggregationVars lists the variables that determine a row's contribution

@@ -3,6 +3,8 @@ package sparql
 import (
 	"fmt"
 	"reflect"
+	"runtime/debug"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -155,19 +157,23 @@ func TestEvalUnionWithDisjointVars(t *testing.T) {
 	}
 }
 
-// TestSortRowsByRanksMatchTermOrder: the canonical sort, which ranks each
-// key column's distinct ids and compares integers once a batch is a morsel
-// or more, orders rows exactly as a stable sort comparing decoded terms
-// does, and leaves the ids it rewrote to ranks restored. Small batches (the
-// direct path) are held to the same reference.
+// TestSortRowsByRanksMatchTermOrder: the canonical sort, which orders rows
+// on the store dictionary's term-order positions, puts rows exactly where a
+// stable sort comparing decoded terms does. The cases cover a small batch
+// and one of several morsels, a leading key column holding evaluator ids
+// (terms the store lacks, sorted by comparator), and a dictionary that
+// grew between two sorts.
 func TestSortRowsByRanksMatchTermOrder(t *testing.T) {
 	sd := store.NewDictionary()
 	for i := 0; i < 40; i++ {
 		sd.Encode(rdf.NewIRI(fmt.Sprintf("http://ex/n%d", (i*7)%40)))
 	}
+	sd.Encode(rdf.NewInteger(4))
 	terms := []rdf.Term{{}, rdf.NewLiteral("b"), rdf.NewLiteral("a"), rdf.NewInteger(10), rdf.NewInteger(9),
-		rdf.NewDecimal(9.5), rdf.NewLangLiteral("a", "en"), rdf.NewBlank("b1"), rdf.NewIRI("http://ex/zz")}
-	for _, n := range []int{50, 3 * morselRows} {
+		rdf.NewDecimal(9.5), rdf.NewLangLiteral("a", "en"), rdf.NewBlank("b1"), rdf.NewIRI("http://ex/zz"),
+		rdf.NewInteger(4), rdf.NewIRI("http://ex/n3"), rdf.NewLiteral("5")}
+	check := func(name string, n int, keys []string) {
+		t.Helper()
 		ev := &evaluator{dict: newEvalDict(sd)}
 		rows := newIDRows([]string{"x", "y", "z"})
 		for i := 0; i < n; i++ {
@@ -183,7 +189,11 @@ func TestSortRowsByRanksMatchTermOrder(t *testing.T) {
 			perm[i] = i
 		}
 		sort.SliceStable(perm, func(a, b int) bool {
-			for _, c := range []int{1, 0} { // keys: ?y then ?x
+			for _, v := range keys {
+				c, ok := rows.col(v)
+				if !ok {
+					continue
+				}
 				ta, tb := ev.dict.decode(want[perm[a]*3+c]), ev.dict.decode(want[perm[b]*3+c])
 				if d := rdf.Compare(ta, tb); d != 0 {
 					return d < 0
@@ -191,13 +201,58 @@ func TestSortRowsByRanksMatchTermOrder(t *testing.T) {
 			}
 			return false
 		})
-		if err := ev.sortRowsBy(rows, []string{"y", "x", "y", "absent"}); err != nil {
+		if err := ev.sortRowsBy(rows, keys); err != nil {
 			t.Fatal(err)
 		}
 		for i, p := range perm {
 			if !reflect.DeepEqual(rows.row(i), want[p*3:p*3+3]) {
-				t.Fatalf("%d rows: row %d is %v, the term-comparing sort puts %v there", n, i, rows.row(i), want[p*3:p*3+3])
+				t.Fatalf("%s, %d rows: row %d is %v, the term-comparing sort puts %v there", name, n, i, rows.row(i), want[p*3:p*3+3])
 			}
 		}
+	}
+	for _, n := range []int{50, 3 * morselRows} {
+		check("store ids lead", n, []string{"y", "x", "y", "absent"})
+		check("evaluator ids lead", n, []string{"x", "z", "y"})
+	}
+	// Interned now, the integers of ?z and some of ?x's terms come from the
+	// grown store dictionary, ranked among the terms already ordered.
+	for i := 0; i < 17; i += 2 {
+		sd.Encode(rdf.NewInteger(int64(i)))
+	}
+	sd.Encode(rdf.NewLiteral("a"))
+	sd.Encode(rdf.NewInteger(10))
+	for _, n := range []int{50, 3 * morselRows} {
+		check("grown dictionary", n, []string{"z", "x", "y"})
+		check("grown dictionary, evaluator ids lead", n, []string{"x", "y"})
+	}
+}
+
+// TestSortRowsByAllocsPerSort pins the canonical sort's allocations: a
+// fixed number of objects whatever the row count (the key slice and the
+// permuted data are each one), not one per distinct term.
+func TestSortRowsByAllocsPerSort(t *testing.T) {
+	allocs := func(n int) float64 {
+		sd := store.NewDictionary()
+		for i := 0; i < n/10+1; i++ {
+			sd.Encode(rdf.NewIRI(fmt.Sprintf("http://ex/%d", i)))
+		}
+		ev := &evaluator{dict: newEvalDict(sd)}
+		rows := newIDRows([]string{"a", "b"})
+		for i := 0; i < n; i++ {
+			rows.appendRow([]store.ID{store.ID(1 + (i*7919)%(n/10+1)), store.ID(1 + i%3)})
+		}
+		data := slices.Clone(rows.data)
+		return testing.AllocsPerRun(5, func() {
+			copy(rows.data, data)
+			if err := ev.sortRowsBy(rows, []string{"a", "b"}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	// A collection, which a batch of 100,000 rows triggers every run or
+	// two, adds an allocation of the runtime's own to the count.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	if small, large := allocs(1000), allocs(100_000); small != large {
+		t.Errorf("sortRowsBy allocates %v objects for 1,000 rows, %v for 100,000", small, large)
 	}
 }

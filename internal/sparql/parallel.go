@@ -191,7 +191,8 @@ func (ev *evaluator) join(l, r *idRows, leftOuter bool) (*idRows, error) {
 		return l, nil
 	}
 	if l.n == 1 && l.width() == 0 {
-		return r, nil // the unit solution joins to r as it is
+		ev.stats.joinRows += int64(r.n) // the unit solution joins to r as it is
+		return r, nil
 	}
 	jx := makeJoinExec(l, r, leftOuter)
 	if l.n == 0 || r.n == 0 {

@@ -3,6 +3,7 @@ package sparql
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"rdfframes/internal/rdf"
@@ -13,7 +14,7 @@ import (
 // cardinalities (10k–100k rows), isolating the tentpole hot paths from the
 // HTTP/JSON transport the figure benchmarks also measure. Run with:
 //
-//	go test ./internal/sparql -run '^$' -bench 'BGPExtend|BGPPipeline|PushedDownEquality|HashJoin|Distinct|GroupBy' -benchmem
+//	go test ./internal/sparql -run '^$' -bench 'BGPExtend|BGPPipeline|PushedDownEquality|HashJoin|Distinct|GroupBy|CanonicalSort' -benchmem
 
 // chainStore holds n subjects with two fan-out-3 predicates p and q, so
 // "?s p ?o . ?s q ?x" yields 9n rows.
@@ -183,6 +184,43 @@ func BenchmarkDistinct(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkCanonicalSort is the canonical sort of a cs1-shaped result:
+// 43,000 rows of nine columns led by about 10,000 distinct actors, each
+// with a few movies and the movies' and actors' attributes. The store
+// dictionary's term order is built before the timer starts, as the first
+// query on a store builds it; ns/row is per row sorted.
+func BenchmarkCanonicalSort(b *testing.B) {
+	const rows = 43_000
+	sd := store.NewDictionary()
+	iri := func(kind string, i int) store.ID {
+		return sd.Encode(rdf.NewIRI(fmt.Sprintf("http://ex/%s%d", kind, i)))
+	}
+	lit := func(kind string, i int) store.ID { return sd.Encode(rdf.NewLiteral(fmt.Sprintf("%s %d", kind, i))) }
+	vars := []string{"actor", "movie", "actor_country", "actor_name", "movie_name", "subject", "movie_country", "movie_count", "genre"}
+	src := newIDRows(vars)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < rows; i++ {
+		a, m := rng.Intn(10_000), rng.Intn(20_000)
+		src.appendRow([]store.ID{
+			iri("actor", a), iri("movie", m), iri("country", a%150), lit("actor", a), lit("movie", m),
+			iri("subject", m%500), iri("country", m%150), sd.Encode(rdf.NewInteger(int64(1 + a%60))), iri("genre", m%25),
+		})
+	}
+	ev := &evaluator{dict: newEvalDict(sd)}
+	sd.Order()
+	data := make([]store.ID, len(src.data))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(data, src.data)
+		cp := &idRows{vars: src.vars, cols: src.cols, data: data, n: src.n}
+		if err := ev.sortRowsBy(cp, vars); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
 }
 
 func BenchmarkGroupBy(b *testing.B) {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"hash/maphash"
 	"iter"
+	"slices"
+	"sync"
 
 	"rdfframes/internal/rdf"
 )
@@ -28,7 +30,8 @@ const MaxTerms = 1<<31 - 1
 //     hash is seeded per dictionary, so clients cannot pick colliding terms.
 //
 // Identity is rdf.Term equality: terms differing in any field get distinct
-// ids.
+// ids. The term order (see Order) is a fourth array, built when first asked
+// for.
 type Dictionary struct {
 	vals     []string // vals[0] is a placeholder; ids start at 1
 	tags     []uint32
@@ -38,6 +41,9 @@ type Dictionary struct {
 	seed     maphash.Seed
 	strBytes int    // bytes of the interned values
 	limit    uint64 // id-space cap: MaxTerms, lowered only in tests
+
+	ordMu sync.Mutex
+	ord   []uint32 // see Order; covers the ids below len(ord)
 }
 
 // NewDictionary returns an empty dictionary.
@@ -120,9 +126,64 @@ func (d *Dictionary) Type(id ID) rdf.Term { return d.kinds[d.tags[id]] }
 // Len returns the number of interned terms.
 func (d *Dictionary) Len() int { return len(d.vals) - 1 }
 
-// Bytes returns the heap bytes of the dictionary's arrays and term values.
+// Bytes returns the heap bytes of the dictionary's arrays, term order
+// included, and term values.
 func (d *Dictionary) Bytes() int {
-	return 16*cap(d.vals) + 4*cap(d.tags) + 8*len(d.slots) + d.strBytes
+	d.ordMu.Lock()
+	defer d.ordMu.Unlock()
+	return 16*cap(d.vals) + 4*cap(d.tags) + 8*len(d.slots) + 4*cap(d.ord) + d.strBytes
+}
+
+// Order returns the term order: ord[id] is the position of id's term among
+// all interned terms in rdf.Compare order, counting from 1, and ord[0] = 0
+// stands for unbound. Comparing two ids' positions compares their terms.
+//
+// The first call builds the order; a call after the dictionary has grown
+// sorts only the new ids and merges them into the old order by binary
+// search. Either way a new slice replaces the old one, which is never
+// written again. Concurrent calls are safe, but the dictionary must not
+// grow while a caller reads the result: the store's read lock sees to it.
+func (d *Dictionary) Order() []uint32 {
+	d.ordMu.Lock()
+	defer d.ordMu.Unlock()
+	n, m := len(d.vals), max(len(d.ord), 1) // ids from m up are new
+	if len(d.ord) == n {
+		return d.ord
+	}
+	terms := make([]rdf.Term, n-m)
+	keys := make([]rdf.OrderKey, n-m)
+	news := make([]uint32, n-m)
+	for i := range news {
+		news[i] = uint32(m + i)
+		terms[i] = d.Decode(ID(m + i))
+		keys[i] = rdf.KeyOf(terms[i])
+	}
+	slices.SortFunc(news, func(a, b uint32) int {
+		return rdf.CompareKeyed(terms[int(a)-m], keys[int(a)-m], terms[int(b)-m], keys[int(b)-m])
+	})
+	inv := make([]uint32, m) // inv[p] is the id at old position p
+	for id, p := range d.ord {
+		inv[p] = uint32(id)
+	}
+	ord := make([]uint32, n)
+	p := 1 // the next old position to place
+	for j, id := range news {
+		t, k := terms[int(id)-m], keys[int(id)-m]
+		// Distinct terms never tie: the first old term not before t is after it.
+		g, _ := slices.BinarySearchFunc(inv[p:], t, func(old uint32, t rdf.Term) int {
+			o := d.Decode(ID(old))
+			return rdf.CompareKeyed(o, rdf.KeyOf(o), t, k)
+		})
+		for g += p; p < g; p++ {
+			ord[inv[p]] = uint32(p + j)
+		}
+		ord[id] = uint32(g + j)
+	}
+	for ; p < m; p++ {
+		ord[inv[p]] = uint32(p + len(news))
+	}
+	d.ord = ord
+	return ord
 }
 
 // hash hashes every field of t; a term with no datatype or language costs

@@ -1,6 +1,7 @@
 package store_test
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -78,6 +79,40 @@ func BenchmarkDictionary(b *testing.B) {
 			for _, t := range terms {
 				fresh.Encode(t)
 			}
+		}
+	})
+}
+
+// BenchmarkDictionaryOrder measures the term order at benchmark scale:
+// Build orders all 68,512 terms, as the first sort on a store does; Grow
+// extends their order by one refresh batch's 64 new terms (32 IRIs, 32
+// plain literals), as the first sort after such a write does.
+func BenchmarkDictionaryOrder(b *testing.B) {
+	terms := benchTerms(b)
+	d, err := store.NewDictionaryFrom(len(terms), slices.Values(terms))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("Build", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			d.SetOrder(nil)
+			d.Order()
+		}
+	})
+	built := d.Order()
+	for j := 0; j < 64; j++ {
+		t := rdf.NewLiteral(fmt.Sprintf("label %d", j))
+		if j%2 == 0 {
+			t = rdf.NewIRI(fmt.Sprintf("http://bench.rdfframes/refresh/tag%d", j))
+		}
+		d.Encode(t)
+	}
+	b.Run("Grow", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			d.SetOrder(built)
+			d.Order()
 		}
 	})
 }

@@ -2,6 +2,8 @@ package store
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"rdfframes/internal/rdf"
@@ -135,4 +137,70 @@ func TestDictionaryHotPathsAllocationFree(t *testing.T) {
 		}
 	}
 	_ = sink
+}
+
+// orderTerm draws a term of a shape the order has a rule for: IRIs, blank
+// nodes, numerics of three datatypes (some sharing a value), NaN,
+// ill-typed numerics, language-tagged and plain literals.
+func orderTerm(rng *rand.Rand) rdf.Term {
+	n := fmt.Sprint(rng.Intn(40) - 10)
+	switch rng.Intn(10) {
+	case 0:
+		return rdf.NewIRI("http://ex/" + n)
+	case 1:
+		return rdf.NewBlank("b" + n)
+	case 2:
+		return rdf.NewTypedLiteral(n, rdf.XSDInteger)
+	case 3:
+		return rdf.NewTypedLiteral(n+".0", rdf.XSDDecimal)
+	case 4:
+		return rdf.NewTypedLiteral(n+"e0", rdf.XSDDouble)
+	case 5:
+		return rdf.NewTypedLiteral([]string{"NaN", "INF", "-INF"}[rng.Intn(3)], rdf.XSDDouble)
+	case 6:
+		return rdf.NewTypedLiteral(n+"x", rdf.XSDInteger)
+	case 7:
+		return rdf.NewLangLiteral(n, []string{"en", "fr"}[rng.Intn(2)])
+	}
+	return rdf.NewLiteral(n)
+}
+
+// TestDictionaryOrderMatchesCompare grows a dictionary in random steps and
+// asks for the order after each: it must rank every id as sorting the terms
+// by rdf.Compare does, leave the order it handed out before untouched, and
+// be counted in Bytes.
+func TestDictionaryOrderMatchesCompare(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	d := newDictionary(0)
+	var prev, prevCopy []uint32
+	for step := 0; step < 60; step++ {
+		for range rng.Intn([]int{1, 5, 80}[step%3]) {
+			d.Encode(orderTerm(rng))
+		}
+		before := d.Bytes()
+		ord := d.Order()
+		if got, want := d.Bytes()-before, 4*(cap(ord)-cap(prev)); got != want {
+			t.Fatalf("step %d: Bytes grew by %d with the order, want %d", step, got, want)
+		}
+		if !slices.Equal(prev, prevCopy) {
+			t.Fatalf("step %d: the previous order was written to", step)
+		}
+		ids := make([]ID, d.Len())
+		for i := range ids {
+			ids[i] = ID(i + 1)
+		}
+		slices.SortFunc(ids, func(a, b ID) int { return rdf.Compare(d.Decode(a), d.Decode(b)) })
+		if len(ord) != d.Len()+1 || ord[0] != 0 {
+			t.Fatalf("step %d: order of %d entries for %d terms, ord[0] = %d", step, len(ord), d.Len(), ord[0])
+		}
+		for pos, id := range ids {
+			if ord[id] != uint32(pos+1) {
+				t.Fatalf("step %d: %v is at %d, sorting puts it at %d", step, d.Decode(id), ord[id], pos+1)
+			}
+		}
+		if again := d.Order(); &again[0] != &ord[0] {
+			t.Fatalf("step %d: the order was rebuilt with no new terms", step)
+		}
+		prev, prevCopy = ord, slices.Clone(ord)
+	}
 }
