@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"rdfframes/internal/sparql"
@@ -9,11 +10,11 @@ import (
 
 // evalJSON evaluates query on eng and returns its SPARQL JSON body.
 func evalJSON(eng *sparql.Engine, query string) ([]byte, error) {
-	res, err := eng.Query(query)
+	resp, err := eng.Do(context.Background(), sparql.Request{Query: query, JSON: true})
 	if err != nil {
 		return nil, err
 	}
-	return res.MarshalJSON()
+	return resp.Body, nil
 }
 
 // engineConfig is one engine configuration of the determinism tests.
@@ -33,8 +34,8 @@ func newEngine(env *Env, workers int, set func(e *sparql.Engine)) *sparql.Engine
 	return e
 }
 
-func noWCOJ(e *sparql.Engine)      { e.DisableWCOJ = true }
-func noOptimizer(e *sparql.Engine) { e.DisableOptimizer = true }
+func noWCOJ(e *sparql.Engine)    { e.DisableWCOJ = true }
+func noReorder(e *sparql.Engine) { e.DisableReorder = true }
 
 // assertByteIdentical evaluates each task's RDFFrames-generated query on
 // ref and on every engine of others, in a subtest named after the task, and
@@ -77,15 +78,16 @@ func TestFigure5ParallelByteIdentical(t *testing.T) {
 }
 
 // TestPlannerByteIdenticalFigure5 is the planner's correctness property:
-// for every Figure-5 query, the greedy heuristic (DisableOptimizer), serial
-// and on 4 workers, serializes byte-identically to the cost-based planner.
+// for every Figure-5 query, plan-less textual-order evaluation
+// (DisableReorder), serial and on 4 workers, serializes byte-identically to
+// the cost-based planner.
 // Run under -race in CI, this also hammers the planner's shared-plan paths
 // from the pool workers.
 func TestPlannerByteIdenticalFigure5(t *testing.T) {
 	env := sharedEnv(t)
 	assertByteIdentical(t, env, Synthetic(), engineConfig{"optimized serial", newEngine(env, 1, nil)}, []engineConfig{
-		{"DisableOptimizer, 1 worker", newEngine(env, 1, noOptimizer)},
-		{"DisableOptimizer, 4 workers", newEngine(env, 4, noOptimizer)},
+		{"DisableReorder, 1 worker", newEngine(env, 1, noReorder)},
+		{"DisableReorder, 4 workers", newEngine(env, 4, noReorder)},
 	})
 }
 
@@ -132,7 +134,7 @@ func TestCaseStudiesByteIdentical(t *testing.T) {
 		{"8 workers", newEngine(env, 8, nil)},
 		{"DisableWCOJ, 1 worker", newEngine(env, 1, noWCOJ)},
 		{"DisableWCOJ, 4 workers", newEngine(env, 4, noWCOJ)},
-		{"DisableOptimizer, 1 worker", newEngine(env, 1, noOptimizer)},
-		{"DisableOptimizer, 4 workers", newEngine(env, 4, noOptimizer)},
+		{"DisableReorder, 1 worker", newEngine(env, 1, noReorder)},
+		{"DisableReorder, 4 workers", newEngine(env, 4, noReorder)},
 	})
 }

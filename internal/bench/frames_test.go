@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -145,12 +146,12 @@ func TestPaginatedReadEvaluatesOnce(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", task.ID, err)
 		}
-		res, err := env.Engine.Query(q)
+		resp, err := env.Engine.Do(context.Background(), sparql.Request{Query: q})
 		if err != nil {
 			t.Fatalf("%s: %v", task.ID, err)
 		}
-		if len(res.Rows) > rows {
-			query, rows = q, len(res.Rows)
+		if resp.Rows > rows {
+			query, rows = q, resp.Rows
 		}
 	}
 	c := client.NewHTTPClient(ts.URL+"/sparql", rows/8+1)

@@ -42,15 +42,15 @@ func uniquify(query string) string {
 
 // TestSubplanReuseByteIdentical: evaluating repeated subplans once changes
 // no byte. Every task text and every generated chain serializes identically
-// under the planner (sharing on), under DisableOptimizer (the un-shared
-// reference path), and with one copy made unique, which regroups the
+// under the planner (sharing on), under DisableReorder (the un-shared,
+// plan-less reference path), and with one copy made unique, which regroups the
 // classes: that copy is evaluated on its own, and what it nests is now
 // reached and may pair up with the rest of the query differently.
 func TestSubplanReuseByteIdentical(t *testing.T) {
 	env := sharedEnv(t)
 	shared := sparql.NewEngine(env.Store)
 	unshared := sparql.NewEngine(env.Store)
-	unshared.DisableOptimizer = true
+	unshared.DisableReorder = true
 
 	queries := map[string]string{}
 	for _, task := range append(CaseStudies(), Synthetic()...) {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"compress/gzip"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -446,16 +447,12 @@ func TestServerParallelEngineUnderConcurrentWrites(t *testing.T) {
 	serial := sparql.NewEngine(st)
 	serial.Parallelism = 1
 	for _, q := range queries {
-		want, err := serial.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wb, err := want.MarshalJSON()
+		want, err := serial.Do(context.Background(), sparql.Request{Query: q, JSON: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		_, gb := body(t, ts, q)
-		if string(wb) != string(gb) {
+		if string(want.Body) != string(gb) {
 			t.Fatalf("after writes quiesced, parallel response for %s differs from serial evaluation", q)
 		}
 	}

@@ -28,22 +28,6 @@ func (b Binding) lookupVar(name string) (rdf.Term, bool) {
 	return t, ok
 }
 
-// bindings converts result rows to Binding maps (bound cells only), the
-// representation the map-based compatibility layer above operates on.
-func (r *Results) bindings() []Binding {
-	out := make([]Binding, len(r.Rows))
-	for i, row := range r.Rows {
-		b := make(Binding, len(r.Vars))
-		for j, v := range r.Vars {
-			if row[j].IsBound() {
-				b[v] = row[j]
-			}
-		}
-		out[i] = b
-	}
-	return out
-}
-
 // JoinBindings computes the SPARQL join of two solution multisets
 // (compatible mappings merged). Exported for the client-side baselines,
 // which must mirror the engine's join semantics exactly.

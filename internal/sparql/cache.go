@@ -100,7 +100,7 @@ func (ce *cachedResult) encodedPage(lo, hi int) (b []byte, grew bool) {
 	return b, true
 }
 
-// ServeInfo describes how a QueryServing call was answered.
+// ServeInfo describes how a request was answered.
 type ServeInfo struct {
 	// CacheEnabled reports whether the result cache was consulted.
 	CacheEnabled bool
@@ -112,8 +112,9 @@ type ServeInfo struct {
 	Coalesced bool
 	// StoreVersion is the store mutation epoch the response reflects.
 	StoreVersion uint64
-	// PlanDigest is the structural hash of the optimized plan the query
-	// maps to ("" when the optimizer is off); see queryPlan.planDigest.
+	// PlanDigest is the structural hash of the optimized plan a serving
+	// request maps to ("" off the serving path and under DisableReorder);
+	// see queryPlan.planDigest.
 	PlanDigest string
 }
 
@@ -184,12 +185,12 @@ type cachedPlan struct {
 // cached alongside the parse, keyed by the store's stats epoch: when the
 // data distribution shifts (bulk ingest, new graphs) the epoch moves and
 // the entry is re-optimized on next use, while steady-state serving reuses
-// the cached plan untouched. The returned plan is nil when the optimizer
-// is off (DisableOptimizer / DisableReorder). A trace carried by ctx gets
+// the cached plan untouched. The returned plan is nil under DisableReorder
+// and for EXPLAIN queries, which plan themselves. A trace carried by ctx gets
 // parse/plan spans and the plan-cache outcome.
 func (e *Engine) planned(ctx context.Context, src string) (*Query, *queryPlan, error) {
 	tr := obs.TraceFrom(ctx)
-	optimize := !e.DisableOptimizer && !e.DisableReorder
+	optimize := !e.DisableReorder
 	if e.plans == nil {
 		endParse := tr.StartSpan("parse")
 		q, err := Parse(src)
@@ -237,48 +238,10 @@ func (e *Engine) planned(ctx context.Context, src string) (*Query, *queryPlan, e
 	return entry.q, qp, nil
 }
 
-// QueryServing is the serving-path entry point: evaluation plus the plan
-// and result caches. Results served or filled from the cache are shared
-// across calls and must be treated as read-only by the caller.
-//
-// Deprecated: use Do with Request.Serving set.
-func (e *Engine) QueryServing(src string) (*Results, ServeInfo, error) {
-	return e.QueryServingContext(context.Background(), src)
-}
-
-// QueryServingContext is QueryServing bounded by ctx.
-//
-// Deprecated: use Do with Request.Serving set.
-func (e *Engine) QueryServingContext(ctx context.Context, src string) (*Results, ServeInfo, error) {
-	resp, err := e.Do(ctx, Request{Query: src, Serving: true})
-	if err != nil {
-		return nil, ServeInfo{}, err
-	}
-	return resp.Results, resp.Info, nil
-}
-
-// QueryServingJSON is QueryServing serialized to the SPARQL JSON body.
-//
-// Deprecated: use Do with Request.Serving and Request.JSON set.
-func (e *Engine) QueryServingJSON(src string, maxRows int) (body []byte, rows int, truncated bool, info ServeInfo, err error) {
-	return e.QueryServingJSONContext(context.Background(), src, maxRows)
-}
-
-// QueryServingJSONContext is QueryServingJSON bounded by ctx.
-//
-// Deprecated: use Do with Request.Serving and Request.JSON set.
-func (e *Engine) QueryServingJSONContext(ctx context.Context, src string, maxRows int) (body []byte, rows int, truncated bool, info ServeInfo, err error) {
-	resp, err := e.Do(ctx, Request{Query: src, Serving: true, JSON: true, MaxRows: maxRows})
-	if err != nil {
-		return nil, 0, false, ServeInfo{}, err
-	}
-	return resp.Body, resp.Rows, resp.Truncated, resp.Info, nil
-}
-
-// serve resolves src through the caches to a result entry plus the
-// LIMIT/OFFSET window the request asked for — the core of the serving path
-// behind Do. When caching is off (or the result was too large to admit)
-// the entry is ephemeral and dies with the request.
+// serve answers a parsed and planned query through the result cache — the
+// part of Do that Request.Serving switches on — returning the result entry
+// plus the LIMIT/OFFSET window the request asked for. The entry is shared
+// with the cache and every request it answers.
 //
 // Pagination-aware slicing: the cache key is the query text with its
 // trailing top-level LIMIT/OFFSET stripped, and the cached value is the
@@ -291,53 +254,15 @@ func (e *Engine) QueryServingJSONContext(ctx context.Context, src string, maxRow
 // Invalidation is by store version: the version is part of the key, so a
 // mutation moves every lookup onto fresh keys and stale entries age out of
 // the LRU without ever being served.
-func (e *Engine) serve(ctx context.Context, src string) (ce *cachedResult, limit, offset int, info ServeInfo, err error) {
-	info = ServeInfo{StoreVersion: e.Store.Version()}
-	limit = -1
-	tr := obs.TraceFrom(ctx)
-	q, qp, err := e.planned(ctx, src)
-	if err != nil {
-		return nil, 0, 0, info, err
-	}
-	info.PlanDigest = qp.planDigest()
-	tr.Annotate("plan_digest", info.PlanDigest)
-	if q.Explain {
-		// EXPLAIN output depends on live actual cardinalities; it bypasses
-		// the result cache and dies with the request.
-		rep, err := e.explainParsed(ctx, src, q)
-		if err != nil {
-			return nil, 0, 0, info, err
-		}
-		return &cachedResult{version: info.StoreVersion, res: compactOf(rep.Results())}, limit, 0, info, nil
-	}
-	if e.results == nil {
-		evalPlan := qp
-		if tr.Detailed() && qp != nil {
-			// Per-operator detail was asked for: run under a fresh tracked
-			// plan (tracked plans record actuals and must not be shared).
-			evalPlan = e.buildPlan(q, true)
-		}
-		endExec := tr.StartSpan("exec")
-		e.Store.RLock()
-		res, err := e.evalLocked(ctx, q, evalPlan)
-		e.Store.RUnlock()
-		endExec()
-		if err != nil {
-			return nil, 0, 0, info, err
-		}
-		if evalPlan != nil && evalPlan.track {
-			tr.Attach("plan", evalPlan.root)
-		}
-		annotateEval(tr, res.stats)
-		return &cachedResult{version: info.StoreVersion, res: res}, limit, 0, info, nil
-	}
+func (e *Engine) serve(ctx context.Context, src string, q *Query, qp *queryPlan, info *ServeInfo) (ce *cachedResult, limit, offset int, err error) {
 	info.CacheEnabled = true
+	tr := obs.TraceFrom(ctx)
 
 	// Normalize: strip the outer LIMIT/OFFSET so all pages share one key.
 	// The textual strip is verified against the parsed query; on any
 	// disagreement (comments, exotic spellings) fall back to caching the
 	// exact text, which is still correct — just without page sharing.
-	key, offset := src, 0
+	key, limit := src, -1
 	normalized := q
 	if stripped, l, o, ok := stripPagination(src); ok && l == q.Limit && o == q.Offset {
 		key, limit, offset = stripped, l, o
@@ -346,7 +271,8 @@ func (e *Engine) serve(ctx context.Context, src string) (ce *cachedResult, limit
 		normalized = &nq
 	}
 
-	ck := cacheKey(info.StoreVersion, e.DefaultGraphs, key)
+	lookupVersion := e.Store.Version()
+	ck := cacheKey(lookupVersion, e.DefaultGraphs, key)
 	for {
 		endLookup := tr.StartSpan("result_cache_lookup")
 		hit, ok := e.results.Get(ck)
@@ -355,47 +281,30 @@ func (e *Engine) serve(ctx context.Context, src string) (ce *cachedResult, limit
 			info.Hit = true
 			info.StoreVersion = hit.version
 			tr.Annotate("result_cache", "hit")
-			return hit, limit, offset, info, nil
+			return hit, limit, offset, nil
 		}
 
-		// Miss: evaluate the normalized (unpaginated) query in one read
-		// transaction — at most once across concurrent misses of the same
-		// key (stampede protection: N concurrent cold requests coalesce
-		// into 1 evaluation, see flight.go). The evaluation runs under the
-		// flight's context, which stays live while any caller still waits,
-		// so a cancelled leader promotes its waiters instead of killing
-		// their evaluation; this caller's own ctx bounds only its wait.
+		// Miss: evaluate the normalized (unpaginated) query — at most once
+		// across concurrent misses of the same key (stampede protection: N
+		// concurrent cold requests coalesce into 1 evaluation, see
+		// flight.go). The evaluation runs under the flight's context, which
+		// stays live while any caller still waits, so a cancelled leader
+		// promotes its waiters instead of killing their evaluation; this
+		// caller's own ctx bounds only its wait.
 		//
-		// The version is re-read under the lock — it may have moved since
-		// the lookup, and the entry must be keyed to the state the
-		// evaluation actually saw. The plan carries over: LIMIT/OFFSET do
-		// not affect join order, and the normalized copy shares the
-		// original's group pointers the plan is keyed on.
-		lookupVersion := info.StoreVersion
+		// The version the evaluation reports may have moved since the
+		// lookup, and the entry must be keyed to the state the evaluation
+		// actually saw. The plan carries over: LIMIT/OFFSET do not affect
+		// join order, and the normalized copy shares the original's group
+		// pointers the plan is keyed on.
 		ce, shared, err := e.flights.do(ctx, ck, func(fctx context.Context) (*cachedResult, error) {
 			// This closure runs only when this caller leads the flight, so
 			// the enclosing trace (not one fished from fctx, which is the
 			// flight's shared context) is the right recording target.
-			evalPlan := qp
-			if tr.Detailed() && qp != nil {
-				// Per-operator detail: evaluate under a fresh tracked plan
-				// built for the normalized query actually evaluated (tracked
-				// plans record actuals and must not be shared).
-				evalPlan = e.buildPlan(normalized, true)
-			}
-			endExec := tr.StartSpan("exec")
-			e.Store.RLock()
-			version := e.Store.Version()
-			full, err := e.evalLocked(fctx, normalized, evalPlan)
-			e.Store.RUnlock()
-			endExec()
+			full, version, err := e.evaluate(fctx, tr, src, normalized, qp)
 			if err != nil {
 				return nil, err
 			}
-			if evalPlan != nil && evalPlan.track {
-				tr.Attach("plan", evalPlan.root)
-			}
-			annotateEval(tr, full.stats)
 			entryKey := ck
 			if version != lookupVersion {
 				entryKey = cacheKey(version, e.DefaultGraphs, key)
@@ -412,7 +321,7 @@ func (e *Engine) serve(ctx context.Context, src string) (ce *cachedResult, limit
 				// starts a fresh flight.
 				continue
 			}
-			return nil, 0, 0, info, err
+			return nil, 0, 0, err
 		}
 		info.Coalesced = shared
 		info.StoreVersion = ce.version
@@ -422,7 +331,7 @@ func (e *Engine) serve(ctx context.Context, src string) (ce *cachedResult, limit
 		} else {
 			tr.Annotate("singleflight", "leader")
 		}
-		return ce, limit, offset, info, nil
+		return ce, limit, offset, nil
 	}
 }
 

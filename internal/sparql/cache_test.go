@@ -2,8 +2,10 @@ package sparql
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
+	"time"
 
 	"rdfframes/internal/rdf"
 	"rdfframes/internal/store"
@@ -90,29 +92,29 @@ func TestQueryServingMatchesUncached(t *testing.T) {
 		`SELECT * WHERE { ?s <http://ex/p> ?o } OFFSET 1000`,
 	}
 	for _, q := range queries {
-		want, err := plain.Query(q)
+		want, err := runQuery(plain, q)
 		if err != nil {
 			t.Fatalf("%s: uncached: %v", q, err)
 		}
 		// The first serving may already hit: several of these texts
 		// normalize to the same stripped key, which is the point of
 		// pagination-aware slicing. Only byte-identity is asserted here.
-		miss, _, err := cached.QueryServing(q)
+		miss, err := cached.Do(context.Background(), Request{Query: q, Serving: true})
 		if err != nil {
 			t.Fatalf("%s: cached first serving: %v", q, err)
 		}
-		hit, info, err := cached.QueryServing(q)
+		hit, err := cached.Do(context.Background(), Request{Query: q, Serving: true})
 		if err != nil {
 			t.Fatalf("%s: cached hit: %v", q, err)
 		}
-		if !info.Hit {
+		if !hit.Info.Hit {
 			t.Fatalf("%s: second serving was not a hit", q)
 		}
 		wantJSON := mustJSON(t, want)
-		if got := mustJSON(t, miss); !bytes.Equal(got, wantJSON) {
+		if got := mustJSON(t, miss.Results); !bytes.Equal(got, wantJSON) {
 			t.Fatalf("%s: miss response differs from uncached\n got: %s\nwant: %s", q, got, wantJSON)
 		}
-		if got := mustJSON(t, hit); !bytes.Equal(got, wantJSON) {
+		if got := mustJSON(t, hit.Results); !bytes.Equal(got, wantJSON) {
 			t.Fatalf("%s: hit response differs from uncached\n got: %s\nwant: %s", q, got, wantJSON)
 		}
 	}
@@ -140,17 +142,18 @@ func TestQueryServingPageSharing(t *testing.T) {
 	var gotRows, wantRows int
 	for off := 0; off < 30; off += 7 {
 		page := fmt.Sprintf("%s LIMIT %d OFFSET %d", base, 7, off)
-		res, info, err := eng.QueryServing(page)
+		resp, err := eng.Do(context.Background(), Request{Query: page, Serving: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if off == 0 && info.Hit {
+		res := resp.Results
+		if off == 0 && resp.Info.Hit {
 			t.Fatal("first page cannot be a hit")
 		}
-		if off > 0 && !info.Hit {
+		if off > 0 && !resp.Info.Hit {
 			t.Fatalf("page at offset %d missed the cache", off)
 		}
-		want, err := plain.Query(page)
+		want, err := runQuery(plain, page)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,14 +184,14 @@ func TestQueryServingInvalidationOnMutation(t *testing.T) {
 	eng.EnableCache(DefaultPlanCacheEntries, DefaultResultCacheRows)
 
 	q := `SELECT * WHERE { ?s <http://ex/p> ?o }`
-	res, info, err := eng.QueryServing(q)
+	resp, err := eng.Do(context.Background(), Request{Query: q, Serving: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 30 {
-		t.Fatalf("rows = %d", len(res.Rows))
+	if resp.Rows != 30 {
+		t.Fatalf("rows = %d", resp.Rows)
 	}
-	v0 := info.StoreVersion
+	v0 := resp.Info.StoreVersion
 
 	if err := st.Add("http://g", rdf.Triple{
 		S: rdf.NewIRI("http://ex/s99"),
@@ -198,27 +201,90 @@ func TestQueryServingInvalidationOnMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, info, err = eng.QueryServing(q)
+	resp, err = eng.Do(context.Background(), Request{Query: q, Serving: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Hit {
+	if resp.Info.Hit {
 		t.Fatal("stale hit after mutation")
 	}
-	if info.StoreVersion <= v0 {
-		t.Fatalf("store version did not advance: %d -> %d", v0, info.StoreVersion)
+	if resp.Info.StoreVersion <= v0 {
+		t.Fatalf("store version did not advance: %d -> %d", v0, resp.Info.StoreVersion)
 	}
-	if len(res.Rows) != 31 {
-		t.Fatalf("post-mutation rows = %d, want 31", len(res.Rows))
+	if resp.Rows != 31 {
+		t.Fatalf("post-mutation rows = %d, want 31", resp.Rows)
 	}
 
 	// And the fresh entry serves hits again at the new version.
-	res, info, err = eng.QueryServing(q)
+	resp, err = eng.Do(context.Background(), Request{Query: q, Serving: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !info.Hit || len(res.Rows) != 31 {
-		t.Fatalf("hit=%v rows=%d after refill", info.Hit, len(res.Rows))
+	if !resp.Info.Hit || resp.Rows != 31 {
+		t.Fatalf("hit=%v rows=%d after refill", resp.Info.Hit, resp.Rows)
+	}
+}
+
+// TestUncachedAnswerCarriesItsStoreVersion: with the result cache off, and
+// on EXPLAIN, a serving answer reports the store version of the data it was
+// evaluated on, even when a write commits between the request's start and
+// its evaluation. The test holds a read lock so that a writer queues behind
+// it and the request's evaluation behind the writer, then lets both go.
+// Whatever the interleaving, the rows the answer counts decide the version
+// it must report.
+func TestUncachedAnswerCarriesItsStoreVersion(t *testing.T) {
+	for _, tc := range []struct {
+		name, query string
+		rows        func(*Response) int
+	}{
+		{"cache off", `SELECT * WHERE { ?s <http://ex/p> ?o }`, func(r *Response) int { return r.Rows }},
+		{"explain", `EXPLAIN SELECT * WHERE { ?s <http://ex/p> ?o }`, func(r *Response) int {
+			var n int
+			fmt.Sscanf(r.Results.Rows[0][0].Value, "%d rows", &n)
+			return n
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := cacheTestStore(t)
+			eng := NewEngine(st)
+			before := st.Version()
+
+			st.RLock()
+			wrote := make(chan error, 1)
+			go func() {
+				wrote <- st.Add("http://g", rdf.Triple{S: rdf.NewIRI("http://ex/s99"), P: rdf.NewIRI("http://ex/p"), O: rdf.NewInteger(99)})
+			}()
+			time.Sleep(10 * time.Millisecond) // the writer queues behind the read lock
+			type answer struct {
+				resp *Response
+				err  error
+			}
+			answered := make(chan answer, 1)
+			go func() {
+				resp, err := eng.Do(context.Background(), Request{Query: tc.query, Serving: true})
+				answered <- answer{resp, err}
+			}()
+			time.Sleep(10 * time.Millisecond) // the request starts and queues behind the writer
+			st.RUnlock()
+			if err := <-wrote; err != nil {
+				t.Fatal(err)
+			}
+			a := <-answered
+			if a.err != nil {
+				t.Fatal(a.err)
+			}
+			want := before
+			switch n := tc.rows(a.resp); n {
+			case 30:
+			case 31:
+				want = st.Version()
+			default:
+				t.Fatalf("answer counts %d rows, want 30 or 31", n)
+			}
+			if got := a.resp.Info.StoreVersion; got != want {
+				t.Fatalf("answer reflecting %d rows reports store version %d, want %d", tc.rows(a.resp), got, want)
+			}
+		})
 	}
 }
 
@@ -231,7 +297,7 @@ func TestPlanCacheReusesParsedQueries(t *testing.T) {
 	}
 	q := `SELECT * WHERE { ?s <http://ex/p> ?o } LIMIT 3`
 	for i := 0; i < 3; i++ {
-		if _, err := eng.Query(q); err != nil {
+		if _, err := runQuery(eng, q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -240,7 +306,7 @@ func TestPlanCacheReusesParsedQueries(t *testing.T) {
 		t.Fatalf("plan stats = %+v", stats.Plans)
 	}
 	// A second text parses separately.
-	if _, err := eng.Query(q + " OFFSET 1"); err != nil {
+	if _, err := runQuery(eng, q+" OFFSET 1"); err != nil {
 		t.Fatal(err)
 	}
 	if stats := eng.CacheStats(); stats.Plans.Misses != 2 {
@@ -254,24 +320,26 @@ func TestQueryServingResultBudgetRejectsOversized(t *testing.T) {
 	eng.EnableCache(64, 10) // budget below the 30-row result
 	q := `SELECT * WHERE { ?s <http://ex/p> ?o } LIMIT 5`
 	for i := 0; i < 2; i++ {
-		res, info, err := eng.QueryServing(q)
+		resp, err := eng.Do(context.Background(), Request{Query: q, Serving: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if info.Hit {
+		if resp.Info.Hit {
 			t.Fatal("oversized result must not be cached")
 		}
-		if len(res.Rows) != 5 {
-			t.Fatalf("rows = %d", len(res.Rows))
+		if resp.Rows != 5 {
+			t.Fatalf("rows = %d", resp.Rows)
 		}
 	}
 	// A small enough result still caches.
 	small := `SELECT * WHERE { ?s <http://ex/p> ?o . FILTER(?o < 3) }`
-	if _, _, err := eng.QueryServing(small); err != nil {
+	if _, err := eng.Do(context.Background(), Request{Query: small, Serving: true}); err != nil {
 		t.Fatal(err)
 	}
-	if _, info, err := eng.QueryServing(small); err != nil || !info.Hit {
-		t.Fatalf("small result not cached: hit=%v err=%v", info.Hit, err)
+	if resp, err := eng.Do(context.Background(), Request{Query: small, Serving: true}); err != nil {
+		t.Fatal(err)
+	} else if !resp.Info.Hit {
+		t.Fatal("small result not cached")
 	}
 }
 
@@ -289,7 +357,7 @@ func TestEncodedPageMemoChargedToBudget(t *testing.T) {
 	base := `SELECT * WHERE { ?s ?p ?o }`
 	for off := 0; off < 30; off++ {
 		q := fmt.Sprintf("%s LIMIT 2 OFFSET %d", base, off)
-		if _, _, _, _, err := eng.QueryServingJSON(q, 0); err != nil {
+		if _, err := eng.Do(context.Background(), Request{Query: q, Serving: true, JSON: true}); err != nil {
 			t.Fatal(err)
 		}
 		if cost := eng.CacheStats().Results.Cost; cost > 40 {

@@ -9,21 +9,19 @@ import (
 	"rdfframes/internal/rdf"
 )
 
-// Engine.Do is the consolidated read-side entry point: one options-struct
-// call that subsumes the former six-way Query / QueryContext / QueryServing
-// / QueryServingContext / QueryServingJSON / QueryServingJSONContext
-// surface. The old names remain as thin deprecated wrappers so existing
-// callers compile unchanged; new code should call Do (and Update for
-// writes).
+// Engine.Do and Engine.Stream are the read side's only entry points: one
+// options struct in, one Response out, for the HTTP server, the in-process
+// client and tests alike (Update is the write side's).
 
 // Request describes one query request.
 type Request struct {
 	// Query is the SPARQL text.
 	Query string
-	// Serving routes the request through the serving path: plan and result
-	// caches, pagination-aware key normalization, and singleflight stampede
-	// protection. Off, the request evaluates directly (still through the
-	// plan cache when enabled).
+	// Serving routes the request through the result cache: pagination-aware
+	// key normalization, singleflight stampede protection, and the plan
+	// digest in Response.Info. Off — or with the cache disabled — the
+	// request evaluates directly; both paths go through the plan cache when
+	// it is enabled.
 	Serving bool
 	// JSON asks Do for the SPARQL JSON serialization in Response.Body. On
 	// the serving path cached entries answer from their per-window encoding
@@ -95,20 +93,32 @@ func (e *Engine) Stream(ctx context.Context, req Request) (*Response, error) {
 	if req.Trace != nil && obs.TraceFrom(ctx) == nil {
 		ctx = obs.WithTrace(ctx, req.Trace)
 	}
-	resp := &Response{eng: e, trace: obs.TraceFrom(ctx)}
+	tr := obs.TraceFrom(ctx)
+	resp := &Response{eng: e, trace: tr}
+	q, qp, err := e.planned(ctx, req.Query)
+	if err != nil {
+		return nil, err
+	}
 	limit, offset := -1, 0
 	if req.Serving {
-		var err error
-		if resp.entry, limit, offset, resp.Info, err = e.serve(ctx, req.Query); err != nil {
+		// The digest stays off the in-process path, which has no plan
+		// cache to amortize its hash over.
+		resp.Info.PlanDigest = qp.planDigest()
+		tr.Annotate("plan_digest", resp.Info.PlanDigest)
+	}
+	if req.Serving && e.results != nil && !q.Explain {
+		// EXPLAIN output depends on live actual cardinalities; it bypasses
+		// the result cache and dies with the request.
+		if resp.entry, limit, offset, err = e.serve(ctx, req.Query, q, qp, &resp.Info); err != nil {
 			return nil, err
 		}
 	} else {
-		res, version, err := e.queryVersioned(ctx, req.Query)
+		res, version, err := e.evaluate(ctx, tr, req.Query, q, qp)
 		if err != nil {
 			return nil, err
 		}
 		resp.entry = &cachedResult{version: version, res: res}
-		resp.Info = ServeInfo{StoreVersion: version}
+		resp.Info.StoreVersion = version
 	}
 	resp.lo, resp.hi = pageBounds(resp.entry.res.n, limit, offset)
 	if req.MaxRows > 0 && resp.hi-resp.lo > req.MaxRows {

@@ -31,15 +31,12 @@ type Engine struct {
 	// byte-identical at every setting (the determinism contract in
 	// parallel.go). Set before serving traffic; it is read per query.
 	Parallelism int
-	// DisableOptimizer turns off the cost-based planner, falling back to
-	// the greedy probe-memoized join ordering (the pre-planner heuristic).
-	// Used by ablation benchmarks and the planner byte-identity tests. This
-	// and the two switches below only change the schedule a BGP pipeline is
-	// compiled with (pipeline.go); every setting runs the same executor.
-	DisableOptimizer bool
-	// DisableReorder turns off join ordering entirely, compiling triple
-	// patterns in textual order (for ablation benchmarks). Implies
-	// DisableOptimizer.
+	// DisableReorder turns off the cost-based planner: every BGP segment
+	// compiles in textual order, with no plan, no subplan sharing and no
+	// trie walk — the plan-less reference of the byte-identity tests and
+	// the ablation baseline. This and the two switches below only change
+	// the schedule a BGP pipeline is compiled with (pipeline.go); every
+	// setting runs the same executor.
 	DisableReorder bool
 	// DisablePushdown keeps every group filter out of the BGP pipelines, to
 	// run at the end of its group (for ablation benchmarks).
@@ -137,90 +134,46 @@ func (e *Engine) parallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Query parses and evaluates a SELECT query, returning its solutions. The
-// parse goes through the plan cache when EnableCache has been called; the
-// result cache is consulted only on the serving path.
-//
-// Deprecated: use Do.
-func (e *Engine) Query(src string) (*Results, error) {
-	return e.queryContext(context.Background(), src)
-}
-
-// QueryContext is Query bounded by ctx.
-//
-// Deprecated: use Do.
-func (e *Engine) QueryContext(ctx context.Context, src string) (*Results, error) {
-	return e.queryContext(ctx, src)
-}
-
-// queryContext parses and evaluates a SELECT query bounded by ctx:
-// cancellation (or a ctx deadline) stops the evaluation — including any
-// morsel workers it fanned out — within one tick window. An EXPLAIN query
-// returns its plan as a one-variable result set (see Explain for the
-// structured form).
-func (e *Engine) queryContext(ctx context.Context, src string) (*Results, error) {
-	res, _, err := e.queryVersioned(ctx, src)
-	if err != nil {
-		return nil, err
-	}
-	return res.results(0, res.n), nil
-}
-
-// queryVersioned evaluates src and reports the store version the answer
-// reflects, read under the same lock hold as the evaluation: mutation
-// batches commit under the write lock and bump the version before releasing
-// it, so a version observed here can never mis-attribute a pre-batch answer
-// to the post-batch state.
-func (e *Engine) queryVersioned(ctx context.Context, src string) (*compactResult, uint64, error) {
-	q, qp, err := e.planned(ctx, src)
-	if err != nil {
-		return nil, 0, err
-	}
+// evaluate runs q under qp (nil: every BGP segment in textual order) in
+// one store read transaction. It is the one evaluate step behind every read
+// — Stream off the result cache, a cache miss's flight leader, Export,
+// DELETE WHERE — so each records the same exec span, detailed plan and join annotations
+// on tr. The store version is read under the same lock hold as the
+// evaluation: batches commit under the write lock, so the version returned
+// is exactly the state the result reflects. An EXPLAIN query answers with
+// its plan as a one-variable result (see Explain for the structured form).
+func (e *Engine) evaluate(ctx context.Context, tr *obs.Trace, src string, q *Query, qp *queryPlan) (*compactResult, uint64, error) {
 	if q.Explain {
 		rep, err := e.explainParsed(ctx, src, q)
 		if err != nil {
 			return nil, 0, err
 		}
-		return compactOf(rep.Results()), e.Store.Version(), nil
+		return compactOf(rep.Results()), rep.StoreVersion, nil
 	}
+	if tr.Detailed() && qp != nil {
+		// Per-operator detail was asked for: run under a fresh tracked plan
+		// (tracked plans record actuals and must not be shared).
+		qp = e.buildPlan(q, true)
+	}
+	endExec := tr.StartSpan("exec")
 	e.Store.RLock()
-	defer e.Store.RUnlock()
-	res, err := e.evalLocked(ctx, q, qp)
-	return res, e.Store.Version(), err
-}
-
-// Eval evaluates an already-parsed query inside one store read
-// transaction, so concurrent mutations never interleave with a running
-// query. Evaluation never mutates q; a parsed query is safe to evaluate
-// from many goroutines at once.
-func (e *Engine) Eval(q *Query) (*Results, error) {
-	return e.EvalContext(context.Background(), q)
-}
-
-// EvalContext is Eval bounded by ctx; see QueryContext.
-func (e *Engine) EvalContext(ctx context.Context, q *Query) (*Results, error) {
-	qp := e.planFor(q) // before RLock: planning takes its own read locks
-	e.Store.RLock()
+	version := e.Store.Version()
 	res, err := e.evalLocked(ctx, q, qp)
 	e.Store.RUnlock()
+	endExec()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return res.results(0, res.n), nil
-}
-
-// planFor optimizes q unless the optimizer (or all reordering) is off.
-// Plans built here are untracked and uncached; the text-keyed serving path
-// (planned) adds the epoch-checked plan cache on top.
-func (e *Engine) planFor(q *Query) *queryPlan {
-	if e.DisableOptimizer || e.DisableReorder {
-		return nil
+	if qp != nil && qp.track {
+		tr.Attach("plan", qp.root)
 	}
-	return e.buildPlan(q, false)
+	annotateEval(tr, res.stats)
+	return res, version, nil
 }
 
 // evalLocked evaluates q under an already-optimized plan (nil compiles
-// every BGP with the greedy heuristic) with the store read lock already held.
+// every BGP segment in textual order) with the store read lock already
+// held.
 func (e *Engine) evalLocked(ctx context.Context, q *Query, qp *queryPlan) (*compactResult, error) {
 	ev, err := e.evaluatorLocked(ctx, qp)
 	if err != nil {
@@ -242,7 +195,6 @@ func (e *Engine) evaluatorLocked(ctx context.Context, qp *queryPlan) (*evaluator
 		store:           e.Store,
 		dict:            newEvalDict(e.Store.Dict()),
 		cache:           &regexCache{},
-		disableReorder:  e.DisableReorder,
 		disablePushdown: e.DisablePushdown,
 		qp:              qp,
 		workers:         e.parallelism(),

@@ -3,10 +3,8 @@ package sparql
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
-	"strings"
 
 	"rdfframes/internal/rdf"
 	"rdfframes/internal/store"
@@ -22,11 +20,10 @@ type evaluator struct {
 	store           *store.Store
 	dict            *evalDict
 	cache           *regexCache
-	disableReorder  bool
 	disablePushdown bool
-	// qp is the cost-based plan for this query (nil falls back to the
-	// greedy probe-memoized ordering); seg counts BGP segments per group so
-	// execution lines up with the plan's static segment numbering.
+	// qp is the cost-based plan for this query (nil, under DisableReorder,
+	// runs every BGP segment in textual order); seg counts BGP segments per
+	// group so execution lines up with the plan's static segment numbering.
 	qp  *queryPlan
 	seg map[*Group]int
 	// tk is the query goroutine's progress ticker: deadline plus context
@@ -35,9 +32,6 @@ type evaluator struct {
 	// workers is the morsel pool size; <= 1 keeps every operator on the
 	// query goroutine (the exact serial path).
 	workers int
-	// cardMemo memoizes base cardinality probes per (pattern, graphs) for
-	// the lifetime of this query; see baseCardinality.
-	cardMemo map[cardKey]float64
 	// ctr points at the engine's executor counters (nil in unit-evaluator
 	// tests); see wcoj.go. stats is this evaluation's share of them.
 	ctr   *execCounters
@@ -94,13 +88,6 @@ func (ev *evaluator) shared(key any, eval func() (*idRows, error)) (rows *idRows
 	return rows, false, nil
 }
 
-// cardKey identifies one base-cardinality probe: the pattern (variables
-// and constants alike — TriplePattern is comparable) and the graph scope.
-type cardKey struct {
-	pat    TriplePattern
-	graphs string
-}
-
 // tick counts one step on the query goroutine's ticker, polling the
 // deadline and context every few thousand steps.
 func (ev *evaluator) tick() error { return ev.tk.tick() }
@@ -133,10 +120,9 @@ func (ev *evaluator) evalQuery(q *Query, defaultGraphs []string) (*compactResult
 // outermost query: its solutions are canonicalized — sorted by term content
 // — before solution modifiers run, which makes the final row order a pure
 // function of the query and the data, independent of the join order the
-// planner (or the greedy heuristic) chose. That plan-invariance is what
-// lets CI byte-diff optimized against heuristic execution, and means a plan
-// change after a stats-epoch move can never reorder a client's paginated
-// sweep. Subquery solutions are left in execution order: the top-level
+// planner chose. That plan-invariance is what lets CI byte-diff planned
+// against textual-order execution, and means a plan change after a
+// stats-epoch move can never reorder a client's paginated sweep. Subquery solutions are left in execution order: the top-level
 // canonicalization erases any order difference they could introduce.
 func (ev *evaluator) evalQueryRows(q *Query, defaultGraphs []string, top bool) (*idRows, error) {
 	graphs := defaultGraphs
@@ -749,9 +735,9 @@ func (ev *evaluator) applyFilter(current *idRows, f groupFilter) error {
 
 // evalBGP joins the current solutions with a basic graph pattern: the
 // segment compiles into one fused pipeline (pipeline.go) — the planner's
-// order and prune schedule when there is a plan, the greedy probe-estimated
-// order otherwise (DisableOptimizer), textual order under DisableReorder —
-// which consumes the group filters it can push down from *filters.
+// order and prune schedule when there is a plan, textual order under
+// DisableReorder — which consumes the group filters it can push down from
+// *filters.
 func (ev *evaluator) evalBGP(current *idRows, patterns []TriplePattern, graphs []string, filters *[]groupFilter, bp *bgpPlan) (*idRows, error) {
 	if current.n == 0 {
 		return current, nil
@@ -809,93 +795,4 @@ func exprVars(e Expression) []string {
 	}
 	walk(e)
 	return out
-}
-
-// orderPatterns greedily sorts patterns so that the estimated-cheapest
-// pattern (given already-bound variables) runs first.
-func (ev *evaluator) orderPatterns(patterns []TriplePattern, bound map[string]bool, graphs []string) []TriplePattern {
-	remaining := append([]TriplePattern(nil), patterns...)
-	boundVars := map[string]bool{}
-	for v := range bound {
-		boundVars[v] = true
-	}
-	var out []TriplePattern
-	graphsKey := strings.Join(graphs, "\x1f")
-	for len(remaining) > 0 {
-		bestIdx, bestScore := 0, math.MaxFloat64
-		for i, pat := range remaining {
-			score := ev.estimate(pat, boundVars, graphs, graphsKey)
-			if score < bestScore {
-				bestScore, bestIdx = score, i
-			}
-		}
-		chosen := remaining[bestIdx]
-		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
-		out = append(out, chosen)
-		for _, v := range chosen.Vars() {
-			boundVars[v] = true
-		}
-	}
-	return out
-}
-
-// estimate scores a pattern: the store cardinality with constants bound,
-// discounted for each position bound by an already-bound variable.
-func (ev *evaluator) estimate(pat TriplePattern, bound map[string]bool, graphs []string, graphsKey string) float64 {
-	base := ev.baseCardinality(pat, graphs, graphsKey)
-	discount := 1.0
-	for _, n := range []Node{pat.S, pat.P, pat.O} {
-		if n.IsVar && bound[n.Var] {
-			discount *= 16
-		}
-	}
-	return base / discount
-}
-
-// baseCardinality memoizes the store probe behind estimate per (pattern,
-// graphs) for the lifetime of the query. The greedy orderPatterns loop
-// scores every remaining pattern on every round — O(n²) estimate calls for
-// an n-pattern BGP — but the probe depends only on the pattern's constant
-// positions, not on which variables are bound, so each distinct pattern
-// costs exactly one store probe per query. Sound within one evaluation
-// because the engine holds the store read lock throughout.
-func (ev *evaluator) baseCardinality(pat TriplePattern, graphs []string, graphsKey string) float64 {
-	key := cardKey{pat: pat, graphs: graphsKey}
-	if v, ok := ev.cardMemo[key]; ok {
-		return v
-	}
-	v := 0.0 // a constant term absent from the dictionary: zero matches
-	if idPat, known := ev.constantPattern(pat); known {
-		v = float64(ev.store.Cardinality(graphs, idPat))
-	}
-	if ev.cardMemo == nil {
-		ev.cardMemo = make(map[cardKey]float64)
-	}
-	ev.cardMemo[key] = v
-	return v
-}
-
-// constantPattern encodes the constant positions of pat; known is false if
-// a constant term does not exist in the dictionary (no possible match).
-func (ev *evaluator) constantPattern(pat TriplePattern) (store.IDTriple, bool) {
-	var out store.IDTriple
-	dict := ev.store.Dict()
-	enc := func(n Node) (store.ID, bool) {
-		if n.IsVar {
-			return 0, true
-		}
-		id, ok := dict.Lookup(n.Term)
-		return id, ok
-	}
-	var ok bool
-	if out.S, ok = enc(pat.S); !ok {
-		return out, false
-	}
-	if out.P, ok = enc(pat.P); !ok {
-		return out, false
-	}
-	if out.O, ok = enc(pat.O); !ok {
-		return out, false
-	}
-	return out, true
 }

@@ -37,7 +37,7 @@ func TestEvalOrderByExpression(t *testing.T) {
 		s.Add(testGraph, rdf.Triple{S: rdf.NewIRI(fmt.Sprintf("http://ex/s%d", i)), P: p, O: rdf.NewInteger(v)})
 	}
 	e := NewEngine(s)
-	res, err := e.Query(`SELECT ?v WHERE { ?s <http://ex/v> ?v } ORDER BY DESC(abs(?v))`)
+	res, err := runQuery(e, `SELECT ?v WHERE { ?s <http://ex/v> ?v } ORDER BY DESC(abs(?v))`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestEvalOrderByExpression(t *testing.T) {
 func TestEvalNestedSubqueryProjectionScopes(t *testing.T) {
 	e := NewEngine(movieStore(t))
 	// The inner query's un-projected variables must not leak out.
-	res, err := e.Query(`SELECT * WHERE {
+	res, err := runQuery(e, `SELECT * WHERE {
 	  { SELECT ?a WHERE { ?m <http://ex/starring> ?a } }
 	}`)
 	if err != nil {
@@ -71,11 +71,11 @@ func TestEvalFilterPushdownEquivalence(t *testing.T) {
 	disabled := NewEngine(st)
 	disabled.DisablePushdown = true
 	disabled.DisableReorder = true
-	r1, err := plain.Query(query)
+	r1, err := runQuery(plain, query)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := disabled.Query(query)
+	r2, err := runQuery(disabled, query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,12 +88,12 @@ func TestEvalDeterministicOrderAcrossRuns(t *testing.T) {
 	st := movieStore(t)
 	e := NewEngine(st)
 	query := `SELECT * WHERE { ?m <http://ex/starring> ?a . ?a <http://ex/birthPlace> ?c }`
-	first, err := e.Query(query)
+	first, err := runQuery(e, query)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		again, err := e.Query(query)
+		again, err := runQuery(e, query)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +119,7 @@ func TestEngineConcurrentReaders(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := e.Query(`SELECT * WHERE { ?m <http://ex/starring> ?a }`)
+			res, err := runQuery(e, `SELECT * WHERE { ?m <http://ex/starring> ?a }`)
 			if err != nil {
 				errs <- err
 				return

@@ -59,7 +59,7 @@ func (r *ExplainReport) PlanText() string {
 
 // Results renders the report as a one-variable solution sequence (?plan,
 // one row per text line), which is how an "EXPLAIN SELECT ..." query
-// answers through every existing surface — Engine.Query, the HTTP server,
+// answers through every existing surface — Engine.Do, the HTTP server,
 // and the paginating client.
 func (r *ExplainReport) Results() *Results {
 	lines := strings.Split(strings.TrimRight(r.Text(), "\n"), "\n")
@@ -89,14 +89,14 @@ func IsExplainQuery(src string) bool {
 
 // Explain parses, optimizes, and executes src, returning the plan tree with
 // estimated and actual cardinalities. The leading EXPLAIN keyword is
-// optional. Explain always runs the optimizer (even on engines with
-// DisableOptimizer set — the point is to inspect what the planner would
-// do) and never touches the result cache.
+// optional. Explain always runs the planner (even on engines with
+// DisableReorder set — the point is to inspect what the planner would do)
+// and never touches the result cache.
 func (e *Engine) Explain(src string) (*ExplainReport, error) {
 	return e.ExplainContext(context.Background(), src)
 }
 
-// ExplainContext is Explain bounded by ctx; see QueryContext.
+// ExplainContext is Explain bounded by ctx; see Do.
 func (e *Engine) ExplainContext(ctx context.Context, src string) (*ExplainReport, error) {
 	q, err := Parse(src)
 	if err != nil {

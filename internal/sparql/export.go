@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"rdfframes/internal/obs"
 	"rdfframes/internal/rdf"
 )
 
@@ -38,9 +39,7 @@ func (e *Engine) Export(ctx context.Context, src string, w RowWriter) (int, erro
 	if q.Explain {
 		return 0, fmt.Errorf("sparql: export: EXPLAIN queries have no row stream")
 	}
-	e.Store.RLock()
-	res, err := e.evalLocked(ctx, q, qp)
-	e.Store.RUnlock()
+	res, _, err := e.evaluate(ctx, obs.TraceFrom(ctx), src, q, qp)
 	if err != nil {
 		return 0, err
 	}

@@ -63,8 +63,10 @@ func TestStampedeSingleEvaluation(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			body, _, _, _, err := eng.QueryServingJSON(flightQuery, 0)
-			bodies[i], errs[i] = body, err
+			resp, err := eng.Do(context.Background(), Request{Query: flightQuery, Serving: true, JSON: true})
+			if errs[i] = err; err == nil {
+				bodies[i] = resp.Body
+			}
 		}(i)
 	}
 	// Exactly one evaluation reaches the gate; release it once all callers
@@ -102,7 +104,7 @@ func TestFlightWaiterHonorsOwnContext(t *testing.T) {
 
 	leaderDone := make(chan error, 1)
 	go func() {
-		_, _, _, _, err := eng.QueryServingJSON(flightQuery, 0)
+		_, err := eng.Do(context.Background(), Request{Query: flightQuery, Serving: true, JSON: true})
 		leaderDone <- err
 	}()
 	<-g.arrivals // leader's evaluation is in flight
@@ -110,7 +112,7 @@ func TestFlightWaiterHonorsOwnContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	waiterDone := make(chan error, 1)
 	go func() {
-		_, _, _, _, err := eng.QueryServingJSONContext(ctx, flightQuery, 0)
+		_, err := eng.Do(ctx, Request{Query: flightQuery, Serving: true, JSON: true})
 		waiterDone <- err
 	}()
 	time.Sleep(10 * time.Millisecond) // let the waiter join the flight
@@ -145,7 +147,7 @@ func TestFlightLeaderCancelPromotesWaiter(t *testing.T) {
 	// same store so the flight engine's cache stays cold.
 	ref := NewEngine(eng.Store)
 	ref.EnableCache(DefaultPlanCacheEntries, DefaultResultCacheRows)
-	want, _, _, _, err := ref.QueryServingJSON(flightQuery, 0)
+	want, err := ref.Do(context.Background(), Request{Query: flightQuery, Serving: true, JSON: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +158,7 @@ func TestFlightLeaderCancelPromotesWaiter(t *testing.T) {
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 	leaderDone := make(chan error, 1)
 	go func() {
-		_, _, _, _, err := eng.QueryServingJSONContext(leaderCtx, flightQuery, 0)
+		_, err := eng.Do(leaderCtx, Request{Query: flightQuery, Serving: true, JSON: true})
 		leaderDone <- err
 	}()
 	<-g.arrivals // evaluation started by the leader
@@ -166,7 +168,11 @@ func TestFlightLeaderCancelPromotesWaiter(t *testing.T) {
 		err  error
 	}, 1)
 	go func() {
-		body, _, _, _, err := eng.QueryServingJSON(flightQuery, 0)
+		resp, err := eng.Do(context.Background(), Request{Query: flightQuery, Serving: true, JSON: true})
+		var body []byte
+		if err == nil {
+			body = resp.Body
+		}
 		waiterDone <- struct {
 			body []byte
 			err  error
@@ -184,7 +190,7 @@ func TestFlightLeaderCancelPromotesWaiter(t *testing.T) {
 		if got.err != nil {
 			t.Fatalf("promoted waiter failed: %v", got.err)
 		}
-		if string(got.body) != string(want) {
+		if string(got.body) != string(want.Body) {
 			t.Fatal("promoted waiter's body differs from the unfaulted run")
 		}
 	case <-time.After(2 * time.Second):
@@ -206,7 +212,7 @@ func TestFlightAbandonedByAll(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, _, _, _, err := eng.QueryServingJSONContext(ctx, flightQuery, 0)
+		_, err := eng.Do(ctx, Request{Query: flightQuery, Serving: true, JSON: true})
 		done <- err
 	}()
 	<-g.arrivals
@@ -218,12 +224,12 @@ func TestFlightAbandonedByAll(t *testing.T) {
 	// The aborted evaluation never filled the cache; a fresh request leads
 	// a new flight and succeeds.
 	g.open()
-	body, _, _, info, err := eng.QueryServingJSON(flightQuery, 0)
+	resp, err := eng.Do(context.Background(), Request{Query: flightQuery, Serving: true, JSON: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(body) == 0 || info.Hit {
-		t.Fatalf("fresh request after abandonment: hit=%v bodyLen=%d", info.Hit, len(body))
+	if len(resp.Body) == 0 || resp.Info.Hit {
+		t.Fatalf("fresh request after abandonment: hit=%v bodyLen=%d", resp.Info.Hit, len(resp.Body))
 	}
 }
 
@@ -252,9 +258,9 @@ func TestEstimateCost(t *testing.T) {
 		t.Fatal("parse error not surfaced")
 	}
 
-	eng.DisableOptimizer = true
+	eng.DisableReorder = true
 	if _, ok, err := eng.EstimateCost(flightQuery); err != nil || ok {
-		t.Fatalf("optimizer off: ok=%v err=%v, want no estimate", ok, err)
+		t.Fatalf("planner off: ok=%v err=%v, want no estimate", ok, err)
 	}
 }
 
@@ -283,7 +289,7 @@ func TestFlightConcurrentMixedKeys(t *testing.T) {
 						cancel()
 					}()
 				}
-				_, _, _, _, err := eng.QueryServingJSONContext(ctx, q, 0)
+				_, err := eng.Do(ctx, Request{Query: q, Serving: true, JSON: true})
 				if err != nil && !errors.Is(err, context.Canceled) {
 					failures.Add(1)
 				}

@@ -263,7 +263,7 @@ func TestCartesianJoinTimesOut(t *testing.T) {
 		counted := e.execStats.joinCandidates.Load()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, err := e.Query(`SELECT * WHERE { { ?a <http://ex/p> ?b } { ?c <http://ex/q> ?d } }`)
+		_, err := runQuery(e, `SELECT * WHERE { { ?a <http://ex/p> ?b } { ?c <http://ex/q> ?d } }`)
 		runtime.ReadMemStats(&after)
 		if !errors.Is(err, ErrTimeout) {
 			t.Fatalf("err = %v, want ErrTimeout", err)

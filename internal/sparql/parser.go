@@ -35,8 +35,10 @@ type parser struct {
 	pathVars int
 }
 
-func (p *parser) peek() token { return p.toks[p.i] }
-func (p *parser) next() token { t := p.toks[p.i]; p.i++; return t }
+// peek returns the next token; past the end of the input it keeps
+// returning the final EOF token, however far a rule has read.
+func (p *parser) peek() token { return p.toks[min(p.i, len(p.toks)-1)] }
+func (p *parser) next() token { t := p.peek(); p.i++; return t }
 func (p *parser) backup()     { p.i-- }
 func (p *parser) errf(format string, args ...any) error {
 	return fmt.Errorf("sparql: line %d: %s", p.peek().line, fmt.Sprintf(format, args...))

@@ -1,10 +1,13 @@
 package sparql
 
 import (
+	"context"
 	"strings"
 	"testing"
+	"time"
 
 	"rdfframes/internal/rdf"
+	"rdfframes/internal/store"
 )
 
 func mustParse(t *testing.T, src string) *Query {
@@ -272,4 +275,53 @@ WHERE
 	if len(kinds) != 3 || kinds[0] != "bgp" || kinds[1] != "group" || kinds[2] != "optional" {
 		t.Fatalf("element kinds = %v", kinds)
 	}
+}
+
+// FuzzParse feeds arbitrary text to both parsers, which must answer with a
+// query, an update or an error and never panic. Every text that parses as a
+// query is also evaluated, through Do on a ten-triple store under a 50 ms
+// deadline: an error or a timeout is an answer, a panic is not. The seed
+// corpus holds the queries of the parser tests and the examples of
+// docs/query-reference.md.
+func FuzzParse(f *testing.F) {
+	f.Add(`SELECT * WHERE { ?s ?p ?o }`)
+	eng := NewEngine(fuzzParseStore(f))
+	eng.SetTimeout(50 * time.Millisecond)
+	f.Fuzz(func(t *testing.T, src string) {
+		_, _ = ParseUpdate(src)
+		if _, err := Parse(src); err != nil {
+			return
+		}
+		_, _ = eng.Do(context.Background(), Request{Query: src})
+	})
+}
+
+// fuzzParseStore is FuzzParse's ten triples over the predicates and graphs
+// the seed queries name, with IRI, plain, language-tagged and numeric
+// objects.
+func fuzzParseStore(tb testing.TB) *store.Store {
+	tb.Helper()
+	st := store.New()
+	dbp := func(n string) rdf.Term { return rdf.NewIRI("http://dbpedia.org/property/" + n) }
+	res := func(n string) rdf.Term { return rdf.NewIRI("http://dbpedia.org/resource/" + n) }
+	for _, q := range []struct {
+		g       string
+		s, p, o rdf.Term
+	}{
+		{"http://dbpedia.org", res("movie1"), dbp("starring"), res("actor1")},
+		{"http://dbpedia.org", res("movie1"), dbp("starring"), res("actor2")},
+		{"http://dbpedia.org", res("movie2"), dbp("starring"), res("actor1")},
+		{"http://dbpedia.org", res("actor1"), dbp("birthPlace"), res("United_States")},
+		{"http://dbpedia.org", res("actor2"), dbp("birthPlace"), rdf.NewLangLiteral("Japan", "en")},
+		{"http://dbpedia.org", res("movie1"), dbp("runtime"), rdf.NewInteger(90)},
+		{"http://dbpedia.org", res("movie2"), dbp("runtime"), rdf.NewTypedLiteral("1.5e2", rdf.XSDDouble)},
+		{"http://dbpedia.org", res("movie2"), dbp("title"), rdf.NewLiteral("Second")},
+		{"http://yago", rdf.NewIRI("http://ex/s"), rdf.NewIRI("http://ex/p"), rdf.NewIRI("http://ex/o")},
+		{"http://yago", rdf.NewIRI("http://ex/o"), rdf.NewIRI("http://ex/p"), rdf.NewIRI("http://ex/s")},
+	} {
+		if err := st.Add(q.g, rdf.Triple{S: q.s, P: q.p, O: q.o}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return st
 }

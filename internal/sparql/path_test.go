@@ -149,7 +149,7 @@ func TestPathByteIdenticalAcrossParallelism(t *testing.T) {
 
 func marshalQuery(t *testing.T, e *Engine, q string) []byte {
 	t.Helper()
-	res, err := e.Query(q)
+	res, err := runQuery(e, q)
 	if err != nil {
 		t.Fatalf("Query(%s): %v", q, err)
 	}
@@ -253,7 +253,7 @@ func TestExportStreamsAllRows(t *testing.T) {
 		t.Fatalf("header %v, want 2 vars", cw.vars)
 	}
 	// Export must match Query row for row (same canonical order).
-	res, err := e.Query(q)
+	res, err := runQuery(e, q)
 	if err != nil {
 		t.Fatal(err)
 	}

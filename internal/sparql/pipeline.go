@@ -72,11 +72,11 @@ type bgpPipeline struct {
 }
 
 // compilePipeline orders the segment's patterns (the planner's order, else
-// the greedy heuristic, else textual order), resolves every position
-// against the scratch layout, and moves each group filter whose variables
-// are all bound after a step out of *filters and onto that step — sound
-// because group filters are conjunctive and rows never regain bindings
-// they were rejected on. The ablation switches only change this schedule.
+// textual order), resolves every position against the scratch layout, and
+// moves each group filter whose variables are all bound after a step out of
+// *filters and onto that step — sound because group filters are
+// conjunctive and rows never regain bindings they were rejected on. The
+// ablation switches only change this schedule.
 func (ev *evaluator) compilePipeline(cur *idRows, patterns []TriplePattern, graphs []string, filters *[]groupFilter, bp *bgpPlan) *bgpPipeline {
 	bound := map[string]bool{}
 	for c, v := range cur.vars {
@@ -85,9 +85,6 @@ func (ev *evaluator) compilePipeline(cur *idRows, patterns []TriplePattern, grap
 		}
 	}
 	planned := bp != nil && len(bp.order) == len(patterns)
-	if !planned && !ev.disableReorder {
-		patterns = ev.orderPatterns(patterns, bound, graphs)
-	}
 	p := &bgpPipeline{
 		ev:    ev,
 		uris:  graphs,

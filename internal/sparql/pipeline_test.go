@@ -67,11 +67,10 @@ func pipeStore(t testing.TB) *store.Store {
 
 func pipeEvaluator(st *store.Store, workers int) *evaluator {
 	return &evaluator{
-		store:          st,
-		dict:           newEvalDict(st.Dict()),
-		cache:          &regexCache{},
-		disableReorder: true,
-		workers:        workers,
+		store:   st,
+		dict:    newEvalDict(st.Dict()),
+		cache:   &regexCache{},
+		workers: workers,
 	}
 }
 

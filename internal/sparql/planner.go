@@ -20,8 +20,8 @@ import (
 // BGP-segment structure), resolves every triple pattern against the store's
 // statistics catalog into a plan.Pattern, and records the chosen join
 // orders, filter placements, and column-prune schedules in a queryPlan the
-// evaluator executes. The old greedy probe-memoized ordering survives as
-// the fallback path (Engine.DisableOptimizer) and as the ablation baseline.
+// evaluator executes. It is the engine's only join orderer: without a plan
+// (Engine.DisableReorder) a segment runs in textual order.
 
 // bgpRef identifies one BGP segment: the seg-th maximal run of triple
 // patterns within a group's element list.

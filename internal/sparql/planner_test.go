@@ -90,7 +90,7 @@ func TestPlannerPrunesDeadColumns(t *testing.T) {
 	st := plannerStore(t)
 	eng := NewEngine(st)
 	// ?x is a pure existence variable: used once, never projected. The plan
-	// must schedule a prune and the results must match the heuristic path.
+	// must schedule a prune and the results must match textual order.
 	src := `SELECT ?n WHERE { ?s <http://p/rare> ?x . ?s <http://p/name> ?n }`
 	rep, err := eng.Explain(src)
 	if err != nil {
@@ -99,23 +99,23 @@ func TestPlannerPrunesDeadColumns(t *testing.T) {
 	if !strings.Contains(rep.PlanText(), "prune ?x") {
 		t.Fatalf("no prune scheduled for ?x:\n%s", rep.PlanText())
 	}
-	assertOptimizedMatchesHeuristic(t, st, src)
+	assertPlannedMatchesTextual(t, st, src)
 }
 
-// assertOptimizedMatchesHeuristic compares the optimizer's serialized
-// results against the pre-planner greedy path, byte for byte.
-func assertOptimizedMatchesHeuristic(t *testing.T, st *store.Store, src string) {
+// assertPlannedMatchesTextual compares the planner's serialized results
+// against plan-less, textual-order evaluation, byte for byte.
+func assertPlannedMatchesTextual(t *testing.T, st *store.Store, src string) {
 	t.Helper()
 	opt := NewEngine(st)
-	heur := NewEngine(st)
-	heur.DisableOptimizer = true
-	or, err := opt.Query(src)
+	textual := NewEngine(st)
+	textual.DisableReorder = true
+	or, err := runQuery(opt, src)
 	if err != nil {
 		t.Fatalf("optimized: %v", err)
 	}
-	hr, err := heur.Query(src)
+	hr, err := runQuery(textual, src)
 	if err != nil {
-		t.Fatalf("heuristic: %v", err)
+		t.Fatalf("textual order: %v", err)
 	}
 	ob, err := or.MarshalJSON()
 	if err != nil {
@@ -126,7 +126,7 @@ func assertOptimizedMatchesHeuristic(t *testing.T, st *store.Store, src string) 
 		t.Fatal(err)
 	}
 	if string(ob) != string(hb) {
-		t.Fatalf("optimized results differ from heuristic for %s:\noptimized: %s\nheuristic: %s", src, ob, hb)
+		t.Fatalf("planned results differ from textual order for %s:\nplanned: %s\ntextual: %s", src, ob, hb)
 	}
 }
 
@@ -153,7 +153,7 @@ func TestOptimizedMatchesHeuristicAcrossShapes(t *testing.T) {
 		`SELECT ?n (SAMPLE(?v) AS ?any) WHERE { ?s <http://p/score> ?v . ?s <http://p/type> <http://c/thing> . ?s <http://p/name> ?n } GROUP BY ?n ORDER BY ?n LIMIT 5`,
 	}
 	for _, q := range queries {
-		assertOptimizedMatchesHeuristic(t, st, q)
+		assertPlannedMatchesTextual(t, st, q)
 	}
 }
 
@@ -207,22 +207,23 @@ func TestExplainThroughServingPath(t *testing.T) {
 	st := plannerStore(t)
 	eng := NewEngine(st)
 	eng.EnableCache(16, 1<<12)
-	body, rows, _, info, err := eng.QueryServingJSON(`EXPLAIN SELECT ?s WHERE { ?s <http://p/rare> ?x }`, 0)
+	req := Request{Query: `EXPLAIN SELECT ?s WHERE { ?s <http://p/rare> ?x }`, Serving: true, JSON: true}
+	resp, err := eng.Do(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows == 0 || !strings.Contains(string(body), "scan") {
-		t.Fatalf("explain body missing plan lines: rows=%d body=%s", rows, body)
+	if resp.Rows == 0 || !strings.Contains(string(resp.Body), "scan") {
+		t.Fatalf("explain body missing plan lines: rows=%d body=%s", resp.Rows, resp.Body)
 	}
-	if info.Hit {
+	if resp.Info.Hit {
 		t.Fatal("explain must not be served from the result cache")
 	}
 	// Twice: still never a cache hit.
-	_, _, _, info, err = eng.QueryServingJSON(`EXPLAIN SELECT ?s WHERE { ?s <http://p/rare> ?x }`, 0)
+	resp, err = eng.Do(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Hit {
+	if resp.Info.Hit {
 		t.Fatal("repeated explain served from cache")
 	}
 }

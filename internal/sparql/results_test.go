@@ -54,17 +54,6 @@ func TestResultsUnmarshalRejectsBadTermType(t *testing.T) {
 	}
 }
 
-func TestResultsBindingsSkipUnbound(t *testing.T) {
-	r := &Results{Vars: []string{"a", "b"}, Rows: [][]rdf.Term{{rdf.NewIRI("http://x"), {}}}}
-	bs := r.bindings()
-	if len(bs) != 1 {
-		t.Fatal("want one binding")
-	}
-	if _, ok := bs[0]["b"]; ok {
-		t.Fatal("unbound var must be absent from binding")
-	}
-}
-
 func TestVirtuosoStyleTypedLiteral(t *testing.T) {
 	// Some endpoints emit "typed-literal"; we accept it on decode.
 	in := `{"head":{"vars":["n"]},"results":{"bindings":[{"n":{"type":"typed-literal","value":"5","datatype":"http://www.w3.org/2001/XMLSchema#integer"}}]}}`

@@ -93,14 +93,14 @@ var reuseCases = []reuseCase{
 }
 
 // TestSubplanReuse: every case returns, with sharing, exactly what the
-// un-shared reference path (DisableOptimizer) returns, at 1 and 4 workers,
+// un-shared, plan-less reference path (DisableReorder) returns, at 1 and 4 workers,
 // and performs the stated number of reuses.
 func TestSubplanReuse(t *testing.T) {
 	st := reuseStore(t)
 	for _, tc := range reuseCases {
 		ref := NewEngine(st)
-		ref.DisableOptimizer = true
-		want, err := ref.Query(tc.query)
+		ref.DisableReorder = true
+		want, err := runQuery(ref, tc.query)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -113,7 +113,7 @@ func TestSubplanReuse(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			e := NewEngine(st)
 			e.Parallelism = workers
-			got, err := e.Query(tc.query)
+			got, err := runQuery(e, tc.query)
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"rdfframes/internal/obs"
 	"rdfframes/internal/rdf"
 	"rdfframes/internal/store"
 )
@@ -189,12 +190,16 @@ func (e *Engine) resolveOps(ctx context.Context, req *UpdateRequest) ([]store.Up
 // once per solution, deduplicating the resulting ground deletes.
 func (e *Engine) resolveDeleteWhere(ctx context.Context, op *UpdateOperation) ([]store.UpdateOp, error) {
 	q := &Query{Star: true, Where: op.Where, Limit: -1}
-	res, err := e.EvalContext(ctx, q)
+	var qp *queryPlan
+	if !e.DisableReorder {
+		qp = e.buildPlan(q, false)
+	}
+	res, _, err := e.evaluate(ctx, obs.TraceFrom(ctx), "", q, qp)
 	if err != nil {
 		return nil, fmt.Errorf("sparql: DELETE WHERE: %w", err)
 	}
-	varIdx := make(map[string]int, len(res.Vars))
-	for i, v := range res.Vars {
+	varIdx := make(map[string]int, len(res.vars))
+	for i, v := range res.vars {
 		varIdx[v] = i
 	}
 	defaults := e.defaultGraphSet()
@@ -212,9 +217,11 @@ func (e *Engine) resolveDeleteWhere(ctx context.Context, op *UpdateOperation) ([
 		seen[k] = struct{}{}
 		ops = append(ops, store.UpdateOp{Graph: graph, Triple: t})
 	}
-	for _, row := range res.Rows {
+	w := len(res.vars)
+	for i := 0; i < res.n; i++ {
+		row := res.cells[i*w : (i+1)*w]
 		for _, pq := range op.Patterns {
-			t, ok := instantiate(pq.Pattern, varIdx, row)
+			t, ok := instantiate(pq.Pattern, varIdx, res.terms, row)
 			if !ok {
 				continue // an unbound slot: no ground triple to delete
 			}
@@ -230,18 +237,19 @@ func (e *Engine) resolveDeleteWhere(ctx context.Context, op *UpdateOperation) ([
 	return ops, nil
 }
 
-// instantiate substitutes a solution row into a pattern; ok is false when
-// any variable slot is unbound in the row.
-func instantiate(tp TriplePattern, varIdx map[string]int, row []rdf.Term) (rdf.Triple, bool) {
+// instantiate substitutes a solution row — cells indexing terms, the
+// compact result's layout — into a pattern; ok is false when any variable
+// slot is unbound in the row.
+func instantiate(tp TriplePattern, varIdx map[string]int, terms []rdf.Term, row []uint32) (rdf.Triple, bool) {
 	slot := func(n Node) (rdf.Term, bool) {
 		if !n.IsVar {
 			return n.Term, true
 		}
 		i, ok := varIdx[n.Var]
-		if !ok || !row[i].IsBound() {
+		if !ok || row[i] == 0 {
 			return rdf.Term{}, false
 		}
-		return row[i], true
+		return terms[row[i]], true
 	}
 	s, ok1 := slot(tp.S)
 	p, ok2 := slot(tp.P)

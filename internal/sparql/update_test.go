@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"rdfframes/internal/obs"
 	"rdfframes/internal/store"
 )
 
@@ -362,37 +363,65 @@ func TestUpdateWALCrashRecoveryByteIdentical(t *testing.T) {
 	}
 }
 
-func TestDoParityWithDeprecatedWrappers(t *testing.T) {
+// TestDoBodiesAgreeAcrossPaths: one query answers with the same SPARQL
+// JSON whether Do decodes it or encodes it, and off the serving path, on a
+// result-cache miss and on a hit.
+func TestDoBodiesAgreeAcrossPaths(t *testing.T) {
 	q := `SELECT ?m ?a WHERE { ?m <http://ex/starring> ?a }`
 	ctx := context.Background()
 
 	e1 := NewEngine(movieStore(t))
-	legacy, err := e1.Query(q)
+	decoded, err := runQuery(e1, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaDo, err := e1.Do(ctx, Request{Query: q})
+	want, _ := decoded.MarshalJSON()
+	direct, err := e1.Do(ctx, Request{Query: q, JSON: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lb, _ := legacy.MarshalJSON()
-	db, _ := viaDo.Results.MarshalJSON()
-	if !bytes.Equal(lb, db) {
-		t.Fatal("Do diverges from Query")
+	if !bytes.Equal(direct.Body, want) {
+		t.Fatal("Do's JSON body diverges from its decoded results")
 	}
 
 	e2 := NewEngine(movieStore(t))
 	e2.EnableCache(DefaultPlanCacheEntries, DefaultResultCacheRows)
-	legacyBody, _, _, _, err := e2.QueryServingJSON(q, 0)
-	if err != nil {
-		t.Fatal(err)
+	for _, outcome := range []string{"miss", "hit"} {
+		resp, err := e2.Do(ctx, Request{Query: q, Serving: true, JSON: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Info.CacheOutcome() != outcome {
+			t.Fatalf("cache outcome = %s, want %s", resp.Info.CacheOutcome(), outcome)
+		}
+		if !bytes.Equal(resp.Body, want) {
+			t.Fatalf("serving body on a %s diverges from direct evaluation", outcome)
+		}
 	}
-	doResp, err := e2.Do(ctx, Request{Query: q, Serving: true, JSON: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(legacyBody, doResp.Body) {
-		t.Fatal("Do serving body diverges from QueryServingJSON")
+}
+
+// TestDoTracesEveryPath: a traced request records the same parse, plan and
+// exec spans and join annotations whether or not it takes the serving path.
+func TestDoTracesEveryPath(t *testing.T) {
+	e := NewEngine(movieStore(t))
+	q := `SELECT ?m ?c WHERE { ?m <http://ex/starring> ?a . ?a <http://ex/birthPlace> ?c }`
+	for _, serving := range []bool{false, true} {
+		tr := obs.NewTrace("t")
+		if _, err := e.Do(context.Background(), Request{Query: q, Serving: serving, Trace: tr}); err != nil {
+			t.Fatal(err)
+		}
+		spans := map[string]bool{}
+		for _, sp := range tr.Spans() {
+			spans[sp.Name] = true
+		}
+		for _, name := range []string{"parse", "plan", "exec"} {
+			if !spans[name] {
+				t.Errorf("serving=%v: no %s span in %v", serving, name, tr.Spans())
+			}
+		}
+		if tr.Note("join_rows") == "" {
+			t.Errorf("serving=%v: no join_rows annotation", serving)
+		}
 	}
 }
 

@@ -75,11 +75,11 @@ const wcojCycleQuery = `SELECT * FROM <http://g> WHERE {
 // variable lists and row contents — the byte-identity contract.
 func assertSameResults(t *testing.T, src string, a, b *Engine) *Results {
 	t.Helper()
-	ra, err := a.Query(src)
+	ra, err := runQuery(a, src)
 	if err != nil {
 		t.Fatalf("wcoj engine: %v", err)
 	}
-	rb, err := b.Query(src)
+	rb, err := runQuery(b, src)
 	if err != nil {
 		t.Fatalf("baseline engine: %v", err)
 	}
