@@ -78,7 +78,7 @@ func TestFigure5ParallelByteIdentical(t *testing.T) {
 }
 
 // TestPlannerByteIdenticalFigure5 is the planner's correctness property:
-// for every Figure-5 query, plan-less textual-order evaluation
+// for every Figure-5 query, textual-order evaluation
 // (DisableReorder), serial and on 4 workers, serializes byte-identically to
 // the cost-based planner.
 // Run under -race in CI, this also hammers the planner's shared-plan paths

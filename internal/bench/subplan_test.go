@@ -43,7 +43,7 @@ func uniquify(query string) string {
 // TestSubplanReuseByteIdentical: evaluating repeated subplans once changes
 // no byte. Every task text and every generated chain serializes identically
 // under the planner (sharing on), under DisableReorder (the un-shared,
-// plan-less reference path), and with one copy made unique, which regroups the
+// textual-order reference path), and with one copy made unique, which regroups the
 // classes: that copy is evaluated on its own, and what it nests is now
 // reached and may pair up with the rest of the query differently.
 func TestSubplanReuseByteIdentical(t *testing.T) {

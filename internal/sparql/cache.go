@@ -185,23 +185,22 @@ type cachedPlan struct {
 // cached alongside the parse, keyed by the store's stats epoch: when the
 // data distribution shifts (bulk ingest, new graphs) the epoch moves and
 // the entry is re-optimized on next use, while steady-state serving reuses
-// the cached plan untouched. The returned plan is nil under DisableReorder
-// and for EXPLAIN queries, which plan themselves. A trace carried by ctx gets
-// parse/plan spans and the plan-cache outcome.
+// the cached plan untouched. The returned plan is nil for EXPLAIN queries,
+// which plan themselves. A trace carried by ctx gets parse/plan spans and
+// the plan-cache outcome.
 func (e *Engine) planned(ctx context.Context, src string) (*Query, *queryPlan, error) {
 	tr := obs.TraceFrom(ctx)
-	optimize := !e.DisableReorder
 	if e.plans == nil {
 		endParse := tr.StartSpan("parse")
 		q, err := Parse(src)
 		endParse()
-		if err != nil || !optimize || q.Explain {
+		if err != nil || q.Explain {
 			// EXPLAIN queries build their own tracked plan in
 			// explainParsed; planning here would be double work.
 			return q, nil, err
 		}
 		endPlan := tr.StartSpan("plan")
-		qp := e.buildPlan(q, false)
+		qp := e.buildPlan(q, false, !e.DisableReorder)
 		endPlan()
 		return q, qp, nil
 	}
@@ -224,13 +223,13 @@ func (e *Engine) planned(ctx context.Context, src string) (*Query, *queryPlan, e
 		entry = &cachedPlan{q: q}
 		e.plans.Put(src, entry, 1)
 	}
-	if !optimize || entry.q.Explain {
+	if entry.q.Explain {
 		return entry.q, nil, nil
 	}
 	qp := entry.plan.Load()
 	if qp == nil || qp.epoch != e.Store.StatsEpoch() {
 		endPlan := tr.StartSpan("plan")
-		qp = e.buildPlan(entry.q, false)
+		qp = e.buildPlan(entry.q, false, !e.DisableReorder)
 		endPlan()
 		entry.plan.Store(qp)
 	}
@@ -295,8 +294,8 @@ func (e *Engine) serve(ctx context.Context, src string, q *Query, qp *queryPlan,
 		// The version the evaluation reports may have moved since the
 		// lookup, and the entry must be keyed to the state the evaluation
 		// actually saw. The plan carries over: LIMIT/OFFSET do not affect
-		// join order, and the normalized copy shares the original's group
-		// pointers the plan is keyed on.
+		// join order, and the evaluation takes its window from the
+		// normalized copy.
 		ce, shared, err := e.flights.do(ctx, ck, func(fctx context.Context) (*cachedResult, error) {
 			// This closure runs only when this caller leads the flight, so
 			// the enclosing trace (not one fished from fctx, which is the

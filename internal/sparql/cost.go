@@ -9,28 +9,6 @@ import "context"
 // estimate here is a free by-product of planning, cached alongside the plan
 // and re-derived only when the stats epoch moves.
 
-// estimatedCost is the plan's scalar cost: the sum over every BGP segment
-// of its per-step cumulative cardinality estimates. It is the objective
-// value the optimizer minimized, so it ranks queries by expected work the
-// same way the planner ranks join orders.
-func (qp *queryPlan) estimatedCost() float64 {
-	var cost float64
-	for _, bp := range qp.bgps {
-		if bp.wcoj != nil {
-			// The optimizer chose the trie walk for this segment; its
-			// per-level estimates are the segment's expected work.
-			for _, ln := range bp.wcoj.levels {
-				cost += ln.Est
-			}
-			continue
-		}
-		for _, est := range bp.est {
-			cost += est
-		}
-	}
-	return cost
-}
-
 // EstimateCost returns the planner's cost estimate for src without
 // executing it: the summed intermediate cardinalities of the optimized
 // plan, in estimated rows. ok is false when no estimate exists — the
@@ -52,8 +30,8 @@ func (e *Engine) EstimateCostContext(ctx context.Context, src string) (cost floa
 	if err != nil {
 		return 0, false, err
 	}
-	if qp == nil || q.Explain {
+	if q.Explain || !qp.reorder {
 		return 0, false, nil
 	}
-	return qp.estimatedCost(), true, nil
+	return qp.cost, true, nil
 }

@@ -31,16 +31,12 @@ type Engine struct {
 	// byte-identical at every setting (the determinism contract in
 	// parallel.go). Set before serving traffic; it is read per query.
 	Parallelism int
-	// DisableReorder turns off the cost-based planner: every BGP segment
-	// compiles in textual order, with no plan, no subplan sharing and no
-	// trie walk — the plan-less reference of the byte-identity tests and
-	// the ablation baseline. This and the two switches below only change
-	// the schedule a BGP pipeline is compiled with (pipeline.go); every
-	// setting runs the same executor.
+	// DisableReorder makes the planner emit every BGP segment in textual
+	// order, with no estimates, no subplan sharing and no trie walk — the
+	// reference of the byte-identity tests and the ablation baseline.
+	// Filter placement and the prune schedule are decided as always, and
+	// the evaluator runs the tree it is given either way.
 	DisableReorder bool
-	// DisablePushdown keeps every group filter out of the BGP pipelines, to
-	// run at the end of its group (for ablation benchmarks).
-	DisablePushdown bool
 	// DisableWCOJ turns off the worst-case-optimal join operator, so every
 	// BGP segment runs the binary join pipeline (the identity baseline for
 	// the WCOJ byte-identity gate and ablation benchmarks). Like
@@ -118,12 +114,12 @@ func (e *Engine) SetEvalHook(h func(ctx context.Context) error) {
 func (e *Engine) Evaluations() uint64 { return e.evals.Load() }
 
 // WCOJStats reports the cumulative worst-case-optimal join counters:
-// segments executed by the trie walk, sorted-run iterator seeks, dead-end
-// backtracks, and planned segments that fell back to the binary pipeline
-// at run time. The same atomics back the rdfframes_wcoj_* metric family.
+// segments executed by the trie walk, sorted-run iterator seeks and
+// dead-end backtracks, as the rdfframes_wcoj_* metrics do. fallbacks is
+// always 0: only a group's leading segment, whose input is the unit
+// solution the walk starts from, is planned as a walk.
 func (e *Engine) WCOJStats() (segments, seeks, backtracks, fallbacks uint64) {
-	return e.execStats.segments.Load(), e.execStats.seeks.Load(),
-		e.execStats.backtracks.Load(), e.execStats.fallbacks.Load()
+	return e.execStats.segments.Load(), e.execStats.seeks.Load(), e.execStats.backtracks.Load(), 0
 }
 
 // parallelism resolves the effective worker count for one query.
@@ -134,13 +130,13 @@ func (e *Engine) parallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// evaluate runs q under qp (nil: every BGP segment in textual order) in
-// one store read transaction. It is the one evaluate step behind every read
-// — Stream off the result cache, a cache miss's flight leader, Export,
-// DELETE WHERE — so each records the same exec span, detailed plan and join annotations
-// on tr. The store version is read under the same lock hold as the
-// evaluation: batches commit under the write lock, so the version returned
-// is exactly the state the result reflects. An EXPLAIN query answers with
+// evaluate runs q under its plan qp in one store read transaction. It is
+// the one evaluate step behind every read — Stream off the result cache, a
+// cache miss's flight leader, Export, DELETE WHERE — so each records the
+// same exec span, detailed plan and join annotations on tr. The store
+// version is read under the same lock hold as the evaluation: batches
+// commit under the write lock, so the version returned is exactly the
+// state the result reflects. An EXPLAIN query answers with
 // its plan as a one-variable result (see Explain for the structured form).
 func (e *Engine) evaluate(ctx context.Context, tr *obs.Trace, src string, q *Query, qp *queryPlan) (*compactResult, uint64, error) {
 	if q.Explain {
@@ -150,10 +146,10 @@ func (e *Engine) evaluate(ctx context.Context, tr *obs.Trace, src string, q *Que
 		}
 		return compactOf(rep.Results()), rep.StoreVersion, nil
 	}
-	if tr.Detailed() && qp != nil {
+	if tr.Detailed() {
 		// Per-operator detail was asked for: run under a fresh tracked plan
 		// (tracked plans record actuals and must not be shared).
-		qp = e.buildPlan(q, true)
+		qp = e.buildPlan(q, true, qp.reorder)
 	}
 	endExec := tr.StartSpan("exec")
 	e.Store.RLock()
@@ -164,27 +160,16 @@ func (e *Engine) evaluate(ctx context.Context, tr *obs.Trace, src string, q *Que
 	if err != nil {
 		return nil, 0, err
 	}
-	if qp != nil && qp.track {
-		tr.Attach("plan", qp.root)
+	if qp.track {
+		tr.Attach("plan", qp.root.node)
 	}
 	annotateEval(tr, res.stats)
 	return res, version, nil
 }
 
-// evalLocked evaluates q under an already-optimized plan (nil compiles
-// every BGP segment in textual order) with the store read lock already
-// held.
+// evalLocked runs the eval hook, counts the evaluation, and runs q's plan
+// qp under q's LIMIT/OFFSET window. The caller holds the store read lock.
 func (e *Engine) evalLocked(ctx context.Context, q *Query, qp *queryPlan) (*compactResult, error) {
-	ev, err := e.evaluatorLocked(ctx, qp)
-	if err != nil {
-		return nil, err
-	}
-	return ev.evalQuery(q, e.DefaultGraphs)
-}
-
-// evaluatorLocked runs the eval hook, counts the evaluation, and builds
-// the evaluator for one query run. The caller holds the store read lock.
-func (e *Engine) evaluatorLocked(ctx context.Context, qp *queryPlan) (*evaluator, error) {
 	if h := e.evalHook.Load(); h != nil {
 		if err := (*h)(ctx); err != nil {
 			return nil, err
@@ -192,17 +177,16 @@ func (e *Engine) evaluatorLocked(ctx context.Context, qp *queryPlan) (*evaluator
 	}
 	e.evals.Add(1)
 	ev := &evaluator{
-		store:           e.Store,
-		dict:            newEvalDict(e.Store.Dict()),
-		cache:           &regexCache{},
-		disablePushdown: e.DisablePushdown,
-		qp:              qp,
-		workers:         e.parallelism(),
-		ctr:             &e.execStats,
+		store:   e.Store,
+		dict:    newEvalDict(e.Store.Dict()),
+		cache:   &regexCache{},
+		track:   qp.track,
+		workers: e.parallelism(),
+		ctr:     &e.execStats,
 	}
 	ev.tk.ctx = ctx
 	if d := e.Timeout(); d > 0 {
 		ev.tk.deadline = time.Now().Add(d)
 	}
-	return ev, nil
+	return ev.evalQuery(qp.root, q.Limit, q.Offset)
 }

@@ -7,25 +7,23 @@ import (
 	"sort"
 
 	"rdfframes/internal/rdf"
+	"rdfframes/internal/sparql/plan"
 	"rdfframes/internal/store"
 )
 
 // ErrTimeout is returned when a query exceeds the engine's deadline.
 var ErrTimeout = fmt.Errorf("sparql: query timeout")
 
-// evaluator executes one query. Solutions flow through it as columnar id
-// batches (idRows); rdf.Term values appear only at the expression and
-// final-projection boundaries, via the evaluator's evalDict.
+// evaluator runs one query's operator tree. Solutions flow through it as
+// columnar id batches (idRows); rdf.Term values appear only at the
+// expression and final-projection boundaries, via the evaluator's evalDict.
 type evaluator struct {
-	store           *store.Store
-	dict            *evalDict
-	cache           *regexCache
-	disablePushdown bool
-	// qp is the cost-based plan for this query (nil, under DisableReorder,
-	// runs every BGP segment in textual order); seg counts BGP segments per
-	// group so execution lines up with the plan's static segment numbering.
-	qp  *queryPlan
-	seg map[*Group]int
+	store *store.Store
+	dict  *evalDict
+	cache *regexCache
+	// track records actual cardinalities on the plan's nodes (a tracked
+	// plan, built for one evaluation).
+	track bool
 	// tk is the query goroutine's progress ticker: deadline plus context
 	// cancellation. Pool workers get their own tickers (see parallel.go).
 	tk ticker
@@ -36,12 +34,9 @@ type evaluator struct {
 	// tests); see wcoj.go. stats is this evaluation's share of them.
 	ctr   *execCounters
 	stats evalStats
-	// memo holds, per class of shared subplans (queryPlan.shares), the
-	// output of the member evaluated and that member; see shared.
+	// memo holds, per class of shared subplans, the output of the member
+	// evaluated and that member; see shared.
 	memo map[int]memoEntry
-	// ordered is the subquery whose row order the top-level query passes
-	// through (see orderedSubquery), nil when it has none.
-	ordered *Query
 }
 
 // evalStats counts, for one evaluation, the candidate pairs its joins
@@ -55,37 +50,39 @@ type memoEntry struct {
 	from *subplan
 }
 
-// shared evaluates a subquery (key *Query) or a group's leading BGP segment
-// (key *bgpPlan) once per query: the first member of a class of shared
-// subplans to get here runs eval and leaves its output in the memo, marked
-// shared so that whoever changes it in place copies first; a later member
-// gets an alias of it (hit) and, on a tracked plan, its actuals. A subplan
-// in no class — all, when no shape repeats or without a plan — runs eval.
-func (ev *evaluator) shared(key any, eval func() (*idRows, error)) (rows *idRows, hit bool, err error) {
-	var sp *subplan
-	if ev.qp != nil {
-		sp = ev.qp.shares[key]
-	}
-	if sp == nil {
-		rows, err = eval()
-		return rows, false, err
+// shared evaluates a subplan once per query: the first member of a class
+// of shared subplans to get here runs eval and leaves its output in the
+// memo, marked shared so that whoever changes it in place copies first; a
+// later member gets an alias of it and, on a tracked plan, its actuals. A
+// subplan in no class runs eval.
+func (ev *evaluator) shared(sp *subplan, eval func() (*idRows, error)) (*idRows, error) {
+	if sp == nil || sp.class == 0 {
+		return eval()
 	}
 	if m, ok := ev.memo[sp.class]; ok {
 		ev.stats.subplanReuses++
-		for i := 0; ev.qp.track && i < len(sp.nodes); i++ {
+		for i := 0; ev.track && i < len(sp.nodes); i++ {
 			sp.nodes[i].CopyActuals(m.from.nodes[i])
 		}
-		return m.rows.alias(), true, nil
+		return m.rows.alias(), nil
 	}
-	if rows, err = eval(); err != nil {
-		return nil, false, err
+	rows, err := eval()
+	if err != nil {
+		return nil, err
 	}
 	if ev.memo == nil {
 		ev.memo = make(map[int]memoEntry)
 	}
 	ev.memo[sp.class] = memoEntry{rows: rows.alias(), from: sp}
 	rows.shared = true
-	return rows, false, nil
+	return rows, nil
+}
+
+// record notes an operator's output rows on a tracked plan.
+func (ev *evaluator) record(n *plan.Node, rows int) {
+	if ev.track {
+		n.Record(rows)
+	}
 }
 
 // tick counts one step on the query goroutine's ticker, polling the
@@ -99,11 +96,11 @@ func (ev *evaluator) rowCtx(rows *idRows) (*evalCtx, *idRowView) {
 	return &evalCtx{row: view, dict: ev.dict, cache: ev.cache}, view
 }
 
-// evalQuery evaluates a query against the given default graphs and resolves
-// its projected solutions into a compact result: each distinct term is
-// decoded once, here, under the read lock the caller holds.
-func (ev *evaluator) evalQuery(q *Query, defaultGraphs []string) (*compactResult, error) {
-	sols, err := ev.evalQueryRows(q, defaultGraphs, true)
+// evalQuery runs a planned query under the window limit/offset and
+// resolves its projected solutions into a compact result: each distinct
+// term is decoded once, here, under the read lock the caller holds.
+func (ev *evaluator) evalQuery(root *selectOp, limit, offset int) (*compactResult, error) {
+	sols, err := ev.selectRows(root, limit, offset, true)
 	if ev.ctr != nil { // a failed evaluation did the work all the same
 		ev.ctr.joinCandidates.Add(ev.stats.joinCandidates)
 		ev.ctr.joinRows.Add(ev.stats.joinRows)
@@ -115,24 +112,26 @@ func (ev *evaluator) evalQuery(q *Query, defaultGraphs []string) (*compactResult
 	return ev.compact(sols)
 }
 
-// evalQueryRows evaluates a query and returns its projected solutions still
-// in id space (the representation subqueries join on). top marks the
-// outermost query: its solutions are canonicalized — sorted by term content
-// — before solution modifiers run, which makes the final row order a pure
-// function of the query and the data, independent of the join order the
-// planner chose. That plan-invariance is what lets CI byte-diff planned
-// against textual-order execution, and means a plan change after a
-// stats-epoch move can never reorder a client's paginated sweep. Subquery solutions are left in execution order: the top-level
-// canonicalization erases any order difference they could introduce.
-func (ev *evaluator) evalQueryRows(q *Query, defaultGraphs []string, top bool) (*idRows, error) {
-	graphs := defaultGraphs
-	if len(q.From) > 0 {
-		graphs = q.From
-	}
-	if top {
-		ev.ordered = orderedSubquery(q)
-	}
-	sols, err := ev.evalGroup(q.Where, graphs, "")
+// rows evaluates a subquery, once per class of shared subplans.
+func (op *selectOp) rows(ev *evaluator) (*idRows, error) {
+	return ev.shared(op.share, func() (*idRows, error) {
+		return ev.selectRows(op, op.q.Limit, op.q.Offset, false)
+	})
+}
+
+// selectRows evaluates a (sub)query under the window limit/offset and
+// returns its projected solutions still in id space, the representation
+// subqueries join on. top marks the outermost query.
+//
+// A query the planner marked canon sorts its solutions by term content
+// before the solution modifiers run. That makes the final row order a pure
+// function of the query and the data, whatever join order the planner
+// chose: CI can byte-diff planned against textual-order execution, and a
+// plan change after a stats-epoch move can never reorder a client's
+// paginated sweep.
+func (ev *evaluator) selectRows(op *selectOp, limit, offset int, top bool) (*idRows, error) {
+	q := op.q
+	sols, err := op.where.rows(ev)
 	if err != nil {
 		return nil, err
 	}
@@ -160,9 +159,7 @@ func (ev *evaluator) evalQueryRows(q *Query, defaultGraphs []string, top bool) (
 		if err != nil {
 			return nil, err
 		}
-		if ev.qp != nil && ev.qp.track {
-			ev.qp.aggs[q].Record(sols.n)
-		}
+		ev.record(op.agg, sols.n)
 	default:
 		// Extend with computed projections (expr AS ?var).
 		for _, it := range q.Items {
@@ -181,15 +178,9 @@ func (ev *evaluator) evalQueryRows(q *Query, defaultGraphs []string, top bool) (
 		}
 	}
 
-	if (top || q == ev.ordered || q.Limit >= 0 || q.Offset > 0) && !(top && ev.ordered != nil) {
+	if op.canon {
 		// Canonical order first; ORDER BY then stable-sorts on top, so even
-		// its ties resolve identically under every plan. Subqueries without
-		// LIMIT/OFFSET skip this — their order is erased by the top-level
-		// canonicalization — but a sliced subquery picks *which* rows
-		// survive by order, so it must canonicalize to keep the selected
-		// bag plan-invariant. A top-level query that passes an ordered
-		// subquery's rows through keeps their order, and that subquery
-		// orders them as a top-level query would.
+		// its ties resolve identically under every plan.
 		if err := ev.canonicalizeRows(sols, q.projectedVars()); err != nil {
 			return nil, err
 		}
@@ -205,20 +196,16 @@ func (ev *evaluator) evalQueryRows(q *Query, defaultGraphs []string, top bool) (
 		if err := ev.distinctRows(proj); err != nil {
 			return nil, err
 		}
-		if ev.qp != nil && ev.qp.track {
-			ev.qp.distincts[q].Record(proj.n)
-		}
+		ev.record(op.distinct, proj.n)
 	}
 	// The same clamp serves the result cache's pagination-aware slicing:
 	// sharing it keeps cached page slices exactly equal to direct
 	// evaluation (see cache.go).
-	lo, hi := pageBounds(proj.n, q.Limit, q.Offset)
+	lo, hi := pageBounds(proj.n, limit, offset)
 	if lo != 0 || hi != proj.n {
 		proj.sliceRows(lo, hi)
 	}
-	if ev.qp != nil && ev.qp.track {
-		ev.qp.results[q].Record(proj.n)
-	}
+	ev.record(op.node, proj.n)
 	return proj, nil
 }
 
@@ -369,7 +356,7 @@ func (ev *evaluator) aggregate(q *Query, sols *idRows) (*idRows, error) {
 // columns follow sorted by name. rdf.Compare is a total order on terms,
 // and the sequence covers every column, so equal-comparing rows are
 // identical and their relative order is immaterial. This is the canonical
-// order of unordered query results; see evalQueryRows.
+// order of unordered query results; see selectRows.
 func (ev *evaluator) canonicalizeRows(sols *idRows, projected []string) error {
 	keyVars := make([]string, 0, sols.width()+len(projected))
 	keyVars = append(keyVars, projected...)
@@ -536,233 +523,133 @@ func (ev *evaluator) orderBy(sols *idRows, keys []OrderKey) error {
 	return nil
 }
 
-// groupFilter is one group-scoped FILTER with its plan reference (for
-// actual-cardinality recording on tracked plans).
-type groupFilter struct {
-	cond Expression
-	vars []string // exprVars(cond), resolved once per group evaluation
-	ref  filterRef
-}
-
-// evalGroup evaluates a group graph pattern. graphOverride, when non-empty,
-// scopes all patterns to that single graph (a GRAPH block).
-func (ev *evaluator) evalGroup(g *Group, graphs []string, graphOverride string) (*idRows, error) {
-	active := graphs
-	if graphOverride != "" {
-		active = []string{graphOverride}
-	}
-	current := unitSolution()
-	var pending []TriplePattern
-
-	// FILTER scope is the whole group regardless of textual position;
-	// collecting filters up front lets BGP evaluation push them down.
-	var filters []groupFilter
-	for _, el := range g.Elems {
-		if f, ok := el.(FilterElem); ok {
-			filters = append(filters, groupFilter{cond: f.Cond, vars: exprVars(f.Cond), ref: filterRef{g, len(filters)}})
-		}
-	}
-
-	flush := func() error {
-		if len(pending) == 0 {
-			return nil
-		}
-		var bp *bgpPlan
-		if ev.qp != nil {
-			if ev.seg == nil {
-				ev.seg = make(map[*Group]int)
-			}
-			bp = ev.qp.bgps[bgpRef{g, ev.seg[g]}]
-			ev.seg[g]++
-		}
-		rows, hit, err := ev.shared(bp, func() (*idRows, error) {
-			return ev.evalBGP(current, pending, active, &filters, bp)
-		})
-		if hit && !ev.disablePushdown {
-			takeReadyFilters(rows.cols, &filters) // as the evaluation it stands in for did
-		}
-		current, pending = rows, nil
-		return err
-	}
-
-	for idx, el := range g.Elems {
-		switch e := el.(type) {
-		case BGPElem:
-			pending = append(pending, e.Pattern)
-		case FilterElem:
-			// Collected before the loop.
-		case BindElem:
-			if err := flush(); err != nil {
-				return nil, err
-			}
-			col := current.ensureCol(e.Var)
-			ctx, view := ev.rowCtx(current)
-			for i := 0; i < current.n; i++ {
-				view.idx = i
-				v, err := evalExpr(e.Expr, ctx)
-				if err == nil {
-					current.set(i, col, ev.dict.encode(v))
-				}
-			}
-		case OptionalElem:
-			if err := flush(); err != nil {
-				return nil, err
-			}
-			right, err := ev.evalGroup(e.Group, graphs, graphOverride)
-			if err != nil {
-				return nil, err
-			}
-			current, err = ev.join(current, right, true)
-			if err != nil {
-				return nil, err
-			}
-			ev.qp.recordElem(g, idx, current.n)
-		case UnionElem:
-			if err := flush(); err != nil {
-				return nil, err
-			}
-			parts := make([]*idRows, 0, len(e.Branches))
-			for _, b := range e.Branches {
-				part, err := ev.evalGroup(b, graphs, graphOverride)
-				if err != nil {
-					return nil, err
-				}
-				parts = append(parts, part)
-			}
-			joined, err := ev.join(current, concatRows(parts), false)
-			if err != nil {
-				return nil, err
-			}
-			current = joined
-			ev.qp.recordElem(g, idx, current.n)
-		case GraphElem:
-			if err := flush(); err != nil {
-				return nil, err
-			}
-			right, err := ev.evalGroup(e.Group, graphs, e.Graph)
-			if err != nil {
-				return nil, err
-			}
-			current, err = ev.join(current, right, false)
-			if err != nil {
-				return nil, err
-			}
-			ev.qp.recordElem(g, idx, current.n)
-		case GroupElem:
-			if err := flush(); err != nil {
-				return nil, err
-			}
-			right, err := ev.evalGroup(e.Group, graphs, graphOverride)
-			if err != nil {
-				return nil, err
-			}
-			current, err = ev.join(current, right, false)
-			if err != nil {
-				return nil, err
-			}
-			ev.qp.recordElem(g, idx, current.n)
-		case SubQueryElem:
-			if err := flush(); err != nil {
-				return nil, err
-			}
-			sub, _, err := ev.shared(e.Query, func() (*idRows, error) {
-				return ev.evalQueryRows(e.Query, graphs, false)
-			})
-			if err != nil {
-				return nil, err
-			}
-			current, err = ev.join(current, sub, false)
-			if err != nil {
-				return nil, err
-			}
-			ev.qp.recordElem(g, idx, current.n)
-		case PathElem:
-			if err := flush(); err != nil {
-				return nil, err
-			}
-			var err error
-			current, err = ev.evalPath(current, e, active)
-			if err != nil {
-				return nil, err
-			}
-			ev.qp.recordElem(g, idx, current.n)
-		default:
-			return nil, fmt.Errorf("sparql: unknown group element %T", el)
-		}
-	}
-	if err := flush(); err != nil {
-		return nil, err
-	}
-	// FILTER scope is the whole group: filters not consumed by pushdown run
-	// here, one compaction pass each (conjunctive, so per-filter application
-	// keeps exactly the rows the combined pass would).
-	for _, f := range filters {
-		if err := ev.applyFilter(current, f); err != nil {
+// rows evaluates a group from the unit solution.
+func (g *groupOp) rows(ev *evaluator) (*idRows, error) {
+	cur := unitSolution()
+	for _, op := range g.ops {
+		var err error
+		if cur, err = op.run(ev, cur); err != nil {
 			return nil, err
 		}
 	}
-	return current, nil
+	return cur, nil
 }
 
-// applyFilter compacts current in place to the rows satisfying f, recording
-// the surviving row count on tracked plans. The condition is resolved
-// against current's layout first.
-func (ev *evaluator) applyFilter(current *idRows, f groupFilter) error {
-	current.own()
-	w := current.width()
-	cond := ev.dict.resolve(f.cond, current.cols)
+// run joins the solutions with the segment, once per class of shared
+// subplans.
+func (op *bgpOp) run(ev *evaluator, cur *idRows) (*idRows, error) {
+	return ev.shared(op.share, func() (*idRows, error) { return ev.evalBGP(cur, op) })
+}
+
+// evalBGP joins the solutions with a BGP segment: its steps compiled into
+// one fused pipeline (pipeline.go), or its trie walk from the unit solution
+// followed by every filter of the segment and its prune. Group filters are
+// conjunctive, so applying each once after the walk keeps exactly the rows
+// per-step application would.
+func (ev *evaluator) evalBGP(cur *idRows, op *bgpOp) (*idRows, error) {
+	if cur.n == 0 {
+		return cur, nil
+	}
+	if op.wcoj != nil {
+		out, err := ev.evalWCOJ(op.wcoj)
+		if err != nil {
+			return nil, err
+		}
+		for _, f := range op.filters {
+			if err := ev.applyFilter(out, f); err != nil {
+				return nil, err
+			}
+		}
+		if len(op.drop) > 0 {
+			out = out.dropCols(op.drop)
+		}
+		return out, nil
+	}
+	p := ev.compilePipeline(cur, op)
+	out, err := ev.runPipeline(p, cur)
+	if err != nil {
+		return nil, err
+	}
+	if ev.track {
+		p.recordActuals(cur.n)
+	}
+	return out, nil
+}
+
+func (j *joinOp) run(ev *evaluator, cur *idRows) (*idRows, error) {
+	right, err := j.right.rows(ev)
+	if err != nil {
+		return nil, err
+	}
+	out, err := ev.join(cur, right, j.optional)
+	if err != nil {
+		return nil, err
+	}
+	ev.record(j.node, out.n)
+	return out, nil
+}
+
+func (u unionOp) rows(ev *evaluator) (*idRows, error) {
+	parts := make([]*idRows, len(u))
+	for i, g := range u {
+		var err error
+		if parts[i], err = g.rows(ev); err != nil {
+			return nil, err
+		}
+	}
+	return concatRows(parts), nil
+}
+
+func (b *bindOp) run(ev *evaluator, cur *idRows) (*idRows, error) {
+	col := cur.ensureCol(b.v)
+	ctx, view := ev.rowCtx(cur)
+	for i := 0; i < cur.n; i++ {
+		view.idx = i
+		v, err := evalExpr(b.expr, ctx)
+		if err == nil {
+			cur.set(i, col, ev.dict.encode(v))
+		}
+	}
+	return cur, nil
+}
+
+func (pp *pathOp) run(ev *evaluator, cur *idRows) (*idRows, error) {
+	out, err := ev.evalPath(cur, pp.e, pp.graphs)
+	if err != nil {
+		return nil, err
+	}
+	ev.record(pp.node, out.n)
+	return out, nil
+}
+
+func (f *filterOp) run(ev *evaluator, cur *idRows) (*idRows, error) {
+	return cur, ev.applyFilter(cur, f)
+}
+
+// applyFilter compacts cur in place to the rows satisfying f, resolving
+// the condition against cur's layout first.
+func (ev *evaluator) applyFilter(cur *idRows, f *filterOp) error {
+	cur.own()
+	w := cur.width()
+	cond := ev.dict.resolve(f.cond, cur.cols)
 	ctx := &evalCtx{dict: ev.dict, cache: ev.cache}
 	keep := 0
-	for i := 0; i < current.n; i++ {
+	for i := 0; i < cur.n; i++ {
 		if err := ev.tick(); err != nil {
 			return err
 		}
-		ctx.cells = current.row(i)
+		ctx.cells = cur.row(i)
 		if evalBool(cond, ctx) {
 			if keep != i {
-				copy(current.data[keep*w:(keep+1)*w], current.data[i*w:(i+1)*w])
+				copy(cur.data[keep*w:(keep+1)*w], cur.data[i*w:(i+1)*w])
 			}
 			keep++
 		}
 	}
-	current.n = keep
-	current.data = current.data[:keep*w]
-	if ev.qp != nil {
-		ev.qp.recordFilter(f.ref, keep)
-	}
+	cur.n = keep
+	cur.data = cur.data[:keep*w]
+	ev.record(f.node, keep)
 	return nil
-}
-
-// evalBGP joins the current solutions with a basic graph pattern: the
-// segment compiles into one fused pipeline (pipeline.go) — the planner's
-// order and prune schedule when there is a plan, textual order under
-// DisableReorder — which consumes the group filters it can push down from
-// *filters.
-func (ev *evaluator) evalBGP(current *idRows, patterns []TriplePattern, graphs []string, filters *[]groupFilter, bp *bgpPlan) (*idRows, error) {
-	if current.n == 0 {
-		return current, nil
-	}
-	if bp != nil && bp.wcoj != nil && len(bp.order) == len(patterns) {
-		// The trie walk evaluates the whole segment from the unit solution;
-		// any other input (possible only if planner and evaluator disagree
-		// about what precedes this segment) falls through to the binary
-		// pipeline below, which is byte-equivalent.
-		if current.n == 1 && current.width() == 0 {
-			return ev.evalWCOJSegment(bp.wcoj, filters)
-		}
-		if ev.ctr != nil {
-			ev.ctr.fallbacks.Add(1)
-		}
-	}
-	p := ev.compilePipeline(current, patterns, graphs, filters, bp)
-	out, err := ev.runPipeline(p, current, bp)
-	if err != nil {
-		return nil, err
-	}
-	if ev.qp != nil && ev.qp.track {
-		p.recordActuals(current.n, bp)
-	}
-	return out, nil
 }
 
 // exprVars collects the variables referenced by an expression.

@@ -6,6 +6,7 @@ import (
 	"runtime/debug"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -60,27 +61,38 @@ func TestEvalNestedSubqueryProjectionScopes(t *testing.T) {
 	}
 }
 
+// TestEvalFilterPushdownEquivalence: a FILTER pushed down into the BGP
+// pipeline keeps exactly the rows it keeps at the end of its group, where
+// it runs when the patterns sit in a nested group.
 func TestEvalFilterPushdownEquivalence(t *testing.T) {
 	st := movieStore(t)
-	query := `SELECT * WHERE {
-	  ?m <http://ex/starring> ?a .
-	  ?a <http://ex/birthPlace> ?c .
-	  FILTER ( ?c = <http://ex/US> )
-	}`
-	plain := NewEngine(st)
-	disabled := NewEngine(st)
-	disabled.DisablePushdown = true
-	disabled.DisableReorder = true
-	r1, err := runQuery(plain, query)
-	if err != nil {
-		t.Fatal(err)
+	body := `?m <http://ex/starring> ?a . ?a <http://ex/birthPlace> ?c .`
+	filter := `FILTER ( ?c = <http://ex/US> )`
+	pushed := `SELECT * WHERE { ` + body + ` ` + filter + ` }`
+	atEnd := `SELECT * WHERE { { ` + body + ` } ` + filter + ` }`
+	textual := NewEngine(st)
+	textual.DisableReorder = true
+	for _, e := range []*Engine{NewEngine(st), textual} {
+		r1, err := runQuery(e, pushed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r2, err := runQuery(e, atEnd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(r1.Rows) == 0 || !reflect.DeepEqual(r1, r2) {
+			t.Fatalf("pushdown changed results (DisableReorder %v):\n%v\nat the end of the group:\n%v", e.DisableReorder, r1.Rows, r2.Rows)
+		}
 	}
-	r2, err := runQuery(disabled, query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r1.Rows) != len(r2.Rows) {
-		t.Fatalf("pushdown changed results: %d vs %d rows", len(r1.Rows), len(r2.Rows))
+	for q, placement := range map[string]string{pushed: "[pushed down]", atEnd: "[residual]"} {
+		rep, err := NewEngine(st).Explain(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(rep.PlanText(), placement) {
+			t.Fatalf("filter not %s:\n%s", placement, rep.PlanText())
+		}
 	}
 }
 

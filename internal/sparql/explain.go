@@ -116,7 +116,7 @@ func (e *Engine) explainParsed(ctx context.Context, src string, q *Query) (*Expl
 		q = &plain
 	}
 	planStart := time.Now()
-	qp := e.buildPlan(q, true)
+	qp := e.buildPlan(q, true, true)
 	planDur := time.Since(planStart)
 
 	execStart := time.Now()
@@ -134,7 +134,7 @@ func (e *Engine) explainParsed(ctx context.Context, src string, q *Query) (*Expl
 		PlanSeconds:   planDur.Seconds(),
 		ExecSeconds:   time.Since(execStart).Seconds(),
 		Rows:          res.n,
-		Plan:          qp.root,
+		Plan:          qp.root.node,
 		SubplanReuses: res.stats.subplanReuses,
 	}, nil
 }

@@ -168,17 +168,6 @@ func (r *idRows) appendRow(row []store.ID) {
 	r.n++
 }
 
-// boundAnywhere reports whether column c is nonzero in at least one row.
-func (r *idRows) boundAnywhere(c int) bool {
-	w := len(r.vars)
-	for i := 0; i < r.n; i++ {
-		if r.data[i*w+c] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // project returns a batch with exactly the given columns in order;
 // variables absent from r become all-unbound columns. An identity
 // projection returns r itself, skipping the copy on the common SELECT *

@@ -40,7 +40,7 @@ func (ev *evaluator) evalPath(current *idRows, e PathElem, active []string) (*id
 	if current.n == 0 {
 		return current, nil
 	}
-	pc := &pathCtx{ev: ev, graphs: ev.pathGraphs(active), min: e.Min}
+	pc := &pathCtx{ev: ev, graphs: ev.resolveGraphs(active), min: e.Min}
 	pc.pred, _ = ev.dict.dict.Lookup(e.Pred)
 
 	// Constant endpoints intern through the evaluator dictionary: a term
@@ -223,9 +223,9 @@ func (pc *pathCtx) closure(start store.ID, forward bool) ([]store.ID, error) {
 	return out, nil
 }
 
-// pathGraphs resolves the active graph list to graph handles, defaulting
+// resolveGraphs resolves the active graph list to graph handles, defaulting
 // to every graph in the store (mirroring MatchAny's empty-list rule).
-func (ev *evaluator) pathGraphs(active []string) []*store.Graph {
+func (ev *evaluator) resolveGraphs(active []string) []*store.Graph {
 	uris := active
 	if len(uris) == 0 {
 		uris = ev.store.GraphURIs()

@@ -7,13 +7,14 @@ import (
 )
 
 // Fused BGP pipelines. A BGP segment — its patterns in execution order, the
-// group filters that become ready after each, the columns no later operator
-// reads — compiles once into a chain of steps, and a morsel of the segment's
-// source runs the whole chain: the worker walks the patterns depth-first
-// over one scratch row by nesting the store's Match callbacks, evaluates
-// each filter the moment its variables are bound, and appends only the rows
-// that survive the last step, already in the output layout. No intermediate
-// batch exists: what a segment allocates follows its output.
+// group filters the planner pushed down after each, the columns no later
+// operator reads — compiles once into a chain of steps, and a morsel of
+// the segment's source runs the whole chain: the worker walks the patterns
+// depth-first over one scratch row by nesting the store's Match callbacks,
+// evaluates each filter after the step the planner placed it at, and
+// appends only the rows that survive the last step, already in the output
+// layout. No intermediate batch exists: what a segment allocates follows
+// its output.
 //
 // Row order is the serial nested loop's: a morsel is a contiguous range of
 // the source (rows of the input batch, or a store.MatchParts slice of the
@@ -52,15 +53,16 @@ type pipeStep struct {
 // bgpPipeline is one BGP segment compiled against its input batch.
 type bgpPipeline struct {
 	ev *evaluator
-	// uris is the segment's graph scope as the store takes it (empty: every
-	// graph); graphs is the same scope resolved.
-	uris   []string
+	op *bgpOp
+	// graphs is the segment's graph scope (op.graphs, empty for every
+	// graph) resolved.
 	graphs []*store.Graph
 	steps  []pipeStep
 	// vars lays out the scratch row: the input columns, then each step's
-	// newly bound variables. The filters' conditions are resolved against it.
+	// newly bound variables. filters are the segment's pushed-down
+	// conditions resolved against it.
 	vars    []string
-	filters []groupFilter
+	filters []Expression
 	// outVars is the segment's output layout, the scratch layout minus the
 	// planned drops; outCols maps it back to scratch columns (nil when
 	// nothing is dropped).
@@ -71,40 +73,24 @@ type bgpPipeline struct {
 	workers []*pipeWorker
 }
 
-// compilePipeline orders the segment's patterns (the planner's order, else
-// textual order), resolves every position against the scratch layout, and
-// moves each group filter whose variables are all bound after a step out of
-// *filters and onto that step — sound because group filters are
-// conjunctive and rows never regain bindings they were rejected on. The
-// ablation switches only change this schedule.
-func (ev *evaluator) compilePipeline(cur *idRows, patterns []TriplePattern, graphs []string, filters *[]groupFilter, bp *bgpPlan) *bgpPipeline {
-	bound := map[string]bool{}
-	for c, v := range cur.vars {
-		if cur.boundAnywhere(c) {
-			bound[v] = true
-		}
-	}
-	planned := bp != nil && len(bp.order) == len(patterns)
+// compilePipeline resolves every step's positions and every pushed-down
+// filter against the scratch layout the input batch starts. The planner
+// put each filter after the first step at which all its variables are
+// final, which is sound because group filters are conjunctive and a row
+// never changes a final variable.
+func (ev *evaluator) compilePipeline(cur *idRows, op *bgpOp) *bgpPipeline {
 	p := &bgpPipeline{
-		ev:    ev,
-		uris:  graphs,
-		steps: make([]pipeStep, len(patterns)),
-		vars:  append(make([]string, 0, len(cur.vars)+2*len(patterns)), cur.vars...),
+		ev:     ev,
+		op:     op,
+		graphs: ev.resolveGraphs(op.graphs),
+		steps:  make([]pipeStep, len(op.steps)),
+		vars:   append(make([]string, 0, len(cur.vars)+2*len(op.steps)), cur.vars...),
 
 		workers: make([]*pipeWorker, max(ev.workers, 1)),
 	}
-	cols := make(map[string]int, len(cur.vars)+2*len(patterns))
+	cols := make(map[string]int, len(cur.vars)+2*len(op.steps))
 	for c, v := range cur.vars {
 		cols[v] = c
-	}
-	uris := graphs
-	if len(uris) == 0 {
-		uris = ev.store.GraphURIs()
-	}
-	for _, uri := range uris {
-		if g := ev.store.Graph(uri); g != nil {
-			p.graphs = append(p.graphs, g)
-		}
 	}
 	dict := ev.store.Dict()
 	slot := func(st *pipeStep, n Node) pipeSlot {
@@ -119,56 +105,32 @@ func (ev *evaluator) compilePipeline(cur *idRows, patterns []TriplePattern, grap
 			p.vars = append(p.vars, n.Var)
 			cols[n.Var] = c
 		}
-		bound[n.Var] = true
 		return pipeSlot{col: c}
 	}
-	for k := range p.steps {
-		pat := patterns[k]
-		if planned {
-			pat = patterns[bp.order[k]]
-		}
-		st := &p.steps[k]
+	f0 := 0
+	for k, s := range op.steps {
+		pat, st := s.pat, &p.steps[k]
 		st.slots = [3]pipeSlot{slot(st, pat.S), slot(st, pat.P), slot(st, pat.O)}
 		st.sameSP = pat.S.IsVar && pat.P.IsVar && pat.S.Var == pat.P.Var
 		st.sameSO = pat.S.IsVar && pat.O.IsVar && pat.S.Var == pat.O.Var
 		st.samePO = pat.P.IsVar && pat.O.IsVar && pat.P.Var == pat.O.Var
-		st.f0 = len(p.filters)
-		if filters != nil && !ev.disablePushdown {
-			for _, f := range takeReadyFilters(bound, filters) {
-				f.cond = ev.dict.resolve(f.cond, cols)
-				p.filters = append(p.filters, f)
-			}
-		}
-		st.f1 = len(p.filters)
+		st.f0, st.f1, f0 = f0, s.f1, s.f1
+	}
+	p.filters = make([]Expression, len(op.filters))
+	for i, f := range op.filters {
+		p.filters[i] = ev.dict.resolve(f.cond, cols)
 	}
 	p.outVars = p.vars
-	if planned {
-		if dropped := sortedUnion(bp.drop); len(dropped) > 0 {
-			p.outVars = make([]string, 0, len(p.vars))
-			for c, v := range p.vars {
-				if !slices.Contains(dropped, v) {
-					p.outVars = append(p.outVars, v)
-					p.outCols = append(p.outCols, c)
-				}
+	if len(op.drop) > 0 {
+		p.outVars = make([]string, 0, len(p.vars))
+		for c, v := range p.vars {
+			if !slices.Contains(op.drop, v) {
+				p.outVars = append(p.outVars, v)
+				p.outCols = append(p.outCols, c)
 			}
 		}
 	}
 	return p
-}
-
-// takeReadyFilters removes from *filters, and returns, every filter whose
-// variables are all bound: keys of bound (a set, or a batch's columns).
-func takeReadyFilters[V any](bound map[string]V, filters *[]groupFilter) (ready []groupFilter) {
-	*filters = slices.DeleteFunc(*filters, func(f groupFilter) bool {
-		for _, v := range f.vars {
-			if _, ok := bound[v]; !ok {
-				return false
-			}
-		}
-		ready = append(ready, f)
-		return true
-	})
-	return ready
 }
 
 // pipePart is one morsel's output: row segments in emission order. The
@@ -347,7 +309,7 @@ func (w *pipeWorker) match(k int, t store.IDTriple) bool {
 	}
 	w.rows[k]++
 	for i := st.f0; i < st.f1; i++ {
-		if !evalBool(w.p.filters[i].cond, w.ctx) {
+		if !evalBool(w.p.filters[i], w.ctx) {
 			return true
 		}
 		w.kept[i]++
@@ -377,23 +339,21 @@ func (w *pipeWorker) emit() {
 // carries about a morsel's worth of the segment's largest estimated
 // intermediate: a small source in front of a large fan-out still spreads
 // over the workers.
-func (ev *evaluator) runPipeline(p *bgpPipeline, cur *idRows, bp *bgpPlan) (*idRows, error) {
+func (ev *evaluator) runPipeline(p *bgpPipeline, cur *idRows) (*idRows, error) {
 	bounds := [][2]int{{0, cur.n}}
 	var scans []store.ScanPart
 	if ev.workers > 1 {
 		peak := 0.0
-		if bp != nil {
-			for _, e := range bp.est {
-				peak = max(peak, e*float64(cur.n))
-			}
+		for _, e := range p.op.est {
+			peak = max(peak, e*float64(cur.n))
 		}
 		if st := &p.steps[0]; cur.n == 1 && !st.missing {
 			first := make([]store.ID, len(p.vars))
 			copy(first, cur.row(0))
 			k := st.key(first)
 			key := store.IDTriple{S: k[0], P: k[1], O: k[2]}
-			if m := scaleMorsel(morselScan, ev.store.Cardinality(p.uris, key), peak); m > 0 {
-				scans = ev.store.MatchParts(p.uris, key, m)
+			if m := scaleMorsel(morselScan, ev.store.Cardinality(p.op.graphs, key), peak); m > 0 {
+				scans = ev.store.MatchParts(p.op.graphs, key, m)
 			}
 		} else if m := scaleMorsel(morselRows, cur.n, peak); m > 0 {
 			bounds = rowChunks(cur.n, m)
@@ -456,7 +416,7 @@ func mergePipeParts(vars []string, parts []pipePart) *idRows {
 // pushed-down filter with its survivors, and each step's node with its
 // matches as long as rows reached the step — an operator that never ran
 // keeps no actual.
-func (p *bgpPipeline) recordActuals(in int, bp *bgpPlan) {
+func (p *bgpPipeline) recordActuals(in int) {
 	total := make([]int, len(p.steps)+len(p.filters))
 	for _, w := range p.workers {
 		if w != nil {
@@ -467,16 +427,16 @@ func (p *bgpPipeline) recordActuals(in int, bp *bgpPlan) {
 	}
 	kept := total[len(p.steps):]
 	for k, st := range p.steps {
-		if bp == nil || in == 0 {
+		if in == 0 {
 			break
 		}
-		bp.nodes[k].Record(total[k])
+		p.op.steps[k].node.Record(total[k])
 		in = total[k]
 		if st.f1 > st.f0 {
 			in = kept[st.f1-1]
 		}
 	}
-	for i, f := range p.filters {
-		p.ev.qp.recordFilter(f.ref, kept[i])
+	for i, f := range p.op.filters {
+		f.node.Record(kept[i])
 	}
 }

@@ -74,26 +74,42 @@ func pipeEvaluator(st *store.Store, workers int) *evaluator {
 	}
 }
 
-// pipeSegment parses a group body into its triple patterns and filters.
-func pipeSegment(t testing.TB, body string) ([]TriplePattern, []groupFilter) {
+// pipeSegment parses a group body of triple patterns and filters and plans
+// it as one segment over graphs, its steps in the given order (nil:
+// textual), after an element that may have bound the variables in. It
+// returns the segment, its patterns in step order and its filters.
+func pipeSegment(t testing.TB, body string, graphs, in []string, order []int) (*bgpOp, []TriplePattern, []Expression) {
 	t.Helper()
 	q, err := Parse(`PREFIX ex: <http://ex/> SELECT * WHERE { ` + body + ` }`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var pats []TriplePattern
-	var filters []groupFilter
+	var filters []Expression
 	for _, el := range q.Where.Elems {
 		switch e := el.(type) {
 		case BGPElem:
 			pats = append(pats, e.Pattern)
 		case FilterElem:
-			filters = append(filters, groupFilter{cond: e.Cond, vars: exprVars(e.Cond), ref: filterRef{q.Where, len(filters)}})
+			filters = append(filters, e.Cond)
 		default:
 			t.Fatalf("segment body holds %T", el)
 		}
 	}
-	return pats, filters
+	if order != nil {
+		ordered := make([]TriplePattern, len(pats))
+		for step, pi := range order {
+			ordered[step] = pats[pi]
+		}
+		pats = ordered
+	}
+	gs := newGroupScope(q.Where)
+	for _, v := range in {
+		gs.bound[v] = true
+	}
+	p := &planner{qp: &queryPlan{}, uses: map[string]int{}}
+	op, _ := p.planBGP(pats, graphs, &gs, false)
+	return op, pats, filters
 }
 
 // pipeInput builds an input batch from terms; an unbound term is an
@@ -117,16 +133,15 @@ func pipeInput(st *store.Store, vars []string, rows ...[]rdf.Term) *idRows {
 // materialised, each input row probed through store.MatchAny with its
 // unbound cells as wildcards, repeated variables checked position by
 // position, each filter applied (over decoded Binding maps) after the first
-// pattern that binds all its variables, the dropped columns removed at the
-// end. It returns the output and the filters it did not consume.
-func refBGP(st *store.Store, graphs []string, in *idRows, pats []TriplePattern, filters []groupFilter, drop []string) (*idRows, []groupFilter) {
+// pattern at which all its variables are final, the dropped columns removed
+// at the end. A variable is final once a pattern so far binds it, or once
+// the input has it and no later pattern mentions it. It returns the output
+// and the filters it did not consume.
+func refBGP(st *store.Store, graphs []string, in *idRows, pats []TriplePattern, filters []Expression, drop []string) (*idRows, []Expression) {
 	dict := newEvalDict(st.Dict())
 	vars := append([]string(nil), in.vars...)
-	bound := map[string]bool{}
-	for c, v := range in.vars {
-		if in.boundAnywhere(c) {
-			bound[v] = true
-		}
+	mentions := func(ps []TriplePattern, v string) bool {
+		return slices.ContainsFunc(ps, func(p TriplePattern) bool { return slices.Contains(p.Vars(), v) })
 	}
 	var rows [][]store.ID
 	for i := 0; i < in.n; i++ {
@@ -141,13 +156,12 @@ func refBGP(st *store.Store, graphs []string, in *idRows, pats []TriplePattern, 
 		vars = append(vars, name)
 		return len(vars) - 1
 	}
-	for _, pat := range pats {
+	for step, pat := range pats {
 		nodes := [3]Node{pat.S, pat.P, pat.O}
 		cols := [3]int{-1, -1, -1}
 		for k, n := range nodes {
 			if n.IsVar {
 				cols[k] = colOf(n.Var)
-				bound[n.Var] = true
 			}
 		}
 		var next [][]store.ID
@@ -183,13 +197,11 @@ func refBGP(st *store.Store, graphs []string, in *idRows, pats []TriplePattern, 
 			})
 		}
 		rows = next
-		var waiting []groupFilter
+		var waiting []Expression
 		for _, f := range filters {
-			ready := true
-			for _, v := range f.vars {
-				ready = ready && bound[v]
-			}
-			if !ready {
+			if slices.ContainsFunc(exprVars(f), func(v string) bool {
+				return !mentions(pats[:step+1], v) && (!slices.Contains(in.vars, v) || mentions(pats[step+1:], v))
+			}) {
 				waiting = append(waiting, f)
 				continue
 			}
@@ -199,7 +211,7 @@ func refBGP(st *store.Store, graphs []string, in *idRows, pats []TriplePattern, 
 				for c, id := range row {
 					b[vars[c]] = dict.decode(id)
 				}
-				if evalBool(f.cond, &evalCtx{row: b}) {
+				if evalBool(f, &evalCtx{row: b}) {
 					kept = append(kept, row)
 				}
 			}
@@ -250,8 +262,8 @@ func TestPipelineMatchesNestedLoop(t *testing.T) {
 		graphs []string
 		in     func() *idRows
 		body   string
-		order  []int      // planned order (nil: textual, no plan)
-		drop   [][]string // planned prune schedule, per step
+		order  []int      // step order (nil: textual)
+		drop   [][]string // prune schedule, per step
 		rows   int        // expected output rows
 		left   int        // expected unconsumed filters
 	}{
@@ -300,25 +312,16 @@ func TestPipelineMatchesNestedLoop(t *testing.T) {
 			body: `?s ex:p ?o . ?o ex:r ?c . FILTER(?c = ex:d1)`, rows: 3128},
 	}
 	for _, tc := range cases {
-		pats, filters := pipeSegment(t, tc.body)
-		var bp *bgpPlan
-		ordered := pats
-		if tc.order != nil {
-			bp = &bgpPlan{order: tc.order, drop: tc.drop}
-			ordered = make([]TriplePattern, len(pats))
-			for step, pi := range tc.order {
-				ordered[step] = pats[pi]
-			}
-		}
-		want, wantLeft := refBGP(st, tc.graphs, tc.in(), ordered, append([]groupFilter(nil), filters...), sortedUnion(tc.drop))
+		op, pats, filters := pipeSegment(t, tc.body, tc.graphs, tc.in().vars, tc.order)
+		op.drop = slices.Concat(tc.drop...)
+		want, wantLeft := refBGP(st, tc.graphs, tc.in(), pats, filters, op.drop)
 		if want.n != tc.rows || len(wantLeft) != tc.left {
 			t.Errorf("%s: reference has %d rows and %d filters left, the case expects %d and %d", tc.name, want.n, len(wantLeft), tc.rows, tc.left)
 			continue
 		}
 		for _, workers := range []int{1, 2, 4} {
 			ev := pipeEvaluator(st, workers)
-			left := append([]groupFilter(nil), filters...)
-			got, err := ev.evalBGP(tc.in(), pats, tc.graphs, &left, bp)
+			got, err := ev.evalBGP(tc.in(), op)
 			if err != nil {
 				t.Fatalf("%s, %d workers: %v", tc.name, workers, err)
 			}
@@ -329,8 +332,8 @@ func TestPipelineMatchesNestedLoop(t *testing.T) {
 			if got.n != want.n || !reflect.DeepEqual(append([]store.ID{}, got.data...), append([]store.ID{}, want.data...)) {
 				t.Errorf("%s, %d workers: %d rows differ from the reference's %d (rows or order)", tc.name, workers, got.n, want.n)
 			}
-			if len(left) != len(wantLeft) {
-				t.Errorf("%s, %d workers: %d filters left, want %d", tc.name, workers, len(left), len(wantLeft))
+			if left := len(filters) - len(op.filters); left != len(wantLeft) {
+				t.Errorf("%s, %d workers: %d filters left, want %d", tc.name, workers, left, len(wantLeft))
 			}
 		}
 	}
@@ -343,7 +346,7 @@ func TestPipelineMatchesNestedLoop(t *testing.T) {
 // its regex memo and only reads the dictionary.
 func TestPipelineRegexOnConcurrentWorkers(t *testing.T) {
 	st := pipeStore(t)
-	pats, filters := pipeSegment(t, `?s ex:p ?o . FILTER(regex(str(?o), "o1[0-9]$")) . ?o ex:r ?c`)
+	op, _, _ := pipeSegment(t, `?s ex:p ?o . FILTER(regex(str(?o), "o1[0-9]$")) . ?o ex:r ?c`, []string{pipeGraphA}, []string{"s"}, nil)
 	in := func() *idRows {
 		var rows [][]rdf.Term
 		for i := 0; i < 4000; i++ {
@@ -351,8 +354,7 @@ func TestPipelineRegexOnConcurrentWorkers(t *testing.T) {
 		}
 		return pipeInput(st, []string{"s"}, rows...)
 	}
-	left := append([]groupFilter(nil), filters...)
-	want, err := pipeEvaluator(st, 1).evalBGP(in(), pats, []string{pipeGraphA}, &left, nil)
+	want, err := pipeEvaluator(st, 1).evalBGP(in(), op)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,8 +365,7 @@ func TestPipelineRegexOnConcurrentWorkers(t *testing.T) {
 	const workers = 4
 	cur := in()
 	ev := pipeEvaluator(st, workers)
-	left = append([]groupFilter(nil), filters...)
-	p := ev.compilePipeline(cur, pats, []string{pipeGraphA}, &left, nil)
+	p := ev.compilePipeline(cur, op)
 	parts := make([]pipePart, workers)
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
@@ -500,11 +501,11 @@ const fanoutSegment = `?f ex:type ex:Film . ?f ex:starring ?a . ?a ex:born ?y . 
 func TestPipelineAllocationFollowsOutput(t *testing.T) {
 	st := fanoutStore(t, 600, 80)
 	measure := func(minYear int) (rows int, bytes uint64) {
-		pats, filters := pipeSegment(t, fmt.Sprintf(fanoutSegment, minYear))
+		op, _, _ := pipeSegment(t, fmt.Sprintf(fanoutSegment, minYear), []string{testGraph}, nil, nil)
 		ev := pipeEvaluator(st, 1)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		out, err := ev.evalBGP(unitSolution(), pats, []string{testGraph}, &filters, nil)
+		out, err := ev.evalBGP(unitSolution(), op)
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
@@ -534,15 +535,15 @@ const equalitySegment = `?f ex:starring ?a . ?f ex:starring ?b . FILTER(?a = ?b)
 // runEqualitySegment runs equalitySegment serially on st and returns the
 // pairs the filters saw.
 func runEqualitySegment(t testing.TB, st *store.Store) int {
-	pats, filters := pipeSegment(t, equalitySegment)
+	op, _, _ := pipeSegment(t, equalitySegment, []string{testGraph}, nil, nil)
 	ev := pipeEvaluator(st, 1)
-	p := ev.compilePipeline(unitSolution(), pats, []string{testGraph}, &filters, nil)
-	out, err := ev.runPipeline(p, unitSolution(), nil)
+	p := ev.compilePipeline(unitSolution(), op)
+	out, err := ev.runPipeline(p, unitSolution())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.n != 0 || len(filters) != 0 {
-		t.Fatalf("%d rows out and %d filters left, want none", out.n, len(filters))
+	if out.n != 0 || len(op.filters) != 2 {
+		t.Fatalf("%d rows out and %d of 2 filters pushed down, want none and both", out.n, len(op.filters))
 	}
 	return p.workers[0].rows[1]
 }

@@ -15,8 +15,6 @@ import "math"
 
 // Pattern is one triple pattern abstracted for planning.
 type Pattern struct {
-	// Label is the display form of the pattern (for plan trees).
-	Label string
 	// Card is the estimated number of matches of the pattern alone.
 	Card float64
 	// Vars holds the variable name per position (S, P, O); "" marks a

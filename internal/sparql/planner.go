@@ -16,82 +16,121 @@ import (
 )
 
 // This file is the bridge between the parsed query and the plan package:
-// it walks the query exactly the way the evaluator will (the same group /
-// BGP-segment structure), resolves every triple pattern against the store's
-// statistics catalog into a plan.Pattern, and records the chosen join
-// orders, filter placements, and column-prune schedules in a queryPlan the
-// evaluator executes. It is the engine's only join orderer: without a plan
-// (Engine.DisableReorder) a segment runs in textual order.
+// it resolves every triple pattern against the store's statistics catalog
+// into a plan.Pattern and compiles the query into the tree of physical
+// operators the evaluator runs. Join orders, filter placements, prune
+// schedules, trie walks and shared subplans are all decided here, once;
+// the evaluator only interprets the tree. It is the engine's only join
+// orderer: under Engine.DisableReorder it emits every BGP segment in
+// textual order, with no trie walk and no sharing.
 
-// bgpRef identifies one BGP segment: the seg-th maximal run of triple
-// patterns within a group's element list.
-type bgpRef struct {
-	g   *Group
-	seg int
-}
-
-// filterRef identifies the idx-th FILTER of a group, in syntactic order.
-type filterRef struct {
-	g   *Group
-	idx int
-}
-
-// elemRef identifies the idx-th element of a group (for join-node actuals).
-type elemRef struct {
-	g   *Group
-	idx int
-}
-
-// bgpPlan is the planned execution of one BGP segment.
-type bgpPlan struct {
-	// order is the pattern execution order (indexes into the segment's
-	// syntactic pattern list).
-	order []int
-	// est[i] is the estimated cumulative cardinality after executing step i.
-	est []float64
-	// drop[i] lists columns to prune after step i: variables whose every
-	// occurrence in the whole query lies within this segment's patterns, so
-	// no later operator can read them.
-	drop [][]string
-	// nodes[i] is step i's plan-tree node (actuals recorded when tracking).
-	nodes []*plan.Node
-	// wcoj, when non-nil, replaces the binary pipeline for this segment with
-	// a leapfrog triejoin (see wcoj.go). order/est/drop/nodes stay populated
-	// as the runtime fallback for evaluations whose input is not the unit
-	// solution the trie walk requires.
-	wcoj *wcojSeg
-}
-
-// queryPlan is one optimized query: the plan tree plus the per-segment
-// orders the evaluator executes. Plans are immutable once built — cached
-// plans are shared across concurrent queries — except for the Actual
-// counters in the tree, which are recorded only when track is set (tracked
-// plans are built fresh per EXPLAIN call and never shared).
+// queryPlan is one planned query: the operator tree, whose operators hold
+// the plan.Node tree EXPLAIN renders. Plans are immutable once built —
+// cached plans are shared across concurrent queries — except for the
+// Actual counters in the tree, which are recorded only when track is set
+// (tracked plans are built fresh per EXPLAIN call and never shared).
 type queryPlan struct {
-	// epoch is the stats epoch the plan was optimized against; the plan
-	// cache re-optimizes when the store's epoch moves (see Engine.planned).
+	// epoch is the stats epoch the plan was built against; the plan cache
+	// re-plans when the store's epoch moves (see Engine.planned).
 	epoch uint64
 	track bool
-	root  *plan.Node
-	bgps  map[bgpRef]*bgpPlan
-	elems map[elemRef]*plan.Node
-	// filters maps each group filter to its plan node; the evaluator
-	// records the row count surviving each application.
-	filters map[filterRef]*plan.Node
-	// results maps each (sub)query to its final node (rows after
-	// modifiers), aggs/distincts to the respective operator nodes.
-	results   map[*Query]*plan.Node
-	aggs      map[*Query]*plan.Node
-	distincts map[*Query]*plan.Node
-	// shares maps every subquery (*Query) and leading BGP segment (*bgpPlan)
-	// that has a twin in this query to its subplan: the evaluator runs one
-	// member of a class and hands the others its output.
-	shares map[any]*subplan
+	// reorder is false for a DisableReorder plan: textual order, no
+	// estimates, no trie walk, no sharing.
+	reorder bool
+	root    *selectOp
+	// cost sums the estimates of every BGP segment's steps, or of a trie
+	// walk's levels: the objective the planner minimized (see EstimateCost).
+	cost float64
 
 	// digest memoizes planDigest; computed on first use so plans that are
 	// never traced or slow-logged pay nothing.
 	digestOnce sync.Once
 	digestHex  string
+}
+
+// The physical operators. A group runs its operators in order, starting
+// from the unit solution: each takes the solutions so far and returns them
+// extended. A group, a UNION or a subquery is a source, evaluated from the
+// unit solution for the join that consumes it. A subquery or a leading
+// segment with a twin holds its class of shared subplans (share).
+type operator interface {
+	run(ev *evaluator, cur *idRows) (*idRows, error)
+}
+
+type source interface {
+	rows(ev *evaluator) (*idRows, error)
+}
+
+// selectOp is a (sub)query: its WHERE group, then its solution modifiers.
+type selectOp struct {
+	q     *Query
+	where *groupOp
+	// canon sorts the solutions into canonical order before ORDER BY (see
+	// planQuery).
+	canon bool
+	// node records the rows after the modifiers; agg and distinct, nil
+	// when the query has no such modifier, the rows after theirs.
+	node, agg, distinct *plan.Node
+	share               *subplan
+}
+
+// groupOp is a group graph pattern.
+type groupOp struct{ ops []operator }
+
+// bgpOp is one BGP segment, a maximal run of a group's triple patterns.
+type bgpOp struct {
+	graphs []string
+	steps  []bgpStep
+	// est[i] is the estimated cumulative cardinality after step i (nil
+	// under DisableReorder); it sizes parallel morsels.
+	est []float64
+	// filters are the group filters pushed down into the segment, in step
+	// order; drop lists the columns no later operator reads, pruned from
+	// the segment's output.
+	filters []*filterOp
+	drop    []string
+	// wcoj, when non-nil, runs the segment as a leapfrog triejoin (see
+	// wcoj.go) instead of the steps, then applies every filter.
+	wcoj  *wcojSeg
+	share *subplan
+}
+
+// bgpStep is one pattern of a segment in execution order; the filters
+// pushed down after it run from the previous step's f1 up to its own.
+type bgpStep struct {
+	pat  TriplePattern
+	node *plan.Node
+	f1   int
+}
+
+// joinOp joins the solutions with an OPTIONAL (left outer), a UNION, a
+// GRAPH block, a nested group or a subquery.
+type joinOp struct {
+	right    source
+	optional bool
+	node     *plan.Node
+}
+
+// unionOp is the branches of a UNION, their solutions concatenated.
+type unionOp []*groupOp
+
+// bindOp is BIND(expr AS ?v).
+type bindOp struct {
+	v    string
+	expr Expression
+}
+
+// pathOp joins in the closure relation of one transitive path element.
+type pathOp struct {
+	e      PathElem
+	graphs []string
+	node   *plan.Node
+}
+
+// filterOp is one group FILTER, pushed down into a segment or residual.
+type filterOp struct {
+	cond Expression
+	node *plan.Node
 }
 
 // planDigest returns a short stable hash of the plan's structure — operator
@@ -100,14 +139,14 @@ type queryPlan struct {
 // executions of the same shape share a digest even when recorded
 // cardinalities differ. The slow-query log and ?trace=1 annex carry it so
 // "did the plan change across that ingest" is a grep, not a replay. Nil-safe
-// ("" when the optimizer is off).
+// ("" for an EXPLAIN query and under DisableReorder).
 func (qp *queryPlan) planDigest() string {
-	if qp == nil || qp.root == nil {
+	if qp == nil || !qp.reorder {
 		return ""
 	}
 	qp.digestOnce.Do(func() {
 		var sb strings.Builder
-		writePlanShape(&sb, qp.root)
+		writePlanShape(&sb, qp.root.node)
 		sum := sha256.Sum256([]byte(sb.String()))
 		qp.digestHex = hex.EncodeToString(sum[:8])
 	})
@@ -129,12 +168,10 @@ func writePlanShape(sb *strings.Builder, n *plan.Node) {
 }
 
 // subplan is a subquery or a group's leading BGP segment, either of which
-// evaluates from the unit solution whatever surrounds it. key is what the
-// evaluator looks it up by (the *Query, the *bgpPlan), nodes the roots of
-// its plan nodes; class numbers the members of one class of
+// evaluates from the unit solution whatever surrounds it. nodes are the
+// roots of its plan nodes; class numbers the members of one class of
 // interchangeable subplans from 1 and stays 0 for a subplan without a twin.
 type subplan struct {
-	key    any
 	syntax subplanSyntax
 	nodes  []*plan.Node
 	class  int
@@ -149,16 +186,26 @@ type subplanSyntax struct {
 	pushed   []Expression
 }
 
-// shareSubplans records in the plan every class of two or more
-// interchangeable subplans. Two are interchangeable when their plan shapes
-// (operators, pattern order, filter placement, prune schedule) are equal as
-// text and their graphs and syntax deeply equal: exact equality only, so
-// the members of a class produce the same rows in the same order.
+// candidate registers a subplan that may have a twin (none under
+// DisableReorder, which shares nothing).
+func (p *planner) candidate(syntax subplanSyntax, nodes ...*plan.Node) *subplan {
+	if !p.qp.reorder {
+		return nil
+	}
+	sp := &subplan{syntax: syntax, nodes: nodes}
+	p.subplans = append(p.subplans, sp)
+	return sp
+}
+
+// shareSubplans numbers every class of two or more interchangeable
+// subplans. Two are interchangeable when their plan shapes (operators,
+// pattern order, filter placement, prune schedule) are equal as text and
+// their graphs and syntax deeply equal: exact equality only, so the members
+// of a class produce the same rows in the same order.
 func (p *planner) shareSubplans() {
 	if len(p.subplans) < 2 {
 		return
 	}
-	p.qp.shares = map[any]*subplan{}
 	reps := map[string][]*subplan{}
 	classes := 0
 	for _, sp := range p.subplans {
@@ -176,28 +223,11 @@ func (p *planner) shareSubplans() {
 		if rep.class == 0 {
 			classes++
 			rep.class = classes
-			p.qp.shares[rep.key] = rep
 		}
 		sp.class = rep.class
-		p.qp.shares[sp.key] = sp
 	}
 	for _, sp := range p.subplans {
 		sp.syntax = subplanSyntax{} // a cached plan keeps its classes, not what told them apart
-	}
-}
-
-// recordElem notes the row count after a group element's join (tracked
-// plans only).
-func (qp *queryPlan) recordElem(g *Group, idx, rows int) {
-	if qp != nil && qp.track {
-		qp.elems[elemRef{g, idx}].Record(rows)
-	}
-}
-
-// recordFilter notes the row count surviving one filter application.
-func (qp *queryPlan) recordFilter(ref filterRef, rows int) {
-	if qp != nil && qp.track {
-		qp.filters[ref].Record(rows)
 	}
 }
 
@@ -214,46 +244,47 @@ type planner struct {
 	// schedule drops a column once all its occurrences are behind it.
 	uses map[string]int
 	// noWCOJ disables the worst-case-optimal join operator (the
-	// Engine.DisableWCOJ ablation knob), leaving every segment binary.
+	// Engine.DisableWCOJ ablation knob, and DisableReorder), leaving every
+	// segment binary.
 	noWCOJ bool
+	// ordered is the subquery whose row order the top-level query passes
+	// through (see orderedSubquery), nil when it has none.
+	ordered *Query
 	// subplans lists what could be shared; see shareSubplans.
 	subplans []*subplan
 }
 
-// buildPlan optimizes q against the current statistics catalog. track
-// enables actual-cardinality recording (EXPLAIN); tracked plans must not be
-// shared across evaluations.
-func (e *Engine) buildPlan(q *Query, track bool) *queryPlan {
+// buildPlan plans q against the current statistics catalog: cost-based
+// when reorder is set, in textual order otherwise. track enables
+// actual-cardinality recording (EXPLAIN); tracked plans must not be shared
+// across evaluations.
+func (e *Engine) buildPlan(q *Query, track, reorder bool) *queryPlan {
 	stats := e.Store.Stats() // before RLock: Stats may itself lock
 	p := &planner{
-		st:    e.Store,
-		stats: stats,
-		dict:  e.Store.Dict(),
-		qp: &queryPlan{
-			epoch:     stats.Epoch,
-			track:     track,
-			bgps:      map[bgpRef]*bgpPlan{},
-			elems:     map[elemRef]*plan.Node{},
-			filters:   map[filterRef]*plan.Node{},
-			results:   map[*Query]*plan.Node{},
-			aggs:      map[*Query]*plan.Node{},
-			distincts: map[*Query]*plan.Node{},
-		},
-		uses:   map[string]int{},
-		noWCOJ: e.DisableWCOJ,
+		st:      e.Store,
+		stats:   stats,
+		dict:    e.Store.Dict(),
+		qp:      &queryPlan{epoch: stats.Epoch, track: track, reorder: reorder},
+		uses:    map[string]int{},
+		noWCOJ:  e.DisableWCOJ || !reorder,
+		ordered: orderedSubquery(q),
 	}
 	countQueryUses(q, p.uses)
 	// The pattern-cardinality probes read index map lengths; hold the read
 	// lock so they cannot race a concurrent writer.
 	e.Store.RLock()
-	p.qp.root = p.planQuery(q, e.DefaultGraphs)
+	p.qp.root = p.planQuery(q, e.DefaultGraphs, true)
 	e.Store.RUnlock()
 	p.shareSubplans()
 	return p.qp
 }
 
-// planQuery mirrors evaluator.evalQueryRows.
-func (p *planner) planQuery(q *Query, graphs []string) *plan.Node {
+// planQuery plans a (sub)query. Canonical order (see selectRows) is the
+// top-level query's unless it passes an ordered subquery's rows through;
+// that subquery sorts its rows as a top-level query would, and so does a
+// sliced subquery, whose slice picks which rows survive by their order.
+// Other subqueries keep execution order, which the top-level sort erases.
+func (p *planner) planQuery(q *Query, graphs []string, top bool) *selectOp {
 	if len(q.From) > 0 {
 		graphs = q.From
 	}
@@ -266,26 +297,26 @@ func (p *planner) planQuery(q *Query, graphs []string) *plan.Node {
 		}
 		detail = strings.Join(quoted, " ")
 	}
-	node := plan.NewNode("select", detail)
-	p.qp.results[q] = node
-	node.Add(p.planGroup(q.Where, graphs, ""))
+	op := &selectOp{q: q, node: plan.NewNode("select", detail)}
+	op.canon = top && p.ordered == nil || !top && (q == p.ordered || q.Limit >= 0 || q.Offset > 0)
+	where, wn := p.planGroup(q.Where, graphs, "")
+	op.where = where
+	op.node.Add(wn)
 	if q.HasAggregates() {
-		agg := plan.NewNode("aggregate", aggDetail(q))
-		p.qp.aggs[q] = agg
-		node.Add(agg)
+		op.agg = plan.NewNode("aggregate", aggDetail(q))
+		op.node.Add(op.agg)
 	}
 	if len(q.OrderBy) > 0 {
-		node.Add(plan.NewNode("order", fmt.Sprintf("%d keys", len(q.OrderBy))))
+		op.node.Add(plan.NewNode("order", fmt.Sprintf("%d keys", len(q.OrderBy))))
 	}
 	if q.Distinct {
-		d := plan.NewNode("distinct", "")
-		p.qp.distincts[q] = d
-		node.Add(d)
+		op.distinct = plan.NewNode("distinct", "")
+		op.node.Add(op.distinct)
 	}
 	if q.Limit >= 0 || q.Offset > 0 {
-		node.Add(plan.NewNode("slice", sliceDetail(q)))
+		op.node.Add(plan.NewNode("slice", sliceDetail(q)))
 	}
-	return node
+	return op
 }
 
 func aggDetail(q *Query) string {
@@ -310,231 +341,84 @@ func sliceDetail(q *Query) string {
 	return strings.Join(parts, " ")
 }
 
-// groupFilterPlan tracks one group filter through static placement.
-type groupFilterPlan struct {
+// groupScope is what planning a group knows of its variables so far, and
+// the group's filters. A filter is pushed down after the first step at
+// which every variable it reads is final. A variable is final once a
+// pattern at or before that step, or a pattern or path earlier in the
+// group, binds it; or once something earlier may have bound it and no later
+// step or element of the group mentions it, so nothing can bind it any
+// more. A variable nothing earlier binds is never final, and a filter
+// reading one stays residual, at the end of the group.
+type groupScope struct {
+	bound map[string]bool // possibly bound by what is planned so far
+	// For the variables the filters read: bound in every solution so far,
+	// and mentions by the elements and steps still to plan.
+	definite map[string]bool
+	later    map[string]int
+	filters  []groupFilter
+}
+
+// groupFilter is one FILTER of the group being planned.
+type groupFilter struct {
 	cond   Expression
-	ref    filterRef
 	vars   []string
 	placed bool
 }
 
-// planGroup mirrors evaluator.evalGroup: groups always evaluate from the
-// unit solution, so the bound-variable set starts empty and accumulates
-// across the group's own elements.
-func (p *planner) planGroup(g *Group, graphs []string, override string) *plan.Node {
-	active := graphs
-	if override != "" {
-		active = []string{override}
-	}
-	node := plan.NewNode("group", "")
-	bound := map[string]bool{}
-
-	var filters []groupFilterPlan
+// newGroupScope starts the scope of g: nothing bound yet, every element
+// still to come.
+func newGroupScope(g *Group) groupScope {
+	gs := groupScope{bound: map[string]bool{}}
 	for _, el := range g.Elems {
 		if f, ok := el.(FilterElem); ok {
-			filters = append(filters, groupFilterPlan{
-				cond: f.Cond,
-				ref:  filterRef{g, len(filters)},
-				vars: exprVars(f.Cond),
-			})
+			gs.filters = append(gs.filters, groupFilter{cond: f.Cond, vars: exprVars(f.Cond)})
 		}
 	}
-
-	seg := 0
-	leading := true // nothing but patterns and filters so far: the input is the unit solution
-	var pending []TriplePattern
-	flush := func() {
-		if len(pending) == 0 {
-			leading = false
-			return
-		}
-		nodes := p.planBGP(g, seg, pending, active, bound, filters)
-		if leading {
-			syntax := subplanSyntax{graphs: active, patterns: pending}
-			for _, f := range filters {
-				if f.placed {
-					syntax.pushed = append(syntax.pushed, f.cond)
-				}
-			}
-			p.subplans = append(p.subplans, &subplan{key: p.qp.bgps[bgpRef{g, seg}], syntax: syntax, nodes: nodes})
-		}
-		node.Add(nodes...)
-		seg++
-		leading, pending = false, nil
+	if len(gs.filters) == 0 {
+		return gs
 	}
-	for idx, el := range g.Elems {
-		switch e := el.(type) {
-		case BGPElem:
-			pending = append(pending, e.Pattern)
-		case FilterElem:
-			// Placed during BGP planning or left residual below.
-		case BindElem:
-			flush()
-			node.Add(plan.NewNode("bind", "?"+e.Var))
-			bound[e.Var] = true
-		case OptionalElem:
-			flush()
-			jn := plan.NewNode("leftjoin", "optional").Add(p.planGroup(e.Group, graphs, override))
-			p.qp.elems[elemRef{g, idx}] = jn
-			node.Add(jn)
-			for _, v := range e.Group.scopeVars() {
-				bound[v] = true
-			}
-		case UnionElem:
-			flush()
-			jn := plan.NewNode("join", "union")
-			for _, b := range e.Branches {
-				jn.Add(p.planGroup(b, graphs, override))
-				for _, v := range b.scopeVars() {
-					bound[v] = true
-				}
-			}
-			p.qp.elems[elemRef{g, idx}] = jn
-			node.Add(jn)
-		case GraphElem:
-			flush()
-			jn := plan.NewNode("join", "graph <"+e.Graph+">").Add(p.planGroup(e.Group, graphs, e.Graph))
-			p.qp.elems[elemRef{g, idx}] = jn
-			node.Add(jn)
-			for _, v := range e.Group.scopeVars() {
-				bound[v] = true
-			}
-		case GroupElem:
-			flush()
-			jn := plan.NewNode("join", "group").Add(p.planGroup(e.Group, graphs, override))
-			p.qp.elems[elemRef{g, idx}] = jn
-			node.Add(jn)
-			for _, v := range e.Group.scopeVars() {
-				bound[v] = true
-			}
-		case SubQueryElem:
-			flush()
-			// Subqueries evaluate against the group's graphs, not a GRAPH
-			// override (mirroring evalGroup).
-			sub := p.planQuery(e.Query, graphs)
-			p.subplans = append(p.subplans, &subplan{key: e.Query, syntax: subplanSyntax{graphs: graphs, query: e.Query}, nodes: []*plan.Node{sub}})
-			jn := plan.NewNode("join", "subquery").Add(sub)
-			p.qp.elems[elemRef{g, idx}] = jn
-			node.Add(jn)
-			for _, v := range e.Query.projectedVars() {
-				bound[v] = true
-			}
-		case PathElem:
-			flush()
-			jn := plan.NewNode("path", e.String())
-			p.qp.elems[elemRef{g, idx}] = jn
-			node.Add(jn)
-			if e.S.IsVar {
-				bound[e.S.Var] = true
-			}
-			if e.O.IsVar {
-				bound[e.O.Var] = true
+	gs.definite, gs.later = map[string]bool{}, map[string]int{}
+	for _, f := range gs.filters {
+		for _, v := range f.vars {
+			gs.later[v] = 0
+		}
+	}
+	for _, el := range g.Elems {
+		for _, v := range elemBinds(el) {
+			if n, ok := gs.later[v]; ok {
+				gs.later[v] = n + 1
 			}
 		}
 	}
-	flush()
-	for i := range filters {
-		if !filters[i].placed {
-			node.Add(p.filterNode(filters[i].ref, filters[i].cond, "residual"))
-		}
-	}
-	return node
+	return gs
 }
 
-// filterNode builds and registers the plan node of one group filter.
-func (p *planner) filterNode(ref filterRef, cond Expression, placement string) *plan.Node {
-	n := plan.NewNode("filter", exprText(cond))
-	if placement != "" {
-		n.Detail += " [" + placement + "]"
+// pass moves the scope past an element or step that may bind vars (in
+// every solution when definite).
+func (gs *groupScope) pass(vars []string, definite bool) {
+	for _, v := range vars {
+		gs.bound[v] = true
+		if n, ok := gs.later[v]; ok {
+			gs.later[v] = n - 1
+			gs.definite[v] = gs.definite[v] || definite
+		}
 	}
-	p.qp.filters[ref] = n
-	return n
 }
 
-// planBGP orders one BGP segment and computes its filter placements and
-// prune schedule. bound is the group's progressively-bound variable set; it
-// is updated with the segment's variables.
-func (p *planner) planBGP(g *Group, seg int, patterns []TriplePattern, active []string, bound map[string]bool, filters []groupFilterPlan) []*plan.Node {
-	pats := make([]plan.Pattern, len(patterns))
-	for i := range patterns {
-		pats[i] = p.planPattern(patterns[i], active)
-	}
-	order, est := plan.Order(pats, bound)
-	bp := &bgpPlan{order: order, est: est, drop: make([][]string, len(order))}
-
-	// Prune schedule: a variable whose every use in the whole query lies
-	// within this segment's patterns is dead once its last planned pattern
-	// has executed.
-	segOcc := map[string]int{}
-	for _, pat := range patterns {
-		for _, v := range pat.Vars() {
-			segOcc[v]++
-		}
-	}
-	lastStep := map[string]int{}
-	for step, pi := range order {
-		for _, v := range patterns[pi].Vars() {
-			lastStep[v] = step
-		}
-	}
-	for v, occ := range segOcc {
-		if p.uses[v] == occ {
-			s := lastStep[v]
-			bp.drop[s] = append(bp.drop[s], v)
-		}
-	}
-	for _, d := range bp.drop {
-		sort.Strings(d)
-	}
-
-	// Star/cycle segments may beat the binary pipeline with one multiway
-	// intersection. The wcoj node replaces the scan chain in the plan tree;
-	// the binary nodes are still built (below, filter-free) so the runtime
-	// fallback can record actuals, and the segment's drops collapse into one
-	// end-of-segment prune.
-	if w := p.tryWCOJ(patterns, pats, active, bound, est); w != nil {
-		bp.wcoj = w
-		w.endDrop = sortedUnion(bp.drop)
-		bp.nodes = make([]*plan.Node, len(order))
-		for step, pi := range order {
-			n := plan.NewNode("scan", pats[pi].Label)
-			n.Est = est[step]
-			bp.nodes[step] = n
-		}
-		for _, pat := range patterns {
-			for _, v := range pat.Vars() {
-				bound[v] = true
-			}
-		}
-		p.placeReady(w.node, filters, bound, w.endDrop)
-		p.qp.bgps[bgpRef{g, seg}] = bp
-		return []*plan.Node{w.node}
-	}
-
-	nodes := make([]*plan.Node, len(order))
-	for step, pi := range order {
-		n := plan.NewNode("scan", pats[pi].Label)
-		n.Est = est[step]
-		for _, v := range patterns[pi].Vars() {
-			bound[v] = true
-		}
-		p.placeReady(n, filters, bound, bp.drop[step])
-		nodes[step] = n
-	}
-	bp.nodes = nodes
-	p.qp.bgps[bgpRef{g, seg}] = bp
-	return nodes
+func (gs *groupScope) final(v string) bool {
+	return gs.definite[v] || gs.bound[v] && gs.later[v] == 0
 }
 
-// placeReady hangs on n the static placement of every unplaced filter whose
-// variables are all bound (annotation only; the evaluator applies filters
-// by the same rule at run time), then the prune of the dropped columns.
-func (p *planner) placeReady(n *plan.Node, filters []groupFilterPlan, bound map[string]bool, drop []string) {
-	for fi := range filters {
-		f := &filters[fi]
-		if !f.placed && !slices.ContainsFunc(f.vars, func(v string) bool { return !bound[v] }) {
-			n.Add(p.filterNode(f.ref, f.cond, "pushed down"))
+// place pushes down after n every unplaced filter whose variables are all
+// final, then prunes the dropped columns.
+func (gs *groupScope) place(op *bgpOp, n *plan.Node, drop []string) {
+	for i := range gs.filters {
+		f := &gs.filters[i]
+		if !f.placed && !slices.ContainsFunc(f.vars, func(v string) bool { return !gs.final(v) }) {
 			f.placed = true
+			fo := newFilterOp(f.cond, "pushed down")
+			op.filters = append(op.filters, fo)
+			n.Add(fo.node)
 		}
 	}
 	if len(drop) > 0 {
@@ -542,12 +426,227 @@ func (p *planner) placeReady(n *plan.Node, filters []groupFilterPlan, bound map[
 	}
 }
 
+func newFilterOp(cond Expression, placement string) *filterOp {
+	return &filterOp{cond: cond, node: plan.NewNode("filter", exprText(cond)+" ["+placement+"]")}
+}
+
+// planGroup plans a group graph pattern. Groups evaluate from the unit
+// solution, so the scope starts empty and grows across the group's own
+// elements.
+func (p *planner) planGroup(g *Group, graphs []string, override string) (*groupOp, *plan.Node) {
+	active := graphs
+	if override != "" {
+		active = []string{override}
+	}
+	op, node := &groupOp{ops: make([]operator, 0, len(g.Elems))}, plan.NewNode("group", "")
+	gs := newGroupScope(g)
+	leading := true // nothing but patterns and filters so far: the input is the unit solution
+	var pending []TriplePattern
+	flush := func() {
+		if len(pending) > 0 {
+			seg, nodes := p.planBGP(pending, active, &gs, leading)
+			op.ops = append(op.ops, seg)
+			node.Add(nodes...)
+		}
+		leading, pending = false, nil
+	}
+	for _, el := range g.Elems {
+		switch e := el.(type) {
+		case BGPElem:
+			pending = append(pending, e.Pattern)
+			continue
+		case FilterElem:
+			continue // placed in a segment or left residual below
+		}
+		flush()
+		o, n := p.planElem(el, graphs, override, active)
+		op.ops = append(op.ops, o)
+		node.Add(n)
+		_, path := el.(PathElem)
+		gs.pass(elemBinds(el), path)
+	}
+	flush()
+	for _, f := range gs.filters {
+		if !f.placed {
+			fo := newFilterOp(f.cond, "residual")
+			op.ops = append(op.ops, fo)
+			node.Add(fo.node)
+		}
+	}
+	return op, node
+}
+
+// elemBinds lists the variables a group element may bind: a pattern's, a
+// BIND target, what a nested group exposes, what a subquery projects and a
+// path's endpoints. A FILTER binds none.
+func elemBinds(el Element) []string {
+	switch e := el.(type) {
+	case BGPElem:
+		return e.Pattern.Vars()
+	case BindElem:
+		return []string{e.Var}
+	case OptionalElem:
+		return e.Group.scopeVars()
+	case UnionElem:
+		var out []string
+		for _, b := range e.Branches {
+			out = append(out, b.scopeVars()...)
+		}
+		return out
+	case GraphElem:
+		return e.Group.scopeVars()
+	case GroupElem:
+		return e.Group.scopeVars()
+	case SubQueryElem:
+		return e.Query.projectedVars()
+	case PathElem:
+		var out []string
+		for _, n := range []Node{e.S, e.O} {
+			if n.IsVar {
+				out = append(out, n.Var)
+			}
+		}
+		return out
+	}
+	return nil
+}
+
+// planElem plans a group element other than a triple pattern or a FILTER.
+// A subquery reads the group's graphs, not a GRAPH override.
+func (p *planner) planElem(el Element, graphs []string, override string, active []string) (operator, *plan.Node) {
+	switch e := el.(type) {
+	case BindElem:
+		return &bindOp{v: e.Var, expr: e.Expr}, plan.NewNode("bind", "?"+e.Var)
+	case OptionalElem:
+		g, n := p.planGroup(e.Group, graphs, override)
+		return newJoin(true, "optional", g, n)
+	case UnionElem:
+		u, un := unionOp{}, plan.NewNode("join", "union")
+		for _, b := range e.Branches {
+			g, n := p.planGroup(b, graphs, override)
+			u = append(u, g)
+			un.Add(n)
+		}
+		return &joinOp{right: u, node: un}, un
+	case GraphElem:
+		g, n := p.planGroup(e.Group, graphs, e.Graph)
+		return newJoin(false, "graph <"+e.Graph+">", g, n)
+	case GroupElem:
+		g, n := p.planGroup(e.Group, graphs, override)
+		return newJoin(false, "group", g, n)
+	case SubQueryElem:
+		sub := p.planQuery(e.Query, graphs, false)
+		sub.share = p.candidate(subplanSyntax{graphs: graphs, query: e.Query}, sub.node)
+		return newJoin(false, "subquery", sub, sub.node)
+	case PathElem:
+		n := plan.NewNode("path", e.String())
+		return &pathOp{e: e, graphs: active, node: n}, n
+	}
+	panic(fmt.Sprintf("sparql: unknown group element %T", el))
+}
+
+// newJoin builds the join with one right-hand side, planned as n.
+func newJoin(optional bool, detail string, right source, n *plan.Node) (operator, *plan.Node) {
+	kind := "join"
+	if optional {
+		kind = "leftjoin"
+	}
+	j := &joinOp{right: right, optional: optional, node: plan.NewNode(kind, detail).Add(n)}
+	return j, j.node
+}
+
+// planBGP plans one BGP segment: its step order (cost-based, or textual
+// under DisableReorder), the filters pushed down after each step, the prune
+// schedule and, for a group's leading segment that qualifies, the trie
+// walk. gs moves past the segment's patterns.
+func (p *planner) planBGP(patterns []TriplePattern, active []string, gs *groupScope, leading bool) (*bgpOp, []*plan.Node) {
+	op := &bgpOp{graphs: active, steps: make([]bgpStep, len(patterns))}
+	for i, pat := range patterns {
+		op.steps[i].pat = pat
+	}
+	var pats []plan.Pattern
+	if p.qp.reorder {
+		pats = make([]plan.Pattern, len(patterns))
+		for i := range patterns {
+			pats[i] = p.planPattern(patterns[i], active)
+		}
+		var order []int
+		order, op.est = plan.Order(pats, gs.bound)
+		for step, pi := range order {
+			op.steps[step].pat = patterns[pi]
+		}
+	}
+
+	// Prune schedule: a variable whose every use in the whole query lies
+	// within this segment's patterns is dead once its last pattern has
+	// executed.
+	vars := make([][]string, len(patterns)) // per step
+	occ, last := map[string]int{}, map[string]int{}
+	for step, s := range op.steps {
+		vars[step] = s.pat.Vars()
+		for _, v := range vars[step] {
+			occ[v]++
+			last[v] = step
+		}
+	}
+	drop := make([][]string, len(patterns))
+	for v, n := range occ {
+		if p.uses[v] == n {
+			drop[last[v]] = append(drop[last[v]], v)
+			op.drop = append(op.drop, v)
+		}
+	}
+	for _, d := range drop {
+		sort.Strings(d)
+	}
+
+	var nodes []*plan.Node
+	if leading {
+		op.wcoj = p.tryWCOJ(patterns, pats, active, op.est)
+	}
+	if w := op.wcoj; w != nil {
+		// The walk replaces the steps in the plan tree, and the segment's
+		// filters and prunes apply once, at its end.
+		op.steps = nil
+		for _, vs := range vars {
+			gs.pass(vs, true)
+		}
+		gs.place(op, w.node, op.drop)
+		for _, ln := range w.levels {
+			p.qp.cost += ln.Est
+		}
+		nodes = []*plan.Node{w.node}
+	} else {
+		nodes = make([]*plan.Node, len(patterns))
+		for step := range op.steps {
+			s := &op.steps[step]
+			s.node = plan.NewNode("scan", s.pat.String())
+			if op.est != nil {
+				s.node.Est = op.est[step]
+				p.qp.cost += s.node.Est
+			}
+			gs.pass(vars[step], true)
+			gs.place(op, s.node, drop[step])
+			s.f1 = len(op.filters)
+			nodes[step] = s.node
+		}
+	}
+	if leading {
+		syntax := subplanSyntax{graphs: active, patterns: patterns}
+		for _, f := range op.filters {
+			syntax.pushed = append(syntax.pushed, f.cond)
+		}
+		op.share = p.candidate(syntax, nodes...)
+	}
+	return op, nodes
+}
+
 // planPattern resolves one triple pattern against the statistics catalog:
 // base cardinality (exact O(1) index probes when subject or object is a
 // constant, per-predicate catalog counts otherwise) and the per-position
 // selectivity applied when that position's variable arrives already bound.
 func (p *planner) planPattern(pat TriplePattern, graphs []string) plan.Pattern {
-	out := plan.Pattern{Label: pat.String(), Sel: [3]float64{1, 1, 1}}
+	out := plan.Pattern{Sel: [3]float64{1, 1, 1}}
 	nodes := [3]Node{pat.S, pat.P, pat.O}
 	var ids [3]store.ID
 	known := true

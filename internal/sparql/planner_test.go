@@ -103,7 +103,7 @@ func TestPlannerPrunesDeadColumns(t *testing.T) {
 }
 
 // assertPlannedMatchesTextual compares the planner's serialized results
-// against plan-less, textual-order evaluation, byte for byte.
+// against textual-order evaluation (DisableReorder), byte for byte.
 func assertPlannedMatchesTextual(t *testing.T, st *store.Store, src string) {
 	t.Helper()
 	opt := NewEngine(st)

@@ -93,7 +93,7 @@ var reuseCases = []reuseCase{
 }
 
 // TestSubplanReuse: every case returns, with sharing, exactly what the
-// un-shared, plan-less reference path (DisableReorder) returns, at 1 and 4 workers,
+// un-shared, textual-order reference path (DisableReorder) returns, at 1 and 4 workers,
 // and performs the stated number of reuses.
 func TestSubplanReuse(t *testing.T) {
 	st := reuseStore(t)
@@ -105,7 +105,7 @@ func TestSubplanReuse(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if n := ref.execStats.subplanReuses.Load(); n != 0 {
-			t.Fatalf("%s: %d reuses without a plan", tc.name, n)
+			t.Fatalf("%s: %d reuses under DisableReorder", tc.name, n)
 		}
 		if want.Len() == 0 {
 			t.Fatalf("%s: the case matches nothing", tc.name)

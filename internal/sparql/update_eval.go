@@ -190,10 +190,7 @@ func (e *Engine) resolveOps(ctx context.Context, req *UpdateRequest) ([]store.Up
 // once per solution, deduplicating the resulting ground deletes.
 func (e *Engine) resolveDeleteWhere(ctx context.Context, op *UpdateOperation) ([]store.UpdateOp, error) {
 	q := &Query{Star: true, Where: op.Where, Limit: -1}
-	var qp *queryPlan
-	if !e.DisableReorder {
-		qp = e.buildPlan(q, false)
-	}
+	qp := e.buildPlan(q, false, !e.DisableReorder)
 	res, _, err := e.evaluate(ctx, obs.TraceFrom(ctx), "", q, qp)
 	if err != nil {
 		return nil, fmt.Errorf("sparql: DELETE WHERE: %w", err)

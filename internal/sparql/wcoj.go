@@ -2,7 +2,6 @@ package sparql
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync/atomic"
 
@@ -20,15 +19,16 @@ import (
 // materializes every (hub, leaf) pair of the least selective pattern before
 // later patterns can cut it down.
 //
-// The planner decides per segment (tryWCOJ): structural eligibility plus a
-// cost comparison between plan.WCOJ's level model and the binary plan the
-// same segment would get. The executor (evalWCOJ) walks the trie levels
-// recursively over store.RunIterator intersections; the outermost level is
-// materialized first so the morsel pool can range-partition its values,
-// with partial batches merged in value order — making parallel output
-// byte-identical to serial output, which in turn equals the binary
-// pipeline's output because single-graph patterns are duplicate-free sets
-// and the top-level canonical ordering erases execution order.
+// The planner decides per group's leading segment (tryWCOJ): structural
+// eligibility plus a cost comparison between plan.WCOJ's level model and
+// the binary plan the same segment would get. The executor (evalWCOJ)
+// walks the trie levels recursively over store.RunIterator intersections;
+// the outermost level is materialized first so the morsel pool can
+// range-partition its values, with partial batches merged in value order —
+// making parallel output byte-identical to serial output, which in turn
+// equals the binary pipeline's output because single-graph patterns are
+// duplicate-free sets and the top-level canonical ordering erases
+// execution order.
 
 // wcojMorsel is the number of outermost-variable values per parallel
 // enumeration part. Each value expands into a whole subtree, so parts are
@@ -41,7 +41,6 @@ type execCounters struct {
 	segments       atomic.Uint64 // segments executed by the trie walk
 	seeks          atomic.Uint64 // sorted-run iterator seeks
 	backtracks     atomic.Uint64 // dead-end prefixes abandoned mid-walk
-	fallbacks      atomic.Uint64 // planned segments that ran binary joins instead
 	joinCandidates atomic.Int64  // candidate pairs checked by joins
 	joinRows       atomic.Int64  // rows joins emitted
 	subplanReuses  atomic.Int64  // subplans answered from an evaluation's memo
@@ -71,25 +70,23 @@ type wcojSeg struct {
 	// node is the "wcoj" plan-tree operator; levels its per-level children.
 	node   *plan.Node
 	levels []*plan.Node
-	// endDrop lists columns dead after this segment, pruned once at the end
-	// (equivalent to the binary pipeline's interleaved drops).
-	endDrop []string
 }
 
-// tryWCOJ decides whether one BGP segment should run as a leapfrog triejoin
-// and compiles the segment descriptor if so. Eligibility: the WCOJ knob is
-// on, the segment is scoped to exactly one graph (single-graph patterns are
-// duplicate-free sets, which is what makes the set-enumerating trie walk
-// bag-equivalent to the binary pipeline), no variables arrive pre-bound
-// (the walk starts from the unit solution), every pattern has a constant
-// predicate, at least one variable, no repeated variable, and every
-// constant resolves in the dictionary (an unresolvable constant matches
-// nothing — the binary path short-circuits that faster). Shape and cost are
-// then delegated to plan.WCOJ: some variable must be shared by >= 3
-// patterns, and the modeled trie cost must beat the binary plan's summed
-// intermediate cardinalities.
-func (p *planner) tryWCOJ(patterns []TriplePattern, pats []plan.Pattern, active []string, bound map[string]bool, est []float64) *wcojSeg {
-	if p.noWCOJ || len(active) != 1 || len(bound) > 0 {
+// tryWCOJ decides whether a group's leading BGP segment should run as a
+// leapfrog triejoin and compiles the segment descriptor if so. Being
+// leading, the segment evaluates from the unit solution, which is what the
+// walk starts from. Eligibility: the WCOJ knob is on, the segment is
+// scoped to exactly one graph (single-graph patterns are duplicate-free
+// sets, which is what makes the set-enumerating trie walk bag-equivalent
+// to the binary pipeline), every pattern has a constant predicate, at
+// least one variable, no repeated variable, and every constant resolves in
+// the dictionary (an unresolvable constant matches nothing — the binary
+// path short-circuits that faster). Shape and cost are then delegated to
+// plan.WCOJ: some variable must be shared by >= 3 patterns, and the
+// modeled trie cost must beat the binary plan's summed intermediate
+// cardinalities.
+func (p *planner) tryWCOJ(patterns []TriplePattern, pats []plan.Pattern, active []string, est []float64) *wcojSeg {
+	if p.noWCOJ || len(active) != 1 {
 		return nil
 	}
 	for _, pat := range patterns {
@@ -387,9 +384,8 @@ func (ev *evaluator) evalWCOJ(seg *wcojSeg) (*idRows, error) {
 	vars := append([]string(nil), seg.varOrder...)
 	out := newIDRows(vars)
 	g := ev.store.Graph(seg.graph)
-	track := ev.qp != nil && ev.qp.track
 	if g == nil {
-		if track {
+		if ev.track {
 			for _, ln := range seg.levels {
 				ln.Record(0)
 			}
@@ -446,55 +442,11 @@ func (ev *evaluator) evalWCOJ(seg *wcojSeg) (*idRows, error) {
 		ev.ctr.seeks.Add(w.seeks)
 		ev.ctr.backtracks.Add(w.backs)
 	}
-	if track {
+	if ev.track {
 		for k, ln := range seg.levels {
 			ln.Record(int(w.counts[k]))
 		}
 		seg.node.Record(out.n)
 	}
 	return out, nil
-}
-
-// evalWCOJSegment is the evaluator's segment entry point: the trie walk,
-// then the same filter pushdown and column pruning the binary pipeline
-// interleaves. Group filters are conjunctive, so applying every
-// ready-after-segment filter once here keeps exactly the rows the per-step
-// applications would; pruning dead columns at the end is equivalent to
-// pruning them mid-pipeline.
-func (ev *evaluator) evalWCOJSegment(seg *wcojSeg, filters *[]groupFilter) (*idRows, error) {
-	out, err := ev.evalWCOJ(seg)
-	if err != nil {
-		return nil, err
-	}
-	if filters != nil && !ev.disablePushdown {
-		bound := make(map[string]bool, len(seg.varOrder))
-		for _, v := range seg.varOrder {
-			bound[v] = true
-		}
-		for _, f := range takeReadyFilters(bound, filters) {
-			if err := ev.applyFilter(out, f); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if len(seg.endDrop) > 0 {
-		out = out.dropCols(seg.endDrop)
-	}
-	return out, nil
-}
-
-// sortedUnion flattens string slices into one sorted, de-duplicated slice.
-func sortedUnion(parts [][]string) []string {
-	var out []string
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	sort.Strings(out)
-	keep := out[:0]
-	for _, v := range out {
-		if len(keep) == 0 || keep[len(keep)-1] != v {
-			keep = append(keep, v)
-		}
-	}
-	return keep
 }
