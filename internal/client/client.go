@@ -46,13 +46,9 @@ type HTTPClient struct {
 	Endpoint string
 	// PageSize is the pagination chunk size; 0 disables pagination.
 	PageSize int
-	// MaxRetries bounds retries per chunk on transient errors (default 2).
-	// It is the legacy knob: when Retry is nil, the client uses a default
-	// RetryPolicy with MaxAttempts = MaxRetries + 1.
-	MaxRetries int
-	// Retry, when non-nil, fully specifies the retry schedule — attempt
-	// cap, exponential backoff, jitter, and Retry-After handling — and
-	// takes precedence over MaxRetries.
+	// Retry, when non-nil, specifies the retry schedule of a chunk on
+	// transient errors — attempt cap, exponential backoff, jitter, and
+	// Retry-After handling; nil uses the default RetryPolicy.
 	Retry *RetryPolicy
 	// HTTP is the underlying client. NewHTTPClient installs a 30s-timeout
 	// default; a literal-constructed client with a nil HTTP falls back to a
@@ -237,17 +233,14 @@ func (c *HTTPClient) read(query string, tab *sparql.Table) error {
 	}
 }
 
-// retryPolicy resolves the effective policy: Retry when set, otherwise a
-// default schedule whose attempt cap honors the legacy MaxRetries knob.
+// retryPolicy resolves the effective policy: Retry with its unset fields
+// defaulted, or the default schedule.
 func (c *HTTPClient) retryPolicy() RetryPolicy {
+	var p RetryPolicy
 	if c.Retry != nil {
-		return c.Retry.withDefaults()
+		p = *c.Retry
 	}
-	p := RetryPolicy{}.withDefaults()
-	if c.MaxRetries > 0 {
-		p.MaxAttempts = c.MaxRetries + 1
-	}
-	return p
+	return p.withDefaults()
 }
 
 // fetch decodes one page into tab, retrying transient failures, and reports
@@ -445,12 +438,17 @@ func paginate(query string, limit, offset int) string {
 	return sb.String()
 }
 
-// splitPrologue separates leading PREFIX declarations from the query body.
+// splitPrologue separates leading PREFIX declarations from the query body,
+// dropping the comment lines among them.
 func splitPrologue(query string) (prologue, body string) {
 	rest := query
 	var sb strings.Builder
 	for {
 		trimmed := strings.TrimLeft(rest, " \t\r\n")
+		if strings.HasPrefix(trimmed, "#") {
+			_, rest, _ = strings.Cut(trimmed, "\n")
+			continue
+		}
 		if len(trimmed) < 6 || !strings.EqualFold(trimmed[:6], "PREFIX") {
 			return sb.String(), trimmed
 		}

@@ -206,12 +206,21 @@ SELECT * WHERE { ?s a:p ?o }`)
 }
 
 func TestPaginateWrapsWithLimitOffset(t *testing.T) {
-	q := paginate("SELECT ?s WHERE { ?s ?p ?o } ORDER BY ?s", 10, 20)
-	if !strings.Contains(q, "LIMIT 10 OFFSET 20") {
-		t.Fatalf("q = %q", q)
-	}
-	if _, err := sparql.Parse(q); err != nil {
-		t.Fatalf("paginated query does not parse: %v\n%s", err, q)
+	for _, src := range []string{
+		"SELECT ?s WHERE { ?s ?p ?o } ORDER BY ?s",
+		"# c\nPREFIX ex: <http://ex/>\nSELECT * WHERE { ?s ex:p ?o }",
+		"PREFIX ex: <http://ex/> # c\n# d\nPREFIX ey: <http://ey/>\nSELECT * WHERE { ?s ex:p ?o . ?o ey:q ?x }",
+	} {
+		if _, err := sparql.Parse(src); err != nil {
+			t.Fatalf("%q: %v", src, err)
+		}
+		q := paginate(src, 10, 20)
+		if !strings.HasSuffix(q, "LIMIT 10 OFFSET 20") {
+			t.Fatalf("q = %q", q)
+		}
+		if _, err := sparql.Parse(q); err != nil {
+			t.Fatalf("paginated query does not parse: %v\n%s", err, q)
+		}
 	}
 }
 

@@ -46,23 +46,6 @@ func TestRetryPolicyJitterBounds(t *testing.T) {
 	}
 }
 
-// TestRetryPolicyLegacyMaxRetries: the old knob still controls the attempt
-// cap when no policy is set, and an explicit policy takes precedence.
-func TestRetryPolicyLegacyMaxRetries(t *testing.T) {
-	c := &HTTPClient{}
-	if got := c.retryPolicy().MaxAttempts; got != defaultMaxAttempts {
-		t.Fatalf("default MaxAttempts = %d, want %d", got, defaultMaxAttempts)
-	}
-	c.MaxRetries = 1
-	if got := c.retryPolicy().MaxAttempts; got != 2 {
-		t.Fatalf("MaxRetries=1 → MaxAttempts = %d, want 2", got)
-	}
-	c.Retry = &RetryPolicy{MaxAttempts: 7}
-	if got := c.retryPolicy().MaxAttempts; got != 7 {
-		t.Fatalf("explicit policy MaxAttempts = %d, want 7", got)
-	}
-}
-
 // emptyResult is a minimal valid SPARQL JSON result body.
 const emptyResult = `{"head":{"vars":["s"]},"results":{"bindings":[]}}`
 

@@ -103,7 +103,7 @@ func TestTruncationContractRetryAfterTransientError(t *testing.T) {
 	defer flaky.Close()
 
 	c := NewHTTPClient(flaky.URL, 25)
-	c.MaxRetries = 2
+	c.Retry = &RetryPolicy{MaxAttempts: 3}
 	res, err := c.Select(contractQuery)
 	if err != nil {
 		t.Fatal(err)

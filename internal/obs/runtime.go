@@ -8,7 +8,7 @@ import (
 
 // Runtime surfaces: goroutine, heap, and GC gauges sampled into the
 // registry at scrape time. runtime.ReadMemStats briefly stops the world,
-// so samples are memoized for memStatsTTL — a scrape storm (several
+// so samples are cached for memStatsTTL — a scrape storm (several
 // families reading the same stats, or an aggressive scraper) costs one
 // stop-the-world per TTL window, not one per gauge read.
 

@@ -166,7 +166,7 @@ func (s *Server) handleFeatures(w http.ResponseWriter, r *http.Request) {
 	if negotiate(w, r) == sparql.TableMediaType {
 		write = res.WriteTable
 	}
-	if err := s.writeBody(w, r, -1, write); err != nil {
+	if err := s.writeBody(w, r, write); err != nil {
 		s.logf("features write error: %v", err)
 		return
 	}

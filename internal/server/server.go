@@ -192,7 +192,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if resp.Truncated {
 		w.Header().Set("X-Truncated", "true")
 	}
-	write, size := resp.WriteJSON, -1
+	write := resp.WriteJSON
 	switch {
 	case wantTrace:
 		// The trace annex is a JSON member: a traced response is JSON.
@@ -200,10 +200,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		write = func(out io.Writer) error { return writeTraced(out, resp, tr) }
 	case negotiate(w, r) == sparql.TableMediaType:
 		write = resp.WriteTable
-	case resp.MemoJSON() != nil:
-		size = len(resp.Body) // a page out of the cache entry's memo
 	}
-	if err := s.writeBody(w, r, size, write); err != nil {
+	if err := s.writeBody(w, r, write); err != nil {
 		s.logf("write error: %v", err)
 		return
 	}
@@ -213,13 +211,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 // writeBody sends the response body write produces, gzip-compressed when
 // the request's Accept-Encoding admits it. The body goes to the client as
-// write produces it; size is its length when that is known up front (sent
-// as Content-Length unless the body is compressed), or -1.
-func (s *Server) writeBody(w http.ResponseWriter, r *http.Request, size int, write func(io.Writer) error) error {
+// write produces it.
+func (s *Server) writeBody(w http.ResponseWriter, r *http.Request, write func(io.Writer) error) error {
 	if !accepts(r, "Accept-Encoding", "gzip") {
-		if size >= 0 {
-			w.Header().Set("Content-Length", strconv.Itoa(size))
-		}
 		return write(w)
 	}
 	w.Header().Set("Content-Encoding", "gzip")

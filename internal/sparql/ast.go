@@ -173,6 +173,11 @@ type Query struct {
 	OrderBy  []OrderKey
 	Limit    int // -1 if absent
 	Offset   int // 0 if absent
+	// Window is the byte offset in the parsed text where a top-level
+	// query's LIMIT/OFFSET clauses begin, or would begin if it has none:
+	// the text before it parses to the same query with neither. It is 0 on
+	// a subquery, so equal subqueries compare equal wherever they stand.
+	Window int
 }
 
 // HasAggregates reports whether the query computes aggregates (explicitly

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"rdfframes/internal/obs"
@@ -26,79 +25,16 @@ const (
 )
 
 // cachedResult is one result-cache entry: the complete, ordered result of
-// a query with its outer LIMIT/OFFSET stripped, valid exactly for the
-// store version recorded at evaluation time (which is also baked into the
-// entry's key, so a version mismatch is structurally a miss).
+// a query without its outer LIMIT/OFFSET, valid exactly for the store
+// version recorded at evaluation time (which is also baked into the entry's
+// key, so a version mismatch is structurally a miss).
 type cachedResult struct {
 	version uint64
 	res     *compactResult
-	// key is the entry's result-cache key (empty for ephemeral entries
-	// that were never stored), so memo growth can be re-charged to the
-	// cache budget.
-	key string
-
-	// pages memoizes the serialized SPARQL JSON of served row windows, so
-	// a repeated request costs a byte copy instead of re-encoding the rows
-	// (which dominates the warm path for large results). Capped at
-	// maxEncodedPages windows, and every memoized byte is charged back to
-	// the result cache's row budget (see cost); a paginated sweep's
-	// encodings sum to about one encoding of the whole entry.
-	mu        sync.Mutex
-	pages     map[[2]int][]byte
-	memoBytes int64
 }
 
-// maxEncodedPages bounds the per-entry encoding memo: generous for any
-// real pagination sweep, small enough that adversarial distinct
-// LIMIT/OFFSET combinations cannot churn an entry indefinitely.
-const maxEncodedPages = 32
-
-// resultRowCostBytes is the per-row byte equivalence behind the result
-// cache's row budget (DefaultResultCacheRows ≈ 64 MB): memoized encoding
-// bytes are converted to row-budget units at this rate so the budget
-// bounds total memory, rows and encodings together.
-const resultRowCostBytes = 256
-
-// cost is the entry's current charge against the result cache budget:
-// its rows plus its memoized encodings in row equivalents.
-func (ce *cachedResult) cost() int64 {
-	ce.mu.Lock()
-	defer ce.mu.Unlock()
-	return int64(ce.res.n) + 1 + ce.memoBytes/resultRowCostBytes
-}
-
-// encodedPage returns the memoized SPARQL JSON serialization of rows
-// [lo, hi), encoding and memoizing it first while the memo has room; grew
-// reports that the memo took on new bytes (the caller re-charges the entry
-// to the cache budget). It returns nil for a window that is not memoized
-// once the memo is full: the caller then encodes without keeping the bytes.
-// Encoding is deterministic, so a memoized page is byte-identical to a
-// fresh serialization of the same rows.
-func (ce *cachedResult) encodedPage(lo, hi int) (b []byte, grew bool) {
-	key := [2]int{lo, hi}
-	ce.mu.Lock()
-	b, ok := ce.pages[key]
-	full := len(ce.pages) >= maxEncodedPages
-	ce.mu.Unlock()
-	if ok || full {
-		return b, false
-	}
-	b = ce.res.marshalJSON(lo, hi)
-	ce.mu.Lock()
-	defer ce.mu.Unlock()
-	if first, raced := ce.pages[key]; raced {
-		return first, false
-	}
-	if len(ce.pages) >= maxEncodedPages {
-		return b, false
-	}
-	if ce.pages == nil {
-		ce.pages = make(map[[2]int][]byte)
-	}
-	ce.pages[key] = b
-	ce.memoBytes += int64(len(b))
-	return b, true
-}
+// cost is the entry's charge against the result cache's row budget.
+func (ce *cachedResult) cost() int64 { return int64(ce.res.n) + 1 }
 
 // ServeInfo describes how a request was answered.
 type ServeInfo struct {
@@ -239,37 +175,25 @@ func (e *Engine) planned(ctx context.Context, src string) (*Query, *queryPlan, e
 
 // serve answers a parsed and planned query through the result cache — the
 // part of Do that Request.Serving switches on — returning the result entry
-// plus the LIMIT/OFFSET window the request asked for. The entry is shared
-// with the cache and every request it answers.
+// the request's LIMIT/OFFSET window slices. The entry is shared with the
+// cache and every request it answers.
 //
-// Pagination-aware slicing: the cache key is the query text with its
-// trailing top-level LIMIT/OFFSET stripped, and the cached value is the
-// full ordered result of that normalized query. Every page of a client's
-// LIMIT/OFFSET sweep therefore maps to the same entry and is answered by
-// slicing the cached rows — k paginated round trips cost one evaluation.
-// This is exact because the evaluator is deterministic and itself applies
+// Pagination-aware slicing: the cache key is the query text before its
+// top-level LIMIT/OFFSET clauses (Query.Window, marked by the parser), and
+// the cached value is the full ordered result of the query without them.
+// Every page of a client's LIMIT/OFFSET sweep therefore maps to the same
+// entry and is answered by slicing the cached rows — k paginated round
+// trips cost one evaluation. This is exact because the text before the
+// window parses to that unpaginated query, and the evaluator itself applies
 // LIMIT/OFFSET as a final slice over the fully-materialized result.
 //
 // Invalidation is by store version: the version is part of the key, so a
 // mutation moves every lookup onto fresh keys and stale entries age out of
 // the LRU without ever being served.
-func (e *Engine) serve(ctx context.Context, src string, q *Query, qp *queryPlan, info *ServeInfo) (ce *cachedResult, limit, offset int, err error) {
+func (e *Engine) serve(ctx context.Context, src string, q *Query, qp *queryPlan, info *ServeInfo) (ce *cachedResult, err error) {
 	info.CacheEnabled = true
 	tr := obs.TraceFrom(ctx)
-
-	// Normalize: strip the outer LIMIT/OFFSET so all pages share one key.
-	// The textual strip is verified against the parsed query; on any
-	// disagreement (comments, exotic spellings) fall back to caching the
-	// exact text, which is still correct — just without page sharing.
-	key, limit := src, -1
-	normalized := q
-	if stripped, l, o, ok := stripPagination(src); ok && l == q.Limit && o == q.Offset {
-		key, limit, offset = stripped, l, o
-		nq := *q
-		nq.Limit, nq.Offset = -1, 0
-		normalized = &nq
-	}
-
+	key := strings.TrimRight(src[:q.Window], " \t\r\n")
 	lookupVersion := e.Store.Version()
 	ck := cacheKey(lookupVersion, e.DefaultGraphs, key)
 	for {
@@ -280,7 +204,7 @@ func (e *Engine) serve(ctx context.Context, src string, q *Query, qp *queryPlan,
 			info.Hit = true
 			info.StoreVersion = hit.version
 			tr.Annotate("result_cache", "hit")
-			return hit, limit, offset, nil
+			return hit, nil
 		}
 
 		// Miss: evaluate the normalized (unpaginated) query — at most once
@@ -294,13 +218,15 @@ func (e *Engine) serve(ctx context.Context, src string, q *Query, qp *queryPlan,
 		// The version the evaluation reports may have moved since the
 		// lookup, and the entry must be keyed to the state the evaluation
 		// actually saw. The plan carries over: LIMIT/OFFSET do not affect
-		// join order, and the evaluation takes its window from the
-		// normalized copy.
+		// join order, and the evaluation runs a copy of the query without
+		// them.
 		ce, shared, err := e.flights.do(ctx, ck, func(fctx context.Context) (*cachedResult, error) {
 			// This closure runs only when this caller leads the flight, so
 			// the enclosing trace (not one fished from fctx, which is the
 			// flight's shared context) is the right recording target.
-			full, version, err := e.evaluate(fctx, tr, src, normalized, qp)
+			unpaged := *q
+			unpaged.Limit, unpaged.Offset = -1, 0
+			res, version, err := e.evaluate(fctx, tr, src, &unpaged, qp)
 			if err != nil {
 				return nil, err
 			}
@@ -308,8 +234,8 @@ func (e *Engine) serve(ctx context.Context, src string, q *Query, qp *queryPlan,
 			if version != lookupVersion {
 				entryKey = cacheKey(version, e.DefaultGraphs, key)
 			}
-			fce := &cachedResult{version: version, res: full, key: entryKey}
-			e.storeResult(fce)
+			fce := &cachedResult{version: version, res: res}
+			e.storeResult(entryKey, fce)
 			return fce, nil
 		})
 		if err != nil {
@@ -320,7 +246,7 @@ func (e *Engine) serve(ctx context.Context, src string, q *Query, qp *queryPlan,
 				// starts a fresh flight.
 				continue
 			}
-			return nil, 0, 0, err
+			return nil, err
 		}
 		info.Coalesced = shared
 		info.StoreVersion = ce.version
@@ -330,7 +256,7 @@ func (e *Engine) serve(ctx context.Context, src string, q *Query, qp *queryPlan,
 		} else {
 			tr.Annotate("singleflight", "leader")
 		}
-		return ce, limit, offset, nil
+		return ce, nil
 	}
 }
 
@@ -343,23 +269,21 @@ func annotateEval(tr *obs.Trace, st evalStats) {
 	}
 }
 
-// storeResult puts ce in the result cache at its current cost, reporting
-// whether the cache took it. Keys carry the store version and the version
-// only moves forward, so once an entry of a newer version exists every
-// older one is unreachable: the first store at a new version drops them
-// all, and an entry that was superseded while its response was in flight
-// is refused. Left alone, dead entries hold their rows until the row budget
+// storeResult puts ce in the result cache under key. Keys carry the store
+// version and the version only moves forward, so once an entry of a newer
+// version exists every older one is unreachable: the first store at a new
+// version drops them all, and an entry that was superseded while its
+// response was in flight is refused. Left alone, dead entries hold their rows until the row budget
 // pushes them out — tens of megabytes per update on a busy frame.
-func (e *Engine) storeResult(ce *cachedResult) bool {
+func (e *Engine) storeResult(key string, ce *cachedResult) {
 	newest := e.newestCached.Load()
 	if ce.version < newest {
-		return false
+		return
 	}
-	stored := e.results.Put(ce.key, ce, ce.cost())
+	e.results.Put(key, ce, ce.cost())
 	if ce.version > newest && e.newestCached.CompareAndSwap(newest, ce.version) {
 		e.results.DeleteFunc(func(_ string, old *cachedResult) bool { return old.version < ce.version })
 	}
-	return stored
 }
 
 // cacheKey builds the result-cache key: store version, the engine's
@@ -397,87 +321,3 @@ func pageBounds(n, limit, offset int) (lo, hi int) {
 	}
 	return lo, hi
 }
-
-// stripPagination removes a trailing top-level "LIMIT n" / "OFFSET m"
-// clause pair (either order, either alone) from the end of a query's text,
-// returning the prefix and the stripped values. ok is false when the text
-// does not end in such a clause. Top-level LIMIT/OFFSET can only appear at
-// the very end of a SELECT query — subqueries' modifiers sit inside
-// braces — so a backwards token scan is exact; any residual ambiguity is
-// caught by the caller's comparison against the parsed query.
-func stripPagination(src string) (stripped string, limit, offset int, ok bool) {
-	limit, offset = -1, 0
-	rest := src
-	seenLimit, seenOffset := false, false
-	for {
-		kw, val, prefix, found := trailingClause(rest)
-		if !found {
-			break
-		}
-		// A repeated keyword ("LIMIT 1 LIMIT 2") has last-one-wins parser
-		// semantics; bail out and let the caller fall back to exact-text
-		// caching rather than model that here.
-		if kw == "limit" {
-			if seenLimit {
-				return "", 0, 0, false
-			}
-			seenLimit, limit = true, val
-		} else {
-			if seenOffset {
-				return "", 0, 0, false
-			}
-			seenOffset, offset = true, val
-		}
-		rest = prefix
-	}
-	if !seenLimit && !seenOffset {
-		return "", 0, 0, false
-	}
-	return strings.TrimRight(rest, " \t\r\n"), limit, offset, true
-}
-
-// trailingClause matches a final "LIMIT <digits>" or "OFFSET <digits>" at
-// the end of s and returns the keyword (lowercased), the value, and the
-// text before the clause.
-func trailingClause(s string) (kw string, val int, prefix string, ok bool) {
-	s = strings.TrimRight(s, " \t\r\n")
-	i := len(s)
-	for i > 0 && s[i-1] >= '0' && s[i-1] <= '9' {
-		i--
-	}
-	if i == len(s) || i == 0 {
-		return "", 0, "", false
-	}
-	num := s[i:]
-	j := i
-	for j > 0 && isClauseSpace(s[j-1]) {
-		j--
-	}
-	if j == i {
-		// No whitespace between keyword and number ("LIMIT10" is not a
-		// modifier clause).
-		return "", 0, "", false
-	}
-	k := j
-	for k > 0 && isClauseAlpha(s[k-1]) {
-		k--
-	}
-	word := strings.ToLower(s[k:j])
-	if word != "limit" && word != "offset" {
-		return "", 0, "", false
-	}
-	if k > 0 {
-		if c := s[k-1]; !isClauseSpace(c) && c != '}' && c != ')' {
-			return "", 0, "", false
-		}
-	}
-	n, err := strconv.Atoi(num)
-	if err != nil {
-		return "", 0, "", false
-	}
-	return word, n, s[:k], true
-}
-
-func isClauseSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\r' || c == '\n' }
-
-func isClauseAlpha(c byte) bool { return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' }

@@ -35,43 +35,6 @@ func cacheTestStore(t *testing.T) *store.Store {
 	return st
 }
 
-func TestStripPagination(t *testing.T) {
-	cases := []struct {
-		src      string
-		stripped string
-		limit    int
-		offset   int
-		ok       bool
-	}{
-		{"SELECT * WHERE { ?s ?p ?o }", "", -1, 0, false},
-		{"SELECT * WHERE { ?s ?p ?o } LIMIT 10", "SELECT * WHERE { ?s ?p ?o }", 10, 0, true},
-		{"SELECT * WHERE { ?s ?p ?o } OFFSET 5", "SELECT * WHERE { ?s ?p ?o }", -1, 5, true},
-		{"SELECT * WHERE { ?s ?p ?o } LIMIT 10 OFFSET 5", "SELECT * WHERE { ?s ?p ?o }", 10, 5, true},
-		{"SELECT * WHERE { ?s ?p ?o } OFFSET 5 LIMIT 10", "SELECT * WHERE { ?s ?p ?o }", 10, 5, true},
-		{"SELECT * WHERE { ?s ?p ?o }\nLIMIT 10\nOFFSET 0\n", "SELECT * WHERE { ?s ?p ?o }", 10, 0, true},
-		{"SELECT * WHERE { ?s ?p ?o } ORDER BY ?s LIMIT 3", "SELECT * WHERE { ?s ?p ?o } ORDER BY ?s", 3, 0, true},
-		// Pathologies that must fall back rather than mis-strip.
-		{"SELECT * WHERE { ?s ?p ?o } LIMIT 1 LIMIT 2", "", 0, 0, false},
-		{"SELECT * WHERE { ?s ?p 10 }", "", 0, 0, false},
-		{"SELECT * WHERE { ?s ?p ?o } LIMIT10", "", 0, 0, false},
-		{"SELECT * WHERE { ?s ?p ?o } LIMIT -1", "", 0, 0, false},
-	}
-	for _, tc := range cases {
-		stripped, limit, offset, ok := stripPagination(tc.src)
-		if ok != tc.ok {
-			t.Errorf("%q: ok = %v, want %v", tc.src, ok, tc.ok)
-			continue
-		}
-		if !ok {
-			continue
-		}
-		if stripped != tc.stripped || limit != tc.limit || offset != tc.offset {
-			t.Errorf("%q: got (%q, %d, %d), want (%q, %d, %d)",
-				tc.src, stripped, limit, offset, tc.stripped, tc.limit, tc.offset)
-		}
-	}
-}
-
 // TestQueryServingMatchesUncached runs a spread of query shapes through a
 // cached engine twice (miss then hit) and an uncached engine, asserting
 // byte-identical SPARQL JSON across all three answers.
@@ -172,6 +135,42 @@ func TestQueryServingPageSharing(t *testing.T) {
 	}
 	if stats.Results.Hits != 4 {
 		t.Fatalf("result hits = %d, want 4", stats.Results.Hits)
+	}
+}
+
+// TestPageSweepSpellingsEvaluateOnce: the page window is the parser's, so
+// a sweep whose clauses carry comments after or between them, or are
+// written in lowercase, still costs one evaluation, and every page matches
+// direct evaluation.
+func TestPageSweepSpellingsEvaluateOnce(t *testing.T) {
+	st := cacheTestStore(t)
+	plain := NewEngine(st)
+	const base = `SELECT * WHERE { ?s <http://ex/p> ?o }`
+	for name, spelling := range map[string]string{
+		"comment after":   "%s LIMIT %d OFFSET %d # page",
+		"comment between": "%s LIMIT %d # page size\nOFFSET %d",
+		"comment before":  "%s # the frame\nLIMIT %d OFFSET %d",
+		"lowercase":       "%s limit %d offset %d",
+	} {
+		eng := NewEngine(st)
+		eng.EnableCache(DefaultPlanCacheEntries, DefaultResultCacheRows)
+		for off := 0; off < 30; off += 7 {
+			page := fmt.Sprintf(spelling, base, 7, off)
+			resp, err := eng.Do(context.Background(), Request{Query: page, Serving: true})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			want, err := runQuery(plain, page)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(mustJSON(t, resp.Results), mustJSON(t, want)) {
+				t.Fatalf("%s: page at offset %d differs from direct evaluation", name, off)
+			}
+		}
+		if n := eng.Evaluations(); n != 1 {
+			t.Errorf("%s: the sweep evaluated %d times, want 1", name, n)
+		}
 	}
 }
 
@@ -340,28 +339,5 @@ func TestQueryServingResultBudgetRejectsOversized(t *testing.T) {
 		t.Fatal(err)
 	} else if !resp.Info.Hit {
 		t.Fatal("small result not cached")
-	}
-}
-
-// TestEncodedPageMemoChargedToBudget asserts the serialized-page memo
-// cannot amplify an entry's memory beyond the cache budget: every
-// memoized byte is re-charged (at resultRowCostBytes per row unit), and
-// an entry that outgrows the whole budget is dropped rather than kept
-// under-accounted.
-func TestEncodedPageMemoChargedToBudget(t *testing.T) {
-	st := cacheTestStore(t)
-	eng := NewEngine(st)
-	// Budget of 40 row units = ~10 KB equivalent. The 30-row result fits,
-	// but its encodings (~100 B/row) slowly consume the rest.
-	eng.EnableCache(64, 40)
-	base := `SELECT * WHERE { ?s ?p ?o }`
-	for off := 0; off < 30; off++ {
-		q := fmt.Sprintf("%s LIMIT 2 OFFSET %d", base, off)
-		if _, err := eng.Do(context.Background(), Request{Query: q, Serving: true, JSON: true}); err != nil {
-			t.Fatal(err)
-		}
-		if cost := eng.CacheStats().Results.Cost; cost > 40 {
-			t.Fatalf("cache cost %d exceeds budget 40 after window %d", cost, off)
-		}
 	}
 }

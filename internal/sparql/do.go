@@ -23,16 +23,11 @@ type Request struct {
 	// request evaluates directly; both paths go through the plan cache when
 	// it is enabled.
 	Serving bool
-	// JSON asks Do for the SPARQL JSON serialization in Response.Body. On
-	// the serving path cached entries answer from their per-window encoding
-	// memo.
+	// JSON asks Do for the SPARQL JSON serialization in Response.Body.
 	JSON bool
 	// MaxRows caps the returned page at this many rows (0 = no cap),
 	// reporting the cut in Response.Truncated.
 	MaxRows int
-	// Trace, when non-nil, records parse/plan/exec spans and annotations
-	// for this request (equivalent to carrying it in the context).
-	Trace *obs.Trace
 }
 
 // Response is the answer to one Request.
@@ -42,8 +37,7 @@ type Response struct {
 	// materializing terms) and on a Stream response (Table reads the page
 	// without decoding it).
 	Results *Results
-	// Body is the SPARQL JSON serialization: of a JSON request through Do
-	// always, of a Stream response once MemoJSON found it in the page memo.
+	// Body is the SPARQL JSON serialization of a JSON request through Do.
 	Body []byte
 	// Rows is the number of rows in the returned page.
 	Rows int
@@ -53,9 +47,7 @@ type Response struct {
 	// version, plan digest).
 	Info ServeInfo
 
-	// The page itself: rows [lo, hi) of entry's compact result. entry.key
-	// is empty when the result is not in the cache.
-	eng    *Engine
+	// The page itself: rows [lo, hi) of entry's compact result.
 	entry  *cachedResult
 	lo, hi int
 	trace  *obs.Trace
@@ -74,9 +66,7 @@ func (e *Engine) Do(ctx context.Context, req Request) (*Response, error) {
 		return resp, nil
 	}
 	defer resp.trace.StartSpan("encode")()
-	if resp.Body = resp.memoized(); resp.Body == nil {
-		resp.Body = resp.entry.res.marshalJSON(resp.lo, resp.hi)
-	}
+	resp.Body = resp.entry.res.marshalJSON(resp.lo, resp.hi)
 	return resp, nil
 }
 
@@ -87,31 +77,29 @@ func (e *Engine) Do(ctx context.Context, req Request) (*Response, error) {
 // the first byte is written, and no store lock is held. Neither Results nor
 // Body is filled: the page stays in the engine's compact form until
 // WriteJSON or WriteTable encodes it in chunks, so a large result is never
-// held as one body. A caller that wants the JSON of a cached page whole, to
-// state its length, asks MemoJSON first.
+// held as one body. A trace carried by ctx records the request's spans and
+// annotations.
 func (e *Engine) Stream(ctx context.Context, req Request) (*Response, error) {
-	if req.Trace != nil && obs.TraceFrom(ctx) == nil {
-		ctx = obs.WithTrace(ctx, req.Trace)
-	}
 	tr := obs.TraceFrom(ctx)
-	resp := &Response{eng: e, trace: tr}
+	resp := &Response{trace: tr}
 	q, qp, err := e.planned(ctx, req.Query)
 	if err != nil {
 		return nil, err
 	}
-	limit, offset := -1, 0
 	if req.Serving {
 		// The digest stays off the in-process path, which has no plan
 		// cache to amortize its hash over.
 		resp.Info.PlanDigest = qp.planDigest()
 		tr.Annotate("plan_digest", resp.Info.PlanDigest)
 	}
+	limit, offset := -1, 0 // an evaluation applies them itself
 	if req.Serving && e.results != nil && !q.Explain {
 		// EXPLAIN output depends on live actual cardinalities; it bypasses
 		// the result cache and dies with the request.
-		if resp.entry, limit, offset, err = e.serve(ctx, req.Query, q, qp, &resp.Info); err != nil {
+		if resp.entry, err = e.serve(ctx, req.Query, q, qp, &resp.Info); err != nil {
 			return nil, err
 		}
+		limit, offset = q.Limit, q.Offset
 	} else {
 		res, version, err := e.evaluate(ctx, tr, req.Query, q, qp)
 		if err != nil {
@@ -129,14 +117,9 @@ func (e *Engine) Stream(ctx context.Context, req Request) (*Response, error) {
 	return resp, nil
 }
 
-// WriteJSON writes the response's page to w as one SPARQL JSON document:
-// Body when it is filled, the page encoded in chunks straight into w
-// otherwise.
+// WriteJSON writes the response's page to w as one SPARQL JSON document,
+// encoded in chunks straight into w.
 func (r *Response) WriteJSON(w io.Writer) error {
-	if r.Body != nil {
-		_, err := w.Write(r.Body)
-		return err
-	}
 	defer r.trace.StartSpan("encode")()
 	return r.entry.res.writeJSON(w, r.lo, r.hi)
 }
@@ -151,36 +134,4 @@ func (r *Response) Table() (vars []string, terms []rdf.Term, cells []uint32) {
 	c := r.entry.res
 	w := len(c.vars)
 	return slices.Clip(c.vars), slices.Clip(c.terms), c.cells[r.lo*w : r.hi*w : r.hi*w]
-}
-
-// MemoJSON returns the page as SPARQL JSON from the cache entry's page
-// memo, adding it first while the memo has room, and keeps it as Body for
-// WriteJSON; nil when the result is not cached or the memo is full. Only a
-// JSON response should ask: a page joins the memo whether or not its JSON is
-// ever read.
-func (r *Response) MemoJSON() []byte {
-	if r.entry.key != "" {
-		defer r.trace.StartSpan("encode")()
-		r.Body = r.memoized()
-	}
-	return r.Body
-}
-
-// memoized returns the page's serialization from the cache entry's page
-// memo, adding it first if the memo has room; nil when the result is not
-// cached or the memo is full.
-func (r *Response) memoized() []byte {
-	if r.entry.key == "" || r.eng.results == nil {
-		return nil
-	}
-	body, grew := r.entry.encodedPage(r.lo, r.hi)
-	if grew {
-		// Re-charge the entry for its grown encoding memo so the budget
-		// keeps bounding total memory; an entry that outgrew the whole
-		// budget is dropped rather than sit under-accounted.
-		if !r.eng.storeResult(r.entry) {
-			r.eng.results.Delete(r.entry.key)
-		}
-	}
-	return body
 }

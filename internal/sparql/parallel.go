@@ -145,38 +145,6 @@ func (ev *evaluator) forEachPart(n int, fn func(part int, tk *ticker) error) err
 	return nil
 }
 
-// runParts is forEachPart collecting one partial batch per part, in part
-// order.
-func (ev *evaluator) runParts(n int, run func(part int, tk *ticker) (*idRows, error)) ([]*idRows, error) {
-	parts := make([]*idRows, n)
-	err := ev.forEachPart(n, func(i int, tk *ticker) error {
-		p, err := run(i, tk)
-		parts[i] = p
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return parts, nil
-}
-
-// mergeParts concatenates partial batches (all sharing the same column
-// layout) strictly in part order — the order-preserving combiner that makes
-// parallel output identical to the serial operator's.
-func mergeParts(vars []string, parts []*idRows) *idRows {
-	out := newIDRows(vars)
-	total := 0
-	for _, p := range parts {
-		total += p.n
-	}
-	out.data = make([]store.ID, 0, total*len(vars))
-	for _, p := range parts {
-		out.data = append(out.data, p.data...)
-		out.n += p.n
-	}
-	return out
-}
-
 // rowChunks splits [0, n) row indexes into morsel-sized [lo, hi) ranges
 // (store.ChunkBounds, shared with the scan partitioner).
 func rowChunks(n, morsel int) [][2]int { return store.ChunkBounds(n, morsel) }

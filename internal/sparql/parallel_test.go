@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -177,21 +178,19 @@ func TestParallelTimeout(t *testing.T) {
 // TestMergeParts checks the combiner keeps morsel order.
 func TestMergeParts(t *testing.T) {
 	vars := []string{"a", "b"}
-	mk := func(rows ...store.ID) *idRows {
-		r := newIDRows(vars)
-		for i := 0; i+1 < len(rows); i += 2 {
-			r.appendRow([]store.ID{rows[i], rows[i+1]})
+	mk := func(segs ...[]store.ID) pipePart {
+		p := pipePart{segs: segs}
+		for _, seg := range segs {
+			p.n += len(seg) / len(vars)
 		}
-		return r
+		return p
 	}
-	merged := mergeParts(vars, []*idRows{mk(1, 2, 3, 4), mk(), mk(5, 6)})
+	merged := mergePipeParts(vars, []pipePart{mk([]store.ID{1, 2}, []store.ID{3, 4}), mk(), mk([]store.ID{5, 6})})
 	if merged.n != 3 {
 		t.Fatalf("n = %d, want 3", merged.n)
 	}
 	want := []store.ID{1, 2, 3, 4, 5, 6}
-	for i, id := range want {
-		if merged.data[i] != id {
-			t.Fatalf("data[%d] = %d, want %d", i, merged.data[i], id)
-		}
+	if !slices.Equal(merged.data, want) {
+		t.Fatalf("data = %v, want %v", merged.data, want)
 	}
 }

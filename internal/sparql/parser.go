@@ -2,6 +2,7 @@ package sparql
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"rdfframes/internal/rdf"
@@ -33,6 +34,9 @@ type parser struct {
 	// fresh ".pN" name (the '.' prefix is unlexable in a user variable,
 	// so collisions are impossible).
 	pathVars int
+	// window is where the LIMIT/OFFSET clauses read last begin: the
+	// top-level query's, which end the text (see Query.Window).
+	window int
 }
 
 // peek returns the next token; past the end of the input it keeps
@@ -97,6 +101,7 @@ func (p *parser) parseQuery() (*Query, error) {
 		return nil, err
 	}
 	q.Explain = explain
+	q.Window = p.window
 	return q, nil
 }
 
@@ -228,24 +233,34 @@ func (p *parser) parseModifiers(q *Query) error {
 	return p.parseLimitOffset(q)
 }
 
+// parseLimitOffset reads SPARQL's LimitOffsetClauses: LIMIT and OFFSET,
+// each at most once and in either order, each taking one non-negative
+// integer. It records where the clauses begin (or would) in p.window.
 func (p *parser) parseLimitOffset(q *Query) error {
+	p.window = p.peek().pos
+	var seenLimit, seenOffset bool
 	for {
+		var kw string
+		var n *int
+		var seen *bool
 		switch {
 		case p.keyword("LIMIT"):
-			t := p.next()
-			if t.kind != tokNumber {
-				return p.errf("expected number after LIMIT")
-			}
-			fmt.Sscan(t.text, &q.Limit)
+			kw, n, seen = "LIMIT", &q.Limit, &seenLimit
 		case p.keyword("OFFSET"):
-			t := p.next()
-			if t.kind != tokNumber {
-				return p.errf("expected number after OFFSET")
-			}
-			fmt.Sscan(t.text, &q.Offset)
+			kw, n, seen = "OFFSET", &q.Offset, &seenOffset
 		default:
 			return nil
 		}
+		if *seen {
+			return p.errf("%s given twice", kw)
+		}
+		*seen = true
+		t := p.next()
+		v, err := strconv.Atoi(t.text)
+		if t.kind != tokNumber || err != nil {
+			return p.errf("expected an integer after %s, got %q", kw, t.text)
+		}
+		*n = v
 	}
 }
 

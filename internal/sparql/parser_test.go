@@ -2,6 +2,7 @@ package sparql
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -218,6 +219,13 @@ func TestParseErrors(t *testing.T) {
 		`SELECT * WHERE { ?s ?p ?o } GROUP BY`,
 		`SELECT * WHERE { FILTER }`,
 		`SELECT * WHERE { ?s ?p ?o } LIMIT abc`,
+		`SELECT * WHERE { ?s ?p ?o } LIMIT 1.5`,
+		`SELECT * WHERE { ?s ?p ?o } LIMIT 99999999999999999999`,
+		`SELECT * WHERE { ?s ?p ?o } LIMIT 1 LIMIT 2`,
+		`SELECT * WHERE { ?s ?p ?o } OFFSET 1 LIMIT 2 OFFSET 3`,
+		`SELECT * WHERE { ?s ?p ?o } LIMIT10`,
+		`SELECT * WHERE { ?s ?p ?o } LIMIT -1`,
+		`SELECT * WHERE { ?s ?p ?o } LIMIT`,
 		`SELECT * WHERE { ?s ?p ?o } trailing`,
 		`SELECT (COUNT(?x) AS) WHERE { ?s ?p ?o }`,
 		`SELECT (SUM(*) AS ?x) WHERE { ?s ?p ?o }`,
@@ -225,6 +233,39 @@ func TestParseErrors(t *testing.T) {
 	for _, src := range bad {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("Parse(%q) accepted invalid input", src)
+		}
+	}
+}
+
+// TestParseMarksPageWindow: the parser records where the top-level
+// LIMIT/OFFSET clauses begin, and the text before that offset is the query
+// without them, whatever the spelling around the clauses.
+func TestParseMarksPageWindow(t *testing.T) {
+	const base = "SELECT * WHERE { ?s ?p ?o }"
+	cases := []struct {
+		src, before   string
+		limit, offset int
+	}{
+		{base, base, -1, 0},
+		{base + " LIMIT 10", base, 10, 0},
+		{base + " OFFSET 5", base, -1, 5},
+		{base + " LIMIT 10 OFFSET 5", base, 10, 5},
+		{base + " OFFSET 5 LIMIT 10", base, 10, 5},
+		{base + "\nLIMIT 10\nOFFSET 0\n", base, 10, 0},
+		{base + " limit 10 offset 5", base, 10, 5},
+		{base + " LIMIT 10 # page one", base, 10, 0},
+		{base + " LIMIT 10 # page size\nOFFSET 5", base, 10, 5},
+		{base + " # the frame\nLIMIT 10", base + " # the frame", 10, 0},
+		{"SELECT * WHERE { ?s ?p 10 }", "SELECT * WHERE { ?s ?p 10 }", -1, 0},
+		{base + " ORDER BY ?s LIMIT 3", base + " ORDER BY ?s", 3, 0},
+		{"SELECT * WHERE { { SELECT ?s WHERE { ?s ?p ?o } LIMIT 2 } }", "SELECT * WHERE { { SELECT ?s WHERE { ?s ?p ?o } LIMIT 2 } }", -1, 0},
+		{"SELECT * WHERE { { SELECT ?s WHERE { ?s ?p ?o } LIMIT 2 } } OFFSET 1", "SELECT * WHERE { { SELECT ?s WHERE { ?s ?p ?o } LIMIT 2 } }", -1, 1},
+	}
+	for _, tc := range cases {
+		q := mustParse(t, tc.src)
+		if before := strings.TrimRight(tc.src[:q.Window], " \t\r\n"); before != tc.before || q.Limit != tc.limit || q.Offset != tc.offset {
+			t.Errorf("%q: got (%q, %d, %d), want (%q, %d, %d)",
+				tc.src, before, q.Limit, q.Offset, tc.before, tc.limit, tc.offset)
 		}
 	}
 }
@@ -279,18 +320,31 @@ WHERE
 
 // FuzzParse feeds arbitrary text to both parsers, which must answer with a
 // query, an update or an error and never panic. Every text that parses as a
-// query is also evaluated, through Do on a ten-triple store under a 50 ms
-// deadline: an error or a timeout is an answer, a panic is not. The seed
-// corpus holds the queries of the parser tests and the examples of
-// docs/query-reference.md.
+// query must parse, cut at its page window, to the same query without
+// LIMIT/OFFSET (the result cache keys a page on that text), and is also
+// evaluated, through Do on a ten-triple store under a 50 ms deadline: an
+// error or a timeout is an answer, a panic is not. The seed corpus holds the
+// queries of the parser tests, the examples of docs/query-reference.md and
+// LIMIT/OFFSET spellings (window-*: lowercase, comments around the clauses,
+// a subquery's own LIMIT).
 func FuzzParse(f *testing.F) {
 	f.Add(`SELECT * WHERE { ?s ?p ?o }`)
 	eng := NewEngine(fuzzParseStore(f))
 	eng.SetTimeout(50 * time.Millisecond)
 	f.Fuzz(func(t *testing.T, src string) {
 		_, _ = ParseUpdate(src)
-		if _, err := Parse(src); err != nil {
+		q, err := Parse(src)
+		if err != nil {
 			return
+		}
+		unpaged, err := Parse(src[:q.Window])
+		if err != nil {
+			t.Fatalf("%q cut at its window %d does not parse: %v", src, q.Window, err)
+		}
+		want := *q
+		want.Limit, want.Offset = -1, 0
+		if !reflect.DeepEqual(unpaged, &want) {
+			t.Fatalf("%q cut at its window %d parses to\n%+v\nwant\n%+v", src, q.Window, unpaged, &want)
 		}
 		_, _ = eng.Do(context.Background(), Request{Query: src})
 	})

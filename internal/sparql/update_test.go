@@ -259,7 +259,7 @@ func TestResultCacheDropsSupersededVersions(t *testing.T) {
 		}
 		wantCost := int64(0)
 		for _, q := range queries[:1+cycle%len(queries)] {
-			for page := 0; page < 2; page++ { // the second read hits, and memoizes its page
+			for page := 0; page < 2; page++ { // the second read hits
 				resp, err := e.Do(ctx, Request{Query: q, Serving: true, JSON: true})
 				if err != nil {
 					t.Fatal(err)
@@ -407,7 +407,7 @@ func TestDoTracesEveryPath(t *testing.T) {
 	q := `SELECT ?m ?c WHERE { ?m <http://ex/starring> ?a . ?a <http://ex/birthPlace> ?c }`
 	for _, serving := range []bool{false, true} {
 		tr := obs.NewTrace("t")
-		if _, err := e.Do(context.Background(), Request{Query: q, Serving: serving, Trace: tr}); err != nil {
+		if _, err := e.Do(obs.WithTrace(context.Background(), tr), Request{Query: q, Serving: serving}); err != nil {
 			t.Fatal(err)
 		}
 		spans := map[string]bool{}

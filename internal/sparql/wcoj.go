@@ -197,13 +197,13 @@ func (w *wcojSeg) runAt(g *store.Graph, pi, k int, asg []store.ID) store.Run {
 
 // wcojWalker enumerates one (sub)tree of the trie: the recursive level
 // walk with its per-level iterator scratch, assignment prefix, output
-// batch, and local counters. Parallel parts each own a walker; their
+// writer, and local counters. Each pool goroutine owns a walker; their
 // counters merge serially after the pool drains.
 type wcojWalker struct {
 	seg    *wcojSeg
 	g      *store.Graph
 	tk     *ticker
-	out    *idRows
+	out    partWriter
 	asg    []store.ID
 	counts []int64 // assignments enumerated per level
 	seeks  uint64
@@ -211,10 +211,10 @@ type wcojWalker struct {
 	its    [][]store.RunIterator
 }
 
-func newWCOJWalker(seg *wcojSeg, g *store.Graph, tk *ticker, out *idRows) *wcojWalker {
+func newWCOJWalker(seg *wcojSeg, g *store.Graph, tk *ticker) *wcojWalker {
 	nv := len(seg.varOrder)
 	w := &wcojWalker{
-		seg: seg, g: g, tk: tk, out: out,
+		seg: seg, g: g, tk: tk, out: partWriter{width: nv},
 		asg:    make([]store.ID, nv),
 		counts: make([]int64, nv),
 		its:    make([][]store.RunIterator, nv),
@@ -304,7 +304,7 @@ func (w *wcojWalker) walk(level int) error {
 	n, err := w.forEachAligned(its, func(v store.ID) error {
 		w.asg[level] = v
 		if last {
-			w.out.appendRow(w.asg)
+			copy(w.out.next(), w.asg)
 			return nil
 		}
 		return w.walk(level + 1)
@@ -337,7 +337,7 @@ func (w *wcojWalker) walkSingle(level, pi int) error {
 		}
 		w.asg[level] = v
 		if last {
-			w.out.appendRow(w.asg)
+			copy(w.out.next(), w.asg)
 			continue
 		}
 		if err := w.walk(level + 1); err != nil {
@@ -352,7 +352,7 @@ func (w *wcojWalker) walkSingle(level, pi int) error {
 func (w *wcojWalker) expand(v store.ID) error {
 	w.asg[0] = v
 	if len(w.seg.varOrder) == 1 {
-		w.out.appendRow(w.asg)
+		copy(w.out.next(), w.asg)
 		return nil
 	}
 	return w.walk(1)
@@ -378,11 +378,10 @@ func (w *wcojWalker) intersect0() ([]store.ID, error) {
 // elimination order (joins and projection downstream are by name, and the
 // top-level canonical ordering erases column-order differences). The
 // outermost level is materialized and, on the worker pool, range-
-// partitioned; partial batches merge in value order, so output is
-// byte-identical at every parallelism setting.
+// partitioned; each pool goroutine's walker writes its parts, which merge
+// in value order, so output is byte-identical at every parallelism setting.
 func (ev *evaluator) evalWCOJ(seg *wcojSeg) (*idRows, error) {
 	vars := append([]string(nil), seg.varOrder...)
-	out := newIDRows(vars)
 	g := ev.store.Graph(seg.graph)
 	if g == nil {
 		if ev.track {
@@ -391,50 +390,53 @@ func (ev *evaluator) evalWCOJ(seg *wcojSeg) (*idRows, error) {
 			}
 			seg.node.Record(0)
 		}
-		return out, nil
+		return newIDRows(vars), nil
 	}
 
-	w := newWCOJWalker(seg, g, &ev.tk, out)
+	w := newWCOJWalker(seg, g, &ev.tk)
 	vals, err := w.intersect0()
 	if err != nil {
 		return nil, err
 	}
 	w.counts[0] = int64(len(vals))
 
+	bounds := [][2]int{{0, len(vals)}}
 	if ev.workers > 1 && len(vals) > wcojMorsel {
-		bounds := store.ChunkBounds(len(vals), wcojMorsel)
-		walkers := make([]*wcojWalker, len(bounds))
-		parts, err := ev.runParts(len(bounds), func(p int, tk *ticker) (*idRows, error) {
-			pw := newWCOJWalker(seg, g, tk, newIDRows(vars))
-			walkers[p] = pw
-			for _, v := range vals[bounds[p][0]:bounds[p][1]] {
-				if err := pw.expand(v); err != nil {
-					return nil, err
-				}
-			}
-			return pw.out, nil
-		})
-		if err != nil {
-			return nil, err
+		bounds = store.ChunkBounds(len(vals), wcojMorsel)
+	}
+	// One walker per pool slot; slot 0's is the one that walked the
+	// outermost level, re-pointed at whichever ticker runs the slot.
+	walkers := make([]*wcojWalker, max(ev.workers, 1))
+	walkers[0] = w
+	parts := make([]pipePart, len(bounds))
+	err = ev.forEachPart(len(bounds), func(p int, tk *ticker) error {
+		pw := walkers[tk.slot]
+		if pw == nil {
+			pw = newWCOJWalker(seg, g, tk)
+			walkers[tk.slot] = pw
 		}
-		out = mergeParts(vars, parts)
-		for _, pw := range walkers {
-			if pw == nil {
-				continue
-			}
-			for k := 1; k < len(w.counts); k++ {
-				w.counts[k] += pw.counts[k]
-			}
-			w.seeks += pw.seeks
-			w.backs += pw.backs
-		}
-	} else {
-		for _, v := range vals {
-			if err := w.expand(v); err != nil {
-				return nil, err
+		pw.tk = tk
+		for _, v := range vals[bounds[p][0]:bounds[p][1]] {
+			if err := pw.expand(v); err != nil {
+				return err
 			}
 		}
-		out = w.out
+		parts[p] = pw.out.take()
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := mergePipeParts(vars, parts)
+	for _, pw := range walkers[1:] {
+		if pw == nil {
+			continue
+		}
+		for k := 1; k < len(w.counts); k++ {
+			w.counts[k] += pw.counts[k]
+		}
+		w.seeks += pw.seeks
+		w.backs += pw.backs
 	}
 
 	if ev.ctr != nil {

@@ -51,7 +51,7 @@ type Stats struct {
 const statsEpochMinGrowth = 64
 
 // Stats returns the current statistics snapshot. Rebuilds are cheap —
-// O(total distinct predicates) — and memoized per store version, so hot
+// O(total distinct predicates) — and cached per store version, so hot
 // callers (the query planner) usually get the cached pointer back. Callers
 // must not mutate the result. Stats must not be called while holding the
 // store's read lock (it may take it itself).
