@@ -1,12 +1,14 @@
 package rdfframes
 
 import (
+	"fmt"
 	"sort"
 	"strconv"
 	"strings"
 
 	"rdfframes/internal/core"
 	"rdfframes/internal/rdf"
+	"rdfframes/internal/sparql"
 )
 
 // parseConds renders the paper-style condition map into SPARQL boolean
@@ -83,20 +85,35 @@ func renderCondition(g *KnowledgeGraph, col, cond string) (string, error) {
 }
 
 // renderValue renders a condition operand: a number, quoted string, year
-// (bare 4-digit numbers compare numerically), prefixed name, or IRI.
+// (bare 4-digit numbers compare numerically), prefixed name, or IRI. An
+// operand that cannot be written as one SPARQL term is an error here rather
+// than a query that fails to parse.
 func renderValue(g *KnowledgeGraph, raw string) (string, error) {
 	v := strings.TrimSpace(raw)
 	if v == "" {
 		return "", &FrameError{Op: "filter", Msg: "missing comparison value"}
 	}
 	if strings.HasPrefix(v, `"`) {
-		return v, nil // quoted literal, already SPARQL syntax
+		// A quoted literal in SPARQL syntax: it must be one term, and is
+		// written out again as the term it reads as.
+		e, err := sparql.ParseExpression(v, g.prefixes)
+		lit, term := e.(sparql.ExTerm)
+		if err != nil || !term {
+			return "", &FrameError{Op: "filter", Msg: "invalid literal " + v}
+		}
+		return lit.Term.String(), nil
 	}
 	if _, err := strconv.ParseFloat(v, 64); err == nil {
+		if !isDecimal(v) {
+			return "", &FrameError{Op: "filter", Msg: "unsupported numeric literal " + v}
+		}
 		return v, nil // bare numeric literal
 	}
 	if strings.Contains(v, ":") || strings.HasPrefix(v, "<") {
 		iri, err := g.prefixes.Expand(v)
+		if err == nil && strings.ContainsFunc(iri, func(r rune) bool { return r <= ' ' || strings.ContainsRune("<>\"{}|^`\\", r) }) {
+			err = fmt.Errorf("IRI %q holds a character an IRI cannot", iri)
+		}
 		if err != nil {
 			return "", &FrameError{Op: "filter", Msg: err.Error()}
 		}
@@ -106,7 +123,16 @@ func renderValue(g *KnowledgeGraph, raw string) (string, error) {
 	return rdf.NewLiteral(v).String(), nil
 }
 
-// splitTopLevel splits a comma-separated list, respecting quotes.
+// isDecimal reports whether v is a number as SPARQL text writes it: an
+// optional minus, digits, and optionally a point and more digits.
+func isDecimal(v string) bool {
+	whole, frac, point := strings.Cut(strings.TrimPrefix(v, "-"), ".")
+	digits := func(s string) bool { return s != "" && strings.Trim(s, "0123456789") == "" }
+	return digits(whole) && (!point || digits(frac))
+}
+
+// splitTopLevel splits a comma-separated list, respecting quoted strings and
+// the backslash escapes inside them.
 func splitTopLevel(s string) []string {
 	var out []string
 	depth := 0
@@ -114,6 +140,10 @@ func splitTopLevel(s string) []string {
 	start := 0
 	for i := 0; i < len(s); i++ {
 		switch s[i] {
+		case '\\':
+			if inStr {
+				i++
+			}
 		case '"':
 			inStr = !inStr
 		case '(':

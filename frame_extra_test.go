@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rdfframes/internal/rdf"
+	"rdfframes/internal/sparql"
 	"rdfframes/internal/store"
 )
 
@@ -198,5 +199,35 @@ func TestMultipleAggregationsOnOneGroup(t *testing.T) {
 	}
 	if total != 14 {
 		t.Fatalf("sum of sums = %d, want 14", total)
+	}
+}
+
+// TestJoinRenameSkipsLiteralsAndIRIs: a join that renames a column rewrites
+// the column's variables, in either spelling, and leaves the same text
+// inside string literals and IRIs alone; a '<' between variables stays a
+// comparison. Both generators agree.
+func TestJoinRenameSkipsLiteralsAndIRIs(t *testing.T) {
+	g := dbpediaGraph()
+	titled := g.Seed("movie", "dbpp:title", "title").
+		FilterRaw("title", `?title != "?movie" && ?title != <http://ex/q?movie> && $movie != ?title && ?movie < ?title`)
+	f := titled.JoinOn(g.Seed("film", "dbpp:starring", "actor"), "movie", "film", InnerJoin, "m")
+	for name, render := range map[string]func() (string, error){"ToSPARQL": f.ToSPARQL, "ToNaiveSPARQL": f.ToNaiveSPARQL} {
+		q, err := render()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, want := range []string{`"?movie"`, `<http://ex/q?movie>`, `$m != ?title`, `?m < ?title`} {
+			if !strings.Contains(q, want) {
+				t.Errorf("%s: missing %s in\n%s", name, want, q)
+			}
+		}
+		for _, bad := range []string{`"?m"`, `<http://ex/q?m>`, `$movie`, `?movie <`} {
+			if strings.Contains(q, bad) {
+				t.Errorf("%s: %s in\n%s", name, bad, q)
+			}
+		}
+		if _, err := sparql.Parse(q); err != nil {
+			t.Errorf("%s: %v\n%s", name, err, q)
+		}
 	}
 }

@@ -245,67 +245,116 @@ func (c *HTTPClient) retryPolicy() RetryPolicy {
 
 // fetch decodes one page into tab, retrying transient failures, and reports
 // whether the endpoint cut the page short.
-func (c *HTTPClient) fetch(query string, tab *sparql.Table) (bool, error) {
+func (c *HTTPClient) fetch(query string, tab *sparql.Table) (truncated bool, err error) {
+	err = c.retry(func(reqID string) (retryInfo, error) {
+		resp, ri, err := c.roundTrip("endpoint", c.Endpoint, url.Values{"query": {query}}, c.UsePost, reqID, acceptResults)
+		if err != nil {
+			return ri, err
+		}
+		defer resp.Body.Close()
+		if err := readResults(resp, tab); err != nil {
+			// Covers malformed bodies and bodies cut mid-stream by a dropped
+			// connection: the table drops the rows the failed decode
+			// appended, and the next attempt re-fetches the whole chunk. A
+			// page that changed the columns would change them again.
+			ri.retryable = !errors.Is(err, sparql.ErrColumnsChanged)
+			return ri, fmt.Errorf("client: decoding results: %w", err)
+		}
+		truncated = resp.Header.Get("X-Truncated") == "true"
+		return ri, nil
+	})
+	return truncated, err
+}
+
+// retry runs attempt until it succeeds, fails for good, or the retry policy
+// runs out of attempts, waiting the policy's backoff — or the endpoint's
+// Retry-After — between attempts. One request id serves all attempts, so
+// they correlate to one line group in the server's logs; the outcome is
+// recorded for LastStats.
+func (c *HTTPClient) retry(attempt func(reqID string) (retryInfo, error)) error {
 	pol := c.retryPolicy()
-	// One request id per chunk, reused across its retries, so all attempts
-	// of this fetch correlate to one line group in the server's logs.
 	rs := RequestStats{RequestID: obs.NewRequestID()}
 	defer func() { c.recordStats(rs) }()
 	var lastErr error
 	var hint time.Duration
-	for attempt := 1; attempt <= pol.MaxAttempts; attempt++ {
-		if attempt > 1 {
-			if err := sleepCtx(c.context(), pol.delay(attempt-1, hint)); err != nil {
+	for n := 1; n <= pol.MaxAttempts; n++ {
+		if n > 1 {
+			if err := sleepCtx(c.context(), pol.delay(n-1, hint)); err != nil {
 				// The caller abandoned the work mid-backoff.
-				return false, err
+				return err
 			}
 		}
 		if err := c.context().Err(); err != nil {
 			// The caller abandoned the work; retrying cannot succeed.
-			return false, err
+			return err
 		}
-		rs.Attempts = attempt
-		truncated, ri, err := c.fetchOnce(query, rs.RequestID, tab)
+		rs.Attempts = n
+		ri, err := attempt(rs.RequestID)
 		rs.Status = ri.status
 		if ri.retryAfter > 0 {
 			rs.RetryAfter = ri.retryAfter
 		}
 		if err == nil {
-			return truncated, nil
+			return nil
 		}
 		lastErr = err
 		if !ri.retryable {
-			return false, err
+			return err
 		}
 		hint = ri.retryAfter
 	}
-	return false, fmt.Errorf("client: giving up after retries: %w", lastErr)
+	return fmt.Errorf("client: giving up after retries: %w", lastErr)
 }
 
-// newRequest builds a request to endpoint carrying params: as a POST form
-// when UsePost is set, in the URL otherwise. It asks for gzip itself, so
-// that the response is decompressed by openBody with a recycled reader
-// rather than by the transport with a new one.
-func (c *HTTPClient) newRequest(endpoint string, params url.Values) (*http.Request, error) {
+// roundTrip sends one request to endpoint carrying params, with reqID as
+// its X-Request-ID, and returns the response of a 200. The request is a
+// POST form when post is set, a GET with params in the URL otherwise; it
+// asks for gzip itself, so that the response is decompressed by openBody
+// with a recycled reader rather than by the transport with a new one.
+// header, when set, adds the request's own headers. A transport error or
+// a non-200 comes back as an error, with whether it is worth retrying and
+// the endpoint's Retry-After.
+func (c *HTTPClient) roundTrip(what, endpoint string, params url.Values, post bool, reqID string, header func(http.Header)) (*http.Response, retryInfo, error) {
 	method, target, body := http.MethodGet, endpoint+"?"+params.Encode(), io.Reader(nil)
-	if c.UsePost {
+	if post {
 		method, target, body = http.MethodPost, endpoint, strings.NewReader(params.Encode())
 	}
 	req, err := http.NewRequestWithContext(c.context(), method, target, body)
 	if err != nil {
-		return nil, err
+		return nil, retryInfo{}, err
 	}
-	if c.UsePost {
+	if post {
 		req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
 	}
 	req.Header.Set("Accept-Encoding", "gzip")
-	return req, nil
+	req.Header.Set("X-Request-ID", reqID)
+	if header != nil {
+		header(req.Header)
+	}
+	resp, err := c.httpClient().Do(req)
+	if err != nil {
+		// A cancelled context is the caller's decision, not a transient
+		// endpoint failure.
+		return nil, retryInfo{retryable: c.context().Err() == nil}, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		resp.Body.Close()
+		// 5xx is transient; so is 429 — an admission-controlled endpoint
+		// shedding load expects the client back after its Retry-After.
+		retryable := resp.StatusCode >= 500 || resp.StatusCode == http.StatusTooManyRequests
+		return nil, retryInfo{retryable: retryable, retryAfter: retryAfterHint(resp), status: resp.StatusCode},
+			fmt.Errorf("client: %s returned %s: %s", what, resp.Status, strings.TrimSpace(string(msg)))
+	}
+	return resp, retryInfo{status: resp.StatusCode}, nil
 }
 
-// resultsAccept is the Accept header of a results request: the table body
-// (sparql.TableMediaType) from an endpoint that speaks it, SPARQL-JSON
+// acceptResults sets the Accept header of a results request: the table
+// body (sparql.TableMediaType) from an endpoint that speaks it, SPARQL-JSON
 // from any other.
-const resultsAccept = sparql.TableMediaType + ", application/sparql-results+json;q=0.9"
+func acceptResults(h http.Header) {
+	h.Set("Accept", sparql.TableMediaType+", application/sparql-results+json;q=0.9")
+}
 
 // gzipReaders recycles gzip readers across responses: a new one costs
 // 44 KiB in 9 allocations, a reset one 4 KiB in 4.
@@ -330,6 +379,16 @@ func closeBody(body io.Reader) {
 	}
 }
 
+// readJSON decodes resp's JSON body into v.
+func readJSON(resp *http.Response, v any) error {
+	body, err := openBody(resp)
+	defer closeBody(body)
+	if err != nil {
+		return err
+	}
+	return json.NewDecoder(body).Decode(v)
+}
+
 // readResults decodes a results response into tab, choosing the decoder by
 // the response's Content-Type: a table body, or SPARQL-JSON.
 func readResults(resp *http.Response, tab *sparql.Table) error {
@@ -344,85 +403,21 @@ func readResults(resp *http.Response, tab *sparql.Table) error {
 	return tab.ReadJSON(body)
 }
 
-func (c *HTTPClient) fetchOnce(query, reqID string, tab *sparql.Table) (truncated bool, ri retryInfo, err error) {
-	req, err := c.newRequest(c.Endpoint, url.Values{"query": {query}})
-	if err != nil {
-		return false, retryInfo{}, err
-	}
-	req.Header.Set("X-Request-ID", reqID)
-	req.Header.Set("Accept", resultsAccept)
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		// A cancelled context is the caller's decision, not a transient
-		// endpoint failure.
-		return false, retryInfo{retryable: c.context().Err() == nil}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		err := fmt.Errorf("client: endpoint returned %s: %s", resp.Status, strings.TrimSpace(string(body)))
-		// 5xx is transient; so is 429 — an admission-controlled endpoint
-		// shedding load expects the client back after its Retry-After.
-		retryable := resp.StatusCode >= 500 || resp.StatusCode == http.StatusTooManyRequests
-		return false, retryInfo{retryable: retryable, retryAfter: retryAfterHint(resp), status: resp.StatusCode}, err
-	}
-	ri.status = resp.StatusCode
-	if err := readResults(resp, tab); err != nil {
-		// Covers malformed bodies and bodies cut mid-stream by a dropped
-		// connection: the table drops the rows the failed decode appended,
-		// and the next attempt re-fetches the whole chunk. A page that
-		// changed the columns would change them again.
-		retryable := !errors.Is(err, sparql.ErrColumnsChanged)
-		return false, retryInfo{retryable: retryable, status: resp.StatusCode}, fmt.Errorf("client: decoding results: %w", err)
-	}
-	return resp.Header.Get("X-Truncated") == "true", ri, nil
-}
-
 // Explain asks the endpoint for the query's optimized execution plan
 // (?explain=1): the plan tree with estimated vs actual cardinalities, as
 // produced by the engine's cost-based planner. The query is executed once
 // on the server to record actual cardinalities; results are not returned.
 func (c *HTTPClient) Explain(query string) (*sparql.ExplainReport, error) {
-	resp, err := c.call(c.Endpoint, url.Values{"query": {query}, "explain": {"1"}}, "", "explain")
+	resp, _, err := c.roundTrip("explain", c.Endpoint, url.Values{"query": {query}, "explain": {"1"}}, c.UsePost, obs.NewRequestID(), nil)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	body, err := openBody(resp)
-	defer closeBody(body)
 	var rep sparql.ExplainReport
-	if err == nil {
-		err = json.NewDecoder(body).Decode(&rep)
-	}
-	if err != nil {
+	if err := readJSON(resp, &rep); err != nil {
 		return nil, fmt.Errorf("client: decoding explain report: %w", err)
 	}
 	return &rep, nil
-}
-
-// call sends one request of a kind that is not retried (Explain, Export,
-// Features) to endpoint, with params, a new X-Request-ID and accept as its
-// Accept header when not empty. It returns the response of a 200, and the
-// endpoint's answer to what otherwise.
-func (c *HTTPClient) call(endpoint string, params url.Values, accept, what string) (*http.Response, error) {
-	req, err := c.newRequest(endpoint, params)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("X-Request-ID", obs.NewRequestID())
-	if accept != "" {
-		req.Header.Set("Accept", accept)
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		resp.Body.Close()
-		return nil, fmt.Errorf("client: %s returned %s: %s", what, resp.Status, strings.TrimSpace(string(body)))
-	}
-	return resp, nil
 }
 
 // paginate wraps a query as a subquery with LIMIT/OFFSET, hoisting PREFIX

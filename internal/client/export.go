@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"rdfframes/internal/dataframe"
+	"rdfframes/internal/obs"
 	"rdfframes/internal/sparql"
 )
 
@@ -40,7 +41,7 @@ func (c *HTTPClient) routeEndpoint(explicit, route string) string {
 // mid-stream: a connection cut after the first byte surfaces as an error
 // with partial output in w.
 func (c *HTTPClient) Export(query string, w io.Writer) (int64, error) {
-	resp, err := c.call(c.routeEndpoint(c.ExportURL, "/v1/export"), url.Values{"query": {query}}, "", "export")
+	resp, _, err := c.roundTrip("export", c.routeEndpoint(c.ExportURL, "/v1/export"), url.Values{"query": {query}}, c.UsePost, obs.NewRequestID(), nil)
 	if err != nil {
 		return 0, err
 	}
@@ -67,7 +68,7 @@ func (c *HTTPClient) Features(query, nodeVar string, hopCap int) (*sparql.Result
 	if hopCap != 0 {
 		params.Set("cap", strconv.Itoa(hopCap))
 	}
-	resp, err := c.call(c.routeEndpoint(c.FeaturesURL, "/v1/features"), params, resultsAccept, "features")
+	resp, _, err := c.roundTrip("features", c.routeEndpoint(c.FeaturesURL, "/v1/features"), params, c.UsePost, obs.NewRequestID(), acceptResults)
 	if err != nil {
 		return nil, err
 	}

@@ -86,9 +86,9 @@ func (p RetryPolicy) delay(retryNum int, retryAfter time.Duration) time.Duration
 	return d
 }
 
-// retryInfo is fetchOnce's verdict on one attempt: whether a failure is
-// worth retrying, how long the server asked us to wait, and the HTTP
-// status observed (0 = transport error before any response).
+// retryInfo is the verdict on one attempt: whether a failure is worth
+// retrying, how long the server asked us to wait, and the HTTP status
+// observed (0 = transport error before any response).
 type retryInfo struct {
 	retryable  bool
 	retryAfter time.Duration

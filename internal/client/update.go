@@ -1,12 +1,9 @@
 package client
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
-	"strings"
 
 	"rdfframes/internal/obs"
 	"rdfframes/internal/sparql"
@@ -31,68 +28,28 @@ func (c *HTTPClient) updateEndpoint() string {
 // post-batch store version, the WAL sequence number, and whether the
 // request deduplicated against an earlier delivery of the same call.
 func (c *HTTPClient) Update(update string) (*sparql.UpdateResult, error) {
-	pol := c.retryPolicy()
 	// One idempotency token per logical update, reused across retries: the
 	// server applies the batch at most once no matter how many attempts
 	// reach it.
-	rs := RequestStats{RequestID: obs.NewRequestID()}
 	token := obs.NewRequestID()
-	defer func() { c.recordStats(rs) }()
-	var lastErr error
-	var hint = rs.RetryAfter
-	for attempt := 1; attempt <= pol.MaxAttempts; attempt++ {
-		if attempt > 1 {
-			if err := sleepCtx(c.context(), pol.delay(attempt-1, hint)); err != nil {
-				return nil, err
-			}
+	var res *sparql.UpdateResult
+	err := c.retry(func(reqID string) (retryInfo, error) {
+		resp, ri, err := c.roundTrip("update", c.updateEndpoint(), url.Values{"update": {update}}, true, reqID,
+			func(h http.Header) { h.Set("X-Idempotency-Key", token) })
+		if err != nil {
+			return ri, err
 		}
-		if err := c.context().Err(); err != nil {
-			return nil, err
+		defer resp.Body.Close()
+		if err := readJSON(resp, &res); err != nil {
+			// The request may have been applied; the retry reuses the
+			// token, so re-sending is safe either way.
+			ri.retryable = true
+			return ri, fmt.Errorf("client: decoding update result: %w", err)
 		}
-		rs.Attempts = attempt
-		res, ri, err := c.updateOnce(update, rs.RequestID, token)
-		rs.Status = ri.status
-		if ri.retryAfter > 0 {
-			rs.RetryAfter = ri.retryAfter
-		}
-		if err == nil {
-			return res, nil
-		}
-		lastErr = err
-		if !ri.retryable {
-			return nil, err
-		}
-		hint = ri.retryAfter
-	}
-	return nil, fmt.Errorf("client: giving up after retries: %w", lastErr)
-}
-
-func (c *HTTPClient) updateOnce(update, reqID, token string) (*sparql.UpdateResult, retryInfo, error) {
-	form := url.Values{"update": {update}}
-	req, err := http.NewRequestWithContext(c.context(), http.MethodPost,
-		c.updateEndpoint(), strings.NewReader(form.Encode()))
+		return ri, nil
+	})
 	if err != nil {
-		return nil, retryInfo{}, err
+		return nil, err
 	}
-	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
-	req.Header.Set("X-Request-ID", reqID)
-	req.Header.Set("X-Idempotency-Key", token)
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, retryInfo{retryable: c.context().Err() == nil}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		err := fmt.Errorf("client: update returned %s: %s", resp.Status, strings.TrimSpace(string(body)))
-		retryable := resp.StatusCode >= 500 || resp.StatusCode == http.StatusTooManyRequests
-		return nil, retryInfo{retryable: retryable, retryAfter: retryAfterHint(resp), status: resp.StatusCode}, err
-	}
-	var res sparql.UpdateResult
-	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
-		// The request may have been applied; the retry reuses the token, so
-		// re-sending is safe either way.
-		return nil, retryInfo{retryable: true, status: resp.StatusCode}, fmt.Errorf("client: decoding update result: %w", err)
-	}
-	return &res, retryInfo{status: resp.StatusCode}, nil
+	return res, nil
 }

@@ -1,26 +1,10 @@
 package core
 
 import (
-	"regexp"
 	"strings"
-	"sync"
 
 	"rdfframes/internal/rdf"
 )
-
-// varRefRE caches the compiled \?name\b patterns used to rewrite variable
-// references inside rendered expressions; query generation runs on every
-// Execute, so recompilation is measurable on sub-millisecond queries.
-var varRefRE sync.Map // string -> *regexp.Regexp
-
-func varRef(name string) *regexp.Regexp {
-	if re, ok := varRefRE.Load(name); ok {
-		return re.(*regexp.Regexp)
-	}
-	re := regexp.MustCompile(`\?` + regexp.QuoteMeta(name) + `\b`)
-	varRefRE.Store(name, re)
-	return re
-}
 
 // GraphTriple is a triple pattern tagged with the graph it matches in.
 type GraphTriple struct {
@@ -220,18 +204,17 @@ func (m *QueryModel) renameVar(old, new string) {
 		renameNode(&m.Triples[i].P)
 		renameNode(&m.Triples[i].O)
 	}
-	re := varRef(old)
 	for i := range m.Filters {
 		if m.Filters[i].Col == old {
 			m.Filters[i].Col = new
 		}
-		m.Filters[i].Expr = re.ReplaceAllString(m.Filters[i].Expr, "?"+new)
+		m.Filters[i].Expr = renameText(m.Filters[i].Expr, old, new)
 	}
 	for i := range m.Having {
 		if m.Having[i].Col == old {
 			m.Having[i].Col = new
 		}
-		m.Having[i].Expr = re.ReplaceAllString(m.Having[i].Expr, "?"+new)
+		m.Having[i].Expr = renameText(m.Having[i].Expr, old, new)
 	}
 	renameIn := func(ss []string) {
 		for i, s := range ss {

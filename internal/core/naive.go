@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"regexp"
 	"strings"
 )
 
@@ -110,12 +109,12 @@ func (n *naive) run(ops []Op) error {
 			for _, cond := range o.Conds {
 				pat, bound := n.binder[cond.Col]
 				switch {
-				case bound && varsSubset(cond.Expr, n.bindCol[pat]):
+				case bound && varsWithin(cond.Expr, func(v string) bool { return hasString(n.bindCol[pat], v) }):
 					// Single-column condition: repeat the binding pattern
 					// in its own filtering subquery (Appendix C style).
 					body := pat + "\nFILTER ( " + cond.Expr + " )"
 					n.parts = append(n.parts, subquery(n.bindCol[pat], body))
-				case varsInScope(cond.Expr, n.scope):
+				case varsWithin(cond.Expr, func(v string) bool { return n.scope[v] }):
 					// Multi-column or subquery-produced condition: a bare
 					// filter over the joined result.
 					n.parts = append(n.parts, "FILTER ( "+cond.Expr+" )")
@@ -264,32 +263,6 @@ func (n *naive) renameParts(old, new string) {
 			}
 		}
 	}
-}
-
-func renameText(s, old, new string) string {
-	return varRef(old).ReplaceAllString(s, "?"+new)
-}
-
-var varRE = regexp.MustCompile(`\?([A-Za-z_][A-Za-z0-9_]*)`)
-
-// varsSubset reports whether every ?variable in expr is among cols.
-func varsSubset(expr string, cols []string) bool {
-	for _, m := range varRE.FindAllStringSubmatch(expr, -1) {
-		if !hasString(cols, m[1]) {
-			return false
-		}
-	}
-	return true
-}
-
-// varsInScope reports whether every ?variable in expr is a visible column.
-func varsInScope(expr string, scope map[string]bool) bool {
-	for _, m := range varRE.FindAllStringSubmatch(expr, -1) {
-		if !scope[m[1]] {
-			return false
-		}
-	}
-	return true
 }
 
 func (n *naive) assemble(topLevel bool) string {

@@ -122,10 +122,14 @@ func renderAgg(a AggSpec) string {
 // HAVING cannot reference SELECT aliases (the paper's queries emit
 // HAVING ( COUNT(DISTINCT ?movie) >= 50 )).
 func (tr *translator) substituteAggs(expr string, aggs []AggSpec) string {
-	for _, a := range aggs {
-		expr = varRef(a.New).ReplaceAllString(expr, renderAgg(a))
-	}
-	return expr
+	return replaceVars(expr, func(token string) (string, bool) {
+		for _, a := range aggs {
+			if a.New == token[1:] {
+				return renderAgg(a), true
+			}
+		}
+		return "", false
+	})
 }
 
 func (tr *translator) renderBody(sb *strings.Builder, m *QueryModel, depth int) error {

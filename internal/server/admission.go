@@ -122,18 +122,19 @@ func (s *Server) shed(w http.ResponseWriter, reason, detail string, status int) 
 	s.logf("shed (%s): %s", reason, detail)
 }
 
-// admit runs the gates for one query request. It returns a release
-// function to defer when the request was admitted, or ok=false after
-// having already written the shed response. ctx carries the request trace
-// (if any) into cost estimation, where a cold query pays for its parse
-// and planning.
-func (s *Server) admit(ctx context.Context, w http.ResponseWriter, query string) (release func(), ok bool) {
+// admit runs the gates for one request. It returns a release function to
+// defer when the request was admitted, or ok=false after having already
+// written the shed response. A write skips the cost gate: an update batch
+// is bounded by the body size cap, not by planner estimates. ctx carries
+// the request trace (if any) into cost estimation, where a cold query pays
+// for its parse and planning.
+func (s *Server) admit(ctx context.Context, w http.ResponseWriter, text string, write bool) (release func(), ok bool) {
 	if s.adm.draining.Load() {
 		s.shed(w, ShedDraining, "server is draining for shutdown", http.StatusServiceUnavailable)
 		return nil, false
 	}
-	if s.MaxQueryCost > 0 {
-		est, known, err := s.Engine.EstimateCostContext(ctx, query)
+	if s.MaxQueryCost > 0 && !write {
+		est, known, err := s.Engine.EstimateCostContext(ctx, text)
 		if err != nil {
 			// Unparsable: let the evaluation path report the error with its
 			// usual 400 — admission only answers load questions.
@@ -152,7 +153,7 @@ func (s *Server) admit(ctx context.Context, w http.ResponseWriter, query string)
 		case s.adm.sem <- struct{}{}:
 		default:
 			s.shed(w, ShedCapacity,
-				fmt.Sprintf("server at capacity: %d queries in flight", s.MaxInFlight),
+				fmt.Sprintf("server at capacity: %d requests in flight", s.MaxInFlight),
 				http.StatusTooManyRequests)
 			return nil, false
 		}

@@ -32,14 +32,14 @@ const queryLabelHeader = "X-Query-Label"
 type serverMetrics struct {
 	reg *obs.Registry
 
-	// latency is the overall /sparql latency histogram; byLabel the
+	// latency is the overall data-request latency histogram; byLabel the
 	// per-X-Query-Label histograms (capped, "other" pre-registered).
 	latency *obs.Histogram
 	mu      sync.Mutex
 	byLabel map[string]*obs.Histogram
 
-	// requests counts /sparql responses by status code; codes outside the
-	// precreated set share the "other" counter.
+	// requests counts data-route responses by status code; codes outside
+	// the precreated set share the "other" counter.
 	requests      map[int]*obs.Counter
 	requestsOther *obs.Counter
 
@@ -48,8 +48,8 @@ type serverMetrics struct {
 }
 
 const (
-	latencyHelp = "SPARQL request latency in seconds (status 200 only)."
-	taskHelp    = "SPARQL request latency in seconds by workload query label (X-Query-Label header, status 200 only)."
+	latencyHelp = "Data request (query, export, features, update) latency in seconds (status 200 only)."
+	taskHelp    = "Data request latency in seconds by workload query label (X-Query-Label header, status 200 only)."
 )
 
 // EnableMetrics registers the server's and its engine's metrics on reg and
@@ -67,7 +67,7 @@ func (s *Server) EnableMetrics(reg *obs.Registry) {
 		requests: map[int]*obs.Counter{},
 		traces:   reg.Counter("rdfframes_traces_total", "Requests that ran with an active trace (?trace=1 or slow-log armed)."),
 	}
-	const reqHelp = "SPARQL endpoint responses by HTTP status code (499 = client disconnected before a response)."
+	const reqHelp = "Data route responses by HTTP status code (499 = client disconnected before a response)."
 	for _, code := range []int{200, 400, 404, 405, 413, 429, 499, 500, 503, 504} {
 		m.requests[code] = reg.Counter("rdfframes_http_requests_total", reqHelp, obs.L("code", strconv.Itoa(code)))
 	}
@@ -117,9 +117,6 @@ func (s *Server) SetSlowLog(l *obs.SlowLog) { s.slowLog = l }
 
 // countRequest bumps the per-status-code response counter.
 func (m *serverMetrics) countRequest(code int) {
-	if m == nil {
-		return
-	}
 	if c, ok := m.requests[code]; ok {
 		c.Inc()
 		return
@@ -163,11 +160,12 @@ func sanitizeQueryLabel(label string) string {
 	return label
 }
 
-// observe records one completed /sparql request: status-code counter,
-// latency histograms (successful responses only, so sheds and errors do
-// not drag the latency distribution), and — when over threshold — the
-// slow-query log.
-func (s *Server) observe(r *http.Request, reqID string, tr *obs.Trace, code int, start time.Time, query string, rows int, cacheOutcome, planDigest string, storeVersion uint64, qerr error) {
+// observe records one completed data request, whatever its route and
+// however it ended: status-code counter, latency histograms (successful
+// responses only, so sheds and errors do not drag the latency
+// distribution), and — when over threshold — the slow-query log. text is
+// the request's query or update text.
+func (s *Server) observe(r *http.Request, reqID string, tr *obs.Trace, code int, start time.Time, text string, out outcome) {
 	elapsed := time.Since(start)
 	if m := s.metrics; m != nil {
 		m.countRequest(code)
@@ -185,19 +183,19 @@ func (s *Server) observe(r *http.Request, reqID string, tr *obs.Trace, code int,
 		e := obs.SlowEntry{
 			Time:         time.Now().UTC().Format(time.RFC3339Nano),
 			RequestID:    reqID,
-			Query:        query,
+			Query:        text,
 			Seconds:      elapsed.Seconds(),
 			Status:       code,
-			Rows:         rows,
-			Cache:        cacheOutcome,
-			PlanDigest:   planDigest,
-			StoreVersion: storeVersion,
+			Rows:         out.rows,
+			Cache:        out.cache,
+			PlanDigest:   out.plan,
+			StoreVersion: out.version,
 		}
 		if rep := tr.Report(); rep != nil {
 			e.Spans, e.Annotations = rep.Spans, rep.Annotations
 		}
-		if qerr != nil {
-			e.Error = qerr.Error()
+		if out.err != nil {
+			e.Error = out.err.Error()
 		}
 		s.slowLog.Record(e)
 	}
@@ -223,6 +221,10 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	}
 	return w.ResponseWriter.Write(b)
 }
+
+// Unwrap lets an http.ResponseController reach the connection's writer,
+// so a streamed export can flush.
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 // status returns the response code, mapping "nothing written" to 499 (the
 // de-facto code for client-closed-request).

@@ -557,3 +557,103 @@ func TestJoinAndReuseCountersSurface(t *testing.T) {
 		}
 	}
 }
+
+// TestEveryDataRouteIsObserved: export, features and update requests run
+// the pipeline queries do, so each counts in rdfframes_http_requests_total,
+// observes rdfframes_query_seconds on a 200, and writes a slow-query line
+// under its X-Request-ID; a malformed export format or features cap is
+// answered 400, observed, and never takes an admission slot.
+func TestEveryDataRouteIsObserved(t *testing.T) {
+	ts, srv, _, _, slowBuf := newMetricsServer(t, 0)
+	q := url.QueryEscape(`SELECT ?s WHERE { ?s <http://ex/p> ?o }`)
+	send := func(id, method, target string, form url.Values) int {
+		t.Helper()
+		var body io.Reader
+		if form != nil {
+			body = strings.NewReader(form.Encode())
+		}
+		req, err := http.NewRequest(method, ts.URL+target, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if form != nil {
+			req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+		}
+		req.Header.Set("X-Request-ID", id)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The body ends after the handler returned, and with it its
+		// observation.
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	scrape := func() map[string]float64 {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		samples, _, err := obs.ParseText(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return samples
+	}
+
+	before, admitted := scrape(), srv.AdmissionStats().Admitted
+	for id, target := range map[string]string{
+		"bad-format": "/v1/export?format=arrow&query=" + q,
+		"bad-cap":    "/v1/features?cap=many&query=" + q,
+	} {
+		if code := send(id, http.MethodGet, target, nil); code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", id, code)
+		}
+	}
+	if got := srv.AdmissionStats().Admitted; got != admitted {
+		t.Errorf("malformed parameters took %d admission slots", got-admitted)
+	}
+	for _, c := range []struct {
+		id, method, target string
+		form               url.Values
+	}{
+		{"obs-export", http.MethodGet, "/v1/export?query=" + q, nil},
+		{"obs-features", http.MethodGet, "/v1/features?query=" + q, nil},
+		{"obs-update", http.MethodPost, "/v1/update",
+			url.Values{"update": {`INSERT DATA { GRAPH <http://ex/obs> { <http://ex/a> <http://ex/p> 1 } }`}}},
+	} {
+		if code := send(c.id, c.method, c.target, c.form); code != http.StatusOK {
+			t.Errorf("%s: status %d, want 200", c.id, code)
+		}
+	}
+	after := scrape()
+	for name, want := range map[string]float64{
+		`rdfframes_http_requests_total{code="200"}`: 3,
+		`rdfframes_http_requests_total{code="400"}`: 2,
+		`rdfframes_query_seconds_count`:             3,
+	} {
+		if got := after[name] - before[name]; got != want {
+			t.Errorf("%s moved by %v, want %v", name, got, want)
+		}
+	}
+
+	status := map[string]int{}
+	dec := json.NewDecoder(slowBuf)
+	for dec.More() {
+		var e obs.SlowEntry
+		if err := dec.Decode(&e); err != nil {
+			t.Fatal(err)
+		}
+		status[e.RequestID] = e.Status
+	}
+	for id, want := range map[string]int{
+		"bad-format": 400, "bad-cap": 400, "obs-export": 200, "obs-features": 200, "obs-update": 200,
+	} {
+		if got, ok := status[id]; !ok || got != want {
+			t.Errorf("slow-query line of %s: status %d (present %v), want %d", id, got, ok, want)
+		}
+	}
+}

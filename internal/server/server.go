@@ -1,6 +1,9 @@
 // Package server exposes a SPARQL engine over HTTP following the SPARQL 1.1
-// Protocol: GET/POST /sparql with a "query" parameter, returning results in
-// the SPARQL JSON results format.
+// Protocol: GET/POST /sparql (or /v1/query) with a "query" parameter,
+// answering SPARQL-JSON results or, when the Accept header lists it, the
+// table body (sparql.TableMediaType); POST /v1/update applies SPARQL
+// UPDATE; /v1/export streams a result as CSV and /v1/features answers
+// topology features. The four data routes run one request pipeline (route).
 //
 // Like the endpoints the paper targets, the server truncates each response
 // at a configurable row cap (Virtuoso's ResultSetMaxRows), so clients must
@@ -82,14 +85,15 @@ func New(engine *sparql.Engine) *Server { return &Server{Engine: engine} }
 // /v1/metrics — and the original unversioned paths (/sparql, /stats,
 // /metrics) stay registered as aliases of the same handlers, so existing
 // clients, dashboards, and the CI metrics-scrape contract keep working
-// unchanged.
+// unchanged. The four data routes run the one request pipeline of route.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/query", s.handleQuery)
-	mux.HandleFunc("/sparql", s.handleQuery)
-	mux.HandleFunc("/v1/update", s.handleUpdate)
-	mux.HandleFunc("/v1/export", s.handleExport)
-	mux.HandleFunc("/v1/features", s.handleFeatures)
+	query := &route{s: s, what: "query", answer: s.answerQuery}
+	mux.Handle("/v1/query", query)
+	mux.Handle("/sparql", query)
+	mux.Handle("/v1/update", &route{s: s, what: "update", write: true, answer: s.answerUpdate})
+	mux.Handle("/v1/export", &route{s: s, what: "export", check: checkExport, answer: s.answerExport})
+	mux.Handle("/v1/features", &route{s: s, what: "features", check: checkFeatures, answer: s.answerFeatures})
 	mux.HandleFunc("/v1/stats", s.handleStats)
 	mux.HandleFunc("/stats", s.handleStats)
 	mux.HandleFunc("/health", func(w http.ResponseWriter, r *http.Request) {
@@ -103,29 +107,53 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
+// route is one data route: the request pipeline every data route shares,
+// around the route's own answer.
+type route struct {
+	s *Server
+	// what names the route in logs: query, update, export or features.
+	what string
+	// write marks /v1/update: POST only, its text in the "update" parameter
+	// or an application/sparql-update body, and no cost gate.
+	write bool
+	// check, when set, validates the route's own parameters before the
+	// request is admitted; its error is answered 400.
+	check func(r *http.Request) error
+	// answer writes the response to an admitted request, and reports what
+	// the request did for observation.
+	answer func(w http.ResponseWriter, r *http.Request, text string, tr *obs.Trace) outcome
+}
+
+// outcome is what a route's answer reports of a request for observation:
+// the rows answered, the serving-cache outcome ("write" for an update),
+// the plan digest, the store version the response reflects, and the error
+// that failed the request, evaluation or write.
+type outcome struct {
+	rows    int
+	cache   string
+	plan    string
+	version uint64
+	err     error
+}
+
+// ServeHTTP runs the pipeline: read the request text, set the request id,
+// start a trace when one is wanted, check the route's parameters, admit the
+// request, answer it, and observe it once whichever way it ends — sheds,
+// body errors and disconnects land in the same counters and slow-query log
+// as answers.
+func (rt *route) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	s, start := rt.s, time.Now()
 	sw := &statusWriter{ResponseWriter: w}
 	w = sw
-
-	// Observation state, filled in as the request progresses and flushed by
-	// the single deferred observe call — so every exit path (sheds, body
-	// errors, disconnects) lands in the same counters and slow-query log.
 	var (
-		query string
-		rows  int
-		info  sparql.ServeInfo
-		tr    *obs.Trace
-		qerr  error
-		reqID string
+		text, reqID string
+		tr          *obs.Trace
+		out         outcome
 	)
-	defer func() {
-		s.observe(r, reqID, tr, sw.status(), start, query, rows,
-			info.CacheOutcome(), info.PlanDigest, info.StoreVersion, qerr)
-	}()
+	defer func() { s.observe(r, reqID, tr, sw.status(), start, text, out) }()
 
 	var ok bool
-	if query, ok = s.readQuery(w, r); !ok {
+	if text, ok = s.readText(w, r, rt.write); !ok {
 		return
 	}
 
@@ -133,80 +161,89 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// sent one (X-Request-ID, so client and server logs correlate) and is
 	// minted otherwise; it is echoed on every response. A trace is created
 	// only when the response should carry one (?trace=1) or the slow-query
-	// log is armed — the disabled path costs one header read and a nil
+	// log is armed — the disabled path costs one parameter read and a nil
 	// trace whose recording methods are all no-ops.
-	reqID = requestID(w, r)
-	wantTrace := traceRequested(r)
+	if reqID = r.Header.Get("X-Request-ID"); reqID == "" {
+		reqID = obs.NewRequestID()
+	}
+	w.Header().Set("X-Request-ID", reqID)
+	wantTrace := r.Form.Get("trace") == "1"
 	if wantTrace || s.slowLog.Armed() {
 		tr = obs.NewTrace(reqID)
 		tr.Detail = wantTrace
 		r = r.WithContext(obs.WithTrace(r.Context(), tr))
 	}
+	if rt.check != nil {
+		if err := rt.check(r); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+	}
 
 	// Admission gates: drain, cost budget, in-flight capacity — shed here,
 	// before any evaluation work, with 429/503 + Retry-After (admission.go).
 	endAdmit := tr.StartSpan("admission")
-	release, ok := s.admit(r.Context(), w, query)
+	release, ok := s.admit(r.Context(), w, text, rt.write)
 	endAdmit()
 	if !ok {
 		return
 	}
 	defer release()
 
-	if explainRequested(r) {
-		s.handleExplain(w, r, query, start)
-		return
+	// The request context bounds the answer: a client that disconnects (or
+	// an abandoned benchmark run that cancels its request) stops the work —
+	// including its morsel workers — within one tick window.
+	out = rt.answer(w, r, text, tr)
+	switch {
+	case out.err == nil:
+		s.logf("%s ok: %d rows in %v", rt.what, out.rows, time.Since(start))
+	case sw.code == 0:
+		s.evalFailed(w, rt.what, out.err, start)
+	default:
+		// The status line is gone; all we can do is cut the response.
+		s.logf("%s aborted mid-response after %v: %v", rt.what, time.Since(start), out.err)
 	}
+}
 
-	// The request context bounds the evaluation: a client that disconnects
-	// (or an abandoned benchmark run that cancels its request) stops the
-	// query's work — including its morsel workers — within one tick window
-	// instead of evaluating to completion on a detached goroutine.
+// answerQuery answers /v1/query and /sparql: the plan on ?explain=1,
+// otherwise the page through the serving caches with its cache headers, in
+// the body the request negotiated, or as SPARQL-JSON with the trace annex
+// on ?trace=1. No store lock is held while the page streams out of the
+// engine's compact form.
+func (s *Server) answerQuery(w http.ResponseWriter, r *http.Request, query string, tr *obs.Trace) outcome {
+	if r.Form.Get("explain") == "1" {
+		return s.answerExplain(w, r, query)
+	}
 	resp, err := s.Engine.Stream(r.Context(), sparql.Request{
 		Query:   query,
 		Serving: true,
 		MaxRows: s.MaxRows,
 	})
 	if err != nil {
-		qerr = err
-		s.evalFailed(w, "query", err, start)
-		return
+		return outcome{err: err}
 	}
-	// The request is answered — nothing below can change the status — and
-	// no store lock is held: the page streams out of the engine's compact
-	// form while the client reads.
-	rows, info = resp.Rows, resp.Info
+	info := resp.Info
+	out := outcome{rows: resp.Rows, cache: info.CacheOutcome(), plan: info.PlanDigest, version: info.StoreVersion}
 	w.Header().Set("X-Store-Version", strconv.FormatUint(info.StoreVersion, 10))
 	if info.CacheEnabled {
-		switch {
-		case info.Hit:
-			w.Header().Set("X-Cache", "hit")
-		case info.Coalesced:
-			// Missed the cache but rode another request's in-progress
-			// evaluation of the same key (stampede protection).
-			w.Header().Set("X-Cache", "coalesced")
-		default:
-			w.Header().Set("X-Cache", "miss")
-		}
+		// hit, miss, or coalesced: missed the cache but rode another
+		// request's in-progress evaluation of the same key.
+		w.Header().Set("X-Cache", out.cache)
 	}
 	if resp.Truncated {
 		w.Header().Set("X-Truncated", "true")
 	}
 	write := resp.WriteJSON
 	switch {
-	case wantTrace:
+	case r.Form.Get("trace") == "1":
 		// The trace annex is a JSON member: a traced response is JSON.
 		w.Header().Set("Content-Type", jsonResults)
 		write = func(out io.Writer) error { return writeTraced(out, resp, tr) }
 	case negotiate(w, r) == sparql.TableMediaType:
 		write = resp.WriteTable
 	}
-	if err := s.writeBody(w, r, write); err != nil {
-		s.logf("write error: %v", err)
-		return
-	}
-	s.logf("query ok: %d rows in %v (truncated=%v, cache=%v/%v)",
-		rows, time.Since(start), resp.Truncated, info.CacheEnabled, info.Hit)
+	out.err = s.writeBody(w, r, write)
+	return out
 }
 
 // writeBody sends the response body write produces, gzip-compressed when
@@ -289,41 +326,18 @@ func (h *holdLast) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// explainRequested reports whether the request asked for the query plan
-// (?explain=1 on the URL, or explain=1 in a POST form).
-func explainRequested(r *http.Request) bool {
-	if r.URL.Query().Get("explain") == "1" {
-		return true
-	}
-	return r.PostForm.Get("explain") == "1"
-}
-
-// traceRequested reports whether the request asked for the trace annex
-// (?trace=1 on the URL, or trace=1 in a POST form).
-func traceRequested(r *http.Request) bool {
-	if r.URL.Query().Get("trace") == "1" {
-		return true
-	}
-	return r.PostForm.Get("trace") == "1"
-}
-
-// handleExplain answers ?explain=1: the query is optimized and executed
+// answerExplain answers ?explain=1: the query is optimized and executed
 // once and the plan tree — estimated vs actual cardinalities per operator —
 // is returned as JSON (sparql.ExplainReport). Explain output depends on
 // live execution counters, so it bypasses the serving caches.
-func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, query string, start time.Time) {
+func (s *Server) answerExplain(w http.ResponseWriter, r *http.Request, query string) outcome {
 	rep, err := s.Engine.ExplainContext(r.Context(), query)
 	if err != nil {
-		s.evalFailed(w, "explain", err, start)
-		return
+		return outcome{err: err}
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Store-Version", strconv.FormatUint(rep.StoreVersion, 10))
-	if err := json.NewEncoder(w).Encode(rep); err != nil {
-		s.logf("explain write error: %v", err)
-		return
-	}
-	s.logf("explain ok: %d rows in %v", rep.Rows, time.Since(start))
+	return outcome{rows: rep.Rows, version: rep.StoreVersion, err: json.NewEncoder(w).Encode(rep)}
 }
 
 // gzipWriters recycles gzip writers across responses: serialization is part
@@ -439,15 +453,50 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(out)
 }
 
-// requestID echoes the request's X-Request-ID, minting one when the client
-// sent none, so that client and server logs correlate.
-func requestID(w http.ResponseWriter, r *http.Request) string {
-	id := r.Header.Get("X-Request-ID")
-	if id == "" {
-		id = obs.NewRequestID()
+// readText reads the request's query or update text, and parses its
+// parameters into r.Form for the rest of the pipeline: the "query" (for a
+// write, "update") parameter of a GET URL or a POST form, or a raw
+// application/sparql-query (application/sparql-update) POST body. POST
+// bodies are capped at MaxBodyBytes; a write is POST only. A false return
+// means the rejection has been written.
+func (s *Server) readText(w http.ResponseWriter, r *http.Request, write bool) (string, bool) {
+	param, raw := "query", "application/sparql-query"
+	if write {
+		param, raw = "update", "application/sparql-update"
 	}
-	w.Header().Set("X-Request-ID", id)
-	return id
+	limit := s.MaxBodyBytes
+	if limit <= 0 {
+		limit = defaultMaxBodyBytes
+	}
+	switch {
+	case r.Method == http.MethodPost:
+		r.Body = http.MaxBytesReader(w, r.Body, limit)
+	case r.Method != http.MethodGet || write:
+		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+		return "", false
+	}
+	var text string
+	rawBody := r.Method == http.MethodPost && strings.HasPrefix(r.Header.Get("Content-Type"), raw)
+	if rawBody {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			s.rejectBody(w, err, limit)
+			return "", false
+		}
+		text = string(body)
+	}
+	if err := r.ParseForm(); err != nil {
+		s.rejectBody(w, err, limit)
+		return "", false
+	}
+	if !rawBody {
+		text = r.Form.Get(param)
+	}
+	if text == "" {
+		http.Error(w, "missing "+param, http.StatusBadRequest)
+		return "", false
+	}
+	return text, true
 }
 
 // evalFailed answers a request whose evaluation failed: with nothing when
@@ -457,6 +506,7 @@ func (s *Server) evalFailed(w http.ResponseWriter, what string, err error, start
 		s.logf("%s canceled by client after %v", what, time.Since(start))
 		return
 	}
+	w.Header().Del("Content-Encoding") // the error text is plain
 	status := http.StatusBadRequest
 	if errors.Is(err, sparql.ErrTimeout) {
 		status = http.StatusGatewayTimeout
@@ -465,8 +515,8 @@ func (s *Server) evalFailed(w http.ResponseWriter, what string, err error, start
 	s.logf("%s error (%d) in %v: %v", what, status, time.Since(start), err)
 }
 
-// rejectBody answers a failed POST body read: 413 when the MaxBytesReader
-// cap fired, 400 for any other malformed body.
+// rejectBody answers a failed request read: 413 when the MaxBytesReader
+// cap fired, 400 for any other malformed body or parameters.
 func (s *Server) rejectBody(w http.ResponseWriter, err error, limit int64) {
 	var mbe *http.MaxBytesError
 	if errors.As(err, &mbe) {
@@ -474,7 +524,7 @@ func (s *Server) rejectBody(w http.ResponseWriter, err error, limit int64) {
 		s.logf("query body over %d bytes rejected", limit)
 		return
 	}
-	http.Error(w, "malformed request body", http.StatusBadRequest)
+	http.Error(w, "malformed request: "+err.Error(), http.StatusBadRequest)
 }
 
 func (s *Server) logf(format string, args ...any) {

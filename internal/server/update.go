@@ -1,24 +1,21 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
-	"io"
 	"net/http"
 	"strconv"
-	"strings"
-	"time"
 
 	"rdfframes/internal/obs"
-	"rdfframes/internal/sparql"
 )
 
 // POST /v1/update: the SPARQL 1.1 Protocol update operation. The request
 // body is the update text (Content-Type application/sparql-update, or an
 // "update" form field), and the response is the engine's UpdateResult as
 // JSON — inserted/deleted counts, the post-batch store version, and the
-// WAL sequence number.
+// WAL sequence number. The request pipeline of route reads it POST only and
+// admits it past the drain and capacity gates: a write occupies an
+// evaluation slot while its DELETE WHERE patterns evaluate, and its batch
+// is bounded by the body size cap, not by planner estimates.
 //
 // Idempotent retries: a client that sends X-Idempotency-Key gets exactly-
 // once application — a retried request whose token the WAL has already
@@ -26,114 +23,13 @@ import (
 // retry policy (internal/client) relies on this to retry writes safely
 // after ambiguous transport failures.
 
-// handleUpdate serves POST /v1/update.
-func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	sw := &statusWriter{ResponseWriter: w}
-	w = sw
-	var (
-		update string
-		qerr   error
-		reqID  string
-	)
-	defer func() {
-		s.observe(r, reqID, nil, sw.status(), start, update, 0, "write", "",
-			s.Engine.Store.Version(), qerr)
-	}()
-
-	if r.Method != http.MethodPost {
-		http.Error(w, "update requires POST", http.StatusMethodNotAllowed)
-		return
-	}
-	limit := s.MaxBodyBytes
-	if limit <= 0 {
-		limit = defaultMaxBodyBytes
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, limit)
-	if ct := r.Header.Get("Content-Type"); strings.HasPrefix(ct, "application/sparql-update") {
-		body, err := io.ReadAll(r.Body)
-		if err != nil {
-			s.rejectBody(w, err, limit)
-			return
-		}
-		update = string(body)
-	} else {
-		if err := r.ParseForm(); err != nil {
-			s.rejectBody(w, err, limit)
-			return
-		}
-		update = r.PostForm.Get("update")
-	}
-	if update == "" {
-		http.Error(w, "missing update parameter", http.StatusBadRequest)
-		return
-	}
-
-	reqID = r.Header.Get("X-Request-ID")
-	if reqID == "" {
-		reqID = obs.NewRequestID()
-	}
-	w.Header().Set("X-Request-ID", reqID)
-	token := r.Header.Get("X-Idempotency-Key")
-
-	release, ok := s.admitWrite(w)
-	if !ok {
-		return
-	}
-	defer release()
-
-	res, err := s.Engine.Update(r.Context(), update, token)
+// answerUpdate applies an admitted update and answers its result.
+func (s *Server) answerUpdate(w http.ResponseWriter, r *http.Request, update string, _ *obs.Trace) outcome {
+	res, err := s.Engine.Update(r.Context(), update, r.Header.Get("X-Idempotency-Key"))
 	if err != nil {
-		qerr = err
-		if errors.Is(err, context.Canceled) {
-			s.logf("update canceled by client after %v", time.Since(start))
-			return
-		}
-		status := http.StatusBadRequest
-		if errors.Is(err, sparql.ErrTimeout) {
-			status = http.StatusGatewayTimeout
-		}
-		http.Error(w, err.Error(), status)
-		s.logf("update error (%d) in %v: %v", status, time.Since(start), err)
-		return
+		return outcome{cache: "write", err: err}
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Store-Version", strconv.FormatUint(res.Version, 10))
-	if err := json.NewEncoder(w).Encode(res); err != nil {
-		s.logf("update write error: %v", err)
-		return
-	}
-	s.logf("update ok: +%d -%d triples in %v (seq=%d, deduped=%v)",
-		res.Inserted, res.Deleted, time.Since(start), res.Seq, res.Deduped)
-}
-
-// admitWrite runs the write-side admission gates: drain and in-flight
-// capacity (shared with queries — a write occupies an evaluation slot
-// while its DELETE WHERE patterns evaluate). The cost gate does not apply:
-// update batches are bounded by the body size cap, not by planner
-// estimates.
-func (s *Server) admitWrite(w http.ResponseWriter) (release func(), ok bool) {
-	if s.adm.draining.Load() {
-		s.shed(w, ShedDraining, "server is draining for shutdown", http.StatusServiceUnavailable)
-		return nil, false
-	}
-	if s.MaxInFlight > 0 {
-		s.adm.once.Do(func() { s.adm.sem = make(chan struct{}, s.MaxInFlight) })
-		select {
-		case s.adm.sem <- struct{}{}:
-		default:
-			s.shed(w, ShedCapacity,
-				"server at capacity: "+strconv.Itoa(s.MaxInFlight)+" requests in flight",
-				http.StatusTooManyRequests)
-			return nil, false
-		}
-	}
-	s.adm.admitted.Add(1)
-	s.adm.inFlight.Add(1)
-	return func() {
-		s.adm.inFlight.Add(-1)
-		if s.MaxInFlight > 0 {
-			<-s.adm.sem
-		}
-	}, true
+	return outcome{cache: "write", version: res.Version, err: json.NewEncoder(w).Encode(res)}
 }
