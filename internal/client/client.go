@@ -315,9 +315,11 @@ func (c *HTTPClient) retry(attempt func(reqID string) (retryInfo, error)) error 
 // a non-200 comes back as an error, with whether it is worth retrying and
 // the endpoint's Retry-After.
 func (c *HTTPClient) roundTrip(what, endpoint string, params url.Values, post bool, reqID string, header func(http.Header)) (*http.Response, retryInfo, error) {
-	method, target, body := http.MethodGet, endpoint+"?"+params.Encode(), io.Reader(nil)
-	if post {
-		method, target, body = http.MethodPost, endpoint, strings.NewReader(params.Encode())
+	method, target, body := http.MethodGet, endpoint, io.Reader(nil)
+	if enc := params.Encode(); post {
+		method, body = http.MethodPost, strings.NewReader(enc)
+	} else {
+		target += "?" + enc
 	}
 	req, err := http.NewRequestWithContext(c.context(), method, target, body)
 	if err != nil {

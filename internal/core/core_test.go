@@ -127,6 +127,22 @@ func TestFilterOnAggregateColumnBecomesHaving(t *testing.T) {
 	}
 }
 
+// TestHavingSubstitutionSkipsLiterals: the aggregate replaces its column's
+// variable, in either spelling, and not the same text inside a literal or
+// an IRI.
+func TestHavingSubstitutionSkipsLiterals(t *testing.T) {
+	q := mustSPARQL(t, testChain(
+		seed("movie", "http://p/starring", "actor"),
+		GroupByOp{Cols: []string{"actor"}},
+		AggregationOp{Agg: AggSpec{Fn: "count", Src: "movie", New: "n"}},
+		FilterOp{Conds: []Condition{{Col: "n", Expr: `$n >= 5 && str(?n) != "?n" && ?actor != <http://ex/?n>`}}},
+	))
+	want := `HAVING ( COUNT(?movie) >= 5 && str(COUNT(?movie)) != "?n" && ?actor != <http://ex/?n> )`
+	if !strings.Contains(q, want) {
+		t.Fatalf("want %s in\n%s", want, q)
+	}
+}
+
 func TestCase2JoinWithGroupedFrameNests(t *testing.T) {
 	grouped := testChain(
 		seed("movie", "http://p/starring", "actor"),

@@ -506,7 +506,6 @@ func (s *Server) evalFailed(w http.ResponseWriter, what string, err error, start
 		s.logf("%s canceled by client after %v", what, time.Since(start))
 		return
 	}
-	w.Header().Del("Content-Encoding") // the error text is plain
 	status := http.StatusBadRequest
 	if errors.Is(err, sparql.ErrTimeout) {
 		status = http.StatusGatewayTimeout
