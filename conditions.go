@@ -1,7 +1,6 @@
 package rdfframes
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -111,11 +110,11 @@ func renderValue(g *KnowledgeGraph, raw string) (string, error) {
 	}
 	if strings.Contains(v, ":") || strings.HasPrefix(v, "<") {
 		iri, err := g.prefixes.Expand(v)
-		if err == nil && strings.ContainsFunc(iri, func(r rune) bool { return r <= ' ' || strings.ContainsRune("<>\"{}|^`\\", r) }) {
-			err = fmt.Errorf("IRI %q holds a character an IRI cannot", iri)
-		}
 		if err != nil {
 			return "", &FrameError{Op: "filter", Msg: err.Error()}
+		}
+		if strings.ContainsFunc(iri, func(r rune) bool { return r <= ' ' || strings.ContainsRune("<>\"{}|^`\\", r) }) {
+			return "", &FrameError{Op: "filter", Msg: "IRI " + strconv.Quote(iri) + " holds a character an IRI cannot"}
 		}
 		return rdf.NewIRI(iri).String(), nil
 	}

@@ -226,8 +226,8 @@ func (s *Server) answerQuery(w http.ResponseWriter, r *http.Request, query strin
 	out := outcome{rows: resp.Rows, cache: info.CacheOutcome(), plan: info.PlanDigest, version: info.StoreVersion}
 	w.Header().Set("X-Store-Version", strconv.FormatUint(info.StoreVersion, 10))
 	if info.CacheEnabled {
-		// hit, miss, or coalesced: missed the cache but rode another
-		// request's in-progress evaluation of the same key.
+		// hit, miss, or coalesced: missed, but rode another request's
+		// in-progress evaluation of the same key.
 		w.Header().Set("X-Cache", out.cache)
 	}
 	if resp.Truncated {
