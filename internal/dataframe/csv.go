@@ -11,30 +11,17 @@ import (
 // WriteCSV writes the dataframe as CSV with a header row: the handoff
 // format for ML tools outside this process. IRIs and literal lexical forms
 // are written as their plain values; nulls as empty cells. Set full to
-// write N-Triples term syntax instead (loss-free for round trips).
+// write N-Triples term syntax instead (loss-free for round trips). The
+// encoder is the export's (CSVStream), over the frame's own term table.
 func (df *DataFrame) WriteCSV(w io.Writer, full bool) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(df.cols); err != nil {
+	s := NewCSVStream(w, 0, full)
+	if err := s.WriteHeader(df.cols); err != nil {
 		return err
 	}
-	record := make([]string, len(df.cols))
-	for i := 0; i < df.n; i++ {
-		for j, c := range df.row(i) {
-			switch t := df.terms[c]; {
-			case !t.IsBound():
-				record[j] = ""
-			case full:
-				record[j] = t.String()
-			default:
-				record[j] = t.Value
-			}
-		}
-		if err := cw.Write(record); err != nil {
-			return err
-		}
+	if _, err := s.WriteRows(df.terms, df.cells, df.n); err != nil {
+		return err
 	}
-	cw.Flush()
-	return cw.Error()
+	return s.Flush()
 }
 
 // ReadCSV reads a dataframe written by WriteCSV with full=true: a header

@@ -27,9 +27,8 @@ func checkExport(r *http.Request) error {
 
 // answerExport streams a query result as CSV. Parameters: query (the
 // SELECT text), full=1 for N-Triples term syntax per cell instead of
-// plain values, format (only "csv" today — the writer interface is framed
-// so Arrow IPC can slot in). Chunks are flushed to the client as they
-// fill; the server's buffered memory stays bounded by one chunk
+// plain values, format (only "csv"). Chunks are flushed to the client as
+// they fill; the server's buffered memory stays bounded by one chunk
 // regardless of result size.
 func (s *Server) answerExport(w http.ResponseWriter, r *http.Request, query string, _ *obs.Trace) outcome {
 	stream := dataframe.NewCSVStream(w, s.ExportChunkBytes, r.Form.Get("full") == "1")

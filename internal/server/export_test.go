@@ -100,6 +100,35 @@ func TestFeaturesEndpoint(t *testing.T) {
 	}
 }
 
+// A cap larger than any neighborhood answers what cap=-1 (unbounded)
+// answers: the server never sizes memory by the cap a client sends.
+func TestFeaturesEndpointHugeCap(t *testing.T) {
+	ts, _ := newTestServer(t, 0)
+	q := url.QueryEscape(`SELECT ?s WHERE { ?s ?p ?o }`)
+	fetch := func(hopCap string) []byte {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/features?cap=" + hopCap + "&query=" + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("cap=%s: status %d: %s", hopCap, resp.StatusCode, body)
+		}
+		return body
+	}
+	want := fetch("-1")
+	for _, hopCap := range []string{"1000000000", "1099511627776", "9223372036854775807"} {
+		if got := fetch(hopCap); !bytes.Equal(got, want) {
+			t.Fatalf("cap=%s:\n got %s\nwant %s", hopCap, got, want)
+		}
+	}
+}
+
 // TestFeaturesEndpointNegotiatesGzip: /v1/features goes through the same
 // response writer as /v1/query, so it compresses when asked and the
 // decompressed bytes are the plain response's.

@@ -13,8 +13,9 @@
 // docs/query-reference.md for the supported language.
 //
 // Beyond query evaluation the Engine exposes SPARQL UPDATE (Update),
-// streaming result export (Export, decoding one row at a time into a
-// RowWriter), and store-side topology-feature extraction (Features).
+// streaming result export (Export, handing a RowWriter the result's term
+// table and its cells a morsel of rows at a time), and store-side
+// topology-feature extraction (Features).
 package sparql
 
 import (

@@ -176,11 +176,17 @@ func (e *Engine) evalLocked(ctx context.Context, q *Query, qp *queryPlan) (*comp
 		}
 	}
 	e.evals.Add(1)
+	return e.newEvaluator(ctx, qp.track).evalQuery(qp.root, q.Limit, q.Offset)
+}
+
+// newEvaluator returns an evaluator for one read under ctx: the engine's
+// worker pool, its deadline, a fresh expression dictionary.
+func (e *Engine) newEvaluator(ctx context.Context, track bool) *evaluator {
 	ev := &evaluator{
 		store:   e.Store,
 		dict:    newEvalDict(e.Store.Dict()),
 		cache:   &regexCache{},
-		track:   qp.track,
+		track:   track,
 		workers: e.parallelism(),
 		ctr:     &e.execStats,
 	}
@@ -188,5 +194,5 @@ func (e *Engine) evalLocked(ctx context.Context, q *Query, qp *queryPlan) (*comp
 	if d := e.Timeout(); d > 0 {
 		ev.tk.deadline = time.Now().Add(d)
 	}
-	return ev.evalQuery(qp.root, q.Limit, q.Offset)
+	return ev
 }

@@ -32,11 +32,14 @@ type ExUnary struct {
 	E  Expression
 }
 
-// ExCall is a built-in function call or an XSD cast; Name is the lowercase
-// builtin name ("regex", "str", "isiri", ...) or a full datatype IRI.
+// ExCall is a built-in function call or a call of a function IRI (an XSD
+// cast). The parser decides which, once: a builtin's Name is its lowercase
+// name ("regex", "str", "isiri", ...), an IRI call's Name is the full IRI
+// and IRI is set, so it never runs as a builtin whatever its spelling.
 type ExCall struct {
 	Name string
 	Args []Expression
+	IRI  bool
 }
 
 // ExIn is "expr IN (list)" or "expr NOT IN (list)".
@@ -216,12 +219,13 @@ func (d *evalDict) resolve(e Expression, cols map[string]int) Expression {
 		}
 		return ExIn{E: d.resolve(x.E, cols), List: all(x.List), Neg: x.Neg}
 	case ExCall:
-		if kind, ok := kindTests[strings.ToLower(x.Name)]; ok && len(x.Args) == 1 {
+		if kind, ok := kindTests[strings.ToLower(x.Name)]; ok && !x.IRI && len(x.Args) == 1 {
 			if c, ok := cell(x.Args[0]); ok {
 				return exIDKind{e: c, kind: kind}
 			}
 		}
-		return ExCall{Name: x.Name, Args: all(x.Args)}
+		x.Args = all(x.Args)
+		return x
 	}
 	return e
 }
@@ -594,14 +598,18 @@ func evalIn(x ExIn, ctx *evalCtx) (rdf.Term, error) {
 }
 
 func evalCall(x ExCall, ctx *evalCtx) (rdf.Term, error) {
-	name := strings.ToLower(x.Name)
 	arg := func(i int) (rdf.Term, error) {
 		if i >= len(x.Args) {
 			return rdf.Term{}, errExpr
 		}
 		return evalExpr(x.Args[i], ctx)
 	}
-	switch name {
+	if x.IRI {
+		return evalCast(x, arg)
+	}
+	// A parsed builtin name is lowercase already, which ToLower returns
+	// without allocating; only a hand-built call pays for the lowering.
+	switch strings.ToLower(x.Name) {
 	case "bound":
 		switch v := x.Args[0].(type) {
 		case exCell:
@@ -763,7 +771,12 @@ func evalCall(x ExCall, ctx *evalCtx) (rdf.Term, error) {
 		}
 		return rdf.NewInteger(int64(y)), nil
 	}
-	// XSD constructor casts, e.g. xsd:dateTime(?d), xsd:integer(?x).
+	return evalCast(x, arg)
+}
+
+// evalCast answers a call of a function IRI: the XSD constructor casts,
+// e.g. xsd:dateTime(?d), xsd:integer(?x). Any other name is unknown.
+func evalCast(x ExCall, arg func(int) (rdf.Term, error)) (rdf.Term, error) {
 	if strings.HasPrefix(x.Name, "http://www.w3.org/2001/XMLSchema#") {
 		a, err := arg(0)
 		if err != nil {

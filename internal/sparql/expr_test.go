@@ -358,3 +358,28 @@ func TestIllTypedAndNaNNumerics(t *testing.T) {
 		}
 	}
 }
+
+// A call of a function IRI never runs as a builtin, whatever the IRI's
+// spelling: <BOUND>(?a) and <isIRI>(?a) are unknown functions, an error
+// that drops every row, exactly like <http://ex/unknown>(?a). The builtins
+// spelled as names still keep every row.
+func TestIRICallIsNeverABuiltin(t *testing.T) {
+	e := NewEngine(movieStore(t))
+	query := func(call string) [][]string {
+		return queryRows(t, e, `SELECT ?a WHERE { ?m <http://ex/starring> ?a FILTER(`+call+`(?a)) }`)
+	}
+	unknown := query("<http://ex/unknown>")
+	if len(unknown) != 0 {
+		t.Fatalf("an unknown function kept %d rows", len(unknown))
+	}
+	for _, call := range []string{"<BOUND>", "<bound>", "<isIRI>", "<isiri>"} {
+		if got := query(call); !reflect.DeepEqual(got, unknown) {
+			t.Errorf("%s(?a) kept %d rows, want %d like an unknown function", call, len(got), len(unknown))
+		}
+	}
+	for _, call := range []string{"BOUND", "bound", "isIRI", "ISIRI"} {
+		if got := query(call); len(got) != 5 {
+			t.Errorf("%s(?a) kept %d rows, want 5", call, len(got))
+		}
+	}
+}

@@ -763,7 +763,7 @@ func (p *parser) parsePrimary() (Expression, error) {
 		return ExTerm{Term: numberTerm(t.text)}, nil
 	case tokIRI:
 		if p.punct("(") {
-			return p.parseCallArgs(t.text)
+			return p.parseCallArgs(t.text, true)
 		}
 		return ExTerm{Term: rdf.NewIRI(t.text)}, nil
 	case tokPName:
@@ -772,7 +772,7 @@ func (p *parser) parsePrimary() (Expression, error) {
 			return nil, p.errf("%v", err)
 		}
 		if p.punct("(") {
-			return p.parseCallArgs(iri)
+			return p.parseCallArgs(iri, true)
 		}
 		return ExTerm{Term: rdf.NewIRI(iri)}, nil
 	case tokName:
@@ -790,13 +790,15 @@ func (p *parser) parsePrimary() (Expression, error) {
 			if err := p.expectPunct("("); err != nil {
 				return nil, err
 			}
-			return p.parseCallArgs(lower)
+			return p.parseCallArgs(lower, false)
 		}
 	}
 	return nil, p.errf("unexpected token %q in expression", t.text)
 }
 
-func (p *parser) parseCallArgs(name string) (Expression, error) {
+// parseCallArgs parses a call's argument list; iri marks a call of a function
+// IRI, which never names a builtin.
+func (p *parser) parseCallArgs(name string, iri bool) (Expression, error) {
 	var args []Expression
 	if !p.punct(")") {
 		for {
@@ -813,7 +815,7 @@ func (p *parser) parseCallArgs(name string) (Expression, error) {
 			return nil, err
 		}
 	}
-	return ExCall{Name: name, Args: args}, nil
+	return ExCall{Name: name, Args: args, IRI: iri}, nil
 }
 
 func (p *parser) parseAggregate(fn string) (Expression, error) {

@@ -3,6 +3,7 @@ package sparql
 import (
 	"bytes"
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -229,13 +230,16 @@ func (c *collectWriter) WriteHeader(vars []string) error {
 	return nil
 }
 
-func (c *collectWriter) WriteRow(row []rdf.Term) error {
-	out := make([]string, len(row))
-	for i, t := range row {
-		out[i] = t.String()
+func (c *collectWriter) WriteRows(terms []rdf.Term, cells []uint32, rows int) (int, error) {
+	w := len(c.vars)
+	for i := range rows {
+		out := make([]string, w)
+		for j, cell := range cells[i*w : (i+1)*w] {
+			out[j] = terms[cell].String()
+		}
+		c.rows = append(c.rows, out)
 	}
-	c.rows = append(c.rows, out)
-	return nil
+	return rows, nil
 }
 
 func TestExportStreamsAllRows(t *testing.T) {
@@ -262,6 +266,34 @@ func TestExportStreamsAllRows(t *testing.T) {
 			if cw.rows[i][j] != term.String() {
 				t.Fatalf("row %d col %d: export %s, query %s", i, j, cw.rows[i][j], term.String())
 			}
+		}
+	}
+}
+
+// failingWriter takes rows until it has taken limit, then fails.
+type failingWriter struct{ taken, limit int }
+
+func (f *failingWriter) WriteHeader([]string) error { return nil }
+
+func (f *failingWriter) WriteRows(_ []rdf.Term, _ []uint32, rows int) (int, error) {
+	if f.taken+rows > f.limit {
+		n := f.limit - f.taken
+		f.taken = f.limit
+		return n, errors.New("consumer gone")
+	}
+	f.taken += rows
+	return rows, nil
+}
+
+// A write error mid-morsel returns exactly the rows the writer took.
+func TestExportCountsRowsBeforeAWriteError(t *testing.T) {
+	e := NewEngine(featureStore(t))
+	q := `SELECT ?s ?o WHERE { ?s <http://ex/link> ?o }`
+	for _, limit := range []int{0, 1, morselRows - 1, morselRows, morselRows + 500} {
+		w := &failingWriter{limit: limit}
+		n, err := e.Export(context.Background(), q, w)
+		if err == nil || n != limit {
+			t.Fatalf("limit %d: Export returned %d rows, %v; want %d and the write error", limit, n, err, limit)
 		}
 	}
 }
