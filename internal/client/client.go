@@ -95,6 +95,9 @@ type RequestStats struct {
 	RequestID string
 	// Status is the final attempt's HTTP status (0 = transport error).
 	Status int
+	// StoreVersion is the X-Store-Version of a results page, the store
+	// version it was evaluated on ("" when the endpoint sends none).
+	StoreVersion string
 }
 
 // clientStats holds LastStats behind its own lock so WithContext's shallow
@@ -161,13 +164,25 @@ func (c *HTTPClient) httpClient() *http.Client {
 	return defaultHTTPClient()
 }
 
+// ErrStoreChanged reports a paged read that saw the store version move
+// between its pages on every one of its tries: each page comes from some
+// version, and a result stitched from two would miss or repeat rows.
+var ErrStoreChanged = errors.New("client: the store changed between the pages of a read")
+
+// versionRestarts is how many times a paged read starts over from its
+// first page after the store version moved.
+const versionRestarts = 3
+
 // Select executes the query, paginating transparently, and returns the full
 // result set. Pagination continues while either a chunk comes back full or
 // the endpoint flags it truncated (X-Truncated, the server-side MaxRows
 // cap), so a server cap smaller than the client's page size still yields
 // complete results. Even with PageSize <= 0 (pagination off) a truncated
 // first response triggers LIMIT/OFFSET resumption — Select never knowingly
-// returns a partial result.
+// returns a partial result. Every page must come from the first page's
+// store version (X-Store-Version, when the endpoint sends it): a read that
+// sees it move starts over, up to versionRestarts times, and then fails
+// with ErrStoreChanged.
 func (c *HTTPClient) Select(query string) (*sparql.Results, error) {
 	tab := sparql.ScratchTable()
 	defer tab.Release()
@@ -197,25 +212,36 @@ func (c *HTTPClient) read(query string, tab *sparql.Table) error {
 		// server row cap small enough to cut a plan is surfaced as an error
 		// rather than a silently partial tree (use Explain for the
 		// structured, uncapped report).
-		truncated, err := c.fetch(query, tab)
+		truncated, _, err := c.fetch(query, tab)
 		if err == nil && truncated {
 			return fmt.Errorf("client: explain plan truncated by the server row cap; use Explain for the full report")
 		}
 		return err
 	}
 	pageSize, offset := c.PageSize, 0
+	first, restarts := "", 0 // the first page's store version
 	for {
 		page := query
 		if pageSize > 0 {
 			page = paginate(query, pageSize, offset)
 		}
 		before := tab.Len()
-		truncated, err := c.fetch(page, tab)
+		truncated, version, err := c.fetch(page, tab)
 		if err != nil {
 			if pageSize <= 0 {
 				return err
 			}
 			return fmt.Errorf("client: chunk at offset %d: %w", offset, err)
+		}
+		if offset == 0 {
+			first = version
+		} else if version != first {
+			if restarts++; restarts > versionRestarts {
+				return fmt.Errorf("%w: version %q at the first page, %q at offset %d, after %d restarts", ErrStoreChanged, first, version, offset, versionRestarts)
+			}
+			tab.Reset()
+			pageSize, offset = c.PageSize, 0
+			continue
 		}
 		got := tab.Len() - before
 		if got == 0 || (!truncated && (pageSize <= 0 || got < pageSize)) {
@@ -244,8 +270,8 @@ func (c *HTTPClient) retryPolicy() RetryPolicy {
 }
 
 // fetch decodes one page into tab, retrying transient failures, and reports
-// whether the endpoint cut the page short.
-func (c *HTTPClient) fetch(query string, tab *sparql.Table) (truncated bool, err error) {
+// whether the endpoint cut the page short and the store version it sent.
+func (c *HTTPClient) fetch(query string, tab *sparql.Table) (truncated bool, version string, err error) {
 	err = c.retry(func(reqID string) (retryInfo, error) {
 		resp, ri, err := c.roundTrip("endpoint", c.Endpoint, url.Values{"query": {query}}, c.UsePost, reqID, acceptResults)
 		if err != nil {
@@ -261,9 +287,11 @@ func (c *HTTPClient) fetch(query string, tab *sparql.Table) (truncated bool, err
 			return ri, fmt.Errorf("client: decoding results: %w", err)
 		}
 		truncated = resp.Header.Get("X-Truncated") == "true"
+		version = resp.Header.Get("X-Store-Version")
+		ri.version = version
 		return ri, nil
 	})
-	return truncated, err
+	return truncated, version, err
 }
 
 // retry runs attempt until it succeeds, fails for good, or the retry policy
@@ -290,7 +318,7 @@ func (c *HTTPClient) retry(attempt func(reqID string) (retryInfo, error)) error 
 		}
 		rs.Attempts = n
 		ri, err := attempt(rs.RequestID)
-		rs.Status = ri.status
+		rs.Status, rs.StoreVersion = ri.status, ri.version
 		if ri.retryAfter > 0 {
 			rs.RetryAfter = ri.retryAfter
 		}

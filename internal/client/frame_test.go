@@ -164,34 +164,38 @@ func TestDirectFrameAllocatesNoCopy(t *testing.T) {
 	eng.Parallelism = 1
 	d := NewDirect(eng)
 	ctx := context.Background()
-	const runs = 4
-	// The collector is off while the bytes are counted: a collection in the
-	// middle empties the engine's pools, and refilling them cost one run
-	// 5 KiB now and then.
-	measure := func(f func()) (bytes, mallocs float64) {
-		mallocs = testing.AllocsPerRun(runs, f)
-		runtime.GC()
-		defer debug.SetGCPercent(debug.SetGCPercent(-1))
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			f()
-		}
-		runtime.ReadMemStats(&after)
-		return float64(after.TotalAlloc-before.TotalAlloc) / runs, mallocs
-	}
-	streamBytes, streamMallocs := measure(func() {
+	stream := func() {
 		resp, err := eng.Stream(ctx, sparql.Request{Query: optionalLabels})
 		if err != nil || resp.Rows != n {
 			t.Fatalf("%v rows, %v", resp, err)
 		}
-	})
-	frameBytes, frameMallocs := measure(func() {
+	}
+	frame := func() {
 		df, err := d.Frame(optionalLabels)
 		if err != nil || df.Len() != n {
 			t.Fatalf("%v rows, %v", df, err)
 		}
-	})
+	}
+	// Both sides are measured under one collector state: off from before
+	// the first run to after the last, so no collection empties the
+	// engine's pools for one side to refill, and the runs alternate.
+	const runs = 4
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	stream() // fills the pools both sides draw on
+	var totals [2]struct{ bytes, mallocs float64 }
+	for i := 0; i < runs; i++ {
+		for side, f := range []func(){stream, frame} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			f()
+			runtime.ReadMemStats(&after)
+			totals[side].bytes += float64(after.TotalAlloc-before.TotalAlloc) / runs
+			totals[side].mallocs += float64(after.Mallocs-before.Mallocs) / runs
+		}
+	}
+	streamBytes, streamMallocs := totals[0].bytes, totals[0].mallocs
+	frameBytes, frameMallocs := totals[1].bytes, totals[1].mallocs
 	if frameBytes > streamBytes+4<<10 || frameMallocs > streamMallocs+16 {
 		t.Fatalf("Frame allocates %.0f B in %.0f objects, Stream %.0f B in %.0f: %.1f B per cell more",
 			frameBytes, frameMallocs, streamBytes, streamMallocs, (frameBytes-streamBytes)/(3*n))

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -104,6 +105,94 @@ func TestHTTPFrameAfterTheMemoStops(t *testing.T) {
 		if err := sameTable(got, want); err != nil {
 			t.Errorf("page size %d: %v", pageSize, err)
 		}
+	}
+}
+
+// insertBetweenPages serves eng and, before each of the inserts pages
+// after the first, inserts a subject that sorts before every other: the
+// rows under each later offset shift by one. strip drops
+// X-Store-Version from the responses, as an endpoint that sends none.
+func insertBetweenPages(t *testing.T, eng *sparql.Engine, inserts int, strip bool) (*httptest.Server, *atomic.Int32) {
+	var pages atomic.Int32
+	h := server.New(eng).Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strip {
+			w = versionStripper{w}
+		}
+		if n := int(pages.Add(1)); n > 1 && n <= inserts+1 {
+			u := fmt.Sprintf(`INSERT DATA { GRAPH <%s> { <http://ex/a%03d> <http://ex/p> 0 } }`, g, 999-eng.Store.Version())
+			if _, err := eng.Update(context.Background(), u, ""); err != nil {
+				t.Error(err)
+			}
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	return ts, &pages
+}
+
+// versionStripper drops X-Store-Version before the header goes out.
+type versionStripper struct{ http.ResponseWriter }
+
+func (v versionStripper) WriteHeader(code int) {
+	v.Header().Del("X-Store-Version")
+	v.ResponseWriter.WriteHeader(code)
+}
+
+func (v versionStripper) Write(b []byte) (int, error) {
+	v.Header().Del("X-Store-Version")
+	return v.ResponseWriter.Write(b)
+}
+
+// TestPagedReadKeepsOneStoreVersion: ten rows read four at a time, with a
+// row inserted after the first page, used to come back as eleven rows,
+// one twice and the new one not at all, the pages stitched from two store
+// versions. The read sees X-Store-Version move, starts over and returns
+// the store after the insert; LastStats names its version.
+func TestPagedReadKeepsOneStoreVersion(t *testing.T) {
+	const q = `SELECT ?s WHERE { ?s <http://ex/p> ?o }`
+	eng := sparql.NewEngine(frameStore(t, 10))
+	ts, pages := insertBetweenPages(t, eng, 1, false)
+	c := NewHTTPClient(ts.URL+"/sparql", 4)
+	got, err := c.Select(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := NewDirect(eng).Select(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.EqualFunc(got.Rows, want.Rows, slices.Equal) || len(want.Rows) != 11 {
+		t.Fatalf("%d rows %v, want the %d after the insert %v", len(got.Rows), got.Rows, len(want.Rows), want.Rows)
+	}
+	if n := pages.Load(); n != 2+3 {
+		t.Errorf("%d pages fetched, want 2 and then the 3 of the read over", n)
+	}
+	if v, want := c.LastStats().StoreVersion, fmt.Sprint(eng.Store.Version()); v != want {
+		t.Errorf("LastStats().StoreVersion = %q, want %q", v, want)
+	}
+
+	// A store that changes under every page fails the read, typed.
+	ts, pages = insertBetweenPages(t, eng, 100, false)
+	if _, err := NewHTTPClient(ts.URL+"/sparql", 4).Select(q); !errors.Is(err, ErrStoreChanged) {
+		t.Errorf("a store changing between all pages: %v, want %v", err, ErrStoreChanged)
+	}
+	if n := pages.Load(); n != 2*(versionRestarts+1) {
+		t.Errorf("%d pages fetched, want two per try", n)
+	}
+
+	// An endpoint that sends no version is read as it always was: once.
+	if want, err = NewDirect(eng).Select(q); err != nil {
+		t.Fatal(err)
+	}
+	n := len(want.Rows) + 1 // and the row inserted after the first page
+	ts, pages = insertBetweenPages(t, eng, 1, true)
+	c = NewHTTPClient(ts.URL+"/sparql", 4)
+	if got, err = c.Select(q); err != nil || len(got.Rows) != n || int(pages.Load()) != n/4+1 {
+		t.Errorf("%d rows over %d pages, %v: want %d rows over %d pages", len(got.Rows), pages.Load(), err, n, n/4+1)
+	}
+	if v := c.LastStats().StoreVersion; v != "" {
+		t.Errorf("LastStats().StoreVersion = %q from an endpoint that sends none", v)
 	}
 }
 

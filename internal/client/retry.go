@@ -87,12 +87,14 @@ func (p RetryPolicy) delay(retryNum int, retryAfter time.Duration) time.Duration
 }
 
 // retryInfo is the verdict on one attempt: whether a failure is worth
-// retrying, how long the server asked us to wait, and the HTTP status
-// observed (0 = transport error before any response).
+// retrying, how long the server asked us to wait, the HTTP status
+// observed (0 = transport error before any response), and the store
+// version a results page came from.
 type retryInfo struct {
 	retryable  bool
 	retryAfter time.Duration
 	status     int
+	version    string
 }
 
 // retryAfterHint parses a response's Retry-After header (delay-seconds

@@ -32,16 +32,17 @@ const (
 // buffered memory stays near one chunk regardless of result size.
 // PeakBufferBytes reports the high-water mark, which is how the bench
 // harness asserts the bound. Each distinct term's field is scanned for
-// quoting once per table, the first time a cell names it. Not safe for
-// concurrent use.
+// quoting, and in full mode rendered in N-Triples syntax, once per table,
+// the first time a cell names it. Not safe for concurrent use.
 type CSVStream struct {
 	dst        io.Writer
 	buf        []byte
 	chunkBytes int
 	full       bool
 	width      int
-	table      []rdf.Term // the term table quote describes
+	table      []rdf.Term // the term table quote and nt describe
 	quote      []byte     // per entry of table: undecided, plain or quoted
+	nt         []string   // full mode, per entry of table: its N-Triples form, "" until rendered
 	sized      bool       // the buffer has been sized once by reserve
 	rows       int
 	peak       int
@@ -87,11 +88,9 @@ func (s *CSVStream) WriteHeader(cols []string) error {
 func (s *CSVStream) WriteRows(terms []rdf.Term, cells []uint32, rows int) (int, error) {
 	if len(terms) != len(s.table) || len(terms) > 0 && &terms[0] != &s.table[0] {
 		s.table = terms
-		if cap(s.quote) < len(terms) {
-			s.quote = make([]byte, len(terms))
-		} else {
-			s.quote = s.quote[:len(terms)]
-			clear(s.quote)
+		s.quote = zeroed(s.quote, len(terms))
+		if s.full {
+			s.nt = zeroed(s.nt, len(terms))
 		}
 	}
 	for i := 0; i < rows; i++ {
@@ -103,10 +102,12 @@ func (s *CSVStream) WriteRows(terms []rdf.Term, cells []uint32, rows int) (int, 
 			if c == 0 {
 				continue // a null is an empty field
 			}
-			t := terms[c]
-			field := t.Value
+			field := terms[c].Value
 			if s.full {
-				field = t.String()
+				if s.nt[c] == "" { // no bound term renders empty
+					s.nt[c] = terms[c].String()
+				}
+				field = s.nt[c]
 			}
 			q := s.quote[c]
 			if q == undecided {
@@ -128,6 +129,17 @@ func (s *CSVStream) WriteRows(terms []rdf.Term, cells []uint32, rows int) (int, 
 		s.rows++
 	}
 	return rows, nil
+}
+
+// zeroed returns s at length n and zeroed, in its own array if that is
+// large enough.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // reserve makes room for n more bytes, up to one chunk and the row that

@@ -5,6 +5,7 @@ import (
 	"encoding/csv"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -148,6 +149,35 @@ func TestCSVStreamWriteRowsCountsRowsBeforeAnError(t *testing.T) {
 	n, err := cs.WriteRows(terms, cells, len(cells))
 	if err == nil || n == 0 || n >= len(cells) || n != cs.Rows() {
 		t.Fatalf("WriteRows = %d, %v with Rows() = %d; want a count short of %d, the error, and Rows() the same", n, err, cs.Rows(), len(cells))
+	}
+}
+
+// In full mode a term is rendered in N-Triples syntax once per table:
+// 10,000 cells over 100 terms allocate what 100 cells over them do, one
+// rendering per term.
+func TestCSVStreamRendersEachTermOnce(t *testing.T) {
+	terms := []rdf.Term{{}}
+	for i := range 100 {
+		terms = append(terms, rdf.NewIRI(fmt.Sprintf("http://ex/term%d", i))) // one allocation to render
+	}
+	allocs := func(n int) float64 {
+		cells := make([]uint32, n)
+		for i := range cells {
+			cells[i] = uint32(1 + i%100)
+		}
+		cs := NewCSVStream(io.Discard, 0, true)
+		if err := cs.WriteHeader([]string{"x"}); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(2, func() {
+			cs.table = nil // as if a new table: every term is rendered again
+			if _, err := cs.WriteRows(terms, cells, n); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if few, many := allocs(100), allocs(10_000); many != few || many > 100 {
+		t.Errorf("10,000 cells over 100 terms allocate %v times, 100 cells %v: want at most one rendering per term", many, few)
 	}
 }
 

@@ -32,18 +32,18 @@ type compactResult struct {
 func (ev *evaluator) compact(sols *idRows) (*compactResult, error) {
 	c := &compactResult{
 		vars:  append([]string(nil), sols.vars...),
-		cells: make([]uint32, len(sols.data)),
+		cells: make([]uint32, sols.n*sols.width()),
 		n:     sols.n,
 		stats: ev.stats,
 	}
 	index := make(map[store.ID]uint32) // 0 is the unbound term's position: absent
 	w := len(c.vars)
+	rows := sols.cursor(0)
 	for i := 0; i < sols.n; i++ {
 		if err := ev.tick(); err != nil {
 			return nil, err
 		}
-		for k := i * w; k < (i+1)*w; k++ {
-			id := sols.data[k]
+		for j, id := range rows.next() {
 			if id == 0 {
 				continue
 			}
@@ -52,7 +52,7 @@ func (ev *evaluator) compact(sols *idRows) (*compactResult, error) {
 				t = uint32(len(index) + 1)
 				index[id] = t
 			}
-			c.cells[k] = t
+			c.cells[i*w+j] = t
 		}
 	}
 	c.terms = make([]rdf.Term, len(index)+1)

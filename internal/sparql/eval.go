@@ -3,6 +3,7 @@ package sparql
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -233,6 +234,7 @@ func orderedSubquery(q *Query) *Query {
 }
 
 func (ev *evaluator) aggregate(q *Query, sols *idRows) (*idRows, error) {
+	sols.flat() // groups list rows by number (sortRowsBy has left one segment)
 	type groupEntry struct{ rows []int }
 	var groups []*groupEntry
 	cols := make([]int, len(q.GroupBy)) // -1 when the var never bound
@@ -293,7 +295,8 @@ func (ev *evaluator) aggregate(q *Query, sols *idRows) (*idRows, error) {
 	}
 	out := newIDRows(outVars)
 	keyRow := newIDRows(append([]string(nil), q.GroupBy...))
-	keyRow.data = make([]store.ID, len(q.GroupBy))
+	key := make([]store.ID, len(q.GroupBy))
+	keyRow.setRows(key)
 	keyRow.n = 1
 	rowBuf := make([]store.ID, len(outVars))
 
@@ -307,14 +310,12 @@ func (ev *evaluator) aggregate(q *Query, sols *idRows) (*idRows, error) {
 		if err := ev.tick(); err != nil {
 			return nil, err
 		}
-		for j := range keyRow.data {
-			keyRow.data[j] = 0
-		}
+		clear(key)
 		if len(ge.rows) > 0 {
 			first := ge.rows[0]
 			for j, c := range cols {
 				if c >= 0 {
-					keyRow.data[j] = sols.at(first, c)
+					key[j] = sols.at(first, c)
 				}
 			}
 		}
@@ -333,7 +334,7 @@ func (ev *evaluator) aggregate(q *Query, sols *idRows) (*idRows, error) {
 			rowBuf[j] = 0
 		}
 		for j, v := range q.GroupBy {
-			rowBuf[outSeen[v]] = keyRow.data[j]
+			rowBuf[outSeen[v]] = key[j]
 		}
 		for _, it := range q.Items {
 			if it.Expr == nil {
@@ -371,8 +372,11 @@ func (ev *evaluator) canonicalizeRows(sols *idRows, projected []string) error {
 // key set under which tied rows are interchangeable for everything
 // downstream; the stable sort then keeps ties deterministic per plan.
 //
-// Rows sort as integers: each is one uint64 holding its row index below a
-// key, so one pdqsort orders the rows and ties keep the input order. The
+// Rows sort as integers: each is one uint64 holding its row number below a
+// key, so one pdqsort orders the rows and ties keep the input order. A row
+// number is the row's segment above its index in the segment, which grows
+// with input order; the sorted rows are gathered from the segments into
+// one new segment, so the batch is read once and never concatenated. The
 // key is the position of the row's term in the store dictionary's term
 // order (store.Dictionary.Order), taken from the leading key column; each
 // run of rows that ties on a column is re-keyed on the next column and
@@ -385,7 +389,6 @@ func (ev *evaluator) sortRowsBy(sols *idRows, keyVars []string) error {
 	if err := ev.tick(); err != nil {
 		return err
 	}
-	sols.own()
 	var keyCols []int
 	for _, v := range keyVars {
 		if c, ok := sols.col(v); ok && !slices.Contains(keyCols, c) {
@@ -395,29 +398,47 @@ func (ev *evaluator) sortRowsBy(sols *idRows, keyVars []string) error {
 	if len(keyCols) == 0 {
 		return nil
 	}
-	s := &rowSorter{data: sols.data, w: sols.width(), ord: ev.dict.dict.Order(), dict: ev.dict}
-	rows := make([]uint64, sols.n)
-	for i := range rows {
-		rows[i] = uint64(i)
+	s := &rowSorter{segs: sols.segs, w: sols.width(), ord: ev.dict.dict.Order(), dict: ev.dict}
+	most := 0
+	for _, seg := range s.segs {
+		most = max(most, len(seg)/s.w)
+	}
+	if s.shift = bits.Len(uint(most - 1)); uint64(len(s.segs))<<s.shift > 1<<32 {
+		sols.flat() // row numbers must fit 32 bits
+		s.segs, s.shift = sols.segs, bits.Len(uint(sols.n-1))
+	}
+	rows := make([]uint64, 0, sols.n)
+	for g, seg := range s.segs {
+		for i := 0; i < len(seg)/s.w; i++ {
+			rows = append(rows, uint64(g<<s.shift|i))
+		}
 	}
 	s.sortRun(rows, keyCols)
-	sols.data = make([]store.ID, len(s.data))
+	data := make([]store.ID, sols.n*s.w)
 	for i, k := range rows {
-		copy(sols.data[i*s.w:(i+1)*s.w], s.data[int(uint32(k))*s.w:])
+		copy(data[i*s.w:(i+1)*s.w], s.row(k))
 	}
+	sols.setRows(data)
 	return nil
 }
 
-// rowSorter sorts the rows of a batch given as uint64s: the row index in
-// the low 32 bits, a key for the column being sorted in the high 32.
+// rowSorter sorts the rows of a batch given as uint64s: the row number in
+// the low 32 bits, a key for the column being sorted in the high 32. Row
+// number k is row k&(1<<shift-1) of segment k>>shift.
 type rowSorter struct {
-	data []store.ID
-	w    int
-	ord  []uint32
-	dict *evalDict
+	segs  [][]store.ID
+	shift int
+	w     int
+	ord   []uint32
+	dict  *evalDict
 }
 
-func (s *rowSorter) at(k uint64, c int) store.ID { return s.data[int(uint32(k))*s.w+c] }
+func (s *rowSorter) row(k uint64) []store.ID {
+	i := int(uint32(k) & (1<<s.shift - 1))
+	return s.segs[uint32(k)>>s.shift][i*s.w : (i+1)*s.w]
+}
+
+func (s *rowSorter) at(k uint64, c int) store.ID { return s.row(k)[c] }
 
 // sortRun orders run, rows in input order that tie on every earlier key
 // column, by the key columns cols.
@@ -487,6 +508,7 @@ func aggregationVars(q *Query) []string {
 }
 
 func (ev *evaluator) orderBy(sols *idRows, keys []OrderKey) error {
+	sols.flat() // the keys are evaluated, and the rows gathered, by number
 	n := sols.n
 	nk := len(keys)
 	keyTerms := make([]rdf.Term, n*nk)
@@ -629,26 +651,16 @@ func (f *filterOp) run(ev *evaluator, cur *idRows) (*idRows, error) {
 // applyFilter compacts cur in place to the rows satisfying f, resolving
 // the condition against cur's layout first.
 func (ev *evaluator) applyFilter(cur *idRows, f *filterOp) error {
-	cur.own()
-	w := cur.width()
 	cond := ev.dict.resolve(f.cond, cur.cols)
 	ctx := &evalCtx{dict: ev.dict, cache: ev.cache}
-	keep := 0
-	for i := 0; i < cur.n; i++ {
-		if err := ev.tick(); err != nil {
-			return err
-		}
-		ctx.cells = cur.row(i)
-		if evalBool(cond, ctx) {
-			if keep != i {
-				copy(cur.data[keep*w:(keep+1)*w], cur.data[i*w:(i+1)*w])
-			}
-			keep++
-		}
+	err := cur.retain(func(row []store.ID) (bool, error) {
+		ctx.cells = row
+		return evalBool(cond, ctx), ev.tick()
+	})
+	if err != nil {
+		return err
 	}
-	cur.n = keep
-	cur.data = cur.data[:keep*w]
-	ev.record(f.node, keep)
+	ev.record(f.node, cur.n)
 	return nil
 }
 

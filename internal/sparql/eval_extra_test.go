@@ -195,7 +195,9 @@ func TestSortRowsByRanksMatchTermOrder(t *testing.T) {
 				ev.dict.encode(rdf.NewInteger(int64(i % 17))),
 			})
 		}
-		want := append([]store.ID(nil), rows.data...)
+		want := slices.Concat(rows.segs...)
+		cut := 0
+		splitRows(rows, func() int { cut++; return cut % 5 })
 		perm := make([]int, n)
 		for i := range perm {
 			perm[i] = i
@@ -253,9 +255,9 @@ func TestSortRowsByAllocsPerSort(t *testing.T) {
 		for i := 0; i < n; i++ {
 			rows.appendRow([]store.ID{store.ID(1 + (i*7919)%(n/10+1)), store.ID(1 + i%3)})
 		}
-		data := slices.Clone(rows.data)
+		data := slices.Clone(rows.segs[0])
 		return testing.AllocsPerRun(5, func() {
-			copy(rows.data, data)
+			copy(rows.segs[0], data)
 			if err := ev.sortRowsBy(rows, []string{"a", "b"}); err != nil {
 				t.Fatal(err)
 			}

@@ -87,18 +87,25 @@ func (d *evalDict) encode(t rdf.Term) store.ID {
 	return id
 }
 
-// idRows is a columnar solution batch: vars names the columns and data holds
-// n*len(vars) ids in row-major order. 0 is an unbound cell. A batch with no
-// columns can still hold rows (the unit solution a group evaluation starts
-// from).
+// idRows is a columnar solution batch: vars names the columns and segs
+// holds the rows in order as row-aligned segments, each a whole number of
+// rows of len(vars) ids in row-major order. 0 is an unbound cell. A
+// parallel operator's output is the list of the segments its morsels
+// wrote, so merging morsels never copies a row; readers walk the segments
+// with a cursor, and the few that need random access take one segment
+// (flat). A batch with no columns can still hold rows (the unit solution a
+// group evaluation starts from).
 type idRows struct {
 	vars []string
 	cols map[string]int // var name -> column index
-	data []store.ID
+	segs [][]store.ID
 	n    int
 	// shared: another header (the evaluation's subplan memo, its readers)
-	// points to the same vars, cols and data; see own.
+	// points to the same vars, cols and segments; see own.
 	shared bool
+	// one lists a batch's only segment (setRows), so that a flat batch
+	// costs no allocation beyond its rows.
+	one [1][]store.ID
 }
 
 func newIDRows(vars []string) *idRows {
@@ -120,24 +127,76 @@ func (r *idRows) width() int { return len(r.vars) }
 
 // alias returns a second header over r's columns and rows.
 func (r *idRows) alias() *idRows {
-	return &idRows{vars: r.vars, cols: r.cols, data: r.data, n: r.n, shared: true}
+	a := &idRows{vars: r.vars, cols: r.cols, segs: r.segs, n: r.n, shared: true}
+	if len(r.segs) == 1 {
+		a.setRows(r.segs[0]) // not r.one, which r may overwrite
+	}
+	return a
 }
 
-// own gives a shared batch its own copy of everything it points to. Every
-// operator that changes a batch in place calls it first.
+// setRows makes data the batch's only segment.
+func (r *idRows) setRows(data []store.ID) {
+	r.one[0] = data
+	r.segs = r.one[:]
+}
+
+// own gives a shared batch its own copy of everything it points to, its
+// rows in one segment. Every operator that changes rows in place calls it
+// first.
 func (r *idRows) own() {
 	if r.shared {
-		r.vars, r.cols, r.data, r.shared = slices.Clone(r.vars), maps.Clone(r.cols), slices.Clone(r.data), false
+		r.vars, r.cols, r.shared = slices.Clone(r.vars), maps.Clone(r.cols), false
+		r.setRows(slices.Concat(r.segs...))
 	}
 }
 
-func (r *idRows) row(i int) []store.ID {
-	w := len(r.vars)
-	return r.data[i*w : (i+1)*w]
+// flat puts the rows in one segment, concatenating them if there are
+// several, and returns it: the layout row, at and set index into. Only
+// the header changes, so a shared batch stays shared.
+func (r *idRows) flat() []store.ID {
+	if len(r.segs) != 1 {
+		r.setRows(slices.Concat(r.segs...))
+	}
+	return r.segs[0]
 }
 
-func (r *idRows) at(i, c int) store.ID      { return r.data[i*len(r.vars)+c] }
-func (r *idRows) set(i, c int, id store.ID) { r.data[i*len(r.vars)+c] = id }
+// row, at and set address a flat batch.
+func (r *idRows) row(i int) []store.ID {
+	w := len(r.vars)
+	return r.segs[0][i*w : (i+1)*w]
+}
+
+func (r *idRows) at(i, c int) store.ID      { return r.segs[0][i*len(r.vars)+c] }
+func (r *idRows) set(i, c int, id store.ID) { r.segs[0][i*len(r.vars)+c] = id }
+
+// rowCursor reads a batch's rows in order across its segments.
+type rowCursor struct {
+	segs [][]store.ID // the segments after seg
+	seg  []store.ID   // the current segment's unread rows
+	w    int
+}
+
+// cursor returns a cursor at row lo.
+func (r *idRows) cursor(lo int) rowCursor {
+	c := rowCursor{segs: r.segs, w: len(r.vars)}
+	for skip := lo * c.w; skip > 0; c.segs = c.segs[1:] {
+		if skip < len(c.segs[0]) {
+			c.seg = c.segs[0][skip:]
+		}
+		skip -= len(c.segs[0])
+	}
+	return c
+}
+
+// next returns the next row; the caller reads no more rows than there are.
+func (c *rowCursor) next() []store.ID {
+	for len(c.seg) < c.w {
+		c.seg, c.segs = c.segs[0], c.segs[1:]
+	}
+	row := c.seg[:c.w]
+	c.seg = c.seg[c.w:]
+	return row
+}
 
 func (r *idRows) col(name string) (int, bool) {
 	c, ok := r.cols[name]
@@ -145,26 +204,33 @@ func (r *idRows) col(name string) (int, bool) {
 }
 
 // ensureCol returns the column for name, reshaping the batch to add it
-// (zero-filled) when absent.
+// (zero-filled, in one new segment) when absent; the batch comes back flat.
 func (r *idRows) ensureCol(name string) int {
 	r.own()
 	if c, ok := r.cols[name]; ok {
+		r.flat()
 		return c
 	}
 	oldW := len(r.vars)
+	rows := r.cursor(0)
 	r.vars = append(r.vars, name)
 	r.cols[name] = oldW
 	newW := oldW + 1
 	data := make([]store.ID, r.n*newW)
 	for i := 0; i < r.n; i++ {
-		copy(data[i*newW:], r.data[i*oldW:(i+1)*oldW])
+		copy(data[i*newW:], rows.next())
 	}
-	r.data = data
+	r.setRows(data)
 	return oldW
 }
 
+// appendRow adds a row to the last segment of a batch being built.
 func (r *idRows) appendRow(row []store.ID) {
-	r.data = append(r.data, row...)
+	if len(r.segs) == 0 {
+		r.setRows(nil)
+	}
+	last := len(r.segs) - 1
+	r.segs[last] = append(r.segs[last], row...)
 	r.n++
 }
 
@@ -194,17 +260,19 @@ func (r *idRows) project(vars []string) *idRows {
 			src[j] = -1
 		}
 	}
-	out.data = make([]store.ID, 0, r.n*len(vars))
+	data := make([]store.ID, 0, r.n*len(vars))
+	rows := r.cursor(0)
 	for i := 0; i < r.n; i++ {
-		row := r.row(i)
+		row := rows.next()
 		for _, c := range src {
 			if c < 0 {
-				out.data = append(out.data, 0)
+				data = append(data, 0)
 			} else {
-				out.data = append(out.data, row[c])
+				data = append(data, row[c])
 			}
 		}
 	}
+	out.setRows(data)
 	out.n = r.n
 	return out
 }
@@ -232,48 +300,73 @@ func (r *idRows) dropCols(names []string) *idRows {
 	return r.project(keep)
 }
 
+// retain compacts the batch in place, across its segments, to the rows
+// keep accepts, in order: a kept row moves to the first free row, never
+// past where it was. An error from keep stops it, the batch undefined.
+func (r *idRows) retain(keep func(row []store.ID) (bool, error)) error {
+	r.own()
+	src, dst := r.cursor(0), r.cursor(0)
+	kept := 0
+	for i := 0; i < r.n; i++ {
+		row := src.next()
+		ok, err := keep(row)
+		if err != nil {
+			return err
+		}
+		if ok {
+			copy(dst.next(), row)
+			kept++
+		}
+	}
+	r.sliceRows(0, kept)
+	return nil
+}
+
 // distinct removes duplicate rows in place, keeping first occurrences in
 // order. Rows are compared by id, which is exact term equality.
 func (r *idRows) distinct() {
-	r.own()
-	w := len(r.vars)
 	seen := make(map[string]bool, r.n)
 	var kb []byte
-	keep := 0
-	for i := 0; i < r.n; i++ {
-		kb = appendIDKeyRow(kb[:0], r.row(i))
+	_ = r.retain(func(row []store.ID) (bool, error) { // keep never fails
+		kb = appendIDKeyRow(kb[:0], row)
 		if seen[string(kb)] {
-			continue
+			return false, nil
 		}
 		seen[string(kb)] = true
-		if keep != i {
-			copy(r.data[keep*w:(keep+1)*w], r.data[i*w:(i+1)*w])
-		}
-		keep++
-	}
-	r.n = keep
-	r.data = r.data[:keep*w]
+		return true, nil
+	})
 }
 
-// sliceRows restricts the batch to rows [lo, hi).
+// sliceRows restricts the batch to rows [lo, hi) by re-slicing its
+// segments: no row moves, and a shared batch's rows and segment list stay
+// as they are.
 func (r *idRows) sliceRows(lo, hi int) {
-	r.own()
 	w := len(r.vars)
-	if lo > 0 {
-		copy(r.data, r.data[lo*w:hi*w])
+	skip, left := lo*w, (hi-lo)*w
+	segs := r.segs[:0]
+	if r.shared {
+		segs = nil
 	}
-	r.n = hi - lo
-	r.data = r.data[:r.n*w]
+	for _, s := range r.segs {
+		cut := min(skip, len(s))
+		s, skip = s[cut:], skip-cut
+		s = s[:min(left, len(s))]
+		if left -= len(s); len(s) > 0 {
+			segs = append(segs, s)
+		}
+	}
+	r.segs, r.n = segs, hi-lo
 }
 
 // permute reorders rows so that new row i is old row perm[i].
 func (r *idRows) permute(perm []int) {
 	w := len(r.vars)
-	data := make([]store.ID, len(r.data))
+	src := r.flat()
+	data := make([]store.ID, len(src))
 	for i, p := range perm {
-		copy(data[i*w:(i+1)*w], r.data[p*w:(p+1)*w])
+		copy(data[i*w:(i+1)*w], src[p*w:(p+1)*w])
 	}
-	r.data = data
+	r.setRows(data)
 }
 
 // appendIDKeyRow appends the fixed-width byte encoding of every id in row.
@@ -303,24 +396,22 @@ func concatRows(parts []*idRows) *idRows {
 	for _, p := range parts {
 		total += p.n
 	}
-	out.data = make([]store.ID, 0, total*len(vars))
-	rowBuf := make([]store.ID, len(vars))
+	w := len(vars)
+	data := make([]store.ID, total*w)
 	for _, p := range parts {
 		dst := make([]int, len(p.vars))
 		for j, v := range p.vars {
 			dst[j] = out.cols[v]
 		}
+		rows := p.cursor(0)
 		for i := 0; i < p.n; i++ {
-			for k := range rowBuf {
-				rowBuf[k] = 0
+			for j, id := range rows.next() {
+				data[out.n*w+dst[j]] = id
 			}
-			row := p.row(i)
-			for j, d := range dst {
-				rowBuf[d] = row[j]
-			}
-			out.appendRow(rowBuf)
+			out.n++
 		}
 	}
+	out.setRows(data)
 	return out
 }
 
@@ -389,8 +480,9 @@ func boundMask(row []store.ID, shared [][2]int, side int) (m uint64) {
 // order: one pass, and one entry when every row binds the same columns.
 func boundMasks(r *idRows, shared [][2]int, side int) []uint64 {
 	out := make([]uint64, 0, 1)
+	rows := r.cursor(0)
 	for i := 0; i < r.n; i++ {
-		m := boundMask(r.row(i), shared, side)
+		m := boundMask(rows.next(), shared, side)
 		if i == 0 || m != out[len(out)-1] && !slices.Contains(out, m) {
 			out = append(out, m)
 		}
@@ -433,8 +525,10 @@ func hashKey(row []store.ID, key [][2]int, side int) (h uint64) {
 // joinExec is one join compiled against its inputs: the merged shape and,
 // for every bound-mask on the left (lmasks[i]), the index to probe in each
 // right group (probes[i]); shared columns bound in every row make that one
-// index. joinRange only reads the exec and its batches, so disjoint left-row
-// ranges run concurrently (see evaluator.join in parallel.go).
+// index. The index addresses right rows by number, so the right batch is
+// made flat; the left one is read in order. joinRange only reads the exec
+// and its batches, so disjoint left-row ranges run concurrently (see
+// evaluator.join in parallel.go).
 type joinExec struct {
 	l, r      *idRows
 	js        joinShape
@@ -453,6 +547,7 @@ func makeJoinExec(l, r *idRows, leftOuter bool) *joinExec {
 	if l.n == 0 || r.n == 0 {
 		return jx
 	}
+	r.flat()
 	shared := jx.js.shared
 	jx.lmasks = boundMasks(l, shared, 0)
 	groups := boundMasks(r, shared, 1)
@@ -514,11 +609,12 @@ func makeJoinExec(l, r *idRows, leftOuter bool) *joinExec {
 // sweeps the whole right batch.
 func (jx *joinExec) joinRange(lo, hi int, tk *ticker, out *partWriter) (candidates int64, err error) {
 	at := 0
+	rows := jx.l.cursor(lo)
 	for i := lo; i < hi; i++ {
 		if err := tk.tick(); err != nil {
 			return candidates, err
 		}
-		lrow := jx.l.row(i)
+		lrow := rows.next()
 		if len(jx.lmasks) > 1 {
 			if m := boundMask(lrow, jx.js.shared, 0); m != jx.lmasks[at] {
 				at = slices.Index(jx.lmasks, m)

@@ -25,32 +25,59 @@ func referenceJoin(l, r *idRows, leftOuter bool) *idRows {
 	js := makeJoinShape(l, r)
 	out := newIDRows(js.outVars)
 	buf := make([]store.ID, len(js.outVars))
-	for i := 0; i < l.n; i++ {
+	for _, lrow := range listRows(l) {
 		matched := false
-		for j := 0; j < r.n; j++ {
-			if compatibleRows(l.row(i), r.row(j), js.shared) {
-				js.emit(buf, l.row(i), r.row(j))
+		for _, rrow := range listRows(r) {
+			if compatibleRows(lrow, rrow, js.shared) {
+				js.emit(buf, lrow, rrow)
 				out.appendRow(buf)
 				matched = true
 			}
 		}
 		if !matched && leftOuter {
 			clear(buf)
-			copy(buf, l.row(i))
+			copy(buf, lrow)
 			out.appendRow(buf)
 		}
 	}
 	return out
 }
 
+// listRows lists a batch's rows, read across its segments.
+func listRows(r *idRows) [][]store.ID {
+	rows, cur := make([][]store.ID, r.n), r.cursor(0)
+	for i := range rows {
+		rows[i] = cur.next()
+	}
+	return rows
+}
+
 // bagOf renders a batch as its sorted rows.
 func bagOf(r *idRows) []string {
 	rows := make([]string, r.n)
-	for i := range rows {
-		rows[i] = fmt.Sprint(r.row(i))
+	for i, row := range listRows(r) {
+		rows[i] = fmt.Sprint(row)
 	}
 	slices.Sort(rows)
 	return rows
+}
+
+// splitRows cuts a batch's rows into segments whose sizes size draws in
+// turn: n > 0 rows (the rest, when fewer are left), or for 0 an empty
+// segment and then one row. The cursor, the in-place mutators and the
+// random-access readers must all see the same rows whatever the cut.
+func splitRows(r *idRows, size func() int) {
+	rest, w := slices.Concat(r.segs...), r.width()
+	var segs [][]store.ID
+	for w > 0 && len(rest) > 0 {
+		k := size()
+		if k == 0 {
+			segs, k = append(segs, rest[:0:0]), 1
+		}
+		k = min(k*w, len(rest))
+		segs, rest = append(segs, rest[:k:k]), rest[k:]
+	}
+	r.segs = segs
 }
 
 // checkJoin joins l and r at the given pool size and compares with the
@@ -69,8 +96,14 @@ func checkJoin(t *testing.T, l, r *idRows, leftOuter bool, workers int) {
 	if !slices.Equal(got.vars, want.vars) {
 		t.Fatalf("columns %v, want %v", got.vars, want.vars)
 	}
-	if got.n*len(got.vars) != len(got.data) {
-		t.Fatalf("%d rows of %d columns in %d cells", got.n, len(got.vars), len(got.data))
+	cells := 0
+	for _, s := range got.segs {
+		if cells += len(s); len(got.vars) > 0 && len(s)%len(got.vars) != 0 {
+			t.Fatalf("a segment of %d cells holds rows of %d columns", len(s), len(got.vars))
+		}
+	}
+	if got.n*len(got.vars) != cells {
+		t.Fatalf("%d rows of %d columns in %d cells", got.n, len(got.vars), cells)
 	}
 	if g, w := bagOf(got), bagOf(want); !slices.Equal(g, w) {
 		t.Fatalf("leftOuter=%v workers=%d: %d rows, want %d\nleft  %v %v\nright %v %v\ngot  %v\nwant %v",
@@ -86,6 +119,9 @@ func checkJoin(t *testing.T, l, r *idRows, leftOuter bool, workers int) {
 // whether the left side is repeated past the parallel threshold) and then
 // one byte per cell, 0 unbound, otherwise one of three ids — a domain small
 // enough that rows agree, disagree and go unbound in every combination.
+// Both batches are then cut into segments of 0 to 4 rows, the sizes read
+// from the bytes in a cycle, the way parallel operators hand over their
+// output (see splitRows).
 func joinCase(data []byte) (l, r *idRows, leftOuter bool) {
 	at := func(i int) int {
 		if i < len(data) {
@@ -113,21 +149,31 @@ func joinCase(data []byte) (l, r *idRows, leftOuter bool) {
 	fill := func(vars []string, n int) *idRows {
 		b := newIDRows(vars)
 		b.n = n
-		b.data = make([]store.ID, n*len(vars))
-		for i := range b.data {
-			b.data[i] = store.ID(at(next) % 4)
+		cells := make([]store.ID, n*len(vars))
+		for i := range cells {
+			cells[i] = store.ID(at(next) % 4)
 			next++
 		}
+		b.segs = [][]store.ID{cells}
 		return b
 	}
 	l, r = fill(lvars, ln), fill(rvars, rn)
 	if big && l.n > 0 {
-		rows := l.data
+		rows := l.segs[0]
 		for l.n < minParallelRows+morselRows/2 {
-			l.data = append(l.data, rows...)
+			l.segs[0] = append(l.segs[0], rows...)
 			l.n += ln
 		}
 	}
+	size := func() int {
+		next++
+		if len(data) == 0 {
+			return 1
+		}
+		return int(data[next%len(data)] % 5)
+	}
+	splitRows(l, size)
+	splitRows(r, size)
 	return l, r, leftOuter
 }
 
@@ -177,13 +223,13 @@ func TestJoinIndexAllocsPerGroup(t *testing.T) {
 		l, r := newIDRows(vars), newIDRows(vars)
 		for _, b := range []*idRows{l, r} {
 			b.n = rows
-			b.data = make([]store.ID, rows*cols)
-			for i := range b.data {
-				b.data[i] = store.ID(1 + i%977)
+			b.segs = [][]store.ID{make([]store.ID, rows*cols)}
+			for i := range b.segs[0] {
+				b.segs[0][i] = store.ID(1 + i%977)
 			}
 		}
 		for i := 0; i < rows; i += 3 { // a second mask group on the right: last column unbound
-			r.data[i*cols+cols-1] = 0
+			r.segs[0][i*cols+cols-1] = 0
 		}
 		return testing.AllocsPerRun(5, func() { makeJoinExec(l, r, false) })
 	}

@@ -355,7 +355,7 @@ func TestDecodeAllocsFollowDistinctTerms(t *testing.T) {
 		}
 		tab := NewTable()
 		decode := func() {
-			tab.reset()
+			tab.Reset()
 			if err := tab.ReadJSON(bytes.NewReader(body)); err != nil || tab.Len() != rows {
 				t.Fatalf("%d rows, %v", tab.Len(), err)
 			}

@@ -113,12 +113,12 @@ func (t *Table) Release() {
 	if cap(t.cells) > 1<<20 || cap(t.terms) > 1<<16 {
 		return
 	}
-	t.reset()
+	t.Reset()
 	tablePool.Put(t)
 }
 
-// reset empties the table and keeps its memory.
-func (t *Table) reset() {
+// Reset empties the table, columns included, and keeps its memory.
+func (t *Table) Reset() {
 	clear(t.terms[1:])
 	clear(t.memo)
 	clear(t.intern)

@@ -200,8 +200,6 @@ func (ev *evaluator) distinctRows(r *idRows) error {
 		r.distinct()
 		return nil
 	}
-	r.own()
-	w := r.width()
 	bounds := rowChunks(r.n, morselRows)
 	type survivors struct {
 		rows []int32  // in-range first occurrences, ascending
@@ -213,11 +211,12 @@ func (ev *evaluator) distinctRows(r *idRows) error {
 		seen := make(map[string]bool, hi-lo)
 		var kb []byte
 		var pk survivors
+		rows := r.cursor(lo)
 		for i := lo; i < hi; i++ {
 			if err := tk.tick(); err != nil {
 				return err
 			}
-			kb = appendIDKeyRow(kb[:0], r.row(i))
+			kb = appendIDKeyRow(kb[:0], rows.next())
 			if seen[string(kb)] {
 				continue
 			}
@@ -233,20 +232,21 @@ func (ev *evaluator) distinctRows(r *idRows) error {
 		return err
 	}
 	seen := make(map[string]bool, r.n)
-	keep := 0
-	for _, pk := range parts {
-		for j, i := range pk.rows {
-			if seen[pk.keys[j]] {
-				continue
-			}
-			seen[pk.keys[j]] = true
-			if keep != int(i) {
-				copy(r.data[keep*w:(keep+1)*w], r.data[int(i)*w:(int(i)+1)*w])
-			}
-			keep++
+	i, p, j := int32(-1), 0, 0 // row i; parts[p].rows[j] is the next survivor
+	return r.retain(func([]store.ID) (bool, error) {
+		i++
+		for p < len(parts) && j == len(parts[p].rows) {
+			p, j = p+1, 0
 		}
-	}
-	r.n = keep
-	r.data = r.data[:keep*w]
-	return nil
+		if p == len(parts) || parts[p].rows[j] != i {
+			return false, nil
+		}
+		k := parts[p].keys[j]
+		j++
+		if seen[k] {
+			return false, nil
+		}
+		seen[k] = true
+		return true, nil
+	})
 }

@@ -175,7 +175,8 @@ func TestParallelTimeout(t *testing.T) {
 	}
 }
 
-// TestMergeParts checks the combiner keeps morsel order.
+// TestMergeParts checks the combiner keeps morsel order and lists the
+// parts' segments as they are.
 func TestMergeParts(t *testing.T) {
 	vars := []string{"a", "b"}
 	mk := func(segs ...[]store.ID) pipePart {
@@ -185,12 +186,15 @@ func TestMergeParts(t *testing.T) {
 		}
 		return p
 	}
-	merged := mergePipeParts(vars, []pipePart{mk([]store.ID{1, 2}, []store.ID{3, 4}), mk(), mk([]store.ID{5, 6})})
+	parts := []pipePart{mk([]store.ID{1, 2}, []store.ID{3, 4}), mk(), mk([]store.ID{5, 6})}
+	merged := mergePipeParts(vars, parts)
 	if merged.n != 3 {
 		t.Fatalf("n = %d, want 3", merged.n)
 	}
-	want := []store.ID{1, 2, 3, 4, 5, 6}
-	if !slices.Equal(merged.data, want) {
-		t.Fatalf("data = %v, want %v", merged.data, want)
+	if want := []store.ID{1, 2, 3, 4, 5, 6}; !slices.Equal(slices.Concat(merged.segs...), want) {
+		t.Fatalf("rows = %v, want %v", merged.segs, want)
+	}
+	if len(merged.segs) != 3 || &merged.segs[2][0] != &parts[2].segs[0][0] {
+		t.Fatalf("segments %v: the parts' segments were copied", merged.segs)
 	}
 }

@@ -262,8 +262,9 @@ func (pc *pathCtx) unionRuns(get func(g *store.Graph) store.Run) []store.ID {
 func distinctSortedCol(r *idRows, c int) []store.ID {
 	seen := make(map[store.ID]struct{}, r.n)
 	out := make([]store.ID, 0, r.n)
+	rows := r.cursor(0)
 	for i := 0; i < r.n; i++ {
-		id := r.at(i, c)
+		id := rows.next()[c]
 		if _, ok := seen[id]; !ok {
 			seen[id] = struct{}{}
 			out = append(out, id)

@@ -232,8 +232,9 @@ func (p *bgpPipeline) worker(tk *ticker) *pipeWorker {
 
 // runRows runs the chain for input rows [lo, hi).
 func (w *pipeWorker) runRows(cur *idRows, lo, hi int) {
+	rows := cur.cursor(lo)
 	for i := lo; i < hi && w.err == nil; i++ {
-		copy(w.row, cur.row(i))
+		copy(w.row, rows.next())
 		w.probe(0)
 	}
 }
@@ -342,15 +343,17 @@ func (w *pipeWorker) emit() {
 func (ev *evaluator) runPipeline(p *bgpPipeline, cur *idRows) (*idRows, error) {
 	bounds := [][2]int{{0, cur.n}}
 	var scans []store.ScanPart
+	rows := cur.cursor(0)
+	first := rows.next() // the input row a partitioned scan runs under
 	if ev.workers > 1 {
 		peak := 0.0
 		for _, e := range p.op.est {
 			peak = max(peak, e*float64(cur.n))
 		}
 		if st := &p.steps[0]; cur.n == 1 && !st.missing {
-			first := make([]store.ID, len(p.vars))
-			copy(first, cur.row(0))
-			k := st.key(first)
+			row := make([]store.ID, len(p.vars))
+			copy(row, first)
+			k := st.key(row)
 			key := store.IDTriple{S: k[0], P: k[1], O: k[2]}
 			if m := scaleMorsel(morselScan, ev.store.Cardinality(p.op.graphs, key), peak); m > 0 {
 				scans = ev.store.MatchParts(p.op.graphs, key, m)
@@ -367,7 +370,7 @@ func (ev *evaluator) runPipeline(p *bgpPipeline, cur *idRows) (*idRows, error) {
 	err := ev.forEachPart(n, func(i int, tk *ticker) error {
 		w := p.worker(tk)
 		if len(scans) > 1 {
-			w.runScan(cur.row(0), scans[i])
+			w.runScan(first, scans[i])
 		} else {
 			w.runRows(cur, bounds[i][0], bounds[i][1])
 		}
@@ -392,22 +395,17 @@ func scaleMorsel(morsel, n int, peak float64) int {
 	return max(1, int(float64(morsel)*float64(n)/work))
 }
 
-// mergePipeParts concatenates the morsels' parts strictly in morsel order —
+// mergePipeParts lists the morsels' segments strictly in morsel order —
 // the order-preserving combiner that makes parallel output identical to the
-// serial nested loop's. An output that fits one segment is used as it is.
+// serial nested loop's. No row is copied: the batch is the parts' segments.
 func mergePipeParts(vars []string, parts []pipePart) *idRows {
 	out := newIDRows(vars)
-	segs := parts[0].segs // there is always a first part
+	out.segs = parts[0].segs // there is always a first part, and its list is its own
 	for _, p := range parts[1:] {
-		segs = append(segs, p.segs...)
+		out.segs = append(out.segs, p.segs...)
 	}
 	for _, p := range parts {
 		out.n += p.n
-	}
-	if len(segs) == 1 {
-		out.data = segs[0]
-	} else {
-		out.data = slices.Concat(segs...)
 	}
 	return out
 }

@@ -144,8 +144,8 @@ func refBGP(st *store.Store, graphs []string, in *idRows, pats []TriplePattern, 
 		return slices.ContainsFunc(ps, func(p TriplePattern) bool { return slices.Contains(p.Vars(), v) })
 	}
 	var rows [][]store.ID
-	for i := 0; i < in.n; i++ {
-		rows = append(rows, append([]store.ID(nil), in.row(i)...))
+	for _, row := range listRows(in) {
+		rows = append(rows, append([]store.ID(nil), row...))
 	}
 	colOf := func(name string) int {
 		for c, v := range vars {
@@ -230,10 +230,11 @@ func refBGP(st *store.Store, graphs []string, in *idRows, pats []TriplePattern, 
 	out := newIDRows(outVars)
 	for _, row := range rows {
 		row = append(row, make([]store.ID, len(vars)-len(row))...)
-		for _, c := range outCols {
-			out.data = append(out.data, row[c])
+		cells := make([]store.ID, len(outCols))
+		for i, c := range outCols {
+			cells[i] = row[c]
 		}
-		out.n++
+		out.appendRow(cells)
 	}
 	return out, filters
 }
@@ -329,7 +330,7 @@ func TestPipelineMatchesNestedLoop(t *testing.T) {
 				t.Errorf("%s, %d workers: columns %v, want %v", tc.name, workers, got.vars, want.vars)
 				continue
 			}
-			if got.n != want.n || !reflect.DeepEqual(append([]store.ID{}, got.data...), append([]store.ID{}, want.data...)) {
+			if got.n != want.n || !slices.Equal(slices.Concat(got.segs...), slices.Concat(want.segs...)) {
 				t.Errorf("%s, %d workers: %d rows differ from the reference's %d (rows or order)", tc.name, workers, got.n, want.n)
 			}
 			if left := len(filters) - len(op.filters); left != len(wantLeft) {
@@ -381,7 +382,7 @@ func TestPipelineRegexOnConcurrentWorkers(t *testing.T) {
 	}
 	wg.Wait()
 	got := mergePipeParts(p.outVars, parts)
-	if got.n != want.n || !reflect.DeepEqual(got.data, want.data) {
+	if got.n != want.n || !slices.Equal(slices.Concat(got.segs...), slices.Concat(want.segs...)) {
 		t.Fatalf("four concurrent workers kept %d rows, the serial run %d (rows or order differ)", got.n, want.n)
 	}
 	seen := map[*regexCache]bool{ev.cache: true}
@@ -521,7 +522,7 @@ func TestPipelineAllocationFollowsOutput(t *testing.T) {
 	if fewBytes > intermediate/10 {
 		t.Errorf("600 output rows allocated %d bytes; an intermediate (%d bytes) was materialised somewhere", fewBytes, intermediate)
 	}
-	if allBytes < 10*fewBytes || allBytes > 4*intermediate { // chunks + the merged copy, with room for -race
+	if allBytes < 10*fewBytes || allBytes > 4*intermediate { // the chunks, with room for -race
 		t.Errorf("48000 output rows allocated %d bytes, 600 rows %d: allocation does not follow output", allBytes, fewBytes)
 	}
 	t.Logf("600 rows: %d B; 48000 rows: %d B; one intermediate: %d B", fewBytes, allBytes, intermediate)
