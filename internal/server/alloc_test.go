@@ -46,10 +46,10 @@ func TestCachedPageAllocs(t *testing.T) {
 		accept, encode string
 		max            float64
 	}{
-		{"json", "", "", 45},
-		{"json gzip", "", "gzip", 52},
-		{"table", sparql.TableMediaType, "", 48},
-		{"table gzip", sparql.TableMediaType, "gzip", 54},
+		{"json", "", "", 40},
+		{"json gzip", "", "gzip", 47},
+		{"table", sparql.TableMediaType, "", 43},
+		{"table gzip", sparql.TableMediaType, "gzip", 49},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			serve := func() *httptest.ResponseRecorder {

@@ -24,15 +24,19 @@ type compactResult struct {
 	stats evalStats
 }
 
-// compact resolves a projected id batch into a compactResult. The caller
-// holds the store read lock (the evaluator dictionary reads the store's).
-// Ids are numbered in first-appearance order as the cells are written, and
-// the term table is filled afterwards, at its exact size: grown by append,
-// a table of all-distinct terms allocated five times its final size.
-func (ev *evaluator) compact(sols *idRows) (*compactResult, error) {
+// compact resolves an id batch, projected onto vars, into a compactResult:
+// column j of the result is column src[j] of the batch, unbound where
+// src[j] < 0. The rows are read where the operators left them, through the
+// batch's order, so the cells are the only copy the projection makes. The
+// caller holds the store read lock (the evaluator dictionary reads the
+// store's). Ids are numbered in first-appearance order as the cells are
+// written, and the term table is filled afterwards, at its exact size:
+// grown by append, a table of all-distinct terms allocated five times its
+// final size.
+func (ev *evaluator) compact(sols *idRows, vars []string, src []int) (*compactResult, error) {
 	c := &compactResult{
-		vars:  append([]string(nil), sols.vars...),
-		cells: make([]uint32, sols.n*sols.width()),
+		vars:  append([]string(nil), vars...),
+		cells: make([]uint32, sols.n*len(vars)),
 		n:     sols.n,
 		stats: ev.stats,
 	}
@@ -43,10 +47,12 @@ func (ev *evaluator) compact(sols *idRows) (*compactResult, error) {
 		if err := ev.tick(); err != nil {
 			return nil, err
 		}
-		for j, id := range rows.next() {
-			if id == 0 {
+		row := rows.next()
+		for j, s := range src {
+			if s < 0 || row[s] == 0 {
 				continue
 			}
+			id := row[s]
 			t := index[id]
 			if t == 0 {
 				t = uint32(len(index) + 1)

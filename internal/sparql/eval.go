@@ -3,7 +3,6 @@ package sparql
 import (
 	"cmp"
 	"fmt"
-	"math/bits"
 	"slices"
 	"sort"
 
@@ -110,19 +109,26 @@ func (ev *evaluator) evalQuery(root *selectOp, limit, offset int) (*compactResul
 	if err != nil {
 		return nil, err
 	}
-	return ev.compact(sols)
+	vars := root.q.projectedVars()
+	return ev.compact(sols, vars, sols.colsOf(vars))
 }
 
 // rows evaluates a subquery, once per class of shared subplans.
 func (op *selectOp) rows(ev *evaluator) (*idRows, error) {
 	return ev.shared(op.share, func() (*idRows, error) {
-		return ev.selectRows(op, op.q.Limit, op.q.Offset, false)
+		sols, err := ev.selectRows(op, op.q.Limit, op.q.Offset, false)
+		if err != nil {
+			return nil, err
+		}
+		return sols.project(op.q.projectedVars()), nil
 	})
 }
 
 // selectRows evaluates a (sub)query under the window limit/offset and
-// returns its projected solutions still in id space, the representation
-// subqueries join on. top marks the outermost query.
+// returns its solutions still in id space, the representation subqueries
+// join on, and not yet projected: DISTINCT keys on the projected columns,
+// and only the rows in the window are projected, by the caller. top marks
+// the outermost query.
 //
 // A query the planner marked canon sorts its solutions by term content
 // before the solution modifiers run. That makes the final row order a pure
@@ -192,22 +198,21 @@ func (ev *evaluator) selectRows(op *selectOp, limit, offset int, top bool) (*idR
 		}
 	}
 
-	proj := sols.project(q.projectedVars())
 	if q.Distinct {
-		if err := ev.distinctRows(proj); err != nil {
+		if err := ev.distinctRows(sols, sols.colsOf(q.projectedVars())); err != nil {
 			return nil, err
 		}
-		ev.record(op.distinct, proj.n)
+		ev.record(op.distinct, sols.n)
 	}
 	// The same clamp serves the result cache's pagination-aware slicing:
 	// sharing it keeps cached page slices exactly equal to direct
 	// evaluation (see cache.go).
-	lo, hi := pageBounds(proj.n, limit, offset)
-	if lo != 0 || hi != proj.n {
-		proj.sliceRows(lo, hi)
+	lo, hi := pageBounds(sols.n, limit, offset)
+	if lo != 0 || hi != sols.n {
+		sols.sliceRows(lo, hi)
 	}
-	ev.record(op.node, proj.n)
-	return proj, nil
+	ev.record(op.node, sols.n)
+	return sols, nil
 }
 
 // orderedSubquery returns the subquery whose row order q keeps: q is a bare
@@ -234,7 +239,9 @@ func orderedSubquery(q *Query) *Query {
 }
 
 func (ev *evaluator) aggregate(q *Query, sols *idRows) (*idRows, error) {
-	sols.flat() // groups list rows by number (sortRowsBy has left one segment)
+	if len(sols.segs) > 1 {
+		sols.number() // groups list rows by number: sortRowsBy has ordered all but the trivial cases
+	}
 	type groupEntry struct{ rows []int }
 	var groups []*groupEntry
 	cols := make([]int, len(q.GroupBy)) // -1 when the var never bound
@@ -256,15 +263,9 @@ func (ev *evaluator) aggregate(q *Query, sols *idRows) (*idRows, error) {
 	} else {
 		index := map[string]*groupEntry{}
 		var kb []byte
-		keyIDs := make([]store.ID, len(cols))
+		rows := sols.cursor(0)
 		for i := 0; i < sols.n; i++ {
-			for j, c := range cols {
-				keyIDs[j] = 0
-				if c >= 0 {
-					keyIDs[j] = sols.at(i, c)
-				}
-			}
-			kb = appendIDKeyRow(kb[:0], keyIDs)
+			kb = appendIDKey(kb[:0], rows.next(), cols)
 			ge, ok := index[string(kb)]
 			if !ok {
 				ge = &groupEntry{}
@@ -367,21 +368,19 @@ func (ev *evaluator) canonicalizeRows(sols *idRows, projected []string) error {
 	return ev.sortRowsBy(sols, keyVars)
 }
 
-// sortRowsBy stably sorts the batch by term order over the named columns
-// in order (duplicates and absent names are skipped). Callers must pick a
-// key set under which tied rows are interchangeable for everything
-// downstream; the stable sort then keeps ties deterministic per plan.
+// sortRowsBy sorts the batch by term order over the named columns in order
+// (duplicates and absent names are skipped). Callers must pick a key set
+// under which tied rows are interchangeable for everything downstream:
+// ties keep their row numbers' order, which is deterministic per plan.
 //
-// Rows sort as integers: each is one uint64 holding its row number below a
-// key, so one pdqsort orders the rows and ties keep the input order. A row
-// number is the row's segment above its index in the segment, which grows
-// with input order; the sorted rows are gathered from the segments into
-// one new segment, so the batch is read once and never concatenated. The
-// key is the position of the row's term in the store dictionary's term
-// order (store.Dictionary.Order), taken from the leading key column; each
-// run of rows that ties on a column is re-keyed on the next column and
-// sorted in turn. A run holding an id the evaluator minted (a term the
-// store lacks, hence without a position) is sorted with rdf.Compare.
+// The sort orders the batch's order and moves no row. Its entries sort as
+// integers: each holds its row number below a key, so one pdqsort orders
+// them. The key is the position of the row's term in the store
+// dictionary's term order (store.Dictionary.Order), taken from the leading
+// key column; each run of rows that ties on a column is re-keyed on the
+// next column and sorted in turn. A run holding an id the evaluator minted
+// (a term the store lacks, hence without a position) is sorted with
+// rdf.Compare.
 func (ev *evaluator) sortRowsBy(sols *idRows, keyVars []string) error {
 	if sols.n <= 1 || sols.width() == 0 {
 		return nil
@@ -398,49 +397,24 @@ func (ev *evaluator) sortRowsBy(sols *idRows, keyVars []string) error {
 	if len(keyCols) == 0 {
 		return nil
 	}
-	s := &rowSorter{segs: sols.segs, w: sols.width(), ord: ev.dict.dict.Order(), dict: ev.dict}
-	most := 0
-	for _, seg := range s.segs {
-		most = max(most, len(seg)/s.w)
-	}
-	if s.shift = bits.Len(uint(most - 1)); uint64(len(s.segs))<<s.shift > 1<<32 {
-		sols.flat() // row numbers must fit 32 bits
-		s.segs, s.shift = sols.segs, bits.Len(uint(sols.n-1))
-	}
-	rows := make([]uint64, 0, sols.n)
-	for g, seg := range s.segs {
-		for i := 0; i < len(seg)/s.w; i++ {
-			rows = append(rows, uint64(g<<s.shift|i))
-		}
-	}
-	s.sortRun(rows, keyCols)
-	data := make([]store.ID, sols.n*s.w)
-	for i, k := range rows {
-		copy(data[i*s.w:(i+1)*s.w], s.row(k))
-	}
-	sols.setRows(data)
+	sols.own()
+	sols.number()
+	s := &rowSorter{rows: sols, ord: ev.dict.dict.Order(), dict: ev.dict}
+	s.sortRun(sols.order, keyCols)
 	return nil
 }
 
-// rowSorter sorts the rows of a batch given as uint64s: the row number in
-// the low 32 bits, a key for the column being sorted in the high 32. Row
-// number k is row k&(1<<shift-1) of segment k>>shift.
+// rowSorter sorts the entries of a batch's order: the row number in the
+// low 32 bits, a key for the column being sorted in the high 32.
 type rowSorter struct {
-	segs  [][]store.ID
-	shift int
-	w     int
-	ord   []uint32
-	dict  *evalDict
+	rows *idRows
+	ord  []uint32
+	dict *evalDict
 }
 
-func (s *rowSorter) row(k uint64) []store.ID {
-	i := int(uint32(k) & (1<<s.shift - 1))
-	return s.segs[uint32(k)>>s.shift][i*s.w : (i+1)*s.w]
-}
+func (s *rowSorter) at(k uint64, c int) store.ID { return s.rows.numbered(k)[c] }
 
-func (s *rowSorter) at(k uint64, c int) store.ID { return s.row(k)[c] }
-
-// sortRun orders run, rows in input order that tie on every earlier key
+// sortRun orders run, entries of an order that tie on every earlier key
 // column, by the key columns cols.
 func (s *rowSorter) sortRun(run []uint64, cols []int) {
 	c, first, differ, minted := cols[0], s.at(run[0], cols[0]), false, false
@@ -507,8 +481,10 @@ func aggregationVars(q *Query) []string {
 	return out
 }
 
+// orderBy stably sorts the batch's order by the ORDER BY keys.
 func (ev *evaluator) orderBy(sols *idRows, keys []OrderKey) error {
-	sols.flat() // the keys are evaluated, and the rows gathered, by number
+	sols.own()
+	sols.number()
 	n := sols.n
 	nk := len(keys)
 	keyTerms := make([]rdf.Term, n*nk)
@@ -522,26 +498,22 @@ func (ev *evaluator) orderBy(sols *idRows, keys []OrderKey) error {
 			}
 		}
 	}
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
+	for i, k := range sols.order { // each entry's place above its row number
+		sols.order[i] = uint64(i)<<32 | uint64(uint32(k))
 	}
-	sort.SliceStable(perm, func(a, b int) bool {
-		ka := keyTerms[perm[a]*nk : perm[a]*nk+nk]
-		kb := keyTerms[perm[b]*nk : perm[b]*nk+nk]
+	slices.SortStableFunc(sols.order, func(a, b uint64) int {
+		ka := keyTerms[int(a>>32)*nk : int(a>>32)*nk+nk]
+		kb := keyTerms[int(b>>32)*nk : int(b>>32)*nk+nk]
 		for j, k := range keys {
-			c := rdf.Compare(ka[j], kb[j])
-			if c == 0 {
-				continue
+			if c := rdf.Compare(ka[j], kb[j]); c != 0 {
+				if k.Desc {
+					return -c
+				}
+				return c
 			}
-			if k.Desc {
-				return c > 0
-			}
-			return c < 0
 		}
-		return false
+		return 0
 	})
-	sols.permute(perm)
 	return nil
 }
 

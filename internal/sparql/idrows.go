@@ -2,6 +2,7 @@ package sparql
 
 import (
 	"maps"
+	"math/bits"
 	"slices"
 
 	"rdfframes/internal/rdf"
@@ -88,20 +89,27 @@ func (d *evalDict) encode(t rdf.Term) store.ID {
 }
 
 // idRows is a columnar solution batch: vars names the columns and segs
-// holds the rows in order as row-aligned segments, each a whole number of
-// rows of len(vars) ids in row-major order. 0 is an unbound cell. A
-// parallel operator's output is the list of the segments its morsels
-// wrote, so merging morsels never copies a row; readers walk the segments
-// with a cursor, and the few that need random access take one segment
-// (flat). A batch with no columns can still hold rows (the unit solution a
-// group evaluation starts from).
+// holds the rows as row-aligned segments, each a whole number of rows of
+// len(vars) ids in row-major order. 0 is an unbound cell. A parallel
+// operator's output is the list of the segments its morsels wrote, so
+// merging morsels never copies a row. Without an order the rows are the
+// segments' rows in order; with one (order non-nil), row i is the
+// segment row numbered order[i]: number k is row k&(1<<shift-1) of
+// segment k>>shift, read from its low 32 bits. Sorting, filtering,
+// DISTINCT and slicing rewrite the order and leave the rows where they
+// are; readers walk either layout with a cursor, and the few that need
+// random access to an unordered batch of several segments number its
+// rows or take one segment (flat). A batch with no columns can still hold
+// rows (the unit solution a group evaluation starts from).
 type idRows struct {
-	vars []string
-	cols map[string]int // var name -> column index
-	segs [][]store.ID
-	n    int
+	vars  []string
+	cols  map[string]int // var name -> column index
+	segs  [][]store.ID
+	n     int
+	order []uint64
+	shift int
 	// shared: another header (the evaluation's subplan memo, its readers)
-	// points to the same vars, cols and segments; see own.
+	// points to the same vars, cols, segments and order; see own.
 	shared bool
 	// one lists a batch's only segment (setRows), so that a flat batch
 	// costs no allocation beyond its rows.
@@ -125,60 +133,120 @@ func unitSolution() *idRows {
 
 func (r *idRows) width() int { return len(r.vars) }
 
-// alias returns a second header over r's columns and rows.
+// alias returns a second header over r's columns, rows and order.
 func (r *idRows) alias() *idRows {
 	a := &idRows{vars: r.vars, cols: r.cols, segs: r.segs, n: r.n, shared: true}
 	if len(r.segs) == 1 {
 		a.setRows(r.segs[0]) // not r.one, which r may overwrite
 	}
+	a.order, a.shift = r.order, r.shift
 	return a
 }
 
-// setRows makes data the batch's only segment.
+// setRows makes data the batch's only segment, its rows in order.
 func (r *idRows) setRows(data []store.ID) {
 	r.one[0] = data
-	r.segs = r.one[:]
+	r.segs, r.order = r.one[:], nil
 }
 
-// own gives a shared batch its own copy of everything it points to, its
-// rows in one segment. Every operator that changes rows in place calls it
+// own gives a shared batch a header and an order of its own. No row is
+// copied: nothing writes to the segments under an order, so they stay
+// shared, and a shared batch without one gets the order that lists its
+// rows as they are. Every operator that changes a batch in place calls it
 // first.
 func (r *idRows) own() {
 	if r.shared {
 		r.vars, r.cols, r.shared = slices.Clone(r.vars), maps.Clone(r.cols), false
-		r.setRows(slices.Concat(r.segs...))
+		if r.order != nil {
+			r.order = slices.Clone(r.order)
+		} else {
+			r.number()
+		}
 	}
 }
 
-// flat puts the rows in one segment, concatenating them if there are
-// several, and returns it: the layout row, at and set index into. Only
-// the header changes, so a shared batch stays shared.
+// number gives a batch with columns and no order the order that lists its
+// rows as they are. Row numbers fit 32 bits: segments that cannot all be
+// numbered are gathered into one first.
+func (r *idRows) number() {
+	w := len(r.vars)
+	if r.order != nil || w == 0 {
+		return
+	}
+	most := 1
+	for _, s := range r.segs {
+		most = max(most, len(s)/w)
+	}
+	if r.shift = bits.Len(uint(most - 1)); uint64(len(r.segs))<<r.shift > 1<<32 {
+		r.flat()
+		r.shift = bits.Len(uint(max(r.n, 1) - 1))
+	}
+	order := make([]uint64, 0, r.n)
+	for g, s := range r.segs {
+		for j := 0; j < len(s)/w; j++ {
+			order = append(order, uint64(g<<r.shift|j))
+		}
+	}
+	r.order = order
+}
+
+// gather copies the rows, in order, into one new segment of w columns, the
+// ones past the batch's width unbound, and drops the order.
+func (r *idRows) gather(w int) {
+	data := make([]store.ID, r.n*w)
+	rows := r.cursor(0)
+	for i := 0; i < r.n; i++ {
+		copy(data[i*w:], rows.next())
+	}
+	r.setRows(data)
+}
+
+// flat puts the rows in one segment in order, gathering them if they are
+// in several or under an order, and returns it: the layout set indexes
+// into. Only the header changes, so a shared batch stays shared.
 func (r *idRows) flat() []store.ID {
-	if len(r.segs) != 1 {
-		r.setRows(slices.Concat(r.segs...))
+	if r.order != nil || len(r.segs) != 1 {
+		r.gather(len(r.vars))
 	}
 	return r.segs[0]
 }
 
-// row, at and set address a flat batch.
+// numbered returns the segment row numbered k (see idRows).
+func (r *idRows) numbered(k uint64) []store.ID {
+	w, i := len(r.vars), int(uint32(k)&(1<<r.shift-1))
+	return r.segs[uint32(k)>>r.shift][i*w : (i+1)*w]
+}
+
+// row and at address a flat or ordered batch; set a flat one.
 func (r *idRows) row(i int) []store.ID {
+	if r.order != nil {
+		return r.numbered(r.order[i])
+	}
 	w := len(r.vars)
 	return r.segs[0][i*w : (i+1)*w]
 }
 
-func (r *idRows) at(i, c int) store.ID      { return r.segs[0][i*len(r.vars)+c] }
+func (r *idRows) at(i, c int) store.ID      { return r.row(i)[c] }
 func (r *idRows) set(i, c int, id store.ID) { r.segs[0][i*len(r.vars)+c] = id }
 
-// rowCursor reads a batch's rows in order across its segments.
+// rowCursor reads a batch's rows in order, across its segments or through
+// its order.
 type rowCursor struct {
-	segs [][]store.ID // the segments after seg
-	seg  []store.ID   // the current segment's unread rows
-	w    int
+	r     *idRows
+	order []uint64     // the unread rows' numbers, in an ordered batch
+	segs  [][]store.ID // the segments after seg, in an unordered one
+	seg   []store.ID   // the current segment's unread rows
+	w     int
 }
 
 // cursor returns a cursor at row lo.
 func (r *idRows) cursor(lo int) rowCursor {
-	c := rowCursor{segs: r.segs, w: len(r.vars)}
+	c := rowCursor{r: r, w: len(r.vars)}
+	if r.order != nil {
+		c.order = r.order[lo:]
+		return c
+	}
+	c.segs = r.segs
 	for skip := lo * c.w; skip > 0; c.segs = c.segs[1:] {
 		if skip < len(c.segs[0]) {
 			c.seg = c.segs[0][skip:]
@@ -190,6 +258,11 @@ func (r *idRows) cursor(lo int) rowCursor {
 
 // next returns the next row; the caller reads no more rows than there are.
 func (c *rowCursor) next() []store.ID {
+	if c.order != nil {
+		k := c.order[0]
+		c.order = c.order[1:]
+		return c.r.numbered(k)
+	}
 	for len(c.seg) < c.w {
 		c.seg, c.segs = c.segs[0], c.segs[1:]
 	}
@@ -203,25 +276,33 @@ func (r *idRows) col(name string) (int, bool) {
 	return c, ok
 }
 
+// colsOf maps vars to r's columns, -1 for a variable r lacks.
+func (r *idRows) colsOf(vars []string) []int {
+	src := make([]int, len(vars))
+	for j, v := range vars {
+		if c, ok := r.cols[v]; ok {
+			src[j] = c
+		} else {
+			src[j] = -1
+		}
+	}
+	return src
+}
+
 // ensureCol returns the column for name, reshaping the batch to add it
-// (zero-filled, in one new segment) when absent; the batch comes back flat.
+// (zero-filled, in one new segment) when absent; the batch comes back
+// flat and its own, for set.
 func (r *idRows) ensureCol(name string) int {
 	r.own()
 	if c, ok := r.cols[name]; ok {
 		r.flat()
 		return c
 	}
-	oldW := len(r.vars)
-	rows := r.cursor(0)
+	c := len(r.vars)
+	r.gather(c + 1)
 	r.vars = append(r.vars, name)
-	r.cols[name] = oldW
-	newW := oldW + 1
-	data := make([]store.ID, r.n*newW)
-	for i := 0; i < r.n; i++ {
-		copy(data[i*newW:], rows.next())
-	}
-	r.setRows(data)
-	return oldW
+	r.cols[name] = c
+	return c
 }
 
 // appendRow adds a row to the last segment of a batch being built.
@@ -234,32 +315,16 @@ func (r *idRows) appendRow(row []store.ID) {
 	r.n++
 }
 
-// project returns a batch with exactly the given columns in order;
-// variables absent from r become all-unbound columns. An identity
-// projection returns r itself, skipping the copy on the common SELECT *
-// result path.
+// project returns a batch with exactly the given columns in order, its
+// rows gathered into one segment; variables absent from r become
+// all-unbound columns. An identity projection returns r itself, skipping
+// the copy on the common SELECT * result path.
 func (r *idRows) project(vars []string) *idRows {
-	if len(vars) == len(r.vars) {
-		same := true
-		for i, v := range vars {
-			if r.vars[i] != v {
-				same = false
-				break
-			}
-		}
-		if same {
-			return r
-		}
+	if slices.Equal(vars, r.vars) {
+		return r
 	}
 	out := newIDRows(vars)
-	src := make([]int, len(vars)) // source column or -1
-	for j, v := range vars {
-		if c, ok := r.cols[v]; ok {
-			src[j] = c
-		} else {
-			src[j] = -1
-		}
-	}
+	src := r.colsOf(vars)
 	data := make([]store.ID, 0, r.n*len(vars))
 	rows := r.cursor(0)
 	for i := 0; i < r.n; i++ {
@@ -300,9 +365,11 @@ func (r *idRows) dropCols(names []string) *idRows {
 	return r.project(keep)
 }
 
-// retain compacts the batch in place, across its segments, to the rows
-// keep accepts, in order: a kept row moves to the first free row, never
-// past where it was. An error from keep stops it, the batch undefined.
+// retain keeps the rows keep accepts, in order. An unordered batch of its
+// own is compacted in place, across its segments: a kept row moves to the
+// first free row, never past where it was. An ordered or shared one keeps
+// its rows where they are and drops the others from its order. An error
+// from keep stops it, the batch undefined.
 func (r *idRows) retain(keep func(row []store.ID) (bool, error)) error {
 	r.own()
 	src, dst := r.cursor(0), r.cursor(0)
@@ -313,22 +380,28 @@ func (r *idRows) retain(keep func(row []store.ID) (bool, error)) error {
 		if err != nil {
 			return err
 		}
-		if ok {
-			copy(dst.next(), row)
-			kept++
+		if !ok {
+			continue
 		}
+		if r.order != nil {
+			r.order[kept] = r.order[i] // src has read it already
+		} else {
+			copy(dst.next(), row)
+		}
+		kept++
 	}
 	r.sliceRows(0, kept)
 	return nil
 }
 
-// distinct removes duplicate rows in place, keeping first occurrences in
-// order. Rows are compared by id, which is exact term equality.
-func (r *idRows) distinct() {
+// distinct removes rows that repeat an earlier row's ids in the key
+// columns (see appendIDKey), keeping first occurrences in order. Rows are
+// compared by id, which is exact term equality.
+func (r *idRows) distinct(key []int) {
 	seen := make(map[string]bool, r.n)
 	var kb []byte
 	_ = r.retain(func(row []store.ID) (bool, error) { // keep never fails
-		kb = appendIDKeyRow(kb[:0], row)
+		kb = appendIDKey(kb[:0], row, key)
 		if seen[string(kb)] {
 			return false, nil
 		}
@@ -337,10 +410,14 @@ func (r *idRows) distinct() {
 	})
 }
 
-// sliceRows restricts the batch to rows [lo, hi) by re-slicing its
-// segments: no row moves, and a shared batch's rows and segment list stay
-// as they are.
+// sliceRows restricts the batch to rows [lo, hi) by re-slicing its order,
+// or else its segments: no row moves, and a shared batch's rows, segment
+// list and order stay as they are.
 func (r *idRows) sliceRows(lo, hi int) {
+	if r.order != nil {
+		r.order, r.n = r.order[lo:hi], hi-lo
+		return
+	}
 	w := len(r.vars)
 	skip, left := lo*w, (hi-lo)*w
 	segs := r.segs[:0]
@@ -358,22 +435,16 @@ func (r *idRows) sliceRows(lo, hi int) {
 	r.segs, r.n = segs, hi-lo
 }
 
-// permute reorders rows so that new row i is old row perm[i].
-func (r *idRows) permute(perm []int) {
-	w := len(r.vars)
-	src := r.flat()
-	data := make([]store.ID, len(src))
-	for i, p := range perm {
-		copy(data[i*w:(i+1)*w], src[p*w:(p+1)*w])
-	}
-	r.setRows(data)
-}
-
-// appendIDKeyRow appends the fixed-width byte encoding of every id in row.
-// Fixed-width components make the key collision-free by construction.
-func appendIDKeyRow(buf []byte, row []store.ID) []byte {
-	for _, id := range row {
-		buf = append(buf, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
+// appendIDKey appends the fixed-width byte encoding of row's ids in the
+// key columns; a column c < 0, which the batch lacks, is unbound in every
+// row and adds nothing. Fixed-width components make the key collision-free
+// by construction.
+func appendIDKey(buf []byte, row []store.ID, key []int) []byte {
+	for _, c := range key {
+		if c >= 0 {
+			id := row[c]
+			buf = append(buf, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
+		}
 	}
 	return buf
 }
@@ -399,10 +470,7 @@ func concatRows(parts []*idRows) *idRows {
 	w := len(vars)
 	data := make([]store.ID, total*w)
 	for _, p := range parts {
-		dst := make([]int, len(p.vars))
-		for j, v := range p.vars {
-			dst[j] = out.cols[v]
-		}
+		dst := out.colsOf(p.vars)
 		rows := p.cursor(0)
 		for i := 0; i < p.n; i++ {
 			for j, id := range rows.next() {

@@ -102,8 +102,8 @@ func checkJoin(t *testing.T, l, r *idRows, leftOuter bool, workers int) {
 			t.Fatalf("a segment of %d cells holds rows of %d columns", len(s), len(got.vars))
 		}
 	}
-	if got.n*len(got.vars) != cells {
-		t.Fatalf("%d rows of %d columns in %d cells", got.n, len(got.vars), cells)
+	if got.order != nil && len(got.order) != got.n || got.order == nil && got.n*len(got.vars) != cells {
+		t.Fatalf("%d rows of %d columns in %d cells under %d order entries", got.n, len(got.vars), cells, len(got.order))
 	}
 	if g, w := bagOf(got), bagOf(want); !slices.Equal(g, w) {
 		t.Fatalf("leftOuter=%v workers=%d: %d rows, want %d\nleft  %v %v\nright %v %v\ngot  %v\nwant %v",
@@ -121,7 +121,8 @@ func checkJoin(t *testing.T, l, r *idRows, leftOuter bool, workers int) {
 // enough that rows agree, disagree and go unbound in every combination.
 // Both batches are then cut into segments of 0 to 4 rows, the sizes read
 // from the bytes in a cycle, the way parallel operators hand over their
-// output (see splitRows).
+// output (see splitRows), and the header may give one side an order over
+// some of its rows, chosen by the bytes too (see shuffleRows).
 func joinCase(data []byte) (l, r *idRows, leftOuter bool) {
 	at := func(i int) int {
 		if i < len(data) {
@@ -174,7 +175,29 @@ func joinCase(data []byte) (l, r *idRows, leftOuter bool) {
 	}
 	splitRows(l, size)
 	splitRows(r, size)
+	switch at(1) >> 2 % 4 {
+	case 1:
+		shuffleRows(l, size)
+	case 2:
+		shuffleRows(r, size)
+	}
 	return l, r, leftOuter
+}
+
+// shuffleRows gives a batch an order over its rows, the way a sort or a
+// filter over a shared batch leaves one: a shuffle whose swaps pick drives,
+// after which every row for which pick draws 0 drops out.
+func shuffleRows(r *idRows, pick func() int) {
+	if r.width() == 0 {
+		return // rows without cells have no number
+	}
+	r.number()
+	for i := len(r.order) - 1; i > 0; i-- {
+		j := pick() * 7919 % (i + 1)
+		r.order[i], r.order[j] = r.order[j], r.order[i]
+	}
+	r.order = slices.DeleteFunc(r.order, func(uint64) bool { return pick() == 0 })
+	r.n = len(r.order)
 }
 
 // FuzzJoin holds the join to the reference on arbitrary small batches, on

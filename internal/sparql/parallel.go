@@ -190,14 +190,14 @@ func (ev *evaluator) join(l, r *idRows, leftOuter bool) (*idRows, error) {
 	return out, nil
 }
 
-// distinctRows removes duplicate rows keeping first occurrences in order,
-// like idRows.distinct, but hashes morsels on the worker pool: each worker
-// dedups its range and records the survivors' keys, then a serial merge in
-// morsel order applies global first-occurrence-wins — the same rows survive
-// as in the serial pass.
-func (ev *evaluator) distinctRows(r *idRows) error {
+// distinctRows removes rows that repeat an earlier row in the key columns,
+// keeping first occurrences in order, like idRows.distinct, but hashes
+// morsels on the worker pool: each worker dedups its range and records the
+// survivors' keys, then a serial merge in morsel order applies global
+// first-occurrence-wins — the same rows survive as in the serial pass.
+func (ev *evaluator) distinctRows(r *idRows, key []int) error {
 	if ev.workers <= 1 || r.n < minParallelRows {
-		r.distinct()
+		r.distinct(key)
 		return nil
 	}
 	bounds := rowChunks(r.n, morselRows)
@@ -216,7 +216,7 @@ func (ev *evaluator) distinctRows(r *idRows) error {
 			if err := tk.tick(); err != nil {
 				return err
 			}
-			kb = appendIDKeyRow(kb[:0], rows.next())
+			kb = appendIDKey(kb[:0], rows.next(), key)
 			if seen[string(kb)] {
 				continue
 			}

@@ -177,7 +177,7 @@ func BenchmarkDistinct(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				copy(data, src.segs[0])
 				cp := &idRows{vars: src.vars, cols: src.cols, segs: [][]store.ID{data}, n: src.n}
-				cp.distinct()
+				cp.distinct([]int{0, 1})
 				if cp.n >= n {
 					b.Fatal("nothing deduplicated")
 				}

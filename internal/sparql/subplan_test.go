@@ -71,6 +71,12 @@ var reuseCases = []reuseCase{
 	// leading segment is shared with the other branch.
 	{"sliced subquery over a shared segment", `SELECT * WHERE {
 		{ SELECT ?m ?a WHERE { ` + subStarring + ` } ORDER BY DESC(?m) LIMIT 2 } UNION { ` + subStarring + ` } }`, 1},
+	// The whole sorted, sliced subquery twice: its output is an order over
+	// one segment, which the second copy reads through the memo's header
+	// and the first filters.
+	{"sorted subquery twice", `SELECT * WHERE {
+		{ { SELECT ?a ?c WHERE { ?a <http://ex/birthPlace> ?c } ORDER BY DESC(?c) LIMIT 5 } FILTER(?a != <http://ex/a1>) } UNION
+		{ SELECT ?a ?c WHERE { ?a <http://ex/birthPlace> ?c } ORDER BY DESC(?c) LIMIT 5 } }`, 1},
 	// DISTINCT over an identity projection removes the second graph's
 	// duplicates in place.
 	{"DISTINCT subquery over a shared segment", `SELECT * WHERE {
