@@ -23,8 +23,8 @@ import (
 // ResultsToDataFrame: the same columns, and the same term in every cell of
 // every row in the same order, unbound cells of OPTIONALs and full outer
 // joins included. Besides the tasks there is a sorted frame, whose
-// requested order is not the engine's canonical one and must survive the
-// pagination wrapper. One-row pages cost a round trip a row, so they are
+// requested order is not the engine's canonical one and must survive
+// pagination. One-row pages cost a round trip a row, so they are
 // read only for results of up to onePageRowsMax rows (16 of the 19 frames;
 // cs1, cs3 and Q13 are longer).
 func TestFramePathsAgree(t *testing.T) {

@@ -38,9 +38,9 @@ type Client interface {
 }
 
 // HTTPClient talks to a SPARQL endpoint over HTTP. It retrieves results in
-// chunks of PageSize rows (re-issuing the query wrapped with LIMIT/OFFSET)
-// so that endpoint-side row caps and timeouts do not truncate results, and
-// retries transient failures.
+// chunks of PageSize rows (re-issuing the query with its LIMIT/OFFSET
+// narrowed to the chunk) so that endpoint-side row caps and timeouts do not
+// truncate results, and retries transient failures.
 type HTTPClient struct {
 	// Endpoint is the query URL, e.g. "http://host:port/sparql".
 	Endpoint string
@@ -203,27 +203,34 @@ func (c *HTTPClient) Frame(query string) (*dataframe.DataFrame, error) {
 	return dataframe.FromTable(vars, terms, cells, tab.Len()), nil
 }
 
-// read decodes query's complete result into tab, one page at a time.
+// read decodes query's complete result into tab, one page at a time. The
+// query is parsed only when the read has to cut a page (see pageOf).
 func (c *HTTPClient) read(query string, tab *sparql.Table) error {
-	if sparql.IsExplainQuery(query) {
-		// EXPLAIN is only legal at top level, so the pagination wrapper
-		// would make it unparsable — and re-running it per page would
-		// re-execute the query anyway. Plans are answered in one fetch; a
-		// server row cap small enough to cut a plan is surfaced as an error
-		// rather than a silently partial tree (use Explain for the
-		// structured, uncapped report).
-		truncated, _, err := c.fetch(query, tab)
-		if err == nil && truncated {
-			return fmt.Errorf("client: explain plan truncated by the server row cap; use Explain for the full report")
-		}
-		return err
-	}
+	var q *sparql.Query
 	pageSize, offset := c.PageSize, 0
 	first, restarts := "", 0 // the first page's store version
 	for {
 		page := query
 		if pageSize > 0 {
-			page = paginate(query, pageSize, offset)
+			if q == nil {
+				var err error
+				if q, err = sparql.Parse(query); err != nil {
+					return fmt.Errorf("client: paging the query: %w", err)
+				}
+			}
+			switch {
+			case q.Explain && offset > 0:
+				// A plan cut by the server's row cap is refused rather than
+				// returned partial (Explain has the full report).
+				return fmt.Errorf("client: explain plan truncated by the server row cap; use Explain for the full report")
+			case q.Explain:
+				// One fetch: a page of an EXPLAIN would re-run the query.
+				pageSize = 0
+			case q.Limit >= 0 && offset > 0 && offset >= q.Limit:
+				return nil
+			default:
+				page = pageOf(query, q, pageSize, offset)
+			}
 		}
 		before := tab.Len()
 		truncated, version, err := c.fetch(page, tab)
@@ -257,6 +264,19 @@ func (c *HTTPClient) read(query string, tab *sparql.Table) error {
 		// than the page requested.
 		offset += got
 	}
+}
+
+// pageOf is the page of q's result that starts offset rows into it and
+// holds at most size rows: query's text up to its own LIMIT/OFFSET
+// (Query.Window), then the page's window within the query's. FROM, ORDER
+// BY and PREFIX stay where the query put them, and every page shares the
+// result cache's entry for the text before the window. The clause starts
+// a new line, so a comment ending the text cannot swallow it.
+func pageOf(query string, q *sparql.Query, size, offset int) string {
+	if q.Limit >= 0 {
+		size = min(size, q.Limit-offset)
+	}
+	return fmt.Sprintf("%s\nLIMIT %d OFFSET %d", query[:q.Window], size, q.Offset+offset)
 }
 
 // retryPolicy resolves the effective policy: Retry with its unset fields
@@ -448,44 +468,6 @@ func (c *HTTPClient) Explain(query string) (*sparql.ExplainReport, error) {
 		return nil, fmt.Errorf("client: decoding explain report: %w", err)
 	}
 	return &rep, nil
-}
-
-// paginate wraps a query as a subquery with LIMIT/OFFSET, hoisting PREFIX
-// declarations to the outer query so the wrapped body stays valid.
-func paginate(query string, limit, offset int) string {
-	prologue, body := splitPrologue(query)
-	var sb strings.Builder
-	sb.WriteString(prologue)
-	sb.WriteString("SELECT * WHERE {\n{\n")
-	sb.WriteString(body)
-	sb.WriteString("\n}\n}")
-	fmt.Fprintf(&sb, " LIMIT %d OFFSET %d", limit, offset)
-	return sb.String()
-}
-
-// splitPrologue separates leading PREFIX declarations from the query body,
-// dropping the comment lines among them.
-func splitPrologue(query string) (prologue, body string) {
-	rest := query
-	var sb strings.Builder
-	for {
-		trimmed := strings.TrimLeft(rest, " \t\r\n")
-		if strings.HasPrefix(trimmed, "#") {
-			_, rest, _ = strings.Cut(trimmed, "\n")
-			continue
-		}
-		if len(trimmed) < 6 || !strings.EqualFold(trimmed[:6], "PREFIX") {
-			return sb.String(), trimmed
-		}
-		// A prefix declaration ends at the closing '>' of its IRI.
-		end := strings.Index(trimmed, ">")
-		if end < 0 {
-			return sb.String(), trimmed
-		}
-		sb.WriteString(trimmed[:end+1])
-		sb.WriteByte('\n')
-		rest = trimmed[end+1:]
-	}
 }
 
 // Direct is an in-process client evaluating queries on a local engine. It

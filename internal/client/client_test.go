@@ -6,8 +6,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/http/httptrace"
+	"reflect"
 	"sort"
-	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -188,40 +188,64 @@ func TestDirectClient(t *testing.T) {
 	}
 }
 
-func TestSplitPrologue(t *testing.T) {
-	prologue, body := splitPrologue(`PREFIX a: <http://a/>
- PREFIX b: <http://b/>
-SELECT * WHERE { ?s a:p ?o }`)
-	if !strings.Contains(prologue, "http://a/") || !strings.Contains(prologue, "http://b/") {
-		t.Fatalf("prologue = %q", prologue)
-	}
-	if !strings.HasPrefix(body, "SELECT") {
-		t.Fatalf("body = %q", body)
-	}
-	// No prologue at all.
-	p2, b2 := splitPrologue("SELECT * WHERE { ?s ?p ?o }")
-	if p2 != "" || !strings.HasPrefix(b2, "SELECT") {
-		t.Fatalf("p2=%q b2=%q", p2, b2)
+// pageCase is one page cut by pageOf: the query, the page's size and
+// offset, and the window the page must carry.
+type pageCase struct {
+	src                   string
+	size, offset          int
+	wantLimit, wantOffset int
+}
+
+// checkPages: a page is the query cut at its own LIMIT/OFFSET with the
+// page's window inside the query's, and it parses to the query with that
+// window and nothing else changed.
+func checkPages(t *testing.T, cases []pageCase) {
+	t.Helper()
+	for _, tc := range cases {
+		q, err := sparql.Parse(tc.src)
+		if err != nil {
+			t.Fatalf("%q: %v", tc.src, err)
+		}
+		page := pageOf(tc.src, q, tc.size, tc.offset)
+		got, err := sparql.Parse(page)
+		if err != nil {
+			t.Fatalf("page of %q does not parse: %v\n%s", tc.src, err, page)
+		}
+		want := *q
+		want.Limit, want.Offset, want.Window = tc.wantLimit, tc.wantOffset, q.Window+1
+		if !reflect.DeepEqual(got, &want) {
+			t.Errorf("page %q parses to\n%+v\nwant\n%+v", page, got, &want)
+		}
 	}
 }
 
+// TestPaginateWrapsWithLimitOffset: a page's window is intersected with
+// the query's own LIMIT/OFFSET, in either order, with LIMIT 0, an OFFSET
+// past the end, a trailing comment, and EXPLAIN.
 func TestPaginateWrapsWithLimitOffset(t *testing.T) {
-	for _, src := range []string{
-		"SELECT ?s WHERE { ?s ?p ?o } ORDER BY ?s",
-		"# c\nPREFIX ex: <http://ex/>\nSELECT * WHERE { ?s ex:p ?o }",
-		"PREFIX ex: <http://ex/> # c\n# d\nPREFIX ey: <http://ey/>\nSELECT * WHERE { ?s ex:p ?o . ?o ey:q ?x }",
-	} {
-		if _, err := sparql.Parse(src); err != nil {
-			t.Fatalf("%q: %v", src, err)
-		}
-		q := paginate(src, 10, 20)
-		if !strings.HasSuffix(q, "LIMIT 10 OFFSET 20") {
-			t.Fatalf("q = %q", q)
-		}
-		if _, err := sparql.Parse(q); err != nil {
-			t.Fatalf("paginated query does not parse: %v\n%s", err, q)
-		}
-	}
+	const where = "SELECT ?s FROM <http://g> WHERE { ?s ?p ?o } ORDER BY ?s"
+	checkPages(t, []pageCase{
+		{where, 10, 20, 10, 20},
+		{where + " LIMIT 25", 10, 20, 5, 20},
+		{where + " LIMIT 25 OFFSET 3", 10, 0, 10, 3},
+		{where + " OFFSET 3 LIMIT 25", 10, 20, 5, 23},
+		{where + " OFFSET 3", 10, 20, 10, 23},
+		{where + " LIMIT 0", 10, 0, 0, 0},
+		{where + " OFFSET 1000000", 10, 10, 10, 1000010},
+		{"SELECT * WHERE { ?s ?p ?o } # no LIMIT here", 7, 7, 7, 7},
+		{"SELECT * WHERE { ?s ?p ?o } LIMIT 9 # the frame's own", 7, 7, 2, 7},
+		{"EXPLAIN SELECT * WHERE { ?s ?p ?o }", 7, 7, 7, 7},
+	})
+}
+
+// TestSplitPrologue: PREFIX declarations, with comments before and
+// between them, stay where the query put them and the page still parses.
+func TestSplitPrologue(t *testing.T) {
+	checkPages(t, []pageCase{
+		{"PREFIX a: <http://a/>\n PREFIX b: <http://b/>\nSELECT * WHERE { ?s a:p ?o . ?o b:q ?x }", 10, 20, 10, 20},
+		{"# c\nPREFIX ex: <http://ex/>\nSELECT * WHERE { ?s ex:p ?o }", 7, 0, 7, 0},
+		{"PREFIX ex: <http://ex/> # c\n# d\nPREFIX ey: <http://ey/>\nSELECT * WHERE { ?s ex:p ?o . ?o ey:q ?x }", 7, 14, 7, 14},
+	})
 }
 
 // TestSelectDecodesGzipResponses drives the client through a gzip-encoded

@@ -20,9 +20,9 @@ import (
 	"rdfframes/internal/store"
 )
 
-// optionalLabelsUnordered is optionalLabels in the engine's canonical row
-// order, which a paginated read keeps: the LIMIT/OFFSET wrapper around a
-// query does not carry its ORDER BY.
+// optionalLabelsUnordered is optionalLabels without its ORDER BY: its rows
+// come in the engine's canonical order, which every page of a paginated
+// read shares.
 const optionalLabelsUnordered = `SELECT ?s ?o ?l WHERE { ?s <http://ex/p> ?o OPTIONAL { ?s <http://ex/l> ?l } }`
 
 // sameTable reports how got differs from want, cell by cell in row order.

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"rdfframes/internal/dataframe"
 	"rdfframes/internal/server"
 	"rdfframes/internal/sparql"
 )
@@ -34,21 +35,31 @@ func (b bodyTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 var bothBodies = []string{sparql.TableMediaType, "application/sparql-results+json"}
 
 // TestHTTPFrameKeepsOrderBy: a paginated read of an ordered query comes back
-// in the order it asked for, not the engine's canonical order, at every
-// page size, from a server with and without the result cache, over either
-// body.
+// in the order it asked for, not the engine's canonical order, and a query
+// with a LIMIT/OFFSET of its own comes back as that window, at every page
+// size, from a server with and without the result cache, over either body.
 func TestHTTPFrameKeepsOrderBy(t *testing.T) {
 	st := frameStore(t, 300)
-	const q = `SELECT ?s ?o ?l WHERE { ?s <http://ex/p> ?o OPTIONAL { ?s <http://ex/l> ?l } } ORDER BY DESC(?o) ?s`
-	want, err := NewDirect(sparql.NewEngine(st)).Frame(q)
+	const ordered = `SELECT ?s ?o ?l WHERE { ?s <http://ex/p> ?o OPTIONAL { ?s <http://ex/l> ?l } } ORDER BY DESC(?o) ?s`
+	direct := NewDirect(sparql.NewEngine(st))
+	canonical, err := direct.Frame(optionalLabelsUnordered)
 	if err != nil {
 		t.Fatal(err)
 	}
-	canonical, err := NewDirect(sparql.NewEngine(st)).Frame(optionalLabelsUnordered)
-	if err != nil {
-		t.Fatal(err)
+	queries := []string{
+		ordered,
+		ordered + " LIMIT 250 OFFSET 13",
+		optionalLabelsUnordered + " LIMIT 250 OFFSET 13",
+		ordered + " LIMIT 0",
+		ordered + " OFFSET 1000",
 	}
-	if sameTable(want, canonical) == nil {
+	wants := make([]*dataframe.DataFrame, len(queries))
+	for i, q := range queries {
+		if wants[i], err = direct.Frame(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sameTable(wants[0], canonical) == nil {
 		t.Fatal("the requested order is the canonical one, so no order is checked")
 	}
 	for _, cached := range []bool{false, true} {
@@ -59,15 +70,17 @@ func TestHTTPFrameKeepsOrderBy(t *testing.T) {
 		ts := httptest.NewServer(server.New(eng).Handler())
 		t.Cleanup(ts.Close)
 		for _, body := range bothBodies {
-			for _, pageSize := range []int{0, 7, 100_000} {
+			for _, pageSize := range []int{0, 1, 7, 100_000} {
 				c := NewHTTPClient(ts.URL+"/sparql", pageSize)
 				c.HTTP = &http.Client{Transport: bodyTransport{body}}
-				got, err := c.Frame(q)
-				if err != nil {
-					t.Fatalf("cache %v, %s, page size %d: %v", cached, body, pageSize, err)
-				}
-				if err := sameTable(got, want); err != nil {
-					t.Errorf("cache %v, %s, page size %d: %v", cached, body, pageSize, err)
+				for i, q := range queries {
+					got, err := c.Frame(q)
+					if err != nil {
+						t.Fatalf("cache %v, %s, page size %d, %q: %v", cached, body, pageSize, q, err)
+					}
+					if err := sameTable(got, wants[i]); err != nil {
+						t.Errorf("cache %v, %s, page size %d, %q: %v", cached, body, pageSize, q, err)
+					}
 				}
 			}
 		}

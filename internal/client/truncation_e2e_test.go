@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -151,5 +152,25 @@ func TestTruncationHeaderSurvivesLargerResults(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.Header.Get("X-Truncated") != "true" {
 		t.Fatal("server did not flag a truncated response")
+	}
+}
+
+// TestTruncationRefusesACutPlan: an EXPLAIN is fetched once, unpaged,
+// whatever the page size, and a plan the server's cap cut is an error, not
+// a partial tree.
+func TestTruncationRefusesACutPlan(t *testing.T) {
+	var requests atomic.Int32
+	ep := newWrappedEndpoint(t, 20, 2, func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			requests.Add(1)
+			h.ServeHTTP(w, r)
+		})
+	})
+	for _, pageSize := range []int{0, 5} {
+		requests.Store(0)
+		_, err := NewHTTPClient(ep, pageSize).Select("EXPLAIN " + contractQuery)
+		if err == nil || !strings.Contains(err.Error(), "explain plan truncated") || requests.Load() != 1 {
+			t.Errorf("page size %d: %d requests, %v; want 1 request and the cut plan refused", pageSize, requests.Load(), err)
+		}
 	}
 }

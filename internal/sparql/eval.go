@@ -215,29 +215,6 @@ func (ev *evaluator) selectRows(op *selectOp, limit, offset int, top bool) (*idR
 	return sols, nil
 }
 
-// orderedSubquery returns the subquery whose row order q keeps: q is a bare
-// SELECT * — no DISTINCT, grouping or ORDER BY of its own, at most a
-// LIMIT/OFFSET slice — over nested groups that hold one subquery and
-// nothing else, and that subquery has an ORDER BY. The HTTP client's
-// pagination wrapper has this shape, and a page of an ordered query must
-// come back in the order it asked for.
-func orderedSubquery(q *Query) *Query {
-	if !q.Star || q.Distinct || len(q.OrderBy) > 0 || q.HasAggregates() {
-		return nil
-	}
-	for g := q.Where; len(g.Elems) == 1; {
-		if e, ok := g.Elems[0].(GroupElem); ok {
-			g = e.Group
-			continue
-		}
-		if e, ok := g.Elems[0].(SubQueryElem); ok && len(e.Query.OrderBy) > 0 {
-			return e.Query
-		}
-		break
-	}
-	return nil
-}
-
 func (ev *evaluator) aggregate(q *Query, sols *idRows) (*idRows, error) {
 	if len(sols.segs) > 1 {
 		sols.number() // groups list rows by number: sortRowsBy has ordered all but the trivial cases

@@ -81,12 +81,6 @@ func stripExplainKeyword(src string) string {
 	return s
 }
 
-// IsExplainQuery reports whether src starts with the EXPLAIN keyword, for
-// callers (like the paginating client) that must not rewrite such queries.
-func IsExplainQuery(src string) bool {
-	return stripExplainKeyword(src) != strings.TrimSpace(src)
-}
-
 // Explain parses, optimizes, and executes src, returning the plan tree with
 // estimated and actual cardinalities. The leading EXPLAIN keyword is
 // optional. Explain always runs the planner (even on engines with

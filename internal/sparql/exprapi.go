@@ -18,7 +18,7 @@ func ParseExpression(src string, prefixes *rdf.PrefixMap) (Expression, error) {
 	if prefixes == nil {
 		prefixes = rdf.NewPrefixMap(nil)
 	}
-	p := &parser{toks: toks, prefixes: prefixes}
+	p := &parser{src: src, toks: toks, prefixes: prefixes}
 	e, err := p.parseExpression()
 	if err != nil {
 		return nil, err

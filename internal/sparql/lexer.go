@@ -22,19 +22,17 @@ type token struct {
 	kind tokenKind
 	text string // token value (IRI without brackets, var without '?', ...)
 	pos  int    // byte offset, for error messages
-	line int
 }
 
 type lexer struct {
 	src  string
 	i    int
-	line int
 	toks []token
 }
 
 // lex tokenizes an entire query up front.
 func lex(src string) ([]token, error) {
-	l := &lexer{src: src, line: 1}
+	l := &lexer{src: src}
 	for {
 		t, err := l.next()
 		if err != nil {
@@ -48,17 +46,20 @@ func lex(src string) ([]token, error) {
 }
 
 func (l *lexer) errf(format string, args ...any) error {
-	return fmt.Errorf("sparql: line %d: %s", l.line, fmt.Sprintf(format, args...))
+	return errAt(l.src, l.i, format, args...)
+}
+
+// errAt is a syntax error at byte pos of src, reported by its line: lines
+// are counted only when an error needs one.
+func errAt(src string, pos int, format string, args ...any) error {
+	return fmt.Errorf("sparql: line %d: %s", 1+strings.Count(src[:pos], "\n"), fmt.Sprintf(format, args...))
 }
 
 func (l *lexer) skipSpaceAndComments() {
 	for l.i < len(l.src) {
 		c := l.src[l.i]
 		switch {
-		case c == '\n':
-			l.line++
-			l.i++
-		case c == ' ' || c == '\t' || c == '\r':
+		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
 			l.i++
 		case c == '#':
 			for l.i < len(l.src) && l.src[l.i] != '\n' {
@@ -73,9 +74,9 @@ func (l *lexer) skipSpaceAndComments() {
 func (l *lexer) next() (token, error) {
 	l.skipSpaceAndComments()
 	if l.i >= len(l.src) {
-		return token{kind: tokEOF, pos: l.i, line: l.line}, nil
+		return token{kind: tokEOF, pos: l.i}, nil
 	}
-	start, line := l.i, l.line
+	start := l.i
 	c := l.src[l.i]
 	switch {
 	case c == '<':
@@ -83,14 +84,14 @@ func (l *lexer) next() (token, error) {
 		if j := l.scanIRIEnd(); j > 0 {
 			iri := l.src[l.i+1 : j]
 			l.i = j + 1
-			return token{tokIRI, iri, start, line}, nil
+			return token{tokIRI, iri, start}, nil
 		}
 		if l.i+1 < len(l.src) && l.src[l.i+1] == '=' {
 			l.i += 2
-			return token{tokPunct, "<=", start, line}, nil
+			return token{tokPunct, "<=", start}, nil
 		}
 		l.i++
-		return token{tokPunct, "<", start, line}, nil
+		return token{tokPunct, "<", start}, nil
 	case c == '?' || c == '$':
 		j := l.i + 1
 		for j < len(l.src) && isNameChar(l.src[j]) {
@@ -101,13 +102,13 @@ func (l *lexer) next() (token, error) {
 		}
 		name := l.src[l.i+1 : j]
 		l.i = j
-		return token{tokVar, name, start, line}, nil
+		return token{tokVar, name, start}, nil
 	case c == '"':
 		s, err := l.scanString()
 		if err != nil {
 			return token{}, err
 		}
-		return token{tokString, s, start, line}, nil
+		return token{tokString, s, start}, nil
 	case c >= '0' && c <= '9':
 		j := l.i
 		for j < len(l.src) && (l.src[j] >= '0' && l.src[j] <= '9') {
@@ -121,7 +122,7 @@ func (l *lexer) next() (token, error) {
 		}
 		num := l.src[l.i:j]
 		l.i = j
-		return token{tokNumber, num, start, line}, nil
+		return token{tokNumber, num, start}, nil
 	case isNameStart(c):
 		j := l.i
 		for j < len(l.src) && isNameChar(l.src[j]) {
@@ -138,9 +139,9 @@ func (l *lexer) next() (token, error) {
 			}
 			local := l.src[l.i:k]
 			l.i = k
-			return token{tokPName, name + ":" + local, start, line}, nil
+			return token{tokPName, name + ":" + local, start}, nil
 		}
-		return token{tokName, name, start, line}, nil
+		return token{tokName, name, start}, nil
 	case c == ':':
 		// Default-prefix name ":local"
 		l.i++
@@ -150,19 +151,19 @@ func (l *lexer) next() (token, error) {
 		}
 		local := l.src[l.i:k]
 		l.i = k
-		return token{tokPName, ":" + local, start, line}, nil
+		return token{tokPName, ":" + local, start}, nil
 	}
 	// Multi-char operators.
 	for _, op := range []string{"^^", "&&", "||", "!=", ">=", "<="} {
 		if strings.HasPrefix(l.src[l.i:], op) {
 			l.i += len(op)
-			return token{tokPunct, op, start, line}, nil
+			return token{tokPunct, op, start}, nil
 		}
 	}
 	switch c {
 	case '{', '}', '(', ')', '.', ';', ',', '=', '>', '!', '+', '-', '*', '/', '@':
 		l.i++
-		return token{tokPunct, string(c), start, line}, nil
+		return token{tokPunct, string(c), start}, nil
 	}
 	return token{}, l.errf("unexpected character %q", c)
 }

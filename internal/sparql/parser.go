@@ -14,7 +14,7 @@ func Parse(src string) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks, prefixes: rdf.NewPrefixMap(nil)}
+	p := &parser{src: src, toks: toks, prefixes: rdf.NewPrefixMap(nil)}
 	q, err := p.parseQuery()
 	if err != nil {
 		return nil, err
@@ -26,6 +26,7 @@ func Parse(src string) (*Query, error) {
 }
 
 type parser struct {
+	src      string // the text toks were read from, for error lines
 	toks     []token
 	i        int
 	prefixes *rdf.PrefixMap
@@ -45,7 +46,7 @@ func (p *parser) peek() token { return p.toks[min(p.i, len(p.toks)-1)] }
 func (p *parser) next() token { t := p.peek(); p.i++; return t }
 func (p *parser) backup()     { p.i-- }
 func (p *parser) errf(format string, args ...any) error {
-	return fmt.Errorf("sparql: line %d: %s", p.peek().line, fmt.Sprintf(format, args...))
+	return errAt(p.src, p.peek().pos, format, args...)
 }
 
 // keyword reports whether the next token is the given case-insensitive bare
@@ -96,7 +97,7 @@ func (p *parser) parseQuery() (*Query, error) {
 		}
 		p.prefixes.Bind(prefix, iri.text)
 	}
-	q, err := p.parseSelect()
+	q, err := p.parseSelect(false)
 	if err != nil {
 		return nil, err
 	}
@@ -105,7 +106,9 @@ func (p *parser) parseQuery() (*Query, error) {
 	return q, nil
 }
 
-func (p *parser) parseSelect() (*Query, error) {
+// parseSelect parses a SELECT query; sub marks a subquery, which SPARQL
+// gives no dataset clause.
+func (p *parser) parseSelect(sub bool) (*Query, error) {
 	if err := p.expectKeyword("SELECT"); err != nil {
 		return nil, err
 	}
@@ -149,6 +152,9 @@ func (p *parser) parseSelect() (*Query, error) {
 		}
 	}
 	for p.keyword("FROM") {
+		if sub {
+			return nil, p.errf("FROM is not allowed in a subquery")
+		}
 		g, err := p.parseIRIRef()
 		if err != nil {
 			return nil, err
@@ -378,7 +384,7 @@ func (p *parser) parseGroupOrSubQuery() (*Group, error) {
 		return nil, err
 	}
 	if t := p.peek(); t.kind == tokName && strings.EqualFold(t.text, "SELECT") {
-		q, err := p.parseSelect()
+		q, err := p.parseSelect(true)
 		if err != nil {
 			return nil, err
 		}

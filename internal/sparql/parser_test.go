@@ -235,6 +235,11 @@ func TestParseErrors(t *testing.T) {
 			t.Errorf("Parse(%q) accepted invalid input", src)
 		}
 	}
+	// SPARQL has no dataset clause in a SubSelect.
+	const sub = "SELECT * WHERE {\n { SELECT * FROM <http://g> WHERE { ?s ?p ?o } } }"
+	if _, err := Parse(sub); err == nil || err.Error() != "sparql: line 2: FROM is not allowed in a subquery" {
+		t.Errorf("Parse(%q) = %v, want the subquery's FROM refused on line 2", sub, err)
+	}
 }
 
 // TestParseMarksPageWindow: the parser records where the top-level
@@ -345,6 +350,16 @@ func FuzzParse(f *testing.F) {
 		want.Limit, want.Offset = -1, 0
 		if !reflect.DeepEqual(unpaged, &want) {
 			t.Fatalf("%q cut at its window %d parses to\n%+v\nwant\n%+v", src, q.Window, unpaged, &want)
+		}
+		// The HTTP client's page: the cut text and a window of its own.
+		page := src[:q.Window] + "\nLIMIT 3 OFFSET 2"
+		paged, err := Parse(page)
+		if err != nil {
+			t.Fatalf("%q does not parse: %v", page, err)
+		}
+		want.Limit, want.Offset, want.Window = 3, 2, q.Window+1
+		if !reflect.DeepEqual(paged, &want) {
+			t.Fatalf("%q parses to\n%+v\nwant\n%+v", page, paged, &want)
 		}
 		_, _ = eng.Do(context.Background(), Request{Query: src})
 	})

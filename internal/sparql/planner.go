@@ -247,9 +247,6 @@ type planner struct {
 	// Engine.DisableWCOJ ablation knob, and DisableReorder), leaving every
 	// segment binary.
 	noWCOJ bool
-	// ordered is the subquery whose row order the top-level query passes
-	// through (see orderedSubquery), nil when it has none.
-	ordered *Query
 	// subplans lists what could be shared; see shareSubplans.
 	subplans []*subplan
 }
@@ -261,13 +258,12 @@ type planner struct {
 func (e *Engine) buildPlan(q *Query, track, reorder bool) *queryPlan {
 	stats := e.Store.Stats() // before RLock: Stats may itself lock
 	p := &planner{
-		st:      e.Store,
-		stats:   stats,
-		dict:    e.Store.Dict(),
-		qp:      &queryPlan{epoch: stats.Epoch, track: track, reorder: reorder},
-		uses:    map[string]int{},
-		noWCOJ:  e.DisableWCOJ || !reorder,
-		ordered: orderedSubquery(q),
+		st:     e.Store,
+		stats:  stats,
+		dict:   e.Store.Dict(),
+		qp:     &queryPlan{epoch: stats.Epoch, track: track, reorder: reorder},
+		uses:   map[string]int{},
+		noWCOJ: e.DisableWCOJ || !reorder,
 	}
 	countQueryUses(q, p.uses)
 	// The pattern-cardinality probes read index map lengths; hold the read
@@ -280,10 +276,9 @@ func (e *Engine) buildPlan(q *Query, track, reorder bool) *queryPlan {
 }
 
 // planQuery plans a (sub)query. Canonical order (see selectRows) is the
-// top-level query's unless it passes an ordered subquery's rows through;
-// that subquery sorts its rows as a top-level query would, and so does a
-// sliced subquery, whose slice picks which rows survive by their order.
-// Other subqueries keep execution order, which the top-level sort erases.
+// top-level query's, and a sliced subquery's, whose slice picks which rows
+// survive by their order. Other subqueries keep execution order, which the
+// top-level sort erases.
 func (p *planner) planQuery(q *Query, graphs []string, top bool) *selectOp {
 	if len(q.From) > 0 {
 		graphs = q.From
@@ -298,7 +293,7 @@ func (p *planner) planQuery(q *Query, graphs []string, top bool) *selectOp {
 		detail = strings.Join(quoted, " ")
 	}
 	op := &selectOp{q: q, node: plan.NewNode("select", detail)}
-	op.canon = top && p.ordered == nil || !top && (q == p.ordered || q.Limit >= 0 || q.Offset > 0)
+	op.canon = top || q.Limit >= 0 || q.Offset > 0
 	where, wn := p.planGroup(q.Where, graphs, "")
 	op.where = where
 	op.node.Add(wn)

@@ -79,7 +79,7 @@ func ParseUpdate(src string) (*UpdateRequest, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks, prefixes: rdf.NewPrefixMap(nil)}
+	p := &parser{src: src, toks: toks, prefixes: rdf.NewPrefixMap(nil)}
 	req := &UpdateRequest{}
 	for {
 		for p.keyword("PREFIX") {
