@@ -195,19 +195,19 @@ func (q *Query) HasAggregates() bool {
 	return false
 }
 
+// internalVar reports whether v is a variable the parser minted for
+// sequence-path desugaring. Its '.' prefix no user variable can have; it
+// joins patterns together but is not part of a solution: it never
+// surfaces through SELECT * or counts in COUNT(DISTINCT *).
+func internalVar(v string) bool { return len(v) > 0 && v[0] == '.' }
+
 // scopeVars returns the variables visible in the group in syntactic order,
 // which defines the column order of SELECT *.
 func (g *Group) scopeVars() []string {
 	var out []string
 	seen := map[string]bool{}
 	add := func(v string) {
-		// Internal variables minted by the parser for sequence-path
-		// desugaring carry a '.' prefix no user variable can have; they
-		// join patterns together but never surface through SELECT *.
-		if len(v) > 0 && v[0] == '.' {
-			return
-		}
-		if !seen[v] {
+		if !internalVar(v) && !seen[v] {
 			seen[v] = true
 			out = append(out, v)
 		}

@@ -3,6 +3,7 @@ package sparql
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 
@@ -151,17 +152,6 @@ func (ev *evaluator) selectRows(op *selectOp, limit, offset int, top bool) (*idR
 		if q.Star {
 			return nil, fmt.Errorf("sparql: SELECT * cannot be combined with aggregation")
 		}
-		// Aggregation is order-sensitive in content, not just order: SUM/AVG
-		// accumulate floats in input order and SAMPLE takes the first group
-		// row. Sort the group input (at every nesting level) by exactly the
-		// aggregation-relevant columns — group keys plus every variable the
-		// aggregate/HAVING expressions read. Those columns are never pruned
-		// (they have uses outside any one BGP segment), so the key set is
-		// identical under every plan; rows tying on all of them contribute
-		// identically to every aggregate, so tie order is immaterial.
-		if err := ev.sortRowsBy(sols, aggregationVars(q)); err != nil {
-			return nil, err
-		}
 		sols, err = ev.aggregate(q, sols)
 		if err != nil {
 			return nil, err
@@ -215,104 +205,87 @@ func (ev *evaluator) selectRows(op *selectOp, limit, offset int, top bool) (*idR
 	return sols, nil
 }
 
+// aggregate groups the batch and evaluates HAVING and the projections once
+// per group.
+//
+// Aggregation is order-sensitive in content, not just order: SUM/AVG
+// accumulate floats in input order and SAMPLE takes the first group row.
+// So the batch is sorted (at every nesting level) by the group keys, then
+// every variable the aggregate and HAVING expressions read. Those columns
+// are never pruned, so the key set is identical under every plan, and rows
+// tying on all of them contribute identically to every aggregate. A group
+// is then a run of the order: equal ids are equal terms, and rdf.Compare
+// ties only identical terms. Groups come out in key order.
 func (ev *evaluator) aggregate(q *Query, sols *idRows) (*idRows, error) {
-	if len(sols.segs) > 1 {
-		sols.number() // groups list rows by number: sortRowsBy has ordered all but the trivial cases
+	keys := aggregationVars(q)
+	if slices.Contains(keys, "*") { // sort on every column: equal solutions are adjacent (see countRows)
+		sols = sols.project(slices.DeleteFunc(slices.Clone(sols.vars), internalVar))
+		keys = append(keys, sols.vars...)
 	}
-	type groupEntry struct{ rows []int }
-	var groups []*groupEntry
-	cols := make([]int, len(q.GroupBy)) // -1 when the var never bound
-	for j, v := range q.GroupBy {
+	if err := ev.sortRowsBy(sols, keys); err != nil {
+		return nil, err
+	}
+	keyCols := map[string]int{} // the group keys' columns; a key that never bound has none
+	for _, v := range q.GroupBy {
 		if c, ok := sols.col(v); ok {
-			cols[j] = c
-		} else {
-			cols[j] = -1
+			keyCols[v] = c
 		}
 	}
-	if len(q.GroupBy) == 0 {
-		// Implicit single group; non-nil rows so aggregates see a group
-		// context even when the pattern matched nothing (COUNT()=0).
-		ge := &groupEntry{rows: make([]int, sols.n)}
-		for i := range ge.rows {
-			ge.rows[i] = i
-		}
-		groups = []*groupEntry{ge}
-	} else {
-		index := map[string]*groupEntry{}
-		var kb []byte
-		rows := sols.cursor(0)
-		for i := 0; i < sols.n; i++ {
-			kb = appendIDKey(kb[:0], rows.next(), cols)
-			ge, ok := index[string(kb)]
-			if !ok {
-				ge = &groupEntry{}
-				index[string(kb)] = ge
-				groups = append(groups, ge)
-			}
-			ge.rows = append(ge.rows, i)
-		}
-	}
+	cut := slices.Collect(maps.Values(keyCols)) // a change in any of them ends a group
 
 	// Output columns: the grouping vars plus every computed projection.
-	outVars := make([]string, 0, len(q.GroupBy)+len(q.Items))
-	outSeen := map[string]int{}
+	var outVars []string
 	for _, v := range q.GroupBy {
-		if _, ok := outSeen[v]; !ok {
-			outSeen[v] = len(outVars)
+		if !slices.Contains(outVars, v) {
 			outVars = append(outVars, v)
 		}
 	}
 	for _, it := range q.Items {
-		if it.Expr == nil {
-			continue // plain variable: must be a grouping var, already present
-		}
-		if _, ok := outSeen[it.Var]; !ok {
-			outSeen[it.Var] = len(outVars)
+		if it.Expr != nil && !slices.Contains(outVars, it.Var) { // a plain variable is a grouping var
 			outVars = append(outVars, it.Var)
 		}
 	}
 	out := newIDRows(outVars)
-	keyRow := newIDRows(append([]string(nil), q.GroupBy...))
-	key := make([]store.ID, len(q.GroupBy))
-	keyRow.setRows(key)
-	keyRow.n = 1
 	rowBuf := make([]store.ID, len(outVars))
 
-	ctx := &evalCtx{
-		row:      &idRowView{rows: keyRow, dict: ev.dict},
-		groupSrc: sols,
-		dict:     ev.dict,
-		cache:    ev.cache,
+	// HAVING and the projections read the group's keys from its first row
+	// (keyRow), its rows through group, a header over the run [lo, hi) of
+	// the order. Several groups mean a bound key column, hence a sorted,
+	// ordered batch; an unordered one is a single group.
+	keyRow, group := &idRows{vars: sols.vars, cols: keyCols, n: 1}, sols.alias()
+	ctx := &evalCtx{row: &idRowView{rows: keyRow, dict: ev.dict}, groupSrc: group, dict: ev.dict, cache: ev.cache}
+	rejects := func(h Expression) bool { return !evalBool(h, ctx) }
+	rows := sols.cursor(0)
+	var next []store.ID // the next group's first row
+	if sols.n > 0 {
+		next = rows.next()
 	}
-	for _, ge := range groups {
+	// Without GROUP BY every row is in the one group, which exists even
+	// when the pattern matched nothing (COUNT(*) = 0).
+	for lo, more := 0, sols.n > 0 || len(q.GroupBy) == 0; more; {
 		if err := ev.tick(); err != nil {
 			return nil, err
 		}
-		clear(key)
-		if len(ge.rows) > 0 {
-			first := ge.rows[0]
-			for j, c := range cols {
-				if c >= 0 {
-					key[j] = sols.at(first, c)
+		first, hi := next, sols.n
+		if len(q.GroupBy) > 0 {
+			for hi = lo + 1; hi < sols.n; hi++ {
+				if next = rows.next(); slices.ContainsFunc(cut, func(c int) bool { return next[c] != first[c] }) {
+					break
 				}
 			}
 		}
-		ctx.groupIdx = ge.rows
-		keep := true
-		for _, h := range q.Having {
-			if !evalBool(h, ctx) {
-				keep = false
-				break
-			}
+		if sols.order != nil {
+			group.order = sols.order[lo:hi]
 		}
-		if !keep {
+		group.n = hi - lo
+		keyRow.setRows(first)
+		lo, more = hi, hi < sols.n
+		if slices.ContainsFunc(q.Having, rejects) {
 			continue
 		}
-		for j := range rowBuf {
-			rowBuf[j] = 0
-		}
-		for j, v := range q.GroupBy {
-			rowBuf[outSeen[v]] = key[j]
+		clear(rowBuf)
+		for v, c := range keyCols {
+			rowBuf[out.cols[v]] = first[c]
 		}
 		for _, it := range q.Items {
 			if it.Expr == nil {
@@ -320,7 +293,7 @@ func (ev *evaluator) aggregate(q *Query, sols *idRows) (*idRows, error) {
 			}
 			v, err := evalExpr(it.Expr, ctx)
 			if err == nil {
-				rowBuf[outSeen[it.Var]] = ev.dict.encode(v)
+				rowBuf[out.cols[it.Var]] = ev.dict.encode(v)
 			}
 		}
 		out.appendRow(rowBuf)
@@ -441,7 +414,8 @@ func (s *rowSorter) sortRun(run []uint64, cols []int) {
 
 // aggregationVars lists the variables that determine a row's contribution
 // to the query's aggregation: the group keys plus everything the projected
-// aggregate expressions and HAVING conditions read.
+// aggregate expressions and HAVING conditions read ("*" for a
+// COUNT(DISTINCT *), see exprVars).
 func aggregationVars(q *Query) []string {
 	var out []string
 	out = append(out, q.GroupBy...)
@@ -613,7 +587,9 @@ func (ev *evaluator) applyFilter(cur *idRows, f *filterOp) error {
 	return nil
 }
 
-// exprVars collects the variables referenced by an expression.
+// exprVars collects the variables referenced by an expression. A
+// COUNT(DISTINCT *) reads the whole solution: it lists "*", which no
+// batch has a column for.
 func exprVars(e Expression) []string {
 	var out []string
 	var walk func(e Expression)
@@ -638,6 +614,8 @@ func exprVars(e Expression) []string {
 		case ExAgg:
 			if x.Arg != nil {
 				walk(x.Arg)
+			} else if x.Distinct {
+				out = append(out, "*")
 			}
 		}
 	}

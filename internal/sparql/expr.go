@@ -2,6 +2,7 @@ package sparql
 
 import (
 	"fmt"
+	"maps"
 	"regexp"
 	"slices"
 	"strconv"
@@ -232,14 +233,14 @@ func (d *evalDict) resolve(e Expression, cols map[string]int) Expression {
 
 // evalCtx carries the evaluation context for expressions: the current row,
 // and, when evaluating HAVING or aggregate projections, the group. A group
-// is either a set of row indices into a columnar batch (groupSrc/groupIdx,
-// the engine path) or a slice of Binding maps (group, the exported API).
+// is either a columnar batch of its own rows (groupSrc, the engine path:
+// a header over the run of the sorted input that holds the group) or a
+// slice of Binding maps (group, the term path).
 type evalCtx struct {
 	row      exprRow
 	cells    []store.ID // the row a resolved expression reads (see resolve)
 	group    []Binding  // non-nil when aggregates are in scope (map rows)
 	groupSrc *idRows    // non-nil when aggregates are in scope (id rows)
-	groupIdx []int      // row indices into groupSrc
 	dict     *evalDict
 	cache    *regexCache
 	ids      []store.ID // aggregateVar's scratch, reused across groups
@@ -797,8 +798,9 @@ func evalCast(x ExCall, arg func(int) (rdf.Term, error)) (rdf.Term, error) {
 func aggregateVar(x ExAgg, name string, ctx *evalCtx) (rdf.Term, error) {
 	ids := ctx.ids[:0]
 	if c, ok := ctx.groupSrc.col(name); ok {
-		for _, ri := range ctx.groupIdx {
-			id := ctx.groupSrc.at(ri, c)
+		rows := ctx.groupSrc.cursor(0)
+		for i := 0; i < ctx.groupSrc.n; i++ {
+			id := rows.next()[c]
 			if id == 0 {
 				continue
 			}
@@ -819,21 +821,44 @@ func aggregateVar(x ExAgg, name string, ctx *evalCtx) (rdf.Term, error) {
 	return rdf.NewInteger(int64(len(ids))), nil
 }
 
+// countRows answers COUNT(*), the group's rows, and COUNT(DISTINCT *), its
+// distinct solutions. aggregate sorts the input of a COUNT(DISTINCT *) on
+// every column, so an id-space group's equal rows are adjacent.
+func countRows(distinct bool, ctx *evalCtx) (n int) {
+	if g := ctx.groupSrc; g != nil {
+		if !distinct {
+			return g.n
+		}
+		rows, prev := g.cursor(0), []store.ID(nil)
+		for i := 0; i < g.n; i++ {
+			if row := rows.next(); i == 0 || !slices.Equal(row, prev) {
+				n, prev = n+1, row
+			}
+		}
+	}
+	for i, b := range ctx.group {
+		if !distinct || !slices.ContainsFunc(ctx.group[:i], func(o Binding) bool { return maps.Equal(o, b) }) {
+			n++
+		}
+	}
+	return n
+}
+
 // evalAggregate computes an aggregate over the context's group rows.
 func evalAggregate(x ExAgg, ctx *evalCtx) (rdf.Term, error) {
+	if x.Star {
+		return rdf.NewInteger(int64(countRows(x.Distinct, ctx))), nil
+	}
 	if v, ok := x.Arg.(ExVar); ok && ctx.groupSrc != nil && (x.Fn == "count" || x.Fn == "sample") {
 		return aggregateVar(x, v.Name, ctx)
 	}
 	var values []rdf.Term
-	if ctx.groupSrc != nil {
-		view := &idRowView{rows: ctx.groupSrc, dict: ctx.dict}
-		sub := &evalCtx{row: view, dict: ctx.dict, cache: ctx.cache}
-		for _, ri := range ctx.groupIdx {
-			if x.Star {
-				values = append(values, rdf.NewInteger(1))
-				continue
-			}
-			view.idx = ri
+	if g := ctx.groupSrc; g != nil {
+		one := &idRows{vars: g.vars, cols: g.cols, n: 1} // each of the group's rows in turn
+		sub := &evalCtx{row: &idRowView{rows: one, dict: ctx.dict}, dict: ctx.dict, cache: ctx.cache}
+		rows := g.cursor(0)
+		for i := 0; i < g.n; i++ {
+			one.setRows(rows.next())
 			v, err := evalExpr(x.Arg, sub)
 			if err != nil {
 				continue // aggregates skip error values
@@ -842,10 +867,6 @@ func evalAggregate(x ExAgg, ctx *evalCtx) (rdf.Term, error) {
 		}
 	}
 	for _, row := range ctx.group {
-		if x.Star {
-			values = append(values, rdf.NewInteger(1))
-			continue
-		}
 		sub := &evalCtx{row: row, cache: ctx.cache}
 		v, err := evalExpr(x.Arg, sub)
 		if err != nil {

@@ -242,10 +242,11 @@ func TestExtraIDsAboveStoreIDs(t *testing.T) {
 }
 
 // TestAggregateVarMatchesTermPath: COUNT, COUNT(DISTINCT) and SAMPLE of a
-// bare variable over an id-space group (counted on ids) agree with the term
-// path (the same group as Binding maps) on unbound cells, on values the
-// store dictionary does not hold (extra ids), on an empty group and on a
-// variable the batch has no column for.
+// bare variable, and COUNT(*), over an id-space group (an order over the
+// batch's rows, counted on ids) agree with the term path (the same group
+// as Binding maps) on unbound cells, on values the store dictionary does
+// not hold (extra ids), on an empty group and on a variable the batch has
+// no column for.
 func TestAggregateVarMatchesTermPath(t *testing.T) {
 	sd := store.NewDictionary()
 	stored := rdf.NewIRI("http://ex/stored")
@@ -266,10 +267,13 @@ func TestAggregateVarMatchesTermPath(t *testing.T) {
 	if d.encode(computed) < extraIDBase || d.encode(stored) >= extraIDBase {
 		t.Fatal("the fixture needs one stored and one computed value")
 	}
-	groups := [][]int{{0, 1, 2, 3, 4, 5, 6, 7}, {2, 5}, {2, 6, 1}, {}}
-	for _, idx := range groups {
+	src.number()
+	groups := [][]uint64{{0, 1, 2, 3, 4, 5, 6, 7}, {2, 5}, {2, 6, 1}, {}}
+	for _, order := range groups {
+		g := src.alias()
+		g.order, g.n = order, len(order)
 		group := []Binding{}
-		for _, i := range idx {
+		for _, i := range order {
 			group = append(group, maps[i])
 		}
 		for _, x := range []ExAgg{
@@ -279,11 +283,12 @@ func TestAggregateVarMatchesTermPath(t *testing.T) {
 			{Fn: "sample", Distinct: true, Arg: ExVar{Name: "v"}},
 			{Fn: "count", Arg: ExVar{Name: "absent"}},
 			{Fn: "sample", Arg: ExVar{Name: "absent"}},
+			{Fn: "count", Star: true},
 		} {
-			got, gotErr := evalAggregate(x, &evalCtx{groupSrc: src, groupIdx: idx, dict: d})
+			got, gotErr := evalAggregate(x, &evalCtx{groupSrc: g, dict: d})
 			want, wantErr := evalAggregate(x, &evalCtx{group: group})
 			if got != want || (gotErr == nil) != (wantErr == nil) {
-				t.Errorf("%s over rows %v: id path = %v (%v), term path = %v (%v)", exprText(x), idx, got, gotErr, want, wantErr)
+				t.Errorf("%s over rows %v: id path = %v (%v), term path = %v (%v)", exprText(x), order, got, gotErr, want, wantErr)
 			}
 		}
 	}

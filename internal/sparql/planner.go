@@ -691,9 +691,10 @@ func (p *planner) planPattern(pat TriplePattern, graphs []string) plan.Pattern {
 // query: triple-pattern positions, filter and projection expressions, BIND
 // targets, grouping and ordering keys, and everything inside subqueries.
 // Conservative by construction — an occurrence anywhere (even in an
-// unrelated scope) keeps the variable alive for pruning purposes.
+// unrelated scope) keeps the variable alive for pruning purposes. SELECT *
+// and COUNT(DISTINCT *) use every variable in scope.
 func countQueryUses(q *Query, uses map[string]int) {
-	if q.Star && q.Where != nil {
+	if q.Where != nil && (q.Star || slices.Contains(aggregationVars(q), "*")) {
 		for _, v := range q.Where.scopeVars() {
 			uses[v]++
 		}
