@@ -22,12 +22,6 @@ func (b Binding) clone() Binding {
 	return c
 }
 
-// lookupVar makes Binding usable as an expression-evaluation row.
-func (b Binding) lookupVar(name string) (rdf.Term, bool) {
-	t, ok := b[name]
-	return t, ok
-}
-
 // JoinBindings computes the SPARQL join of two solution multisets
 // (compatible mappings merged). Exported for the client-side baselines,
 // which must mirror the engine's join semantics exactly.

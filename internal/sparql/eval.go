@@ -90,13 +90,6 @@ func (ev *evaluator) record(n *plan.Node, rows int) {
 // deadline and context every few thousand steps.
 func (ev *evaluator) tick() error { return ev.tk.tick() }
 
-// rowCtx returns an expression context whose row is a mutable view into
-// rows; set view.idx before each evaluation.
-func (ev *evaluator) rowCtx(rows *idRows) (*evalCtx, *idRowView) {
-	view := &idRowView{rows: rows, dict: ev.dict}
-	return &evalCtx{row: view, dict: ev.dict, cache: ev.cache}, view
-}
-
 // evalQuery runs a planned query under the window limit/offset and
 // resolves its projected solutions into a compact result: each distinct
 // term is decoded once, here, under the read lock the caller holds.
@@ -160,17 +153,8 @@ func (ev *evaluator) selectRows(op *selectOp, limit, offset int, top bool) (*idR
 	default:
 		// Extend with computed projections (expr AS ?var).
 		for _, it := range q.Items {
-			if it.Expr == nil {
-				continue
-			}
-			col := sols.ensureCol(it.Var)
-			ctx, view := ev.rowCtx(sols)
-			for i := 0; i < sols.n; i++ {
-				view.idx = i
-				v, err := evalExpr(it.Expr, ctx)
-				if err == nil {
-					sols.set(i, col, ev.dict.encode(v))
-				}
+			if it.Expr != nil {
+				ev.extend(sols, sols.ensureCol(it.Var), it.Expr)
 			}
 		}
 	}
@@ -248,12 +232,24 @@ func (ev *evaluator) aggregate(q *Query, sols *idRows) (*idRows, error) {
 	out := newIDRows(outVars)
 	rowBuf := make([]store.ID, len(outVars))
 
-	// HAVING and the projections read the group's keys from its first row
-	// (keyRow), its rows through group, a header over the run [lo, hi) of
-	// the order. Several groups mean a bound key column, hence a sorted,
-	// ordered batch; an unordered one is a single group.
-	keyRow, group := &idRows{vars: sols.vars, cols: keyCols, n: 1}, sols.alias()
-	ctx := &evalCtx{row: &idRowView{rows: keyRow, dict: ev.dict}, groupSrc: group, dict: ev.dict, cache: ev.cache}
+	// HAVING and the projections, resolved against the input's layout, read
+	// keyRow: the group's keys, copied from its first row, and every other
+	// column unbound. Their aggregates read the group's rows through group,
+	// a header over the run [lo, hi) of the order. Several groups mean a
+	// bound key column, hence a sorted, ordered batch; an unordered one is a
+	// single group.
+	having := make([]Expression, len(q.Having))
+	for i, h := range q.Having {
+		having[i] = ev.dict.resolve(h, sols.cols)
+	}
+	items := make([]Expression, len(q.Items))
+	for i, it := range q.Items {
+		if it.Expr != nil {
+			items[i] = ev.dict.resolve(it.Expr, sols.cols)
+		}
+	}
+	keyRow, group := make([]store.ID, sols.width()), sols.alias()
+	ctx := &evalCtx{cells: keyRow, groupSrc: group, dict: ev.dict, cache: ev.cache}
 	rejects := func(h Expression) bool { return !evalBool(h, ctx) }
 	rows := sols.cursor(0)
 	var next []store.ID // the next group's first row
@@ -278,20 +274,22 @@ func (ev *evaluator) aggregate(q *Query, sols *idRows) (*idRows, error) {
 			group.order = sols.order[lo:hi]
 		}
 		group.n = hi - lo
-		keyRow.setRows(first)
+		for _, c := range cut {
+			keyRow[c] = first[c]
+		}
 		lo, more = hi, hi < sols.n
-		if slices.ContainsFunc(q.Having, rejects) {
+		if slices.ContainsFunc(having, rejects) {
 			continue
 		}
 		clear(rowBuf)
 		for v, c := range keyCols {
 			rowBuf[out.cols[v]] = first[c]
 		}
-		for _, it := range q.Items {
+		for i, it := range q.Items {
 			if it.Expr == nil {
 				continue
 			}
-			v, err := evalExpr(it.Expr, ctx)
+			v, err := evalExpr(items[i], ctx)
 			if err == nil {
 				rowBuf[out.cols[it.Var]] = ev.dict.encode(v)
 			}
@@ -439,12 +437,15 @@ func (ev *evaluator) orderBy(sols *idRows, keys []OrderKey) error {
 	n := sols.n
 	nk := len(keys)
 	keyTerms := make([]rdf.Term, n*nk)
-	ctx, view := ev.rowCtx(sols)
+	exprs := make([]Expression, nk)
+	for j, k := range keys {
+		exprs[j] = ev.dict.resolve(k.Expr, sols.cols)
+	}
+	ctx, rows := &evalCtx{dict: ev.dict, cache: ev.cache}, sols.cursor(0)
 	for i := 0; i < n; i++ {
-		view.idx = i
-		for j, k := range keys {
-			v, err := evalExpr(k.Expr, ctx)
-			if err == nil {
+		ctx.cells = rows.next()
+		for j, e := range exprs {
+			if v, err := evalExpr(e, ctx); err == nil {
 				keyTerms[i*nk+j] = v
 			}
 		}
@@ -546,16 +547,22 @@ func (u unionOp) rows(ev *evaluator) (*idRows, error) {
 }
 
 func (b *bindOp) run(ev *evaluator, cur *idRows) (*idRows, error) {
-	col := cur.ensureCol(b.v)
-	ctx, view := ev.rowCtx(cur)
-	for i := 0; i < cur.n; i++ {
-		view.idx = i
-		v, err := evalExpr(b.expr, ctx)
-		if err == nil {
-			cur.set(i, col, ev.dict.encode(v))
+	ev.extend(cur, cur.ensureCol(b.v), b.expr)
+	return cur, nil
+}
+
+// extend sets column col of every row of rows, a flat batch of its own
+// (ensureCol), to e's value there, or leaves the cell unbound when e
+// errors. e is resolved against rows' layout first.
+func (ev *evaluator) extend(rows *idRows, col int, e Expression) {
+	e = ev.dict.resolve(e, rows.cols)
+	ctx := &evalCtx{dict: ev.dict, cache: ev.cache}
+	for i := 0; i < rows.n; i++ {
+		ctx.cells = rows.row(i)
+		if v, err := evalExpr(e, ctx); err == nil {
+			rows.set(i, col, ev.dict.encode(v))
 		}
 	}
-	return cur, nil
 }
 
 func (pp *pathOp) run(ev *evaluator, cur *idRows) (*idRows, error) {

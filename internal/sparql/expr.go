@@ -2,7 +2,6 @@ package sparql
 
 import (
 	"fmt"
-	"maps"
 	"regexp"
 	"slices"
 	"strconv"
@@ -99,36 +98,14 @@ func containsAggregate(e Expression) bool {
 // unbound.
 var errExpr = fmt.Errorf("sparql: expression error")
 
-// exprRow is the expression evaluator's view of one solution row. The
-// engine's rows are columnar id batches decoded on demand (idRowView); the
-// exported expression API and the client-side baselines use Binding maps.
-type exprRow interface {
-	lookupVar(name string) (rdf.Term, bool)
-}
-
-// idRowView adapts one row of an id batch to exprRow, decoding ids to terms
-// only when an expression actually reads the variable. The view is mutable:
-// hot loops allocate it once and advance idx.
-type idRowView struct {
-	rows *idRows
-	idx  int
-	dict *evalDict
-}
-
-func (v *idRowView) lookupVar(name string) (rdf.Term, bool) {
-	c, ok := v.rows.col(name)
-	if !ok {
-		return rdf.Term{}, false
-	}
-	return v.dict.decode(v.rows.at(v.idx, c)), true
-}
-
-// Resolved expressions. A FILTER condition is resolved once against the row
-// layout it runs on (evalDict.resolve): a variable becomes a column read,
-// and =, !=, IN/NOT IN and isIRI/isBlank/isLiteral over variables and
-// constants become tests on ids, which decode a term only when value
-// semantics need it. evalExpr and evalCond evaluate these nodes like any
-// other, reading the row from ctx.cells.
+// Resolved expressions. Every expression the engine evaluates (FILTER,
+// BIND, computed projections, ORDER BY keys, HAVING and aggregate
+// arguments) is resolved once against the row layout it runs on
+// (evalDict.resolve): a variable becomes a column read, and =, !=, IN/NOT
+// IN and isIRI/isBlank/isLiteral over variables and constants become tests
+// on ids, which decode a term only when value semantics need it. evalExpr
+// and evalCond evaluate these nodes like any other, reading the row from
+// ctx.cells.
 
 // exCell reads column col of the row, or, when col < 0, the fixed id: a
 // constant, or 0 for a variable the layout lacks, which reads as unbound.
@@ -227,27 +204,29 @@ func (d *evalDict) resolve(e Expression, cols map[string]int) Expression {
 		}
 		x.Args = all(x.Args)
 		return x
+	case ExAgg:
+		if x.Arg != nil {
+			x.Arg = d.resolve(x.Arg, cols)
+		}
+		return x
 	}
 	return e
 }
 
-// evalCtx carries the evaluation context for expressions: the current row,
-// and, when evaluating HAVING or aggregate projections, the group. A group
-// is either a columnar batch of its own rows (groupSrc, the engine path:
-// a header over the run of the sorted input that holds the group) or a
-// slice of Binding maps (group, the term path).
+// evalCtx carries the evaluation context for expressions: the row a
+// resolved expression reads (cells) or, for the exported expression API,
+// a Binding map (row), and, when evaluating HAVING or aggregate
+// projections, the group: a header over the run of the sorted input that
+// holds it.
 type evalCtx struct {
-	row      exprRow
+	row      Binding    // set only by EvalExpression and EvalCondition
 	cells    []store.ID // the row a resolved expression reads (see resolve)
-	group    []Binding  // non-nil when aggregates are in scope (map rows)
-	groupSrc *idRows    // non-nil when aggregates are in scope (id rows)
+	groupSrc *idRows    // non-nil when aggregates are in scope
 	dict     *evalDict
 	cache    *regexCache
 	ids      []store.ID // aggregateVar's scratch, reused across groups
+	values   []rdf.Term // evalAggregate's scratch, reused across groups
 }
-
-// inGroup reports whether aggregates may be evaluated in this context.
-func (ctx *evalCtx) inGroup() bool { return ctx.group != nil || ctx.groupSrc != nil }
 
 // regexCache memoizes compiled patterns by (pattern, flags). It is not
 // synchronized: the query goroutine and every pipeline worker own one each.
@@ -281,8 +260,8 @@ func evalExpr(e Expression, ctx *evalCtx) (rdf.Term, error) {
 	case ExTerm:
 		return x.Term, nil
 	case ExVar:
-		t, ok := ctx.row.lookupVar(x.Name)
-		if !ok || !t.IsBound() {
+		t := ctx.row[x.Name]
+		if !t.IsBound() {
 			return rdf.Term{}, errExpr
 		}
 		return t, nil
@@ -307,7 +286,7 @@ func evalExpr(e Expression, ctx *evalCtx) (rdf.Term, error) {
 		}
 		return boolTerm(b), nil
 	case ExAgg:
-		if !ctx.inGroup() {
+		if ctx.groupSrc == nil {
 			return rdf.Term{}, fmt.Errorf("sparql: aggregate outside of group context")
 		}
 		return evalAggregate(x, ctx)
@@ -616,8 +595,7 @@ func evalCall(x ExCall, ctx *evalCtx) (rdf.Term, error) {
 		case exCell:
 			return boolTerm(v.get(ctx.cells) != 0), nil
 		case ExVar:
-			t, exists := ctx.row.lookupVar(v.Name)
-			return boolTerm(exists && t.IsBound()), nil
+			return boolTerm(ctx.row[v.Name].IsBound()), nil
 		}
 		return rdf.Term{}, errExpr
 	case "str":
@@ -791,24 +769,22 @@ func evalCast(x ExCall, arg func(int) (rdf.Term, error)) (rdf.Term, error) {
 	return rdf.Term{}, fmt.Errorf("sparql: unknown function %q", x.Name)
 }
 
-// aggregateVar answers COUNT and SAMPLE of a bare variable over an id-space
-// group without decoding the group: id equality is term equality (the
-// evalDict.encode contract), so bound cells are the non-zero ids and
-// DISTINCT counts distinct ids.
-func aggregateVar(x ExAgg, name string, ctx *evalCtx) (rdf.Term, error) {
-	ids := ctx.ids[:0]
-	if c, ok := ctx.groupSrc.col(name); ok {
-		rows := ctx.groupSrc.cursor(0)
-		for i := 0; i < ctx.groupSrc.n; i++ {
-			id := rows.next()[c]
-			if id == 0 {
-				continue
-			}
-			if x.Fn == "sample" {
-				return ctx.dict.decode(id), nil
-			}
-			ids = append(ids, id)
+// aggregateVar answers COUNT and SAMPLE of a bare variable, resolved to a
+// cell, over the group without decoding the group: id equality is term
+// equality (the evalDict.encode contract), so bound cells are the non-zero
+// ids and DISTINCT counts distinct ids.
+func aggregateVar(x ExAgg, c exCell, ctx *evalCtx) (rdf.Term, error) {
+	ids, g := ctx.ids[:0], ctx.groupSrc
+	rows := g.cursor(0)
+	for i := 0; i < g.n; i++ {
+		id := c.get(rows.next())
+		if id == 0 {
+			continue
 		}
+		if x.Fn == "sample" {
+			return ctx.dict.decode(id), nil
+		}
+		ids = append(ids, id)
 	}
 	if x.Fn == "sample" {
 		return rdf.Term{}, errExpr
@@ -823,57 +799,40 @@ func aggregateVar(x ExAgg, name string, ctx *evalCtx) (rdf.Term, error) {
 
 // countRows answers COUNT(*), the group's rows, and COUNT(DISTINCT *), its
 // distinct solutions. aggregate sorts the input of a COUNT(DISTINCT *) on
-// every column, so an id-space group's equal rows are adjacent.
-func countRows(distinct bool, ctx *evalCtx) (n int) {
-	if g := ctx.groupSrc; g != nil {
-		if !distinct {
-			return g.n
-		}
-		rows, prev := g.cursor(0), []store.ID(nil)
-		for i := 0; i < g.n; i++ {
-			if row := rows.next(); i == 0 || !slices.Equal(row, prev) {
-				n, prev = n+1, row
-			}
-		}
+// every column, so a group's equal rows are adjacent.
+func countRows(distinct bool, g *idRows) (n int) {
+	if !distinct {
+		return g.n
 	}
-	for i, b := range ctx.group {
-		if !distinct || !slices.ContainsFunc(ctx.group[:i], func(o Binding) bool { return maps.Equal(o, b) }) {
-			n++
+	rows, prev := g.cursor(0), []store.ID(nil)
+	for i := 0; i < g.n; i++ {
+		if row := rows.next(); i == 0 || !slices.Equal(row, prev) {
+			n, prev = n+1, row
 		}
 	}
 	return n
 }
 
-// evalAggregate computes an aggregate over the context's group rows.
+// evalAggregate computes an aggregate over the context's group. The
+// argument reads each of the group's rows in turn from ctx.cells, with no
+// group in scope: an aggregate nested in it is an error.
 func evalAggregate(x ExAgg, ctx *evalCtx) (rdf.Term, error) {
 	if x.Star {
-		return rdf.NewInteger(int64(countRows(x.Distinct, ctx))), nil
+		return rdf.NewInteger(int64(countRows(x.Distinct, ctx.groupSrc))), nil
 	}
-	if v, ok := x.Arg.(ExVar); ok && ctx.groupSrc != nil && (x.Fn == "count" || x.Fn == "sample") {
-		return aggregateVar(x, v.Name, ctx)
+	if c, ok := x.Arg.(exCell); ok && (x.Fn == "count" || x.Fn == "sample") {
+		return aggregateVar(x, c, ctx)
 	}
-	var values []rdf.Term
-	if g := ctx.groupSrc; g != nil {
-		one := &idRows{vars: g.vars, cols: g.cols, n: 1} // each of the group's rows in turn
-		sub := &evalCtx{row: &idRowView{rows: one, dict: ctx.dict}, dict: ctx.dict, cache: ctx.cache}
-		rows := g.cursor(0)
-		for i := 0; i < g.n; i++ {
-			one.setRows(rows.next())
-			v, err := evalExpr(x.Arg, sub)
-			if err != nil {
-				continue // aggregates skip error values
-			}
+	cells, g, values := ctx.cells, ctx.groupSrc, ctx.values[:0]
+	ctx.groupSrc = nil
+	rows := g.cursor(0)
+	for i := 0; i < g.n; i++ {
+		ctx.cells = rows.next()
+		if v, err := evalExpr(x.Arg, ctx); err == nil { // aggregates skip error values
 			values = append(values, v)
 		}
 	}
-	for _, row := range ctx.group {
-		sub := &evalCtx{row: row, cache: ctx.cache}
-		v, err := evalExpr(x.Arg, sub)
-		if err != nil {
-			continue // aggregates skip error values
-		}
-		values = append(values, v)
-	}
+	ctx.cells, ctx.groupSrc, ctx.values = cells, g, values
 	if x.Distinct {
 		seen := map[rdf.Term]bool{}
 		uniq := values[:0]

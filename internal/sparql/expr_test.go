@@ -3,6 +3,7 @@ package sparql
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"rdfframes/internal/rdf"
@@ -212,21 +213,24 @@ func TestContainsAggregate(t *testing.T) {
 }
 
 func TestAggregateSampleAndMinMaxOnStrings(t *testing.T) {
-	group := []Binding{
-		{"v": rdf.NewLiteral("b")},
-		{"v": rdf.NewLiteral("a")},
-		{"v": rdf.NewLiteral("c")},
+	d := newEvalDict(store.NewDictionary())
+	group := newIDRows([]string{"v"})
+	for _, v := range []string{"b", "a", "c"} {
+		group.appendRow([]store.ID{d.encode(rdf.NewLiteral(v))})
 	}
-	ctx := &evalCtx{row: Binding{}, group: group}
-	min, err := evalExpr(ExAgg{Fn: "min", Arg: ExVar{"v"}}, ctx)
+	ctx := &evalCtx{groupSrc: group, dict: d}
+	agg := func(fn string) (rdf.Term, error) {
+		return evalExpr(d.resolve(ExAgg{Fn: fn, Arg: ExVar{"v"}}, group.cols), ctx)
+	}
+	min, err := agg("min")
 	if err != nil || min.Value != "a" {
 		t.Fatalf("min = %v, %v", min, err)
 	}
-	max, _ := evalExpr(ExAgg{Fn: "max", Arg: ExVar{"v"}}, ctx)
+	max, _ := agg("max")
 	if max.Value != "c" {
 		t.Fatalf("max = %v", max)
 	}
-	sample, _ := evalExpr(ExAgg{Fn: "sample", Arg: ExVar{"v"}}, ctx)
+	sample, _ := agg("sample")
 	if sample.Value == "" {
 		t.Fatal("sample returned unbound")
 	}
@@ -241,12 +245,34 @@ func TestExtraIDsAboveStoreIDs(t *testing.T) {
 	}
 }
 
+// bindingAggregate is the term-path reference for the aggregates
+// TestAggregateVarMatchesTermPath checks: COUNT and SAMPLE, DISTINCT or
+// not, and COUNT(*), over a group of Binding rows.
+func bindingAggregate(x ExAgg, group []Binding) (rdf.Term, error) {
+	if x.Star {
+		return rdf.NewInteger(int64(len(group))), nil
+	}
+	var values []rdf.Term
+	for _, b := range group {
+		if v, err := EvalExpression(x.Arg, b); err == nil && !(x.Distinct && slices.Contains(values, v)) {
+			values = append(values, v)
+		}
+	}
+	if x.Fn == "count" {
+		return rdf.NewInteger(int64(len(values))), nil
+	}
+	if len(values) == 0 {
+		return rdf.Term{}, errExpr
+	}
+	return values[0], nil
+}
+
 // TestAggregateVarMatchesTermPath: COUNT, COUNT(DISTINCT) and SAMPLE of a
-// bare variable, and COUNT(*), over an id-space group (an order over the
-// batch's rows, counted on ids) agree with the term path (the same group
-// as Binding maps) on unbound cells, on values the store dictionary does
-// not hold (extra ids), on an empty group and on a variable the batch has
-// no column for.
+// bare variable or of an expression, and COUNT(*), over an id-space group
+// (an order over the batch's rows, counted on ids) agree with the term
+// path (the same group as Binding maps) on unbound cells, on values the
+// store dictionary does not hold (extra ids), on an empty group and on a
+// variable the batch has no column for.
 func TestAggregateVarMatchesTermPath(t *testing.T) {
 	sd := store.NewDictionary()
 	stored := rdf.NewIRI("http://ex/stored")
@@ -284,9 +310,11 @@ func TestAggregateVarMatchesTermPath(t *testing.T) {
 			{Fn: "count", Arg: ExVar{Name: "absent"}},
 			{Fn: "sample", Arg: ExVar{Name: "absent"}},
 			{Fn: "count", Star: true},
+			{Fn: "count", Arg: ExCall{Name: "str", Args: []Expression{ExVar{Name: "v"}}}},
+			{Fn: "sample", Arg: ExCall{Name: "str", Args: []Expression{ExVar{Name: "v"}}}},
 		} {
-			got, gotErr := evalAggregate(x, &evalCtx{groupSrc: g, dict: d})
-			want, wantErr := evalAggregate(x, &evalCtx{group: group})
+			got, gotErr := evalAggregate(d.resolve(x, src.cols).(ExAgg), &evalCtx{groupSrc: g, dict: d})
+			want, wantErr := bindingAggregate(x, group)
 			if got != want || (gotErr == nil) != (wantErr == nil) {
 				t.Errorf("%s over rows %v: id path = %v (%v), term path = %v (%v)", exprText(x), order, got, gotErr, want, wantErr)
 			}

@@ -8,11 +8,11 @@ import (
 	"rdfframes/internal/store"
 )
 
-// The differential check for resolved conditions: a condition resolved
+// The differential check for resolved expressions: an expression resolved
 // against a row layout (evalDict.resolve) and evaluated over id cells must
-// give what EvalCondition gives over the same row as a Binding map — the
-// same value or the same type error — for every term kind the id tests
-// shortcut or decode.
+// give what the term path gives over the same row as a Binding map — the
+// same truth value and the same term, or a type error both ways — for
+// every term kind the id tests shortcut or decode.
 
 const xsd = "http://www.w3.org/2001/XMLSchema#"
 
@@ -94,6 +94,12 @@ func (fc *filterCase) checkResolved(t *testing.T, e, resolved Expression) {
 	if EvalCondition(e, fc.row) != evalBool(resolved, &evalCtx{cells: fc.cells, dict: fc.dict, cache: &regexCache{}}) {
 		t.Fatalf("%s over %v: FILTER disagrees", exprString(e), fc.row)
 	}
+	// BIND, projections and ORDER BY keys use the value itself.
+	wantV, wantErr := EvalExpression(e, fc.row)
+	gotV, gotErr := evalExpr(resolved, &evalCtx{cells: fc.cells, dict: fc.dict, cache: &regexCache{}})
+	if (wantErr != nil) != (gotErr != nil) || wantErr == nil && gotV != wantV {
+		t.Fatalf("%s over %v: resolved value %v (error %v), term value %v (error %v)", exprString(e), fc.row, gotV, gotErr, wantV, wantErr)
+	}
 }
 
 func newFilterCase() *filterCase {
@@ -142,8 +148,9 @@ func exprString(e Expression) string {
 
 // TestFilterIDsMatchTerms runs every operator the id tests cover, in every
 // operand shape (var/var, var/const, const/var, a variable the layout
-// lacks), with every constant, over every assignment of two variables, and
-// checks that the shapes resolve to id tests rather than falling back.
+// lacks), with every constant, and value-shaped expressions, over every
+// assignment of two variables, and checks that the shapes resolve to id
+// tests rather than falling back.
 func TestFilterIDsMatchTerms(t *testing.T) {
 	a, b, z := ExVar{Name: "a"}, ExVar{Name: "b"}, ExVar{Name: "z"}
 	exprs := []Expression{
@@ -170,6 +177,11 @@ func TestFilterIDsMatchTerms(t *testing.T) {
 		ExCall{Name: "bound", Args: []Expression{a}},
 		ExCall{Name: "bound", Args: []Expression{z}},
 		ExIn{E: a, List: []Expression{ExCall{Name: "str", Args: []Expression{b}}, b}},
+		// Value shapes, as BIND, a projection or an ORDER BY key reads them.
+		ExBinary{Op: "+", L: a, R: ExTerm{rdf.NewInteger(1)}},
+		ExCall{Name: "str", Args: []Expression{a}},
+		ExCall{Name: "abs", Args: []Expression{b}},
+		ExCall{Name: "str", Args: []Expression{ExBinary{Op: "=", L: a, R: b}}},
 	}
 	for _, k := range filterTerms[:len(filterTerms)-1] {
 		c := ExTerm{k}

@@ -211,7 +211,7 @@ func refBGP(st *store.Store, graphs []string, in *idRows, pats []TriplePattern, 
 				for c, id := range row {
 					b[vars[c]] = dict.decode(id)
 				}
-				if evalBool(f, &evalCtx{row: b}) {
+				if EvalCondition(f, b) {
 					kept = append(kept, row)
 				}
 			}
