@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the golden EXPLAIN plans under testdata/explain")
+var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata/explain and testdata/sparql")
 
 // TestExplainGoldenFigure5 pins the optimized plan of every Figure-5 query:
 // join order, filter placement, prune schedule, and estimated vs actual
