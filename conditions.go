@@ -10,7 +10,7 @@ import (
 	"rdfframes/internal/sparql"
 )
 
-// parseConds renders the paper-style condition map into SPARQL boolean
+// parseConds builds the paper-style condition map into SPARQL boolean
 // expressions attached to their columns.
 func parseConds(g *KnowledgeGraph, conds Conds) ([]core.Condition, error) {
 	cols := make([]string, 0, len(conds))
@@ -24,7 +24,7 @@ func parseConds(g *KnowledgeGraph, conds Conds) ([]core.Condition, error) {
 			return nil, &FrameError{Op: "filter", Msg: "invalid column name " + col}
 		}
 		for _, cond := range conds[col] {
-			expr, err := renderCondition(g, col, cond)
+			expr, err := buildCondition(g, col, cond)
 			if err != nil {
 				return nil, err
 			}
@@ -37,89 +37,101 @@ func parseConds(g *KnowledgeGraph, conds Conds) ([]core.Condition, error) {
 // comparison operators, longest first so ">=" wins over ">".
 var compareOps = []string{">=", "<=", "!=", ">", "<", "="}
 
-func renderCondition(g *KnowledgeGraph, col, cond string) (string, error) {
+// typeTests maps the type-check conditions to the builtin each calls.
+var typeTests = map[string]string{
+	"isuri": "isiri", "isiri": "isiri", "isliteral": "isliteral", "isblank": "isblank", "isnumeric": "isnumeric",
+}
+
+func buildCondition(g *KnowledgeGraph, col, cond string) (sparql.Expression, error) {
 	c := strings.TrimSpace(cond)
 	if c == "" {
-		return "", &FrameError{Op: "filter", Msg: "empty condition for column " + col}
+		return nil, &FrameError{Op: "filter", Msg: "empty condition for column " + col}
 	}
-	// Type-check predicates.
-	switch strings.ToLower(c) {
-	case "isuri", "isiri":
-		return "isIRI(?" + col + ")", nil
-	case "isliteral":
-		return "isLiteral(?" + col + ")", nil
-	case "isblank":
-		return "isBlank(?" + col + ")", nil
-	case "isnumeric":
-		return "isNumeric(?" + col + ")", nil
+	v := sparql.ExVar{Name: col}
+	if fn, ok := typeTests[strings.ToLower(c)]; ok {
+		return sparql.ExCall{Name: fn, Args: []sparql.Expression{v}}, nil
 	}
 	// Membership: In(a, b, ...).
 	if len(c) > 3 && strings.EqualFold(c[:3], "in(") && strings.HasSuffix(c, ")") {
 		items := splitTopLevel(c[3 : len(c)-1])
-		rendered := make([]string, 0, len(items))
+		in := sparql.ExIn{E: v, List: make([]sparql.Expression, 0, len(items))}
 		for _, it := range items {
-			v, err := renderValue(g, it)
+			t, err := buildValue(g, it)
 			if err != nil {
-				return "", err
+				return nil, err
 			}
-			rendered = append(rendered, v)
+			in.List = append(in.List, sparql.ExTerm{Term: t})
 		}
-		return "?" + col + " IN (" + strings.Join(rendered, ", ") + ")", nil
+		if len(in.List) == 0 {
+			in.List = nil
+		}
+		return in, nil
 	}
 	// Comparison operators.
 	for _, op := range compareOps {
 		if strings.HasPrefix(c, op) {
-			v, err := renderValue(g, c[len(op):])
+			t, err := buildValue(g, c[len(op):])
 			if err != nil {
-				return "", err
+				return nil, err
 			}
-			return "?" + col + " " + op + " " + v, nil
+			return sparql.ExBinary{Op: op, L: v, R: sparql.ExTerm{Term: t}}, nil
 		}
 	}
 	// Raw SPARQL expression pass-through (e.g. regex(str(?col), "USA")).
 	if strings.Contains(c, "(") && strings.Contains(c, "?") {
-		return c, nil
+		return parseRaw(g, c)
 	}
-	return "", &FrameError{Op: "filter", Msg: "cannot parse condition " + strconv.Quote(cond) + " for column " + col}
+	return nil, &FrameError{Op: "filter", Msg: "cannot parse condition " + strconv.Quote(cond) + " for column " + col}
 }
 
-// renderValue renders a condition operand: a number, quoted string, year
-// (bare 4-digit numbers compare numerically), prefixed name, or IRI. An
-// operand that cannot be written as one SPARQL term is an error here rather
-// than a query that fails to parse.
-func renderValue(g *KnowledgeGraph, raw string) (string, error) {
+// parseRaw parses a raw SPARQL expression under the graph's prefixes.
+func parseRaw(g *KnowledgeGraph, expr string) (sparql.Expression, error) {
+	e, err := sparql.ParseExpression(expr, g.prefixes)
+	if err != nil {
+		return nil, &FrameError{Op: "filter", Msg: "invalid expression " + strconv.Quote(expr) + ": " + err.Error()}
+	}
+	return e, nil
+}
+
+// buildValue reads a condition operand as a term: a number, quoted string,
+// year (bare 4-digit numbers compare numerically), prefixed name, or IRI.
+// An operand that cannot be written as one SPARQL term is an error here
+// rather than a query that fails to parse.
+func buildValue(g *KnowledgeGraph, raw string) (rdf.Term, error) {
 	v := strings.TrimSpace(raw)
 	if v == "" {
-		return "", &FrameError{Op: "filter", Msg: "missing comparison value"}
+		return rdf.Term{}, &FrameError{Op: "filter", Msg: "missing comparison value"}
 	}
 	if strings.HasPrefix(v, `"`) {
-		// A quoted literal in SPARQL syntax: it must be one term, and is
-		// written out again as the term it reads as.
+		// A quoted literal in SPARQL syntax: it must be one term.
 		e, err := sparql.ParseExpression(v, g.prefixes)
 		lit, term := e.(sparql.ExTerm)
 		if err != nil || !term {
-			return "", &FrameError{Op: "filter", Msg: "invalid literal " + v}
+			return rdf.Term{}, &FrameError{Op: "filter", Msg: "invalid literal " + v}
 		}
-		return lit.Term.String(), nil
+		return lit.Term, nil
 	}
 	if _, err := strconv.ParseFloat(v, 64); err == nil {
 		if !isDecimal(v) {
-			return "", &FrameError{Op: "filter", Msg: "unsupported numeric literal " + v}
+			return rdf.Term{}, &FrameError{Op: "filter", Msg: "unsupported numeric literal " + v}
 		}
-		return v, nil // bare numeric literal
+		if strings.Contains(v, ".") {
+			return rdf.NewTypedLiteral(v, rdf.XSDDecimal), nil
+		}
+		return rdf.NewTypedLiteral(v, rdf.XSDInteger), nil
 	}
 	if strings.Contains(v, ":") || strings.HasPrefix(v, "<") {
 		iri, err := g.prefixes.Expand(v)
 		if err != nil {
-			return "", &FrameError{Op: "filter", Msg: err.Error()}
+			return rdf.Term{}, &FrameError{Op: "filter", Msg: err.Error()}
 		}
 		if strings.ContainsFunc(iri, func(r rune) bool { return r <= ' ' || strings.ContainsRune("<>\"{}|^`\\", r) }) {
-			return "", &FrameError{Op: "filter", Msg: "IRI " + strconv.Quote(iri) + " holds a character an IRI cannot"}
+			return rdf.Term{}, &FrameError{Op: "filter", Msg: "IRI " + strconv.Quote(iri) + " holds a character an IRI cannot"}
 		}
-		return rdf.NewIRI(iri).String(), nil
+		return rdf.NewIRI(iri), nil
 	}
 	// Bare word: treat as a plain string literal.
-	return rdf.NewLiteral(v).String(), nil
+	return rdf.NewLiteral(v), nil
 }
 
 // isDecimal reports whether v is a number as SPARQL text writes it: an

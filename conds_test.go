@@ -2,7 +2,11 @@ package rdfframes
 
 import (
 	"errors"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"rdfframes/internal/sparql"
@@ -29,22 +33,21 @@ func TestFilterRejectsUnwritableConds(t *testing.T) {
 	}
 }
 
-// FuzzConds: every condition that renderCondition renders itself — a type
-// test, an In(…) list, a comparison — is an expression the query parser
-// accepts under the graph's prefixes, and every condition it refuses is
-// refused with a FrameError. A raw expression passes through as the user's
-// SPARQL for whatever endpoint, so it is not checked.
+// FuzzConds: every condition Filter accepts — a type test, an In(…) list,
+// a comparison, a raw expression — builds an expression tree that renders
+// to text the query parser reads back to the same tree, and every condition
+// it refuses is refused with a FrameError.
 func FuzzConds(f *testing.F) {
 	for _, seed := range []string{
 		"isURI", "isLiteral", "isBlank", "isNumeric", ">=1990", "<2020", "!=-3.5", "=dbpr:United_States",
 		"In(dbpr:Canada, dbpr:Mexico)", `in("a", 'b', 3)`, `="x"@en`, `="5"^^xsd:integer`, "=<http://ex/a>", "=word",
-		`regex(str(?x), "USA")`,
+		`regex(str(?x), "USA")`, `year(xsd:dateTime(?x)) >= 2005 && ?x != dbpr:Paris`,
 	} {
 		f.Add(seed)
 	}
 	g := dbpediaGraph()
 	f.Fuzz(func(t *testing.T, cond string) {
-		expr, err := renderCondition(g, "x", cond)
+		expr, err := buildCondition(g, "x", cond)
 		if err != nil {
 			var fe *FrameError
 			if !errors.As(err, &fe) {
@@ -52,11 +55,36 @@ func FuzzConds(f *testing.F) {
 			}
 			return
 		}
-		if expr == strings.TrimSpace(cond) {
-			return // raw pass-through
+		text := sparql.RenderExpression(expr)
+		back, err := sparql.ParseExpression(text, nil)
+		if err != nil {
+			t.Fatalf("%q renders %q, which does not parse: %v", cond, text, err)
 		}
-		if _, err := sparql.ParseExpression(expr, g.prefixes); err != nil {
-			t.Fatalf("%q renders %q, which does not parse: %v", cond, expr, err)
+		if !reflect.DeepEqual(back, expr) {
+			t.Fatalf("%q renders %q, which parses to %#v, not %#v", cond, text, back, expr)
 		}
 	})
+}
+
+// TestBadFilterRawFailsBeforeAnyRequest: a raw expression is parsed when
+// the frame is built, so one that does not parse is a FrameError from
+// ToSPARQL and Execute, and the endpoint never sees a request.
+func TestBadFilterRawFailsBeforeAnyRequest(t *testing.T) {
+	var requests atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		http.Error(w, "unexpected request", http.StatusBadRequest)
+	}))
+	defer srv.Close()
+	f := dbpediaGraph().Seed("x", "dbpp:title", "title").FilterRaw("x", "regex(?x")
+	var fe *FrameError
+	if _, err := f.ToSPARQL(); !errors.As(err, &fe) {
+		t.Errorf("ToSPARQL: error %v, want a FrameError", err)
+	}
+	if _, err := f.Execute(ConnectHTTP(srv.URL, 0)); !errors.As(err, &fe) {
+		t.Errorf("Execute: error %v, want a FrameError", err)
+	}
+	if n := requests.Load(); n != 0 {
+		t.Fatalf("the endpoint saw %d requests", n)
+	}
 }

@@ -46,21 +46,13 @@ func ExampleRDFFrame_ToSPARQL() {
 	}
 	fmt.Println(query)
 	// Output:
-	// PREFIX dbpo: <http://dbpedia.org/ontology/>
-	// PREFIX dbpp: <http://dbpedia.org/property/>
-	// PREFIX dbpr: <http://dbpedia.org/resource/>
-	// PREFIX dcterms: <http://purl.org/dc/terms/>
-	// PREFIX owl: <http://www.w3.org/2002/07/owl#>
-	// PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
-	// PREFIX rdfs: <http://www.w3.org/2000/01/rdf-schema#>
-	// PREFIX xsd: <http://www.w3.org/2001/XMLSchema#>
 	// SELECT DISTINCT ?actor (COUNT(DISTINCT ?movie) AS ?n)
 	// FROM <http://dbpedia.org>
 	// WHERE {
 	//   ?movie <http://dbpedia.org/property/starring> ?actor .
 	// }
 	// GROUP BY ?actor
-	// HAVING ( COUNT(DISTINCT ?movie) >= 2 )
+	// HAVING ( COUNT(DISTINCT ?movie) >= "2"^^<http://www.w3.org/2001/XMLSchema#integer> )
 }
 
 // Execute runs the compiled query and returns a DataFrame.

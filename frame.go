@@ -59,7 +59,7 @@ func (f *RDFFrame) chain() *core.Chain {
 	for i, j := 0, len(ops)-1; i < j; i, j = i+1, j-1 {
 		ops[i], ops[j] = ops[j], ops[i]
 	}
-	return &core.Chain{Prefixes: f.graph.prefixes, Ops: ops}
+	return &core.Chain{Ops: ops}
 }
 
 // Step describes one navigation step for Expand: follow Pred from the
@@ -134,12 +134,18 @@ func (f *RDFFrame) Filter(conds Conds) *RDFFrame {
 	return f.with(core.FilterOp{Conds: parsed})
 }
 
-// FilterRaw attaches a raw SPARQL boolean expression constraining col.
+// FilterRaw attaches a raw SPARQL boolean expression constraining col. The
+// expression is parsed here, under the graph's prefixes: one that does not
+// parse is a FrameError before any request is sent.
 func (f *RDFFrame) FilterRaw(col, expr string) *RDFFrame {
 	if f.err != nil {
 		return f
 	}
-	return f.with(core.FilterOp{Conds: []core.Condition{{Col: col, Expr: expr}}})
+	e, err := parseRaw(f.graph, expr)
+	if err != nil {
+		return f.fail(err)
+	}
+	return f.with(core.FilterOp{Conds: []core.Condition{{Col: col, Expr: e}}})
 }
 
 // GroupedRDFFrame is a frame partitioned by grouping columns, awaiting
@@ -308,7 +314,11 @@ func (f *RDFFrame) ToNaiveSPARQL() (string, error) {
 	if f.err != nil {
 		return "", f.err
 	}
-	return core.NaiveTranslate(f.chain())
+	q, err := core.NaiveTranslate(f.chain())
+	if err != nil {
+		return "", err
+	}
+	return sparql.Render(q), nil
 }
 
 // QueryModel exposes the intermediate representation for inspection.

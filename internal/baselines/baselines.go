@@ -29,7 +29,7 @@ import (
 // NavSource resolves a run of navigational operators into a dataframe.
 type NavSource interface {
 	// ResolveNav evaluates a chain of seed/expand operators.
-	ResolveNav(prefixes *rdf.PrefixMap, ops []core.Op) (*dataframe.DataFrame, error)
+	ResolveNav(ops []core.Op) (*dataframe.DataFrame, error)
 	// BatchNav reports whether consecutive navigational operators should
 	// be resolved together (pushed down as one query).
 	BatchNav() bool
@@ -41,7 +41,7 @@ func Run(chain *core.Chain, src NavSource) (*dataframe.DataFrame, error) {
 	if err := chain.Validate(); err != nil {
 		return nil, err
 	}
-	in := &interp{src: src, prefixes: chain.Prefixes}
+	in := &interp{src: src}
 	df, err := in.run(chain.Ops)
 	if err != nil {
 		return nil, err
@@ -53,9 +53,8 @@ func Run(chain *core.Chain, src NavSource) (*dataframe.DataFrame, error) {
 }
 
 type interp struct {
-	src      NavSource
-	prefixes *rdf.PrefixMap
-	pending  []core.Condition
+	src     NavSource
+	pending []core.Condition
 }
 
 func (in *interp) run(ops []core.Op) (*dataframe.DataFrame, error) {
@@ -89,11 +88,7 @@ func (in *interp) run(ops []core.Op) (*dataframe.DataFrame, error) {
 					in.pending = append(in.pending, cond)
 					continue
 				}
-				var err error
-				cur, err = filterDF(cur, cond, in.prefixes)
-				if err != nil {
-					return nil, err
-				}
+				cur = filterDF(cur, cond)
 			}
 
 		case core.GroupByOp:
@@ -150,7 +145,7 @@ func (in *interp) run(ops []core.Op) (*dataframe.DataFrame, error) {
 			cur = cur.Head(op.K, op.Offset)
 
 		case core.JoinOp:
-			sub := &interp{src: in.src, prefixes: op.Other.Prefixes}
+			sub := &interp{src: in.src}
 			right, err := sub.run(op.Other.Ops)
 			if err != nil {
 				return nil, err
@@ -212,13 +207,10 @@ func (in *interp) attachPending(cur **dataframe.DataFrame) {
 	var still []core.Condition
 	for _, cond := range in.pending {
 		if (*cur).HasColumn(cond.Col) {
-			df, err := filterDF(*cur, cond, in.prefixes)
-			if err == nil {
-				*cur = df
-				continue
-			}
+			*cur = filterDF(*cur, cond)
+		} else {
+			still = append(still, cond)
 		}
-		still = append(still, cond)
 	}
 	in.pending = still
 }
@@ -226,7 +218,7 @@ func (in *interp) attachPending(cur **dataframe.DataFrame) {
 // navigate resolves a navigation run and joins it with the current frame.
 func (in *interp) navigate(cur *dataframe.DataFrame, navOps []core.Op) (*dataframe.DataFrame, error) {
 	if in.src.BatchNav() {
-		fetched, err := in.src.ResolveNav(in.prefixes, navOps)
+		fetched, err := in.src.ResolveNav(navOps)
 		if err != nil {
 			return nil, err
 		}
@@ -237,7 +229,7 @@ func (in *interp) navigate(cur *dataframe.DataFrame, navOps []core.Op) (*datafra
 	}
 	// Per-operator resolution: optional expands left-join in dataframes.
 	for _, op := range navOps {
-		fetched, err := in.src.ResolveNav(in.prefixes, []core.Op{toSeed(op)})
+		fetched, err := in.src.ResolveNav([]core.Op{toSeed(op)})
 		if err != nil {
 			return nil, err
 		}
@@ -331,11 +323,9 @@ func toBindings(df *dataframe.DataFrame) []sparql.Binding {
 	return out
 }
 
-func filterDF(df *dataframe.DataFrame, cond core.Condition, prefixes *rdf.PrefixMap) (*dataframe.DataFrame, error) {
-	expr, err := sparql.ParseExpression(cond.Expr, prefixes)
-	if err != nil {
-		return nil, fmt.Errorf("baselines: parsing condition %q: %w", cond.Expr, err)
-	}
+// filterDF keeps the rows that satisfy the condition's expression, with
+// FILTER semantics.
+func filterDF(df *dataframe.DataFrame, cond core.Condition) *dataframe.DataFrame {
 	cols := df.Columns()
 	return df.Filter(func(row []rdf.Term, _ func(string) rdf.Term) bool {
 		bound := make(map[string]rdf.Term, len(cols))
@@ -344,8 +334,8 @@ func filterDF(df *dataframe.DataFrame, cond core.Condition, prefixes *rdf.Prefix
 				bound[c] = row[i]
 			}
 		}
-		return sparql.EvalCondition(expr, bound)
-	}), nil
+		return sparql.EvalCondition(cond.Expr, bound)
+	})
 }
 
 // EngineNav resolves navigation runs by compiling them to SPARQL and
@@ -361,8 +351,8 @@ type EngineNav struct {
 func (e *EngineNav) BatchNav() bool { return e.Batch }
 
 // ResolveNav implements NavSource by query pushdown.
-func (e *EngineNav) ResolveNav(prefixes *rdf.PrefixMap, ops []core.Op) (*dataframe.DataFrame, error) {
-	query, err := core.BuildSPARQL(&core.Chain{Prefixes: prefixes, Ops: ops})
+func (e *EngineNav) ResolveNav(ops []core.Op) (*dataframe.DataFrame, error) {
+	query, err := core.BuildSPARQL(&core.Chain{Ops: ops})
 	if err != nil {
 		return nil, err
 	}
@@ -401,7 +391,7 @@ func NewScanNav(graphs map[string][]rdf.Triple) *ScanNav {
 func (s *ScanNav) BatchNav() bool { return false }
 
 // ResolveNav implements NavSource by scanning.
-func (s *ScanNav) ResolveNav(prefixes *rdf.PrefixMap, ops []core.Op) (*dataframe.DataFrame, error) {
+func (s *ScanNav) ResolveNav(ops []core.Op) (*dataframe.DataFrame, error) {
 	if len(ops) != 1 {
 		return nil, fmt.Errorf("baselines: scan source resolves single patterns, got %d ops", len(ops))
 	}

@@ -20,6 +20,15 @@ type fixture struct {
 	prefixes *rdf.PrefixMap
 }
 
+// cond is a filter condition on col with the expression src.
+func cond(col, src string) core.Condition {
+	e, err := sparql.ParseExpression(src, nil)
+	if err != nil {
+		panic(err)
+	}
+	return core.Condition{Col: col, Expr: e}
+}
+
 func newFixture(t testing.TB) *fixture {
 	t.Helper()
 	cfg := datagen.DBpediaConfig{Seed: 1, Actors: 60, Movies: 250, Players: 30, Teams: 8, Athletes: 30, Books: 40, Authors: 15}
@@ -65,7 +74,7 @@ func (f *fixture) expand(src, pred, dst string, optional bool) core.ExpandOp {
 }
 
 func (f *fixture) chain(ops ...core.Op) *core.Chain {
-	return &core.Chain{Prefixes: f.prefixes, Ops: ops}
+	return &core.Chain{Ops: ops}
 }
 
 // pipelines returns representative operator chains exercising navigation,
@@ -80,14 +89,14 @@ func pipelines(f *fixture) map[string]*core.Chain {
 		f.seed("movie", "dbpp:starring", "actor"),
 		core.GroupByOp{Cols: []string{"actor"}},
 		core.AggregationOp{Agg: core.AggSpec{Fn: "count", Src: "movie", New: "n", Distinct: true}},
-		core.FilterOp{Conds: []core.Condition{{Col: "n", Expr: "?n >= 4"}}},
+		core.FilterOp{Conds: []core.Condition{cond("n", "?n >= 4")}},
 	)
 	return map[string]*core.Chain{
 		"navigation_only": f.chain(moviesOps...),
 		"filter": f.chain(
 			f.seed("movie", "dbpp:starring", "actor"),
 			f.expand("actor", "dbpp:birthPlace", "country", false),
-			core.FilterOp{Conds: []core.Condition{{Col: "country", Expr: "?country = <http://dbpedia.org/resource/United_States>"}}},
+			core.FilterOp{Conds: []core.Condition{cond("country", "?country = <http://dbpedia.org/resource/United_States>")}},
 		),
 		"group_having": grouped,
 		"join_grouped_with_patterns": f.chain(
@@ -163,7 +172,7 @@ func TestStrategiesAgree(t *testing.T) {
 func TestScanNavAnswersConstantPatterns(t *testing.T) {
 	f := newFixture(t)
 	src := NewScanNav(f.triples)
-	df, err := src.ResolveNav(f.prefixes, []core.Op{f.seed("movie", "dbpp:starring", "actor")})
+	df, err := src.ResolveNav([]core.Op{f.seed("movie", "dbpp:starring", "actor")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +204,7 @@ func TestRunReportsUnresolvedPendingFilter(t *testing.T) {
 		f.seed("movie", "dbpp:starring", "actor"),
 		core.GroupByOp{Cols: []string{"actor"}},
 		core.AggregationOp{Agg: core.AggSpec{Fn: "count", Src: "movie", New: "n"}},
-		core.FilterOp{Conds: []core.Condition{{Col: "movie", Expr: "isIRI(?movie)"}}},
+		core.FilterOp{Conds: []core.Condition{cond("movie", "isIRI(?movie)")}},
 	)
 	if _, err := Run(chain, NewScanNav(f.triples)); err == nil {
 		t.Fatal("pending filter never resolved but Run succeeded")
@@ -253,9 +262,7 @@ func TestJoinOnSharedMultipleColumns(t *testing.T) {
 
 func ExampleRun() {
 	triples := datagen.DBpedia(datagen.DBpediaConfig{Seed: 1, Actors: 5, Movies: 10})
-	p := rdf.CommonPrefixes()
-	p.Merge(rdf.NewPrefixMap(datagen.DBpediaPrefixes()))
-	chain := &core.Chain{Prefixes: p, Ops: []core.Op{
+	chain := &core.Chain{Ops: []core.Op{
 		core.SeedOp{
 			GraphURI: datagen.DBpediaURI,
 			S:        core.Column("movie"),

@@ -73,7 +73,7 @@ func (g *chainGen) randomChain(depth int) (*core.Chain, *colState) {
 		}
 		ops = append(ops, op...)
 	}
-	return &core.Chain{Prefixes: g.prefixes, Ops: ops}, st
+	return &core.Chain{Ops: ops}, st
 }
 
 func (g *chainGen) randomOp(st *colState, depth int) []core.Op {
@@ -120,7 +120,7 @@ func (g *chainGen) randomOp(st *colState, depth int) []core.Op {
 		case "genre":
 			expr = "isIRI(?" + col + ")"
 		}
-		return []core.Op{core.FilterOp{Conds: []core.Condition{{Col: col, Expr: expr}}}}
+		return []core.Op{core.FilterOp{Conds: []core.Condition{cond(col, expr)}}}
 	case "group":
 		key, agg := "actor", "movie"
 		if g.rng.Intn(2) == 0 {
@@ -134,10 +134,9 @@ func (g *chainGen) randomOp(st *colState, depth int) []core.Op {
 			core.AggregationOp{Agg: core.AggSpec{Fn: "count", Src: agg, New: st.aggCol, Distinct: g.rng.Intn(2) == 0}},
 		}
 	case "havingfilter":
-		return []core.Op{core.FilterOp{Conds: []core.Condition{{
-			Col:  st.aggCol,
-			Expr: fmt.Sprintf("?%s >= %d", st.aggCol, 1+g.rng.Intn(4)),
-		}}}}
+		return []core.Op{core.FilterOp{Conds: []core.Condition{
+			cond(st.aggCol, fmt.Sprintf("?%s >= %d", st.aggCol, 1+g.rng.Intn(4))),
+		}}}
 	case "join":
 		other, otherState := g.randomChain(depth - 1)
 		shared := g.sharedJoinCol(st, otherState)
@@ -234,10 +233,11 @@ func TestRandomChainsAgree(t *testing.T) {
 				trial, optimized.Len(), aligned.Len(), query, optimized, aligned)
 		}
 
-		naiveQuery, err := core.NaiveTranslate(chain)
+		naive, err := core.NaiveTranslate(chain)
 		if err != nil {
 			t.Fatalf("trial %d: NaiveTranslate: %v", trial, err)
 		}
+		naiveQuery := sparql.Render(naive)
 		nres, err := cl.Select(naiveQuery)
 		if err != nil {
 			t.Fatalf("trial %d: naive query: %v\n%s", trial, err, naiveQuery)

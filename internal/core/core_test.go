@@ -1,17 +1,32 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"rdfframes/internal/rdf"
+	"rdfframes/internal/sparql"
 )
 
 const testGraph = "http://test.org/g"
 
 func testChain(ops ...Op) *Chain {
-	return &Chain{Prefixes: rdf.CommonPrefixes(), Ops: ops}
+	return &Chain{Ops: ops}
 }
+
+// cond is a filter condition on col with the expression src.
+func cond(col, src string) Condition {
+	e, err := sparql.ParseExpression(src, nil)
+	if err != nil {
+		panic(err)
+	}
+	return Condition{Col: col, Expr: e}
+}
+
+// rendered is the text the renderer writes for the expression src.
+func rendered(src string) string { return sparql.RenderExpression(cond("", src).Expr) }
 
 func seed(s, p, o string) SeedOp {
 	node := func(v string) PatternNode {
@@ -27,13 +42,44 @@ func expand(src, pred, dst string) ExpandOp {
 	return ExpandOp{GraphURI: testGraph, Src: src, Pred: rdf.NewIRI(pred), New: dst}
 }
 
+// mustSPARQL compiles a chain to text, and checks that the text parses back
+// to the query the translator built.
 func mustSPARQL(t *testing.T, c *Chain) string {
 	t.Helper()
-	q, err := BuildSPARQL(c)
+	text, err := BuildSPARQL(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return q
+	m, err := Generate(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameQuery(t, text, Translate(m))
+	return text
+}
+
+// mustNaive is mustSPARQL for the naive translator.
+func mustNaive(t *testing.T, c *Chain) string {
+	t.Helper()
+	q, err := NaiveTranslate(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := sparql.Render(q)
+	sameQuery(t, text, q)
+	return text
+}
+
+func sameQuery(t *testing.T, text string, built *sparql.Query) {
+	t.Helper()
+	back, err := sparql.Parse(text)
+	if err != nil {
+		t.Fatalf("%v\n%s", err, text)
+	}
+	back.Window = 0
+	if !reflect.DeepEqual(back, built) {
+		t.Fatalf("the text does not parse back to the built query:\n%s", text)
+	}
 }
 
 // TestTable1Mappings checks each row of the paper's Table 1: the SPARQL
@@ -53,8 +99,8 @@ func TestTable1Mappings(t *testing.T) {
 			[]string{"?fan <http://p/knows> ?actor ."}},
 		{"expand_optional", []Op{base, ExpandOp{GraphURI: testGraph, Src: "actor", Pred: rdf.NewIRI("http://p/award"), New: "award", Optional: true}},
 			[]string{"OPTIONAL {", "?actor <http://p/award> ?award ."}},
-		{"filter", []Op{base, FilterOp{Conds: []Condition{{Col: "actor", Expr: "isIRI(?actor)"}}}},
-			[]string{"FILTER ( isIRI(?actor) )"}},
+		{"filter", []Op{base, FilterOp{Conds: []Condition{cond("actor", "isIRI(?actor)")}}},
+			[]string{"FILTER ( isiri(?actor) )"}},
 		{"select_cols", []Op{base, SelectColsOp{Cols: []string{"actor"}}},
 			[]string{"SELECT ?actor"}},
 		{"group_agg", []Op{base, GroupByOp{Cols: []string{"actor"}}, AggregationOp{Agg: AggSpec{Fn: "count", Src: "movie", New: "n"}}},
@@ -105,7 +151,7 @@ func TestCase1FilterOnGroupingColumnNests(t *testing.T) {
 		seed("movie", "http://p/starring", "actor"),
 		GroupByOp{Cols: []string{"actor"}},
 		AggregationOp{Agg: AggSpec{Fn: "count", Src: "movie", New: "n"}},
-		FilterOp{Conds: []Condition{{Col: "actor", Expr: "isIRI(?actor)"}}},
+		FilterOp{Conds: []Condition{cond("actor", "isIRI(?actor)")}},
 	))
 	if strings.Count(q, "SELECT") != 2 {
 		t.Fatalf("expected nested subquery:\n%s", q)
@@ -117,9 +163,9 @@ func TestFilterOnAggregateColumnBecomesHaving(t *testing.T) {
 		seed("movie", "http://p/starring", "actor"),
 		GroupByOp{Cols: []string{"actor"}},
 		AggregationOp{Agg: AggSpec{Fn: "count", Src: "movie", New: "n", Distinct: true}},
-		FilterOp{Conds: []Condition{{Col: "n", Expr: "?n >= 50"}}},
+		FilterOp{Conds: []Condition{cond("n", "?n >= 50")}},
 	))
-	if !strings.Contains(q, "HAVING ( COUNT(DISTINCT ?movie) >= 50 )") {
+	if !strings.Contains(q, "HAVING ( "+rendered("COUNT(DISTINCT ?movie) >= 50")+" )") {
 		t.Fatalf("HAVING with substituted aggregate missing:\n%s", q)
 	}
 	if strings.Count(q, "SELECT") != 1 {
@@ -131,15 +177,38 @@ func TestFilterOnAggregateColumnBecomesHaving(t *testing.T) {
 // variable, in either spelling, and not the same text inside a literal or
 // an IRI.
 func TestHavingSubstitutionSkipsLiterals(t *testing.T) {
-	q := mustSPARQL(t, testChain(
+	c := testChain(
 		seed("movie", "http://p/starring", "actor"),
 		GroupByOp{Cols: []string{"actor"}},
 		AggregationOp{Agg: AggSpec{Fn: "count", Src: "movie", New: "n"}},
-		FilterOp{Conds: []Condition{{Col: "n", Expr: `$n >= 5 && str(?n) != "?n" && ?actor != <http://ex/?n>`}}},
-	))
-	want := `HAVING ( COUNT(?movie) >= 5 && str(COUNT(?movie)) != "?n" && ?actor != <http://ex/?n> )`
-	if !strings.Contains(q, want) {
-		t.Fatalf("want %s in\n%s", want, q)
+		FilterOp{Conds: []Condition{cond("n", `$n >= 5 && str(?n) != "?n" && ?actor != <http://ex/?n>`)}},
+	)
+	mustSPARQL(t, c)
+	m, err := Generate(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := Translate(m)
+	want := cond("", `COUNT(?movie) >= 5 && str(COUNT(?movie)) != "?n" && ?actor != <http://ex/?n>`).Expr
+	if len(q.Having) != 1 || !reflect.DeepEqual(q.Having[0], want) {
+		t.Fatalf("HAVING %v, want %s", q.Having, sparql.RenderExpression(want))
+	}
+}
+
+// TestNaiveRefusesFilterOutOfScope: a filter on a column that grouping hid
+// and nothing brings back is an error under both generators, not a query
+// that silently drops the filter.
+func TestNaiveRefusesFilterOutOfScope(t *testing.T) {
+	c := testChain(
+		seed("movie", "http://p/starring", "actor"),
+		GroupByOp{Cols: []string{"actor"}},
+		AggregationOp{Agg: AggSpec{Fn: "count", Src: "movie", New: "n"}},
+		FilterOp{Conds: []Condition{cond("movie", "?movie = <http://r/X>")}},
+	)
+	_, genErr := Generate(c)
+	_, naiveErr := NaiveTranslate(c)
+	if genErr == nil || naiveErr == nil || genErr.Error() != naiveErr.Error() {
+		t.Fatalf("Generate: %v; NaiveTranslate: %v; want the same error", genErr, naiveErr)
 	}
 }
 
@@ -172,7 +241,6 @@ func TestCase2BothSidesGroupedTwoSubqueries(t *testing.T) {
 	left := mk("http://p/a")
 	right := mk("http://p/b")
 	q := mustSPARQL(t, &Chain{
-		Prefixes: rdf.CommonPrefixes(),
 		Ops: append(left.Ops,
 			JoinOp{Other: right, Col: "x", OtherCol: "x", Type: InnerJoin, NewCol: "x"}),
 	})
@@ -243,6 +311,25 @@ func TestJoinRenamesColumns(t *testing.T) {
 	}
 }
 
+// TestJoinRenameLeavesChainAlone: renaming a grouping column for a join
+// edits the model, not the recorded operators, so a frame compiles to the
+// same query every time.
+func TestJoinRenameLeavesChainAlone(t *testing.T) {
+	c := testChain(
+		seed("movie", "http://p/starring", "actor"),
+		GroupByOp{Cols: []string{"actor"}},
+		AggregationOp{Agg: AggSpec{Fn: "count", Src: "movie", New: "n"}},
+		JoinOp{Other: testChain(seed("star", "http://p/b", "z")), Col: "actor", OtherCol: "star", Type: InnerJoin, NewCol: "person"},
+	)
+	first := mustSPARQL(t, c)
+	if again := mustSPARQL(t, c); again != first {
+		t.Fatalf("the second compile differs:\n%s\nfirst:\n%s", again, first)
+	}
+	if got := c.Ops[1].(GroupByOp).Cols[0]; got != "actor" {
+		t.Fatalf("the recorded GroupByOp now groups by %q", got)
+	}
+}
+
 func TestMergeDeduplicatesBranchedPatterns(t *testing.T) {
 	// Two branches from the same seed joined back: the shared pattern
 	// appears once.
@@ -250,7 +337,6 @@ func TestMergeDeduplicatesBranchedPatterns(t *testing.T) {
 	left := testChain(shared, expand("actor", "http://p/born", "place"))
 	right := testChain(shared, expand("movie", "http://p/title", "title"))
 	q := mustSPARQL(t, &Chain{
-		Prefixes: rdf.CommonPrefixes(),
 		Ops: append(left.Ops,
 			JoinOp{Other: right, Col: "actor", OtherCol: "actor", Type: InnerJoin, NewCol: "actor"}),
 	})
@@ -279,7 +365,7 @@ func TestGeneratorColumnValidation(t *testing.T) {
 	bad := [][]Op{
 		{seed("a", "http://p/x", "b"), expand("ghost", "http://p/y", "c")},
 		{seed("a", "http://p/x", "b"), expand("a", "http://p/y", "b")}, // duplicate target
-		{seed("a", "http://p/x", "b"), FilterOp{Conds: []Condition{{Col: "ghost", Expr: "?ghost > 1"}}}},
+		{seed("a", "http://p/x", "b"), FilterOp{Conds: []Condition{cond("ghost", "?ghost > 1")}}},
 		{seed("a", "http://p/x", "b"), GroupByOp{Cols: []string{"ghost"}}, AggregationOp{Agg: AggSpec{Fn: "count", Src: "b", New: "n"}}},
 		{seed("a", "http://p/x", "b"), GroupByOp{Cols: []string{"a"}}, AggregationOp{Agg: AggSpec{Fn: "count", Src: "ghost", New: "n"}}},
 		{seed("a", "http://p/x", "b"), SelectColsOp{Cols: []string{"ghost"}}},
@@ -297,16 +383,13 @@ func TestRenameVarDeep(t *testing.T) {
 		seed("movie", "http://p/starring", "actor"),
 		GroupByOp{Cols: []string{"actor"}},
 		AggregationOp{Agg: AggSpec{Fn: "count", Src: "movie", New: "n"}},
-		FilterOp{Conds: []Condition{{Col: "n", Expr: "?n >= 5"}}},
+		FilterOp{Conds: []Condition{cond("n", "?n >= 5")}},
 	))
 	if err != nil {
 		t.Fatal(err)
 	}
 	m.renameVar("actor", "person")
-	q, err := Translate(m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := sparql.Render(Translate(m))
 	if strings.Contains(q, "?actor") {
 		t.Fatalf("rename missed a reference:\n%s", q)
 	}
@@ -325,22 +408,18 @@ func TestCloneModelIndependence(t *testing.T) {
 	}
 	c := cloneModel(m)
 	c.renameVar("actor", "x")
-	q, _ := Translate(m)
-	if strings.Contains(q, "?x") {
+	if q := sparql.Render(Translate(m)); strings.Contains(q, "?x") {
 		t.Fatal("cloneModel shares state with the original")
 	}
 }
 
 func TestNaiveOneSubqueryPerOperator(t *testing.T) {
-	q, err := NaiveTranslate(testChain(
+	q := mustNaive(t, testChain(
 		seed("movie", "http://p/starring", "actor"),
 		expand("actor", "http://p/born", "place"),
 		expand("movie", "http://p/title", "title"),
-		FilterOp{Conds: []Condition{{Col: "place", Expr: `regex(str(?place), "US")`}}},
+		FilterOp{Conds: []Condition{cond("place", `regex(str(?place), "US")`)}},
 	))
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Outer + 3 pattern subqueries + 1 filter subquery.
 	if got := strings.Count(q, "SELECT"); got != 5 {
 		t.Fatalf("SELECT count = %d, want 5:\n%s", got, q)
@@ -348,20 +427,17 @@ func TestNaiveOneSubqueryPerOperator(t *testing.T) {
 }
 
 func TestNaiveGroupingNestsEverything(t *testing.T) {
-	q, err := NaiveTranslate(testChain(
+	q := mustNaive(t, testChain(
 		seed("movie", "http://p/starring", "actor"),
 		expand("actor", "http://p/born", "place"),
 		GroupByOp{Cols: []string{"actor"}},
 		AggregationOp{Agg: AggSpec{Fn: "count", Src: "movie", New: "n"}},
-		FilterOp{Conds: []Condition{{Col: "n", Expr: "?n >= 3"}}},
+		FilterOp{Conds: []Condition{cond("n", "?n >= 3")}},
 	))
-	if err != nil {
-		t.Fatal(err)
-	}
 	if !strings.Contains(q, "GROUP BY ?actor") {
 		t.Fatalf("missing GROUP BY:\n%s", q)
 	}
-	if !strings.Contains(q, "FILTER ( ?n >= 3 )") {
+	if !strings.Contains(q, "FILTER ( "+rendered("?n >= 3")+" )") {
 		t.Fatalf("missing filter on aggregate:\n%s", q)
 	}
 	// The group subquery contains the per-operator subqueries.
@@ -369,6 +445,18 @@ func TestNaiveGroupingNestsEverything(t *testing.T) {
 	if strings.Count(q[:gi], "SELECT") < 3 {
 		t.Fatalf("group subquery should nest the operator subqueries:\n%s", q)
 	}
+}
+
+// key renders a canonical string for structural deduplication.
+func (m *QueryModel) key() string {
+	var sb strings.Builder
+	for _, t := range m.Triples {
+		fmt.Fprintf(&sb, "%s %v %v %v\n", t.Graph, t.S, t.P, t.O)
+	}
+	for _, f := range m.Filters {
+		sb.WriteString(sparql.RenderExpression(f.Expr) + "\n")
+	}
+	return sb.String()
 }
 
 func TestModelKeyStableForDedup(t *testing.T) {

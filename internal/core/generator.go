@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+
+	"rdfframes/internal/sparql"
 )
 
 // Generate replays an operator chain into a query model (paper §4.2). It is
@@ -33,7 +35,7 @@ func BuildSPARQL(c *Chain) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return Translate(m)
+	return sparql.Render(Translate(m)), nil
 }
 
 type generator struct {
@@ -47,7 +49,7 @@ type generator struct {
 }
 
 func (g *generator) run(ops []Op) (*QueryModel, error) {
-	m := newModel(g.chain.Prefixes)
+	m := newModel()
 	// aggCols names the aggregate result columns of the current grouped
 	// model; filters on them become HAVING conditions.
 	aggCols := map[string]bool{}
@@ -78,7 +80,7 @@ func (g *generator) run(ops []Op) (*QueryModel, error) {
 				t.S, t.O = t.O, t.S
 			}
 			if o.Optional {
-				opt := newModel(g.chain.Prefixes)
+				opt := newModel()
 				opt.addTriple(t)
 				m.Optionals = append(m.Optionals, opt)
 				m.addVar(o.New)
@@ -180,7 +182,7 @@ func (g *generator) run(ops []Op) (*QueryModel, error) {
 				m.renameVar(o.Col, o.NewCol)
 				right.renameVar(o.OtherCol, o.NewCol)
 			}
-			m = joinModels(m, right, o.Type, g.chain)
+			m = joinModels(m, right, o.Type)
 			aggCols = map[string]bool{}
 			g.attachPending(m)
 
@@ -231,12 +233,12 @@ func needsWrap(m *QueryModel) bool {
 }
 
 // joinModels combines two query models per the join type.
-func joinModels(left, right *QueryModel, jt JoinType, chain *Chain) *QueryModel {
+func joinModels(left, right *QueryModel, jt JoinType) *QueryModel {
 	if jt == FullOuterJoin {
 		// Case 3: (left OPTIONAL right) UNION (right OPTIONAL left), both
 		// sides wrapped in nested queries.
 		mk := func(a, b *QueryModel) *QueryModel {
-			branch := newModel(chain.Prefixes)
+			branch := newModel()
 			if a.IsGrouped() && len(a.SelectVars) == 0 {
 				a.SelectVars = append(append([]string(nil), a.GroupByCols...), aggNames(a.Aggs)...)
 			}
@@ -251,7 +253,7 @@ func joinModels(left, right *QueryModel, jt JoinType, chain *Chain) *QueryModel 
 			}
 			return branch
 		}
-		out := newModel(chain.Prefixes)
+		out := newModel()
 		out.Unions = append(out.Unions,
 			mk(cloneModel(left), cloneModel(right)),
 			mk(cloneModel(right), cloneModel(left)))
@@ -264,7 +266,7 @@ func joinModels(left, right *QueryModel, jt JoinType, chain *Chain) *QueryModel 
 		return out
 	}
 
-	out := newModel(chain.Prefixes)
+	out := newModel()
 	mergeSide := func(m *QueryModel, optional bool) {
 		switch {
 		case optional && needsWrap(m):

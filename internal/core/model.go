@@ -1,9 +1,10 @@
 package core
 
 import (
-	"strings"
+	"reflect"
+	"slices"
 
-	"rdfframes/internal/rdf"
+	"rdfframes/internal/sparql"
 )
 
 // GraphTriple is a triple pattern tagged with the graph it matches in.
@@ -12,16 +13,15 @@ type GraphTriple struct {
 	S, P, O PatternNode
 }
 
-func (t GraphTriple) String() string {
-	return t.S.String() + " " + t.P.String() + " " + t.O.String()
+// elem returns the triple as a query pattern element.
+func (t GraphTriple) elem() sparql.Element {
+	return sparql.BGPElem{Pattern: sparql.TriplePattern{S: t.S.node(), P: t.P.node(), O: t.O.node()}}
 }
 
 // QueryModel is the intermediate representation between an operator chain
 // and a SPARQL query (paper §4.1, Figure 2). A model either holds graph
 // patterns directly or is a union of sub-models (Unions non-empty).
 type QueryModel struct {
-	Prefixes *rdf.PrefixMap
-
 	// Projection. Empty SelectVars means SELECT *.
 	SelectVars []string
 	Distinct   bool
@@ -53,8 +53,8 @@ type QueryModel struct {
 }
 
 // newModel returns an empty model with no limit.
-func newModel(prefixes *rdf.PrefixMap) *QueryModel {
-	return &QueryModel{Prefixes: prefixes, Limit: -1}
+func newModel() *QueryModel {
+	return &QueryModel{Limit: -1}
 }
 
 // IsGrouped reports whether the model computes grouping/aggregation, which
@@ -105,7 +105,7 @@ func (m *QueryModel) addTriple(t GraphTriple) {
 
 func (m *QueryModel) addFilter(c Condition) {
 	for _, have := range m.Filters {
-		if have == c {
+		if reflect.DeepEqual(have, c) {
 			return
 		}
 	}
@@ -171,7 +171,7 @@ func (m *QueryModel) wrap() *QueryModel {
 	if m.IsGrouped() && len(m.SelectVars) == 0 {
 		m.SelectVars = append(append([]string(nil), m.GroupByCols...), aggNames(m.Aggs)...)
 	}
-	outer := newModel(m.Prefixes)
+	outer := newModel()
 	outer.SubQueries = []*QueryModel{m}
 	for _, v := range m.projectedVars() {
 		outer.addVar(v)
@@ -204,28 +204,23 @@ func (m *QueryModel) renameVar(old, new string) {
 		renameNode(&m.Triples[i].P)
 		renameNode(&m.Triples[i].O)
 	}
-	for i := range m.Filters {
-		if m.Filters[i].Col == old {
-			m.Filters[i].Col = new
-		}
-		m.Filters[i].Expr = renameText(m.Filters[i].Expr, old, new)
-	}
-	for i := range m.Having {
-		if m.Having[i].Col == old {
-			m.Having[i].Col = new
-		}
-		m.Having[i].Expr = renameText(m.Having[i].Expr, old, new)
-	}
-	renameIn := func(ss []string) {
-		for i, s := range ss {
-			if s == old {
-				ss[i] = new
+	renameConds := func(cs []Condition) {
+		for i := range cs {
+			if cs[i].Col == old {
+				cs[i].Col = new
 			}
+			cs[i].Expr = renameExpr(cs[i].Expr, old, new)
 		}
 	}
-	renameIn(m.SelectVars)
-	renameIn(m.GroupByCols)
-	renameIn(m.vars)
+	renameConds(m.Filters)
+	renameConds(m.Having)
+	renameStrings(m.SelectVars, old, new)
+	if hasString(m.GroupByCols, old) {
+		// The grouping columns are the recorded GroupByOp's own slice.
+		m.GroupByCols = slices.Clone(m.GroupByCols)
+		renameStrings(m.GroupByCols, old, new)
+	}
+	renameStrings(m.vars, old, new)
 	for i := range m.Aggs {
 		if m.Aggs[i].Src == old {
 			m.Aggs[i].Src = new
@@ -247,6 +242,24 @@ func (m *QueryModel) renameVar(old, new string) {
 	}
 	for _, u := range m.Unions {
 		u.renameVar(old, new)
+	}
+}
+
+// renameExpr returns e with variable old renamed to new.
+func renameExpr(e sparql.Expression, old, new string) sparql.Expression {
+	return sparql.MapVars(e, func(name string) sparql.Expression {
+		if name == old {
+			return sparql.ExVar{Name: new}
+		}
+		return nil
+	})
+}
+
+func renameStrings(ss []string, old, new string) {
+	for i, s := range ss {
+		if s == old {
+			ss[i] = new
+		}
 	}
 }
 
@@ -302,20 +315,4 @@ func (dst *QueryModel) mergeModifiers(src *QueryModel) {
 		dst.Offset = src.Offset
 	}
 	dst.Order = append(dst.Order, src.Order...)
-}
-
-// key renders a canonical string for structural deduplication in tests.
-func (m *QueryModel) key() string {
-	var sb strings.Builder
-	for _, t := range m.Triples {
-		sb.WriteString(t.Graph)
-		sb.WriteByte(' ')
-		sb.WriteString(t.String())
-		sb.WriteByte('\n')
-	}
-	for _, f := range m.Filters {
-		sb.WriteString(f.Expr)
-		sb.WriteByte('\n')
-	}
-	return sb.String()
 }

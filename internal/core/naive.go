@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
-	"strings"
+	"slices"
+
+	"rdfframes/internal/sparql"
 )
 
 // NaiveTranslate compiles an operator chain with the naive query generation
@@ -16,30 +18,33 @@ import (
 // subquery containing a dangling OPTIONAL, because the latter does not
 // preserve left-outer-join semantics under composition; the paper verifies
 // all alternatives return identical results, which requires this form.
-func NaiveTranslate(c *Chain) (string, error) {
+func NaiveTranslate(c *Chain) (*sparql.Query, error) {
 	if err := c.Validate(); err != nil {
-		return "", err
+		return nil, err
 	}
 	n := &naive{}
 	if err := n.run(c.Ops); err != nil {
-		return "", err
+		return nil, err
 	}
-	var sb strings.Builder
-	if c.Prefixes != nil {
-		for _, b := range c.Prefixes.Bindings() {
-			fmt.Fprintf(&sb, "PREFIX %s: <%s>\n", b[0], b[1])
-		}
+	if len(n.pending) > 0 {
+		return nil, fmt.Errorf("core: filter column %q is not in the frame", n.pending[0].Col)
 	}
-	sb.WriteString(n.assemble(true))
-	return sb.String(), nil
+	return &sparql.Query{
+		Star:    len(n.proj) == 0,
+		Items:   selectItems(n.proj),
+		From:    n.graphs,
+		Where:   &sparql.Group{Elems: n.parts},
+		OrderBy: orderKeys(n.order),
+		Limit:   n.limit,
+		Offset:  n.offset,
+	}, nil
 }
 
 type naive struct {
-	parts   []string          // rendered group elements of the outer query
-	binder  map[string]string // column -> triple pattern text that bound it
-	bindCol map[string][]string
-	scope   map[string]bool // columns currently visible
-	pending []Condition     // filters deferred until their column is visible
+	parts   []sparql.Element    // group elements of the outer query
+	binder  map[string]*binding // column -> the pattern that bound it
+	scope   map[string]bool     // columns currently visible
+	pending []Condition         // filters deferred until their column is visible
 	graphs  []string
 	proj    []string // final projection (empty = *)
 	order   []SortKey
@@ -47,25 +52,24 @@ type naive struct {
 	offset  int
 }
 
+// binding is a triple pattern of the chain and the columns it binds.
+type binding struct {
+	pat  sparql.TriplePattern
+	cols []string
+}
+
 func (n *naive) init() {
 	if n.binder == nil {
-		n.binder = map[string]string{}
-		n.bindCol = map[string][]string{}
+		n.binder = map[string]*binding{}
 		n.scope = map[string]bool{}
 		n.limit = -1
 	}
 }
 
 func (n *naive) addGraph(g string) {
-	if g == "" {
-		return
+	if g != "" && !hasString(n.graphs, g) {
+		n.graphs = append(n.graphs, g)
 	}
-	for _, have := range n.graphs {
-		if have == g {
-			return
-		}
-	}
-	n.graphs = append(n.graphs, g)
 }
 
 func (n *naive) run(ops []Op) error {
@@ -74,53 +78,51 @@ func (n *naive) run(ops []Op) error {
 		switch o := op.(type) {
 		case SeedOp:
 			n.addGraph(o.GraphURI)
-			pat := fmt.Sprintf("%s %s %s .", o.S, o.P, o.O)
-			var cols []string
+			b := &binding{pat: sparql.TriplePattern{S: o.S.node(), P: o.P.node(), O: o.O.node()}}
 			for _, nd := range []PatternNode{o.S, o.P, o.O} {
 				if nd.IsCol() {
-					cols = append(cols, nd.Col)
-					n.binder[nd.Col] = pat
+					b.cols = append(b.cols, nd.Col)
+					n.binder[nd.Col] = b
+					n.scope[nd.Col] = true
 				}
 			}
-			n.bindCol[pat] = cols
-			for _, c := range cols {
-				n.scope[c] = true
-			}
-			n.parts = append(n.parts, subquery(cols, pat))
+			n.parts = append(n.parts, subquery(selectItems(b.cols), sparql.BGPElem{Pattern: b.pat}))
 
 		case ExpandOp:
 			n.addGraph(o.GraphURI)
-			var pat string
+			s, obj := o.Src, o.New
 			if o.In {
-				pat = fmt.Sprintf("?%s %s ?%s .", o.New, Constant(o.Pred), o.Src)
-			} else {
-				pat = fmt.Sprintf("?%s %s ?%s .", o.Src, Constant(o.Pred), o.New)
+				s, obj = obj, s
 			}
-			n.binder[o.New] = pat
-			n.bindCol[pat] = []string{o.Src, o.New}
+			b := &binding{
+				pat:  sparql.TriplePattern{S: sparql.Variable(s), P: sparql.TermNode(o.Pred), O: sparql.Variable(obj)},
+				cols: []string{o.Src, o.New},
+			}
+			n.binder[o.New] = b
 			n.scope[o.New] = true
-			sq := subquery([]string{o.Src, o.New}, pat)
+			sq := subquery(selectItems(b.cols), sparql.BGPElem{Pattern: b.pat})
 			if o.Optional {
-				sq = "OPTIONAL {\n" + sq + "\n}"
+				sq = optional(sq)
 			}
 			n.parts = append(n.parts, sq)
+			n.attachPending()
 
 		case FilterOp:
 			for _, cond := range o.Conds {
-				pat, bound := n.binder[cond.Col]
+				b := n.binder[cond.Col]
 				switch {
-				case bound && varsWithin(cond.Expr, func(v string) bool { return hasString(n.bindCol[pat], v) }):
+				case b != nil && onlyVars(cond.Expr, func(v string) bool { return hasString(b.cols, v) }):
 					// Single-column condition: repeat the binding pattern
 					// in its own filtering subquery (Appendix C style).
-					body := pat + "\nFILTER ( " + cond.Expr + " )"
-					n.parts = append(n.parts, subquery(n.bindCol[pat], body))
-				case varsWithin(cond.Expr, func(v string) bool { return n.scope[v] }):
+					n.parts = append(n.parts, subquery(selectItems(b.cols),
+						sparql.BGPElem{Pattern: b.pat}, sparql.FilterElem{Cond: cond.Expr}))
+				case onlyVars(cond.Expr, func(v string) bool { return n.scope[v] }):
 					// Multi-column or subquery-produced condition: a bare
 					// filter over the joined result.
-					n.parts = append(n.parts, "FILTER ( "+cond.Expr+" )")
+					n.parts = append(n.parts, sparql.FilterElem{Cond: cond.Expr})
 				default:
-					// Column hidden by grouping; emit once a join brings
-					// it back into scope.
+					// Column hidden by grouping; emit once a join or expand
+					// brings it back into scope.
 					n.pending = append(n.pending, cond)
 				}
 			}
@@ -133,31 +135,18 @@ func (n *naive) run(ops []Op) error {
 			var groupCols []string
 			if a, ok := op.(AggregationOp); ok {
 				agg = a.Agg
-				groupCols = n.lastGroupCols(ops, op)
+				groupCols = slices.Clone(n.lastGroupCols(ops, op))
 			} else {
 				agg = op.(AggregateOp).Agg
 			}
-			inner := strings.Join(n.parts, "\n")
-			var sel strings.Builder
-			for _, gc := range groupCols {
-				sel.WriteString("?" + gc + " ")
-			}
-			fmt.Fprintf(&sel, "(%s AS ?%s)", renderAgg(agg), agg.New)
-			var sq strings.Builder
-			sq.WriteString("{\nSELECT " + sel.String() + "\nWHERE {\n" + inner + "\n}")
-			if len(groupCols) > 0 {
-				sq.WriteString("\nGROUP BY")
-				for _, gc := range groupCols {
-					sq.WriteString(" ?" + gc)
-				}
-			}
-			sq.WriteString("\n}")
-			n.parts = []string{sq.String()}
+			q := selectAll(n.parts)
+			q.Star, q.GroupBy = false, groupCols
+			q.Items = append(selectItems(groupCols), sparql.SelectItem{Var: agg.New, Expr: aggExpr(agg)})
+			n.parts = []sparql.Element{sparql.GroupElem{Group: nest(q)}}
 			// Columns bound inside the group subquery are no longer
 			// directly filterable by pattern, and only the grouping and
 			// aggregate columns remain in scope.
-			n.binder = map[string]string{}
-			n.bindCol = map[string][]string{}
+			n.binder = map[string]*binding{}
 			n.scope = map[string]bool{agg.New: true}
 			for _, gc := range groupCols {
 				n.scope[gc] = true
@@ -183,55 +172,59 @@ func (n *naive) run(ops []Op) error {
 			for _, g := range right.graphs {
 				n.addGraph(g)
 			}
-			rightBody := strings.Join(right.parts, "\n")
 			if o.NewCol != "" {
-				n.renameParts(o.Col, o.NewCol)
-				rightBody = renameText(rightBody, o.OtherCol, o.NewCol)
+				n.rename(o.Col, o.NewCol)
+				right.rename(o.OtherCol, o.NewCol)
 			}
+			left := slices.Clip(n.parts)
 			switch o.Type {
 			case InnerJoin:
-				n.parts = append(n.parts, "{\nSELECT *\nWHERE {\n"+rightBody+"\n}\n}")
+				n.parts = append(left, subquery(nil, right.parts...))
 			case LeftOuterJoin:
-				n.parts = append(n.parts, "OPTIONAL {\n{\nSELECT *\nWHERE {\n"+rightBody+"\n}\n}\n}")
+				n.parts = append(left, optional(subquery(nil, right.parts...)))
 			case RightOuterJoin:
-				leftBody := strings.Join(n.parts, "\n")
-				n.parts = []string{
-					"{\nSELECT *\nWHERE {\n" + rightBody + "\n}\n}",
-					"OPTIONAL {\n{\nSELECT *\nWHERE {\n" + leftBody + "\n}\n}\n}",
-				}
+				n.parts = []sparql.Element{subquery(nil, right.parts...), optional(subquery(nil, left...))}
 			case FullOuterJoin:
-				leftBody := strings.Join(n.parts, "\n")
-				b1 := "{\nSELECT *\nWHERE {\n" + leftBody + "\nOPTIONAL {\n{\nSELECT *\nWHERE {\n" + rightBody + "\n}\n}\n}\n}\n}"
-				b2 := "{\nSELECT *\nWHERE {\n" + rightBody + "\nOPTIONAL {\n{\nSELECT *\nWHERE {\n" + leftBody + "\n}\n}\n}\n}\n}"
-				n.parts = []string{b1 + "\nUNION\n" + b2}
+				// (left OPTIONAL right) UNION (right OPTIONAL left).
+				branch := func(a, b []sparql.Element) *sparql.Group {
+					return nest(selectAll(append(slices.Clip(a), optional(subquery(nil, b...)))))
+				}
+				n.parts = []sparql.Element{sparql.UnionElem{Branches: []*sparql.Group{
+					branch(left, right.parts), branch(right.parts, left),
+				}}}
 			}
 			// The join may re-expose columns for later filters; merge the
 			// right side's binders, scope, and deferred filters.
-			for col, pat := range right.binder {
+			for col, b := range right.binder {
 				if _, exists := n.binder[col]; !exists {
-					n.binder[col] = pat
-					n.bindCol[pat] = right.bindCol[pat]
+					n.binder[col] = b
 				}
 			}
 			for col := range right.scope {
 				n.scope[col] = true
 			}
 			n.pending = append(n.pending, right.pending...)
-			var still []Condition
-			for _, cond := range n.pending {
-				if n.scope[cond.Col] {
-					n.parts = append(n.parts, "FILTER ( "+cond.Expr+" )")
-				} else {
-					still = append(still, cond)
-				}
-			}
-			n.pending = still
+			n.attachPending()
 
 		default:
 			return fmt.Errorf("core: naive translation: unknown operator %T", op)
 		}
 	}
 	return nil
+}
+
+// attachPending emits, as filters over the joined result, the deferred
+// conditions whose column is visible again.
+func (n *naive) attachPending() {
+	var still []Condition
+	for _, cond := range n.pending {
+		if n.scope[cond.Col] {
+			n.parts = append(n.parts, sparql.FilterElem{Cond: cond.Expr})
+		} else {
+			still = append(still, cond)
+		}
+	}
+	n.pending = still
 }
 
 // lastGroupCols finds the grouping columns of the GroupByOp immediately
@@ -252,72 +245,97 @@ func (n *naive) lastGroupCols(ops []Op, agg Op) []string {
 	return nil
 }
 
-func (n *naive) renameParts(old, new string) {
-	for i := range n.parts {
-		n.parts[i] = renameText(n.parts[i], old, new)
+// rename renames a column in everything generated so far and in the state
+// later operators consult.
+func (n *naive) rename(old, new string) {
+	renameElems(n.parts, old, new)
+	for _, b := range n.binder {
+		renamePattern(&b.pat, old, new)
+		renameStrings(b.cols, old, new)
 	}
-	if hasString(n.proj, old) {
-		for i, p := range n.proj {
-			if p == old {
-				n.proj[i] = new
-			}
+	if b, ok := n.binder[old]; ok {
+		delete(n.binder, old)
+		n.binder[new] = b
+	}
+	if n.scope[old] {
+		delete(n.scope, old)
+		n.scope[new] = true
+	}
+	renameStrings(n.proj, old, new)
+	for i := range n.order {
+		if n.order[i].Col == old {
+			n.order[i].Col = new
 		}
 	}
 }
 
-func (n *naive) assemble(topLevel bool) string {
-	var sb strings.Builder
-	sb.WriteString("SELECT ")
-	if len(n.proj) == 0 {
-		sb.WriteString("*")
-	} else {
-		for i, c := range n.proj {
-			if i > 0 {
-				sb.WriteByte(' ')
+// renameElems renames a variable in place through generated group
+// elements. An element that two parts share is renamed twice, which the
+// second time changes nothing.
+func renameElems(elems []sparql.Element, old, new string) {
+	for i, el := range elems {
+		switch e := el.(type) {
+		case sparql.BGPElem:
+			renamePattern(&e.Pattern, old, new)
+			elems[i] = e
+		case sparql.FilterElem:
+			elems[i] = sparql.FilterElem{Cond: renameExpr(e.Cond, old, new)}
+		case sparql.GroupElem:
+			renameElems(e.Group.Elems, old, new)
+		case sparql.OptionalElem:
+			renameElems(e.Group.Elems, old, new)
+		case sparql.UnionElem:
+			for _, br := range e.Branches {
+				renameElems(br.Elems, old, new)
 			}
-			sb.WriteString("?" + c)
-		}
-	}
-	sb.WriteByte('\n')
-	if topLevel {
-		for _, g := range n.graphs {
-			fmt.Fprintf(&sb, "FROM <%s>\n", g)
-		}
-	}
-	sb.WriteString("WHERE {\n")
-	sb.WriteString(strings.Join(n.parts, "\n"))
-	sb.WriteString("\n}")
-	if len(n.order) > 0 {
-		sb.WriteString("\nORDER BY")
-		for _, k := range n.order {
-			if k.Desc {
-				sb.WriteString(" DESC(?" + k.Col + ")")
-			} else {
-				sb.WriteString(" ASC(?" + k.Col + ")")
+		case sparql.SubQueryElem:
+			q := e.Query
+			for j := range q.Items {
+				if q.Items[j].Var == old {
+					q.Items[j].Var = new
+				}
+				if q.Items[j].Expr != nil {
+					q.Items[j].Expr = renameExpr(q.Items[j].Expr, old, new)
+				}
 			}
+			renameStrings(q.GroupBy, old, new)
+			renameElems(q.Where.Elems, old, new)
 		}
 	}
-	if n.limit >= 0 {
-		fmt.Fprintf(&sb, "\nLIMIT %d", n.limit)
-	}
-	if n.offset > 0 {
-		fmt.Fprintf(&sb, "\nOFFSET %d", n.offset)
-	}
-	sb.WriteByte('\n')
-	return sb.String()
 }
 
-func subquery(cols []string, body string) string {
-	var sb strings.Builder
-	sb.WriteString("{\nSELECT")
-	if len(cols) == 0 {
-		sb.WriteString(" *")
+func renamePattern(p *sparql.TriplePattern, old, new string) {
+	for _, nd := range []*sparql.Node{&p.S, &p.P, &p.O} {
+		if nd.IsVar && nd.Var == old {
+			nd.Var = new
+		}
 	}
-	for _, c := range cols {
-		sb.WriteString(" ?" + c)
-	}
-	sb.WriteString("\nWHERE {\n")
-	sb.WriteString(body)
-	sb.WriteString("\n}\n}")
-	return sb.String()
+}
+
+// onlyVars reports whether every variable of e satisfies in.
+func onlyVars(e sparql.Expression, in func(name string) bool) bool {
+	ok := true
+	sparql.MapVars(e, func(name string) sparql.Expression {
+		ok = ok && in(name)
+		return nil
+	})
+	return ok
+}
+
+// subquery is the group element `{ SELECT items WHERE { body } }`, with
+// SELECT * when there are no items.
+func subquery(items []sparql.SelectItem, body ...sparql.Element) sparql.Element {
+	q := selectAll(body)
+	q.Star, q.Items = len(items) == 0, items
+	return sparql.GroupElem{Group: nest(q)}
+}
+
+// selectAll is `SELECT * WHERE { body }`.
+func selectAll(body []sparql.Element) *sparql.Query {
+	return &sparql.Query{Star: true, Where: &sparql.Group{Elems: body}, Limit: -1}
+}
+
+// optional is `OPTIONAL { el }`.
+func optional(el sparql.Element) sparql.Element {
+	return sparql.OptionalElem{Group: &sparql.Group{Elems: []sparql.Element{el}}}
 }

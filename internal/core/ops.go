@@ -4,8 +4,10 @@
 // entries), the query model intermediate representation (paper §4.1, after
 // the Query Graph Model), the generator that replays operators into a query
 // model handling the three cases that require nested subqueries (§4.2), the
-// translator from query models to SPARQL text (§4.3), and the naive
-// one-subquery-per-operator translator used as the evaluation baseline.
+// translator from query models to the query AST of internal/sparql (§4.3),
+// and the naive one-subquery-per-operator translator used as the
+// evaluation baseline. Both translators build a *sparql.Query, and
+// sparql.Render writes its text; nothing here writes or edits SPARQL text.
 package core
 
 import (
@@ -13,6 +15,7 @@ import (
 	"regexp"
 
 	"rdfframes/internal/rdf"
+	"rdfframes/internal/sparql"
 )
 
 // PatternNode is a slot of a triple pattern: a column (SPARQL variable) or
@@ -31,12 +34,12 @@ func Constant(t rdf.Term) PatternNode { return PatternNode{Term: t} }
 // IsCol reports whether the node is a column.
 func (n PatternNode) IsCol() bool { return n.Col != "" }
 
-// String renders the node in SPARQL syntax.
-func (n PatternNode) String() string {
+// node returns the node as a slot of a query triple pattern.
+func (n PatternNode) node() sparql.Node {
 	if n.IsCol() {
-		return "?" + n.Col
+		return sparql.Variable(n.Col)
 	}
-	return n.Term.String()
+	return sparql.TermNode(n.Term)
 }
 
 var colNameRE = regexp.MustCompile(`^[A-Za-z_][A-Za-z0-9_]*$`)
@@ -69,11 +72,11 @@ func (jt JoinType) String() string {
 	return "unknown"
 }
 
-// Condition is one filter condition: a rendered SPARQL boolean expression
-// and the column it constrains (which decides FILTER vs HAVING placement).
+// Condition is one filter condition: a SPARQL boolean expression and the
+// column it constrains (which decides FILTER vs HAVING placement).
 type Condition struct {
 	Col  string
-	Expr string
+	Expr sparql.Expression
 }
 
 // AggSpec describes one aggregation.
@@ -168,11 +171,11 @@ func (JoinOp) opName() string        { return "join" }
 func (SortOp) opName() string        { return "sort" }
 func (HeadOp) opName() string        { return "head" }
 
-// Chain is the recorded operator sequence describing one RDFFrame, plus the
-// prefix bindings needed to render terms compactly.
+// Chain is the recorded operator sequence describing one RDFFrame. Its
+// terms and conditions hold full IRIs: prefixed names are expanded when
+// the frame is built.
 type Chain struct {
-	Prefixes *rdf.PrefixMap
-	Ops      []Op
+	Ops []Op
 }
 
 // Validate checks structural rules the API promises: the chain starts with

@@ -1,220 +1,165 @@
 package core
 
 import (
-	"fmt"
 	"strings"
+
+	"rdfframes/internal/sparql"
 )
 
-// Translate renders a query model as SPARQL text (paper §4.3). Each model
-// component maps directly to the corresponding SPARQL construct; inner
-// models recurse as subqueries; when patterns span multiple graphs, GRAPH
-// blocks scope each pattern subset to its graph.
-func Translate(m *QueryModel) (string, error) {
-	tr := &translator{multiGraph: len(m.allGraphs()) > 1}
-	var sb strings.Builder
-	if m.Prefixes != nil {
-		for _, b := range m.Prefixes.Bindings() {
-			fmt.Fprintf(&sb, "PREFIX %s: <%s>\n", b[0], b[1])
-		}
-	}
-	if err := tr.renderQuery(&sb, m, 0, true); err != nil {
-		return "", err
-	}
-	return sb.String(), nil
+// Translate maps a query model to the query it stands for (paper §4.3).
+// Each model component becomes the corresponding SPARQL construct; inner
+// models become subqueries; when patterns span multiple graphs, GRAPH
+// blocks scope each pattern subset to its graph. sparql.Render writes the
+// query's text.
+func Translate(m *QueryModel) *sparql.Query {
+	graphs := m.allGraphs()
+	tr := translator{multiGraph: len(graphs) > 1}
+	q := tr.query(m)
+	q.From = graphs
+	return q
 }
 
 type translator struct {
 	multiGraph bool
 }
 
-func (tr *translator) renderQuery(sb *strings.Builder, m *QueryModel, depth int, topLevel bool) error {
-	ind := strings.Repeat("  ", depth)
-	sb.WriteString(ind)
-	sb.WriteString("SELECT ")
-	if m.Distinct {
-		sb.WriteString("DISTINCT ")
+// query builds the SELECT of a model. A grouped model with no explicit
+// projection selects its grouping columns and aggregates; aggregate result
+// columns are projected as (AGG(...) AS ?col).
+func (tr translator) query(m *QueryModel) *sparql.Query {
+	q := &sparql.Query{Distinct: m.Distinct, Where: tr.body(m), Limit: m.Limit, Offset: m.Offset}
+	vars := m.SelectVars
+	if len(vars) == 0 && m.IsGrouped() {
+		vars = append(append([]string(nil), m.GroupByCols...), aggNames(m.Aggs)...)
 	}
-	if err := tr.renderSelectClause(sb, m); err != nil {
-		return err
-	}
-	sb.WriteByte('\n')
-	if topLevel {
-		for _, g := range m.allGraphs() {
-			fmt.Fprintf(sb, "%sFROM <%s>\n", ind, g)
+	q.Star = len(vars) == 0
+	q.Items = selectItems(vars)
+	for i, it := range q.Items {
+		if a, ok := aggNamed(m.Aggs, it.Var); ok {
+			q.Items[i].Expr = aggExpr(a)
 		}
 	}
-	sb.WriteString(ind)
-	sb.WriteString("WHERE {\n")
-	if err := tr.renderBody(sb, m, depth+1); err != nil {
-		return err
-	}
-	sb.WriteString(ind)
-	sb.WriteString("}")
 	if len(m.GroupByCols) > 0 {
-		sb.WriteString("\n" + ind + "GROUP BY")
-		for _, c := range m.GroupByCols {
-			sb.WriteString(" ?" + c)
-		}
+		q.GroupBy = m.GroupByCols
 	}
 	for _, h := range m.Having {
-		fmt.Fprintf(sb, "\n%sHAVING ( %s )", ind, tr.substituteAggs(h.Expr, m.Aggs))
-	}
-	if len(m.Order) > 0 {
-		sb.WriteString("\n" + ind + "ORDER BY")
-		for _, k := range m.Order {
-			if k.Desc {
-				sb.WriteString(" DESC(?" + k.Col + ")")
-			} else {
-				sb.WriteString(" ASC(?" + k.Col + ")")
+		// SPARQL HAVING cannot reference SELECT aliases, so references to
+		// aggregate result columns become the aggregates themselves (the
+		// paper's queries emit HAVING ( COUNT(DISTINCT ?movie) >= 50 )).
+		q.Having = append(q.Having, sparql.MapVars(h.Expr, func(name string) sparql.Expression {
+			if a, ok := aggNamed(m.Aggs, name); ok {
+				return aggExpr(a)
 			}
-		}
-	}
-	if m.Limit >= 0 {
-		fmt.Fprintf(sb, "\n%sLIMIT %d", ind, m.Limit)
-	}
-	if m.Offset > 0 {
-		fmt.Fprintf(sb, "\n%sOFFSET %d", ind, m.Offset)
-	}
-	sb.WriteByte('\n')
-	return nil
-}
-
-// renderSelectClause writes the projection: explicit columns (rendering
-// aggregate result columns as (AGG(...) AS ?col)), a synthesized projection
-// for grouped models, or *.
-func (tr *translator) renderSelectClause(sb *strings.Builder, m *QueryModel) error {
-	aggByName := map[string]AggSpec{}
-	for _, a := range m.Aggs {
-		aggByName[a.New] = a
-	}
-	vars := m.SelectVars
-	if len(vars) == 0 {
-		if m.IsGrouped() {
-			vars = append(append([]string(nil), m.GroupByCols...), aggNames(m.Aggs)...)
-		} else {
-			sb.WriteString("*")
 			return nil
-		}
+		}))
 	}
-	for i, v := range vars {
-		if i > 0 {
-			sb.WriteByte(' ')
-		}
-		if a, ok := aggByName[v]; ok {
-			fmt.Fprintf(sb, "(%s AS ?%s)", renderAgg(a), v)
-		} else {
-			sb.WriteString("?" + v)
-		}
-	}
-	return nil
+	q.OrderBy = orderKeys(m.Order)
+	return q
 }
 
-func renderAgg(a AggSpec) string {
-	fn := strings.ToUpper(a.Fn)
-	if a.Distinct {
-		return fmt.Sprintf("%s(DISTINCT ?%s)", fn, a.Src)
+func (tr translator) body(m *QueryModel) *sparql.Group {
+	n := len(m.Triples) + len(m.SubQueries) + len(m.Filters) + len(m.Optionals)
+	if len(m.Unions) > 0 {
+		n++
 	}
-	return fmt.Sprintf("%s(?%s)", fn, a.Src)
-}
-
-// substituteAggs rewrites references to aggregate result columns inside a
-// HAVING expression into the aggregate expressions themselves, since SPARQL
-// HAVING cannot reference SELECT aliases (the paper's queries emit
-// HAVING ( COUNT(DISTINCT ?movie) >= 50 )).
-func (tr *translator) substituteAggs(expr string, aggs []AggSpec) string {
-	return replaceVars(expr, func(token string) (string, bool) {
-		for _, a := range aggs {
-			if a.New == token[1:] {
-				return renderAgg(a), true
-			}
-		}
-		return "", false
-	})
-}
-
-func (tr *translator) renderBody(sb *strings.Builder, m *QueryModel, depth int) error {
-	ind := strings.Repeat("  ", depth)
+	if n == 0 {
+		return &sparql.Group{}
+	}
+	elems := make([]sparql.Element, 0, n)
 
 	// Triple patterns, grouped per graph when the query spans multiple
 	// graphs.
-	if len(m.Triples) > 0 {
-		if tr.multiGraph {
-			for _, g := range m.graphs() {
-				fmt.Fprintf(sb, "%sGRAPH <%s> {\n", ind, g)
-				for _, t := range m.Triples {
-					if t.Graph == g {
-						fmt.Fprintf(sb, "%s  %s .\n", ind, t)
-					}
-				}
-				sb.WriteString(ind)
-				sb.WriteString("}\n")
-			}
+	if tr.multiGraph {
+		for _, g := range m.graphs() {
+			var in []sparql.Element
 			for _, t := range m.Triples {
-				if t.Graph == "" {
-					fmt.Fprintf(sb, "%s%s .\n", ind, t)
+				if t.Graph == g {
+					in = append(in, t.elem())
 				}
 			}
-		} else {
-			for _, t := range m.Triples {
-				fmt.Fprintf(sb, "%s%s .\n", ind, t)
-			}
+			elems = append(elems, sparql.GraphElem{Graph: g, Group: &sparql.Group{Elems: in}})
+		}
+	}
+	for _, t := range m.Triples {
+		if !tr.multiGraph || t.Graph == "" {
+			elems = append(elems, t.elem())
 		}
 	}
 
 	for _, sub := range m.SubQueries {
-		sb.WriteString(ind)
-		sb.WriteString("{\n")
-		if err := tr.renderQuery(sb, sub, depth+1, false); err != nil {
-			return err
-		}
-		sb.WriteString(ind)
-		sb.WriteString("}\n")
+		elems = append(elems, sparql.GroupElem{Group: nest(tr.query(sub))})
 	}
 
-	for i, u := range m.Unions {
-		if i > 0 {
-			sb.WriteString(ind)
-			sb.WriteString("UNION\n")
-		}
-		sb.WriteString(ind)
-		sb.WriteString("{\n")
-		if u.isPatternOnly() {
-			if err := tr.renderBody(sb, u, depth+1); err != nil {
-				return err
-			}
-		} else {
-			if err := tr.renderQuery(sb, u, depth+1, false); err != nil {
-				return err
+	if len(m.Unions) > 0 {
+		branches := make([]*sparql.Group, len(m.Unions))
+		for i, u := range m.Unions {
+			if u.isPatternOnly() {
+				branches[i] = tr.body(u)
+			} else {
+				branches[i] = nest(tr.query(u))
 			}
 		}
-		sb.WriteString(ind)
-		sb.WriteString("}\n")
+		elems = append(elems, sparql.UnionElem{Branches: branches})
 	}
 
 	for _, f := range m.Filters {
-		fmt.Fprintf(sb, "%sFILTER ( %s )\n", ind, f.Expr)
+		elems = append(elems, sparql.FilterElem{Cond: f.Expr})
 	}
 
-	// OPTIONAL blocks render last: a left join applies to everything the
+	// OPTIONAL blocks come last: a left join applies to everything the
 	// group has produced, so an optional expand recorded after a join (or
-	// union) must not precede those patterns in the query text.
+	// union) must not precede those patterns in the query.
 	for _, opt := range m.Optionals {
-		sb.WriteString(ind)
-		sb.WriteString("OPTIONAL {\n")
+		var g *sparql.Group
 		if opt.isPatternOnly() && !opt.ForceSubquery {
-			if err := tr.renderBody(sb, opt, depth+1); err != nil {
-				return err
-			}
+			g = tr.body(opt)
 		} else {
-			if opt.IsGrouped() && len(opt.SelectVars) == 0 {
-				opt.SelectVars = append(append([]string(nil), opt.GroupByCols...), aggNames(opt.Aggs)...)
-			}
-			if err := tr.renderQuery(sb, opt, depth+1, false); err != nil {
-				return err
-			}
+			g = nest(tr.query(opt))
 		}
-		sb.WriteString(ind)
-		sb.WriteString("}\n")
+		elems = append(elems, sparql.OptionalElem{Group: g})
 	}
-	return nil
+	return &sparql.Group{Elems: elems}
+}
+
+// nest returns the group `{ SELECT … }` holding a subquery.
+func nest(q *sparql.Query) *sparql.Group {
+	return &sparql.Group{Elems: []sparql.Element{sparql.SubQueryElem{Query: q}}}
+}
+
+// selectItems projects plain columns; none is nil, as for SELECT *.
+func selectItems(cols []string) []sparql.SelectItem {
+	if len(cols) == 0 {
+		return nil
+	}
+	items := make([]sparql.SelectItem, len(cols))
+	for i, c := range cols {
+		items[i].Var = c
+	}
+	return items
+}
+
+func orderKeys(keys []SortKey) []sparql.OrderKey {
+	if len(keys) == 0 {
+		return nil
+	}
+	out := make([]sparql.OrderKey, len(keys))
+	for i, k := range keys {
+		out[i] = sparql.OrderKey{Expr: sparql.ExVar{Name: k.Col}, Desc: k.Desc}
+	}
+	return out
+}
+
+// aggExpr is the aggregate expression an aggregation computes.
+func aggExpr(a AggSpec) sparql.Expression {
+	return sparql.ExAgg{Fn: strings.ToLower(a.Fn), Distinct: a.Distinct, Arg: sparql.ExVar{Name: a.Src}}
+}
+
+// aggNamed returns the aggregation whose result column is name.
+func aggNamed(aggs []AggSpec, name string) (AggSpec, bool) {
+	for _, a := range aggs {
+		if a.New == name {
+			return a, true
+		}
+	}
+	return AggSpec{}, false
 }

@@ -296,8 +296,8 @@ func EscapeLiteral(s string) string {
 	}
 	var b strings.Builder
 	b.Grow(len(s) + 8)
-	for _, r := range s {
-		switch r {
+	for i := 0; i < len(s); i++ { // byte by byte: bytes that are not UTF-8 pass through
+		switch c := s[i]; c {
 		case '"':
 			b.WriteString(`\"`)
 		case '\\':
@@ -309,7 +309,7 @@ func EscapeLiteral(s string) string {
 		case '\t':
 			b.WriteString(`\t`)
 		default:
-			b.WriteRune(r)
+			b.WriteByte(c)
 		}
 	}
 	return b.String()

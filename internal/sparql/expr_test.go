@@ -316,7 +316,7 @@ func TestAggregateVarMatchesTermPath(t *testing.T) {
 			got, gotErr := evalAggregate(d.resolve(x, src.cols).(ExAgg), &evalCtx{groupSrc: g, dict: d})
 			want, wantErr := bindingAggregate(x, group)
 			if got != want || (gotErr == nil) != (wantErr == nil) {
-				t.Errorf("%s over rows %v: id path = %v (%v), term path = %v (%v)", exprText(x), order, got, gotErr, want, wantErr)
+				t.Errorf("%s over rows %v: id path = %v (%v), term path = %v (%v)", RenderExpression(x), order, got, gotErr, want, wantErr)
 			}
 		}
 	}

@@ -15,6 +15,7 @@ const (
 	tokString           // "..." (unescaped value)
 	tokNumber           // integer or decimal lexical form
 	tokName             // bare name: keyword or function
+	tokLang             // @tag after a string (tag without '@')
 	tokPunct            // punctuation / operator
 )
 
@@ -142,6 +143,18 @@ func (l *lexer) next() (token, error) {
 			return token{tokPName, name + ":" + local, start}, nil
 		}
 		return token{tokName, name, start}, nil
+	case c == '@':
+		// Language tag: letters, then '-'-joined letters and digits.
+		j := l.i + 1
+		for j < len(l.src) && (isLetter(l.src[j]) || j > l.i+1 && (l.src[j] == '-' || l.src[j] >= '0' && l.src[j] <= '9')) {
+			j++
+		}
+		if j == l.i+1 || l.src[j-1] == '-' {
+			return token{}, l.errf("malformed language tag")
+		}
+		tag := l.src[l.i+1 : j]
+		l.i = j
+		return token{tokLang, tag, start}, nil
 	case c == ':':
 		// Default-prefix name ":local"
 		l.i++
@@ -161,7 +174,7 @@ func (l *lexer) next() (token, error) {
 		}
 	}
 	switch c {
-	case '{', '}', '(', ')', '.', ';', ',', '=', '>', '!', '+', '-', '*', '/', '@':
+	case '{', '}', '(', ')', '.', ';', ',', '=', '>', '!', '+', '-', '*', '/':
 		l.i++
 		return token{tokPunct, string(c), start}, nil
 	}
@@ -240,9 +253,9 @@ func unescapeSPARQL(s string) (string, error) {
 	return b.String(), nil
 }
 
-func isNameStart(c byte) bool {
-	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c == '_'
-}
+func isLetter(c byte) bool { return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' }
+
+func isNameStart(c byte) bool { return isLetter(c) || c == '_' }
 
 func isNameChar(c byte) bool {
 	return isNameStart(c) || c >= '0' && c <= '9'

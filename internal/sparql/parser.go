@@ -549,8 +549,8 @@ func (p *parser) parseNode() (Node, error) {
 
 // parseLiteralTail handles optional @lang or ^^datatype after a string.
 func (p *parser) parseLiteralTail(lex string) rdf.Term {
-	if p.punct("@") {
-		t := p.next()
+	if t := p.peek(); t.kind == tokLang {
+		p.next()
 		return rdf.NewLangLiteral(lex, t.text)
 	}
 	if p.punct("^^") {

@@ -422,7 +422,7 @@ func (gs *groupScope) place(op *bgpOp, n *plan.Node, drop []string) {
 }
 
 func newFilterOp(cond Expression, placement string) *filterOp {
-	return &filterOp{cond: cond, node: plan.NewNode("filter", exprText(cond)+" ["+placement+"]")}
+	return &filterOp{cond: cond, node: plan.NewNode("filter", RenderExpression(cond)+" ["+placement+"]")}
 }
 
 // planGroup plans a group graph pattern. Groups evaluate from the unit
@@ -757,47 +757,5 @@ func countGroupUses(g *Group, uses map[string]int) {
 func countExprUses(e Expression, uses map[string]int) {
 	for _, v := range exprVars(e) {
 		uses[v]++
-	}
-}
-
-// exprText renders an expression compactly for plan trees (best effort; not
-// guaranteed to re-parse).
-func exprText(e Expression) string {
-	switch x := e.(type) {
-	case ExVar:
-		return "?" + x.Name
-	case ExTerm:
-		return x.Term.String()
-	case ExBinary:
-		return exprText(x.L) + " " + x.Op + " " + exprText(x.R)
-	case ExUnary:
-		return x.Op + "(" + exprText(x.E) + ")"
-	case ExCall:
-		args := make([]string, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = exprText(a)
-		}
-		return x.Name + "(" + strings.Join(args, ", ") + ")"
-	case ExIn:
-		items := make([]string, len(x.List))
-		for i, a := range x.List {
-			items[i] = exprText(a)
-		}
-		op := "IN"
-		if x.Neg {
-			op = "NOT IN"
-		}
-		return exprText(x.E) + " " + op + " (" + strings.Join(items, ", ") + ")"
-	case ExAgg:
-		arg := "*"
-		if x.Arg != nil {
-			arg = exprText(x.Arg)
-		}
-		if x.Distinct {
-			arg = "DISTINCT " + arg
-		}
-		return x.Fn + "(" + arg + ")"
-	default:
-		return fmt.Sprintf("%T", e)
 	}
 }

@@ -28,7 +28,6 @@
 package rdfframes
 
 import (
-	"fmt"
 	"io"
 	"strings"
 
@@ -157,8 +156,13 @@ func (g *KnowledgeGraph) PredicateDistribution(predCol, countCol string) *RDFFra
 // work): a frame of entities whose rdfs:label matches the keyword,
 // case-insensitively.
 func (g *KnowledgeGraph) SearchLabels(keyword, entityCol, labelCol string) *RDFFrame {
-	return g.Seed(entityCol, "rdfs:label", labelCol).
-		FilterRaw(labelCol, fmt.Sprintf("regex(str(?%s), %q, %q)", labelCol, keyword, "i"))
+	f := g.Seed(entityCol, "rdfs:label", labelCol)
+	match := sparql.ExCall{Name: "regex", Args: []sparql.Expression{
+		sparql.ExCall{Name: "str", Args: []sparql.Expression{sparql.ExVar{Name: labelCol}}},
+		sparql.ExTerm{Term: rdf.NewLiteral(keyword)},
+		sparql.ExTerm{Term: rdf.NewLiteral("i")},
+	}}
+	return f.with(core.FilterOp{Conds: []core.Condition{{Col: labelCol, Expr: match}}})
 }
 
 // patternNode interprets an API string as a column or a constant term.
