@@ -53,17 +53,13 @@ func buildCondition(g *KnowledgeGraph, col, cond string) (sparql.Expression, err
 	}
 	// Membership: In(a, b, ...).
 	if len(c) > 3 && strings.EqualFold(c[:3], "in(") && strings.HasSuffix(c, ")") {
-		items := splitTopLevel(c[3 : len(c)-1])
-		in := sparql.ExIn{E: v, List: make([]sparql.Expression, 0, len(items))}
-		for _, it := range items {
+		in := sparql.ExIn{E: v}
+		for _, it := range splitTopLevel(c[3 : len(c)-1]) {
 			t, err := buildValue(g, it)
 			if err != nil {
 				return nil, err
 			}
 			in.List = append(in.List, sparql.ExTerm{Term: t})
-		}
-		if len(in.List) == 0 {
-			in.List = nil
 		}
 		return in, nil
 	}
@@ -115,10 +111,11 @@ func buildValue(g *KnowledgeGraph, raw string) (rdf.Term, error) {
 		if !isDecimal(v) {
 			return rdf.Term{}, &FrameError{Op: "filter", Msg: "unsupported numeric literal " + v}
 		}
+		dt := rdf.XSDInteger
 		if strings.Contains(v, ".") {
-			return rdf.NewTypedLiteral(v, rdf.XSDDecimal), nil
+			dt = rdf.XSDDecimal
 		}
-		return rdf.NewTypedLiteral(v, rdf.XSDInteger), nil
+		return rdf.NewTypedLiteral(v, dt), nil
 	}
 	if strings.Contains(v, ":") || strings.HasPrefix(v, "<") {
 		iri, err := g.prefixes.Expand(v)

@@ -256,7 +256,7 @@ func toSeed(op core.Op) core.Op {
 	if !ok {
 		return op
 	}
-	s := core.SeedOp{GraphURI: e.GraphURI, S: core.Column(e.Src), P: core.Constant(e.Pred), O: core.Column(e.New)}
+	s := core.SeedOp{GraphURI: e.GraphURI, S: sparql.Variable(e.Src), P: sparql.TermNode(e.Pred), O: sparql.Variable(e.New)}
 	if e.In {
 		s.S, s.O = s.O, s.S
 	}
@@ -401,15 +401,15 @@ func (s *ScanNav) ResolveNav(ops []core.Op) (*dataframe.DataFrame, error) {
 	}
 	var cols []string
 	colSeen := map[string]bool{}
-	for _, n := range []core.PatternNode{seed.S, seed.P, seed.O} {
-		if n.IsCol() && !colSeen[n.Col] {
-			colSeen[n.Col] = true
-			cols = append(cols, n.Col)
+	for _, n := range []sparql.Node{seed.S, seed.P, seed.O} {
+		if n.IsVar && !colSeen[n.Var] {
+			colSeen[n.Var] = true
+			cols = append(cols, n.Var)
 		}
 	}
 	df := dataframe.New(cols...)
-	match := func(n core.PatternNode, t rdf.Term) bool {
-		return n.IsCol() || n.Term == t
+	match := func(n sparql.Node, t rdf.Term) bool {
+		return n.IsVar || n.Term == t
 	}
 	for _, tr := range s.Triples[seed.GraphURI] {
 		if !match(seed.S, tr.S) || !match(seed.P, tr.P) || !match(seed.O, tr.O) {
@@ -419,19 +419,19 @@ func (s *ScanNav) ResolveNav(ops []core.Op) (*dataframe.DataFrame, error) {
 		seen := map[string]rdf.Term{}
 		consistent := true
 		for _, nv := range []struct {
-			n core.PatternNode
+			n sparql.Node
 			t rdf.Term
 		}{{seed.S, tr.S}, {seed.P, tr.P}, {seed.O, tr.O}} {
-			if !nv.n.IsCol() {
+			if !nv.n.IsVar {
 				continue
 			}
-			if prev, ok := seen[nv.n.Col]; ok {
+			if prev, ok := seen[nv.n.Var]; ok {
 				if prev != nv.t {
 					consistent = false
 				}
 				continue
 			}
-			seen[nv.n.Col] = nv.t
+			seen[nv.n.Var] = nv.t
 			row = append(row, nv.t)
 		}
 		if consistent && len(row) == len(cols) {

@@ -46,11 +46,11 @@ func newFixture(t testing.TB) *fixture {
 	}
 }
 
-func (f *fixture) node(v string) core.PatternNode {
+func (f *fixture) node(v string) sparql.Node {
 	if len(v) > 0 && (v[0] == '<' || containsColon(v)) {
-		return core.Constant(rdf.NewIRI(f.prefixes.MustExpand(v)))
+		return sparql.TermNode(rdf.NewIRI(f.prefixes.MustExpand(v)))
 	}
-	return core.Column(v)
+	return sparql.Variable(v)
 }
 
 func containsColon(s string) bool {
@@ -265,9 +265,9 @@ func ExampleRun() {
 	chain := &core.Chain{Ops: []core.Op{
 		core.SeedOp{
 			GraphURI: datagen.DBpediaURI,
-			S:        core.Column("movie"),
-			P:        core.Constant(rdf.NewIRI("http://dbpedia.org/property/starring")),
-			O:        core.Column("actor"),
+			S:        sparql.Variable("movie"),
+			P:        sparql.TermNode(rdf.NewIRI("http://dbpedia.org/property/starring")),
+			O:        sparql.Variable("actor"),
 		},
 	}}
 	df, _ := Run(chain, NewScanNav(map[string][]rdf.Triple{datagen.DBpediaURI: triples}))

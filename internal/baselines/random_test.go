@@ -61,9 +61,9 @@ func (g *chainGen) randomChain(depth int) (*core.Chain, *colState) {
 	st := &colState{cols: map[string]string{"movie": "movie", "actor": "actor"}}
 	ops := []core.Op{core.SeedOp{
 		GraphURI: datagen.DBpediaURI,
-		S:        core.Column("movie"),
-		P:        core.Constant(g.pred("dbpp:starring")),
-		O:        core.Column("actor"),
+		S:        sparql.Variable("movie"),
+		P:        sparql.TermNode(g.pred("dbpp:starring")),
+		O:        sparql.Variable("actor"),
 	}}
 	n := 1 + g.rng.Intn(4)
 	for i := 0; i < n; i++ {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -29,11 +28,11 @@ func cond(col, src string) Condition {
 func rendered(src string) string { return sparql.RenderExpression(cond("", src).Expr) }
 
 func seed(s, p, o string) SeedOp {
-	node := func(v string) PatternNode {
+	node := func(v string) sparql.Node {
 		if strings.Contains(v, ":") {
-			return Constant(rdf.NewIRI(v))
+			return sparql.TermNode(rdf.NewIRI(v))
 		}
-		return Column(v)
+		return sparql.Variable(v)
 	}
 	return SeedOp{GraphURI: testGraph, S: node(s), P: node(p), O: node(o)}
 }
@@ -451,7 +450,7 @@ func TestNaiveGroupingNestsEverything(t *testing.T) {
 func (m *QueryModel) key() string {
 	var sb strings.Builder
 	for _, t := range m.Triples {
-		fmt.Fprintf(&sb, "%s %v %v %v\n", t.Graph, t.S, t.P, t.O)
+		sb.WriteString(t.Graph + " " + t.String() + "\n")
 	}
 	for _, f := range m.Filters {
 		sb.WriteString(sparql.RenderExpression(f.Expr) + "\n")

@@ -62,7 +62,7 @@ func (g *generator) run(ops []Op) (*QueryModel, error) {
 	for _, op := range ops {
 		switch o := op.(type) {
 		case SeedOp:
-			m.addTriple(GraphTriple{Graph: o.GraphURI, S: o.S, P: o.P, O: o.O})
+			m.addTriple(GraphTriple{o.GraphURI, sparql.TriplePattern{S: o.S, P: o.P, O: o.O}})
 
 		case ExpandOp:
 			if !m.HasVar(o.Src) {
@@ -75,7 +75,7 @@ func (g *generator) run(ops []Op) (*QueryModel, error) {
 				m = m.wrap() // Case 1
 				aggCols = map[string]bool{}
 			}
-			t := GraphTriple{Graph: o.GraphURI, S: Column(o.Src), P: Constant(o.Pred), O: Column(o.New)}
+			t := GraphTriple{o.GraphURI, sparql.TriplePattern{S: sparql.Variable(o.Src), P: sparql.TermNode(o.Pred), O: sparql.Variable(o.New)}}
 			if o.In {
 				t.S, t.O = t.O, t.S
 			}
@@ -125,7 +125,7 @@ func (g *generator) run(ops []Op) (*QueryModel, error) {
 				}
 			}
 			pendingGroup = o.Cols
-			groupSrcVars = m.Vars()
+			groupSrcVars = m.vars
 
 		case AggregationOp:
 			if !hasString(groupSrcVars, o.Agg.Src) {
@@ -239,30 +239,19 @@ func joinModels(left, right *QueryModel, jt JoinType) *QueryModel {
 		// sides wrapped in nested queries.
 		mk := func(a, b *QueryModel) *QueryModel {
 			branch := newModel()
-			if a.IsGrouped() && len(a.SelectVars) == 0 {
-				a.SelectVars = append(append([]string(nil), a.GroupByCols...), aggNames(a.Aggs)...)
-			}
 			branch.SubQueries = append(branch.SubQueries, a)
 			b.ForceSubquery = true
 			branch.Optionals = append(branch.Optionals, b)
-			for _, v := range a.projectedVars() {
-				branch.addVar(v)
-			}
-			for _, v := range b.projectedVars() {
-				branch.addVar(v)
-			}
+			branch.addVars(a.projectedVars())
+			branch.addVars(b.projectedVars())
 			return branch
 		}
 		out := newModel()
 		out.Unions = append(out.Unions,
 			mk(cloneModel(left), cloneModel(right)),
 			mk(cloneModel(right), cloneModel(left)))
-		for _, v := range left.projectedVars() {
-			out.addVar(v)
-		}
-		for _, v := range right.projectedVars() {
-			out.addVar(v)
-		}
+		out.addVars(left.projectedVars())
+		out.addVars(right.projectedVars())
 		return out
 	}
 
@@ -272,22 +261,13 @@ func joinModels(left, right *QueryModel, jt JoinType) *QueryModel {
 		case optional && needsWrap(m):
 			m.ForceSubquery = true
 			out.Optionals = append(out.Optionals, m)
-			for _, v := range m.projectedVars() {
-				out.addVar(v)
-			}
+			out.addVars(m.projectedVars())
 		case optional:
 			out.Optionals = append(out.Optionals, m)
-			for _, v := range m.Vars() {
-				out.addVar(v)
-			}
+			out.addVars(m.vars)
 		case needsWrap(m):
-			if m.IsGrouped() && len(m.SelectVars) == 0 {
-				m.SelectVars = append(append([]string(nil), m.GroupByCols...), aggNames(m.Aggs)...)
-			}
 			out.SubQueries = append(out.SubQueries, m)
-			for _, v := range m.projectedVars() {
-				out.addVar(v)
-			}
+			out.addVars(m.projectedVars())
 		default:
 			out.mergeInto(m)
 		}

@@ -9,13 +9,8 @@ import (
 
 // GraphTriple is a triple pattern tagged with the graph it matches in.
 type GraphTriple struct {
-	Graph   string
-	S, P, O PatternNode
-}
-
-// elem returns the triple as a query pattern element.
-func (t GraphTriple) elem() sparql.Element {
-	return sparql.BGPElem{Pattern: sparql.TriplePattern{S: t.S.node(), P: t.P.node(), O: t.O.node()}}
+	Graph string
+	sparql.TriplePattern
 }
 
 // QueryModel is the intermediate representation between an operator chain
@@ -69,9 +64,6 @@ func (m *QueryModel) HasModifiers() bool {
 	return len(m.Order) > 0 || m.Limit >= 0 || m.Offset > 0
 }
 
-// Vars returns the visible columns in first-use order.
-func (m *QueryModel) Vars() []string { return append([]string(nil), m.vars...) }
-
 // HasVar reports whether the column is visible in the model.
 func (m *QueryModel) HasVar(name string) bool {
 	for _, v := range m.vars {
@@ -89,6 +81,12 @@ func (m *QueryModel) addVar(name string) {
 	m.vars = append(m.vars, name)
 }
 
+func (m *QueryModel) addVars(names []string) {
+	for _, v := range names {
+		m.addVar(v)
+	}
+}
+
 func (m *QueryModel) addTriple(t GraphTriple) {
 	for _, have := range m.Triples {
 		if have == t {
@@ -96,11 +94,7 @@ func (m *QueryModel) addTriple(t GraphTriple) {
 		}
 	}
 	m.Triples = append(m.Triples, t)
-	for _, n := range []PatternNode{t.S, t.P, t.O} {
-		if n.IsCol() {
-			m.addVar(n.Col)
-		}
-	}
+	m.addVars(t.Vars())
 }
 
 func (m *QueryModel) addFilter(c Condition) {
@@ -112,46 +106,22 @@ func (m *QueryModel) addFilter(c Condition) {
 	m.Filters = append(m.Filters, c)
 }
 
-// graphs returns the distinct graph URIs referenced by the model's own
-// triples (not descending into subqueries), in first-use order.
-func (m *QueryModel) graphs() []string {
-	var out []string
-	seen := map[string]bool{}
+// graphs appends to out, in first-use order, the graph URIs that the
+// model's triples name and, when deep, those of every model nested in it.
+func (m *QueryModel) graphs(out []string, deep bool) []string {
 	for _, t := range m.Triples {
-		if t.Graph != "" && !seen[t.Graph] {
-			seen[t.Graph] = true
+		if t.Graph != "" && !hasString(out, t.Graph) {
 			out = append(out, t.Graph)
 		}
 	}
-	return out
-}
-
-// allGraphs returns every graph URI referenced anywhere in the model tree.
-func (m *QueryModel) allGraphs() []string {
-	var out []string
-	seen := map[string]bool{}
-	var walk func(m *QueryModel)
-	walk = func(m *QueryModel) {
-		if m == nil {
-			return
-		}
-		for _, t := range m.Triples {
-			if t.Graph != "" && !seen[t.Graph] {
-				seen[t.Graph] = true
-				out = append(out, t.Graph)
-			}
-		}
-		for _, o := range m.Optionals {
-			walk(o)
-		}
-		for _, s := range m.SubQueries {
-			walk(s)
-		}
-		for _, u := range m.Unions {
-			walk(u)
+	if !deep {
+		return out
+	}
+	for _, subs := range [][]*QueryModel{m.Optionals, m.SubQueries, m.Unions} {
+		for _, sub := range subs {
+			out = sub.graphs(out, true)
 		}
 	}
-	walk(m)
 	return out
 }
 
@@ -159,23 +129,17 @@ func (m *QueryModel) allGraphs() []string {
 // query: the explicit projection, or every visible column for SELECT *.
 func (m *QueryModel) projectedVars() []string {
 	if len(m.SelectVars) > 0 {
-		return append([]string(nil), m.SelectVars...)
+		return m.SelectVars
 	}
-	return m.Vars()
+	return m.vars
 }
 
 // wrap converts m into the single subquery of a fresh outer model (the
-// nesting step shared by all three cases of paper §4.2). The grouped inner
-// model projects its grouping and aggregation columns explicitly.
+// nesting step shared by all three cases of paper §4.2).
 func (m *QueryModel) wrap() *QueryModel {
-	if m.IsGrouped() && len(m.SelectVars) == 0 {
-		m.SelectVars = append(append([]string(nil), m.GroupByCols...), aggNames(m.Aggs)...)
-	}
 	outer := newModel()
 	outer.SubQueries = []*QueryModel{m}
-	for _, v := range m.projectedVars() {
-		outer.addVar(v)
-	}
+	outer.addVars(m.projectedVars())
 	return outer
 }
 
@@ -194,15 +158,8 @@ func (m *QueryModel) renameVar(old, new string) {
 	if m == nil || old == new {
 		return
 	}
-	renameNode := func(n *PatternNode) {
-		if n.Col == old {
-			n.Col = new
-		}
-	}
 	for i := range m.Triples {
-		renameNode(&m.Triples[i].S)
-		renameNode(&m.Triples[i].P)
-		renameNode(&m.Triples[i].O)
+		renamePattern(&m.Triples[i].TriplePattern, old, new)
 	}
 	renameConds := func(cs []Condition) {
 		for i := range cs {
@@ -234,14 +191,10 @@ func (m *QueryModel) renameVar(old, new string) {
 			m.Order[i].Col = new
 		}
 	}
-	for _, o := range m.Optionals {
-		o.renameVar(old, new)
-	}
-	for _, s := range m.SubQueries {
-		s.renameVar(old, new)
-	}
-	for _, u := range m.Unions {
-		u.renameVar(old, new)
+	for _, subs := range [][]*QueryModel{m.Optionals, m.SubQueries, m.Unions} {
+		for _, sub := range subs {
+			sub.renameVar(old, new)
+		}
 	}
 }
 
@@ -284,9 +237,7 @@ func (dst *QueryModel) mergeInto(src *QueryModel) {
 	dst.Optionals = append(dst.Optionals, src.Optionals...)
 	dst.SubQueries = append(dst.SubQueries, src.SubQueries...)
 	dst.Unions = append(dst.Unions, src.Unions...)
-	for _, v := range src.vars {
-		dst.addVar(v)
-	}
+	dst.addVars(src.vars)
 	dst.mergeModifiers(src)
 }
 
@@ -310,8 +261,6 @@ func (dst *QueryModel) mergeModifiers(src *QueryModel) {
 		dst.Limit = src.Limit
 	}
 	if src.Offset > 0 && (dst.Offset == 0 || src.Offset < dst.Offset) {
-		dst.Offset = src.Offset
-	} else if dst.Offset > 0 && src.Offset > 0 && src.Offset < dst.Offset {
 		dst.Offset = src.Offset
 	}
 	dst.Order = append(dst.Order, src.Order...)

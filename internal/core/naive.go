@@ -22,7 +22,7 @@ func NaiveTranslate(c *Chain) (*sparql.Query, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	n := &naive{}
+	n := newNaive()
 	if err := n.run(c.Ops); err != nil {
 		return nil, err
 	}
@@ -45,6 +45,7 @@ type naive struct {
 	binder  map[string]*binding // column -> the pattern that bound it
 	scope   map[string]bool     // columns currently visible
 	pending []Condition         // filters deferred until their column is visible
+	group   []string            // columns of the last GroupByOp
 	graphs  []string
 	proj    []string // final projection (empty = *)
 	order   []SortKey
@@ -58,12 +59,8 @@ type binding struct {
 	cols []string
 }
 
-func (n *naive) init() {
-	if n.binder == nil {
-		n.binder = map[string]*binding{}
-		n.scope = map[string]bool{}
-		n.limit = -1
-	}
+func newNaive() *naive {
+	return &naive{binder: map[string]*binding{}, scope: map[string]bool{}, limit: -1}
 }
 
 func (n *naive) addGraph(g string) {
@@ -73,18 +70,15 @@ func (n *naive) addGraph(g string) {
 }
 
 func (n *naive) run(ops []Op) error {
-	n.init()
 	for _, op := range ops {
 		switch o := op.(type) {
 		case SeedOp:
 			n.addGraph(o.GraphURI)
-			b := &binding{pat: sparql.TriplePattern{S: o.S.node(), P: o.P.node(), O: o.O.node()}}
-			for _, nd := range []PatternNode{o.S, o.P, o.O} {
-				if nd.IsCol() {
-					b.cols = append(b.cols, nd.Col)
-					n.binder[nd.Col] = b
-					n.scope[nd.Col] = true
-				}
+			b := &binding{pat: sparql.TriplePattern{S: o.S, P: o.P, O: o.O}}
+			b.cols = b.pat.Vars()
+			for _, c := range b.cols {
+				n.binder[c] = b
+				n.scope[c] = true
 			}
 			n.parts = append(n.parts, subquery(selectItems(b.cols), sparql.BGPElem{Pattern: b.pat}))
 
@@ -128,14 +122,15 @@ func (n *naive) run(ops []Op) error {
 			}
 
 		case GroupByOp:
-			// Consumed together with the following aggregations.
+			// Consumed by the aggregations that follow it.
+			n.group = o.Cols
 
 		case AggregationOp, AggregateOp:
 			var agg AggSpec
 			var groupCols []string
 			if a, ok := op.(AggregationOp); ok {
 				agg = a.Agg
-				groupCols = slices.Clone(n.lastGroupCols(ops, op))
+				groupCols = slices.Clone(n.group)
 			} else {
 				agg = op.(AggregateOp).Agg
 			}
@@ -165,7 +160,7 @@ func (n *naive) run(ops []Op) error {
 			n.limit, n.offset = o.K, o.Offset
 
 		case JoinOp:
-			right := &naive{}
+			right := newNaive()
 			if err := right.run(o.Other.Ops); err != nil {
 				return err
 			}
@@ -225,24 +220,6 @@ func (n *naive) attachPending() {
 		}
 	}
 	n.pending = still
-}
-
-// lastGroupCols finds the grouping columns of the GroupByOp immediately
-// preceding the given aggregation in the op list.
-func (n *naive) lastGroupCols(ops []Op, agg Op) []string {
-	for i, op := range ops {
-		if op == agg {
-			for j := i - 1; j >= 0; j-- {
-				if g, ok := ops[j].(GroupByOp); ok {
-					return g.Cols
-				}
-				if _, ok := ops[j].(AggregationOp); !ok {
-					break
-				}
-			}
-		}
-	}
-	return nil
 }
 
 // rename renames a column in everything generated so far and in the state

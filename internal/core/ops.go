@@ -18,30 +18,6 @@ import (
 	"rdfframes/internal/sparql"
 )
 
-// PatternNode is a slot of a triple pattern: a column (SPARQL variable) or
-// a constant term.
-type PatternNode struct {
-	Col  string // non-empty for a variable
-	Term rdf.Term
-}
-
-// Column returns a variable pattern node.
-func Column(name string) PatternNode { return PatternNode{Col: name} }
-
-// Constant returns a constant-term pattern node.
-func Constant(t rdf.Term) PatternNode { return PatternNode{Term: t} }
-
-// IsCol reports whether the node is a column.
-func (n PatternNode) IsCol() bool { return n.Col != "" }
-
-// node returns the node as a slot of a query triple pattern.
-func (n PatternNode) node() sparql.Node {
-	if n.IsCol() {
-		return sparql.Variable(n.Col)
-	}
-	return sparql.TermNode(n.Term)
-}
-
 var colNameRE = regexp.MustCompile(`^[A-Za-z_][A-Za-z0-9_]*$`)
 
 // ValidColumn reports whether name is usable as a SPARQL variable name.
@@ -101,7 +77,7 @@ type Op interface{ opName() string }
 // seed operator; feature_domain_range and entities are its variants).
 type SeedOp struct {
 	GraphURI string
-	S, P, O  PatternNode
+	S, P, O  sparql.Node
 }
 
 // ExpandOp navigates from Src over Pred to New (the paper's expand).

@@ -12,22 +12,18 @@ import (
 // blocks scope each pattern subset to its graph. sparql.Render writes the
 // query's text.
 func Translate(m *QueryModel) *sparql.Query {
-	graphs := m.allGraphs()
-	tr := translator{multiGraph: len(graphs) > 1}
-	q := tr.query(m)
+	graphs := m.graphs(nil, true)
+	q := modelQuery(m, len(graphs) > 1)
 	q.From = graphs
 	return q
 }
 
-type translator struct {
-	multiGraph bool
-}
-
-// query builds the SELECT of a model. A grouped model with no explicit
-// projection selects its grouping columns and aggregates; aggregate result
-// columns are projected as (AGG(...) AS ?col).
-func (tr translator) query(m *QueryModel) *sparql.Query {
-	q := &sparql.Query{Distinct: m.Distinct, Where: tr.body(m), Limit: m.Limit, Offset: m.Offset}
+// modelQuery builds the SELECT of a model; multiGraph puts each triple in
+// a GRAPH block. A grouped model with no explicit projection selects its
+// grouping columns and aggregates; aggregate result columns are projected
+// as (AGG(...) AS ?col).
+func modelQuery(m *QueryModel, multiGraph bool) *sparql.Query {
+	q := &sparql.Query{Distinct: m.Distinct, Where: modelBody(m, multiGraph), Limit: m.Limit, Offset: m.Offset}
 	vars := m.SelectVars
 	if len(vars) == 0 && m.IsGrouped() {
 		vars = append(append([]string(nil), m.GroupByCols...), aggNames(m.Aggs)...)
@@ -57,7 +53,7 @@ func (tr translator) query(m *QueryModel) *sparql.Query {
 	return q
 }
 
-func (tr translator) body(m *QueryModel) *sparql.Group {
+func modelBody(m *QueryModel, multiGraph bool) *sparql.Group {
 	n := len(m.Triples) + len(m.SubQueries) + len(m.Filters) + len(m.Optionals)
 	if len(m.Unions) > 0 {
 		n++
@@ -69,34 +65,34 @@ func (tr translator) body(m *QueryModel) *sparql.Group {
 
 	// Triple patterns, grouped per graph when the query spans multiple
 	// graphs.
-	if tr.multiGraph {
-		for _, g := range m.graphs() {
+	if multiGraph {
+		for _, g := range m.graphs(nil, false) {
 			var in []sparql.Element
 			for _, t := range m.Triples {
 				if t.Graph == g {
-					in = append(in, t.elem())
+					in = append(in, sparql.BGPElem{Pattern: t.TriplePattern})
 				}
 			}
 			elems = append(elems, sparql.GraphElem{Graph: g, Group: &sparql.Group{Elems: in}})
 		}
 	}
 	for _, t := range m.Triples {
-		if !tr.multiGraph || t.Graph == "" {
-			elems = append(elems, t.elem())
+		if !multiGraph || t.Graph == "" {
+			elems = append(elems, sparql.BGPElem{Pattern: t.TriplePattern})
 		}
 	}
 
 	for _, sub := range m.SubQueries {
-		elems = append(elems, sparql.GroupElem{Group: nest(tr.query(sub))})
+		elems = append(elems, sparql.GroupElem{Group: nest(modelQuery(sub, multiGraph))})
 	}
 
 	if len(m.Unions) > 0 {
 		branches := make([]*sparql.Group, len(m.Unions))
 		for i, u := range m.Unions {
 			if u.isPatternOnly() {
-				branches[i] = tr.body(u)
+				branches[i] = modelBody(u, multiGraph)
 			} else {
-				branches[i] = nest(tr.query(u))
+				branches[i] = nest(modelQuery(u, multiGraph))
 			}
 		}
 		elems = append(elems, sparql.UnionElem{Branches: branches})
@@ -112,9 +108,9 @@ func (tr translator) body(m *QueryModel) *sparql.Group {
 	for _, opt := range m.Optionals {
 		var g *sparql.Group
 		if opt.isPatternOnly() && !opt.ForceSubquery {
-			g = tr.body(opt)
+			g = modelBody(opt, multiGraph)
 		} else {
-			g = nest(tr.query(opt))
+			g = nest(modelQuery(opt, multiGraph))
 		}
 		elems = append(elems, sparql.OptionalElem{Group: g})
 	}

@@ -2,13 +2,12 @@ package rdf
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
 // PrefixMap maps namespace prefixes (without the trailing colon) to
 // namespace IRIs. It expands prefixed names such as "dbpp:starring" to full
-// IRIs and compacts IRIs back to prefixed names for readable SPARQL output.
+// IRIs.
 type PrefixMap struct {
 	byPrefix map[string]string
 }
@@ -77,36 +76,6 @@ func (pm *PrefixMap) MustExpand(name string) string {
 	return iri
 }
 
-// Compact rewrites a full IRI as a prefixed name if a bound namespace is a
-// prefix of it and the local part is a simple name; otherwise it returns the
-// IRI in angle brackets.
-func (pm *PrefixMap) Compact(iri string) string {
-	best, bestNS := "", ""
-	for p, ns := range pm.byPrefix {
-		if strings.HasPrefix(iri, ns) && len(ns) > len(bestNS) {
-			local := iri[len(ns):]
-			if isLocalName(local) {
-				best, bestNS = p, ns
-			}
-		}
-	}
-	if bestNS == "" {
-		return "<" + iri + ">"
-	}
-	return best + ":" + iri[len(bestNS):]
-}
-
-// Bindings returns the prefix bindings sorted by prefix, for deterministic
-// SPARQL PREFIX emission.
-func (pm *PrefixMap) Bindings() [][2]string {
-	out := make([][2]string, 0, len(pm.byPrefix))
-	for p, ns := range pm.byPrefix {
-		out = append(out, [2]string{p, ns})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
-	return out
-}
-
 // Clone returns an independent copy of the prefix map.
 func (pm *PrefixMap) Clone() *PrefixMap {
 	c := &PrefixMap{byPrefix: make(map[string]string, len(pm.byPrefix))}
@@ -124,19 +93,4 @@ func (pm *PrefixMap) Merge(other *PrefixMap) {
 	for p, ns := range other.byPrefix {
 		pm.Bind(p, ns)
 	}
-}
-
-func isLocalName(s string) bool {
-	if s == "" {
-		return false
-	}
-	for _, r := range s {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '_', r == '-', r == '.':
-		default:
-			return false
-		}
-	}
-	return true
 }

@@ -33,38 +33,8 @@ func TestExpand(t *testing.T) {
 	}
 }
 
-func TestCompact(t *testing.T) {
+func TestCloneIndependent(t *testing.T) {
 	pm := newTestPrefixes()
-	if got := pm.Compact("http://dbpedia.org/property/starring"); got != "dbpp:starring" {
-		t.Errorf("Compact = %q", got)
-	}
-	if got := pm.Compact("http://unknown.org/x"); got != "<http://unknown.org/x>" {
-		t.Errorf("Compact unknown = %q", got)
-	}
-	// Local parts with path separators must not compact.
-	if got := pm.Compact("http://dbpedia.org/property/a/b"); got != "<http://dbpedia.org/property/a/b>" {
-		t.Errorf("Compact with slash = %q", got)
-	}
-}
-
-func TestCompactPrefersLongestNamespace(t *testing.T) {
-	pm := NewPrefixMap(map[string]string{
-		"a": "http://ex.org/",
-		"b": "http://ex.org/deep/",
-	})
-	if got := pm.Compact("http://ex.org/deep/x"); got != "b:x" {
-		t.Errorf("Compact = %q, want b:x", got)
-	}
-}
-
-func TestBindingsSortedAndCloneIndependent(t *testing.T) {
-	pm := newTestPrefixes()
-	b := pm.Bindings()
-	for i := 1; i < len(b); i++ {
-		if b[i-1][0] >= b[i][0] {
-			t.Fatal("bindings not sorted")
-		}
-	}
 	c := pm.Clone()
 	c.Bind("zzz", "http://zzz/")
 	if _, ok := pm.Lookup("zzz"); ok {

@@ -74,7 +74,6 @@ var requiredMetricFamilies = []string{
 	"rdfframes_wcoj_segments_total",
 	"rdfframes_wcoj_seeks_total",
 	"rdfframes_wcoj_backtracks_total",
-	"rdfframes_wcoj_fallbacks_total",
 	"rdfframes_store_version",
 	"rdfframes_stats_epoch",
 	"rdfframes_store_triples",

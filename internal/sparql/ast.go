@@ -35,14 +35,6 @@ func Variable(name string) Node { return Node{IsVar: true, Var: name} }
 // TermNode returns a constant term node.
 func TermNode(t rdf.Term) Node { return Node{Term: t} }
 
-// String renders the node in SPARQL syntax.
-func (n Node) String() string {
-	if n.IsVar {
-		return "?" + n.Var
-	}
-	return n.Term.String()
-}
-
 // TriplePattern is one subject-predicate-object pattern.
 type TriplePattern struct {
 	S, P, O Node
@@ -50,7 +42,9 @@ type TriplePattern struct {
 
 // String renders the pattern in SPARQL syntax (without trailing dot).
 func (tp TriplePattern) String() string {
-	return tp.S.String() + " " + tp.P.String() + " " + tp.O.String()
+	var r renderer
+	r.triple(tp.S, tp.P, "", tp.O)
+	return r.String()
 }
 
 // Vars returns the variable names used by the pattern, in S,P,O order.
@@ -134,11 +128,17 @@ func (PathElem) isElement()     {}
 
 // String renders the path in SPARQL syntax (without trailing dot).
 func (pe PathElem) String() string {
-	mod := "+"
+	var r renderer
+	r.triple(pe.S, TermNode(pe.Pred), pe.mod(), pe.O)
+	return r.String()
+}
+
+// mod is the path's modifier: + for one or more steps, * for any number.
+func (pe PathElem) mod() string {
 	if pe.Min == 0 {
-		mod = "*"
+		return "*"
 	}
-	return pe.S.String() + " " + pe.Pred.String() + mod + " " + pe.O.String()
+	return "+"
 }
 
 // Group is a group graph pattern: an ordered list of elements.

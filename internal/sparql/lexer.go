@@ -144,13 +144,13 @@ func (l *lexer) next() (token, error) {
 		}
 		return token{tokName, name, start}, nil
 	case c == '@':
-		// Language tag: letters, then '-'-joined letters and digits.
+		// Language tag: name characters and '-'.
 		j := l.i + 1
-		for j < len(l.src) && (isLetter(l.src[j]) || j > l.i+1 && (l.src[j] == '-' || l.src[j] >= '0' && l.src[j] <= '9')) {
+		for j < len(l.src) && (isNameChar(l.src[j]) || l.src[j] == '-') {
 			j++
 		}
-		if j == l.i+1 || l.src[j-1] == '-' {
-			return token{}, l.errf("malformed language tag")
+		if j == l.i+1 {
+			return token{}, l.errf("empty language tag")
 		}
 		tag := l.src[l.i+1 : j]
 		l.i = j
@@ -253,9 +253,9 @@ func unescapeSPARQL(s string) (string, error) {
 	return b.String(), nil
 }
 
-func isLetter(c byte) bool { return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' }
-
-func isNameStart(c byte) bool { return isLetter(c) || c == '_' }
+func isNameStart(c byte) bool {
+	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c == '_'
+}
 
 func isNameChar(c byte) bool {
 	return isNameStart(c) || c >= '0' && c <= '9'

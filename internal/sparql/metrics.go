@@ -43,9 +43,6 @@ func (e *Engine) RegisterMetrics(reg *obs.Registry) {
 	reg.CounterFunc("rdfframes_wcoj_backtracks_total",
 		"Dead-end prefixes abandoned during WCOJ trie enumeration.",
 		func() float64 { return float64(e.execStats.backtracks.Load()) })
-	reg.CounterFunc("rdfframes_wcoj_fallbacks_total",
-		"Planned WCOJ segments that ran the binary join pipeline at run time; always 0, kept for dashboards.",
-		func() float64 { return 0 })
 	reg.CounterFunc("rdfframes_join_candidates_total",
 		"Candidate row pairs joins checked; far above rdfframes_join_rows_total means joins ran on poor keys.",
 		func() float64 { return float64(e.execStats.joinCandidates.Load()) })

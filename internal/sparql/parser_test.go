@@ -398,8 +398,8 @@ func fuzzParseStore(tb testing.TB) *store.Store {
 	return st
 }
 
-// TestParseLanguageTags: a tag is letters, then '-'-joined subtags of
-// letters and digits, and nothing else follows an '@'.
+// TestParseLanguageTags: a tag is one token of name characters and '-', so
+// a tag with subtags reads whole and nothing else follows an '@'.
 func TestParseLanguageTags(t *testing.T) {
 	e, err := ParseExpression(`"chat"@fr-CA = "x"@zh-Hant-TW`, nil)
 	if err != nil {
@@ -409,7 +409,7 @@ func TestParseLanguageTags(t *testing.T) {
 	if l, r := b.L.(ExTerm).Term, b.R.(ExTerm).Term; l != rdf.NewLangLiteral("chat", "fr-CA") || r != rdf.NewLangLiteral("x", "zh-Hant-TW") {
 		t.Fatalf("tags read as %v and %v", l, r)
 	}
-	for _, bad := range []string{`"x"@"en"`, `"x"@12`, `"x"@en-`, `"x"@<http://en>`, `"x"@ en`} {
+	for _, bad := range []string{`"x"@"en"`, `"x"@<http://en>`, `"x"@ en`, `"x"@`} {
 		if _, err := ParseExpression(bad, nil); err == nil {
 			t.Errorf("%s parsed", bad)
 		}

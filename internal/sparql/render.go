@@ -20,12 +20,12 @@ import (
 // is parsed.
 func Render(q *Query) string {
 	var r renderer
-	r.b.Grow(1024)
+	r.Grow(1024)
 	if q.Explain {
-		r.b.WriteString("EXPLAIN ")
+		r.WriteString("EXPLAIN ")
 	}
 	r.query(q, 0)
-	return r.b.String()
+	return r.String()
 }
 
 // RenderExpression writes an expression as SPARQL text that ParseExpression
@@ -35,163 +35,135 @@ func Render(q *Query) string {
 func RenderExpression(e Expression) string {
 	var r renderer
 	r.expr(e)
-	return r.b.String()
+	return r.String()
 }
 
-type renderer struct{ b strings.Builder }
+type renderer struct{ strings.Builder }
 
-func (r *renderer) indent(depth int) {
-	for i := 0; i < depth; i++ {
-		r.b.WriteString("  ")
+// line starts a line at the given nesting depth with s.
+func (r *renderer) line(depth int, s string) {
+	for ; depth > 0; depth-- {
+		r.WriteString("  ")
 	}
+	r.WriteString(s)
 }
 
 func (r *renderer) query(q *Query, depth int) {
-	r.indent(depth)
-	r.b.WriteString("SELECT ")
+	r.line(depth, "SELECT ")
 	if q.Distinct {
-		r.b.WriteString("DISTINCT ")
+		r.WriteString("DISTINCT ")
 	}
 	if q.Star {
-		r.b.WriteByte('*')
+		r.WriteByte('*')
 	}
 	for i, it := range q.Items {
 		if i > 0 {
-			r.b.WriteByte(' ')
+			r.WriteByte(' ')
 		}
 		if it.Expr == nil {
 			r.variable(it.Var)
 			continue
 		}
-		r.b.WriteByte('(')
+		r.WriteByte('(')
 		r.expr(it.Expr)
-		r.b.WriteString(" AS ")
+		r.WriteString(" AS ")
 		r.variable(it.Var)
-		r.b.WriteByte(')')
+		r.WriteByte(')')
 	}
-	r.b.WriteByte('\n')
 	for _, g := range q.From {
-		r.indent(depth)
-		r.b.WriteString("FROM ")
+		r.WriteByte('\n')
+		r.line(depth, "FROM ")
 		r.iri(g)
-		r.b.WriteByte('\n')
 	}
-	r.indent(depth)
-	r.b.WriteString("WHERE {\n")
-	if q.Where != nil {
-		r.elems(q.Where.Elems, depth+1)
-	}
-	r.indent(depth)
-	r.b.WriteString("}\n")
+	r.WriteByte('\n')
+	r.line(depth, "WHERE {\n")
+	r.elems(q.Where.Elems, depth+1)
+	r.line(depth, "}\n")
 	if len(q.GroupBy) > 0 {
-		r.indent(depth)
-		r.b.WriteString("GROUP BY")
+		r.line(depth, "GROUP BY")
 		for _, v := range q.GroupBy {
-			r.b.WriteByte(' ')
+			r.WriteByte(' ')
 			r.variable(v)
 		}
-		r.b.WriteByte('\n')
+		r.WriteByte('\n')
 	}
 	for _, h := range q.Having {
-		r.indent(depth)
-		r.b.WriteString("HAVING ( ")
+		r.line(depth, "HAVING ( ")
 		r.expr(h)
-		r.b.WriteString(" )\n")
+		r.WriteString(" )\n")
 	}
 	if len(q.OrderBy) > 0 {
-		r.indent(depth)
-		r.b.WriteString("ORDER BY")
+		r.line(depth, "ORDER BY")
 		for _, k := range q.OrderBy {
 			if k.Desc {
-				r.b.WriteString(" DESC(")
+				r.WriteString(" DESC(")
 			} else {
-				r.b.WriteString(" ASC(")
+				r.WriteString(" ASC(")
 			}
 			r.expr(k.Expr)
-			r.b.WriteByte(')')
+			r.WriteByte(')')
 		}
-		r.b.WriteByte('\n')
+		r.WriteByte('\n')
 	}
 	if q.Limit >= 0 {
-		r.indent(depth)
-		r.b.WriteString("LIMIT ")
-		r.b.WriteString(strconv.Itoa(q.Limit))
-		r.b.WriteByte('\n')
+		r.line(depth, "LIMIT "+strconv.Itoa(q.Limit)+"\n")
 	}
 	if q.Offset > 0 {
-		r.indent(depth)
-		r.b.WriteString("OFFSET ")
-		r.b.WriteString(strconv.Itoa(q.Offset))
-		r.b.WriteByte('\n')
+		r.line(depth, "OFFSET "+strconv.Itoa(q.Offset)+"\n")
 	}
 }
 
-// group writes a braced group whose opening brace ends a line already
-// started. A group that is one subquery is written as the braces around
-// that query, which is how the parser reads `{ SELECT … }`.
+// group writes a braced group after text already on its first line. A
+// group that is one subquery is written as the braces around that query,
+// which is how the parser reads `{ SELECT … }`.
 func (r *renderer) group(g *Group, depth int) {
-	r.b.WriteString("{\n")
+	r.WriteString("{\n")
 	if len(g.Elems) == 1 {
 		if sq, ok := g.Elems[0].(SubQueryElem); ok {
 			r.query(sq.Query, depth+1)
-			r.indent(depth)
-			r.b.WriteString("}\n")
+			r.line(depth, "}\n")
 			return
 		}
 	}
 	r.elems(g.Elems, depth+1)
-	r.indent(depth)
-	r.b.WriteString("}\n")
+	r.line(depth, "}\n")
 }
 
 func (r *renderer) elems(elems []Element, depth int) {
 	for _, el := range elems {
-		r.indent(depth)
+		r.line(depth, "")
 		switch e := el.(type) {
 		case BGPElem:
-			r.node(e.Pattern.S)
-			r.b.WriteByte(' ')
-			r.node(e.Pattern.P)
-			r.b.WriteByte(' ')
-			r.node(e.Pattern.O)
-			r.b.WriteString(" .\n")
+			r.triple(e.Pattern.S, e.Pattern.P, "", e.Pattern.O)
+			r.WriteString(" .\n")
 		case PathElem:
-			r.node(e.S)
-			r.b.WriteByte(' ')
-			r.term(e.Pred)
-			if e.Min == 0 {
-				r.b.WriteString("* ")
-			} else {
-				r.b.WriteString("+ ")
-			}
-			r.node(e.O)
-			r.b.WriteString(" .\n")
+			r.triple(e.S, TermNode(e.Pred), e.mod(), e.O)
+			r.WriteString(" .\n")
 		case FilterElem:
-			r.b.WriteString("FILTER ( ")
+			r.WriteString("FILTER ( ")
 			r.expr(e.Cond)
-			r.b.WriteString(" )\n")
+			r.WriteString(" )\n")
 		case BindElem:
-			r.b.WriteString("BIND ( ")
+			r.WriteString("BIND ( ")
 			r.expr(e.Expr)
-			r.b.WriteString(" AS ")
+			r.WriteString(" AS ")
 			r.variable(e.Var)
-			r.b.WriteString(" )\n")
+			r.WriteString(" )\n")
 		case OptionalElem:
-			r.b.WriteString("OPTIONAL ")
+			r.WriteString("OPTIONAL ")
 			r.group(e.Group, depth)
 		case GraphElem:
-			r.b.WriteString("GRAPH ")
+			r.WriteString("GRAPH ")
 			r.iri(e.Graph)
-			r.b.WriteByte(' ')
+			r.WriteByte(' ')
 			r.group(e.Group, depth)
 		case GroupElem:
 			r.group(e.Group, depth)
 		case UnionElem:
 			for i, br := range e.Branches {
 				if i > 0 {
-					r.indent(depth)
-					r.b.WriteString("UNION\n")
-					r.indent(depth)
+					r.line(depth, "UNION\n")
+					r.line(depth, "")
 				}
 				r.group(br, depth)
 			}
@@ -201,31 +173,42 @@ func (r *renderer) elems(elems []Element, depth int) {
 	}
 }
 
+// triple writes a pattern without its terminating dot; mod is a property
+// path's + or *, or empty.
+func (r *renderer) triple(s, p Node, mod string, o Node) {
+	r.node(s)
+	r.WriteByte(' ')
+	r.node(p)
+	r.WriteString(mod)
+	r.WriteByte(' ')
+	r.node(o)
+}
+
 func (r *renderer) variable(name string) {
-	r.b.WriteByte('?')
-	r.b.WriteString(name)
+	r.WriteByte('?')
+	r.WriteString(name)
 }
 
 func (r *renderer) iri(iri string) {
-	r.b.WriteByte('<')
-	r.b.WriteString(iri)
-	r.b.WriteByte('>')
+	r.WriteByte('<')
+	r.WriteString(iri)
+	r.WriteByte('>')
 }
 
 func (r *renderer) term(t rdf.Term) {
 	if t.Kind == rdf.IRIKind {
 		r.iri(t.Value)
-		return
+	} else {
+		r.WriteString(t.String())
 	}
-	r.b.WriteString(t.String())
 }
 
 func (r *renderer) node(n Node) {
 	if n.IsVar {
 		r.variable(n.Var)
-		return
+	} else {
+		r.term(n.Term)
 	}
-	r.term(n.Term)
 }
 
 func (r *renderer) expr(e Expression) {
@@ -236,55 +219,42 @@ func (r *renderer) expr(e Expression) {
 		r.term(x.Term)
 	case ExBinary:
 		r.operand(x.L)
-		r.b.WriteByte(' ')
-		r.b.WriteString(x.Op)
-		r.b.WriteByte(' ')
+		r.WriteByte(' ')
+		r.WriteString(x.Op)
+		r.WriteByte(' ')
 		r.operand(x.R)
 	case ExUnary:
-		r.b.WriteString(x.Op)
-		r.b.WriteByte('(')
+		r.WriteString(x.Op)
+		r.WriteByte('(')
 		r.expr(x.E)
-		r.b.WriteByte(')')
+		r.WriteByte(')')
 	case ExCall:
 		if x.IRI {
 			r.iri(x.Name)
 		} else {
-			r.b.WriteString(x.Name)
+			r.WriteString(x.Name)
 		}
-		r.b.WriteByte('(')
 		r.list(x.Args)
-		r.b.WriteByte(')')
 	case ExIn:
 		r.operand(x.E)
 		if x.Neg {
-			r.b.WriteString(" NOT IN (")
-		} else {
-			r.b.WriteString(" IN (")
+			r.WriteString(" NOT")
 		}
+		r.WriteString(" IN ")
 		r.list(x.List)
-		r.b.WriteByte(')')
 	case ExAgg:
-		for i := 0; i < len(x.Fn); i++ {
-			r.b.WriteByte(upper(x.Fn[i]))
-		}
-		r.b.WriteByte('(')
+		r.WriteString(strings.ToUpper(x.Fn))
+		r.WriteByte('(')
 		if x.Distinct {
-			r.b.WriteString("DISTINCT ")
+			r.WriteString("DISTINCT ")
 		}
 		if x.Star {
-			r.b.WriteByte('*')
+			r.WriteByte('*')
 		} else {
 			r.expr(x.Arg)
 		}
-		r.b.WriteByte(')')
+		r.WriteByte(')')
 	}
-}
-
-func upper(c byte) byte {
-	if c >= 'a' && c <= 'z' {
-		return c - 'a' + 'A'
-	}
-	return c
 }
 
 // operand writes an operand of a binary operator or an IN test,
@@ -292,82 +262,58 @@ func upper(c byte) byte {
 func (r *renderer) operand(e Expression) {
 	switch e.(type) {
 	case ExBinary, ExIn:
-		r.b.WriteByte('(')
+		r.WriteByte('(')
 		r.expr(e)
-		r.b.WriteByte(')')
+		r.WriteByte(')')
 	default:
 		r.expr(e)
 	}
 }
 
+// list writes a parenthesized argument list.
 func (r *renderer) list(es []Expression) {
+	r.WriteByte('(')
 	for i, e := range es {
 		if i > 0 {
-			r.b.WriteString(", ")
+			r.WriteString(", ")
 		}
 		r.expr(e)
 	}
+	r.WriteByte(')')
 }
 
-// MapVars returns e with every variable f answers for replaced by the
-// answer; f returns nil to keep a variable. The parts of e that hold no
-// replaced variable are shared with e, so a walk that replaces nothing
-// (f used only to visit the variables) allocates nothing.
+// MapVars returns a copy of e in which every variable that f answers for
+// is replaced by the answer; f returns nil to keep a variable.
 func MapVars(e Expression, f func(name string) Expression) Expression {
-	out, _ := mapVars(e, f)
-	return out
-}
-
-func mapVars(e Expression, f func(string) Expression) (Expression, bool) {
 	switch x := e.(type) {
 	case ExVar:
 		if repl := f(x.Name); repl != nil {
-			return repl, true
+			return repl
 		}
 	case ExBinary:
-		l, lc := mapVars(x.L, f)
-		rr, rc := mapVars(x.R, f)
-		if lc || rc {
-			return ExBinary{Op: x.Op, L: l, R: rr}, true
-		}
+		return ExBinary{Op: x.Op, L: MapVars(x.L, f), R: MapVars(x.R, f)}
 	case ExUnary:
-		if in, c := mapVars(x.E, f); c {
-			return ExUnary{Op: x.Op, E: in}, true
-		}
+		return ExUnary{Op: x.Op, E: MapVars(x.E, f)}
 	case ExCall:
-		if args, c := mapList(x.Args, f); c {
-			return ExCall{Name: x.Name, Args: args, IRI: x.IRI}, true
-		}
+		return ExCall{Name: x.Name, Args: mapAll(x.Args, f), IRI: x.IRI}
 	case ExIn:
-		in, ec := mapVars(x.E, f)
-		list, lc := mapList(x.List, f)
-		if ec || lc {
-			return ExIn{E: in, List: list, Neg: x.Neg}, true
-		}
+		return ExIn{E: MapVars(x.E, f), List: mapAll(x.List, f), Neg: x.Neg}
 	case ExAgg:
 		if x.Arg != nil {
-			if arg, c := mapVars(x.Arg, f); c {
-				x.Arg = arg
-				return x, true
-			}
+			x.Arg = MapVars(x.Arg, f)
 		}
+		return x
 	}
-	return e, false
+	return e
 }
 
-func mapList(es []Expression, f func(string) Expression) ([]Expression, bool) {
-	var out []Expression
+func mapAll(es []Expression, f func(string) Expression) []Expression {
+	if es == nil {
+		return nil
+	}
+	out := make([]Expression, len(es))
 	for i, e := range es {
-		m, c := mapVars(e, f)
-		if c && out == nil {
-			out = append(make([]Expression, 0, len(es)), es[:i]...)
-		}
-		if out != nil {
-			out = append(out, m)
-		}
+		out[i] = MapVars(e, f)
 	}
-	if out == nil {
-		return es, false
-	}
-	return out, true
+	return out
 }

@@ -156,36 +156,32 @@ func (g *KnowledgeGraph) PredicateDistribution(predCol, countCol string) *RDFFra
 // work): a frame of entities whose rdfs:label matches the keyword,
 // case-insensitively.
 func (g *KnowledgeGraph) SearchLabels(keyword, entityCol, labelCol string) *RDFFrame {
-	f := g.Seed(entityCol, "rdfs:label", labelCol)
-	match := sparql.ExCall{Name: "regex", Args: []sparql.Expression{
-		sparql.ExCall{Name: "str", Args: []sparql.Expression{sparql.ExVar{Name: labelCol}}},
-		sparql.ExTerm{Term: rdf.NewLiteral(keyword)},
-		sparql.ExTerm{Term: rdf.NewLiteral("i")},
-	}}
-	return f.with(core.FilterOp{Conds: []core.Condition{{Col: labelCol, Expr: match}}})
+	str := sparql.ExCall{Name: "str", Args: []sparql.Expression{sparql.ExVar{Name: labelCol}}}
+	match := sparql.ExCall{Name: "regex", Args: []sparql.Expression{str, sparql.ExTerm{Term: rdf.NewLiteral(keyword)}, sparql.ExTerm{Term: rdf.NewLiteral("i")}}}
+	return g.Seed(entityCol, "rdfs:label", labelCol).with(core.FilterOp{Conds: []core.Condition{{Col: labelCol, Expr: match}}})
 }
 
 // patternNode interprets an API string as a column or a constant term.
 // Strings containing ':' (prefixed names or IRIs) and quoted strings are
 // terms; plain identifiers are columns.
-func (g *KnowledgeGraph) patternNode(s string) (core.PatternNode, error) {
+func (g *KnowledgeGraph) patternNode(s string) (sparql.Node, error) {
 	s = strings.TrimSpace(s)
 	if strings.HasPrefix(s, `"`) {
 		t, err := rdf.ParseTerm(s)
 		if err != nil {
-			return core.PatternNode{}, err
+			return sparql.Node{}, err
 		}
-		return core.Constant(t), nil
+		return sparql.TermNode(t), nil
 	}
 	if strings.Contains(s, ":") {
 		iri, err := g.prefixes.Expand(s)
 		if err != nil {
-			return core.PatternNode{}, err
+			return sparql.Node{}, err
 		}
-		return core.Constant(rdf.NewIRI(iri)), nil
+		return sparql.TermNode(rdf.NewIRI(iri)), nil
 	}
 	if !core.ValidColumn(s) {
-		return core.PatternNode{}, &FrameError{Op: "seed", Msg: "invalid column name " + s}
+		return sparql.Node{}, &FrameError{Op: "seed", Msg: "invalid column name " + s}
 	}
-	return core.Column(s), nil
+	return sparql.Variable(s), nil
 }

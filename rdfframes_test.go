@@ -13,6 +13,9 @@ import (
 
 const dbpediaURI = "http://dbpedia.org"
 
+// intLit is how a generated query writes an integer operand.
+func intLit(n int) string { return fmt.Sprintf(`"%d"^^<%s>`, n, rdf.XSDInteger) }
+
 var dbpediaPrefixes = map[string]string{
 	"dbpp":    "http://dbpedia.org/property/",
 	"dbpr":    "http://dbpedia.org/resource/",
@@ -25,9 +28,6 @@ var dbpediaPrefixes = map[string]string{
 //   - a0 stars in 6 movies, a1 in 3, a2 in 1, a3 in 5, a4 in 2, a5 in 1
 //   - every movie m<i> has a title; even-numbered movies have a genre
 //   - a0 and a3 have academy awards
-// intLit is how a generated query writes an integer operand.
-func intLit(n int) string { return fmt.Sprintf(`"%d"^^<%s>`, n, rdf.XSDInteger) }
-
 func miniDBpedia(t testing.TB) *store.Store {
 	t.Helper()
 	st := store.New()
