@@ -8,8 +8,9 @@ import (
 
 // ParseExpression parses a standalone SPARQL boolean/value expression, as
 // used in FILTER constraints, resolving prefixed names against prefixes
-// (nil allows only full IRIs). It exists so that the dataframe-side
-// baselines evaluate exactly the same condition language as the engine.
+// (nil allows only full IRIs). Frames parse their raw filter expressions
+// with it when they are built, so a condition is one expression tree for
+// the query, the renderer and the dataframe-side baselines alike.
 func ParseExpression(src string, prefixes *rdf.PrefixMap) (Expression, error) {
 	toks, err := lex(src)
 	if err != nil {

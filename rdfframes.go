@@ -156,9 +156,11 @@ func (g *KnowledgeGraph) PredicateDistribution(predCol, countCol string) *RDFFra
 // work): a frame of entities whose rdfs:label matches the keyword,
 // case-insensitively.
 func (g *KnowledgeGraph) SearchLabels(keyword, entityCol, labelCol string) *RDFFrame {
-	str := sparql.ExCall{Name: "str", Args: []sparql.Expression{sparql.ExVar{Name: labelCol}}}
-	match := sparql.ExCall{Name: "regex", Args: []sparql.Expression{str, sparql.ExTerm{Term: rdf.NewLiteral(keyword)}, sparql.ExTerm{Term: rdf.NewLiteral("i")}}}
-	return g.Seed(entityCol, "rdfs:label", labelCol).with(core.FilterOp{Conds: []core.Condition{{Col: labelCol, Expr: match}}})
+	label := sparql.ExCall{Name: "str", Args: []sparql.Expression{sparql.ExVar{Name: labelCol}}}
+	pattern, flags := sparql.ExTerm{Term: rdf.NewLiteral(keyword)}, sparql.ExTerm{Term: rdf.NewLiteral("i")}
+	match := sparql.ExCall{Name: "regex", Args: []sparql.Expression{label, pattern, flags}}
+	return g.Seed(entityCol, "rdfs:label", labelCol).
+		with(core.FilterOp{Conds: []core.Condition{{Col: labelCol, Expr: match}}})
 }
 
 // patternNode interprets an API string as a column or a constant term.
