@@ -453,7 +453,7 @@ func (m *QueryModel) key() string {
 		sb.WriteString(t.Graph + " " + t.String() + "\n")
 	}
 	for _, f := range m.Filters {
-		sb.WriteString(sparql.RenderExpression(f.Expr) + "\n")
+		sb.WriteString(sparql.RenderExpression(f) + "\n")
 	}
 	return sb.String()
 }

@@ -93,18 +93,18 @@ func (g *generator) run(ops []Op) (*QueryModel, error) {
 			for _, cond := range o.Conds {
 				switch {
 				case m.IsGrouped() && aggCols[cond.Col]:
-					m.Having = append(m.Having, cond)
+					m.Having = append(m.Having, cond.Expr)
 				case m.IsGrouped() && hasString(m.GroupByCols, cond.Col):
 					// Case 1: the filter must see post-aggregation rows.
 					m = m.wrap()
 					aggCols = map[string]bool{}
-					m.addFilter(cond)
+					m.addFilter(cond.Expr)
 				case m.HasVar(cond.Col):
 					if m.HasModifiers() {
 						m = m.wrap()
 						aggCols = map[string]bool{}
 					}
-					m.addFilter(cond)
+					m.addFilter(cond.Expr)
 				case m.IsGrouped():
 					// Column hidden by grouping: defer until a join or
 					// expand re-exposes it.
@@ -218,7 +218,7 @@ func (g *generator) attachPending(m *QueryModel) {
 	var still []Condition
 	for _, c := range g.pending {
 		if m.HasVar(c.Col) && !m.IsGrouped() {
-			m.addFilter(c)
+			m.addFilter(c.Expr)
 		} else {
 			still = append(still, c)
 		}
@@ -295,10 +295,10 @@ func cloneModel(m *QueryModel) *QueryModel {
 	c := *m
 	c.SelectVars = append([]string(nil), m.SelectVars...)
 	c.Triples = append([]GraphTriple(nil), m.Triples...)
-	c.Filters = append([]Condition(nil), m.Filters...)
+	c.Filters = append([]sparql.Expression(nil), m.Filters...)
 	c.GroupByCols = append([]string(nil), m.GroupByCols...)
 	c.Aggs = append([]AggSpec(nil), m.Aggs...)
-	c.Having = append([]Condition(nil), m.Having...)
+	c.Having = append([]sparql.Expression(nil), m.Having...)
 	c.Order = append([]SortKey(nil), m.Order...)
 	c.vars = append([]string(nil), m.vars...)
 	c.Optionals = nil

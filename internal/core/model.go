@@ -23,7 +23,7 @@ type QueryModel struct {
 
 	// Graph matching patterns.
 	Triples    []GraphTriple
-	Filters    []Condition
+	Filters    []sparql.Expression
 	Optionals  []*QueryModel // rendered as OPTIONAL blocks
 	SubQueries []*QueryModel // rendered as nested SELECTs
 	Unions     []*QueryModel // rendered as { m1 } UNION { m2 } ...
@@ -31,7 +31,7 @@ type QueryModel struct {
 	// Aggregation constructs.
 	GroupByCols []string
 	Aggs        []AggSpec
-	Having      []Condition
+	Having      []sparql.Expression
 
 	// Query modifiers.
 	Order  []SortKey
@@ -97,13 +97,13 @@ func (m *QueryModel) addTriple(t GraphTriple) {
 	m.addVars(t.Vars())
 }
 
-func (m *QueryModel) addFilter(c Condition) {
+func (m *QueryModel) addFilter(e sparql.Expression) {
 	for _, have := range m.Filters {
-		if reflect.DeepEqual(have, c) {
+		if reflect.DeepEqual(have, e) {
 			return
 		}
 	}
-	m.Filters = append(m.Filters, c)
+	m.Filters = append(m.Filters, e)
 }
 
 // graphs appends to out, in first-use order, the graph URIs that the
@@ -161,16 +161,11 @@ func (m *QueryModel) renameVar(old, new string) {
 	for i := range m.Triples {
 		renamePattern(&m.Triples[i].TriplePattern, old, new)
 	}
-	renameConds := func(cs []Condition) {
-		for i := range cs {
-			if cs[i].Col == old {
-				cs[i].Col = new
-			}
-			cs[i].Expr = renameExpr(cs[i].Expr, old, new)
+	for _, es := range [][]sparql.Expression{m.Filters, m.Having} {
+		for i, e := range es {
+			es[i] = renameExpr(e, old, new)
 		}
 	}
-	renameConds(m.Filters)
-	renameConds(m.Having)
 	renameStrings(m.SelectVars, old, new)
 	if hasString(m.GroupByCols, old) {
 		// The grouping columns are the recorded GroupByOp's own slice.

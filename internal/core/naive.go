@@ -171,7 +171,7 @@ func (n *naive) run(ops []Op) error {
 				n.rename(o.Col, o.NewCol)
 				right.rename(o.OtherCol, o.NewCol)
 			}
-			left := slices.Clip(n.parts)
+			left := n.parts
 			switch o.Type {
 			case InnerJoin:
 				n.parts = append(left, subquery(nil, right.parts...))

@@ -42,7 +42,7 @@ func modelQuery(m *QueryModel, multiGraph bool) *sparql.Query {
 		// SPARQL HAVING cannot reference SELECT aliases, so references to
 		// aggregate result columns become the aggregates themselves (the
 		// paper's queries emit HAVING ( COUNT(DISTINCT ?movie) >= 50 )).
-		q.Having = append(q.Having, sparql.MapVars(h.Expr, func(name string) sparql.Expression {
+		q.Having = append(q.Having, sparql.MapVars(h, func(name string) sparql.Expression {
 			if a, ok := aggNamed(m.Aggs, name); ok {
 				return aggExpr(a)
 			}
@@ -99,7 +99,7 @@ func modelBody(m *QueryModel, multiGraph bool) *sparql.Group {
 	}
 
 	for _, f := range m.Filters {
-		elems = append(elems, sparql.FilterElem{Cond: f.Expr})
+		elems = append(elems, sparql.FilterElem{Cond: f})
 	}
 
 	// OPTIONAL blocks come last: a left join applies to everything the
