@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"rdfframes/internal/sparql"
 )
@@ -94,7 +95,7 @@ func (g *generator) run(ops []Op) (*QueryModel, error) {
 				switch {
 				case m.IsGrouped() && aggCols[cond.Col]:
 					m.Having = append(m.Having, cond.Expr)
-				case m.IsGrouped() && hasString(m.GroupByCols, cond.Col):
+				case m.IsGrouped() && slices.Contains(m.GroupByCols, cond.Col):
 					// Case 1: the filter must see post-aggregation rows.
 					m = m.wrap()
 					aggCols = map[string]bool{}
@@ -128,7 +129,7 @@ func (g *generator) run(ops []Op) (*QueryModel, error) {
 			groupSrcVars = m.vars
 
 		case AggregationOp:
-			if !hasString(groupSrcVars, o.Agg.Src) {
+			if !slices.Contains(groupSrcVars, o.Agg.Src) {
 				return nil, fmt.Errorf("core: aggregation column %q is not in the frame", o.Agg.Src)
 			}
 			if len(m.GroupByCols) == 0 {
@@ -314,13 +315,4 @@ func cloneModel(m *QueryModel) *QueryModel {
 		c.Unions = append(c.Unions, cloneModel(u))
 	}
 	return &c
-}
-
-func hasString(ss []string, s string) bool {
-	for _, v := range ss {
-		if v == s {
-			return true
-		}
-	}
-	return false
 }

@@ -65,14 +65,7 @@ func (m *QueryModel) HasModifiers() bool {
 }
 
 // HasVar reports whether the column is visible in the model.
-func (m *QueryModel) HasVar(name string) bool {
-	for _, v := range m.vars {
-		if v == name {
-			return true
-		}
-	}
-	return false
-}
+func (m *QueryModel) HasVar(name string) bool { return slices.Contains(m.vars, name) }
 
 func (m *QueryModel) addVar(name string) {
 	if name == "" || m.HasVar(name) {
@@ -88,10 +81,8 @@ func (m *QueryModel) addVars(names []string) {
 }
 
 func (m *QueryModel) addTriple(t GraphTriple) {
-	for _, have := range m.Triples {
-		if have == t {
-			return // merging branched frames must not duplicate patterns
-		}
+	if slices.Contains(m.Triples, t) {
+		return // merging branched frames must not duplicate patterns
 	}
 	m.Triples = append(m.Triples, t)
 	m.addVars(t.Vars())
@@ -110,7 +101,7 @@ func (m *QueryModel) addFilter(e sparql.Expression) {
 // model's triples name and, when deep, those of every model nested in it.
 func (m *QueryModel) graphs(out []string, deep bool) []string {
 	for _, t := range m.Triples {
-		if t.Graph != "" && !hasString(out, t.Graph) {
+		if t.Graph != "" && !slices.Contains(out, t.Graph) {
 			out = append(out, t.Graph)
 		}
 	}
@@ -167,7 +158,7 @@ func (m *QueryModel) renameVar(old, new string) {
 		}
 	}
 	renameStrings(m.SelectVars, old, new)
-	if hasString(m.GroupByCols, old) {
+	if slices.Contains(m.GroupByCols, old) {
 		// The grouping columns are the recorded GroupByOp's own slice.
 		m.GroupByCols = slices.Clone(m.GroupByCols)
 		renameStrings(m.GroupByCols, old, new)

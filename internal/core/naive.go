@@ -64,7 +64,7 @@ func newNaive() *naive {
 }
 
 func (n *naive) addGraph(g string) {
-	if g != "" && !hasString(n.graphs, g) {
+	if g != "" && !slices.Contains(n.graphs, g) {
 		n.graphs = append(n.graphs, g)
 	}
 }
@@ -105,7 +105,7 @@ func (n *naive) run(ops []Op) error {
 			for _, cond := range o.Conds {
 				b := n.binder[cond.Col]
 				switch {
-				case b != nil && onlyVars(cond.Expr, func(v string) bool { return hasString(b.cols, v) }):
+				case b != nil && onlyVars(cond.Expr, func(v string) bool { return slices.Contains(b.cols, v) }):
 					// Single-column condition: repeat the binding pattern
 					// in its own filtering subquery (Appendix C style).
 					n.parts = append(n.parts, subquery(selectItems(b.cols),

@@ -54,14 +54,7 @@ func modelQuery(m *QueryModel, multiGraph bool) *sparql.Query {
 }
 
 func modelBody(m *QueryModel, multiGraph bool) *sparql.Group {
-	n := len(m.Triples) + len(m.SubQueries) + len(m.Filters) + len(m.Optionals)
-	if len(m.Unions) > 0 {
-		n++
-	}
-	if n == 0 {
-		return &sparql.Group{}
-	}
-	elems := make([]sparql.Element, 0, n)
+	var elems []sparql.Element
 
 	// Triple patterns, grouped per graph when the query spans multiple
 	// graphs.
