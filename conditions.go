@@ -118,17 +118,28 @@ func buildValue(g *KnowledgeGraph, raw string) (rdf.Term, error) {
 		return rdf.NewTypedLiteral(v, dt), nil
 	}
 	if strings.Contains(v, ":") || strings.HasPrefix(v, "<") {
-		iri, err := g.prefixes.Expand(v)
+		iri, err := g.expandIRI("filter", v)
 		if err != nil {
-			return rdf.Term{}, &FrameError{Op: "filter", Msg: err.Error()}
-		}
-		if strings.ContainsFunc(iri, func(r rune) bool { return r <= ' ' || strings.ContainsRune("<>\"{}|^`\\", r) }) {
-			return rdf.Term{}, &FrameError{Op: "filter", Msg: "IRI " + strconv.Quote(iri) + " holds a character an IRI cannot"}
+			return rdf.Term{}, err
 		}
 		return rdf.NewIRI(iri), nil
 	}
 	// Bare word: treat as a plain string literal.
 	return rdf.NewLiteral(v), nil
+}
+
+// expandIRI expands a prefixed name or an <IRI> written in an API string
+// to an IRI that SPARQL can write: one holding a space, a control
+// character or one of <>"{}|^`\ is refused with a FrameError of op.
+func (g *KnowledgeGraph) expandIRI(op, s string) (string, error) {
+	iri, err := g.prefixes.Expand(s)
+	if err != nil {
+		return "", &FrameError{Op: op, Msg: err.Error()}
+	}
+	if strings.ContainsFunc(iri, func(r rune) bool { return r <= ' ' || strings.ContainsRune("<>\"{}|^`\\", r) }) {
+		return "", &FrameError{Op: op, Msg: "IRI " + strconv.Quote(iri) + " holds a character an IRI cannot"}
+	}
+	return iri, nil
 }
 
 // isDecimal reports whether v is a number as SPARQL text writes it: an

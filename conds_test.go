@@ -33,6 +33,36 @@ func TestFilterRejectsUnwritableConds(t *testing.T) {
 	}
 }
 
+// TestFrameAPIRejectsUnwritableIRIs: an IRI given to Seed,
+// FeatureDomainRange, Entities or Expand that SPARQL cannot write is a
+// FrameError when the frame is built, not a query that fails to parse.
+func TestFrameAPIRejectsUnwritableIRIs(t *testing.T) {
+	g := dbpediaGraph()
+	entries := []struct {
+		name  string
+		frame func(iri string) *RDFFrame
+	}{
+		{"Seed", func(iri string) *RDFFrame { return g.Seed("movie", "dbpp:starring", iri) }},
+		{"FeatureDomainRange", func(iri string) *RDFFrame { return g.FeatureDomainRange(iri, "movie", "actor") }},
+		{"Entities", func(iri string) *RDFFrame { return g.Entities(iri, "movie") }},
+		{"Expand", func(iri string) *RDFFrame {
+			return g.Seed("movie", "dbpp:starring", "actor").Expand("actor", Out(iri, "country"))
+		}},
+	}
+	for _, e := range entries {
+		if _, err := e.frame("dbpp:birthPlace").ToSPARQL(); err != nil {
+			t.Fatalf("%s(dbpp:birthPlace): %v", e.name, err)
+		}
+		for _, iri := range []string{"<http://a b>", "dbpp:a>b", "<http://ex/a\"b>", "dbpp:a{b}"} {
+			_, err := e.frame(iri).ToSPARQL()
+			var fe *FrameError
+			if !errors.As(err, &fe) {
+				t.Errorf("%s(%s): error %v, want a FrameError", e.name, iri, err)
+			}
+		}
+	}
+}
+
 // FuzzConds: every condition Filter accepts — a type test, an In(…) list,
 // a comparison, a raw expression — builds an expression tree that renders
 // to text the query parser reads back to the same tree, and every condition

@@ -92,9 +92,9 @@ func (f *RDFFrame) Expand(src string, steps ...Step) *RDFFrame {
 	}
 	out := f
 	for _, s := range steps {
-		pred, err := f.graph.prefixes.Expand(s.Pred)
+		pred, err := f.graph.expandIRI("expand", s.Pred)
 		if err != nil {
-			return out.fail(&FrameError{Op: "expand", Msg: err.Error()})
+			return out.fail(err)
 		}
 		if !core.ValidColumn(s.As) {
 			return out.fail(&FrameError{Op: "expand", Msg: "invalid column name " + s.As})

@@ -291,7 +291,7 @@ func (ev *evaluator) aggregate(q *Query, sols *idRows) (*idRows, error) {
 			}
 			v, err := evalExpr(items[i], ctx)
 			if err == nil {
-				rowBuf[out.cols[it.Var]] = ev.dict.encode(v)
+				rowBuf[out.cols[it.Var]] = ev.dict.encode(v.term())
 			}
 		}
 		out.appendRow(rowBuf)
@@ -446,7 +446,7 @@ func (ev *evaluator) orderBy(sols *idRows, keys []OrderKey) error {
 		ctx.cells = rows.next()
 		for j, e := range exprs {
 			if v, err := evalExpr(e, ctx); err == nil {
-				keyTerms[i*nk+j] = v
+				keyTerms[i*nk+j] = v.term()
 			}
 		}
 	}
@@ -560,7 +560,7 @@ func (ev *evaluator) extend(rows *idRows, col int, e Expression) {
 	for i := 0; i < rows.n; i++ {
 		ctx.cells = rows.row(i)
 		if v, err := evalExpr(e, ctx); err == nil {
-			rows.set(i, col, ev.dict.encode(v))
+			rows.set(i, col, ev.dict.encode(v.term()))
 		}
 	}
 }

@@ -2,10 +2,12 @@ package sparql
 
 import (
 	"fmt"
+	"math"
 	"regexp"
 	"slices"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"rdfframes/internal/rdf"
 	"rdfframes/internal/store"
@@ -209,6 +211,14 @@ func (d *evalDict) resolve(e Expression, cols map[string]int) Expression {
 			x.Arg = d.resolve(x.Arg, cols)
 		}
 		return x
+	case ExTerm:
+		// A numeric constant that a computed number stands for is that
+		// number, parsed here once rather than on every row.
+		if f, ok := x.Term.AsFloat(); ok && x.Term.IsNumeric() {
+			if n := numberLike(f, termValue(x.Term)); n.term() == x.Term {
+				return n
+			}
+		}
 	}
 	return e
 }
@@ -225,7 +235,7 @@ type evalCtx struct {
 	dict     *evalDict
 	cache    *regexCache
 	ids      []store.ID // aggregateVar's scratch, reused across groups
-	values   []rdf.Term // evalAggregate's scratch, reused across groups
+	values   []value    // evalAggregate's scratch, reused across groups
 }
 
 // regexCache memoizes compiled patterns by (pattern, flags). It is not
@@ -254,17 +264,99 @@ func (rc *regexCache) get(pattern, flags string) (*regexp.Regexp, error) {
 	return re, nil
 }
 
-// evalExpr evaluates e in ctx, returning a term or errExpr.
-func evalExpr(e Expression, ctx *evalCtx) (rdf.Term, error) {
+// value is what an expression evaluates to: a term, or a number the
+// expression computed, held as its float64 and its datatype, xsd:integer
+// or xsd:decimal. A number stands for the term value.term writes for it:
+// every reader answers as it would over that term, and the term is built
+// only where the value leaves the expression (a BIND, a projection, an
+// ORDER BY key, an aggregate's output, EvalExpression). A value is also a
+// resolved node: a numeric constant that resolve parsed.
+type value struct {
+	t  rdf.Term // the term, when dt is ""
+	f  float64  // the number, when dt is set
+	dt string   // the number's datatype; "" for a term
+}
+
+func (value) isExpr() {}
+
+func termValue(t rdf.Term) value { return value{t: t} }
+
+func intValue(n int64) value { return value{f: float64(n), dt: rdf.XSDInteger} }
+
+func decimalValue(f float64) value { return value{f: f, dt: rdf.XSDDecimal} }
+
+// numberLike is a computed number f: an xsd:integer when f is integral and
+// every operand is an xsd:integer, an xsd:decimal otherwise. An integer
+// holds float64(int64(f)), the value its term reads back as, so -0 is 0.
+func numberLike(f float64, operands ...value) value {
+	for _, o := range operands {
+		if o.datatype() != rdf.XSDInteger {
+			return decimalValue(f)
+		}
+	}
+	if f != float64(int64(f)) {
+		return decimalValue(f)
+	}
+	return intValue(int64(f))
+}
+
+func (v value) datatype() string {
+	if v.dt != "" {
+		return v.dt
+	}
+	return v.t.Datatype
+}
+
+func (v value) isNumeric() bool { return v.dt != "" || v.t.IsNumeric() }
+
+// term is the value as a term; a number's lexical form is the shortest
+// that reads back as it. Writing it is kept apart (format) so that term
+// inlines at the readers of terms.
+func (v value) term() rdf.Term {
+	if v.dt == "" {
+		return v.t
+	}
+	return v.format()
+}
+
+// format writes a number's term.
+func (v value) format() rdf.Term {
+	if v.dt == rdf.XSDInteger {
+		return rdf.NewInteger(int64(v.f))
+	}
+	return rdf.NewDecimal(v.f)
+}
+
+// float is rdf.Term.AsFloat of the value's term: a NaN has no value.
+func (v value) float() (float64, bool) {
+	if v.dt == "" {
+		return v.t.AsFloat()
+	}
+	return v.f, !math.IsNaN(v.f)
+}
+
+// numeric is numericValue of the value's term. A computed NaN is an
+// xsd:decimal, so it has no value here either.
+func (v value) numeric() (float64, bool) {
+	if v.dt == "" {
+		return numericValue(v.t)
+	}
+	return v.float()
+}
+
+// evalExpr evaluates e in ctx, returning a value or errExpr.
+func evalExpr(e Expression, ctx *evalCtx) (value, error) {
 	switch x := e.(type) {
+	case value:
+		return x, nil
 	case ExTerm:
-		return x.Term, nil
+		return termValue(x.Term), nil
 	case ExVar:
 		t := ctx.row[x.Name]
 		if !t.IsBound() {
-			return rdf.Term{}, errExpr
+			return value{}, errExpr
 		}
-		return t, nil
+		return termValue(t), nil
 	case ExUnary:
 		return evalUnary(x, ctx)
 	case ExBinary:
@@ -276,44 +368,37 @@ func evalExpr(e Expression, ctx *evalCtx) (rdf.Term, error) {
 	case exCell:
 		id := x.get(ctx.cells)
 		if id == 0 {
-			return rdf.Term{}, errExpr
+			return value{}, errExpr
 		}
-		return ctx.dict.decode(id), nil
+		return termValue(ctx.dict.decode(id)), nil
 	case exIDEqual, exIDIn, exIDKind:
-		b, err := evalCond(x, ctx)
-		if err != nil {
-			return rdf.Term{}, err
-		}
-		return boolTerm(b), nil
+		return boolValue(evalCond(x, ctx))
 	case ExAgg:
 		if ctx.groupSrc == nil {
-			return rdf.Term{}, fmt.Errorf("sparql: aggregate outside of group context")
+			return value{}, fmt.Errorf("sparql: aggregate outside of group context")
 		}
 		return evalAggregate(x, ctx)
 	}
-	return rdf.Term{}, fmt.Errorf("sparql: unknown expression %T", e)
+	return value{}, fmt.Errorf("sparql: unknown expression %T", e)
 }
 
-// ebv computes the SPARQL effective boolean value of a term.
-func ebv(t rdf.Term) (bool, error) {
-	if t.Kind != rdf.LiteralKind {
-		return false, errExpr
-	}
-	if t.Datatype == rdf.XSDBoolean {
-		b, ok := t.AsBool()
-		if !ok {
-			return false, errExpr
-		}
-		return b, nil
-	}
-	if t.IsNumeric() {
-		f, ok := t.AsFloat()
+// ebv computes the SPARQL effective boolean value of a value.
+func ebv(v value) (bool, error) {
+	if v.isNumeric() {
+		f, ok := v.float()
 		if !ok {
 			return false, errExpr
 		}
 		return f != 0, nil
 	}
-	if t.Datatype == "" {
+	t := v.t
+	switch {
+	case t.Kind != rdf.LiteralKind:
+	case t.Datatype == rdf.XSDBoolean:
+		if b, ok := t.AsBool(); ok {
+			return b, nil
+		}
+	case t.Datatype == "":
 		return t.Value != "", nil
 	}
 	return false, errExpr
@@ -326,8 +411,8 @@ func evalBool(e Expression, ctx *evalCtx) bool {
 }
 
 // evalCond returns the effective boolean value of e, or errExpr. The id
-// tests and the logical operators answer without building a boolean term;
-// every other expression goes through evalExpr and ebv.
+// tests, the comparisons and the logical operators answer without building
+// a boolean term; every other expression goes through evalExpr and ebv.
 func evalCond(e Expression, ctx *evalCtx) (bool, error) {
 	switch x := e.(type) {
 	case exIDEqual:
@@ -358,8 +443,12 @@ func evalCond(e Expression, ctx *evalCtx) (bool, error) {
 			return !b, err
 		}
 	case ExBinary:
-		if x.Op != "&&" && x.Op != "||" {
-			break
+		switch x.Op {
+		case "=", "!=", "<", "<=", ">", ">=":
+			return evalComparison(x, ctx)
+		case "&&", "||":
+		default:
+			return ebvOf(evalBinary(x, ctx))
 		}
 		// SPARQL logic: true || error is true and false && error is false;
 		// otherwise an error operand makes the result an error.
@@ -374,138 +463,130 @@ func evalCond(e Expression, ctx *evalCtx) (bool, error) {
 		}
 		return !decided, nil
 	}
-	t, err := evalExpr(e, ctx)
+	return ebvOf(evalExpr(e, ctx))
+}
+
+func ebvOf(v value, err error) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return ebv(t)
+	return ebv(v)
 }
 
 func boolTerm(b bool) rdf.Term { return rdf.NewBoolean(b) }
 
-func evalUnary(x ExUnary, ctx *evalCtx) (rdf.Term, error) {
+// boolValue is a condition's answer as a value.
+func boolValue(b bool, err error) (value, error) {
+	if err != nil {
+		return value{}, err
+	}
+	return termValue(boolTerm(b)), nil
+}
+
+func evalUnary(x ExUnary, ctx *evalCtx) (value, error) {
 	if x.Op == "!" {
-		b, err := evalCond(x, ctx)
-		if err != nil {
-			return rdf.Term{}, err
-		}
-		return boolTerm(b), nil
+		return boolValue(evalCond(x, ctx))
 	}
 	v, err := evalExpr(x.E, ctx)
 	if err != nil {
-		return rdf.Term{}, err
+		return value{}, err
 	}
 	if x.Op == "-" {
-		f, ok := v.AsFloat()
+		f, ok := v.float()
 		if !ok {
-			return rdf.Term{}, errExpr
+			return value{}, errExpr
 		}
-		return numericTerm(-f, v), nil
+		return numberLike(-f, v), nil
 	}
-	return rdf.Term{}, fmt.Errorf("sparql: unknown unary op %q", x.Op)
+	return value{}, fmt.Errorf("sparql: unknown unary op %q", x.Op)
 }
 
-// numericTerm builds a numeric result term, preserving integer typing when
-// both the value and the operand datatype allow it.
-func numericTerm(f float64, like ...rdf.Term) rdf.Term {
-	isInt := f == float64(int64(f))
-	for _, t := range like {
-		if t.Datatype != rdf.XSDInteger {
-			isInt = false
-		}
-	}
-	if isInt {
-		return rdf.NewInteger(int64(f))
-	}
-	return rdf.NewDecimal(f)
-}
-
-func evalBinary(x ExBinary, ctx *evalCtx) (rdf.Term, error) {
-	if x.Op == "&&" || x.Op == "||" {
-		b, err := evalCond(x, ctx)
-		if err != nil {
-			return rdf.Term{}, err
-		}
-		return boolTerm(b), nil
+func evalBinary(x ExBinary, ctx *evalCtx) (value, error) {
+	switch x.Op {
+	case "&&", "||", "=", "!=", "<", "<=", ">", ">=":
+		return boolValue(evalCond(x, ctx))
+	case "+", "-", "*", "/":
+	default:
+		return value{}, fmt.Errorf("sparql: unknown binary op %q", x.Op)
 	}
 	l, err := evalExpr(x.L, ctx)
 	if err != nil {
-		return rdf.Term{}, err
+		return value{}, err
 	}
 	r, err := evalExpr(x.R, ctx)
 	if err != nil {
-		return rdf.Term{}, err
+		return value{}, err
+	}
+	lf, lok := l.float()
+	rf, rok := r.float()
+	if !lok || !rok {
+		return value{}, errExpr
+	}
+	var f float64
+	switch x.Op {
+	case "+":
+		f = lf + rf
+	case "-":
+		f = lf - rf
+	case "*":
+		f = lf * rf
+	default:
+		if rf == 0 {
+			return value{}, errExpr
+		}
+		f = lf / rf
+	}
+	return numberLike(f, l, r), nil
+}
+
+// evalComparison answers = != < <= > >=; an ordering comparison with a NaN
+// is false.
+func evalComparison(x ExBinary, ctx *evalCtx) (bool, error) {
+	l, err := evalExpr(x.L, ctx)
+	if err != nil {
+		return false, err
+	}
+	r, err := evalExpr(x.R, ctx)
+	if err != nil {
+		return false, err
+	}
+	if x.Op == "=" || x.Op == "!=" {
+		eq, err := termsEqual(l, r)
+		return eq != (x.Op == "!="), err
+	}
+	c, err := termsCompare(l, r)
+	if err == errUnordered {
+		return false, nil
 	}
 	switch x.Op {
-	case "=", "!=":
-		eq, err := termsEqual(l, r)
-		if err != nil {
-			return rdf.Term{}, err
-		}
-		if x.Op == "!=" {
-			eq = !eq
-		}
-		return boolTerm(eq), nil
-	case "<", "<=", ">", ">=":
-		c, err := termsCompare(l, r)
-		if err == errUnordered {
-			return boolTerm(false), nil
-		}
-		if err != nil {
-			return rdf.Term{}, err
-		}
-		switch x.Op {
-		case "<":
-			return boolTerm(c < 0), nil
-		case "<=":
-			return boolTerm(c <= 0), nil
-		case ">":
-			return boolTerm(c > 0), nil
-		default:
-			return boolTerm(c >= 0), nil
-		}
-	case "+", "-", "*", "/":
-		lf, lok := l.AsFloat()
-		rf, rok := r.AsFloat()
-		if !lok || !rok {
-			return rdf.Term{}, errExpr
-		}
-		var f float64
-		switch x.Op {
-		case "+":
-			f = lf + rf
-		case "-":
-			f = lf - rf
-		case "*":
-			f = lf * rf
-		default:
-			if rf == 0 {
-				return rdf.Term{}, errExpr
-			}
-			f = lf / rf
-		}
-		return numericTerm(f, l, r), nil
+	case "<":
+		return c < 0, err
+	case "<=":
+		return c <= 0, err
+	case ">":
+		return c > 0, err
 	}
-	return rdf.Term{}, fmt.Errorf("sparql: unknown binary op %q", x.Op)
+	return c >= 0, err
 }
 
 // termsEqual implements SPARQL RDFterm-equal plus numeric value equality.
 // A NaN is equal to nothing, itself included; an ill-typed numeric literal
 // ("abc"^^xsd:integer) has no value, so it equals only the same term and
 // comparing it with anything else is a type error.
-func termsEqual(l, r rdf.Term) (bool, error) {
-	if l.IsNumeric() && r.IsNumeric() {
-		lf, lok := numericValue(l)
-		rf, rok := numericValue(r)
+func termsEqual(l, r value) (bool, error) {
+	if l.isNumeric() && r.isNumeric() {
+		lf, lok := l.numeric()
+		rf, rok := r.numeric()
 		if !lok || !rok {
-			if l == r {
+			if l.term() == r.term() {
 				return true, nil
 			}
 			return false, errExpr
 		}
 		return lf == rf, nil
 	}
-	return l == r, nil
+	// A number never equals a term that is not numeric.
+	return l.dt == "" && r.dt == "" && l.t == r.t, nil
 }
 
 // errUnordered is termsCompare's answer for a NaN: every ordering
@@ -515,10 +596,10 @@ var errUnordered = fmt.Errorf("sparql: NaN is unordered")
 // termsCompare implements SPARQL operator comparison: numeric by value,
 // strings lexically, dates lexically (ISO forms order correctly). An
 // ill-typed numeric operand is a type error.
-func termsCompare(l, r rdf.Term) (int, error) {
-	if l.IsNumeric() && r.IsNumeric() {
-		lf, lok := numericValue(l)
-		rf, rok := numericValue(r)
+func termsCompare(l, r value) (int, error) {
+	if l.isNumeric() && r.isNumeric() {
+		lf, lok := l.numeric()
+		rf, rok := r.numeric()
 		switch {
 		case !lok || !rok:
 			return 0, errExpr
@@ -531,11 +612,13 @@ func termsCompare(l, r rdf.Term) (int, error) {
 		}
 		return 0, errUnordered
 	}
-	if l.Kind == rdf.LiteralKind && r.Kind == rdf.LiteralKind {
-		return strings.Compare(l.Value, r.Value), nil
+	// A number beside a term that is not numeric compares its lexical form.
+	lt, rt := l.term(), r.term()
+	if lt.Kind == rdf.LiteralKind && rt.Kind == rdf.LiteralKind {
+		return strings.Compare(lt.Value, rt.Value), nil
 	}
-	if l.Kind == rdf.IRIKind && r.Kind == rdf.IRIKind {
-		return strings.Compare(l.Value, r.Value), nil
+	if lt.Kind == rdf.IRIKind && rt.Kind == rdf.IRIKind {
+		return strings.Compare(lt.Value, rt.Value), nil
 	}
 	return 0, errExpr
 }
@@ -554,10 +637,10 @@ func numericValue(t rdf.Term) (float64, bool) {
 	return f, err == nil
 }
 
-func evalIn(x ExIn, ctx *evalCtx) (rdf.Term, error) {
+func evalIn(x ExIn, ctx *evalCtx) (value, error) {
 	v, err := evalExpr(x.E, ctx)
 	if err != nil {
-		return rdf.Term{}, err
+		return value{}, err
 	}
 	found := false
 	for _, item := range x.List {
@@ -571,25 +654,69 @@ func evalIn(x ExIn, ctx *evalCtx) (rdf.Term, error) {
 			break
 		}
 	}
-	if x.Neg {
-		found = !found
-	}
-	return boolTerm(found), nil
+	return boolValue(found != x.Neg, nil)
 }
 
-func evalCall(x ExCall, ctx *evalCtx) (rdf.Term, error) {
-	arg := func(i int) (rdf.Term, error) {
-		if i >= len(x.Args) {
-			return rdf.Term{}, errExpr
-		}
-		return evalExpr(x.Args[i], ctx)
-	}
+// evalCall answers a builtin or a cast. The numeric builtins compute
+// numbers; the others read their arguments as terms.
+func evalCall(x ExCall, ctx *evalCtx) (value, error) {
 	if x.IRI {
-		return evalCast(x, arg)
+		return termOf(evalCast(x, ctx))
 	}
 	// A parsed builtin name is lowercase already, which ToLower returns
 	// without allocating; only a hand-built call pays for the lowering.
-	switch strings.ToLower(x.Name) {
+	switch name := strings.ToLower(x.Name); name {
+	case "abs":
+		a, err := callArg(x.Args, 0, ctx)
+		if err != nil {
+			return value{}, err
+		}
+		f, ok := a.float()
+		if !ok {
+			return value{}, errExpr
+		}
+		if f < 0 {
+			f = -f
+		}
+		return numberLike(f, a), nil
+	case "year":
+		a, err := callArg(x.Args, 0, ctx)
+		if err != nil {
+			return value{}, err
+		}
+		y, ok := a.term().Year()
+		if !ok {
+			return value{}, errExpr
+		}
+		return intValue(int64(y)), nil
+	case "strlen":
+		a, err := callArg(x.Args, 0, ctx)
+		if err != nil {
+			return value{}, err
+		}
+		return intValue(int64(utf8.RuneCountInString(a.term().Value))), nil
+	default:
+		return termOf(evalTermCall(x, name, ctx))
+	}
+}
+
+// callArg evaluates argument i of a call; a missing one is an error.
+func callArg(args []Expression, i int, ctx *evalCtx) (value, error) {
+	if i < len(args) {
+		return evalExpr(args[i], ctx)
+	}
+	return value{}, errExpr
+}
+
+func termOf(t rdf.Term, err error) (value, error) { return termValue(t), err }
+
+// evalTermCall answers the builtins whose result is a term.
+func evalTermCall(x ExCall, name string, ctx *evalCtx) (rdf.Term, error) {
+	arg := func(i int) (rdf.Term, error) {
+		v, err := callArg(x.Args, i, ctx)
+		return v.term(), err
+	}
+	switch name {
 	case "bound":
 		switch v := x.Args[0].(type) {
 		case exCell:
@@ -645,11 +772,11 @@ func evalCall(x ExCall, ctx *evalCtx) (rdf.Term, error) {
 		}
 		return boolTerm(t.IsBlank()), nil
 	case "isnumeric":
-		t, err := arg(0)
+		v, err := callArg(x.Args, 0, ctx)
 		if err != nil {
 			return rdf.Term{}, err
 		}
-		return boolTerm(t.IsNumeric()), nil
+		return boolTerm(v.isNumeric()), nil
 	case "regex":
 		t, err := arg(0)
 		if err != nil {
@@ -708,12 +835,6 @@ func evalCall(x ExCall, ctx *evalCtx) (rdf.Term, error) {
 			return rdf.Term{}, err
 		}
 		return boolTerm(strings.Contains(a.Value, b.Value)), nil
-	case "strlen":
-		a, err := arg(0)
-		if err != nil {
-			return rdf.Term{}, err
-		}
-		return rdf.NewInteger(int64(len([]rune(a.Value)))), nil
 	case "lcase":
 		a, err := arg(0)
 		if err != nil {
@@ -726,41 +847,19 @@ func evalCall(x ExCall, ctx *evalCtx) (rdf.Term, error) {
 			return rdf.Term{}, err
 		}
 		return rdf.NewLiteral(strings.ToUpper(a.Value)), nil
-	case "abs":
-		a, err := arg(0)
-		if err != nil {
-			return rdf.Term{}, err
-		}
-		f, ok := a.AsFloat()
-		if !ok {
-			return rdf.Term{}, errExpr
-		}
-		if f < 0 {
-			f = -f
-		}
-		return numericTerm(f, a), nil
-	case "year":
-		a, err := arg(0)
-		if err != nil {
-			return rdf.Term{}, err
-		}
-		y, ok := a.Year()
-		if !ok {
-			return rdf.Term{}, errExpr
-		}
-		return rdf.NewInteger(int64(y)), nil
 	}
-	return evalCast(x, arg)
+	return evalCast(x, ctx)
 }
 
 // evalCast answers a call of a function IRI: the XSD constructor casts,
 // e.g. xsd:dateTime(?d), xsd:integer(?x). Any other name is unknown.
-func evalCast(x ExCall, arg func(int) (rdf.Term, error)) (rdf.Term, error) {
+func evalCast(x ExCall, ctx *evalCtx) (rdf.Term, error) {
 	if strings.HasPrefix(x.Name, "http://www.w3.org/2001/XMLSchema#") {
-		a, err := arg(0)
+		v, err := callArg(x.Args, 0, ctx)
 		if err != nil {
 			return rdf.Term{}, err
 		}
+		a := v.term()
 		if a.Kind != rdf.LiteralKind {
 			return rdf.Term{}, errExpr
 		}
@@ -773,7 +872,7 @@ func evalCast(x ExCall, arg func(int) (rdf.Term, error)) (rdf.Term, error) {
 // cell, over the group without decoding the group: id equality is term
 // equality (the evalDict.encode contract), so bound cells are the non-zero
 // ids and DISTINCT counts distinct ids.
-func aggregateVar(x ExAgg, c exCell, ctx *evalCtx) (rdf.Term, error) {
+func aggregateVar(x ExAgg, c exCell, ctx *evalCtx) (value, error) {
 	ids, g := ctx.ids[:0], ctx.groupSrc
 	rows := g.cursor(0)
 	for i := 0; i < g.n; i++ {
@@ -782,19 +881,19 @@ func aggregateVar(x ExAgg, c exCell, ctx *evalCtx) (rdf.Term, error) {
 			continue
 		}
 		if x.Fn == "sample" {
-			return ctx.dict.decode(id), nil
+			return termValue(ctx.dict.decode(id)), nil
 		}
 		ids = append(ids, id)
 	}
 	if x.Fn == "sample" {
-		return rdf.Term{}, errExpr
+		return value{}, errExpr
 	}
 	ctx.ids = ids
 	if x.Distinct {
 		slices.Sort(ids)
 		ids = slices.Compact(ids)
 	}
-	return rdf.NewInteger(int64(len(ids))), nil
+	return intValue(int64(len(ids))), nil
 }
 
 // countRows answers COUNT(*), the group's rows, and COUNT(DISTINCT *), its
@@ -815,10 +914,11 @@ func countRows(distinct bool, g *idRows) (n int) {
 
 // evalAggregate computes an aggregate over the context's group. The
 // argument reads each of the group's rows in turn from ctx.cells, with no
-// group in scope: an aggregate nested in it is an error.
-func evalAggregate(x ExAgg, ctx *evalCtx) (rdf.Term, error) {
+// group in scope: an aggregate nested in it is an error. COUNT, SUM and
+// AVG answer numbers; MIN, MAX and SAMPLE compare and answer terms.
+func evalAggregate(x ExAgg, ctx *evalCtx) (value, error) {
 	if x.Star {
-		return rdf.NewInteger(int64(countRows(x.Distinct, ctx.groupSrc))), nil
+		return intValue(int64(countRows(x.Distinct, ctx.groupSrc))), nil
 	}
 	if c, ok := x.Arg.(exCell); ok && (x.Fn == "count" || x.Fn == "sample") {
 		return aggregateVar(x, c, ctx)
@@ -837,8 +937,8 @@ func evalAggregate(x ExAgg, ctx *evalCtx) (rdf.Term, error) {
 		seen := map[rdf.Term]bool{}
 		uniq := values[:0]
 		for _, v := range values {
-			if !seen[v] {
-				seen[v] = true
+			if t := v.term(); !seen[t] {
+				seen[t] = true
 				uniq = append(uniq, v)
 			}
 		}
@@ -846,47 +946,48 @@ func evalAggregate(x ExAgg, ctx *evalCtx) (rdf.Term, error) {
 	}
 	switch x.Fn {
 	case "count":
-		return rdf.NewInteger(int64(len(values))), nil
+		return intValue(int64(len(values))), nil
 	case "sum", "avg":
 		sum := 0.0
 		allInt := true
 		for _, v := range values {
-			f, ok := v.AsFloat()
+			f, ok := v.float()
 			if !ok {
-				return rdf.Term{}, errExpr
+				return value{}, errExpr
 			}
-			if v.Datatype != rdf.XSDInteger {
+			if v.datatype() != rdf.XSDInteger {
 				allInt = false
 			}
 			sum += f
 		}
 		if x.Fn == "avg" {
 			if len(values) == 0 {
-				return rdf.NewInteger(0), nil
+				return intValue(0), nil
 			}
-			return rdf.NewDecimal(sum / float64(len(values))), nil
+			return decimalValue(sum / float64(len(values))), nil
 		}
 		if allInt {
-			return rdf.NewInteger(int64(sum)), nil
+			return intValue(int64(sum)), nil
 		}
-		return rdf.NewDecimal(sum), nil
+		return decimalValue(sum), nil
 	case "min", "max":
 		if len(values) == 0 {
-			return rdf.Term{}, errExpr
+			return value{}, errExpr
 		}
-		best := values[0]
+		best := values[0].term()
 		for _, v := range values[1:] {
-			c := rdf.Compare(v, best)
+			t := v.term()
+			c := rdf.Compare(t, best)
 			if x.Fn == "min" && c < 0 || x.Fn == "max" && c > 0 {
-				best = v
+				best = t
 			}
 		}
-		return best, nil
+		return termValue(best), nil
 	case "sample":
 		if len(values) == 0 {
-			return rdf.Term{}, errExpr
+			return value{}, errExpr
 		}
 		return values[0], nil
 	}
-	return rdf.Term{}, fmt.Errorf("sparql: unknown aggregate %q", x.Fn)
+	return value{}, fmt.Errorf("sparql: unknown aggregate %q", x.Fn)
 }

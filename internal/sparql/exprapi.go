@@ -32,7 +32,8 @@ func ParseExpression(src string, prefixes *rdf.PrefixMap) (Expression, error) {
 
 // EvalExpression evaluates an expression against a row of bindings.
 func EvalExpression(e Expression, row map[string]rdf.Term) (rdf.Term, error) {
-	return evalExpr(e, &evalCtx{row: Binding(row), cache: &regexCache{}})
+	v, err := evalExpr(e, &evalCtx{row: Binding(row), cache: &regexCache{}})
+	return v.term(), err
 }
 
 // EvalCondition evaluates a boolean condition against a row; expression

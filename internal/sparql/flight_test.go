@@ -69,10 +69,15 @@ func TestStampedeSingleEvaluation(t *testing.T) {
 			}
 		}(i)
 	}
-	// Exactly one evaluation reaches the gate; release it once all callers
-	// have had a chance to pile up.
+	// Exactly one evaluation reaches the gate; release it once every other
+	// caller has joined its flight (the waiter count rises at the join).
 	<-g.arrivals
-	time.Sleep(20 * time.Millisecond)
+	for deadline := time.Now().Add(10 * time.Second); eng.CacheStats().Singleflight.Waiters < n-1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			g.open()
+			t.Fatalf("only %d of %d callers joined the flight within 10s", eng.CacheStats().Singleflight.Waiters, n-1)
+		}
+	}
 	g.open()
 	wg.Wait()
 

@@ -100,7 +100,7 @@ func hashAggregate(ev *evaluator, q *Query, sols *idRows) ([][]string, error) {
 				e = ExVar{Name: it.Var}
 			}
 			v, _ := evalExpr(ev.dict.resolve(e, sols.cols), ctx)
-			row = append(row, v.String())
+			row = append(row, v.term().String())
 		}
 		out = append(out, row)
 	}

@@ -64,7 +64,7 @@ func (d *evalDict) idsEqual(a, b store.ID) (bool, error) {
 	if !d.typeOf(a).IsNumeric() && !d.typeOf(b).IsNumeric() {
 		return a == b, nil
 	}
-	return termsEqual(d.decode(a), d.decode(b))
+	return termsEqual(termValue(d.decode(a)), termValue(d.decode(b)))
 }
 
 // encode interns t, preferring the store dictionary (so id equality is term

@@ -176,7 +176,7 @@ func (g *KnowledgeGraph) patternNode(s string) (sparql.Node, error) {
 		return sparql.TermNode(t), nil
 	}
 	if strings.Contains(s, ":") {
-		iri, err := g.prefixes.Expand(s)
+		iri, err := g.expandIRI("seed", s)
 		if err != nil {
 			return sparql.Node{}, err
 		}
