@@ -76,8 +76,7 @@ func main() {
 		maxRows   = flag.Int("maxrows", 0, "cap rows per response (0 = unlimited); clients must paginate past it")
 		maxBody   = flag.Int64("maxbody", 0, "cap POST body bytes (0 = 1 MiB default); oversized queries get 413")
 		timeout   = flag.Duration("timeout", time.Minute, "per-query evaluation deadline (0 = none)")
-		cacheOn   = flag.Bool("cache", true, "enable the serving caches (parsed plans + store-versioned results with pagination-aware slicing)")
-		cacheRows = flag.Int64("cache-rows", sparql.DefaultResultCacheRows, "result cache budget in total cached rows (roughly 64 MB at the default); 0 caches plans only")
+		cacheRows = flag.Int64("cache-rows", sparql.DefaultResultCacheRows, "result cache budget in total cached rows (roughly 64 MB at the default); 0 turns the result cache off")
 		parallel  = flag.Int("parallel", 0, "intra-query morsel workers per query (0 = GOMAXPROCS, 1 = serial); results are identical at every setting")
 		inflight  = flag.Int("max-inflight", 0, "max concurrently evaluating queries (0 = unlimited); excess requests are shed with 429 + Retry-After")
 		maxCost   = flag.Float64("max-cost", 0, "per-query planner cost budget in estimated intermediate rows (0 = unlimited); pricier queries are shed with 429")
@@ -185,10 +184,8 @@ func main() {
 		eng.SetWAL(wal)
 		log.Printf("updates durable: WAL at %s (seq=%d)", *walPath, wal.Seq())
 	}
-	if *cacheOn {
-		eng.EnableCache(sparql.DefaultPlanCacheEntries, *cacheRows)
-		log.Printf("serving caches on: %d plan entries, %d result rows", sparql.DefaultPlanCacheEntries, *cacheRows)
-	}
+	eng.EnableCache(sparql.DefaultPlanCacheEntries, *cacheRows)
+	log.Printf("caches: %d plan entries, %d result rows", sparql.DefaultPlanCacheEntries, *cacheRows)
 	srv := server.New(eng)
 	srv.MaxRows = *maxRows
 	srv.MaxBodyBytes = *maxBody
@@ -236,8 +233,8 @@ func main() {
 	for _, uri := range st.GraphURIs() {
 		log.Printf("graph <%s>: %d triples", uri, st.Graph(uri).Len())
 	}
-	log.Printf("SPARQL endpoint on %s/sparql (maxrows=%d, timeout=%v, cache=%v, parallel=%d, max-inflight=%d, max-cost=%g)",
-		*listen, *maxRows, *timeout, *cacheOn, *parallel, *inflight, *maxCost)
+	log.Printf("SPARQL endpoint on %s/sparql (maxrows=%d, timeout=%v, cache-rows=%d, parallel=%d, max-inflight=%d, max-cost=%g)",
+		*listen, *maxRows, *timeout, *cacheRows, *parallel, *inflight, *maxCost)
 
 	// Serve with full connection-lifecycle timeouts (slow-loris protection)
 	// until SIGINT/SIGTERM, then drain: refuse new queries with 503 +

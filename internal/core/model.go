@@ -85,7 +85,8 @@ func (m *QueryModel) addTriple(t GraphTriple) {
 		return // merging branched frames must not duplicate patterns
 	}
 	m.Triples = append(m.Triples, t)
-	m.addVars(t.Vars())
+	var buf [3]string
+	m.addVars(t.AppendVars(buf[:0]))
 }
 
 func (m *QueryModel) addFilter(e sparql.Expression) {

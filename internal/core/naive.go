@@ -75,7 +75,7 @@ func (n *naive) run(ops []Op) error {
 		case SeedOp:
 			n.addGraph(o.GraphURI)
 			b := &binding{pat: sparql.TriplePattern{S: o.S, P: o.P, O: o.O}}
-			b.cols = b.pat.Vars()
+			b.cols = b.pat.AppendVars(nil)
 			for _, c := range b.cols {
 				n.binder[c] = b
 				n.scope[c] = true

@@ -10,11 +10,11 @@
 // paginate with LIMIT/OFFSET to retrieve complete results — exactly the
 // behaviour RDFFrames' client handles transparently.
 //
-// The serving path goes through the engine's plan and result caches when
-// they are enabled (sparql.Engine.EnableCache): responses carry
-// X-Cache: hit|miss and X-Store-Version headers, /stats reports the cache
-// counters, and bodies are gzip-compressed when the client's
-// Accept-Encoding admits it.
+// Every query goes through the engine's plan cache, and the serving path
+// through its result cache when that is enabled (sparql.Engine.EnableCache):
+// responses carry X-Cache: hit|miss and X-Store-Version headers, /stats
+// reports the cache counters, and bodies are gzip-compressed when the
+// client's Accept-Encoding admits it.
 package server
 
 import (

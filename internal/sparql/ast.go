@@ -47,15 +47,16 @@ func (tp TriplePattern) String() string {
 	return r.String()
 }
 
-// Vars returns the variable names used by the pattern, in S,P,O order.
-func (tp TriplePattern) Vars() []string {
-	var out []string
-	for _, n := range []Node{tp.S, tp.P, tp.O} {
+// AppendVars appends the variable names used by the pattern to dst, in
+// S,P,O order. A caller that only iterates them passes a [3]string buffer
+// and allocates nothing.
+func (tp TriplePattern) AppendVars(dst []string) []string {
+	for _, n := range [...]Node{tp.S, tp.P, tp.O} {
 		if n.IsVar {
-			out = append(out, n.Var)
+			dst = append(dst, n.Var)
 		}
 	}
-	return out
+	return dst
 }
 
 // Element is one component of a group graph pattern.
@@ -212,12 +213,13 @@ func (g *Group) scopeVars() []string {
 			out = append(out, v)
 		}
 	}
+	var buf [3]string
 	var walk func(g *Group)
 	walk = func(g *Group) {
 		for _, el := range g.Elems {
 			switch e := el.(type) {
 			case BGPElem:
-				for _, v := range e.Pattern.Vars() {
+				for _, v := range e.Pattern.AppendVars(buf[:0]) {
 					add(v)
 				}
 			case PathElem:

@@ -48,9 +48,9 @@ type ServeInfo struct {
 	Coalesced bool
 	// StoreVersion is the store mutation epoch the response reflects.
 	StoreVersion uint64
-	// PlanDigest is the structural hash of the optimized plan a serving
-	// request maps to ("" off the serving path and under DisableReorder);
-	// see queryPlan.planDigest.
+	// PlanDigest is the structural hash of the optimized plan the request
+	// ran ("" for EXPLAIN and under DisableReorder); see
+	// queryPlan.planDigest.
 	PlanDigest string
 }
 
@@ -69,17 +69,23 @@ func (si ServeInfo) CacheOutcome() string {
 	}
 }
 
-// EnableCache switches on the serving-path caches: a plan cache of up to
-// planEntries parsed queries and a result cache bounded by resultRows
-// total cached rows (<= 0 disables that cache). Call before serving
-// traffic; it is not synchronized with in-flight queries.
+// EnableCache switches on the result cache, bounded by resultRows total
+// cached rows (<= 0 leaves it off), and rebuilds the engine's plan cache
+// with room for planEntries parsed queries (<= 0 keeps the current one).
+// Call before serving traffic; it is not synchronized with in-flight
+// queries.
 func (e *Engine) EnableCache(planEntries int, resultRows int64) {
 	if planEntries > 0 {
-		e.plans = qcache.New[*cachedPlan](int64(planEntries), 16)
+		e.plans = newPlanCache(planEntries)
 	}
 	if resultRows > 0 {
 		e.results = qcache.New[*cachedResult](resultRows, 4)
 	}
+}
+
+// newPlanCache returns an empty plan cache of up to entries parsed queries.
+func newPlanCache(entries int) *qcache.Cache[*cachedPlan] {
+	return qcache.New[*cachedPlan](int64(entries), 16)
 }
 
 // CacheEnabled reports whether the result cache is on.
@@ -95,12 +101,10 @@ type CacheStats struct {
 	Singleflight FlightStats `json:"singleflight"`
 }
 
-// CacheStats returns the current cache counters (zero when disabled).
+// CacheStats returns the current cache counters (the result cache's are
+// zero while it is off).
 func (e *Engine) CacheStats() CacheStats {
-	st := CacheStats{Enabled: e.results != nil}
-	if e.plans != nil {
-		st.Plans = e.plans.Stats()
-	}
+	st := CacheStats{Enabled: e.results != nil, Plans: e.plans.Stats()}
 	if e.results != nil {
 		st.Results = e.results.Stats()
 	}
@@ -117,29 +121,16 @@ type cachedPlan struct {
 	plan atomic.Pointer[queryPlan]
 }
 
-// planned resolves src to its parsed query and an optimized plan. Plans are
-// cached alongside the parse, keyed by the store's stats epoch: when the
-// data distribution shifts (bulk ingest, new graphs) the epoch moves and
-// the entry is re-optimized on next use, while steady-state serving reuses
-// the cached plan untouched. The returned plan is nil for EXPLAIN queries,
-// which plan themselves. A trace carried by ctx gets parse/plan spans and
-// the plan-cache outcome.
+// planned resolves src to its parsed query and an optimized plan. Every
+// engine caches both by query text: a text is parsed once, and its plan is
+// rebuilt only when the store's stats epoch moves (bulk ingest or
+// deletion, a new graph) or DisableReorder no longer matches the knob the
+// plan was built under, so steady-state reads reuse the cached plan
+// untouched. The returned plan is nil for EXPLAIN queries, which plan
+// themselves. A trace carried by ctx gets parse/plan spans and the
+// plan-cache outcome.
 func (e *Engine) planned(ctx context.Context, src string) (*Query, *queryPlan, error) {
 	tr := obs.TraceFrom(ctx)
-	if e.plans == nil {
-		endParse := tr.StartSpan("parse")
-		q, err := Parse(src)
-		endParse()
-		if err != nil || q.Explain {
-			// EXPLAIN queries build their own tracked plan in
-			// explainParsed; planning here would be double work.
-			return q, nil, err
-		}
-		endPlan := tr.StartSpan("plan")
-		qp := e.buildPlan(q, false, !e.DisableReorder)
-		endPlan()
-		return q, qp, nil
-	}
 	entry, ok := e.plans.Get(src)
 	if ok {
 		// First write wins: a request resolves the plan cache more than once
@@ -160,12 +151,15 @@ func (e *Engine) planned(ctx context.Context, src string) (*Query, *queryPlan, e
 		e.plans.Put(src, entry, 1)
 	}
 	if entry.q.Explain {
+		// EXPLAIN queries build their own tracked plan in explainParsed;
+		// planning here would be double work.
 		return entry.q, nil, nil
 	}
+	reorder := !e.DisableReorder
 	qp := entry.plan.Load()
-	if qp == nil || qp.epoch != e.Store.StatsEpoch() {
+	if qp == nil || qp.epoch != e.Store.StatsEpoch() || qp.reorder != reorder {
 		endPlan := tr.StartSpan("plan")
-		qp = e.buildPlan(entry.q, false, !e.DisableReorder)
+		qp = e.buildPlan(entry.q, false, reorder)
 		endPlan()
 		entry.plan.Store(qp)
 	}

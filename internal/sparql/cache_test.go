@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"rdfframes/internal/obs"
 	"rdfframes/internal/rdf"
 	"rdfframes/internal/store"
 )
@@ -310,6 +311,77 @@ func TestPlanCacheReusesParsedQueries(t *testing.T) {
 	}
 	if stats := eng.CacheStats(); stats.Plans.Misses != 2 {
 		t.Fatalf("plan misses = %d, want 2", stats.Plans.Misses)
+	}
+}
+
+// TestEnginePlansOncePerEpoch: an engine that never called EnableCache
+// still parses a text once and plans it once per stats epoch and
+// DisableReorder setting.
+func TestEnginePlansOncePerEpoch(t *testing.T) {
+	st := cacheTestStore(t)
+	eng := NewEngine(st)
+	q := `SELECT ?s ?n WHERE { ?s <http://ex/p> ?o . ?s <http://ex/name> ?n }`
+	run := func() *obs.Trace {
+		t.Helper()
+		tr := obs.NewTrace("t")
+		if _, err := eng.Do(obs.WithTrace(context.Background(), tr), Request{Query: q}); err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	spans := func(tr *obs.Trace) (parse, plan bool) {
+		for _, sp := range tr.Spans() {
+			parse = parse || sp.Name == "parse"
+			plan = plan || sp.Name == "plan"
+		}
+		return parse, plan
+	}
+
+	if parse, plan := spans(run()); !parse || !plan {
+		t.Fatalf("first run: parse=%v plan=%v, want both", parse, plan)
+	}
+	tr := run()
+	if got := tr.Note("plan_cache"); got != "hit" {
+		t.Fatalf("second run: plan_cache=%q, want hit", got)
+	}
+	if parse, plan := spans(tr); parse || plan {
+		t.Fatalf("second run: parse=%v plan=%v, want neither", parse, plan)
+	}
+	if p := eng.CacheStats().Plans; p.Misses != 1 || p.Hits != 1 {
+		t.Fatalf("plan stats = %+v, want 1 miss and 1 hit", p)
+	}
+
+	eng.DisableReorder = true
+	if parse, plan := spans(run()); parse || !plan {
+		t.Fatalf("after DisableReorder: parse=%v plan=%v, want a plan and no parse", parse, plan)
+	}
+	if parse, plan := spans(run()); parse || plan {
+		t.Fatalf("DisableReorder again: parse=%v plan=%v, want neither", parse, plan)
+	}
+	eng.DisableReorder = false
+
+	before := st.StatsEpoch()
+	for i := 0; i < 64; i++ { // more than 1/8 of the 60 triples, in the same graph
+		if err := st.Add("http://g", rdf.Triple{
+			S: rdf.NewIRI(fmt.Sprintf("http://ex/t%02d", i)),
+			P: rdf.NewIRI("http://ex/p"),
+			O: rdf.NewInteger(int64(i)),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st.StatsEpoch() == before {
+		t.Fatal("growing the store by more than 1/8 did not move the stats epoch")
+	}
+	tr = run()
+	if parse, plan := spans(tr); parse || !plan {
+		t.Fatalf("after the epoch moved: parse=%v plan=%v, want a plan and no parse", parse, plan)
+	}
+	if got, want := tr.Note("stats_epoch"), fmt.Sprint(st.StatsEpoch()); got != want {
+		t.Fatalf("stats_epoch=%s, want %s", got, want)
+	}
+	if p := eng.CacheStats().Plans; p.Misses != 1 {
+		t.Fatalf("plan misses = %d, want 1: the text is parsed once", p.Misses)
 	}
 }
 

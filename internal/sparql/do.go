@@ -18,10 +18,9 @@ type Request struct {
 	// Query is the SPARQL text.
 	Query string
 	// Serving routes the request through the result cache: pagination-aware
-	// key normalization, singleflight stampede protection, and the plan
-	// digest in Response.Info. Off — or with the cache disabled — the
-	// request evaluates directly; both paths go through the plan cache when
-	// it is enabled.
+	// key normalization and singleflight stampede protection. Off — or with
+	// the result cache disabled — the request evaluates directly. Both paths
+	// go through the engine's plan cache.
 	Serving bool
 	// JSON asks Do for the SPARQL JSON serialization in Response.Body.
 	JSON bool
@@ -86,12 +85,8 @@ func (e *Engine) Stream(ctx context.Context, req Request) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	if req.Serving {
-		// The digest stays off the in-process path, which has no plan
-		// cache to amortize its hash over.
-		resp.Info.PlanDigest = qp.planDigest()
-		tr.Annotate("plan_digest", resp.Info.PlanDigest)
-	}
+	resp.Info.PlanDigest = qp.planDigest()
+	tr.Annotate("plan_digest", resp.Info.PlanDigest)
 	limit, offset := -1, 0 // an evaluation applies them itself
 	if req.Serving && e.results != nil && !q.Explain {
 		// EXPLAIN output depends on live actual cardinalities; it bypasses

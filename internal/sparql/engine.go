@@ -17,7 +17,8 @@ type Engine struct {
 	// Store is the underlying quad store.
 	Store *store.Store
 	// DefaultGraphs are queried when a query has no FROM clause. Empty
-	// means the union of all graphs in the store.
+	// means the union of all graphs in the store. Set before the first
+	// query: cached plans are not re-planned when it changes.
 	DefaultGraphs []string
 	// timeout bounds query execution; zero disables the deadline. Atomic
 	// because callers (the benchmark harness, an operator endpoint) retune
@@ -35,13 +36,13 @@ type Engine struct {
 	// order, with no estimates, no subplan sharing and no trie walk — the
 	// reference of the byte-identity tests and the ablation baseline.
 	// Filter placement and the prune schedule are decided as always, and
-	// the evaluator runs the tree it is given either way.
+	// the evaluator runs the tree it is given either way. A cached plan
+	// built under the other setting is re-planned on its next use.
 	DisableReorder bool
 	// DisableWCOJ turns off the worst-case-optimal join operator, so every
 	// BGP segment runs the binary join pipeline (the identity baseline for
-	// the WCOJ byte-identity gate and ablation benchmarks). Like
-	// Parallelism, set before serving traffic: cached plans are not
-	// re-planned when it changes.
+	// the WCOJ byte-identity gate and ablation benchmarks). Set before the
+	// first query: cached plans are not re-planned when it changes.
 	DisableWCOJ bool
 
 	// execStats counts executor activity — trie walks, join candidate checks
@@ -50,9 +51,10 @@ type Engine struct {
 	execStats execCounters
 
 	// plans caches parsed queries by text together with their optimized
-	// plans (re-optimized whenever the store's stats epoch moves); results
-	// caches full result sets in compact form keyed by (store version,
-	// graphs, normalized text). Both are nil until EnableCache (see cache.go).
+	// plans (re-optimized whenever the store's stats epoch moves); every
+	// engine has one. results caches full result sets in compact form keyed
+	// by (store version, graphs, normalized text); it is nil until
+	// EnableCache (see cache.go).
 	plans   *qcache.Cache[*cachedPlan]
 	results *qcache.Cache[*cachedResult]
 	// metricsReg is where RegisterMetrics put the engine's series; nil
@@ -84,8 +86,11 @@ type Engine struct {
 	update updateState
 }
 
-// NewEngine returns an engine over st with no default-graph restriction.
-func NewEngine(st *store.Store) *Engine { return &Engine{Store: st} }
+// NewEngine returns an engine over st with no default-graph restriction
+// and a plan cache of DefaultPlanCacheEntries parsed queries.
+func NewEngine(st *store.Store) *Engine {
+	return &Engine{Store: st, plans: newPlanCache(DefaultPlanCacheEntries)}
+}
 
 // SetTimeout bounds each query evaluation; zero disables the deadline.
 // Safe to call concurrently with running queries, which sample it when

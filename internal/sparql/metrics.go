@@ -11,12 +11,7 @@ import (
 // /metrics and /stats cannot disagree because there is one source of truth
 // sampled at render time, not two bookkeeping paths.
 func (e *Engine) RegisterMetrics(reg *obs.Registry) {
-	registerCacheMetrics(reg, "plan", func() qcache.Stats {
-		if e.plans == nil {
-			return qcache.Stats{}
-		}
-		return e.plans.Stats()
-	})
+	registerCacheMetrics(reg, "plan", func() qcache.Stats { return e.plans.Stats() })
 	registerCacheMetrics(reg, "result", func() qcache.Stats {
 		if e.results == nil {
 			return qcache.Stats{}

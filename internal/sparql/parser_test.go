@@ -415,3 +415,17 @@ func TestParseLanguageTags(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendVarsAllocatesNothing: a pattern's variables come back in S,P,O
+// order, and into a caller's [3]string buffer without an allocation.
+func TestAppendVarsAllocatesNothing(t *testing.T) {
+	tp := TriplePattern{S: Variable("s"), P: TermNode(rdf.NewIRI("http://ex/p")), O: Variable("o")}
+	if got := tp.AppendVars(nil); !reflect.DeepEqual(got, []string{"s", "o"}) {
+		t.Fatalf("AppendVars = %v, want [s o]", got)
+	}
+	var buf [3]string
+	n := 0
+	if allocs := testing.AllocsPerRun(100, func() { n = len(tp.AppendVars(buf[:0])) }); allocs != 0 || n != 2 {
+		t.Fatalf("AppendVars into a buffer: %v allocations, %d variables; want 0 and 2", allocs, n)
+	}
+}

@@ -141,7 +141,7 @@ func refBGP(st *store.Store, graphs []string, in *idRows, pats []TriplePattern, 
 	dict := newEvalDict(st.Dict())
 	vars := append([]string(nil), in.vars...)
 	mentions := func(ps []TriplePattern, v string) bool {
-		return slices.ContainsFunc(ps, func(p TriplePattern) bool { return slices.Contains(p.Vars(), v) })
+		return slices.ContainsFunc(ps, func(p TriplePattern) bool { return slices.Contains(p.AppendVars(nil), v) })
 	}
 	var rows [][]store.ID
 	for _, row := range listRows(in) {

@@ -477,7 +477,7 @@ func (p *planner) planGroup(g *Group, graphs []string, override string) (*groupO
 func elemBinds(el Element) []string {
 	switch e := el.(type) {
 	case BGPElem:
-		return e.Pattern.Vars()
+		return e.Pattern.AppendVars(nil)
 	case BindElem:
 		return []string{e.Var}
 	case OptionalElem:
@@ -578,7 +578,7 @@ func (p *planner) planBGP(patterns []TriplePattern, active []string, gs *groupSc
 	vars := make([][]string, len(patterns)) // per step
 	occ, last := map[string]int{}, map[string]int{}
 	for step, s := range op.steps {
-		vars[step] = s.pat.Vars()
+		vars[step] = s.pat.AppendVars(nil)
 		for _, v := range vars[step] {
 			occ[v]++
 			last[v] = step
@@ -720,10 +720,11 @@ func countQueryUses(q *Query, uses map[string]int) {
 }
 
 func countGroupUses(g *Group, uses map[string]int) {
+	var buf [3]string
 	for _, el := range g.Elems {
 		switch e := el.(type) {
 		case BGPElem:
-			for _, v := range e.Pattern.Vars() {
+			for _, v := range e.Pattern.AppendVars(buf[:0]) {
 				uses[v]++
 			}
 		case FilterElem:

@@ -401,19 +401,26 @@ func TestDoBodiesAgreeAcrossPaths(t *testing.T) {
 }
 
 // TestDoTracesEveryPath: a traced request records the same parse, plan and
-// exec spans and join annotations whether or not it takes the serving path.
+// exec spans and join annotations whether or not it takes the serving path,
+// and a repeat of its text on the same engine is a plan-cache hit with no
+// parse or plan span.
 func TestDoTracesEveryPath(t *testing.T) {
-	e := NewEngine(movieStore(t))
 	q := `SELECT ?m ?c WHERE { ?m <http://ex/starring> ?a . ?a <http://ex/birthPlace> ?c }`
-	for _, serving := range []bool{false, true} {
-		tr := obs.NewTrace("t")
-		if _, err := e.Do(obs.WithTrace(context.Background(), tr), Request{Query: q, Serving: serving}); err != nil {
-			t.Fatal(err)
-		}
+	spansOf := func(tr *obs.Trace) map[string]bool {
 		spans := map[string]bool{}
 		for _, sp := range tr.Spans() {
 			spans[sp.Name] = true
 		}
+		return spans
+	}
+	for _, serving := range []bool{false, true} {
+		// A cold engine per path, so each pays for its own parse and plan.
+		e := NewEngine(movieStore(t))
+		tr := obs.NewTrace("t")
+		if _, err := e.Do(obs.WithTrace(context.Background(), tr), Request{Query: q, Serving: serving}); err != nil {
+			t.Fatal(err)
+		}
+		spans := spansOf(tr)
 		for _, name := range []string{"parse", "plan", "exec"} {
 			if !spans[name] {
 				t.Errorf("serving=%v: no %s span in %v", serving, name, tr.Spans())
@@ -421,6 +428,18 @@ func TestDoTracesEveryPath(t *testing.T) {
 		}
 		if tr.Note("join_rows") == "" {
 			t.Errorf("serving=%v: no join_rows annotation", serving)
+		}
+
+		// The same text again on the same engine reuses the parse and plan.
+		tr = obs.NewTrace("t")
+		if _, err := e.Do(obs.WithTrace(context.Background(), tr), Request{Query: q, Serving: serving}); err != nil {
+			t.Fatal(err)
+		}
+		if got := tr.Note("plan_cache"); got != "hit" {
+			t.Errorf("serving=%v, second run: plan_cache=%q, want hit", serving, got)
+		}
+		if spans := spansOf(tr); spans["parse"] || spans["plan"] {
+			t.Errorf("serving=%v, second run: parse or plan span in %v", serving, tr.Spans())
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"rdfframes/internal/client"
 	"rdfframes/internal/dataframe"
 	"rdfframes/internal/rdf"
 	"rdfframes/internal/sparql"
@@ -632,5 +633,21 @@ func TestCacheIsSatisfiedByTheEngine(t *testing.T) {
 		if rep.SubplanReuses < 1 {
 			t.Errorf("full outer join with %s reused no subplan:\n%s", name, q)
 		}
+	}
+}
+
+// TestFrameRepeatPlansOnce: executing one frame twice through ConnectStore
+// parses and plans its query once; the second call is a plan-cache hit.
+func TestFrameRepeatPlansOnce(t *testing.T) {
+	c := ConnectStore(miniDBpedia(t))
+	frame := listing1(dbpediaGraph(), 3)
+	for i := 0; i < 2; i++ {
+		if _, err := frame.Execute(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := c.(*client.Direct).Engine.CacheStats().Plans
+	if p.Misses != 1 || p.Hits != 1 {
+		t.Fatalf("plan cache after two Executes: %+v, want 1 miss and 1 hit", p)
 	}
 }
